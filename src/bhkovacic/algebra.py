@@ -19,21 +19,16 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "Poly",
-    "rat",
     "rat_from_str",
     "rat_to_str",
     "binomial",
+    "horner",
     "falling_factorial",
     "pochhammer",
     "poly_gcd",
     "rational_roots",
     "isqrt_exact",
 ]
-
-
-def rat(num, den=1) -> Rational:
-    """Build a Fraction from ints, strings or another Fraction."""
-    return Fraction(num, den) if den != 1 else Fraction(num)
 
 
 def rat_from_str(text: str) -> Rational:
@@ -56,6 +51,14 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def horner(coeffs: Sequence, x, zero=0):
+    """sum coeffs[i] * x**i by Horner's rule; ring-neutral (int, Fraction, Poly)."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def falling_factorial(x: Rational, k: int) -> Rational:
@@ -231,10 +234,7 @@ class Poly:
 
     def eval(self, x) -> Rational:
         """Exact Horner evaluation."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x, Fraction(0))
 
     def shift(self, c) -> "Poly":
         """Return q with q(x) = p(x + c); the basis change between frames.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .algebra import Poly, Rational, binomial, poly_gcd, rational_roots
+from .algebra import Poly, Rational, binomial, horner, poly_gcd, rational_roots
 from .elimination import nullspace
 from .kovacic import AffineS, Family, theta as theta_spec
 from .master import ModeSpec, PerturbationKind, special_frequency
@@ -42,6 +42,7 @@ __all__ = [
     "to_u_frame",
     "to_heun_form",
     "recurrence",
+    "symbolic_recurrence",
     "solve_low_degree",
     "chandrasekhar_coeffs",
     "chandrasekhar_r_frame",
@@ -82,7 +83,7 @@ def _sym_coefficients(family: Family, l: int) -> tuple:
     c0 = c0.a
     c2 = Poly([spec.c2.a, spec.c2.b])
     cinf = Poly([spec.cinf.a, spec.cinf.b])
-    beta = _family_beta(family)
+    beta = family.kind.beta
     L = l * (l + 1)
     # partial-fraction data of nu needed beyond the cancelled double poles
     b0 = Fraction(1 - 2 * beta - 2 * L, 4)
@@ -97,15 +98,11 @@ def _sym_coefficients(family: Family, l: int) -> tuple:
     return p1_const, p1_lin, p1_quad, e, f
 
 
-def _family_beta(family: Family) -> int:
-    return {"G": -3, "E": 0, "S": 1}[family.beta_prefix]
-
-
 def build_auxiliary(family: Family, mode: ModeSpec) -> AuxiliaryODE:
     """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 for the mode."""
-    if mode.beta != _family_beta(family):
+    if mode.kind is not family.kind:
         raise ValueError(
-            f"family {family.label} belongs to beta={_family_beta(family)}, "
+            f"family {family.label} belongs to beta={family.kind.beta}, "
             f"mode has beta={mode.beta}"
         )
     p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, mode.l)
@@ -218,36 +215,23 @@ class Recurrence3:
         upper(k) = (k+rho+1)(beta (k+rho) + c)
 
     where p2 = alpha t^2 + beta t, p1 = a t^2 + b t + c and p0 = e t + f
-    after shifting the point to the origin.
+    after shifting the point to the origin.  Each entry is kept as its
+    coefficient tuple in k, lowest power first; the coefficients are
+    rationals, or polynomials in s (:func:`symbolic_recurrence`).
     """
 
-    frame: str
-    point: Rational
-    rho: Rational
-    alpha: Rational
-    beta: Rational
-    a: Rational
-    b: Rational
-    c: Rational
-    e: Rational
-    f: Rational
+    lower_k: tuple
+    diag_k: tuple
+    upper_k: tuple
 
     def lower(self, k) -> Rational:
-        return self.a * (k + self.rho - 1) + self.e
+        return horner(self.lower_k, k)
 
     def diag(self, k) -> Rational:
-        m = k + self.rho
-        return m * (self.alpha * (m - 1) + self.b) + self.f
+        return horner(self.diag_k, k)
 
     def upper(self, k) -> Rational:
-        m = k + self.rho
-        return (m + 1) * (self.beta * m + self.c)
-
-    def row(self, k) -> tuple:
-        return (self.lower(k), self.diag(k), self.upper(k))
-
-    def indicial_roots(self) -> tuple:
-        return (Fraction(0), 1 - self.c / self.beta)
+        return horner(self.upper_k, k)
 
     def residual_rows(self, coeffs: Sequence[Rational], rows: int) -> list:
         """Row values of the recurrence applied to a coefficient vector."""
@@ -279,17 +263,26 @@ def recurrence(ode: AuxiliaryODE, point, rho) -> Recurrence3:
     c = p1s[0]
     if rho * (beta * (rho - 1) + c) != 0:
         raise ValueError(f"rho={rho} is not an indicial root at {point}")
+    return _recurrence3(rho, alpha, beta, p1s[2], p1s[1], c, p0s[1], p0s[0])
+
+
+def symbolic_recurrence(family: Family, l: int) -> Recurrence3:
+    """The r-frame recurrence about r = 0 (rho = 0) with s left symbolic.
+
+    Its entries are polynomials in s; at a given s they equal those of
+    ``recurrence(build_auxiliary(family, mode), 0, 0)``.
+    """
+    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
+    # p2 = r(r-2) = r^2 - 2r
+    return _recurrence3(0, 1, -2, p1_quad, p1_lin, p1_const, e, f)
+
+
+def _recurrence3(rho, alpha, beta, a, b, c, e, f) -> Recurrence3:
+    """The :class:`Recurrence3` entry formulas, expanded in k; ring-neutral."""
     return Recurrence3(
-        frame=ode.frame,
-        point=point,
-        rho=rho,
-        alpha=alpha,
-        beta=beta,
-        a=p1s[2],
-        b=p1s[1],
-        c=c,
-        e=p0s[1],
-        f=p0s[0],
+        lower_k=(a * (rho - 1) + e, a),
+        diag_k=(rho * (alpha * (rho - 1) + b) + f, alpha * (2 * rho - 1) + b, alpha),
+        upper_k=((rho + 1) * (beta * rho + c), beta * (2 * rho + 1) + c, beta),
     )
 
 
@@ -680,8 +673,7 @@ def homotopic_equivalence_check(
     For each sampled mode the substitution identity
     R_orig(z^m q) = z^m R_mapped(q) is applied to the monomials q = z^k,
     k = 0..max_monomial, and the mapped parameter tuple is compared with
-    the target family's confluent Heun form.  m = 0 (the identity
-    substitution) is included as a degenerate case.
+    the target family's confluent Heun form.
     """
     from .kovacic import enumerate_families_n1
 
@@ -692,9 +684,7 @@ def homotopic_equivalence_check(
     for l in l_samples:
         for s in s_samples:
             for orig_label, target_label, m in pairs:
-                kind = PerturbationKind.GRAVITATIONAL if orig_label[0] == "G" else (
-                    PerturbationKind.ELECTROMAGNETIC
-                )
+                kind = PerturbationKind.from_label(orig_label)
                 if l < kind.min_l:
                     continue
                 mode = ModeSpec(kind, l, Fraction(s))
@@ -710,10 +700,6 @@ def homotopic_equivalence_check(
                     lhs = orig.apply(Poly.monomial(m + k))
                     rhs = Poly.monomial(m) * target.apply(Poly.monomial(k))
                     if lhs != rhs:
-                        identities_ok = False
-                    if orig.apply(Poly.monomial(k)) != homotopic_shift_params(
-                        orig, 0
-                    ).apply(Poly.monomial(k)):
                         identities_ok = False
             samples.append((l, Fraction(s)))
     return HomotopyReport(

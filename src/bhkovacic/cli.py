@@ -8,7 +8,9 @@ Subcommands
     verify-all  the whole check battery at configurable bounds
 
 Exit status 0 means every executed check passed; 1 reports a failed
-check; 2 is a usage error.  BHK_THREADS caps scan workers.
+check; 2 is a usage error, such as a scan grid with no cell.
+BHK_THREADS sets the scan's worker processes, clamped to the CPU count and
+the number of grid columns; unset or not an integer means serial.
 """
 
 from __future__ import annotations
@@ -313,7 +315,10 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     result = scan(l_max=max(l_max, 2), d_max=d_max)
     report.add(
         "evidence.scan",
-        result.all_final_signs_ok and result.cross_checks_ok and result.flags_resolved_nonzero,
+        result.cells > 0
+        and result.all_final_signs_ok
+        and result.cross_checks_ok
+        and result.flags_resolved_nonzero,
         tag="evidence.det_sign",
         witness={"cells": result.cells, "flagged": result.flagged_count},
     )

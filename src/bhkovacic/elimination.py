@@ -1,5 +1,6 @@
 """Fraction-free exact linear algebra: Bareiss elimination, determinants,
-and nullspaces over the rationals.
+and nullspaces over the rationals, and the leading minors of a
+tridiagonal matrix.
 
 Rows are scaled to integers first; the single-step Bareiss scheme then
 keeps every intermediate entry an exact integer (each is a minor of the
@@ -10,11 +11,24 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 from .algebra import Rational
 
-__all__ = ["integerize_rows", "bareiss_determinant", "nullspace", "rank"]
+__all__ = ["integerize_rows", "bareiss_determinant", "nullspace", "rank", "tridiag_minors"]
+
+
+def tridiag_minors(diag: Iterable, offprod: Iterable) -> Iterator:
+    """Leading principal minors D_1, D_2, ... of a tridiagonal matrix.
+
+    D_{k+1} = diag[k] D_k - offprod[k] D_{k-1}, offprod[k] = lower(k)
+    upper(k-1), D_0 = 1, D_{-1} = 0.  Ring-neutral (int, Fraction, Poly)
+    and division-free, so integer entries give exact integer minors.
+    """
+    d_prev, d_cur = 0, 1
+    for a, b in zip(diag, offprod):
+        d_prev, d_cur = d_cur, a * d_cur - b * d_prev
+        yield d_cur
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -2,17 +2,16 @@
 S3 contradiction record.
 
 A degree-d polynomial candidate of one of these families fixes the
-frequency through the degree formula (G3: s = (d+3)/2, E3: s = (d+2)/2,
-E7: s = d/2) and leads to a (d+1) x (d+1) tridiagonal homogeneous system.
-Expanding its determinant along the last column gives the two-term
-recurrences
-
-    G3: D_{n+1} = (n^2 + 5n - 4sn + 6 - L - 10s) D_n - 2ns(n+4)(2s-2-n) D_{n-1}
-    E3: D_{n+1} = (n^2 + 3n - 4sn + 2 - L -  6s) D_n - 2ns(n+2)(2s-1-n) D_{n-1}
-    E7: D_{n+1} = (n^2 -  n - 4sn     - L +  2s) D_n - 2ns(n-2)(2s+1-n) D_{n-1}
-
-with L = l(l+1), D_0 = 1, D_{-1} = 0.  With 2s an integer every D_n is an
-integer and the recurrence is division-free, so a sign is never in doubt.
+frequency through the family's degree form (G3: s = (d+3)/2, E3:
+s = (d+2)/2, E7: s = d/2) and leads to a (d+1) x (d+1) tridiagonal
+homogeneous system, rows 0..d of the r-frame recurrence about r = 0 of
+the auxiliary equation.  Its leading minors D_n come from the engine that
+also evaluates the Hautot determinants,
+:func:`~bhkovacic.elimination.tridiag_minors`.  The entries are taken
+from the auxiliary equation with s symbolic, turned once per (family, l)
+column into integer polynomials in k and d, and evaluated per cell in
+plain integers: every D_n is an integer and no step divides, so a sign is
+never in doubt.
 A nonzero full determinant D_{d+1} rules the candidate out; the observed
 pattern is sgn(D_{d+1}) = (-1)^(d+1) across the scanned grid.  Cells whose
 intermediate minors break the alternation (E7 does this for d > l(l+1))
@@ -22,6 +21,7 @@ the brute-force nullspace oracle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -29,14 +29,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Poly, Rational, rat_to_str, rational_roots
+from .algebra import Poly, Rational, horner, rat_to_str, rational_roots
 from .auxode import (
     brute_force_polynomial_solutions,
     build_auxiliary,
     solve_low_degree,
+    symbolic_recurrence,
     tridiagonal_system,
 )
-from .elimination import bareiss_determinant, integerize_rows
+from .elimination import bareiss_determinant, integerize_rows, tridiag_minors
 from .kovacic import Family, enumerate_families_n1
 from .master import ModeSpec, PerturbationKind
 
@@ -55,19 +56,12 @@ __all__ = [
 
 SCAN_FAMILIES = ("G3", "E3", "E7")
 
-# s from the degree formula, as (2s) = d + offset
-_TWO_S_OFFSET = {"G3": 3, "E3": 2, "E7": 0}
 
-_KIND_BY_PREFIX = {
-    "G": PerturbationKind.GRAVITATIONAL,
-    "E": PerturbationKind.ELECTROMAGNETIC,
-    "S": PerturbationKind.SCALAR,
-}
-
-
+# bounded: only the twenty n=1 labels are ever cached, a miss raises
+@functools.lru_cache(maxsize=None)
 def family_by_label(label: str) -> Family:
     """Look up an n=1 family by its table label."""
-    kind = _KIND_BY_PREFIX[label[0]]
+    kind = PerturbationKind.from_label(label)
     mode = ModeSpec(kind, kind.min_l, Fraction(1))
     for fam in enumerate_families_n1(mode):
         if fam.label == label:
@@ -77,28 +71,44 @@ def family_by_label(label: str) -> Family:
 
 def degree_to_s(family: str, d: int) -> Rational:
     """The frequency pinned by a degree-d candidate of the family."""
-    if family not in _TWO_S_OFFSET:
+    if family not in SCAN_FAMILIES:
         raise ValueError(f"scan covers {SCAN_FAMILIES}, not {family}")
-    return Fraction(d + _TWO_S_OFFSET[family], 2)
+    degree = family_by_label(family).degree
+    return (d - degree.a) / degree.b
 
 
-def _det_steps(family: str, l: int, d: int):
-    """Yield (n, D_{n+1}) for n = 0..d; integer arithmetic throughout."""
-    L = l * (l + 1)
-    ss = d + _TWO_S_OFFSET[family]  # 2s
-    d_prev, d_cur = 0, 1
-    for n in range(d + 1):
-        if family == "G3":
-            diag = n * n + 5 * n - 2 * ss * n + 6 - L - 5 * ss
-            corr = n * (n + 4) * ss * (ss - 2 - n)
-        elif family == "E3":
-            diag = n * n + 3 * n - 2 * ss * n + 2 - L - 3 * ss
-            corr = n * (n + 2) * ss * (ss - 1 - n)
-        else:  # E7
-            diag = n * n - n - 2 * ss * n - L + ss
-            corr = n * (n - 2) * ss * (ss + 1 - n)
-        d_prev, d_cur = d_cur, diag * d_cur - corr * d_prev
-        yield n, d_cur
+def _column(fam: Family, l: int) -> tuple:
+    """(diag, offprod) of one (family, l) column as integer grids in k and d.
+
+    grid[i][j] multiplies k^i d^j.  The entries are those of the symbolic
+    r-frame recurrence about r = 0, with offprod(k) = lower(k) upper(k-1),
+    at the s that a degree-d candidate pins.
+    """
+    rec = symbolic_recurrence(fam, l)
+    l0, l1 = rec.lower_k
+    u0, u1, u2 = rec.upper_k
+    p0, p1, p2 = u0 - u1 + u2, u1 - 2 * u2, u2  # upper(k - 1)
+    offprod = (l0 * p0, l0 * p1 + l1 * p0, l0 * p2 + l1 * p1, l1 * p2)
+    return _in_degree(rec.diag_k, fam), _in_degree(offprod, fam)
+
+
+def _in_degree(entries, fam: Family) -> tuple:
+    """Polynomials in s, with s = (d - a)/b from the degree form d = a + b s,
+    as integer coefficient tuples in d."""
+    a, b = fam.degree.a, fam.degree.b
+    grid = [(Poly.zero() + e).shift(-a / b).scale_variable(1 / b).coeffs for e in entries]
+    if any(c.denominator != 1 for coeffs in grid for c in coeffs):
+        raise ArithmeticError(f"{fam.label} recurrence entries are not integral in d")
+    return tuple(tuple(map(int, coeffs)) for coeffs in grid)
+
+
+def _cell_entries(column: tuple, d: int) -> tuple:
+    """diag[k] and offprod[k], k = 0..d, of the column's degree-d cell."""
+    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
+    ks = range(d + 1)
+    diag = [d0 + k * (d1 + k * d2) for k in ks]
+    offprod = [o0 + k * (o1 + k * (o2 + k * o3)) for k in ks]
+    return diag, offprod
 
 
 @dataclass(frozen=True)
@@ -124,41 +134,34 @@ class DetSequence:
         An observed property of the scanned grid, logged in reports but
         never asserted.
         """
-        n0 = 0
-        for k in range(1, len(self.values)):
-            if abs(self.values[k]) <= abs(self.values[k - 1]):
-                n0 = k
-        return n0
+        return _stream_cell(self.values[1:], self.d)[3]
 
 
 def det_sequence(family: str, l: int, d: int) -> DetSequence:
-    s = degree_to_s(family, d)
-    values = [1]
-    sign_ok = True
-    for n, D in _det_steps(family, l, d):
-        values.append(D)
-        if D == 0 or (D > 0) != (n % 2 == 1):
-            sign_ok = False
-    D_last = values[-1]
-    final_ok = D_last != 0 and (D_last > 0) == (d % 2 == 1)
+    fam = family_by_label(family)
+    values = (1, *tridiag_minors(*_cell_entries(_column(fam, l), d)))
+    sign_ok, final_ok, _, _ = _stream_cell(values[1:], d)
     return DetSequence(
         family=family,
         l=l,
-        s=s,
+        s=degree_to_s(family, d),
         d=d,
-        values=tuple(values),
+        values=values,
         sign_pattern_ok=sign_ok,
         final_sign_ok=final_ok,
     )
 
 
-def _stream_cell(family: str, l: int, d: int) -> tuple:
-    """(sign_pattern_ok, final_sign_ok, D_last, mag_from), O(1) memory."""
+def _stream_cell(minors, d: int) -> tuple:
+    """(sign_pattern_ok, final_sign_ok, D_last, mag_from) of D_1..D_{d+1}.
+
+    O(1) memory: the minors are read once, as the engine yields them.
+    """
     sign_ok = True
     D = 1
     prev_abs = 1
     mag_from = 0
-    for n, D in _det_steps(family, l, d):
+    for n, D in enumerate(minors):
         if D == 0 or (D > 0) != (n % 2 == 1):
             sign_ok = False
         if abs(D) <= prev_abs:
@@ -169,8 +172,7 @@ def _stream_cell(family: str, l: int, d: int) -> tuple:
 
 
 def default_l_range(family: str, l_max: int = 20) -> range:
-    kind = _KIND_BY_PREFIX[family[0]]
-    return range(kind.min_l, l_max + 1)
+    return range(PerturbationKind.from_label(family).min_l, l_max + 1)
 
 
 @dataclass
@@ -196,24 +198,17 @@ class ScanReport:
 
 
 def cross_check_cell(family: str, l: int, d: int) -> dict:
-    """Bareiss determinant of the explicit system vs the two-term recurrence.
+    """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
     Row scaling to integers multiplies the determinant by the product of
     the per-row scale factors, which is divided back out.
     """
     fam = family_by_label(family)
-    s = degree_to_s(family, d)
-    mode = ModeSpec(_KIND_BY_PREFIX[family[0]], l, s)
-    ode = build_auxiliary(fam, mode)
+    ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(family, d)))
     rows = tridiagonal_system(ode, d)
-    scale = 1
-    for row in rows:
-        den = 1
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        scale *= den
+    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in rows)
     det = Fraction(bareiss_determinant(integerize_rows(rows)), scale)
-    _, _, D_last, _ = _stream_cell(family, l, d)
+    _, _, D_last, _ = _stream_cell(tridiag_minors(*_cell_entries(_column(fam, l), d)), d)
     nullspace_dim = len(brute_force_polynomial_solutions(ode, d)) if d <= 8 else None
     return {
         "family": family,
@@ -228,6 +223,8 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
 
 def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool) -> dict:
     """Aggregates for one (family, l) column of the grid; picklable."""
+    fam = family_by_label(family)
+    column = _column(fam, l)
     group = {
         "family": family,
         "l": l,
@@ -240,7 +237,8 @@ def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool)
         "records": [] if want_cells else None,
     }
     for d in range(d_max + 1):
-        sign_ok, final_ok, D_last, mag_from = _stream_cell(family, l, d)
+        minors = tridiag_minors(*_cell_entries(column, d))
+        sign_ok, final_ok, D_last, mag_from = _stream_cell(minors, d)
         group["cells"] += 1
         if not final_ok:
             group["final_violations"].append((family, l, d, D_last))
@@ -288,14 +286,23 @@ def scan(
 
     Grid columns are independent; ``workers`` (default: BHK_THREADS, else
     serial) fans them out across processes, merged in deterministic
-    (family, l) order.
+    (family, l) order.  A grid with no cell (negative ``d_max``, or no l
+    in range) raises ValueError: a scan that examined nothing must not pass.
     """
     families = tuple(families)
-    if workers is None:
-        workers = int(os.environ.get("BHK_THREADS", "1") or 1)
+    unknown = [f for f in families if f not in SCAN_FAMILIES]
+    if unknown:
+        raise ValueError(f"scan covers {SCAN_FAMILIES}, not {unknown}")
     groups = [
         (family, l) for family in families for l in default_l_range(family, l_max)
     ]
+    if d_max < 0 or not groups:
+        raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
+    workers = _worker_count(
+        os.environ.get("BHK_THREADS") if workers is None else workers,
+        len(groups),
+        os.cpu_count(),
+    )
     want_cells = out is not None
     if workers > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -345,6 +352,16 @@ def scan(
 
 def _scan_group_star(args) -> dict:
     return _scan_group(*args)
+
+
+def _worker_count(requested, columns: int, cpus: Optional[int]) -> int:
+    """``requested`` (an int, or BHK_THREADS text where unset, empty or not
+    an integer means serial) clamped to [1, min(cpus, columns)]."""
+    try:
+        wanted = int(requested or 1)
+    except ValueError:
+        wanted = 1
+    return max(1, min(wanted, cpus or 1, columns))
 
 
 # ---------------------------------------------------------------------------

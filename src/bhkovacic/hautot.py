@@ -28,6 +28,7 @@ from typing import Optional
 
 from .algebra import Poly, Rational, falling_factorial, rat_to_str
 from .auxode import HeunForm, chandrasekhar_coeffs
+from .elimination import tridiag_minors
 from .master import special_frequency
 
 __all__ = [
@@ -273,15 +274,12 @@ def tridiag_coeffs(source: str, *, a=None, b=None, c=None, d=None, n=None, j=Non
 def tridiag_det(coeffs, size: int):
     """Determinant of the leading size x size tridiagonal block.
 
-    Two-term expansion along the last column: D_{k+1} = diag_k D_k -
-    lower_k upper_{k-1} D_{k-1}; exact over rationals or polynomials.
+    The last minor of :func:`~bhkovacic.elimination.tridiag_minors`; exact
+    over rationals or polynomials.
     """
     lower, diag, upper = coeffs
-    d_prev, d_cur = 0, 1
-    for k in range(size):
-        corr = lower(k) * upper(k - 1) * d_prev if k > 0 else 0
-        d_prev, d_cur = d_cur, diag(k) * d_cur - corr
-    return d_cur
+    offprod = (lower(k) * upper(k - 1) if k else 0 for k in range(size))
+    return [1, *tridiag_minors(map(diag, range(size)), offprod)][-1]
 
 
 def det_A(l: int) -> Poly:
@@ -301,8 +299,7 @@ def det_A(l: int) -> Poly:
         d=Poly.const(2 - L) + 6 * s,
         n=2 * s + Poly.one(),
     )
-    det = tridiag_det(coeffs, 4)
-    return det if isinstance(det, Poly) else Poly.const(det)
+    return tridiag_det(coeffs, 4)
 
 
 @dataclass(frozen=True)

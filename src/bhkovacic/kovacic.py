@@ -23,12 +23,10 @@ from .master import ModeSpec, PerturbationKind
 
 __all__ = [
     "AffineS",
-    "SingularStructure",
     "Family",
     "ThetaSpec",
     "RetentionResult",
     "LiouvillianDescriptor",
-    "analyze_poles",
     "exponent_sets_n1",
     "enumerate_families_n1",
     "retain_families",
@@ -102,21 +100,6 @@ S = AffineS(0, 1)  # the symbol s itself
 
 
 @dataclass(frozen=True)
-class SingularStructure:
-    """Pole data of nu; identical for every mode of the master equation."""
-
-    gamma: frozenset = frozenset({"0", "2", "inf"})
-    orders: tuple = (("0", 2), ("2", 2), ("inf", 4))
-    gamma2_count: int = 2
-    gamma_count: int = 2
-    m_plus: int = 4
-    L: frozenset = frozenset({1, 2})
-
-    def order(self, point: str) -> int:
-        return dict(self.orders)[point]
-
-
-@dataclass(frozen=True)
 class Family:
     """One candidate exponent assignment (e0, e2, einf) with its degree form."""
 
@@ -128,12 +111,9 @@ class Family:
     n: int = 1
     sign_inf: int = 0  # S(einf); only meaningful for n=1
 
-    def degree_at(self, s) -> Rational:
-        return self.degree.at(s)
-
     @property
-    def beta_prefix(self) -> str:
-        return self.label.lstrip("N2")[0]
+    def kind(self) -> PerturbationKind:
+        return PerturbationKind.from_label(self.label)
 
 
 @dataclass(frozen=True)
@@ -148,25 +128,13 @@ class ThetaSpec:
         return (self.c0.at(s), self.c2.at(s), self.cinf.at(s))
 
 
-def analyze_poles(mode: ModeSpec) -> SingularStructure:
-    """Step 1: poles of nu and the admissible degree set L.
-
-    The denominator r^2 (r-2)^2 and the degree-4 numerator give o(0)=o(2)=2,
-    o(inf)=4, hence gamma = gamma_2 = 2 and L = {1, 2}.  The numerator
-    degree (and with it the order at infinity) presumes a radiating mode;
-    s = 0 enters later only through the marginal-family degree checks.
-    """
-    return SingularStructure()
-
-
 def exponent_sets_n1(mode: ModeSpec) -> tuple:
     """Step 2 for n=1: exponent sets at r=0, r=2 and infinity.
 
     E0 = {1/2 +- sqrt(1-beta)} (one element when beta=1), E2 = {1/2 +- s},
     Einf = {1-s, 1+s} with sign map S(1-s)=+1, S(1+s)=-1.
     """
-    beta = mode.beta
-    root = {(-3): 2, 0: 1, 1: 0}[beta]  # sqrt(1-beta)
+    root = mode.kind.sqrt_one_minus_beta
     half = Fraction(1, 2)
     if root == 0:
         e0_set = (AffineS(half),)
@@ -178,13 +146,6 @@ def exponent_sets_n1(mode: ModeSpec) -> tuple:
     return e0_set, e2_set, einf_set, sign_map
 
 
-_LABEL_PREFIX = {
-    PerturbationKind.GRAVITATIONAL: "G",
-    PerturbationKind.ELECTROMAGNETIC: "E",
-    PerturbationKind.SCALAR: "S",
-}
-
-
 def enumerate_families_n1(mode: ModeSpec) -> list:
     """Step 3a for n=1: all exponent families, in table row order.
 
@@ -192,7 +153,7 @@ def enumerate_families_n1(mode: ModeSpec) -> list:
     1-s before 1+s; degree d = 1 - (e0 + e2 + einf).
     """
     e0_set, e2_set, einf_set, sign_map = exponent_sets_n1(mode)
-    prefix = _LABEL_PREFIX[mode.kind]
+    prefix = mode.kind.prefix
     families = []
     index = 1
     for e0 in e0_set:
@@ -264,10 +225,6 @@ def _marginal_points(family: Family):
     return points
 
 
-def family_kind(family: Family) -> PerturbationKind:
-    return PerturbationKind({"G": -3, "E": 0, "S": 1}[family.beta_prefix])
-
-
 def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionResult:
     """Step 3b retention with the fixed-degree checks resolved.
 
@@ -291,7 +248,7 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
         if not points:
             result.discarded.append(family)
             continue
-        kind = family_kind(family)
+        kind = family.kind
         found_any = False
         for s_value, d in points:
             if d > 1:
@@ -328,15 +285,14 @@ def enumerate_families_n2(mode: ModeSpec) -> tuple:
     family; e0 and einf are always even and at most e2 can be odd, so every
     candidate is discarded, for all three kinds and every admissible s.
     """
-    beta = mode.beta
-    root = {(-3): 2, 0: 1, 1: 0}[beta]  # sqrt(1-beta), integral for all kinds
+    root = mode.kind.sqrt_one_minus_beta
     if root == 0:
         e0_set = (AffineS(2),)
     else:
         e0_set = (AffineS(2 - 4 * root), AffineS(2), AffineS(2 + 4 * root))
     e2_set = (AffineS(2) - 4 * S, AffineS(2), AffineS(2) + 4 * S)
     einf = AffineS(4)
-    prefix = _LABEL_PREFIX[mode.kind]
+    prefix = mode.kind.prefix
     candidates = []
     index = 1
     for e0 in e0_set:

@@ -15,6 +15,7 @@ invariant under s -> -s so only s >= 0 matters.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,21 @@ class PerturbationKind(enum.Enum):
     def min_l(self) -> int:
         # lowest radiating multipole: quadrupole / dipole / monopole
         return {-3: 2, 0: 1, 1: 0}[self.value]
+
+    @property
+    def prefix(self) -> str:
+        """First letter of the kind's family labels: G, E or S."""
+        return {-3: "G", 0: "E", 1: "S"}[self.value]
+
+    @property
+    def sqrt_one_minus_beta(self) -> int:
+        """sqrt(1 - beta), an integer for all three kinds (2, 1, 0)."""
+        return math.isqrt(1 - self.value)
+
+    @staticmethod
+    def from_label(label: str) -> "PerturbationKind":
+        """The kind a family label such as "G3" or "N2E5" belongs to."""
+        return {kind.prefix: kind for kind in PerturbationKind}[label.removeprefix("N2")[:1]]
 
     @staticmethod
     def from_name(name: str) -> "PerturbationKind":

@@ -55,7 +55,7 @@ class CheckRecord:
 
     name: str
     tag: str
-    status: str  # "pass" | "fail" | "flag"
+    status: str  # "pass" | "fail"
     witness: Any = None
 
     @property

@@ -134,3 +134,12 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     payload = json.loads(out)
     assert not payload["all_passed"]
     assert payload["records"][0]["status"] == "fail"
+
+
+def test_evidence_empty_grid_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "evidence", "--l-max", "-1", "--max-degree", "-5")
+    assert code == 2
+    assert "passed" not in out
+    assert "error:" in err
+    code, out, _ = run(capsys, "evidence", "--family", "G3", "--l-max", "1", "--json")
+    assert code == 2 and out == ""

@@ -1,24 +1,60 @@
 """Determinant-sign evidence and the S3 non-existence record."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from bhkovacic.algebra import Poly, rational_roots
+from bhkovacic.auxode import build_auxiliary, tridiagonal_system
+from bhkovacic.elimination import bareiss_determinant, integerize_rows, tridiag_minors
 from bhkovacic.evidence import (
+    SCAN_FAMILIES,
+    _cell_entries,
+    _column,
     _ratio_system_polynomial,
+    _worker_count,
     cross_check_cell,
+    default_l_range,
     degree_to_s,
     det_sequence,
     family_by_label,
     s3_nonexistence,
     scan,
 )
-from bhkovacic.master import special_frequency
+from bhkovacic.master import ModeSpec, special_frequency
+
+
+# the published degree formulas G3: s = (d+3)/2, E3: s = (d+2)/2, E7: s = d/2
+TWO_S_OFFSET = {"G3": 3, "E3": 2, "E7": 0}
+
+
+def _candidate_ode(label, l, d):
+    """The family's auxiliary equation at the frequency its degree-d candidate pins."""
+    fam = family_by_label(label)
+    s = (d - fam.degree.a) / fam.degree.b
+    return build_auxiliary(fam, ModeSpec(fam.kind, l, s))
+
+
+def _direct_det(ode, size):
+    """Exact determinant of rows 0..size-1 of the candidate system, by Bareiss.
+
+    Scaling each row to integers multiplies the determinant by the row's
+    scale factor, which is divided back out.
+    """
+    rows = tridiagonal_system(ode, size - 1)
+    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in rows)
+    return F(bareiss_determinant(integerize_rows(rows)), scale)
+
+
+def _engine_minors(label, l, d):
+    return list(tridiag_minors(*_cell_entries(_column(family_by_label(label), l), d)))
 
 
 def test_degree_to_s():
+    for family, offset in TWO_S_OFFSET.items():
+        assert all(2 * degree_to_s(family, d) == d + offset for d in range(20))
     assert degree_to_s("G3", 1) == 2
     assert degree_to_s("G3", 0) == F(3, 2)
     assert degree_to_s("E3", 4) == 3
@@ -36,31 +72,73 @@ def test_g3_example_sequence():
 
 
 def test_sequence_matches_direct_determinants():
-    # two-term recurrence vs fraction-free determinants for every n <= 12
-    import math
-
-    from bhkovacic.auxode import build_auxiliary, tridiagonal_system
-    from bhkovacic.elimination import bareiss_determinant, integerize_rows
-    from bhkovacic.master import ModeSpec, PerturbationKind
-
-    kinds = {"G": PerturbationKind.GRAVITATIONAL, "E": PerturbationKind.ELECTROMAGNETIC}
+    # engine minors vs fraction-free determinants for every n <= 12
     for family, l, d in (("G3", 2, 12), ("E3", 1, 12), ("E7", 1, 12), ("E7", 2, 9)):
-        s = degree_to_s(family, d)
-        ode = build_auxiliary(family_by_label(family), ModeSpec(kinds[family[0]], l, s))
+        ode = _candidate_ode(family, l, d)
         seq = det_sequence(family, l, d)
-        for n in range(0, d + 2):
-            rows = tridiagonal_system(ode, n - 1) if n else []
-            if n == 0:
-                assert seq.values[0] == 1
-                continue
-            scale = 1
-            for row in rows:
-                den = 1
-                for v in row:
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-                scale *= den
-            det = F(bareiss_determinant(integerize_rows(rows)), scale)
-            assert F(seq.values[n]) == det, (family, l, d, n)
+        assert seq.values[0] == 1
+        for n in range(1, d + 2):
+            assert F(seq.values[n]) == _direct_det(ode, n), (family, l, d, n)
+
+
+def _published_entries(family, l, d):
+    """diag(n) and offprod(n), n = 0..d, from the published two-term recurrences
+
+        G3: D_{n+1} = (n^2 + 5n - 4sn + 6 - L - 10s) D_n - 2ns(n+4)(2s-2-n) D_{n-1}
+        E3: D_{n+1} = (n^2 + 3n - 4sn + 2 - L -  6s) D_n - 2ns(n+2)(2s-1-n) D_{n-1}
+        E7: D_{n+1} = (n^2 -  n - 4sn     - L +  2s) D_n - 2ns(n-2)(2s+1-n) D_{n-1}
+
+    with L = l(l+1), written in the integer ss = 2s.
+    """
+    L = l * (l + 1)
+    ss = d + TWO_S_OFFSET[family]
+    ns = range(d + 1)
+    if family == "G3":
+        diag = [n * n + 5 * n - 2 * ss * n + 6 - L - 5 * ss for n in ns]
+        offprod = [n * ss * (n + 4) * (ss - 2 - n) for n in ns]
+    elif family == "E3":
+        diag = [n * n + 3 * n - 2 * ss * n + 2 - L - 3 * ss for n in ns]
+        offprod = [n * ss * (n + 2) * (ss - 1 - n) for n in ns]
+    else:
+        diag = [n * n - n - 2 * ss * n - L + ss for n in ns]
+        offprod = [n * ss * (n - 2) * (ss + 1 - n) for n in ns]
+    return diag, offprod
+
+
+def test_engine_entries_match_published_recurrences():
+    # every entry of the acceptance grid (l <= 20, d <= 500) that the scan
+    # derives from the auxiliary equation equals the published formula
+    for family in SCAN_FAMILIES:
+        fam = family_by_label(family)
+        for l in default_l_range(family, 20):
+            column = _column(fam, l)
+            for d in range(501):
+                entries = _cell_entries(column, d)
+                assert entries == _published_entries(family, l, d), (family, l, d)
+
+
+def test_g7_positive_control():
+    # the G7 candidate of degree d = 2s + 1 exists exactly at the
+    # algebraically special s, so the engine's full determinant vanishes there
+    for l in range(2, 6):
+        d = int(2 * special_frequency(l)) + 1
+        assert _engine_minors("G7", l, d)[-1] == 0, l
+    # and next to it the engine agrees with Bareiss, and is nonzero
+    for l in range(2, 5):
+        d = int(2 * special_frequency(l)) + 1
+        for near in (d - 1, d + 1):
+            D_last = _engine_minors("G7", l, near)[-1]
+            assert D_last != 0
+            assert D_last == _direct_det(_candidate_ode("G7", l, near), near + 1), (l, near)
+
+
+def test_s3_engine_matches_bareiss():
+    assert _engine_minors("S3", 0, 3)[-1] == 3216
+    for l, d in ((0, 3), (1, 5), (2, 8), (3, 11)):
+        minors = _engine_minors("S3", l, d)
+        ode = _candidate_ode("S3", l, d)
+        for n in (1, d // 2 + 1, d + 1):
+            assert minors[n - 1] == _direct_det(ode, n), (l, d, n)
 
 
 def test_cross_check_cell_example():
@@ -131,8 +209,15 @@ def test_scan_report_streaming(tmp_path):
 
 
 def test_scan_empty_family_list():
-    report = scan(families=(), l_max=4, d_max=10)
-    assert report.cells == 0 and report.all_final_signs_ok
+    # a grid with no column examined nothing, so it is refused, not passed
+    with pytest.raises(ValueError):
+        scan(families=(), l_max=4, d_max=10)
+    with pytest.raises(ValueError):
+        scan(families=("G3",), l_max=1, d_max=10)
+    with pytest.raises(ValueError):
+        scan(l_max=4, d_max=-1)
+    with pytest.raises(ValueError):
+        scan(families=("G7",), l_max=4, d_max=10)
 
 
 def test_scan_worker_fanout_matches_serial():
@@ -141,6 +226,21 @@ def test_scan_worker_fanout_matches_serial():
     assert serial.cells == fanned.cells
     assert serial.flagged_count == fanned.flagged_count
     assert serial.final_sign_violations == fanned.final_sign_violations
+
+
+def test_worker_count_clamps_bhk_threads():
+    # a pure function of (value, columns, cpus): no process is started
+    assert _worker_count(None, columns=5, cpus=4) == 1
+    assert _worker_count("", columns=5, cpus=4) == 1
+    assert _worker_count("3", columns=5, cpus=4) == 3
+    assert _worker_count("8", columns=5, cpus=4) == 4
+    assert _worker_count("8", columns=2, cpus=4) == 2
+    assert _worker_count("0", columns=5, cpus=4) == 1
+    assert _worker_count("-2", columns=5, cpus=4) == 1
+    assert _worker_count("two", columns=5, cpus=4) == 1
+    assert _worker_count("1.5", columns=5, cpus=4) == 1
+    assert _worker_count(3, columns=5, cpus=None) == 1
+    assert _worker_count(2, columns=5, cpus=4) == 2
 
 
 def test_scan_honors_thread_env(monkeypatch, tmp_path):

@@ -8,7 +8,6 @@ from bhkovacic.algebra import Poly
 from bhkovacic.kovacic import (
     AffineS,
     NotASolutionError,
-    analyze_poles,
     enumerate_families_n1,
     enumerate_families_n2,
     liouvillian_form,
@@ -25,16 +24,6 @@ S = PerturbationKind.SCALAR
 
 def _mode(kind, l=None, s=1):
     return ModeSpec(kind, l if l is not None else kind.min_l, s)
-
-
-def test_pole_structure():
-    for kind in (G, E, S):
-        st = analyze_poles(_mode(kind))
-        assert st.order("0") == st.order("2") == 2
-        assert st.order("inf") == 4
-        assert st.m_plus == 4
-        assert st.gamma_count == st.gamma2_count == 2
-        assert st.L == {1, 2}
 
 
 def test_exponent_sets():

@@ -123,3 +123,13 @@ def test_kind_parsing():
     assert PerturbationKind.from_name("Gravitational") is G
     with pytest.raises(ValueError):
         PerturbationKind.from_name("axion")
+
+
+def test_kind_from_family_label():
+    assert PerturbationKind.from_label("G3") is G
+    assert PerturbationKind.from_label("E7") is E
+    assert PerturbationKind.from_label("S3") is S
+    assert PerturbationKind.from_label("N2E5") is E  # n=2 candidate labels
+    with pytest.raises(KeyError):
+        PerturbationKind.from_label("X1")
+    assert [k.sqrt_one_minus_beta ** 2 for k in (G, E, S)] == [1 - k.beta for k in (G, E, S)]

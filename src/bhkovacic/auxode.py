@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import Poly, Rational, binomial, horner, poly_gcd, rational_roots
 from .elimination import nullspace
-from .kovacic import AffineS, Family, theta as theta_spec
+from .kovacic import Family, family_by_label, theta as theta_spec
 from .master import ModeSpec, PerturbationKind, special_frequency
 
 __all__ = [
@@ -411,6 +411,11 @@ def _certified_rational_roots(p: Poly) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _chandrasekhar_leading(l: int) -> Rational:
+    """P_top = 1 / (2 sigma0 mu2) = 1 / (s mu2), the same in the w and r frames."""
+    return 1 / (special_frequency(l) * (l - 1) * (l + 2))
+
+
 def chandrasekhar_coeffs(l: int) -> Poly:
     """Degree 4 sigma0 + 1 polynomial P(w) solving the G7 equation.
 
@@ -431,7 +436,7 @@ def chandrasekhar_coeffs(l: int) -> Poly:
     four_sig = int(4 * sigma0)
     top = four_sig + 1
     coeffs = [Fraction(0)] * (top + 1)
-    coeffs[top] = 1 / (2 * sigma0 * mu2)
+    coeffs[top] = _chandrasekhar_leading(l)
     coeffs[top - 1] = (mu2 - 3) / (sigma0 * mu2 ** 2)
     # iterate the factorial pieces instead of recomputing them per n
     fact_4sig = 1
@@ -448,23 +453,10 @@ def chandrasekhar_coeffs(l: int) -> Poly:
     return Poly(coeffs)
 
 
-def _g7_family() -> Family:
-    # G7 exponents: (-3/2, 1/2 - s, 1 - s), S(1-s) = +1
-    return Family(
-        label="G7",
-        e0=AffineS(Fraction(-3, 2)),
-        e2=AffineS(Fraction(1, 2), -1),
-        einf=AffineS(1, -1),
-        degree=AffineS(1, 2),
-        n=1,
-        sign_inf=+1,
-    )
-
-
 def _g7_ode(l: int) -> AuxiliaryODE:
     s = special_frequency(l)
     mode = ModeSpec(PerturbationKind.GRAVITATIONAL, l, s)
-    return build_auxiliary(_g7_family(), mode)
+    return build_auxiliary(family_by_label("G7"), mode)
 
 
 def chandrasekhar_r_frame(l: int) -> Poly:
@@ -480,7 +472,7 @@ def chandrasekhar_r_frame(l: int) -> Poly:
     rec = recurrence(ode, 0, 0)
     d = int(2 * s + 1)
     coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = chandrasekhar_coeffs(l).leading()
+    coeffs[d] = _chandrasekhar_leading(l)
     for m in range(d, 0, -1):
         low = rec.lower(m)
         if low == 0:
@@ -675,8 +667,6 @@ def homotopic_equivalence_check(
     k = 0..max_monomial, and the mapped parameter tuple is compared with
     the target family's confluent Heun form.
     """
-    from .kovacic import enumerate_families_n1
-
     pairs = (("G7", "G3", 4), ("E7", "E3", 2))
     params_ok = True
     identities_ok = True
@@ -688,9 +678,8 @@ def homotopic_equivalence_check(
                 if l < kind.min_l:
                     continue
                 mode = ModeSpec(kind, l, Fraction(s))
-                fams = {f.label: f for f in enumerate_families_n1(mode)}
-                orig = to_heun_form(build_auxiliary(fams[orig_label], mode))
-                target = to_heun_form(build_auxiliary(fams[target_label], mode))
+                orig = to_heun_form(build_auxiliary(family_by_label(orig_label), mode))
+                target = to_heun_form(build_auxiliary(family_by_label(target_label), mode))
                 if m != 1 + orig.c:
                     raise AssertionError("substitution power must be 1 + c")
                 mapped = homotopic_shift_params(orig, m)

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import Poly, rat_from_str, rat_to_str
+from .algebra import Poly, rat_to_str
 from .auxode import (
     brute_force_polynomial_solutions,
     build_auxiliary,
@@ -30,7 +30,7 @@ from .auxode import (
     homotopic_equivalence_check,
     solve_low_degree,
 )
-from .evidence import SCAN_FAMILIES, family_by_label, s3_nonexistence, scan
+from .evidence import SCAN_FAMILIES, s3_nonexistence, scan
 from .hautot import (
     ObstructionError,
     det_A,
@@ -39,22 +39,20 @@ from .hautot import (
     kummer_poly,
     recurrence_identity_suite,
 )
-from .kovacic import enumerate_families_n1, enumerate_families_n2, retain_families
+from .kovacic import (
+    enumerate_families_n1,
+    enumerate_families_n2,
+    family_by_label,
+    retain_families,
+)
 from .master import ModeSpec, PerturbationKind, special_frequency
-from .reporting import Report, jsonable
+from .reporting import Report
 
 _EXPECTED_RETAINED = {
     PerturbationKind.GRAVITATIONAL: {"G3", "G7", "G8"},
     PerturbationKind.ELECTROMAGNETIC: {"E3", "E7"},
     PerturbationKind.SCALAR: {"S3"},
 }
-
-
-def _mode_from_args(args, default_l=None, default_s="1") -> ModeSpec:
-    kind = PerturbationKind.from_name(args.beta)
-    l = args.l if args.l is not None else (default_l or kind.min_l)
-    s = rat_from_str(args.s if args.s is not None else default_s)
-    return ModeSpec(kind, l, s)
 
 
 def _emit(report: Report, fmt: str) -> None:
@@ -75,10 +73,10 @@ def _report(args, command: str) -> Report:
 
 
 def cmd_families(args) -> int:
-    mode = _mode_from_args(args)
+    kind = PerturbationKind.from_name(args.beta)
     report = _report(args, "families")
     if args.n == 1:
-        families = enumerate_families_n1(mode)
+        families = enumerate_families_n1(kind)
         retention = retain_families(families)
         retained = set(retention.retained_labels)
         rows = [
@@ -94,12 +92,12 @@ def cmd_families(args) -> int:
         ]
         report.add(
             "families.n1.table",
-            retained == _EXPECTED_RETAINED[mode.kind],
+            retained == _EXPECTED_RETAINED[kind],
             tag="kovacic.step3b",
             witness={"rows": rows, "retained": sorted(retained)},
         )
     else:
-        candidates, retained = enumerate_families_n2(mode)
+        candidates, retained = enumerate_families_n2(kind)
         rows = [
             {
                 "label": f.label,
@@ -218,8 +216,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
 
     # family tables and retention, n=1
     for kind in PerturbationKind:
-        mode = ModeSpec(kind, kind.min_l, Fraction(1))
-        families = enumerate_families_n1(mode)
+        families = enumerate_families_n1(kind)
         retention = retain_families(families, l_max=max(l_max, 6))
         report.add(
             f"families.n1.{kind.name.lower()}",
@@ -227,7 +224,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
             tag="kovacic.step3b",
             witness=sorted(retention.retained_labels),
         )
-        candidates, retained2 = enumerate_families_n2(mode)
+        candidates, retained2 = enumerate_families_n2(kind)
         expected_count = {(-3): 9, 0: 9, 1: 3}[kind.beta]
         report.add(
             f"families.n2.{kind.name.lower()}",
@@ -372,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="Kovacic candidate family tables")
     p.add_argument("--beta", default="gravitational", help="gravitational|em|scalar")
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--s", default=None, help="frequency parameter, num[/den]")
     p.add_argument("--n", type=int, choices=(1, 2), default=1)
     add_format(p)
     p.set_defaults(func=cmd_families)

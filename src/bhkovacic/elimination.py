@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Sequence
 
 from .algebra import Rational
 
-__all__ = ["integerize_rows", "bareiss_determinant", "nullspace", "rank", "tridiag_minors"]
+__all__ = ["integerize_rows", "bareiss_determinant", "nullspace", "tridiag_minors"]
 
 
 def tridiag_minors(diag: Iterable, offprod: Iterable) -> Iterator:
@@ -104,13 +104,6 @@ def _echelon(matrix: List[List[int]]) -> tuple:
         if r == n_rows:
             break
     return m[:r], pivots
-
-
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon(integerize_rows(rows))
-    return len(pivots)
 
 
 def nullspace(rows: Sequence[Sequence[Rational]]) -> List[List[Rational]]:

@@ -38,7 +38,7 @@ from .auxode import (
     tridiagonal_system,
 )
 from .elimination import bareiss_determinant, integerize_rows, tridiag_minors
-from .kovacic import Family, enumerate_families_n1
+from .kovacic import Family, family_by_label
 from .master import ModeSpec, PerturbationKind
 
 __all__ = [
@@ -50,23 +50,10 @@ __all__ = [
     "cross_check_cell",
     "s3_nonexistence",
     "S3Record",
-    "family_by_label",
     "degree_to_s",
 ]
 
 SCAN_FAMILIES = ("G3", "E3", "E7")
-
-
-# bounded: only the twenty n=1 labels are ever cached, a miss raises
-@functools.lru_cache(maxsize=None)
-def family_by_label(label: str) -> Family:
-    """Look up an n=1 family by its table label."""
-    kind = PerturbationKind.from_label(label)
-    mode = ModeSpec(kind, kind.min_l, Fraction(1))
-    for fam in enumerate_families_n1(mode):
-        if fam.label == label:
-            return fam
-    raise KeyError(f"no n=1 family labelled {label}")
 
 
 def degree_to_s(family: str, d: int) -> Rational:
@@ -77,6 +64,9 @@ def degree_to_s(family: str, d: int) -> Rational:
     return (d - degree.a) / degree.b
 
 
+# a scan visits its columns in order, so a small cache serves a column's
+# cells and then its cross-checks
+@functools.lru_cache(maxsize=128)
 def _column(fam: Family, l: int) -> tuple:
     """(diag, offprod) of one (family, l) column as integer grids in k and d.
 
@@ -433,6 +423,8 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
     """Assemble the S3 record: exact ratio algebra plus the oracle sweep."""
     if two_s_max < 2:
         raise ValueError("the sweep needs 2s >= 2")
+    if l_max < 0:
+        raise ValueError("the sweep needs l_max >= 0")
     fam = family_by_label("S3")
 
     l_checked = tuple(range(0, l_max + 1))

@@ -7,13 +7,14 @@ G1..G8 / E1..E8 / S1..S4 with degree forms d = 1 - sum(e_c), an affine
 function of the frequency parameter s.  For n=2 the integrality and parity
 rules empty the candidate list outright.
 
-The frequency s stays symbolic through enumeration (class :class:`AffineS`);
-a concrete rational s enters only when a family is instantiated against a
-mode.
+The tables depend on the perturbation kind alone: the frequency s stays
+symbolic through enumeration (class :class:`AffineS`), and l and a concrete
+rational s enter only when a family is instantiated against a mode.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,6 +30,7 @@ __all__ = [
     "LiouvillianDescriptor",
     "exponent_sets_n1",
     "enumerate_families_n1",
+    "family_by_label",
     "retain_families",
     "theta",
     "enumerate_families_n2",
@@ -128,13 +130,13 @@ class ThetaSpec:
         return (self.c0.at(s), self.c2.at(s), self.cinf.at(s))
 
 
-def exponent_sets_n1(mode: ModeSpec) -> tuple:
+def exponent_sets_n1(kind: PerturbationKind) -> tuple:
     """Step 2 for n=1: exponent sets at r=0, r=2 and infinity.
 
     E0 = {1/2 +- sqrt(1-beta)} (one element when beta=1), E2 = {1/2 +- s},
     Einf = {1-s, 1+s} with sign map S(1-s)=+1, S(1+s)=-1.
     """
-    root = mode.kind.sqrt_one_minus_beta
+    root = kind.sqrt_one_minus_beta
     half = Fraction(1, 2)
     if root == 0:
         e0_set = (AffineS(half),)
@@ -146,14 +148,14 @@ def exponent_sets_n1(mode: ModeSpec) -> tuple:
     return e0_set, e2_set, einf_set, sign_map
 
 
-def enumerate_families_n1(mode: ModeSpec) -> list:
+def enumerate_families_n1(kind: PerturbationKind) -> list:
     """Step 3a for n=1: all exponent families, in table row order.
 
     Row order: e0 descending, then e2 with +s before -s, then einf with
     1-s before 1+s; degree d = 1 - (e0 + e2 + einf).
     """
-    e0_set, e2_set, einf_set, sign_map = exponent_sets_n1(mode)
-    prefix = mode.kind.prefix
+    e0_set, e2_set, einf_set, sign_map = exponent_sets_n1(kind)
+    prefix = kind.prefix
     families = []
     index = 1
     for e0 in e0_set:
@@ -173,6 +175,16 @@ def enumerate_families_n1(mode: ModeSpec) -> list:
                 )
                 index += 1
     return families
+
+
+# bounded: only the twenty n=1 labels are ever cached, a miss raises
+@functools.lru_cache(maxsize=None)
+def family_by_label(label: str) -> Family:
+    """Look up an n=1 family by its table label."""
+    for fam in enumerate_families_n1(PerturbationKind.from_label(label)):
+        if fam.label == label:
+            return fam
+    raise KeyError(f"no n=1 family labelled {label}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,7 @@ def theta(family: Family) -> ThetaSpec:
     return ThetaSpec(c0=family.e0, c2=family.e2, cinf=S * Fraction(family.sign_inf, 2))
 
 
-def enumerate_families_n2(mode: ModeSpec) -> tuple:
+def enumerate_families_n2(kind: PerturbationKind) -> tuple:
     """Step 2-3 for n=2: candidates and the (empty) retained list.
 
     E0 = {2 - 4 sqrt(1-beta), 2, 2 + 4 sqrt(1-beta)} intersected with the
@@ -285,14 +297,14 @@ def enumerate_families_n2(mode: ModeSpec) -> tuple:
     family; e0 and einf are always even and at most e2 can be odd, so every
     candidate is discarded, for all three kinds and every admissible s.
     """
-    root = mode.kind.sqrt_one_minus_beta
+    root = kind.sqrt_one_minus_beta
     if root == 0:
         e0_set = (AffineS(2),)
     else:
         e0_set = (AffineS(2 - 4 * root), AffineS(2), AffineS(2 + 4 * root))
     e2_set = (AffineS(2) - 4 * S, AffineS(2), AffineS(2) + 4 * S)
     einf = AffineS(4)
-    prefix = mode.kind.prefix
+    prefix = kind.prefix
     candidates = []
     index = 1
     for e0 in e0_set:

@@ -144,19 +144,6 @@ def partial_fractions(mode: ModeSpec) -> NuFraction:
     )
 
 
-def recombine(pf: NuFraction) -> Poly:
-    """Numerator of the partial-fraction sum over r^2 (r-2)^2 (sanity hook)."""
-    r = Poly.x()
-    rm2 = Poly((-2, 1))
-    return (
-        pf.const_term * (r * r * rm2 * rm2)
-        + pf.inv_r2 * (rm2 * rm2)
-        + pf.inv_r * (r * rm2 * rm2)
-        + pf.inv_rm2_sq * (r * r)
-        + pf.inv_rm2 * (r * r * rm2)
-    )
-
-
 def special_frequency(l: int) -> Rational:
     """Algebraically special s = l(l-1)(l+1)(l+2)/6 for radiating gravitational modes."""
     if l < 2:

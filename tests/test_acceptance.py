@@ -23,12 +23,7 @@ from bhkovacic.auxode import (
     tridiagonal_system,
 )
 from bhkovacic.elimination import nullspace
-from bhkovacic.evidence import (
-    cross_check_cell,
-    family_by_label,
-    s3_nonexistence,
-    scan,
-)
+from bhkovacic.evidence import cross_check_cell, s3_nonexistence, scan
 from bhkovacic.hautot import (
     ObstructionError,
     det_A,
@@ -37,7 +32,12 @@ from bhkovacic.hautot import (
     phi_poly,
     recurrence_identity_suite,
 )
-from bhkovacic.kovacic import enumerate_families_n1, enumerate_families_n2, retain_families
+from bhkovacic.kovacic import (
+    enumerate_families_n1,
+    enumerate_families_n2,
+    family_by_label,
+    retain_families,
+)
 from bhkovacic.master import ModeSpec, PerturbationKind, special_frequency
 
 G = PerturbationKind.GRAVITATIONAL
@@ -85,8 +85,7 @@ def test_criterion_01_family_tables():
     }
     ok = True
     for kind in (G, S, E):
-        mode = ModeSpec(kind, kind.min_l, 1)
-        families = enumerate_families_n1(mode)
+        families = enumerate_families_n1(kind)
         rows = [
             (f.label, str(f.e0), str(f.e2), str(f.einf), str(f.degree))
             for f in families
@@ -103,7 +102,7 @@ def test_criterion_02_n2_closure():
     counts = {G: 9, E: 9, S: 3}
     ok = True
     for kind in (G, E, S):
-        candidates, retained = enumerate_families_n2(ModeSpec(kind, kind.min_l, 1))
+        candidates, retained = enumerate_families_n2(kind)
         ok = ok and len(candidates) == counts[kind] and retained == []
     report(2, "n=2 candidates 9/9/3, none retained", ok, t0)
 

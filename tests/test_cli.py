@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -31,6 +32,39 @@ def test_families_n2(capsys):
     rows = payload["records"][0]["witness"]["rows"]
     assert len(rows) == 9
     assert payload["records"][0]["witness"]["retained"] == []
+
+
+# sha256 prefixes of the canonical JSON of the records, unchanged since the
+# tables took a mode with l and s that they never read
+FAMILY_RECORDS = {
+    ("gravitational", 1): "345b0da5b3626c0d",
+    ("gravitational", 2): "de215704e96ad773",
+    ("em", 1): "bf554163e3c99059",
+    ("em", 2): "55d521087df21e17",
+    ("scalar", 1): "51794cf38312d446",
+    ("scalar", 2): "7fcb4d010eedd5ab",
+}
+RETAINED = {"gravitational": ["G3", "G7", "G8"], "em": ["E3", "E7"], "scalar": ["S3"]}
+
+
+@pytest.mark.parametrize("beta,n", sorted(FAMILY_RECORDS))
+def test_families_depend_on_kind_alone(capsys, beta, n):
+    code, out, _ = run(capsys, "families", "--beta", beta, "--n", str(n), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"] == {"beta": beta, "command": "families", "format": "json", "n": n}
+    witness = payload["records"][0]["witness"]
+    assert witness["retained"] == (RETAINED[beta] if n == 1 else [])
+    records = json.dumps(payload["records"], sort_keys=True).encode()
+    assert hashlib.sha256(records).hexdigest()[:16] == FAMILY_RECORDS[beta, n]
+
+
+@pytest.mark.parametrize("option", (("--l", "3"), ("--s", "1"), ("--s", "1/0")))
+def test_families_takes_no_mode(capsys, option):
+    with pytest.raises(SystemExit) as err:
+        main(["families", "--beta", "em", *option])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_chandra_l2_human(capsys):

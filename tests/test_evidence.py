@@ -19,10 +19,10 @@ from bhkovacic.evidence import (
     default_l_range,
     degree_to_s,
     det_sequence,
-    family_by_label,
     s3_nonexistence,
     scan,
 )
+from bhkovacic.kovacic import family_by_label
 from bhkovacic.master import ModeSpec, special_frequency
 
 
@@ -139,6 +139,13 @@ def test_s3_engine_matches_bareiss():
         ode = _candidate_ode("S3", l, d)
         for n in (1, d // 2 + 1, d + 1):
             assert minors[n - 1] == _direct_det(ode, n), (l, d, n)
+
+
+def test_scan_builds_each_column_once():
+    _column.cache_clear()
+    report = scan(families=("G3",), l_max=3, d_max=12, workers=1)
+    assert len(report.cross_checks) == 2 * 4
+    assert _column.cache_info().misses == 2
 
 
 def test_cross_check_cell_example():
@@ -276,6 +283,13 @@ def test_s3_record_quick():
     assert record.oracle_all_trivial
     assert record.oracle_cells == 9 * 5
     assert record.all_ok
+
+
+def test_s3_rejects_bad_bounds():
+    for bounds in ({"two_s_max": 1}, {"l_max": -1}, {"l_max": -5}):
+        with pytest.raises(ValueError):
+            s3_nonexistence(**bounds)
+    assert s3_nonexistence(two_s_max=2, l_max=0).oracle_cells == 1
 
 
 def test_s3_oracle_catches_planted_solution():

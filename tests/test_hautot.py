@@ -7,7 +7,6 @@ import pytest
 
 from bhkovacic.algebra import Poly, falling_factorial
 from bhkovacic.auxode import build_auxiliary, to_heun_form, HeunForm
-from bhkovacic.evidence import family_by_label
 from bhkovacic.hautot import (
     ObstructionError,
     det_A,
@@ -21,6 +20,7 @@ from bhkovacic.hautot import (
     tridiag_coeffs,
     tridiag_det,
 )
+from bhkovacic.kovacic import family_by_label
 from bhkovacic.master import ModeSpec, PerturbationKind, special_frequency
 
 

@@ -10,8 +10,9 @@ from bhkovacic.kovacic import (
     NotASolutionError,
     enumerate_families_n1,
     enumerate_families_n2,
-    liouvillian_form,
     exponent_sets_n1,
+    family_by_label,
+    liouvillian_form,
     retain_families,
     theta,
 )
@@ -22,16 +23,12 @@ E = PerturbationKind.ELECTROMAGNETIC
 S = PerturbationKind.SCALAR
 
 
-def _mode(kind, l=None, s=1):
-    return ModeSpec(kind, l if l is not None else kind.min_l, s)
-
-
 def test_exponent_sets():
-    e0, e2, einf, signs = exponent_sets_n1(_mode(G))
+    e0, e2, einf, signs = exponent_sets_n1(G)
     assert [str(e) for e in e0] == ["5/2", "-3/2"]
-    e0_em, _, _, _ = exponent_sets_n1(_mode(E))
+    e0_em, _, _, _ = exponent_sets_n1(E)
     assert [str(e) for e in e0_em] == ["3/2", "-1/2"]
-    e0_sc, _, _, _ = exponent_sets_n1(_mode(S))
+    e0_sc, _, _, _ = exponent_sets_n1(S)
     assert [str(e) for e in e0_sc] == ["1/2"]
     assert [str(e) for e in e2] == ["1/2 + s", "1/2 - s"]
     assert [str(e) for e in einf] == ["1 - s", "1 + s"]
@@ -71,16 +68,27 @@ N1_TABLES = {
 
 @pytest.mark.parametrize("kind", (G, S, E), ids=lambda k: k.name)
 def test_family_tables(kind):
-    families = enumerate_families_n1(_mode(kind))
+    families = enumerate_families_n1(kind)
     rows = [
         (f.label, str(f.e0), str(f.e2), str(f.einf), str(f.degree)) for f in families
     ]
     assert rows == N1_TABLES[kind]
 
 
+def test_family_by_label():
+    rows = [row for kind in (G, S, E) for row in N1_TABLES[kind]]
+    assert len(rows) == 20
+    for row in rows:
+        f = family_by_label(row[0])
+        assert (f.label, str(f.e0), str(f.e2), str(f.einf), str(f.degree)) == row
+    for label in ("G9", "X1"):
+        with pytest.raises(KeyError):
+            family_by_label(label)
+
+
 def test_degree_formula_invariant():
     for kind in (G, E, S):
-        for f in enumerate_families_n1(_mode(kind)):
+        for f in enumerate_families_n1(kind):
             assert f.degree == AffineS(1) - (f.e0 + f.e2 + f.einf)
 
 
@@ -89,7 +97,7 @@ def test_retention():
     checked_empty = {G: {"G5", "G6"}, E: {"E5", "E6", "E8"}, S: set()}
     discarded = {G: {"G1", "G2", "G4"}, E: {"E1", "E2", "E4"}, S: {"S1", "S2", "S4"}}
     for kind in (G, E, S):
-        result = retain_families(enumerate_families_n1(_mode(kind)), l_max=6)
+        result = retain_families(enumerate_families_n1(kind), l_max=6)
         assert set(result.retained_labels) == expected[kind]
         assert {f.label for f in result.discarded} == discarded[kind]
         with_solutions = {
@@ -100,28 +108,28 @@ def test_retention():
 
 
 def test_marginal_points_reported():
-    result = retain_families(enumerate_families_n1(_mode(G)), l_max=3)
+    result = retain_families(enumerate_families_n1(G), l_max=3)
     g6_points = {(c.s, c.d) for c in result.marginal if c.family.label == "G6"}
     assert g6_points == {(F(1, 2), 0), (F(0), 1)}
-    e_result = retain_families(enumerate_families_n1(_mode(E)), l_max=3)
+    e_result = retain_families(enumerate_families_n1(E), l_max=3)
     e6_points = {(c.s, c.d) for c in e_result.marginal if c.family.label == "E6"}
     assert e6_points == {(F(0), 0)}
 
 
 def test_theta_values():
-    fams = {f.label: f for f in enumerate_families_n1(_mode(G))}
+    fams = {f.label: f for f in enumerate_families_n1(G)}
     t7 = theta(fams["G7"])
     assert (str(t7.c0), str(t7.c2), str(t7.cinf)) == ("-3/2", "1/2 - s", "1/2*s")
     t8 = theta(fams["G8"])
     assert (str(t8.c0), str(t8.c2), str(t8.cinf)) == ("-3/2", "1/2 - s", "-1/2*s")
-    sfams = {f.label: f for f in enumerate_families_n1(_mode(S))}
+    sfams = {f.label: f for f in enumerate_families_n1(S)}
     t3 = theta(sfams["S3"])
     assert (str(t3.c0), str(t3.c2), str(t3.cinf)) == ("1/2", "1/2 - s", "1/2*s")
 
 
 def test_theta_reconstruction_invariant():
     for kind in (G, E, S):
-        result = retain_families(enumerate_families_n1(_mode(kind)), l_max=4)
+        result = retain_families(enumerate_families_n1(kind), l_max=4)
         for fam in result.retained:
             spec = theta(fam)
             assert spec.c0 == fam.e0
@@ -133,7 +141,7 @@ def test_n2_enumeration():
     expected_e0 = {G: ["-6", "2", "10"], E: ["-2", "2", "6"], S: ["2"]}
     counts = {G: 9, E: 9, S: 3}
     for kind in (G, E, S):
-        candidates, retained = enumerate_families_n2(_mode(kind))
+        candidates, retained = enumerate_families_n2(kind)
         assert len(candidates) == counts[kind]
         assert retained == []
         seen_e0 = sorted({str(f.e0) for f in candidates}, key=lambda t: int(t))
@@ -147,8 +155,6 @@ def test_n2_enumeration():
 
 def test_liouvillian_form_g8():
     from bhkovacic.auxode import solve_low_degree
-    from bhkovacic.evidence import family_by_label
-
     g8 = family_by_label("G8")
     ((s, P),) = solve_low_degree(g8, 1, l=2)
     mode = ModeSpec(G, 2, s)
@@ -165,8 +171,6 @@ def test_liouvillian_form_g8():
 
 def test_liouvillian_form_g7():
     from bhkovacic.auxode import chandrasekhar_r_frame
-    from bhkovacic.evidence import family_by_label
-
     g7 = family_by_label("G7")
     mode = ModeSpec(G, 2, special_frequency(2))
     desc = liouvillian_form(g7, chandrasekhar_r_frame(2), mode)
@@ -176,8 +180,6 @@ def test_liouvillian_form_g7():
 
 
 def test_liouvillian_form_rejects_non_solutions():
-    from bhkovacic.evidence import family_by_label
-
     g8 = family_by_label("G8")
     mode = ModeSpec(G, 2, 4)
     with pytest.raises(NotASolutionError):

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .algebra import Poly, Rational, binomial, horner, poly_gcd, rational_roots
-from .elimination import nullspace
+from .elimination import nullspace, tridiag_minors
 from .kovacic import Family, family_by_label, theta as theta_spec
 from .master import ModeSpec, PerturbationKind, special_frequency
 
@@ -47,9 +47,7 @@ __all__ = [
     "chandrasekhar_coeffs",
     "chandrasekhar_r_frame",
     "chandrasekhar_checks",
-    "verify_chandrasekhar",
     "VerificationRecord",
-    "ChandrasekharCheckError",
     "brute_force_polynomial_solutions",
     "tridiagonal_system",
     "homotopic_equivalence_check",
@@ -191,6 +189,15 @@ class HeunForm:
     def params(self) -> tuple:
         return (self.a, self.b, self.c, self.d, self.e)
 
+    def recurrence(self) -> Recurrence3:
+        """The z-frame recurrence about z = 0 (rho = 0, p2 = z^2 - z).
+
+        lower(k) = a(k-1) + e, diag(k) = k(k-1+b) + d, upper(k) =
+        (k+1)(c-k); with e = -a n its leading (n+1) x (n+1) block is the
+        system a degree-n polynomial solution must satisfy.
+        """
+        return _recurrence3(0, 1, -1, self.a, self.b, self.c, self.e, self.d)
+
 
 def to_heun_form(ode: AuxiliaryODE) -> HeunForm:
     z_ode = to_z_frame(ode) if ode.frame == "r" else ode
@@ -242,6 +249,15 @@ class Recurrence3:
             self.lower(k) * at(k - 1) + self.diag(k) * at(k) + self.upper(k) * at(k + 1)
             for k in range(rows)
         ]
+
+    def det(self, size: int):
+        """Leading size x size minor of the tridiagonal matrix of rows 0..size-1.
+
+        The last minor of :func:`~bhkovacic.elimination.tridiag_minors`
+        (1 for size 0); exact over rationals or polynomials.
+        """
+        offprod = (self.lower(k) * self.upper(k - 1) if k else 0 for k in range(size))
+        return [1, *tridiag_minors(map(self.diag, range(size)), offprod)][-1]
 
 
 def recurrence(ode: AuxiliaryODE, point, rho) -> Recurrence3:
@@ -484,14 +500,6 @@ def chandrasekhar_r_frame(l: int) -> Poly:
     return Poly(coeffs)
 
 
-class ChandrasekharCheckError(AssertionError):
-    """A verification check failed; names the first violated identity."""
-
-    def __init__(self, check: str, detail: str = ""):
-        super().__init__(f"check failed: {check}" + (f" ({detail})" if detail else ""))
-        self.check = check
-
-
 @dataclass(frozen=True)
 class VerificationRecord:
     l: int
@@ -567,23 +575,6 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 def _binomial_power(c: int, n: int) -> Poly:
     """(x + c)^n by direct binomial expansion."""
     return Poly([binomial(n, k) * Fraction(c) ** (n - k) for k in range(n + 1)])
-
-
-_CHECK_ORDER = (
-    ("recurrence_ok", "three-term recurrence rows"),
-    ("ode_residual_ok", "cleared-equation residual"),
-    ("integral_identity_ok", "elementary-integral identity"),
-    ("sign_pattern_ok", "alternating sign pattern"),
-)
-
-
-def verify_chandrasekhar(l: int) -> VerificationRecord:
-    """All four checks, raising on the first violated identity."""
-    record = chandrasekhar_checks(l)
-    for attr, name in _CHECK_ORDER:
-        if not getattr(record, attr):
-            raise ChandrasekharCheckError(name, f"l={l}")
-    return record
 
 
 # ---------------------------------------------------------------------------

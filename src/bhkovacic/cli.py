@@ -193,7 +193,10 @@ def cmd_evidence(args) -> int:
         tag="evidence.det_sign",
         witness={
             "cells": result.cells,
-            "violations": result.final_sign_violations[:16],
+            "violations": [
+                (family, l, d, str(D_last))
+                for family, l, d, D_last in result.final_sign_violations[:16]
+            ],
             "flagged_count": result.flagged_count,
             "flags_resolved_nonzero": result.flags_resolved_nonzero,
         },
@@ -209,7 +212,17 @@ def cmd_evidence(args) -> int:
 
 
 def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
-    """The full battery at the given bounds; every record is exact."""
+    """The full battery at the given bounds; every record is exact.
+
+    ``l_max`` (at least 2, the lowest gravitational multipole) bounds the
+    G8, closed-form, det(A), scan and S3 records; ``d_max`` (at least 0)
+    bounds the scan.  Family retention always runs to l <= max(l_max, 6);
+    the extended expansions stop at l = 6 and the S3 sweep at
+    2s <= min(2 l_max, 12).  Bounds below the minima raise ValueError
+    before any check runs.
+    """
+    if l_max < 2 or d_max < 0:
+        raise ValueError(f"verify-all needs l_max >= 2 and d_max >= 0, not {l_max}, {d_max}")
     report = Report(
         tool_version=__version__, config={"command": "verify-all", "l_max": l_max, "d_max": d_max}
     )
@@ -236,7 +249,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     # G8 closed-form solutions
     g8 = family_by_label("G8")
     ok = True
-    for l in range(2, max(l_max, 2) + 1):
+    for l in range(2, l_max + 1):
         expected_s = special_frequency(l)
         expected_k = Fraction(6, (l + 2) * (l - 1))
         found = solve_low_degree(g8, 1, l=l)
@@ -245,14 +258,14 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
 
     # closed-form polynomial checks
     chandra_ok = True
-    for l in range(2, max(l_max, 2) + 1):
+    for l in range(2, l_max + 1):
         record = chandrasekhar_checks(l)
         chandra_ok = chandra_ok and record.all_ok
     report.add("chandra.verify", chandra_ok, tag="chandra.four_checks")
 
     # Hautot determinant roots
     det_ok = True
-    for l in range(2, max(l_max, 2) + 1):
+    for l in range(2, l_max + 1):
         s_star = special_frequency(l)
         poly = det_A(l)
         det_ok = det_ok and poly.eval(s_star) == 0 and poly.eval(-s_star) == 0
@@ -262,7 +275,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     # extended expansions; the l=2 coefficients are pinned in the report
     exp_ok = True
     l2_coeffs = {}
-    for l in range(2, min(max(l_max, 2), 6) + 1):
+    for l in range(2, min(l_max, 6) + 1):
         for basis in ("kummer", "laguerre"):
             expansion = extended_expansion(l, basis)
             exp_ok = exp_ok and expansion.equal
@@ -309,7 +322,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     report.add("oracle.agreement", oracle_ok, tag="oracle.bareiss_nullspace")
 
     # determinant-sign scan at the configured bounds
-    result = scan(l_max=max(l_max, 2), d_max=d_max)
+    result = scan(l_max=l_max, d_max=d_max)
     report.add(
         "evidence.scan",
         result.cells > 0
@@ -321,7 +334,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     )
 
     # S3 non-existence
-    s3 = s3_nonexistence(two_s_max=min(2 * max(l_max, 2), 12), l_max=max(l_max, 2))
+    s3 = s3_nonexistence(two_s_max=min(2 * l_max, 12), l_max=l_max)
     report.add(
         "s3.nonexistence",
         s3.all_ok,
@@ -394,8 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evidence)
 
     p = sub.add_parser("verify-all", help="run the whole battery")
-    p.add_argument("--l-max", type=int, default=6)
-    p.add_argument("--max-degree", type=int, default=100)
+    p.add_argument(
+        "--l-max",
+        type=int,
+        default=6,
+        help="at least 2; retention still runs to l <= 6, the expansions "
+        "stop at l = 6 and the S3 sweep at 2s <= 12",
+    )
+    p.add_argument("--max-degree", type=int, default=100, help="at least 0")
     add_format(p)
     p.set_defaults(func=cmd_verify_all)
     return parser

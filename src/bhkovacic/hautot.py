@@ -27,22 +27,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, Rational, falling_factorial, rat_to_str
-from .auxode import HeunForm, chandrasekhar_coeffs
-from .elimination import tridiag_minors
+from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, symbolic_recurrence
+from .kovacic import family_by_label
 from .master import special_frequency
 
 __all__ = [
     "ObstructionError",
-    "KummerPoly",
-    "LaguerrePoly",
-    "PhiPoly",
     "ExpansionReport",
     "kummer_poly",
     "laguerre_poly",
     "phi_poly",
     "recurrence_identity_suite",
-    "tridiag_coeffs",
-    "tridiag_det",
     "det_A",
     "determinant_equality_check",
     "extended_expansion",
@@ -55,39 +50,8 @@ class ObstructionError(ValueError):
     """The truncated Kummer series is undefined: (q)_k vanishes for k <= n."""
 
 
-@dataclass(frozen=True)
-class KummerPoly:
+def kummer_poly(n: int, q) -> Poly:
     """F(-n, q; u) = sum_k (-n)_k / ((q)_k k!) u^k, a degree-n polynomial."""
-
-    n: int
-    q: Rational
-    poly: Poly
-
-
-@dataclass(frozen=True)
-class LaguerrePoly:
-    """L_n^(alpha)(u) = sum_k (-1)^k binom(n+alpha, n-k) u^k / k!."""
-
-    n: int
-    alpha: Rational
-    poly: Poly
-
-
-@dataclass(frozen=True)
-class PhiPoly:
-    """Replacement basis element phi(m; u) = u^(2s) F(m - (2s+1), 2s+1; u).
-
-    kind "phi_2s_plus_1" is m = 2s+1 (degree 2s+1), kind "phi_2s" is
-    m = 2s (degree 2s); both are honest solutions of the confluent
-    hypergeometric equations that obstruct the naive truncated series.
-    """
-
-    kind: str
-    s: Rational
-    poly: Poly
-
-
-def kummer_poly(n: int, q) -> KummerPoly:
     if n < 0:
         raise ValueError("truncation order must be non-negative")
     q = Fraction(q)
@@ -102,11 +66,14 @@ def kummer_poly(n: int, q) -> KummerPoly:
         if k > 0:
             term = term * (-(n) + (k - 1)) / ((q + (k - 1)) * k)
         coeffs.append(term)
-    return KummerPoly(n=n, q=q, poly=Poly(coeffs))
+    return Poly(coeffs)
 
 
-def laguerre_poly(n: int, alpha) -> LaguerrePoly:
-    """Exact associated Laguerre polynomial; any rational alpha is allowed."""
+def laguerre_poly(n: int, alpha) -> Poly:
+    """L_n^(alpha)(u) = sum_k (-1)^k binom(n+alpha, n-k) u^k / k!.
+
+    Exact for any rational alpha.
+    """
     if n < 0:
         raise ValueError("degree must be non-negative")
     alpha = Fraction(alpha)
@@ -115,24 +82,21 @@ def laguerre_poly(n: int, alpha) -> LaguerrePoly:
         / (math.factorial(n - k) * math.factorial(k))
         for k in range(n + 1)
     ]
-    return LaguerrePoly(n=n, alpha=alpha, poly=Poly(coeffs))
+    return Poly(coeffs)
 
 
-def _phi(j: int, s) -> Poly:
-    """u^(2s) F(-j, 2s+1; u); polynomial solution at e = j - (2s+1)."""
+def phi_poly(j: int, s) -> Poly:
+    """Replacement basis element u^(2s) F(-j, 2s+1; u), of degree 2s + j.
+
+    A polynomial solution of the confluent hypergeometric equation at
+    e = j - (2s+1).  j = 1 and j = 0 stand in for the two truncated Kummer
+    terms of the G7 expansion whose lower parameter 1-2s is obstructed.
+    """
     s = Fraction(s)
     two_s = int(2 * s)
     if two_s != 2 * s or two_s <= 0:
         raise ValueError("phi basis needs 2s a positive integer")
-    return Poly.monomial(two_s) * kummer_poly(j, 2 * s + 1).poly
-
-
-def phi_poly(kind: str, s) -> PhiPoly:
-    if kind == "phi_2s_plus_1":
-        return PhiPoly(kind=kind, s=Fraction(s), poly=_phi(1, s))
-    if kind == "phi_2s":
-        return PhiPoly(kind=kind, s=Fraction(s), poly=_phi(0, s))
-    raise ValueError(f"unknown phi kind: {kind}")
+    return Poly.monomial(two_s) * kummer_poly(j, 2 * s + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +131,9 @@ def recurrence_identity_suite(s, bound: int = 4) -> list:
     # generic Kummer relations, q chosen clear of the obstruction set
     for m in range(1, bound + 1):
         for q in (Fraction(5, 2), Fraction(7, 3), Fraction(m + 3)):
-            Fm = kummer_poly(m, q).poly
-            Fm_minus = kummer_poly(m - 1, q).poly
-            Fm_plus = kummer_poly(m + 1, q).poly
+            Fm = kummer_poly(m, q)
+            Fm_minus = kummer_poly(m - 1, q)
+            Fm_plus = kummer_poly(m + 1, q)
             check(
                 "kummer_derivative",
                 (m, q),
@@ -186,9 +150,9 @@ def recurrence_identity_suite(s, bound: int = 4) -> list:
     # generic Laguerre relations
     for m in range(1, bound + 1):
         for alpha in (Fraction(3, 2), Fraction(-1, 3), Fraction(2)):
-            Lm = laguerre_poly(m, alpha).poly
-            Lm_minus = laguerre_poly(m - 1, alpha).poly
-            Lm_plus = laguerre_poly(m + 1, alpha).poly
+            Lm = laguerre_poly(m, alpha)
+            Lm_minus = laguerre_poly(m - 1, alpha)
+            Lm_plus = laguerre_poly(m + 1, alpha)
             check(
                 "laguerre_derivative",
                 (m, alpha),
@@ -203,7 +167,7 @@ def recurrence_identity_suite(s, bound: int = 4) -> list:
             )
 
     # phi relations at this frequency
-    phi2s1, phi2s, phi2s2 = _phi(1, s), _phi(0, s), _phi(2, s)
+    phi2s1, phi2s, phi2s2 = phi_poly(1, s), phi_poly(0, s), phi_poly(2, s)
     check("phi_top_derivative", (s,), u * phi2s1.derivative(),
           (2 * s + 1) * phi2s1 - phi2s)
     check("phi_top_contiguous", (s,), u * phi2s1,
@@ -214,9 +178,9 @@ def recurrence_identity_suite(s, bound: int = 4) -> list:
 
     # truncated-Kummer relations at lower parameter 1 - 2s
     q = 1 - 2 * s
-    F1 = kummer_poly(two_s - 1, q).poly
-    F2 = kummer_poly(two_s - 2, q).poly
-    F3 = kummer_poly(two_s - 3, q).poly
+    F1 = kummer_poly(two_s - 1, q)
+    F2 = kummer_poly(two_s - 2, q)
+    F3 = kummer_poly(two_s - 3, q)
     fact = math.factorial(two_s - 1)
     check("trunc_derivative_hi", (s,), u * F1.derivative(),
           (2 * s - 1) * F1 - (2 * s - 1) * F2)
@@ -234,72 +198,48 @@ def recurrence_identity_suite(s, bound: int = 4) -> list:
 # ---------------------------------------------------------------------------
 
 
-def tridiag_coeffs(source: str, *, a=None, b=None, c=None, d=None, n=None, j=None):
-    """Coefficient evaluators k -> (lower, diag, upper) for the three systems.
+def _kummer_block(a, b, d, n, j: int) -> Recurrence3:
+    """The truncated-Kummer expansion system of the c = j Heun equation.
 
-    ``necessary``        the raw power-basis system of the Heun equation
-                         (R_k, S_k, T_k) with parameters (a, b, c, d, n);
-    ``hautot_kummer``    the truncated-Kummer expansion system with c = j;
-    ``hautot_laguerre``  the Laguerre expansion system with c = j.
-
-    Entries may be rationals or polynomials; the formulas are ring-neutral.
+    lower(k) = (k-1-j)(k-1-n)
+    diag(k)  = d - j n + k (b + 2j - 2k + 2n)
+    upper(k) = (k+1)(k+1-n-a-b-j)
     """
-    if source == "necessary":
-        if any(v is None for v in (a, b, c, d, n)):
-            raise ValueError("necessary system needs a, b, c, d, n")
-        return (
-            lambda k: a * (k - 1 - n),
-            lambda k: d + k * (b + k - 1),
-            lambda k: (c - k) * (k + 1),
-        )
-    if source == "hautot_kummer":
-        if any(v is None for v in (a, b, d, n, j)):
-            raise ValueError("hautot_kummer system needs a, b, d, n, j")
-        return (
-            lambda k: (k - 1 - j) * (k - 1 - n),
-            lambda k: d - j * n + k * (b + 2 * j - 2 * k + 2 * n),
-            lambda k: (k + 1) * (k + 1 - n - a - b - j),
-        )
-    if source == "hautot_laguerre":
-        if any(v is None for v in (a, b, d, n, j)):
-            raise ValueError("hautot_laguerre system needs a, b, d, n, j")
-        return (
-            lambda k: (k - 1 - j) * (k - n - a - b - j),
-            lambda k: d - j * n + k * (b + 2 * j - 2 * k + 2 * n),
-            lambda k: (k + 1) * (k - n),
-        )
-    raise ValueError(f"unknown coefficient source: {source}")
+    m = 1 - n - a - b - j
+    return Recurrence3(
+        lower_k=((1 + j) * (1 + n), -(2 + j + n), 1),
+        diag_k=(d - j * n, b + 2 * j + 2 * n, -2),
+        upper_k=(m, m + 1, 1),
+    )
 
 
-def tridiag_det(coeffs, size: int):
-    """Determinant of the leading size x size tridiagonal block.
+def _laguerre_block(a, b, d, n, j: int) -> Recurrence3:
+    """The Laguerre expansion system of the c = j Heun equation.
 
-    The last minor of :func:`~bhkovacic.elimination.tridiag_minors`; exact
-    over rationals or polynomials.
+    lower(k) = (k-1-j)(k-n-a-b-j)
+    diag(k)  = d - j n + k (b + 2j - 2k + 2n)
+    upper(k) = (k+1)(k-n)
     """
-    lower, diag, upper = coeffs
-    offprod = (lower(k) * upper(k - 1) if k else 0 for k in range(size))
-    return [1, *tridiag_minors(map(diag, range(size)), offprod)][-1]
+    p = n + a + b + j
+    return Recurrence3(
+        lower_k=((1 + j) * p, -(p + 1 + j), 1),
+        diag_k=(d - j * n, b + 2 * j + 2 * n, -2),
+        upper_k=(-n, 1 - n, 1),
+    )
 
 
 def det_A(l: int) -> Poly:
     """The fixed 4 x 4 sufficiency determinant of the G7 form, in s.
 
-    Parameters a = 2s, b = -2(2s+1), c = j = 3, d = 2 - l(l+1) + 6s,
-    n = 2s + 1, entered as polynomials in s; the result vanishes exactly
-    at the algebraically special frequencies +-l(l-1)(l+1)(l+2)/6.
+    The leading 4 x 4 minor of the G7 recurrence about r = 0 with s
+    symbolic.  In the Heun frame z = r/2 the same block has a = 2s,
+    b = -2(2s+1), c = j = 3, d = 2 - l(l+1) + 6s and n = 2s + 1; the
+    change of frame multiplies row k by 2^k and divides column k by 2^k, a
+    diagonal similarity, so every leading minor is the same.  The result
+    vanishes exactly at the algebraically special frequencies
+    +-l(l-1)(l+1)(l+2)/6.
     """
-    L = l * (l + 1)
-    s = Poly.x()
-    coeffs = tridiag_coeffs(
-        "necessary",
-        a=2 * s,
-        b=-2 * (2 * s + Poly.one()),
-        c=Poly.const(3),
-        d=Poly.const(2 - L) + 6 * s,
-        n=2 * s + Poly.one(),
-    )
-    return tridiag_det(coeffs, 4)
+    return symbolic_recurrence(family_by_label("G7"), l).det(4)
 
 
 @dataclass(frozen=True)
@@ -331,16 +271,11 @@ def determinant_equality_check(j: int, trials: int = 10, seed: int = 0) -> Equal
     rng = random.Random(seed)
 
     def dets_at(a, b, d, n):
-        necessary = tridiag_det(
-            tridiag_coeffs("necessary", a=a, b=b, c=Fraction(j), d=d, n=n), j + 1
+        return (
+            HeunForm(a, b, j, d, -a * n).recurrence().det(j + 1),
+            _kummer_block(a, b, d, n, j).det(j + 1),
+            _laguerre_block(a, b, d, n, j).det(j + 1),
         )
-        kummer = tridiag_det(
-            tridiag_coeffs("hautot_kummer", a=a, b=b, d=d, n=n, j=j), j + 1
-        )
-        laguerre = tridiag_det(
-            tridiag_coeffs("hautot_laguerre", a=a, b=b, d=d, n=n, j=j), j + 1
-        )
-        return necessary, kummer, laguerre
 
     kummer_equal = True
     laguerre_equal = True
@@ -437,10 +372,10 @@ def extended_expansion(l: int, basis: str) -> ExpansionReport:
         A2 = -3 * Fraction(fact) / (2 * s + 1) * A0
         A3 = -Fraction(ll1 - 3) * fact / (2 * s + 1) * A0
         terms = (
-            (A0, _phi(1, s)),
-            (A1, _phi(0, s)),
-            (A2, kummer_poly(two_s - 1, 1 - 2 * s).poly),
-            (A3, kummer_poly(two_s - 2, 1 - 2 * s).poly),
+            (A0, phi_poly(1, s)),
+            (A1, phi_poly(0, s)),
+            (A2, kummer_poly(two_s - 1, 1 - 2 * s)),
+            (A3, kummer_poly(two_s - 2, 1 - 2 * s)),
         )
         coefficients = (A0, A1, A2, A3)
     else:
@@ -449,10 +384,10 @@ def extended_expansion(l: int, basis: str) -> ExpansionReport:
         B2 = 3 * Fraction(fact) * B0
         B3 = -Fraction(ll1 - 3) * fact / (2 * s - 1) * B0
         terms = (
-            (B0, Poly.monomial(two_s) * laguerre_poly(1, two_s).poly),
-            (B1, Poly.monomial(two_s) * laguerre_poly(0, two_s).poly),
-            (B2, laguerre_poly(two_s - 1, -two_s).poly),
-            (B3, laguerre_poly(two_s - 2, -two_s).poly),
+            (B0, Poly.monomial(two_s) * laguerre_poly(1, two_s)),
+            (B1, Poly.monomial(two_s) * laguerre_poly(0, two_s)),
+            (B2, laguerre_poly(two_s - 1, -two_s)),
+            (B3, laguerre_poly(two_s - 2, -two_s)),
         )
         coefficients = (B0, B1, B2, B3)
 
@@ -506,10 +441,7 @@ def hautot_sufficiency_check(heun: HeunForm, n: int) -> SufficiencyVerdict:
     if heun.e != -heun.a * n:
         raise ValueError("degree hypothesis violated: e must equal -a n")
     j = int(c)
-    coeffs = tridiag_coeffs(
-        "necessary", a=heun.a, b=heun.b, c=Fraction(j), d=heun.d, n=Fraction(n)
-    )
-    det = tridiag_det(coeffs, j + 1)
+    det = heun.recurrence().det(j + 1)
     return SufficiencyVerdict(
         applicable=True, satisfied=(det == 0), j=j, det_value=det
     )

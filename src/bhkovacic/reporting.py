@@ -27,12 +27,7 @@ def jsonable(value: Any):
         return rat_to_str(value)
     if isinstance(value, Poly):
         return [rat_to_str(c) for c in value.coeffs]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        # big integers survive as strings past any consumer's float parsing
-        return value if abs(value) < 2**53 else str(value)
-    if isinstance(value, str):
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, enum.Enum):
         return value.name.lower()

@@ -5,11 +5,10 @@ comparisons are exact rational equalities, with the determinant-sign scan
 run at full scale (degrees 0..500).
 """
 
-import math
 import time
 from fractions import Fraction as F
 
-from bhkovacic.algebra import Poly, rational_roots
+from bhkovacic.algebra import Poly
 from bhkovacic.auxode import (
     brute_force_polynomial_solutions,
     build_auxiliary,
@@ -198,11 +197,9 @@ def test_criterion_09_obstruction():
             pass
     # the replacements are defined and satisfy their four relations exactly
     u = Poly.x()
-    top = phi_poly("phi_2s_plus_1", F(s)).poly
-    flat = phi_poly("phi_2s", F(s)).poly
-    from bhkovacic.hautot import _phi
-
-    nxt = _phi(2, F(s))
+    top = phi_poly(1, F(s))
+    flat = phi_poly(0, F(s))
+    nxt = phi_poly(2, F(s))
     ok = ok and u * top.derivative() == (2 * s + 1) * top - flat
     ok = ok and u * top == -flat + (2 * s + 3) * top - (2 * s + 2) * nxt
     ok = ok and u * flat.derivative() == 2 * s * flat

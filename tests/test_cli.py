@@ -177,3 +177,40 @@ def test_evidence_empty_grid_is_a_usage_error(capsys):
     assert "error:" in err
     code, out, _ = run(capsys, "evidence", "--family", "G3", "--l-max", "1", "--json")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "bounds", (("--l-max", "-3", "--max-degree", "0"), ("--l-max", "1"), ("--max-degree", "-1"))
+)
+def test_verify_all_rejects_bad_bounds_before_any_check(capsys, monkeypatch, bounds):
+    import bhkovacic.cli as cli
+
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran before the bounds were validated")
+
+    monkeypatch.setattr(cli, "enumerate_families_n1", no_checks)
+    code, out, err = run(capsys, "verify-all", *bounds, "--json")
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
+def test_jsonable_keeps_ints():
+    from bhkovacic.reporting import jsonable
+
+    assert jsonable(2**60) == 2**60 and isinstance(jsonable(2**60), int)
+    assert jsonable(-(2**300)) == -(2**300)
+    assert jsonable(True) is True and jsonable(None) is None
+
+
+def test_evidence_violation_witness_writes_d_last_as_text(capsys, monkeypatch):
+    import bhkovacic.cli as cli
+    from bhkovacic.evidence import ScanReport
+
+    big = -(2**299 + 12345)  # a 300-bit minor
+    planted = ScanReport(families=("G3",), l_max=2, d_max=4, cells=5)
+    planted.final_sign_violations.append(("G3", 2, 4, big))
+    monkeypatch.setattr(cli, "scan", lambda **kwargs: planted)
+    code, out, _ = run(capsys, "evidence", "--family", "G3", "--json")
+    assert code == 1
+    witness = json.loads(out)["records"][0]["witness"]
+    assert witness["violations"] == [["G3", 2, 4, str(big)]]

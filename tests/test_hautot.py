@@ -1,14 +1,26 @@
 """Special-function bases, fixed-order determinants, extended expansions."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from bhkovacic.algebra import Poly, falling_factorial
-from bhkovacic.auxode import build_auxiliary, to_heun_form, HeunForm
+from bhkovacic.algebra import Poly, falling_factorial, rational_roots
+from bhkovacic.auxode import (
+    HeunForm,
+    Recurrence3,
+    build_auxiliary,
+    recurrence,
+    to_heun_form,
+    to_z_frame,
+)
+from bhkovacic.elimination import bareiss_determinant, integerize_rows
 from bhkovacic.hautot import (
     ObstructionError,
+    _kummer_block,
+    _laguerre_block,
     det_A,
     determinant_equality_check,
     extended_expansion,
@@ -17,11 +29,9 @@ from bhkovacic.hautot import (
     laguerre_poly,
     phi_poly,
     recurrence_identity_suite,
-    tridiag_coeffs,
-    tridiag_det,
 )
 from bhkovacic.kovacic import family_by_label
-from bhkovacic.master import ModeSpec, PerturbationKind, special_frequency
+from bhkovacic.master import ModeSpec, special_frequency
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +41,8 @@ from bhkovacic.master import ModeSpec, PerturbationKind, special_frequency
 
 def test_kummer_small_cases():
     q = F(5, 2)
-    assert kummer_poly(0, q).poly == Poly.one()
-    assert kummer_poly(1, q).poly == Poly([1, -1 / q])
+    assert kummer_poly(0, q) == Poly.one()
+    assert kummer_poly(1, q) == Poly([1, -1 / q])
 
 
 def test_kummer_series_oracle():
@@ -46,7 +56,7 @@ def test_kummer_series_oracle():
             for k in range(n + 1)
         ]
     )
-    assert kummer_poly(n, q).poly == expected
+    assert kummer_poly(n, q) == expected
 
 
 def test_obstruction():
@@ -67,9 +77,9 @@ def test_obstruction():
 def test_truncated_kummer_explicit_forms():
     # F(-(2s-1), 1-2s; u) = sum u^k/k!; the next one carries (2s-1-k)/(2s-1)
     s = 4
-    F1 = kummer_poly(2 * s - 1, 1 - 2 * s).poly
+    F1 = kummer_poly(2 * s - 1, 1 - 2 * s)
     assert F1 == Poly([F(1, math.factorial(k)) for k in range(2 * s)])
-    F2 = kummer_poly(2 * s - 2, 1 - 2 * s).poly
+    F2 = kummer_poly(2 * s - 2, 1 - 2 * s)
     assert F2 == Poly(
         [F(2 * s - 1 - k, (2 * s - 1) * math.factorial(k)) for k in range(2 * s - 1)]
     )
@@ -77,38 +87,38 @@ def test_truncated_kummer_explicit_forms():
 
 def test_laguerre_small_cases():
     a = F(7, 5)
-    assert laguerre_poly(0, a).poly == Poly.one()
-    assert laguerre_poly(1, a).poly == Poly([a + 1, -1])
+    assert laguerre_poly(0, a) == Poly.one()
+    assert laguerre_poly(1, a) == Poly([a + 1, -1])
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 @pytest.mark.parametrize("alpha", [F(0), F(3, 2), F(-1, 3), F(5)])
 def test_kummer_laguerre_bridge(n, alpha):
     # L_n^(alpha)(u) = binom(n+alpha, n) F(-n, alpha+1; u) whenever defined
-    lag = laguerre_poly(n, alpha).poly
+    lag = laguerre_poly(n, alpha)
     scale = falling_factorial(n + alpha, n) / math.factorial(n)
-    assert lag == scale * kummer_poly(n, alpha + 1).poly
+    assert lag == scale * kummer_poly(n, alpha + 1)
 
 
 def test_laguerre_negative_upper_closed_forms():
     # L_{2s-1}^(-2s) = -F(-(2s-1), 1-2s; u); L_{2s-2}^(-2s) = (2s-1) F(-(2s-2), ...)
     s = 4
-    assert laguerre_poly(2 * s - 1, -2 * s).poly == -kummer_poly(2 * s - 1, 1 - 2 * s).poly
+    assert laguerre_poly(2 * s - 1, -2 * s) == -kummer_poly(2 * s - 1, 1 - 2 * s)
     assert (
-        laguerre_poly(2 * s - 2, -2 * s).poly
-        == (2 * s - 1) * kummer_poly(2 * s - 2, 1 - 2 * s).poly
+        laguerre_poly(2 * s - 2, -2 * s)
+        == (2 * s - 1) * kummer_poly(2 * s - 2, 1 - 2 * s)
     )
 
 
 def test_phi_polynomials():
     s = F(4)
-    top = phi_poly("phi_2s_plus_1", s)
-    flat = phi_poly("phi_2s", s)
+    top = phi_poly(1, s)
+    flat = phi_poly(0, s)
     u = Poly.x()
-    assert flat.poly == Poly.monomial(8)
-    assert top.poly == Poly.monomial(8) * (Poly.one() - u * F(1, 9))
+    assert flat == Poly.monomial(8)
+    assert top == Poly.monomial(8) * (Poly.one() - u * F(1, 9))
     with pytest.raises(ValueError):
-        phi_poly("phi_2s", F(1, 3))
+        phi_poly(0, F(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +154,8 @@ def test_phi_relations_explicit():
     # u phi'(2s) = 2s phi(2s) and u phi(2s) = (2s+1)(phi(2s) - phi(2s+1))
     s = F(4)
     u = Poly.x()
-    flat = phi_poly("phi_2s", s).poly
-    top = phi_poly("phi_2s_plus_1", s).poly
+    flat = phi_poly(0, s)
+    top = phi_poly(1, s)
     assert u * flat.derivative() == 2 * s * flat
     assert u * flat == (2 * s + 1) * flat - (2 * s + 1) * top
 
@@ -157,32 +167,88 @@ def test_phi_relations_explicit():
 
 def test_tridiag_coefficient_examples():
     a, b, c, d, n = F(2), F(-3), F(3), F(5), F(9)
-    lower, diag, upper = tridiag_coeffs("necessary", a=a, b=b, c=c, d=d, n=n)
-    assert upper(3) == 0  # (c - k) factor at k = c
-    assert lower(1) == a * (1 - 1 - n)
-    assert diag(2) == d + 2 * (b + 1)
-    j = 3
-    _, _, t_k = tridiag_coeffs("hautot_kummer", a=a, b=b, d=d, n=n, j=j)
-    assert t_k(2) == (2 + 1) * (2 + 1 - n - a - b - j)
-    _, _, w_k = tridiag_coeffs("hautot_laguerre", a=a, b=b, d=d, n=n, j=j)
-    assert w_k(2) == (2 + 1) * (2 - n)
+    necessary = HeunForm(a, b, c, d, -a * n).recurrence()
+    assert necessary.upper(3) == 0  # (c - k) factor at k = c
+    assert necessary.lower(1) == a * (1 - 1 - n)
+    assert necessary.diag(2) == d + 2 * (b + 1)
+    # the block systems against their factored entries, here and at random points
+    rng = random.Random(3)
+    points = [(a, b, d, n, 3)] + [
+        (*(F(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(4)), rng.randint(0, 5))
+        for _ in range(20)
+    ]
+    for a, b, d, n, j in points:
+        kummer, laguerre = _kummer_block(a, b, d, n, j), _laguerre_block(a, b, d, n, j)
+        for k in range(8):
+            assert kummer.lower(k) == (k - 1 - j) * (k - 1 - n)
+            assert kummer.diag(k) == laguerre.diag(k) == d - j * n + k * (
+                b + 2 * j - 2 * k + 2 * n
+            )
+            assert kummer.upper(k) == (k + 1) * (k + 1 - n - a - b - j)
+            assert laguerre.lower(k) == (k - 1 - j) * (k - n - a - b - j)
+            assert laguerre.upper(k) == (k + 1) * (k - n)
 
 
 def test_tridiag_det_matches_cofactor_expansion():
-    lower, diag, upper = tridiag_coeffs(
-        "necessary", a=F(1), b=F(2), c=F(3), d=F(-1), n=F(6)
-    )
+    rec = HeunForm(F(1), F(2), F(3), F(-1), F(-6)).recurrence()  # n = 6
     # direct 3x3 determinant
     m = [
-        [diag(0), upper(0), 0],
-        [lower(1), diag(1), upper(1)],
-        [0, lower(2), diag(2)],
+        [rec.diag(0), rec.upper(0), 0],
+        [rec.lower(1), rec.diag(1), rec.upper(1)],
+        [0, rec.lower(2), rec.diag(2)],
     ]
     direct = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2])
     )
-    assert tridiag_det((lower, diag, upper), 3) == direct
+    assert rec.det(3) == direct
+    assert rec.det(0) == 1
+
+
+def _band_det(rec, size):
+    """Bareiss determinant of the explicit size x size band matrix of rec."""
+    entries = {-1: rec.lower, 0: rec.diag, 1: rec.upper}
+    rows = [
+        [F(entries[i - k](k)) if abs(i - k) <= 1 else F(0) for i in range(size)]
+        for k in range(size)
+    ]
+    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in rows)
+    return F(bareiss_determinant(integerize_rows(rows)), scale)
+
+
+def test_det_matches_bareiss():
+    rng = random.Random(7)
+
+    def rand():
+        return F(rng.randint(-20, 20), rng.randint(1, 6))
+
+    for size in range(1, 7):
+        for _ in range(5):
+            rec = Recurrence3(
+                lower_k=tuple(rand() for _ in range(2)),
+                diag_k=tuple(rand() for _ in range(3)),
+                upper_k=tuple(rand() for _ in range(3)),
+            )
+            assert rec.det(size) == _band_det(rec, size)
+        a, b, d, n = rand(), rand(), rand(), rand()
+        j = size - 1
+        for block in (_kummer_block(a, b, d, n, j), _laguerre_block(a, b, d, n, j)):
+            assert block.det(size) == _band_det(block, size)
+
+
+@pytest.mark.parametrize(
+    "label,l,s",
+    [("G7", 2, F(4)), ("G7", 3, F(7, 3)), ("G3", 2, F(5, 2)), ("E7", 1, F(3)), ("E3", 2, F(2))],
+)
+def test_heun_recurrence_matches_z_frame(label, l, s):
+    fam = family_by_label(label)
+    ode = build_auxiliary(fam, ModeSpec(fam.kind, l, s))
+    heun = to_heun_form(ode).recurrence()
+    z_frame = recurrence(to_z_frame(ode), 0, 0)  # through Poly.shift
+    for k in range(10):
+        assert heun.lower(k) == z_frame.lower(k)
+        assert heun.diag(k) == z_frame.diag(k)
+        assert heun.upper(k) == z_frame.upper(k)
 
 
 def test_det_A_matrix_entries():
@@ -190,26 +256,42 @@ def test_det_A_matrix_entries():
     l = 2
     L = l * (l + 1)
     s = F(3)  # generic probe value
-    lower, diag, upper = tridiag_coeffs(
-        "necessary",
-        a=2 * s,
-        b=-2 * (2 * s + 1),
-        c=F(3),
-        d=2 - L + 6 * s,
-        n=2 * s + 1,
-    )
-    assert diag(0) == 2 - L + 6 * s
-    assert upper(0) == 3
-    assert lower(1) == -2 * s * (2 * s + 1)
-    assert diag(1) == 2 * s - L
-    assert upper(1) == 4
-    assert lower(2) == -4 * s * s
-    assert diag(2) == -2 * s - L
-    assert upper(2) == 3
-    assert lower(3) == 2 * s * (1 - 2 * s)
-    assert diag(3) == 2 - 6 * s - L
+    a, n = 2 * s, 2 * s + 1
+    rec = HeunForm(a, -2 * (2 * s + 1), F(3), 2 - L + 6 * s, -a * n).recurrence()
+    assert rec.diag(0) == 2 - L + 6 * s
+    assert rec.upper(0) == 3
+    assert rec.lower(1) == -2 * s * (2 * s + 1)
+    assert rec.diag(1) == 2 * s - L
+    assert rec.upper(1) == 4
+    assert rec.lower(2) == -4 * s * s
+    assert rec.diag(2) == -2 * s - L
+    assert rec.upper(2) == 3
+    assert rec.lower(3) == 2 * s * (1 - 2 * s)
+    assert rec.diag(3) == 2 - 6 * s - L
     # and det_A evaluated at the probe value equals the block determinant
-    assert det_A(l).eval(s) == tridiag_det((lower, diag, upper), 4)
+    assert det_A(l).eval(s) == rec.det(4)
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_det_A_sympy_oracle(l):
+    # the hand-written z-frame G7 block, its determinant taken by sympy
+    s = sympy.Symbol("s")
+    a, b, c, d, n = 2 * s, -2 * (2 * s + 1), 3, 2 - l * (l + 1) + 6 * s, 2 * s + 1
+
+    def entry(k, i):
+        if i == k - 1:
+            return a * (k - 1 - n)
+        if i == k:
+            return d + k * (b + k - 1)
+        if i == k + 1:
+            return (c - k) * (k + 1)
+        return 0
+
+    det = sympy.Poly(sympy.Matrix(4, 4, entry).det(), s)
+    coeffs = [F(int(v.p), int(v.q)) for v in reversed(det.all_coeffs())]
+    assert det_A(l) == Poly(coeffs)
+    sympy_roots = sorted(F(int(r.p), int(r.q)) for r in sympy.roots(det, filter="Q"))
+    assert rational_roots(det_A(l)) == sympy_roots
 
 
 def test_det_A_roots():
@@ -236,9 +318,9 @@ def test_determinant_equality(j):
 def test_equality_j0_trivial():
     # 1x1 case: all three blocks reduce to d - j n = d
     a, b, d, n = F(2), F(5), F(-7, 3), F(4)
-    nec = tridiag_det(tridiag_coeffs("necessary", a=a, b=b, c=F(0), d=d, n=n), 1)
-    kum = tridiag_det(tridiag_coeffs("hautot_kummer", a=a, b=b, d=d, n=n, j=0), 1)
-    lag = tridiag_det(tridiag_coeffs("hautot_laguerre", a=a, b=b, d=d, n=n, j=0), 1)
+    nec = HeunForm(a, b, F(0), d, -a * n).recurrence().det(1)
+    kum = _kummer_block(a, b, d, n, 0).det(1)
+    lag = _laguerre_block(a, b, d, n, 0).det(1)
     assert nec == kum == lag == d
 
 
@@ -283,15 +365,13 @@ def test_expansion_homogeneity():
     assert A1 * A0 == A0 * A1  # trivial sanity
     scaled = [c * 3 for c in report.coefficients]
     # re-assemble with tripled coefficients
-    from bhkovacic.hautot import _phi
-
     s = report.s
     two_s = int(2 * s)
     terms = (
-        (scaled[0], _phi(1, s)),
-        (scaled[1], _phi(0, s)),
-        (scaled[2], kummer_poly(two_s - 1, 1 - 2 * s).poly),
-        (scaled[3], kummer_poly(two_s - 2, 1 - 2 * s).poly),
+        (scaled[0], phi_poly(1, s)),
+        (scaled[1], phi_poly(0, s)),
+        (scaled[2], kummer_poly(two_s - 1, 1 - 2 * s)),
+        (scaled[3], kummer_poly(two_s - 2, 1 - 2 * s)),
     )
     acc = Poly.zero()
     for coeff, poly in terms:
@@ -305,11 +385,8 @@ def test_expansion_homogeneity():
 
 
 def _heun(label, l, s):
-    kind = {"G": PerturbationKind.GRAVITATIONAL, "E": PerturbationKind.ELECTROMAGNETIC}[
-        label[0]
-    ]
     fam = family_by_label(label)
-    return to_heun_form(build_auxiliary(fam, ModeSpec(kind, l, s)))
+    return to_heun_form(build_auxiliary(fam, ModeSpec(fam.kind, l, s)))
 
 
 def test_sufficiency_g7():

@@ -21,13 +21,11 @@ __all__ = [
     "Poly",
     "rat_from_str",
     "rat_to_str",
-    "binomial",
     "horner",
     "falling_factorial",
     "pochhammer",
     "poly_gcd",
     "rational_roots",
-    "isqrt_exact",
 ]
 
 
@@ -45,12 +43,6 @@ def rat_to_str(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def horner(coeffs: Sequence, x, zero=0):
@@ -75,14 +67,6 @@ def pochhammer(x: Rational, k: int) -> Rational:
     for i in range(k):
         acc *= x + i
     return acc
-
-
-def isqrt_exact(n: int):
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 class Poly:

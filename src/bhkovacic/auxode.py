@@ -22,14 +22,15 @@ substitution linking the G7/G3 and E7/E3 confluent Heun forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .algebra import Poly, Rational, binomial, horner, poly_gcd, rational_roots
+from .algebra import Poly, Rational, horner, poly_gcd, rational_roots
 from .elimination import nullspace, tridiag_minors
 from .kovacic import Family, family_by_label, theta as theta_spec
-from .master import ModeSpec, PerturbationKind, special_frequency
+from .master import ModeSpec, PerturbationKind, partial_fractions, special_frequency
 
 __all__ = [
     "AuxiliaryODE",
@@ -75,19 +76,13 @@ def _sym_coefficients(family: Family, l: int) -> tuple:
     if family.n != 1:
         raise ValueError("auxiliary equations exist only on the n=1 branch")
     spec = theta_spec(family)
-    c0 = spec.c0
-    if not c0.is_constant():
+    if spec.c0.degree > 0:
         raise ValueError("e0 must be frequency-independent")
-    c0 = c0.a
-    c2 = Poly([spec.c2.a, spec.c2.b])
-    cinf = Poly([spec.cinf.a, spec.cinf.b])
-    beta = family.kind.beta
-    L = l * (l + 1)
-    # partial-fraction data of nu needed beyond the cancelled double poles
-    b0 = Fraction(1 - 2 * beta - 2 * L, 4)
-    b2 = Poly([Fraction(2 * L + 2 * beta - 1, 4), 0, 1])  # (4s^2+2L+2beta-1)/4
-    t0 = 2 * c0 * cinf - Poly.const(b0)
-    t2 = 2 * c2 * cinf - b2
+    c0, c2, cinf = spec.c0[0], spec.c2, spec.cinf
+    # the simple poles of nu survive; c0, c2 and cinf cancel the rest
+    nu = partial_fractions(family.kind, l)
+    t0 = 2 * c0 * cinf - nu.inv_r
+    t2 = 2 * c2 * cinf - nu.inv_rm2
     e = t0 + t2
     f = 2 * c0 * c2 - 2 * t0
     p1_const = Poly.const(-4 * c0)
@@ -574,7 +569,7 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
 def _binomial_power(c: int, n: int) -> Poly:
     """(x + c)^n by direct binomial expansion."""
-    return Poly([binomial(n, k) * Fraction(c) ** (n - k) for k in range(n + 1)])
+    return Poly([math.comb(n, k) * Fraction(c) ** (n - k) for k in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .hautot import (
     recurrence_identity_suite,
 )
 from .kovacic import (
+    affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
     family_by_label,
@@ -72,6 +73,11 @@ def _report(args, command: str) -> Report:
     return Report(tool_version=__version__, config=config)
 
 
+def _family_row(f) -> dict:
+    forms = ("e0", "e2", "einf", "degree")
+    return {"label": f.label, **{name: affine_str(getattr(f, name)) for name in forms}}
+
+
 def cmd_families(args) -> int:
     kind = PerturbationKind.from_name(args.beta)
     report = _report(args, "families")
@@ -79,17 +85,7 @@ def cmd_families(args) -> int:
         families = enumerate_families_n1(kind)
         retention = retain_families(families)
         retained = set(retention.retained_labels)
-        rows = [
-            {
-                "label": f.label,
-                "e0": str(f.e0),
-                "e2": str(f.e2),
-                "einf": str(f.einf),
-                "degree": str(f.degree),
-                "retained": f.label in retained,
-            }
-            for f in families
-        ]
+        rows = [{**_family_row(f), "retained": f.label in retained} for f in families]
         report.add(
             "families.n1.table",
             retained == _EXPECTED_RETAINED[kind],
@@ -98,16 +94,7 @@ def cmd_families(args) -> int:
         )
     else:
         candidates, retained = enumerate_families_n2(kind)
-        rows = [
-            {
-                "label": f.label,
-                "e0": str(f.e0),
-                "e2": str(f.e2),
-                "einf": str(f.einf),
-                "degree": str(f.degree),
-            }
-            for f in candidates
-        ]
+        rows = [_family_row(f) for f in candidates]
         report.add(
             "families.n2.table",
             not retained,
@@ -172,9 +159,9 @@ def cmd_hautot(args) -> int:
     )
     _emit(report, args.format)
     if args.format == "human":
-        names = ("A0", "A1", "A2", "A3")
-        for name, value in zip(names, expansion.coefficients):
-            print(f"  {name} = {rat_to_str(value)}")
+        letter = "A" if args.basis == "kummer" else "B"  # as in extended_expansion
+        for k, value in enumerate(expansion.coefficients):
+            print(f"  {letter}{k} = {rat_to_str(value)}")
     return 0 if report.all_passed else 1
 
 

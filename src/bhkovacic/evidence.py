@@ -61,7 +61,7 @@ def degree_to_s(family: str, d: int) -> Rational:
     if family not in SCAN_FAMILIES:
         raise ValueError(f"scan covers {SCAN_FAMILIES}, not {family}")
     degree = family_by_label(family).degree
-    return (d - degree.a) / degree.b
+    return (d - degree[0]) / degree[1]
 
 
 # a scan visits its columns in order, so a small cache serves a column's
@@ -85,7 +85,7 @@ def _column(fam: Family, l: int) -> tuple:
 def _in_degree(entries, fam: Family) -> tuple:
     """Polynomials in s, with s = (d - a)/b from the degree form d = a + b s,
     as integer coefficient tuples in d."""
-    a, b = fam.degree.a, fam.degree.b
+    a, b = fam.degree[0], fam.degree[1]
     grid = [(Poly.zero() + e).shift(-a / b).scale_variable(1 / b).coeffs for e in entries]
     if any(c.denominator != 1 for coeffs in grid for c in coeffs):
         raise ArithmeticError(f"{fam.label} recurrence entries are not integral in d")
@@ -177,10 +177,6 @@ class ScanReport:
     flags_resolved_nonzero: bool = True  # every flagged cell still has D_last != 0
     cross_checks: list = field(default_factory=list)
     cross_checks_ok: bool = True
-    l_range_note: str = (
-        "the scanned l range is a configuration choice; the sign pattern of "
-        "the full determinants is asserted per (family, l, d) cell"
-    )
 
     @property
     def all_final_signs_ok(self) -> bool:

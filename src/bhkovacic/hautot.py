@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly, Rational, falling_factorial, rat_to_str
+from .algebra import Poly, Rational, rat_to_str
 from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, symbolic_recurrence
 from .kovacic import family_by_label
 from .master import special_frequency
@@ -77,12 +77,12 @@ def laguerre_poly(n: int, alpha) -> Poly:
     if n < 0:
         raise ValueError("degree must be non-negative")
     alpha = Fraction(alpha)
-    coeffs = [
-        Fraction((-1) ** k) * falling_factorial(n + alpha, n - k)
-        / (math.factorial(n - k) * math.factorial(k))
-        for k in range(n + 1)
-    ]
-    return Poly(coeffs)
+    # downward term ratio c_{k-1} / c_k = -k (alpha + k) / (n - k + 1): it
+    # never divides by alpha + k, so no alpha needs a special case
+    coeffs = [Fraction((-1) ** n, math.factorial(n))]
+    for k in range(n, 0, -1):
+        coeffs.append(-coeffs[-1] * k * (alpha + k) / (n - k + 1))
+    return Poly(reversed(coeffs))
 
 
 def phi_poly(j: int, s) -> Poly:

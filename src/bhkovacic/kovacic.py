@@ -2,14 +2,18 @@
 
 The pole structure of nu is the same for every mode: double poles at r=0
 and r=2, order 4 at infinity.  That fixes the admissible algebraic degrees
-to n in {1, 2}.  For n=1 the exponent sets produce the candidate families
-G1..G8 / E1..E8 / S1..S4 with degree forms d = 1 - sum(e_c), an affine
-function of the frequency parameter s.  For n=2 the integrality and parity
-rules empty the candidate list outright.
+to n in {1, 2}.  For n=1 the exponent sets are the roots of e(e-1) = the
+double-pole coefficients of :func:`~bhkovacic.master.partial_fractions`,
+and they produce the candidate families G1..G8 / E1..E8 / S1..S4 with
+degree forms d = 1 - sum(e_c), an affine function of the frequency
+parameter s.  For n=2 the integrality and parity rules empty the
+candidate list outright.
 
 The tables depend on the perturbation kind alone: the frequency s stays
-symbolic through enumeration (class :class:`AffineS`), and l and a concrete
-rational s enter only when a family is instantiated against a mode.
+symbolic through enumeration, every exponent, degree form and theta
+coefficient being a :class:`~bhkovacic.algebra.Poly` in s of degree <= 1
+(printed by :func:`affine_str`), and l and a concrete rational s enter
+only when a family is instantiated against a mode.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .algebra import Poly, Rational, rat_to_str
 from .master import ModeSpec, PerturbationKind
 
 __all__ = [
-    "AffineS",
+    "affine_str",
     "Family",
     "ThetaSpec",
     "RetentionResult",
@@ -38,67 +42,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineS:
-    """An expression a + b*s, exact in both coefficients."""
-
-    a: Rational
-    b: Rational = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    def __add__(self, other):
-        other = _affine(other)
-        return AffineS(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineS(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-_affine(other))
-
-    def __rsub__(self, other):
-        return _affine(other) + (-self)
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return AffineS(self.a * scalar, self.b * scalar)
-
-    __rmul__ = __mul__
-
-    def at(self, s) -> Rational:
-        return self.a + self.b * Fraction(s)
-
-    def is_constant(self) -> bool:
-        return self.b == 0
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return rat_to_str(self.a)
-        if self.b == 1:
-            bs = "s"
-        elif self.b == -1:
-            bs = "-s"
-        else:
-            bs = f"{rat_to_str(self.b)}*s"
-        if self.a == 0:
-            return bs
-        sign = "+" if self.b > 0 else "-"
-        mag = bs.lstrip("-")
-        return f"{rat_to_str(self.a)} {sign} {mag}"
+def affine_str(p: Poly) -> str:
+    """Print a + b*s as the family tables do: "1/2 - s", "-2*s", "1/2*s", "4"."""
+    if p.degree > 1:
+        raise ValueError(f"{p!r} is not affine in s")
+    a, b = p[0], p[1]
+    if b == 0:
+        return rat_to_str(a)
+    if b == 1:
+        bs = "s"
+    elif b == -1:
+        bs = "-s"
+    else:
+        bs = f"{rat_to_str(b)}*s"
+    if a == 0:
+        return bs
+    sign = "+" if b > 0 else "-"
+    mag = bs.lstrip("-")
+    return f"{rat_to_str(a)} {sign} {mag}"
 
 
-def _affine(value) -> AffineS:
-    if isinstance(value, AffineS):
-        return value
-    return AffineS(Fraction(value))
-
-
-S = AffineS(0, 1)  # the symbol s itself
+S = Poly.x()  # the symbol s itself
 
 
 @dataclass(frozen=True)
@@ -106,10 +70,10 @@ class Family:
     """One candidate exponent assignment (e0, e2, einf) with its degree form."""
 
     label: str
-    e0: AffineS
-    e2: AffineS
-    einf: AffineS
-    degree: AffineS  # d = n - (n/h(n)) * sum(e_c)
+    e0: Poly  # each a Poly in s of degree <= 1
+    e2: Poly
+    einf: Poly
+    degree: Poly  # d = n - (n/h(n)) * sum(e_c)
     n: int = 1
     sign_inf: int = 0  # S(einf); only meaningful for n=1
 
@@ -122,12 +86,9 @@ class Family:
 class ThetaSpec:
     """theta = c0/r + c2/(r-2) + cinf, the logarithmic derivative ansatz."""
 
-    c0: AffineS
-    c2: AffineS
-    cinf: AffineS
-
-    def at(self, s) -> tuple:
-        return (self.c0.at(s), self.c2.at(s), self.cinf.at(s))
+    c0: Poly  # each a Poly in s of degree <= 1
+    c2: Poly
+    cinf: Poly
 
 
 def exponent_sets_n1(kind: PerturbationKind) -> tuple:
@@ -139,11 +100,11 @@ def exponent_sets_n1(kind: PerturbationKind) -> tuple:
     root = kind.sqrt_one_minus_beta
     half = Fraction(1, 2)
     if root == 0:
-        e0_set = (AffineS(half),)
+        e0_set = (Poly.const(half),)
     else:
-        e0_set = (AffineS(half + root), AffineS(half - root))
-    e2_set = (AffineS(half) + S, AffineS(half) - S)
-    einf_set = (AffineS(1) - S, AffineS(1) + S)
+        e0_set = (Poly.const(half + root), Poly.const(half - root))
+    e2_set = (half + S, half - S)
+    einf_set = (1 - S, 1 + S)
     sign_map = {einf_set[0]: +1, einf_set[1]: -1}
     return e0_set, e2_set, einf_set, sign_map
 
@@ -161,7 +122,7 @@ def enumerate_families_n1(kind: PerturbationKind) -> list:
     for e0 in e0_set:
         for e2 in e2_set:
             for einf in einf_set:
-                degree = AffineS(1) - (e0 + e2 + einf)
+                degree = 1 - (e0 + e2 + einf)
                 families.append(
                     Family(
                         label=f"{prefix}{index}",
@@ -220,7 +181,7 @@ def _marginal_points(family: Family):
     (reported as s=None); for b < 0 only finitely many s >= 0 give integer
     d >= 0.
     """
-    a, b = family.degree.a, family.degree.b
+    a, b = family.degree[0], family.degree[1]
     if b == 0:
         if a.denominator == 1 and a >= 0:
             return [(None, int(a))]
@@ -252,7 +213,7 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
 
     result = RetentionResult()
     for family in families:
-        b = family.degree.b
+        b = family.degree[1]
         if b > 0:
             result.retained.append(family)
             continue
@@ -299,17 +260,17 @@ def enumerate_families_n2(kind: PerturbationKind) -> tuple:
     """
     root = kind.sqrt_one_minus_beta
     if root == 0:
-        e0_set = (AffineS(2),)
+        e0_set = (Poly.const(2),)
     else:
-        e0_set = (AffineS(2 - 4 * root), AffineS(2), AffineS(2 + 4 * root))
-    e2_set = (AffineS(2) - 4 * S, AffineS(2), AffineS(2) + 4 * S)
-    einf = AffineS(4)
+        e0_set = (Poly.const(2 - 4 * root), Poly.const(2), Poly.const(2 + 4 * root))
+    e2_set = (2 - 4 * S, Poly.const(2), 2 + 4 * S)
+    einf = Poly.const(4)
     prefix = kind.prefix
     candidates = []
     index = 1
     for e0 in e0_set:
         for e2 in e2_set:
-            degree = AffineS(2) - (e0 + e2 + einf) * Fraction(1, 2)
+            degree = 2 - (e0 + e2 + einf) * Fraction(1, 2)
             candidates.append(
                 Family(
                     label=f"N2{prefix}{index}",
@@ -325,8 +286,8 @@ def enumerate_families_n2(kind: PerturbationKind) -> tuple:
     return candidates, retained
 
 
-def _odd_constant(e: AffineS) -> bool:
-    return e.is_constant() and e.a.denominator == 1 and e.a.numerator % 2 != 0
+def _odd_constant(e: Poly) -> bool:
+    return e.degree <= 0 and e[0].denominator == 1 and e[0].numerator % 2 != 0
 
 
 def _n2_retained(family: Family) -> bool:
@@ -334,7 +295,7 @@ def _n2_retained(family: Family) -> bool:
     # even constants, so even granting e2 = 2 +- 4s odd status (possible
     # when 4s is an odd integer) the odd count tops out at one
     odd = sum(_odd_constant(e) for e in (family.e0, family.einf))
-    if family.e2.is_constant():
+    if family.e2.degree <= 0:
         odd += _odd_constant(family.e2)
     else:
         odd += 1
@@ -387,7 +348,7 @@ def liouvillian_form(family: Family, P: Poly, mode: ModeSpec) -> LiouvillianDesc
     if P.is_zero() or not residual.is_zero():
         raise NotASolutionError(residual)
     spec = theta(family)
-    c0, c2, cinf = spec.at(mode.s)
+    c0, c2, cinf = (c.eval(mode.s) for c in (spec.c0, spec.c2, spec.cinf))
     half = Fraction(1, 2)
     return LiouvillianDescriptor(
         family_label=family.label,

@@ -113,16 +113,16 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class NuFraction:
-    """Partial fractions of nu over r^2 (r-2)^2.
+    """Partial fractions of nu over r^2 (r-2)^2, each coefficient a Poly in s.
 
     nu = const_term + inv_r2/r^2 + inv_r/r + inv_rm2_sq/(r-2)^2 + inv_rm2/(r-2)
     """
 
-    const_term: Rational
-    inv_r2: Rational
-    inv_r: Rational
-    inv_rm2_sq: Rational
-    inv_rm2: Rational
+    const_term: Poly
+    inv_r2: Poly
+    inv_r: Poly
+    inv_rm2_sq: Poly
+    inv_rm2: Poly
 
 
 def build_nu(mode: ModeSpec) -> tuple:
@@ -133,14 +133,20 @@ def build_nu(mode: ModeSpec) -> tuple:
     return numerator, denominator
 
 
-def partial_fractions(mode: ModeSpec) -> NuFraction:
-    s, L, beta = mode.s, mode.L, mode.beta
+def partial_fractions(kind: PerturbationKind, l: int) -> NuFraction:
+    """The one statement of nu's partial-fraction coefficients, with s symbolic.
+
+    The double-pole coefficients fix Kovacic's exponent sets; the simple-pole
+    ones enter the auxiliary equation.
+    """
+    L, beta = l * (l + 1), kind.beta
+    s2 = Poly.monomial(2)  # s^2
     return NuFraction(
-        const_term=s * s / 4,
-        inv_r2=Fraction(3 - 4 * beta, 4),
-        inv_r=Fraction(-2 * beta - 2 * L + 1, 4),
-        inv_rm2_sq=(4 * s * s - 1) / 4,
-        inv_rm2=(4 * s * s + 2 * L + 2 * beta - 1) / 4,
+        const_term=s2 * Fraction(1, 4),
+        inv_r2=Poly.const(Fraction(3 - 4 * beta, 4)),
+        inv_r=Poly.const(Fraction(-2 * beta - 2 * L + 1, 4)),
+        inv_rm2_sq=s2 - Fraction(1, 4),
+        inv_rm2=s2 + Fraction(2 * L + 2 * beta - 1, 4),
     )
 
 

@@ -32,6 +32,7 @@ from bhkovacic.hautot import (
     recurrence_identity_suite,
 )
 from bhkovacic.kovacic import (
+    affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
     family_by_label,
@@ -86,7 +87,7 @@ def test_criterion_01_family_tables():
     for kind in (G, S, E):
         families = enumerate_families_n1(kind)
         rows = [
-            (f.label, str(f.e0), str(f.e2), str(f.einf), str(f.degree))
+            (f.label, *map(affine_str, (f.e0, f.e2, f.einf, f.degree)))
             for f in families
         ]
         ok = ok and len(families) == expected_counts[kind]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bhkovacic.algebra import (
     Poly,
-    isqrt_exact,
     poly_gcd,
     rat_from_str,
     rat_to_str,
@@ -138,9 +137,3 @@ def test_scale_variable():
     p = Poly([1, 2, 3])
     q = p.scale_variable(F(-1, 2))  # p(-x/2)
     assert q == Poly([1, -1, F(3, 4)])
-
-
-def test_isqrt_exact():
-    assert isqrt_exact(49) == 7
-    assert isqrt_exact(48) is None
-    assert isqrt_exact(-4) is None

@@ -463,4 +463,4 @@ def test_exponent_at_infinity_matches_degree_formula():
         ode = _ode(label, l, s)
         a, e = ode.p1[2], ode.p0[1]
         assert -e / a == expected
-        assert family_by_label(label).degree.at(s) == expected
+        assert family_by_label(label).degree.eval(s) == expected

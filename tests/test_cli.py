@@ -92,6 +92,20 @@ def test_hautot_subcommand(capsys):
     assert witness["coefficients"] == ["9/4194304", "-7/4194304", "-945/32768", "-945/32768"]
 
 
+@pytest.mark.parametrize(
+    "basis, lines",
+    [
+        ("kummer", ["A0 = 9/4194304", "A1 = -7/4194304", "A2 = -945/32768", "A3 = -945/32768"]),
+        ("laguerre", ["B0 = 1/4194304", "B1 = -7/4194304", "B2 = 945/32768", "B3 = -135/32768"]),
+    ],
+)
+def test_hautot_human_names_the_basis_coefficients(capsys, basis, lines):
+    # A_k for the Kummer basis, B_k for the Laguerre one, as extended_expansion documents
+    code, out, _ = run(capsys, "hautot", "--l", "2", "--basis", basis)
+    assert code == 0
+    assert [line.strip() for line in out.splitlines()[-4:]] == lines
+
+
 def test_evidence_subcommand(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(

@@ -33,7 +33,7 @@ TWO_S_OFFSET = {"G3": 3, "E3": 2, "E7": 0}
 def _candidate_ode(label, l, d):
     """The family's auxiliary equation at the frequency its degree-d candidate pins."""
     fam = family_by_label(label)
-    s = (d - fam.degree.a) / fam.degree.b
+    s = (d - fam.degree[0]) / fam.degree[1]
     return build_auxiliary(fam, ModeSpec(fam.kind, l, s))
 
 

@@ -91,6 +91,32 @@ def test_laguerre_small_cases():
     assert laguerre_poly(1, a) == Poly([a + 1, -1])
 
 
+def _laguerre_by_formula(n, alpha):
+    """sum_k (-1)^k binom(n+alpha, n-k) u^k / k!, each coefficient on its own."""
+    return Poly(
+        [
+            (-1) ** k * falling_factorial(n + alpha, n - k)
+            / (math.factorial(n - k) * math.factorial(k))
+            for k in range(n + 1)
+        ]
+    )
+
+
+def test_laguerre_matches_the_coefficient_formula():
+    cases = [
+        (n, F(alpha))
+        for n in range(8)
+        for alpha in (F(3, 2), F(-1, 3), 2, 0, -1, -3, -7, -n)
+    ]
+    # the (degree, alpha) pairs of the Laguerre expansion; l = 6, 7 take
+    # seconds through the oracle
+    for l in range(2, 6):
+        two_s = int(2 * special_frequency(l))
+        cases += [(1, two_s), (0, two_s), (two_s - 1, -two_s), (two_s - 2, -two_s)]
+    for n, alpha in cases:
+        assert laguerre_poly(n, alpha) == _laguerre_by_formula(n, F(alpha)), (n, alpha)
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 @pytest.mark.parametrize("alpha", [F(0), F(3, 2), F(-1, 3), F(5)])
 def test_kummer_laguerre_bridge(n, alpha):

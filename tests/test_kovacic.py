@@ -6,8 +6,8 @@ import pytest
 
 from bhkovacic.algebra import Poly
 from bhkovacic.kovacic import (
-    AffineS,
     NotASolutionError,
+    affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
     exponent_sets_n1,
@@ -16,7 +16,7 @@ from bhkovacic.kovacic import (
     retain_families,
     theta,
 )
-from bhkovacic.master import ModeSpec, PerturbationKind, special_frequency
+from bhkovacic.master import ModeSpec, PerturbationKind, partial_fractions, special_frequency
 
 G = PerturbationKind.GRAVITATIONAL
 E = PerturbationKind.ELECTROMAGNETIC
@@ -25,13 +25,13 @@ S = PerturbationKind.SCALAR
 
 def test_exponent_sets():
     e0, e2, einf, signs = exponent_sets_n1(G)
-    assert [str(e) for e in e0] == ["5/2", "-3/2"]
+    assert [affine_str(e) for e in e0] == ["5/2", "-3/2"]
     e0_em, _, _, _ = exponent_sets_n1(E)
-    assert [str(e) for e in e0_em] == ["3/2", "-1/2"]
+    assert [affine_str(e) for e in e0_em] == ["3/2", "-1/2"]
     e0_sc, _, _, _ = exponent_sets_n1(S)
-    assert [str(e) for e in e0_sc] == ["1/2"]
-    assert [str(e) for e in e2] == ["1/2 + s", "1/2 - s"]
-    assert [str(e) for e in einf] == ["1 - s", "1 + s"]
+    assert [affine_str(e) for e in e0_sc] == ["1/2"]
+    assert [affine_str(e) for e in e2] == ["1/2 + s", "1/2 - s"]
+    assert [affine_str(e) for e in einf] == ["1 - s", "1 + s"]
     assert signs[einf[0]] == +1 and signs[einf[1]] == -1
 
 
@@ -70,7 +70,7 @@ N1_TABLES = {
 def test_family_tables(kind):
     families = enumerate_families_n1(kind)
     rows = [
-        (f.label, str(f.e0), str(f.e2), str(f.einf), str(f.degree)) for f in families
+        (f.label, *map(affine_str, (f.e0, f.e2, f.einf, f.degree))) for f in families
     ]
     assert rows == N1_TABLES[kind]
 
@@ -80,7 +80,7 @@ def test_family_by_label():
     assert len(rows) == 20
     for row in rows:
         f = family_by_label(row[0])
-        assert (f.label, str(f.e0), str(f.e2), str(f.einf), str(f.degree)) == row
+        assert (f.label, *map(affine_str, (f.e0, f.e2, f.einf, f.degree))) == row
     for label in ("G9", "X1"):
         with pytest.raises(KeyError):
             family_by_label(label)
@@ -89,7 +89,7 @@ def test_family_by_label():
 def test_degree_formula_invariant():
     for kind in (G, E, S):
         for f in enumerate_families_n1(kind):
-            assert f.degree == AffineS(1) - (f.e0 + f.e2 + f.einf)
+            assert f.degree == 1 - (f.e0 + f.e2 + f.einf)
 
 
 def test_retention():
@@ -119,12 +119,12 @@ def test_marginal_points_reported():
 def test_theta_values():
     fams = {f.label: f for f in enumerate_families_n1(G)}
     t7 = theta(fams["G7"])
-    assert (str(t7.c0), str(t7.c2), str(t7.cinf)) == ("-3/2", "1/2 - s", "1/2*s")
+    assert tuple(map(affine_str, (t7.c0, t7.c2, t7.cinf))) == ("-3/2", "1/2 - s", "1/2*s")
     t8 = theta(fams["G8"])
-    assert (str(t8.c0), str(t8.c2), str(t8.cinf)) == ("-3/2", "1/2 - s", "-1/2*s")
+    assert tuple(map(affine_str, (t8.c0, t8.c2, t8.cinf))) == ("-3/2", "1/2 - s", "-1/2*s")
     sfams = {f.label: f for f in enumerate_families_n1(S)}
     t3 = theta(sfams["S3"])
-    assert (str(t3.c0), str(t3.c2), str(t3.cinf)) == ("1/2", "1/2 - s", "1/2*s")
+    assert tuple(map(affine_str, (t3.c0, t3.c2, t3.cinf))) == ("1/2", "1/2 - s", "1/2*s")
 
 
 def test_theta_reconstruction_invariant():
@@ -134,7 +134,23 @@ def test_theta_reconstruction_invariant():
             spec = theta(fam)
             assert spec.c0 == fam.e0
             assert spec.c2 == fam.e2
-            assert spec.cinf.at(2) == fam.sign_inf * 1  # s/2 at s = 2
+            assert spec.cinf.eval(2) == fam.sign_inf * 1  # s/2 at s = 2
+
+
+@pytest.mark.parametrize("kind", (G, S, E), ids=lambda k: k.name)
+def test_exponents_are_read_off_nu(kind):
+    # Kovacic step 2: e(e-1) is nu's double-pole coefficient at r = 0 and at
+    # r = 2, and the rate at infinity squares to nu's constant part
+    e0_set, e2_set, _, _ = exponent_sets_n1(kind)
+    retained = retain_families(enumerate_families_n1(kind), l_max=4).retained
+    for l in range(kind.min_l, kind.min_l + 4):
+        nu = partial_fractions(kind, l)
+        for e in e0_set:
+            assert e * (e - 1) == nu.inv_r2
+        for e in e2_set:
+            assert e * (e - 1) == nu.inv_rm2_sq
+        for fam in retained:
+            assert theta(fam).cinf ** 2 == nu.const_term
 
 
 def test_n2_enumeration():
@@ -144,13 +160,13 @@ def test_n2_enumeration():
         candidates, retained = enumerate_families_n2(kind)
         assert len(candidates) == counts[kind]
         assert retained == []
-        seen_e0 = sorted({str(f.e0) for f in candidates}, key=lambda t: int(t))
+        seen_e0 = sorted({affine_str(f.e0) for f in candidates}, key=lambda t: int(t))
         assert seen_e0 == sorted(expected_e0[kind], key=lambda t: int(t))
         for f in candidates:
-            assert str(f.einf) == "4"
+            assert affine_str(f.einf) == "4"
             assert f.n == 2
             # degree formula for n = 2: d = 2 - sum(e)/2
-            assert f.degree == AffineS(2) - (f.e0 + f.e2 + f.einf) * F(1, 2)
+            assert f.degree == 2 - (f.e0 + f.e2 + f.einf) * F(1, 2)
 
 
 def test_liouvillian_form_g8():

@@ -79,10 +79,10 @@ def test_parity_in_s():
 
 
 def test_partial_fraction_values():
-    pf = partial_fractions(ModeSpec(G, 2, 4))
+    pf = partial_fractions(G, 2)
     assert pf.inv_r2 == F(15, 4)  # (3 - 4 beta)/4 at beta = -3
-    assert pf.inv_rm2_sq == F(63, 4)  # (4 s^2 - 1)/4 at s = 4
-    assert partial_fractions(ModeSpec(G, 2, F(1, 2))).inv_rm2_sq == 0
+    assert pf.inv_rm2_sq.eval(4) == F(63, 4)  # (4 s^2 - 1)/4 at s = 4
+    assert pf.inv_rm2_sq.eval(F(1, 2)) == 0
 
 
 @pytest.mark.parametrize("mode", MODES, ids=str)
@@ -90,15 +90,13 @@ def test_recombination(mode):
     # the partial-fraction sum and num/den differ by a numerator of degree
     # <= 4 over r^2 (r-2)^2, so agreement at five points proves the identity
     num, den = build_nu(mode)
-    pf = partial_fractions(mode)
+    pf = partial_fractions(mode.kind, mode.l)
+    const, c_r2, c_r, c_rm2_sq, c_rm2 = (
+        c.eval(mode.s)
+        for c in (pf.const_term, pf.inv_r2, pf.inv_r, pf.inv_rm2_sq, pf.inv_rm2)
+    )
     for r in (F(-3), F(-1, 2), F(1), F(3), F(7, 3)):
-        total = (
-            pf.const_term
-            + pf.inv_r2 / r**2
-            + pf.inv_r / r
-            + pf.inv_rm2_sq / (r - 2) ** 2
-            + pf.inv_rm2 / (r - 2)
-        )
+        total = const + c_r2 / r**2 + c_r / r + c_rm2_sq / (r - 2) ** 2 + c_rm2 / (r - 2)
         assert total == num.eval(r) / den.eval(r)
 
 

@@ -1,16 +1,18 @@
 """Exact rational scalars and dense univariate polynomial arithmetic.
 
 Rationals are ``fractions.Fraction`` throughout: always reduced, positive
-denominator, canonical zero.  A :class:`Poly` is a dense coefficient vector
-over Fraction, index = power, with a nonzero leading coefficient (the zero
-polynomial is the empty vector).  Everything is immutable and every
-operation is exact; equality of polynomials is the arbiter in all
-verification code built on top of this module.
+denominator, canonical zero.  A :class:`Poly` is an integer numerator
+vector over one positive denominator, index = power, in canonical form
+(the representation of FLINT's ``fmpq_poly``), so that its arithmetic runs
+on plain integers with one normalisation per operation.  Everything is
+immutable and every operation is exact; equality of polynomials is the
+arbiter in all verification code built on top of this module.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -70,22 +72,65 @@ def pochhammer(x: Rational, k: int) -> Rational:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction.
+    """Dense univariate polynomial over the rationals, integer-primitive.
 
-    Coefficients are stored little-endian (``coeffs[k]`` multiplies x**k)
-    with trailing zeros stripped; ``Poly([])`` is the zero polynomial and
-    has degree -1.
+    p(x) = sum(num[k] x**k) / den with integer ``num`` (little-endian) and
+    integer ``den`` in canonical form: den > 0, gcd(den, *num) = 1, no
+    trailing zero, and the zero polynomial is ``((), 1)`` with degree -1.
+    Equal polynomials therefore have equal ``(num, den)``.  ``coeffs``
+    gives the coefficients as a tuple of Fraction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        # reduced rationals over the lcm of their denominators share no
+        # factor with it, so this form is canonical once zeros are stripped
+        den = math.lcm(*(c.denominator for c in cs))
+        if den == 1:
+            num = [c.numerator for c in cs]
+        else:
+            num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        self.num: tuple = tuple(num)
+        self.den: int = den if num else 1
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_numerators(cls, num: Iterable, den: int = 1) -> "Poly":
+        """The polynomial sum(num[k] x**k) / den, for integers num[k] and den != 0.
+
+        A list passed as ``num`` is normalised in place, so that a large
+        vector is held once; pass a copy to keep the original list.
+        """
+        if not isinstance(num, list):
+            num = list(num)
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            if den < 0:
+                den = -den
+                for i, v in enumerate(num):
+                    num[i] = -v
+            g = math.gcd(den, *num)
+            if g != 1:
+                den //= g
+                for i, v in enumerate(num):
+                    num[i] = v // g
+        return cls._canonical(num, den)
+
+    @classmethod
+    def _canonical(cls, num, den: int) -> "Poly":
+        """Wrap a numerator vector that is already in canonical form."""
+        p = object.__new__(cls)
+        p.num = tuple(num)
+        p.den = den
+        return p
 
     @staticmethod
     def zero() -> "Poly":
@@ -110,66 +155,92 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest power first."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __getitem__(self, k: int) -> Rational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def leading(self) -> Rational:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals the rational it holds, so it hashes as that rational
+        if len(self.num) <= 1:
+            return hash(self[0])
+        return hash((self.num, self.den))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        return _combine(self, self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._canonical([-v for v in self.num], self.den)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return _combine(self, self._coerce(other), -1)
 
     def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) + (-self)
+        return _combine(self._coerce(other), self, -1)
 
     def __mul__(self, other) -> "Poly":
+        # Gauss's lemma: the content of a product is the product of the
+        # contents, so cancelling each content against the other factor's
+        # denominator leaves the canonical form with no full-size gcd
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            if not other or not self.num:
+                return Poly.zero()
+            n, d = other.numerator, other.denominator
+            g1, g2 = math.gcd(n, self.den), math.gcd(d, *self.num)
+            n //= g1
+            num = [v * n for v in self.num] if g2 == 1 else [v // g2 * n for v in self.num]
+            return Poly._canonical(num, self.den // g1 * (d // g2))
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.num, other.num
+        if not a or not b:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        g1, g2 = math.gcd(other.den, *a), math.gcd(self.den, *b)
+        den = self.den // g2 * (other.den // g1)
+        if g1 != 1:
+            a = tuple(v // g1 for v in a)
+        if g2 != 1:
+            b = tuple(v // g2 for v in b)
+        if len(a) < len(b):
+            a, b = b, a
+        # out[k] = sum_j b[j] a[k-j], one output coefficient at a time, so
+        # that no partial sum vector is held beside the result
+        width = len(b)
+        pad = (0,) * (width - 1)
+        padded = pad + a + pad
+        rb = b[::-1]
+        out = [sum(map(operator.mul, rb, padded[k : k + width])) for k in range(len(a) + width - 1)]
+        return Poly._canonical(out, den)
 
     __rmul__ = __mul__
 
@@ -190,14 +261,15 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.leading()
+        quo = [Fraction(0)] * max(0, len(rem) - len(other.num) + 1)
+        divisor = other.coeffs
+        dlead = divisor[-1]
         dd = other.degree
         while len(rem) - 1 >= dd and rem:
             k = len(rem) - 1 - dd
             factor = rem[-1] / dlead
             quo[k] = factor
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(divisor):
                 rem[k + j] -= factor * b
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -214,50 +286,71 @@ class Poly:
     # -- calculus and substitutions ----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        num = self.num
+        return Poly.from_numerators([k * num[k] for k in range(1, len(num))], self.den)
 
     def eval(self, x) -> Rational:
-        """Exact Horner evaluation."""
-        return horner(self.coeffs, x, Fraction(0))
+        """Exact value at a rational x = a/b: Horner on p(a/b) b^n in integers."""
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, bpow = 0, 1
+        for v in reversed(self.num):
+            acc = acc * a + v * bpow
+            bpow *= b
+        return Fraction(acc * b, self.den * bpow)  # bpow = b^(n+1)
 
     def shift(self, c) -> "Poly":
         """Return q with q(x) = p(x + c); the basis change between frames.
 
-        Horner form: p(x+c) is accumulated as (((a_n)(x+c) + a_{n-1})...).
+        With c = a/b and t(y) = b^n den p(y/b), which has the integer
+        coefficients num[k] b^(n-k), q(x) = t(b x + a) / (b^n den): a Taylor
+        shift of t by the integer a, accumulated in Horner form, then
+        coefficient k times b^k.
         """
         c = Fraction(c)
-        if c == 0:
+        if c == 0 or not self.num:
             return self
-        acc = Poly.zero()
-        lin = Poly((c, 1))
-        for a in reversed(self.coeffs):
-            acc = acc * lin + Poly.const(a)
-        return acc
-
-    def scale_variable(self, a) -> "Poly":
-        """Return q with q(x) = p(a*x)."""
-        a = Fraction(a)
-        power = Fraction(1)
+        a, b = c.numerator, c.denominator
         out = []
-        for ck in self.coeffs:
-            out.append(ck * power)
-            power *= a
-        return Poly(out)
+        bpow = 1
+        for v in reversed(self.num):
+            # out <- out * (x + a) + v b^(n-k)
+            out = [p + a * q for p, q in zip([0, *out], [*out, 0])]
+            out[0] += v * bpow
+            bpow *= b
+        if b != 1:
+            bpow = 1
+            for k, v in enumerate(out):
+                out[k] = v * bpow
+                bpow *= b
+        return Poly.from_numerators(out, self.den * bpow // b)
+
+    def scale_variable(self, c) -> "Poly":
+        """Return q with q(x) = p(c*x): coefficient k times a^k b^(n-k), over b^n."""
+        c = Fraction(c)
+        if not self.num:
+            return self
+        a, b = c.numerator, c.denominator
+        out = []
+        apow = 1
+        for v in self.num:
+            out.append(v * apow)
+            apow *= a
+        bpow = 1
+        if b != 1:
+            for k in range(len(out) - 1, -1, -1):
+                out[k] *= bpow
+                bpow *= b
+        return Poly.from_numerators(out, self.den * bpow // b)
 
     def content_primitive(self) -> tuple:
         """(content, primitive integer coefficient list); primitive has gcd 1."""
         if self.is_zero():
             return Fraction(0), []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        ints = [v // g for v in ints]
-        sign = 1 if ints[-1] > 0 else -1
-        return Fraction(g * sign, den), [v * sign for v in ints]
+        g = math.gcd(*self.num)
+        if self.num[-1] < 0:
+            g = -g
+        return Fraction(g, self.den), [v // g for v in self.num]
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -273,6 +366,21 @@ class Poly:
             else:
                 parts.append(f"{rat_to_str(c)}*x^{k}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _combine(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q, each numerator vector scaled to the lcm of the denominators."""
+    a, b = p.num, q.num
+    g = math.gcd(p.den, q.den)
+    sa, sb = q.den // g, sign * (p.den // g)
+    n = min(len(a), len(b))
+    if sa == 1:
+        out = [x + y * sb for x, y in zip(a, b)] if sb != 1 else [x + y for x, y in zip(a, b)]
+    else:
+        out = [x * sa + y * sb for x, y in zip(a, b)]
+    out.extend(x * sa for x in a[n:])
+    out.extend(y * sb for y in b[n:])
+    return Poly.from_numerators(out, p.den * sa)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

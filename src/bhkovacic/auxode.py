@@ -245,6 +245,15 @@ class Recurrence3:
             for k in range(rows)
         ]
 
+    def cleared(self) -> Recurrence3:
+        """Every row times the common denominator of the rational coefficients.
+
+        The rows keep their zeros, and the entries are integers at integer k.
+        """
+        rows = (self.lower_k, self.diag_k, self.upper_k)
+        den = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
+        return Recurrence3(*(tuple(int(c * den) for c in row) for row in rows))
+
     def det(self, size: int):
         """Leading size x size minor of the tridiagonal matrix of rows 0..size-1.
 
@@ -422,11 +431,6 @@ def _certified_rational_roots(p: Poly) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _chandrasekhar_leading(l: int) -> Rational:
-    """P_top = 1 / (2 sigma0 mu2) = 1 / (s mu2), the same in the w and r frames."""
-    return 1 / (special_frequency(l) * (l - 1) * (l + 2))
-
-
 def chandrasekhar_coeffs(l: int) -> Poly:
     """Degree 4 sigma0 + 1 polynomial P(w) solving the G7 equation.
 
@@ -438,30 +442,36 @@ def chandrasekhar_coeffs(l: int) -> Poly:
         P_n     = 3 (-2 sigma0)^(n-4 sigma0-1) (4 sigma0)! (mu2 - 6 sigma0)
                   [ (n - 4 sigma0) mu2 - 12 sigma0 ]
                   / ( n! (mu2 + 12 sigma0) sigma0 mu2^3 )   for n <= 4 sigma0 - 1.
+
+    Built in integers: with N = 4 sigma0 = 2s and T_n = N! s^n / n!, the
+    lower coefficients are P_n = K (-1)^(n+1) [(n-N) mu2 - 6s] T_n / s^(N+1)
+    for K = 6 (mu2 - 3s) / ((mu2 + 6s) s mu2^3).  Q = gcd(N!, s^N) divides
+    every T_n, so den(K) s^(N+1) / Q is a common denominator of them that
+    is already close to the exact one; the numerators are built over it in
+    one pass, and one normalisation removes what is left over.
     """
     if l < 2:
         raise ValueError("the algebraically special branch needs l >= 2")
-    s = special_frequency(l)
-    sigma0 = s / 2
-    mu2 = Fraction((l - 1) * (l + 2))
-    four_sig = int(4 * sigma0)
-    top = four_sig + 1
-    coeffs = [Fraction(0)] * (top + 1)
-    coeffs[top] = _chandrasekhar_leading(l)
-    coeffs[top - 1] = (mu2 - 3) / (sigma0 * mu2 ** 2)
-    # iterate the factorial pieces instead of recomputing them per n
-    fact_4sig = 1
-    for i in range(2, four_sig + 1):
-        fact_4sig *= i
-    base = 3 * (mu2 - 6 * sigma0) / ((mu2 + 12 * sigma0) * sigma0 * mu2 ** 3)
-    power = Fraction(-2 * sigma0) ** (-four_sig - 1)  # (-2 sigma0)^(n-4s0-1) at n=0
-    n_fact = 1
-    for n in range(0, four_sig):
-        if n > 0:
-            n_fact *= n
-            power *= -2 * sigma0
-        coeffs[n] = base * fact_4sig * power * ((n - four_sig) * mu2 - 12 * sigma0) / n_fact
-    return Poly(coeffs)
+    s = int(special_frequency(l))  # l(l-1)(l+1)(l+2)/6 is an integer
+    N = 2 * s
+    mu2 = (l - 1) * (l + 2)
+    top = Fraction(1, s * mu2)
+    sub = Fraction(2 * (mu2 - 3), s * mu2**2)
+    K = Fraction(6 * (mu2 - 3 * s), (mu2 + 6 * s) * s * mu2**3)
+    fact = math.factorial(N)
+    Q = math.gcd(fact, s**N)
+    base = K.denominator * s ** (N + 1) // Q
+    den = math.lcm(base, top.denominator, sub.denominator)
+    scale = K.numerator * (den // base)
+    num = [0] * (N + 2)
+    T = fact // Q  # T_n / Q, from n = 0
+    for n in range(N):
+        term = scale * ((n - N) * mu2 - 6 * s) * T
+        num[n] = term if n % 2 else -term
+        T = T * s // (n + 1)
+    num[N] = sub.numerator * (den // sub.denominator)
+    num[N + 1] = den // top.denominator
+    return Poly.from_numerators(num, den)
 
 
 def _g7_ode(l: int) -> AuxiliaryODE:
@@ -476,23 +486,29 @@ def chandrasekhar_r_frame(l: int) -> Poly:
     Computed by running the r-frame three-term recurrence downward from
     the leading coefficient (an O(degree) route that avoids the quadratic
     cost of a Taylor shift); the otherwise-unused bottom row of the
-    recurrence is then checked, which certifies the result.
+    recurrence is then checked, which certifies the result.  A shift by
+    the integer 2 keeps the denominator of P(w), so the recurrence runs on
+    integer numerators over it, and every division must be exact.
     """
-    s = special_frequency(l)
-    ode = _g7_ode(l)
-    rec = recurrence(ode, 0, 0)
-    d = int(2 * s + 1)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = _chandrasekhar_leading(l)
+    P_w = chandrasekhar_coeffs(l)
+    den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
+    del P_w  # hold one coefficient vector at a time
+    rec = recurrence(_g7_ode(l), 0, 0).cleared()
+    d = int(2 * special_frequency(l) + 1)
+    num = [0] * (d + 2)
+    num[d] = top
     for m in range(d, 0, -1):
         low = rec.lower(m)
         if low == 0:
             raise ArithmeticError("unexpected zero in the downward recurrence")
-        nxt = coeffs[m + 1] if m + 1 <= d else Fraction(0)
-        coeffs[m - 1] = -(rec.diag(m) * coeffs[m] + rec.upper(m) * nxt) / low
-    if rec.diag(0) * coeffs[0] + rec.upper(0) * coeffs[1] != 0:
+        q, r = divmod(-(rec.diag(m) * num[m] + rec.upper(m) * num[m + 1]), low)
+        if r:
+            raise ArithmeticError("downward recurrence left the denominator of P(w)")
+        num[m - 1] = q
+    if rec.diag(0) * num[0] + rec.upper(0) * num[1] != 0:
         raise ArithmeticError("bottom recurrence row failed; not a solution")
-    return Poly(coeffs)
+    num.pop()
+    return Poly.from_numerators(num, den)
 
 
 @dataclass(frozen=True)
@@ -506,13 +522,19 @@ class VerificationRecord:
     sign_pattern_ok: bool
 
     @property
-    def all_ok(self) -> bool:
-        return (
-            self.recurrence_ok
-            and self.ode_residual_ok
-            and self.integral_identity_ok
-            and self.sign_pattern_ok
+    def failed_checks(self) -> tuple:
+        """The names of the checks that failed, in the order (i)..(iv)."""
+        checks = (
+            ("recurrence", self.recurrence_ok),
+            ("ode_residual", self.ode_residual_ok),
+            ("integral_identity", self.integral_identity_ok),
+            ("sign_pattern", self.sign_pattern_ok),
         )
+        return tuple(name for name, ok in checks if not ok)
+
+    @property
+    def all_ok(self) -> bool:
+        return not self.failed_checks
 
 
 def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationRecord:
@@ -523,18 +545,20 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     (iii) (P' + 2 sigma0 P)(mu2 r + 6) - mu2 P = r^3 (r-2)^(4 sigma0 - 1),
           checked in w (shift-free) and in r;
     (iv) the r-frame coefficients alternate: sgn(p_n) = (-1)^(n+1).
+
+    (i) and (iv) read the integer numerators: the rows are linear and the
+    denominator is positive, so zeros and signs are those of the coefficients.
     """
     s = special_frequency(l)
-    sigma0 = s / 2
-    mu2 = Fraction((l - 1) * (l + 2))
+    mu2 = (l - 1) * (l + 2)
     if P_w is None:
         P_w = chandrasekhar_coeffs(l)
     d = int(2 * s + 1)
     ode_r = _g7_ode(l)
     ode_w = to_w_frame(ode_r)
 
-    rec_w = recurrence(ode_w, 0, 0)
-    rec_rows = rec_w.residual_rows(list(P_w[k] for k in range(d + 1)), d + 2)
+    rec_w = recurrence(ode_w, 0, 0).cleared()
+    rec_rows = rec_w.residual_rows(P_w.num[: d + 1], d + 2)
     recurrence_ok = all(v == 0 for v in rec_rows)
 
     residual_w = ode_residual(ode_w, P_w)
@@ -546,15 +570,16 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
         residual_r = ode_residual(ode_r, P_r)
     ode_residual_ok = residual_w.is_zero() and residual_r.is_zero()
 
-    four_sig = int(4 * sigma0)
-    lhs_w = (P_w.derivative() + 2 * sigma0 * P_w) * Poly([2 * mu2 + 6, mu2]) - mu2 * P_w
+    four_sig = d - 1  # 4 sigma0 = 2s
+    lhs_w = (P_w.derivative() + s * P_w) * Poly([2 * mu2 + 6, mu2]) - mu2 * P_w
     rhs_w = Poly.monomial(four_sig - 1) * Poly([8, 12, 6, 1])  # w^(4s0-1) (w+2)^3
-    lhs_r = (P_r.derivative() + 2 * sigma0 * P_r) * Poly([6, mu2]) - mu2 * P_r
+    lhs_r = (P_r.derivative() + s * P_r) * Poly([6, mu2]) - mu2 * P_r
     rhs_r = Poly.monomial(3) * _binomial_power(-2, four_sig - 1)
     integral_identity_ok = lhs_w == rhs_w and lhs_r == rhs_r
 
-    sign_pattern_ok = all(
-        P_r[n] != 0 and (P_r[n] > 0) == (n % 2 == 1) for n in range(d + 1)
+    r_num = P_r.num[: d + 1]
+    sign_pattern_ok = len(r_num) == d + 1 and all(
+        v != 0 and (v > 0) == (n % 2 == 1) for n, v in enumerate(r_num)
     )
     return VerificationRecord(
         l=l,
@@ -568,8 +593,12 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
 
 def _binomial_power(c: int, n: int) -> Poly:
-    """(x + c)^n by direct binomial expansion."""
-    return Poly([math.comb(n, k) * Fraction(c) ** (n - k) for k in range(n + 1)])
+    """(x + c)^n, its integer coefficients built downward from x^n."""
+    num = [0] * n + [1]
+    for k in range(n - 1, -1, -1):
+        # C(n, k) c^(n-k) = C(n, k+1) c^(n-k-1) * c (k+1) / (n-k)
+        num[k] = num[k + 1] * c * (k + 1) // (n - k)
+    return Poly.from_numerators(num)
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,18 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         ok = ok and found == [(expected_s, Poly([expected_k, 1]))]
     report.add("g8.low_degree", ok, tag="g8.first_order_solution")
 
-    # closed-form polynomial checks
-    chandra_ok = True
+    # closed-form polynomial checks; a failure names its first l and checks
+    chandra_failure = None
     for l in range(2, l_max + 1):
         record = chandrasekhar_checks(l)
-        chandra_ok = chandra_ok and record.all_ok
-    report.add("chandra.verify", chandra_ok, tag="chandra.four_checks")
+        if chandra_failure is None and not record.all_ok:
+            chandra_failure = {"l": l, "checks": list(record.failed_checks)}
+    report.add(
+        "chandra.verify",
+        chandra_failure is None,
+        tag="chandra.four_checks",
+        witness=None if chandra_failure is None else {"first_failure": chandra_failure},
+    )
 
     # Hautot determinant roots
     det_ok = True
@@ -259,20 +265,21 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         det_ok = det_ok and poly.eval(s_star + 1) != 0 and poly.eval(s_star - 1) != 0
     report.add("hautot.det_roots", det_ok, tag="hautot.sufficiency_det")
 
-    # extended expansions; the l=2 coefficients are pinned in the report
-    exp_ok = True
-    l2_coeffs = {}
+    # extended expansions; the l=2 coefficients are pinned in the report,
+    # and a failure names its first (l, basis)
+    exp_witness = {"l2_coefficients": {}}
     for l in range(2, min(l_max, 6) + 1):
         for basis in ("kummer", "laguerre"):
             expansion = extended_expansion(l, basis)
-            exp_ok = exp_ok and expansion.equal
+            if "first_failure" not in exp_witness and not expansion.equal:
+                exp_witness["first_failure"] = {"l": l, "basis": basis}
             if l == 2:
-                l2_coeffs[basis] = list(expansion.coefficients)
+                exp_witness["l2_coefficients"][basis] = list(expansion.coefficients)
     report.add(
         "hautot.expansions",
-        exp_ok,
+        "first_failure" not in exp_witness,
         tag="hautot.extended_expansion",
-        witness={"l2_coefficients": l2_coeffs},
+        witness=exp_witness,
     )
 
     # obstruction behaviour and identities at s = 4

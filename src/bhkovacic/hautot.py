@@ -51,7 +51,12 @@ class ObstructionError(ValueError):
 
 
 def kummer_poly(n: int, q) -> Poly:
-    """F(-n, q; u) = sum_k (-n)_k / ((q)_k k!) u^k, a degree-n polynomial."""
+    """F(-n, q; u) = sum_k (-n)_k / ((q)_k k!) u^k, a degree-n polynomial.
+
+    With q = a/b the k-th coefficient is (-1)^k C(n, k) b^k / prod_{i<k} (a + i b),
+    so D = prod_{i<n} (a + i b) is a common denominator, and the integer
+    numerators follow upward by the term ratio -(n-k+1) b / (k (a + (k-1) b)).
+    """
     if n < 0:
         raise ValueError("truncation order must be non-negative")
     q = Fraction(q)
@@ -60,29 +65,32 @@ def kummer_poly(n: int, q) -> Poly:
             f"F(-{n}, {rat_to_str(q)}; u) is undefined: lower parameter hits "
             "a non-positive integer before the series truncates"
         )
-    coeffs = []
-    term = Fraction(1)
-    for k in range(n + 1):
-        if k > 0:
-            term = term * (-(n) + (k - 1)) / ((q + (k - 1)) * k)
-        coeffs.append(term)
-    return Poly(coeffs)
+    a, b = q.numerator, q.denominator
+    den = math.prod(a + i * b for i in range(n))
+    num = [den]
+    for k in range(1, n + 1):
+        num.append(-num[-1] * (n - k + 1) * b // (k * (a + (k - 1) * b)))
+    return Poly.from_numerators(num, den)
 
 
 def laguerre_poly(n: int, alpha) -> Poly:
     """L_n^(alpha)(u) = sum_k (-1)^k binom(n+alpha, n-k) u^k / k!.
 
-    Exact for any rational alpha.
+    Exact for any rational alpha = a/b.  Over the common denominator
+    b^n n! the k-th numerator is (-1)^k C(n, k) b^k prod_{i=k+1..n} (a + i b),
+    built downward from (-1)^n b^n by the term ratio
+    -k (a + k b) / (b (n - k + 1)), which never divides by alpha + k, so no
+    alpha needs a special case.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     alpha = Fraction(alpha)
-    # downward term ratio c_{k-1} / c_k = -k (alpha + k) / (n - k + 1): it
-    # never divides by alpha + k, so no alpha needs a special case
-    coeffs = [Fraction((-1) ** n, math.factorial(n))]
+    a, b = alpha.numerator, alpha.denominator
+    num = [(-b) ** n]
     for k in range(n, 0, -1):
-        coeffs.append(-coeffs[-1] * k * (alpha + k) / (n - k + 1))
-    return Poly(reversed(coeffs))
+        num.append(-num[-1] * k * (a + k * b) // (b * (n - k + 1)))
+    num.reverse()
+    return Poly.from_numerators(num, b**n * math.factorial(n))
 
 
 def phi_poly(j: int, s) -> Poly:

@@ -137,3 +137,97 @@ def test_scale_variable():
     p = Poly([1, 2, 3])
     q = p.scale_variable(F(-1, 2))  # p(-x/2)
     assert q == Poly([1, -1, F(3, 4)])
+
+
+# ---------------------------------------------------------------------------
+# the integer-primitive representation
+# ---------------------------------------------------------------------------
+
+
+def _canonical(p: Poly) -> bool:
+    """den > 0, gcd(den, *num) = 1, no trailing zero, Fraction coefficients."""
+    return (
+        p.den > 0
+        and math.gcd(p.den, *p.num) == 1
+        and (not p.num or p.num[-1] != 0)
+        and (p.num or p.den == 1)
+        and all(isinstance(v, int) for v in p.num)
+        and all(isinstance(c, F) for c in p.coeffs)
+        and p.coeffs == tuple(F(v, p.den) for v in p.num)
+    )
+
+
+def test_hash_agrees_with_eq():
+    assert Poly.const(3) == 3 and hash(Poly.const(3)) == hash(3)
+    assert len({Poly.const(3), 3}) == 1
+    assert len({Poly.const(F(5, 7)), F(5, 7)}) == 1
+    assert len({Poly.zero(), 0, F(0)}) == 1
+    # one polynomial, three routes: the same (num, den) and the same hash
+    routes = (
+        Poly([F(1, 2), 1]),
+        Poly([1, 2]) * F(1, 2),
+        Poly([F(1, 6), F(1, 3)]) + Poly([F(1, 3), F(2, 3)]),  # cancels a 3
+        Poly([F(3, 2), 4, 1]) - Poly([1, 3, 1]),
+    )
+    for p in routes:
+        assert (p.num, p.den) == ((1, 2), 2)
+        assert p == routes[0] and hash(p) == hash(routes[0])
+    assert len(set(routes)) == 1
+
+
+def test_from_numerators_normalises():
+    p = Poly.from_numerators([6, -4, 2, 0, 0], -8)
+    assert (p.num, p.den) == ((-3, 2, -1), 4)
+    assert p == Poly([F(-3, 4), F(1, 2), F(-1, 4)])
+    assert (Poly.from_numerators([0, 0], 7).num, Poly.from_numerators([0, 0], 7).den) == ((), 1)
+    assert Poly.from_numerators((5,), 10) == F(1, 2)
+
+
+# sympy is a test-only oracle for the kernel; denominators up to 10^6
+big_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+big_polys = st.lists(big_rationals, min_size=0, max_size=6).map(Poly)
+
+
+def _sym(p: Poly):
+    import sympy
+
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], x, domain=sympy.QQ)
+
+
+def _from_sym(q) -> Poly:
+    return Poly(F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs()))
+
+
+@given(big_polys, big_polys, big_rationals)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_sympy(p, q, c):
+    import sympy
+
+    P, Q = _sym(p), _sym(q)
+    cq = sympy.Rational(c.numerator, c.denominator)
+    x = P.gen
+    assert p + q == _from_sym(P + Q)
+    assert p - q == _from_sym(P - Q)
+    assert p * q == _from_sym(P * Q)
+    assert p * c == _from_sym(P * cq)
+    assert p.derivative() == _from_sym(P.diff(x))
+    assert p.shift(c) == _from_sym(P.shift(cq))
+    assert p.scale_variable(c) == _from_sym(P.compose(sympy.Poly(cq * x, x, domain=sympy.QQ)))
+    assert p.eval(c) == F(str(P.eval(cq)))
+    if not q.is_zero():
+        quo, rem = p.divmod(q)
+        squo, srem = sympy.div(P, Q)
+        assert quo == _from_sym(squo) and rem == _from_sym(srem)
+
+
+@given(big_polys, big_polys, big_rationals)
+@settings(max_examples=60, deadline=None)
+def test_results_are_canonical(p, q, c):
+    results = [p, q, p + q, p - q, -p, p * q, p * c, c * q, p.derivative(), p.shift(c)]
+    results += [p.scale_variable(c), p + c, c - p, Poly.const(c)]
+    if not q.is_zero():
+        results += list(p.divmod(q))
+    for r in results:
+        assert _canonical(r)

@@ -1,6 +1,7 @@
 """Auxiliary equations: cleared coefficients, frames, recurrences, the
 closed-form polynomial, the brute-force oracle, and the homotopic maps."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -277,9 +278,65 @@ def test_chandrasekhar_l2_coefficients():
     assert P[0] == F(-945, 16384)
 
 
+def _docstring_coeffs(l):
+    """chandrasekhar_coeffs' docstring formula, evaluated term by term in Fraction."""
+    sigma0 = special_frequency(l) / 2
+    mu2 = F((l - 1) * (l + 2))
+    four_sig = int(4 * sigma0)
+    coeffs = [F(0)] * (four_sig + 2)
+    coeffs[four_sig + 1] = 1 / (2 * sigma0 * mu2)
+    coeffs[four_sig] = (mu2 - 3) / (sigma0 * mu2**2)
+    for n in range(four_sig):
+        coeffs[n] = (
+            3
+            * (-2 * sigma0) ** (n - four_sig - 1)
+            * math.factorial(four_sig)
+            * (mu2 - 6 * sigma0)
+            * ((n - four_sig) * mu2 - 12 * sigma0)
+            / (math.factorial(n) * (mu2 + 12 * sigma0) * sigma0 * mu2**3)
+        )
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_chandrasekhar_coeffs_match_the_docstring_formula(l):
+    P = chandrasekhar_coeffs(l)
+    assert P.coeffs == _docstring_coeffs(l)
+    assert P.den > 0 and math.gcd(P.den, *P.num) == 1
+
+
 def test_chandrasekhar_r_frame_matches_shift():
-    for l in (2, 3):
+    for l in (2, 3, 4):
         assert chandrasekhar_r_frame(l) == chandrasekhar_coeffs(l).shift(-2)
+
+
+@pytest.mark.parametrize("plant", ("first", "middle", "top", "parity"))
+def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
+    import bhkovacic.auxode as auxode
+
+    P_r = chandrasekhar_r_frame(3)
+    num = list(P_r.num)
+    if plant == "parity":  # the pattern (-1)^n, one off from (-1)^(n+1)
+        num = [-v for v in num]
+    else:
+        k = {"first": 0, "middle": len(num) // 2, "top": len(num) - 1}[plant]
+        num[k] = -num[k]
+    monkeypatch.setattr(auxode, "chandrasekhar_r_frame", lambda l: Poly.from_numerators(num, P_r.den))
+    record = chandrasekhar_checks(3)
+    assert record.recurrence_ok
+    assert not record.sign_pattern_ok
+    assert "sign_pattern" in record.failed_checks and not record.all_ok
+
+
+def test_cleared_recurrence_scales_rows():
+    rec = recurrence(to_w_frame(_ode("G7", 2, special_frequency(2))), 0, 0)
+    cleared = rec.cleared()
+    den = cleared.diag(0) / rec.diag(0) if rec.diag(0) else cleared.upper(0) / rec.upper(0)
+    assert den > 0
+    for k in range(12):
+        for entry in ("lower", "diag", "upper"):
+            value = getattr(cleared, entry)(k)
+            assert isinstance(value, int) and value == den * getattr(rec, entry)(k)
 
 
 def test_chandrasekhar_l2_r_frame_display():
@@ -305,7 +362,7 @@ def test_chandrasekhar_l2_r_frame_display():
 def test_verification_record():
     for l in (2, 3):
         record = chandrasekhar_checks(l)
-        assert record.all_ok
+        assert record.all_ok and record.failed_checks == ()
         assert record.degree == int(2 * special_frequency(l) + 1)
 
 
@@ -315,6 +372,7 @@ def test_mutation_is_caught():
     record = chandrasekhar_checks(2, P_w=mutated)
     assert not record.recurrence_ok
     assert not record.ode_residual_ok
+    assert record.failed_checks[:2] == ("recurrence", "ode_residual")
 
 
 def test_elementary_integral_identity_l2():

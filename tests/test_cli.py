@@ -228,3 +228,48 @@ def test_evidence_violation_witness_writes_d_last_as_text(capsys, monkeypatch):
     assert code == 1
     witness = json.loads(out)["records"][0]["witness"]
     assert witness["violations"] == [["G3", 2, 4, str(big)]]
+
+
+def test_verify_all_failure_names_its_first_parameter(capsys, monkeypatch):
+    # plant failures at l = 3: the witnesses name the first failing l, the
+    # failed checks and the first failing (l, basis); the other records pass
+    import dataclasses
+
+    import bhkovacic.cli as cli
+
+    real_checks, real_expansion = cli.chandrasekhar_checks, cli.extended_expansion
+
+    def planted_checks(l, *args, **kwargs):
+        record = real_checks(l, *args, **kwargs)
+        if l >= 3:
+            record = dataclasses.replace(record, sign_pattern_ok=False, recurrence_ok=l > 3)
+        return record
+
+    def planted_expansion(l, basis):
+        report = real_expansion(l, basis)
+        return dataclasses.replace(report, equal=report.equal and (l, basis) < (3, "laguerre"))
+
+    monkeypatch.setattr(cli, "chandrasekhar_checks", planted_checks)
+    monkeypatch.setattr(cli, "extended_expansion", planted_expansion)
+    code, out, _ = run(capsys, "verify-all", "--l-max", "4", "--max-degree", "4", "--json")
+    assert code == 1
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    chandra = records["chandra.verify"]
+    assert chandra["status"] == "fail"
+    assert chandra["witness"] == {
+        "first_failure": {"l": 3, "checks": ["recurrence", "sign_pattern"]}
+    }
+    expansions = records["hautot.expansions"]
+    assert expansions["status"] == "fail"
+    assert expansions["witness"]["first_failure"] == {"l": 3, "basis": "laguerre"}
+    assert set(expansions["witness"]["l2_coefficients"]) == {"kummer", "laguerre"}
+    failing = {name for name, r in records.items() if r["status"] == "fail"}
+    assert failing == {"chandra.verify", "hautot.expansions"}
+
+
+def test_verify_all_passing_witnesses_name_no_failure(capsys):
+    code, out, _ = run(capsys, "verify-all", "--l-max", "2", "--max-degree", "4", "--json")
+    assert code == 0
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    assert records["chandra.verify"]["witness"] is None
+    assert list(records["hautot.expansions"]["witness"]) == ["l2_coefficients"]

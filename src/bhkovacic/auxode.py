@@ -8,8 +8,8 @@ Liouvillian solutions into a polynomial problem:
 Cleared of denominators this is r(r-2) P'' + p1(r) P' + p0(r) P = 0 with
 p1 quadratic and p0 linear in r, because the exponents c0, c2 kill the
 double poles and cinf^2 cancels the constant part of nu.  The same
-equation is carried in four frames: r itself, w = r-2, z = r/2 (the
-confluent Heun normal form) and u = -s w.
+equation is carried in three frames: r itself, w = r-2 and z = r/2 (the
+confluent Heun normal form).
 
 Everything here is exact.  The module provides the general three-term
 Frobenius recurrence of such an equation about either finite singular
@@ -40,7 +40,6 @@ __all__ = [
     "ode_residual",
     "to_w_frame",
     "to_z_frame",
-    "to_u_frame",
     "to_heun_form",
     "recurrence",
     "symbolic_recurrence",
@@ -140,24 +139,6 @@ def to_z_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
         ode.family_label,
         ode.mode,
     )
-
-
-def to_u_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
-    """Substitute w = -u/s in the w-frame equation (requires s != 0).
-
-    Coefficient vectors transform by P_n(u) = P_n(w) / (-s)^n.
-    """
-    if ode.frame != "w":
-        raise ValueError("u frame is reached from the w frame")
-    s = ode.mode.s
-    if s == 0:
-        raise ValueError("u frame needs a nonzero frequency")
-    inv = Fraction(-1, 1) / s
-    # d/dw = -s d/du; second derivative picks up s^2
-    p2 = ode.p2.scale_variable(inv) * (s * s)
-    p1 = ode.p1.scale_variable(inv) * (-s)
-    p0 = ode.p0.scale_variable(inv)
-    return AuxiliaryODE("u", p2, p1, p0, ode.family_label, ode.mode)
 
 
 @dataclass(frozen=True)

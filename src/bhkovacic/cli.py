@@ -317,15 +317,16 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
 
     # determinant-sign scan at the configured bounds
     result = scan(l_max=l_max, d_max=d_max)
-    report.add(
-        "evidence.scan",
+    scan_ok = (
         result.cells > 0
         and result.all_final_signs_ok
         and result.cross_checks_ok
-        and result.flags_resolved_nonzero,
-        tag="evidence.det_sign",
-        witness={"cells": result.cells, "flagged": result.flagged_count},
+        and result.flags_resolved_nonzero
     )
+    scan_witness = {"cells": result.cells, "flagged": result.flagged_count}
+    if not scan_ok:
+        scan_witness["first_failure"] = result.first_failure
+    report.add("evidence.scan", scan_ok, tag="evidence.det_sign", witness=scan_witness)
 
     # S3 non-existence
     s3 = s3_nonexistence(two_s_max=min(2 * l_max, 12), l_max=l_max)

@@ -5,13 +5,18 @@ A degree-d polynomial candidate of one of these families fixes the
 frequency through the family's degree form (G3: s = (d+3)/2, E3:
 s = (d+2)/2, E7: s = d/2) and leads to a (d+1) x (d+1) tridiagonal
 homogeneous system, rows 0..d of the r-frame recurrence about r = 0 of
-the auxiliary equation.  Its leading minors D_n come from the engine that
-also evaluates the Hautot determinants,
-:func:`~bhkovacic.elimination.tridiag_minors`.  The entries are taken
-from the auxiliary equation with s symbolic, turned once per (family, l)
-column into integer polynomials in k and d, and evaluated per cell in
-plain integers: every D_n is an integer and no step divides, so a sign is
-never in doubt.
+the auxiliary equation, with leading minors
+D_{k+1} = diag(k) D_k - offprod(k) D_{k-1}.  The entries are taken from
+the auxiliary equation with s symbolic and turned once per (family, l)
+column into integer polynomials in k and d.  A scan cell (:func:`_cell`)
+evaluates them at its d, then walks k = 0..d advancing diag(k) and
+offprod(k) by forward differences (Knuth, TAOCP vol. 2, 4.6.4) while it
+runs the recurrence and tests the signs in the same loop: every D_n is a
+plain integer and no step divides, so a sign is never in doubt.
+:func:`det_sequence` is the reference for that loop: it evaluates every
+entry on its own and keeps the whole minor sequence from
+:func:`~bhkovacic.elimination.tridiag_minors`, the engine that also
+evaluates the Hautot determinants.
 A nonzero full determinant D_{d+1} rules the candidate out; the observed
 pattern is sgn(D_{d+1}) = (-1)^(d+1) across the scanned grid.  Cells whose
 intermediate minors break the alternation (E7 does this for d > l(l+1))
@@ -117,48 +122,60 @@ class DetSequence:
     def D_last(self) -> int:
         return self.values[-1]
 
-    @property
-    def magnitudes_increasing_from(self) -> int:
-        """Smallest index n0 with |D_n| strictly increasing for n >= n0.
-
-        An observed property of the scanned grid, logged in reports but
-        never asserted.
-        """
-        return _stream_cell(self.values[1:], self.d)[3]
-
 
 def det_sequence(family: str, l: int, d: int) -> DetSequence:
+    """The reference cell: every entry evaluated on its own, every minor kept."""
     fam = family_by_label(family)
     values = (1, *tridiag_minors(*_cell_entries(_column(fam, l), d)))
-    sign_ok, final_ok, _, _ = _stream_cell(values[1:], d)
     return DetSequence(
         family=family,
         l=l,
         s=degree_to_s(family, d),
         d=d,
         values=values,
-        sign_pattern_ok=sign_ok,
-        final_sign_ok=final_ok,
+        sign_pattern_ok=all(v != 0 and (v > 0) == (n % 2 == 0) for n, v in enumerate(values)),
+        final_sign_ok=values[-1] != 0 and (values[-1] > 0) == (d % 2 == 1),
     )
 
 
-def _stream_cell(minors, d: int) -> tuple:
-    """(sign_pattern_ok, final_sign_ok, D_last, mag_from) of D_1..D_{d+1}.
+def _cell(column: tuple, d: int) -> tuple:
+    """(sign_pattern_ok, final_sign_ok, D_last, mag_from) of the column's degree-d cell.
 
-    O(1) memory: the minors are read once, as the engine yields them.
+    sign_pattern_ok: sgn(D_n) = (-1)^n for n = 1..d+1; final_sign_ok: the
+    same for n = d+1; D_last = D_{d+1}; mag_from: the smallest n0 with
+    |D_n| strictly increasing for n >= n0 (an observed property of the
+    grid, logged in ``--out`` records and never asserted).
+
+    One loop over k = 0..d.  It runs E_n = (-1)^n D_n, which obeys
+    E_{k+1} = -diag(k) E_k - offprod(k) E_{k-1}, so the expected pattern
+    is E_n > 0 and |D_n| = E_n on it.  -diag(k) (degree 2 in k) and
+    offprod(k) (degree 3) are advanced by their forward differences:
+    five integer additions per step, no per-entry evaluation and no list.
     """
+    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
+    a, a1, a2 = -d0, -d1 - d2, -2 * d2  # -diag(0) and its differences
+    b, b1, b2, b3 = o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3  # offprod(0) and its differences
     sign_ok = True
-    D = 1
-    prev_abs = 1
     mag_from = 0
-    for n, D in enumerate(minors):
-        if D == 0 or (D > 0) != (n % 2 == 1):
+    E_prev, E = 0, 1  # E_{-1}, E_0
+    top = 1  # |D_n| of the latest minor
+    for n in range(1, d + 2):
+        E_prev, E = E, a * E - b * E_prev
+        if E > 0:
+            if E <= top:
+                mag_from = n
+            top = E
+        else:
             sign_ok = False
-        if abs(D) <= prev_abs:
-            mag_from = n + 1
-        prev_abs = abs(D)
-    final_ok = D != 0 and (D > 0) == (d % 2 == 1)
-    return sign_ok, final_ok, D, mag_from
+            if -E <= top:
+                mag_from = n
+            top = -E
+        a += a1
+        a1 += a2
+        b += b1
+        b1 += b2
+        b2 += b3
+    return sign_ok, E > 0, E if d % 2 else -E, mag_from
 
 
 def default_l_range(family: str, l_max: int = 20) -> range:
@@ -182,6 +199,18 @@ class ScanReport:
     def all_final_signs_ok(self) -> bool:
         return not self.final_sign_violations
 
+    @property
+    def first_failure(self) -> Optional[dict]:
+        """The first failing cell in scan order: a final-sign violation, or
+        else a cross-check whose determinants disagree or whose nullspace is
+        nontrivial; None when neither failed."""
+        for family, l, d, _ in self.final_sign_violations[:1]:
+            return {"check": "final_sign", "family": family, "l": l, "d": d}
+        for check in self.cross_checks:
+            if _check_failed(check):
+                return {"check": "cross_check", **{k: check[k] for k in ("family", "l", "d")}}
+        return None
+
 
 def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
@@ -194,7 +223,7 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
     rows = tridiagonal_system(ode, d)
     scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in rows)
     det = Fraction(bareiss_determinant(integerize_rows(rows)), scale)
-    _, _, D_last, _ = _stream_cell(tridiag_minors(*_cell_entries(_column(fam, l), d)), d)
+    D_last = _cell(_column(fam, l), d)[2]
     nullspace_dim = len(brute_force_polynomial_solutions(ode, d)) if d <= 8 else None
     return {
         "family": family,
@@ -205,6 +234,10 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
         "agree": Fraction(D_last) == det,
         "nullspace_dim": nullspace_dim,
     }
+
+
+def _check_failed(check: dict) -> bool:
+    return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
 def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool) -> dict:
@@ -223,8 +256,7 @@ def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool)
         "records": [] if want_cells else None,
     }
     for d in range(d_max + 1):
-        minors = tridiag_minors(*_cell_entries(column, d))
-        sign_ok, final_ok, D_last, mag_from = _stream_cell(minors, d)
+        sign_ok, final_ok, D_last, mag_from = _cell(column, d)
         group["cells"] += 1
         if not final_ok:
             group["final_violations"].append((family, l, d, D_last))
@@ -268,7 +300,8 @@ def scan(
     d <= cross_check_d_max are sampled and cross-checked against a direct
     fraction-free determinant of the explicit system, and at very small d
     against the brute-force nullspace.  With ``out`` set, one JSON record
-    per cell is streamed to disk.
+    per cell is written there; the file is opened before any cell is
+    computed, and one that cannot be opened raises ValueError.
 
     Grid columns are independent; ``workers`` (default: BHK_THREADS, else
     serial) fans them out across processes, merged in deterministic
@@ -290,24 +323,27 @@ def scan(
         os.cpu_count(),
     )
     want_cells = out is not None
-    if workers > 1 and len(groups) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _scan_group_star,
-                    [(f, l, d_max, cross_check_d_max, want_cells) for f, l in groups],
-                )
-            )
-    else:
-        results = [
-            _scan_group(f, l, d_max, cross_check_d_max, want_cells) for f, l in groups
-        ]
-
-    report = ScanReport(families=families, l_max=l_max, d_max=d_max)
-    sink = open(out, "w") if out else None
     try:
+        sink = open(out, "w") if want_cells else None
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+    try:
+        if workers > 1 and len(groups) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(
+                    pool.map(
+                        _scan_group_star,
+                        [(f, l, d_max, cross_check_d_max, want_cells) for f, l in groups],
+                    )
+                )
+        else:
+            results = [
+                _scan_group(f, l, d_max, cross_check_d_max, want_cells) for f, l in groups
+            ]
+
+        report = ScanReport(families=families, l_max=l_max, d_max=d_max)
         if sink:
             sink.write("[\n")
         first = True
@@ -322,7 +358,7 @@ def scan(
                     report.flagged.append(item)
             for check in group["checks"]:
                 report.cross_checks.append(check)
-                if not check["agree"] or check["nullspace_dim"] not in (0, None):
+                if _check_failed(check):
                     report.cross_checks_ok = False
             if sink:
                 for cell in group["records"]:

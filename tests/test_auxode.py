@@ -19,7 +19,6 @@ from bhkovacic.auxode import (
     recurrence,
     solve_low_degree,
     to_heun_form,
-    to_u_frame,
     to_w_frame,
     to_z_frame,
     tridiagonal_system,
@@ -111,23 +110,6 @@ def test_z_frame_solutions_correspond():
     P_r = Poly([F(3, 2), 1])
     P_z = P_r.scale_variable(2)  # P(2z)
     assert ode_residual(z_ode, P_z).is_zero()
-
-
-def test_u_frame_coefficient_map():
-    # coefficient vectors transform by P_n(u) = P_n(w)/(-s)^n
-    l = 2
-    s = special_frequency(l)
-    ode_w = to_w_frame(_ode("G7", l, s))
-    ode_u = to_u_frame(ode_w)
-    P_w = chandrasekhar_coeffs(l)
-    P_u = Poly([c / (-s) ** n for n, c in enumerate(P_w.coeffs)])
-    assert ode_residual(ode_u, P_u).is_zero()
-    # and the u-frame equation matches the advertised normal form:
-    # u(u-2s) P'' + (-u^2 - 2u + 2s(2s-1)) P' + ((2s+1)u + 2 - L + 4s(1-s)) P
-    L = l * (l + 1)
-    assert ode_u.p2 == Poly([0, -2 * s, 1])
-    assert ode_u.p1 == Poly([2 * s * (2 * s - 1), -2, -1])
-    assert ode_u.p0 == Poly([2 - L + 4 * s * (1 - s), 2 * s + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -273,3 +273,55 @@ def test_verify_all_passing_witnesses_name_no_failure(capsys):
     records = {r["name"]: r for r in json.loads(out)["records"]}
     assert records["chandra.verify"]["witness"] is None
     assert list(records["hautot.expansions"]["witness"]) == ["l2_coefficients"]
+    assert records["evidence.scan"]["witness"] == {"cells": 5 * 5, "flagged": 3}
+
+
+def test_verify_all_scan_failure_names_its_first_cell(capsys, monkeypatch):
+    # plant a final-sign violation and a disagreeing cross-check: the witness
+    # names the violation, which comes first; without it, the cross-check
+    import bhkovacic.cli as cli
+
+    real_scan = cli.scan
+
+    def planted_scan(plant_violation):
+        def planted(*args, **kwargs):
+            report = real_scan(*args, **kwargs)
+            if plant_violation:
+                report.final_sign_violations += [("E3", 2, 3, 0), ("E7", 1, 1, 0)]
+            report.cross_checks[1] = dict(report.cross_checks[1], agree=False)
+            report.cross_checks_ok = False
+            return report
+
+        return planted
+
+    for plant_violation, expected in (
+        (True, {"check": "final_sign", "family": "E3", "l": 2, "d": 3}),
+        (False, {"check": "cross_check", "family": "G3", "l": 2, "d": 4}),
+    ):
+        monkeypatch.setattr(cli, "scan", planted_scan(plant_violation))
+        code, out, _ = run(capsys, "verify-all", "--l-max", "2", "--max-degree", "4", "--json")
+        assert code == 1
+        records = {r["name"]: r for r in json.loads(out)["records"]}
+        assert records["evidence.scan"]["status"] == "fail"
+        assert records["evidence.scan"]["witness"] == {
+            "cells": 5 * 5,
+            "flagged": 3,
+            "first_failure": expected,
+        }
+        assert [n for n, r in records.items() if r["status"] == "fail"] == ["evidence.scan"]
+
+
+def test_evidence_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # the sink is opened before any cell is computed
+    import bhkovacic.evidence as evidence
+
+    def no_cells(*args):
+        raise AssertionError("a cell was computed before the sink was opened")
+
+    monkeypatch.setattr(evidence, "_cell", no_cells)
+    out_path = str(tmp_path / "missing" / "cells.json")
+    code, out, err = run(capsys, "evidence", "--l-max", "6", "--max-degree", "200", "--out", out_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}")
+    assert "Traceback" not in err

@@ -5,12 +5,16 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import build_auxiliary, tridiagonal_system
 from bhkovacic.elimination import bareiss_determinant, integerize_rows, tridiag_minors
 from bhkovacic.evidence import (
     SCAN_FAMILIES,
+    ScanReport,
+    _cell,
     _cell_entries,
     _column,
     _ratio_system_polynomial,
@@ -155,13 +159,76 @@ def test_cross_check_cell_example():
     assert check["nullspace_dim"] == 0
 
 
+def _assert_mag_index(values, n0):
+    """n0 is where |D_n| starts to increase strictly for good."""
+    assert all(abs(values[k]) > abs(values[k - 1]) for k in range(n0 + 1, len(values)))
+    assert n0 == 0 or abs(values[n0]) <= abs(values[n0 - 1])
+
+
 def test_magnitude_log_matches_sequence():
-    # logged observation only; the streamed index equals the stored one
-    seq = det_sequence("G3", 3, 25)
-    vals = seq.values
-    n0 = seq.magnitudes_increasing_from
-    assert all(abs(vals[k]) > abs(vals[k - 1]) for k in range(n0 + 1, len(vals)))
-    assert n0 == 0 or abs(vals[n0]) <= abs(vals[n0 - 1])
+    # logged observation only; the kernel's index agrees with the stored minors
+    for family, l, d in (("G3", 3, 25), ("E7", 2, 30)):
+        n0 = _cell(_column(family_by_label(family), l), d)[3]
+        _assert_mag_index(det_sequence(family, l, d).values, n0)
+
+
+def _reference(values, d):
+    """(sign_ok, final_ok, D_last, mag_from) recomputed from D_0..D_{d+1}."""
+    D_last = values[-1]
+    mag_from = max(
+        (n for n in range(1, len(values)) if abs(values[n]) <= abs(values[n - 1])), default=0
+    )
+    return (
+        all(v != 0 and (v > 0) == (n % 2 == 0) for n, v in enumerate(values)),
+        D_last != 0 and (D_last > 0) == (d % 2 == 1),
+        D_last,
+        mag_from,
+    )
+
+
+def test_cell_matches_reference_on_scan_families():
+    # every G3/E3/E7 cell at l <= 6, d <= 100 against det_sequence
+    interior_zero = False
+    for family in SCAN_FAMILIES:
+        for l in default_l_range(family, 6):
+            column = _column(family_by_label(family), l)
+            for d in range(101):
+                seq = det_sequence(family, l, d)
+                expected = _reference(seq.values, d)
+                assert expected[:3] == (seq.sign_pattern_ok, seq.final_sign_ok, seq.D_last)
+                assert _cell(column, d) == expected, (family, l, d)
+                interior_zero = interior_zero or 0 in seq.values[1:-1]
+    assert interior_zero  # the E7 first minor vanishes at d = l(l+1)
+    assert det_sequence("E7", 2, 6).values[1] == 0
+
+
+def test_cell_matches_reference_on_s3_and_g7():
+    # the engine's other columns, including the G7 cell whose D_last is 0
+    special = {l: int(2 * special_frequency(l)) + 1 for l in (2, 3, 4)}
+    columns = [("S3", l, 40) for l in (0, 1, 3)] + [("G7", l, d + 2) for l, d in special.items()]
+    for family, l, d_max in columns:
+        column = _column(family_by_label(family), l)
+        for d in range(d_max + 1):
+            values = (1, *tridiag_minors(*_cell_entries(column, d)))
+            assert _cell(column, d) == _reference(values, d), (family, l, d)
+            if family == "G7" and d == special[l]:
+                assert values[-1] == 0
+
+
+_coeffs = st.lists(st.integers(-3, 3), min_size=0, max_size=3).map(tuple)
+
+
+@given(
+    st.tuples(_coeffs, _coeffs, _coeffs),
+    st.tuples(_coeffs, _coeffs, _coeffs, _coeffs),
+    st.integers(0, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_cell_matches_reference_on_random_columns(diag, offprod, d):
+    # small coefficients make zero minors and broken signs common
+    column = (diag, offprod)
+    values = (1, *tridiag_minors(*_cell_entries(column, d)))
+    assert _cell(column, d) == _reference(values, d)
 
 
 def test_e7_intermediate_zero_is_flagged_not_fatal():
@@ -203,6 +270,8 @@ def test_scan_report_streaming(tmp_path):
     cells = json.loads(out.read_text())
     assert len(cells) == report.cells == 6
     seq0 = det_sequence("G3", 2, 0)
+    mag_from = _cell(_column(family_by_label("G3"), 2), 0)[3]
+    _assert_mag_index(seq0.values, mag_from)
     assert cells[0] == {
         "family": "G3",
         "l": 2,
@@ -211,8 +280,35 @@ def test_scan_report_streaming(tmp_path):
         "sign_ok": True,
         "final_sign_ok": True,
         "D_last": str(seq0.D_last),
-        "mag_increasing_from": seq0.magnitudes_increasing_from,
+        "mag_increasing_from": mag_from,
     }
+    for cell in cells:
+        _assert_mag_index(det_sequence("G3", 2, cell["d"]).values, cell["mag_increasing_from"])
+
+
+def test_scan_refuses_unwritable_out_before_any_cell(monkeypatch, tmp_path):
+    import bhkovacic.evidence as evidence
+
+    def no_cells(*args):
+        raise AssertionError("a cell was computed before the sink was opened")
+
+    monkeypatch.setattr(evidence, "_cell", no_cells)
+    for out in (tmp_path / "missing" / "cells.json", tmp_path):
+        with pytest.raises(ValueError, match="cannot write"):
+            scan(families=("G3",), l_max=2, d_max=5, out=str(out))
+
+
+def test_scan_report_names_its_first_failure():
+    report = ScanReport(families=SCAN_FAMILIES, l_max=4, d_max=8)
+    assert report.first_failure is None
+    report.cross_checks = [
+        {"family": "G3", "l": 2, "d": 0, "agree": True, "nullspace_dim": 0},
+        {"family": "G3", "l": 2, "d": 4, "agree": True, "nullspace_dim": 1},
+        {"family": "E3", "l": 1, "d": 0, "agree": False, "nullspace_dim": 0},
+    ]
+    assert report.first_failure == {"check": "cross_check", "family": "G3", "l": 2, "d": 4}
+    report.final_sign_violations = [("E3", 2, 7, 5), ("E7", 1, 3, 0)]
+    assert report.first_failure == {"check": "final_sign", "family": "E3", "l": 2, "d": 7}
 
 
 def test_scan_empty_family_list():

@@ -26,6 +26,7 @@ the brute-force nullspace oracle.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -211,6 +212,17 @@ class ScanReport:
                 return {"check": "cross_check", **{k: check[k] for k in ("family", "l", "d")}}
         return None
 
+    def absorb(self, part: ScanReport) -> None:
+        """Append the aggregates of the next column in scan order, keeping
+        the first 32 flagged cells."""
+        self.cells += part.cells
+        self.final_sign_violations.extend(part.final_sign_violations)
+        self.flagged.extend(part.flagged[: 32 - len(self.flagged)])
+        self.flagged_count += part.flagged_count
+        self.flags_resolved_nonzero &= part.flags_resolved_nonzero
+        self.cross_checks.extend(part.cross_checks)
+        self.cross_checks_ok &= part.cross_checks_ok
+
 
 def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
@@ -240,34 +252,27 @@ def _check_failed(check: dict) -> bool:
     return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
-def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool) -> dict:
-    """Aggregates for one (family, l) column of the grid; picklable."""
-    fam = family_by_label(family)
-    column = _column(fam, l)
-    group = {
-        "family": family,
-        "l": l,
-        "cells": 0,
-        "final_violations": [],
-        "flagged": [],
-        "flagged_count": 0,
-        "flag_zero": False,
-        "checks": [],
-        "records": [] if want_cells else None,
-    }
+def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool) -> tuple:
+    """(ScanReport, records) of one (family, l) column; picklable.
+
+    The part names its column as families = (family,) and l_max = l, and
+    keeps at most 8 flagged cells; records are the column's ``--out``
+    records in d order, or None without ``want_cells``.
+    """
+    column = _column(family_by_label(family), l)
+    part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
+    records = [] if want_cells else None
     for d in range(d_max + 1):
         sign_ok, final_ok, D_last, mag_from = _cell(column, d)
-        group["cells"] += 1
         if not final_ok:
-            group["final_violations"].append((family, l, d, D_last))
+            part.final_sign_violations.append((family, l, d, D_last))
         if not sign_ok:
-            group["flagged_count"] += 1
-            if D_last == 0:
-                group["flag_zero"] = True
-            if len(group["flagged"]) < 8:
-                group["flagged"].append((family, l, d))
+            part.flagged_count += 1
+            part.flags_resolved_nonzero &= D_last != 0
+            if len(part.flagged) < 8:
+                part.flagged.append((family, l, d))
         if want_cells:
-            group["records"].append(
+            records.append(
                 {
                     "family": family,
                     "l": l,
@@ -279,9 +284,15 @@ def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool)
                     "mag_increasing_from": mag_from,
                 }
             )
-    for d in range(0, min(cross_d, d_max) + 1, 4):
-        group["checks"].append(cross_check_cell(family, l, d))
-    return group
+    part.cross_checks = [
+        cross_check_cell(family, l, d) for d in range(0, min(cross_d, d_max) + 1, 4)
+    ]
+    part.cross_checks_ok = not any(map(_check_failed, part.cross_checks))
+    return part, records
+
+
+def _scan_group_star(args) -> tuple:
+    return _scan_group(*args)
 
 
 def scan(
@@ -300,80 +311,55 @@ def scan(
     d <= cross_check_d_max are sampled and cross-checked against a direct
     fraction-free determinant of the explicit system, and at very small d
     against the brute-force nullspace.  With ``out`` set, one JSON record
-    per cell is written there; the file is opened before any cell is
-    computed, and one that cannot be opened raises ValueError.
+    per cell is written there in grid order, one column at a time, so
+    memory holds one column's records and does not grow with the grid;
+    the file is opened before any cell is computed, and one that cannot
+    be opened raises ValueError.
 
     Grid columns are independent; ``workers`` (default: BHK_THREADS, else
-    serial) fans them out across processes, merged in deterministic
-    (family, l) order.  A grid with no cell (negative ``d_max``, or no l
-    in range) raises ValueError: a scan that examined nothing must not pass.
+    serial) fans them out across processes, and their results are taken
+    in (family, l) order, so the report and the file do not depend on it.
+    A grid with no cell (negative ``d_max``, or no l in range) raises
+    ValueError: a scan that examined nothing must not pass.
     """
     families = tuple(families)
     unknown = [f for f in families if f not in SCAN_FAMILIES]
     if unknown:
         raise ValueError(f"scan covers {SCAN_FAMILIES}, not {unknown}")
-    groups = [
-        (family, l) for family in families for l in default_l_range(family, l_max)
+    want_cells = out is not None
+    jobs = [
+        (family, l, d_max, cross_check_d_max, want_cells)
+        for family in families
+        for l in default_l_range(family, l_max)
     ]
-    if d_max < 0 or not groups:
+    if d_max < 0 or not jobs:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
     workers = _worker_count(
         os.environ.get("BHK_THREADS") if workers is None else workers,
-        len(groups),
+        len(jobs),
         os.cpu_count(),
     )
-    want_cells = out is not None
-    try:
-        sink = open(out, "w") if want_cells else None
-    except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
-    try:
-        if workers > 1 and len(groups) > 1:
+    report = ScanReport(families=families, l_max=l_max, d_max=d_max)
+    with contextlib.ExitStack() as stack:
+        try:
+            sink = stack.enter_context(open(out, "w")) if want_cells else None
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        _scan_group_star,
-                        [(f, l, d_max, cross_check_d_max, want_cells) for f, l in groups],
-                    )
-                )
+            columns = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         else:
-            results = [
-                _scan_group(f, l, d_max, cross_check_d_max, want_cells) for f, l in groups
-            ]
-
-        report = ScanReport(families=families, l_max=l_max, d_max=d_max)
-        if sink:
-            sink.write("[\n")
-        first = True
-        for group in results:
-            report.cells += group["cells"]
-            report.final_sign_violations.extend(group["final_violations"])
-            report.flagged_count += group["flagged_count"]
-            if group["flag_zero"]:
-                report.flags_resolved_nonzero = False
-            for item in group["flagged"]:
-                if len(report.flagged) < 32:
-                    report.flagged.append(item)
-            for check in group["checks"]:
-                report.cross_checks.append(check)
-                if _check_failed(check):
-                    report.cross_checks_ok = False
+            columns = map
+        sep = "[\n"
+        for part, records in columns(_scan_group_star, jobs):
+            report.absorb(part)
             if sink:
-                for cell in group["records"]:
-                    sink.write(("" if first else ",\n") + json.dumps(cell))
-                    first = False
+                sink.write(sep + ",\n".join(map(json.dumps, records)))
+                sep = ",\n"
         if sink:
             sink.write("\n]\n")
-    finally:
-        if sink:
-            sink.close()
     return report
-
-
-def _scan_group_star(args) -> dict:
-    return _scan_group(*args)
 
 
 def _worker_count(requested, columns: int, cpus: Optional[int]) -> int:

@@ -41,8 +41,6 @@ __all__ = [
     "det_A",
     "determinant_equality_check",
     "extended_expansion",
-    "hautot_sufficiency_check",
-    "SufficiencyVerdict",
 ]
 
 
@@ -270,7 +268,8 @@ def determinant_equality_check(j: int, trials: int = 10, seed: int = 0) -> Equal
 
     All three determinants are polynomials in (a, b, d, n) of degree at
     most j+1 in each variable, so agreement on a (j+2)^4 product grid is a
-    proof of identity; ``trials`` extra random rational points are thrown
+    proof of identity; the block entries are ring-neutral, so the grid runs
+    in exact integers.  ``trials`` extra random rational points are thrown
     in as independent witnesses.
     """
     if j < 0:
@@ -289,7 +288,7 @@ def determinant_equality_check(j: int, trials: int = 10, seed: int = 0) -> Equal
     laguerre_equal = True
     witness = None
     points = [
-        (Fraction(a), Fraction(b), Fraction(d), Fraction(n))
+        (a, b, d, n)
         for a in range(side)
         for b in range(side)
         for d in range(side)
@@ -412,44 +411,4 @@ def extended_expansion(l: int, basis: str) -> ExpansionReport:
         assembled=assembled,
         target=target,
         equal=assembled == target,
-    )
-
-
-# ---------------------------------------------------------------------------
-# sufficiency verdicts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SufficiencyVerdict:
-    applicable: bool
-    satisfied: Optional[bool]
-    j: Optional[int]
-    det_value: Optional[Rational]
-    reason: str = ""
-
-
-def hautot_sufficiency_check(heun: HeunForm, n: int) -> SufficiencyVerdict:
-    """Fixed-order determinant test for a degree-n polynomial solution.
-
-    Applicable only when c = j is a non-negative integer; then demands
-    e = -a n and reports whether the (j+1) x (j+1) block determinant
-    vanishes.  A satisfied verdict guarantees a polynomial solution; an
-    unsatisfied one leaves only the intractable complementary-block route.
-    """
-    c = Fraction(heun.c)
-    if c.denominator != 1 or c < 0:
-        return SufficiencyVerdict(
-            applicable=False,
-            satisfied=None,
-            j=None,
-            det_value=None,
-            reason=f"c = {rat_to_str(c)} is not a non-negative integer",
-        )
-    if heun.e != -heun.a * n:
-        raise ValueError("degree hypothesis violated: e must equal -a n")
-    j = int(c)
-    det = heun.recurrence().det(j + 1)
-    return SufficiencyVerdict(
-        applicable=True, satisfied=(det == 0), j=j, det_value=det
     )

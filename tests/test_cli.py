@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bhkovacic
 from bhkovacic.cli import main
 
 
@@ -325,3 +330,16 @@ def test_evidence_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path)
     assert out == ""
     assert err.startswith(f"error: cannot write {out_path}")
     assert "Traceback" not in err
+
+
+def test_startup_imports_no_process_pool():
+    # the scan imports its worker pool only when it fans out
+    code = (
+        "import sys, bhkovacic.cli as cli; cli.build_parser(); "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bhkovacic.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

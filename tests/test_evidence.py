@@ -323,12 +323,43 @@ def test_scan_empty_family_list():
         scan(families=("G7",), l_max=4, d_max=10)
 
 
-def test_scan_worker_fanout_matches_serial():
-    serial = scan(families=("E7",), l_max=2, d_max=30)
-    fanned = scan(families=("E7",), l_max=2, d_max=30, workers=2)
-    assert serial.cells == fanned.cells
-    assert serial.flagged_count == fanned.flagged_count
-    assert serial.final_sign_violations == fanned.final_sign_violations
+def test_scan_worker_fanout_matches_serial(tmp_path):
+    runs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"cells{workers}.json"
+        report = scan(families=("E7",), l_max=3, d_max=30, out=str(out), workers=workers)
+        runs[workers] = report, out.read_bytes()
+    assert runs[1][0] == runs[2][0]  # the whole report, field by field
+    assert runs[1][1] == runs[2][1]
+    assert runs[1][0].cells == 3 * 31 and runs[1][0].flagged_count > 0
+
+
+def test_scan_caps_flagged_cells_per_column_and_overall():
+    report = scan(families=("E7",), l_max=6, d_max=100)
+    assert report.flagged_count == 494
+    assert len(report.flagged) == 32
+    assert [l for _, l, _ in report.flagged] == [1] * 8 + [2] * 8 + [3] * 8 + [4] * 8
+
+
+def test_scan_report_absorbs_columns_in_order():
+    report = ScanReport(families=SCAN_FAMILIES, l_max=2, d_max=3)
+    first = ScanReport(("E7",), l_max=1, d_max=3, cells=4, cross_checks=[{"d": 0}])
+    first.flagged = [("E7", 1, d) for d in range(30)]
+    first.flagged_count = 30
+    second = ScanReport(("E7",), l_max=2, d_max=3, cells=4, cross_checks=[{"d": 4}])
+    second.flagged = [("E7", 2, d) for d in range(5)]
+    second.flagged_count = 5
+    second.final_sign_violations = [("E7", 2, 3, 0)]
+    second.flags_resolved_nonzero = second.cross_checks_ok = False
+    report.absorb(first)
+    report.absorb(second)
+    assert report.cells == 8 and report.flagged_count == 35
+    assert report.flagged == first.flagged + second.flagged[:2]
+    assert report.final_sign_violations == [("E7", 2, 3, 0)]
+    assert report.cross_checks == [{"d": 0}, {"d": 4}]
+    assert not report.flags_resolved_nonzero and not report.cross_checks_ok
+    report.absorb(first)  # a passing column does not clear a failure
+    assert not report.flags_resolved_nonzero and not report.cross_checks_ok
 
 
 def test_worker_count_clamps_bhk_threads():

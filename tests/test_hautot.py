@@ -24,7 +24,6 @@ from bhkovacic.hautot import (
     det_A,
     determinant_equality_check,
     extended_expansion,
-    hautot_sufficiency_check,
     kummer_poly,
     laguerre_poly,
     phi_poly,
@@ -341,6 +340,32 @@ def test_determinant_equality(j):
     assert report.grid_points == (j + 2) ** 4
 
 
+def _off_by_one(builder):
+    """``builder`` with the constant term of diag(k) raised by 1."""
+
+    def skewed(a, b, d, n, j):
+        rec = builder(a, b, d, n, j)
+        diag = (rec.diag_k[0] + 1, *rec.diag_k[1:])
+        return Recurrence3(lower_k=rec.lower_k, diag_k=diag, upper_k=rec.upper_k)
+
+    return skewed
+
+
+@pytest.mark.parametrize("name", ["kummer", "laguerre"])
+def test_determinant_equality_catches_a_skewed_block(monkeypatch, name):
+    import bhkovacic.hautot as hautot
+
+    builder = f"_{name}_block"
+    monkeypatch.setattr(hautot, builder, _off_by_one(getattr(hautot, builder)))
+    report = determinant_equality_check(2)
+    assert not report.all_ok
+    assert report.kummer_equal == (name != "kummer")
+    assert report.laguerre_equal == (name != "laguerre")
+    basis, point, _, _ = report.witness
+    assert basis == name
+    assert all(type(v) is int for v in point)  # found on the integer grid
+
+
 def test_equality_j0_trivial():
     # 1x1 case: all three blocks reduce to d - j n = d
     a, b, d, n = F(2), F(5), F(-7, 3), F(4)
@@ -406,7 +431,7 @@ def test_expansion_homogeneity():
 
 
 # ---------------------------------------------------------------------------
-# sufficiency verdicts
+# the sufficiency block minor
 # ---------------------------------------------------------------------------
 
 
@@ -416,33 +441,21 @@ def _heun(label, l, s):
 
 
 def test_sufficiency_g7():
-    s = special_frequency(2)
-    verdict = hautot_sufficiency_check(_heun("G7", 2, s), int(2 * s + 1))
-    assert verdict.applicable and verdict.satisfied and verdict.j == 3
-    off = hautot_sufficiency_check(_heun("G7", 2, F(3)), 7)  # s=3, n=2s+1=7
-    assert off.applicable and not off.satisfied
-
-
-def test_sufficiency_g3_not_applicable():
-    verdict = hautot_sufficiency_check(_heun("G3", 2, F(4)), 5)
-    assert not verdict.applicable
-    assert verdict.satisfied is None
+    # c = j = 3: the leading 4 x 4 block vanishes at the special frequency only
+    special = _heun("G7", 2, special_frequency(2))
+    assert special.c == 3
+    assert special.recurrence().det(4) == 0
+    assert _heun("G7", 2, F(3)).recurrence().det(4) != 0
 
 
 def test_sufficiency_e7():
-    # c = 1, det of the 2x2 block is (l(l+1))^2: satisfied only at l = 0
+    # c = 1, det of the 2x2 block is (l(l+1))^2: zero only for the point charge
     s = F(3)
+    radiating = _heun("E7", 1, s)
+    assert radiating.c == 1
+    assert radiating.recurrence().det(2) == 4  # (l(l+1))^2 at l = 1
     point_charge = HeunForm(a=2 * s, b=-4 * s, c=F(1), d=2 * s, e=-4 * s * s)
-    verdict = hautot_sufficiency_check(point_charge, int(2 * s))
-    assert verdict.applicable and verdict.satisfied
-    radiating = hautot_sufficiency_check(_heun("E7", 1, s), int(2 * s))
-    assert radiating.applicable and not radiating.satisfied
-    assert radiating.det_value == 4  # (l(l+1))^2 at l = 1
-
-
-def test_sufficiency_degree_hypothesis_guard():
-    with pytest.raises(ValueError):
-        hautot_sufficiency_check(_heun("G7", 2, F(4)), 5)  # wrong n
+    assert point_charge.recurrence().det(2) == 0
 
 
 def test_cross_basis_coefficient_consistency():

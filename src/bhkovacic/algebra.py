@@ -4,13 +4,20 @@ Rationals are ``fractions.Fraction`` throughout: always reduced, positive
 denominator, canonical zero.  A :class:`Poly` is an integer numerator
 vector over one positive denominator, index = power, in canonical form
 (the representation of FLINT's ``fmpq_poly``), so that its arithmetic runs
-on plain integers with one normalisation per operation.  Everything is
-immutable and every operation is exact; equality of polynomials is the
-arbiter in all verification code built on top of this module.
+on plain integers with one normalisation per operation.  The normalisation
+(:meth:`Poly.from_numerators`) checks a candidate content by its exact
+divisions instead of chaining one gcd per coefficient: the content divides
+every integer combination of the numerators, so a gcd of a few of them is
+a multiple of it, and one that divides every numerator is the content
+itself (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).
+Everything is immutable and every operation is exact; equality of
+polynomials is the arbiter in all verification code built on top of this
+module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -105,23 +112,41 @@ class Poly:
 
         A list passed as ``num`` is normalised in place, so that a large
         vector is held once; pass a copy to keep the original list.
+
+        The content gcd(den, *num) divides every integer combination of the
+        numerators, so it divides the candidate g = gcd(den, last, first,
+        sum (k+1) num[k], sum of the odd-index num[k]).  When every num[k]
+        divides by g exactly, g divides the content as well, so g is the
+        content: one gcd of five numbers and one exact division per
+        coefficient, instead of a chain of one gcd per coefficient.  A
+        nonzero remainder undoes the divisions and takes the full chain.
         """
         if not isinstance(num, list):
             num = list(num)
         while num and not num[-1]:
             num.pop()
         if not num:
-            den = 1
-        else:
-            if den < 0:
-                den = -den
-                for i, v in enumerate(num):
-                    num[i] = -v
-            g = math.gcd(den, *num)
-            if g != 1:
-                den //= g
-                for i, v in enumerate(num):
-                    num[i] = v // g
+            return cls._canonical(num, 1)
+        if den < 0:
+            den = -den
+            for i, v in enumerate(num):
+                num[i] = -v
+        g = math.gcd(den, num[-1], num[0])
+        if g != 1 and len(num) > 3:
+            weighted = sum(k * v for k, v in enumerate(num, 1))
+            g = math.gcd(g, weighted, sum(itertools.islice(num, 1, None, 2)))
+        if g != 1:
+            for i, v in enumerate(num):
+                q, r = divmod(v, g)
+                if r:  # g exceeds the content: restore, then the full chain
+                    for j in range(i):
+                        num[j] *= g
+                    g = math.gcd(den, *num)
+                    for j, w in enumerate(num):
+                        num[j] = w // g
+                    break
+                num[i] = q
+            den //= g
         return cls._canonical(num, den)
 
     @classmethod

@@ -461,7 +461,7 @@ def _g7_ode(l: int) -> AuxiliaryODE:
     return build_auxiliary(family_by_label("G7"), mode)
 
 
-def chandrasekhar_r_frame(l: int) -> Poly:
+def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
     """The same polynomial written in r, P(r) = P(w+2).
 
     Computed by running the r-frame three-term recurrence downward from
@@ -469,9 +469,12 @@ def chandrasekhar_r_frame(l: int) -> Poly:
     cost of a Taylor shift); the otherwise-unused bottom row of the
     recurrence is then checked, which certifies the result.  A shift by
     the integer 2 keeps the denominator of P(w), so the recurrence runs on
-    integer numerators over it, and every division must be exact.
+    integer numerators over it, and every division must be exact.  A
+    caller that holds P(w) already passes it as ``P_w``; only its
+    denominator and leading numerator are read.
     """
-    P_w = chandrasekhar_coeffs(l)
+    if P_w is None:
+        P_w = chandrasekhar_coeffs(l)
     den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
     del P_w  # hold one coefficient vector at a time
     rec = recurrence(_g7_ode(l), 0, 0).cleared()
@@ -529,6 +532,10 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
     (i) and (iv) read the integer numerators: the rows are linear and the
     denominator is positive, so zeros and signs are those of the coefficients.
+    (iii) runs on the numerators too, against den times the right side; (ii)
+    stays polynomial arithmetic, the route independent of the recurrence.
+    P(r) is built from this P_w by :func:`chandrasekhar_r_frame` once (i) and
+    the w-frame residual hold, and by a direct shift otherwise.
     """
     s = special_frequency(l)
     mu2 = (l - 1) * (l + 2)
@@ -544,7 +551,7 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
     residual_w = ode_residual(ode_w, P_w)
     if recurrence_ok and residual_w.is_zero():
-        P_r = chandrasekhar_r_frame(l)
+        P_r = chandrasekhar_r_frame(l, P_w)
         residual_r = ode_residual(ode_r, P_r)
     else:
         P_r = P_w.shift(-2)  # mutated input: fall back to the direct shift
@@ -552,11 +559,11 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     ode_residual_ok = residual_w.is_zero() and residual_r.is_zero()
 
     four_sig = d - 1  # 4 sigma0 = 2s
-    lhs_w = (P_w.derivative() + s * P_w) * Poly([2 * mu2 + 6, mu2]) - mu2 * P_w
     rhs_w = Poly.monomial(four_sig - 1) * Poly([8, 12, 6, 1])  # w^(4s0-1) (w+2)^3
-    lhs_r = (P_r.derivative() + s * P_r) * Poly([6, mu2]) - mu2 * P_r
     rhs_r = Poly.monomial(3) * _binomial_power(-2, four_sig - 1)
-    integral_identity_ok = lhs_w == rhs_w and lhs_r == rhs_r
+    integral_identity_ok = _integral_identity_holds(
+        P_w, int(s), 2 * mu2 + 6, mu2, rhs_w
+    ) and _integral_identity_holds(P_r, int(s), 6, mu2, rhs_r)
 
     r_num = P_r.num[: d + 1]
     sign_pattern_ok = len(r_num) == d + 1 and all(
@@ -571,6 +578,25 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
         integral_identity_ok=integral_identity_ok,
         sign_pattern_ok=sign_pattern_ok,
     )
+
+
+def _integral_identity_holds(P: Poly, s: int, c0: int, mu2: int, rhs: Poly) -> bool:
+    """(P' + s P)(c0 + mu2 x) - mu2 P == rhs, on the numerators of P.
+
+    With P = sum n_k x^k / den and x_k = (k+1) n_(k+1) + s n_k the
+    numerators of P' + s P, coefficient k of the left side times den is
+    c0 x_k + mu2 (x_(k-1) - n_k); it is compared with den times rhs_k.
+    """
+    size = max(len(P.num) + 1, len(rhs.num))
+    n = P.num + (0,) * (size + 1 - len(P.num))
+    r = rhs.num + (0,) * (size - len(rhs.num))
+    x_prev = 0
+    for k in range(size):
+        x = (k + 1) * n[k + 1] + s * n[k]
+        if (c0 * x + mu2 * (x_prev - n[k])) * rhs.den != P.den * r[k]:
+            return False
+        x_prev = x
+    return True
 
 
 def _binomial_power(c: int, n: int) -> Poly:

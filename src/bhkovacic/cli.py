@@ -118,7 +118,7 @@ def cmd_chandra(args) -> int:
     report = _report(args, "chandra")
     l = args.l
     P_w = chandrasekhar_coeffs(l)
-    P_r = chandrasekhar_r_frame(l)
+    P_r = chandrasekhar_r_frame(l, P_w)
     witness = {
         "l": l,
         "s": special_frequency(l),
@@ -126,7 +126,7 @@ def cmd_chandra(args) -> int:
         "r_frame": P_r,
     }
     if args.verify:
-        record = chandrasekhar_checks(l)
+        record = chandrasekhar_checks(l, P_w)
         witness["verification"] = record
         report.add(
             "chandra.verify", record.all_ok, tag="chandra.four_checks", witness=witness
@@ -233,22 +233,38 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
             witness={"candidates": len(candidates), "retained": len(retained2)},
         )
 
-    # G8 closed-form solutions
+    # G8 closed-form solutions; a failure names its first l
     g8 = family_by_label("G8")
-    ok = True
+    g8_failure = None
     for l in range(2, l_max + 1):
         expected_s = special_frequency(l)
         expected_k = Fraction(6, (l + 2) * (l - 1))
         found = solve_low_degree(g8, 1, l=l)
-        ok = ok and found == [(expected_s, Poly([expected_k, 1]))]
-    report.add("g8.low_degree", ok, tag="g8.first_order_solution")
+        if g8_failure is None and found != [(expected_s, Poly([expected_k, 1]))]:
+            g8_failure = {"l": l}
+    report.add(
+        "g8.low_degree",
+        g8_failure is None,
+        tag="g8.first_order_solution",
+        witness=None if g8_failure is None else {"first_failure": g8_failure},
+    )
 
-    # closed-form polynomial checks; a failure names its first l and checks
+    # closed-form polynomial checks and extended expansions, on one P(w) per
+    # l; a failure names its first l and checks, or its first (l, basis).
+    # The l=2 expansion coefficients are pinned in the report.
     chandra_failure = None
+    exp_witness = {"l2_coefficients": {}}
     for l in range(2, l_max + 1):
-        record = chandrasekhar_checks(l)
+        P_w = chandrasekhar_coeffs(l)
+        record = chandrasekhar_checks(l, P_w)
         if chandra_failure is None and not record.all_ok:
             chandra_failure = {"l": l, "checks": list(record.failed_checks)}
+        for basis in ("kummer", "laguerre") if l <= 6 else ():
+            expansion = extended_expansion(l, basis, target=P_w)
+            if "first_failure" not in exp_witness and not expansion.equal:
+                exp_witness["first_failure"] = {"l": l, "basis": basis}
+            if l == 2:
+                exp_witness["l2_coefficients"][basis] = list(expansion.coefficients)
     report.add(
         "chandra.verify",
         chandra_failure is None,
@@ -256,25 +272,21 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         witness=None if chandra_failure is None else {"first_failure": chandra_failure},
     )
 
-    # Hautot determinant roots
-    det_ok = True
+    # Hautot determinant roots; a failure names its first l
+    det_failure = None
     for l in range(2, l_max + 1):
         s_star = special_frequency(l)
         poly = det_A(l)
-        det_ok = det_ok and poly.eval(s_star) == 0 and poly.eval(-s_star) == 0
-        det_ok = det_ok and poly.eval(s_star + 1) != 0 and poly.eval(s_star - 1) != 0
-    report.add("hautot.det_roots", det_ok, tag="hautot.sufficiency_det")
-
-    # extended expansions; the l=2 coefficients are pinned in the report,
-    # and a failure names its first (l, basis)
-    exp_witness = {"l2_coefficients": {}}
-    for l in range(2, min(l_max, 6) + 1):
-        for basis in ("kummer", "laguerre"):
-            expansion = extended_expansion(l, basis)
-            if "first_failure" not in exp_witness and not expansion.equal:
-                exp_witness["first_failure"] = {"l": l, "basis": basis}
-            if l == 2:
-                exp_witness["l2_coefficients"][basis] = list(expansion.coefficients)
+        roots_ok = poly.eval(s_star) == 0 and poly.eval(-s_star) == 0
+        roots_ok = roots_ok and poly.eval(s_star + 1) != 0 and poly.eval(s_star - 1) != 0
+        if det_failure is None and not roots_ok:
+            det_failure = {"l": l}
+    report.add(
+        "hautot.det_roots",
+        det_failure is None,
+        tag="hautot.sufficiency_det",
+        witness=None if det_failure is None else {"first_failure": det_failure},
+    )
     report.add(
         "hautot.expansions",
         "first_failure" not in exp_witness,

@@ -338,7 +338,7 @@ class ExpansionReport:
         return self.assembled - self.target
 
 
-def extended_expansion(l: int, basis: str) -> ExpansionReport:
+def extended_expansion(l: int, basis: str, target: Optional[Poly] = None) -> ExpansionReport:
     """Expand the closed-form polynomial P(w) in the chosen basis, exactly.
 
     Kummer basis (coefficients A_k, overall scale fixed by A0):
@@ -361,6 +361,8 @@ def extended_expansion(l: int, basis: str) -> ExpansionReport:
 
     The assembled sum must equal the closed-form polynomial coefficient by
     coefficient; the report carries the exact verdict and the difference.
+    ``target`` is that polynomial, ``chandrasekhar_coeffs(l)``, for a caller
+    that holds it already.
     """
     if basis not in ("kummer", "laguerre"):
         raise ValueError("basis must be 'kummer' or 'laguerre'")
@@ -402,7 +404,8 @@ def extended_expansion(l: int, basis: str) -> ExpansionReport:
     for coeff, poly_u in terms:
         assembled_u = assembled_u + coeff * poly_u
     assembled = assembled_u.scale_variable(-s)  # u = -s w
-    target = chandrasekhar_coeffs(l)
+    if target is None:
+        target = chandrasekhar_coeffs(l)
     return ExpansionReport(
         basis=basis,
         l=l,

@@ -183,6 +183,63 @@ def test_from_numerators_normalises():
     assert Poly.from_numerators((5,), 10) == F(1, 2)
 
 
+def _content_candidate(num, den):
+    """gcd(den, first, last, sum (k+1) num[k], sum of the odd-index num[k])."""
+    weighted = sum(k * v for k, v in enumerate(num, 1))
+    return math.gcd(den, num[0], num[-1], weighted, sum(num[1::2]))
+
+
+@given(
+    st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=12).filter(any),
+    st.integers(1, 10**15),
+    st.integers(1, 10**15),
+    st.integers(1, 10**6),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_from_numerators_divides_out_the_content(vec, content, shared, cofactor, negative):
+    import sympy
+
+    # a primitive vector times a content, over a denominator that shares
+    # the factor gcd(content, shared) with that content
+    g = math.gcd(*vec)
+    num = [content * (v // g) for v in vec]
+    den = math.gcd(content, shared) * cofactor * (-1 if negative else 1)
+    p = Poly.from_numerators(list(num), den)
+    by_fractions = Poly([F(v, den) for v in num])
+    assert (p.num, p.den) == (by_fractions.num, by_fractions.den)
+    assert _canonical(p)
+    # sympy: clear the denominators, split off the content, reduce it
+    x = sympy.Symbol("x")
+    P = sympy.Poly([sympy.Rational(v, den) for v in reversed(num)], x, domain=sympy.QQ)
+    common, integral = P.clear_denoms(convert=True)
+    cont, prim = integral.primitive()
+    scale = sympy.Rational(cont) / common
+    expected = [int(c) * int(scale.p) for c in reversed(prim.all_coeffs())]
+    while expected and not expected[-1]:
+        expected.pop()
+    assert p.num == tuple(expected) and p.den == int(scale.q)
+
+
+def test_from_numerators_fallback_when_the_candidate_exceeds_the_content():
+    # 3 * (2, 0, 2, 1, 1, 1, 1, 2) over 12: the content is 3, but the first
+    # and last numerators, 12 and both combinations are even, so the
+    # candidate is 6; the division stops at index 3 and the entries already
+    # divided are restored before the full gcd chain runs
+    vec = (6, 0, 6, 3, 3, 3, 3, 6)
+    assert _content_candidate(vec, 12) == 6 and math.gcd(12, *vec) == 3
+    expected = Poly([F(v, 12) for v in vec])
+    assert (expected.num, expected.den) == ((2, 0, 2, 1, 1, 1, 1, 2), 4)
+    num = list(vec)
+    p = Poly.from_numerators(num, 12)
+    assert (p.num, p.den) == (expected.num, expected.den)
+    assert num == list(p.num)  # normalised in place, no entry left at 2x or 1/2x
+    assert Poly.from_numerators(vec, -12) == -expected  # a tuple is left as it was
+    assert vec == (6, 0, 6, 3, 3, 3, 3, 6)
+    # a candidate that is the content takes the one-division path
+    assert Poly.from_numerators([6, 0, 6, 6], 12) == Poly([F(1, 2), 0, F(1, 2), F(1, 2)])
+
+
 # sympy is a test-only oracle for the kernel; denominators up to 10^6
 big_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 big_polys = st.lists(big_rationals, min_size=0, max_size=6).map(Poly)

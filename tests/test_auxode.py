@@ -289,7 +289,9 @@ def test_chandrasekhar_coeffs_match_the_docstring_formula(l):
 
 def test_chandrasekhar_r_frame_matches_shift():
     for l in (2, 3, 4):
-        assert chandrasekhar_r_frame(l) == chandrasekhar_coeffs(l).shift(-2)
+        P_w = chandrasekhar_coeffs(l)
+        assert chandrasekhar_r_frame(l) == P_w.shift(-2)
+        assert chandrasekhar_r_frame(l, P_w) == P_w.shift(-2)
 
 
 @pytest.mark.parametrize("plant", ("first", "middle", "top", "parity"))
@@ -303,7 +305,9 @@ def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
     else:
         k = {"first": 0, "middle": len(num) // 2, "top": len(num) - 1}[plant]
         num[k] = -num[k]
-    monkeypatch.setattr(auxode, "chandrasekhar_r_frame", lambda l: Poly.from_numerators(num, P_r.den))
+    monkeypatch.setattr(
+        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
+    )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok
     assert not record.sign_pattern_ok
@@ -355,6 +359,47 @@ def test_mutation_is_caught():
     assert not record.recurrence_ok
     assert not record.ode_residual_ok
     assert record.failed_checks[:2] == ("recurrence", "ode_residual")
+
+
+def test_planted_middle_numerator_fails_integral_identity(monkeypatch):
+    # identity (iii) runs on numerators: one negated middle numerator of P(r)
+    # must break it (and the r-frame residual), not only the sign pattern
+    import bhkovacic.auxode as auxode
+
+    P_r = chandrasekhar_r_frame(3)
+    num = list(P_r.num)
+    num[len(num) // 2] = -num[len(num) // 2]
+    monkeypatch.setattr(
+        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
+    )
+    record = chandrasekhar_checks(3)
+    assert record.recurrence_ok
+    assert not record.integral_identity_ok and not record.ode_residual_ok
+
+
+@pytest.mark.parametrize("l", (2, 4))
+def test_halved_polynomial_fails_only_the_integral_identity(l):
+    # P/2 still solves the linear equation, so only the inhomogeneous
+    # identity (iii) can see that the denominator is off by a factor 2
+    P = chandrasekhar_coeffs(l)
+    halved = Poly.from_numerators(list(P.num), 2 * P.den)
+    assert halved == P * F(1, 2)
+    record = chandrasekhar_checks(l, P_w=halved)
+    assert record.failed_checks == ("integral_identity",)
+    assert chandrasekhar_checks(l, P_w=P).all_ok
+
+
+def test_integral_identity_reads_every_coefficient():
+    # identity (iii) on numerators compares from the constant term up to
+    # and past the top one: a right side changed at either end is refused
+    from bhkovacic.auxode import _binomial_power, _integral_identity_holds
+
+    P = chandrasekhar_r_frame(2)  # s = 4, mu2 = 4, c0 = 6 in the r frame
+    rhs = Poly.monomial(3) * _binomial_power(-2, 7)
+    assert _integral_identity_holds(P, 4, 6, 4, rhs)
+    for change in (Poly.one(), Poly.monomial(rhs.degree), Poly.monomial(rhs.degree + 1)):
+        assert not _integral_identity_holds(P, 4, 6, 4, rhs + change)
+    assert not _integral_identity_holds(P, 4, 6, 4, rhs * F(1, 3))
 
 
 def test_elementary_integral_identity_l2():

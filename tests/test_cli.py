@@ -250,8 +250,8 @@ def test_verify_all_failure_names_its_first_parameter(capsys, monkeypatch):
             record = dataclasses.replace(record, sign_pattern_ok=False, recurrence_ok=l > 3)
         return record
 
-    def planted_expansion(l, basis):
-        report = real_expansion(l, basis)
+    def planted_expansion(l, basis, *args, **kwargs):
+        report = real_expansion(l, basis, *args, **kwargs)
         return dataclasses.replace(report, equal=report.equal and (l, basis) < (3, "laguerre"))
 
     monkeypatch.setattr(cli, "chandrasekhar_checks", planted_checks)
@@ -272,11 +272,62 @@ def test_verify_all_failure_names_its_first_parameter(capsys, monkeypatch):
     assert failing == {"chandra.verify", "hautot.expansions"}
 
 
+def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypatch):
+    # plant failures from l = 3 on in the G8 solver and in det(A): each
+    # record names l = 3 as its first failure; the other records pass
+    import bhkovacic.cli as cli
+
+    real_solve, real_det = cli.solve_low_degree, cli.det_A
+
+    def planted_solve(family, d, l=None, s_fixed=None):
+        found = real_solve(family, d, l=l, s_fixed=s_fixed)
+        return found if l < 3 else []
+
+    def planted_det(l):
+        poly = real_det(l)
+        return poly if l < 3 else poly + 1
+
+    monkeypatch.setattr(cli, "solve_low_degree", planted_solve)
+    monkeypatch.setattr(cli, "det_A", planted_det)
+    code, out, _ = run(capsys, "verify-all", "--l-max", "4", "--max-degree", "4", "--json")
+    assert code == 1
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    for name in ("g8.low_degree", "hautot.det_roots"):
+        assert records[name]["status"] == "fail"
+        assert records[name]["witness"] == {"first_failure": {"l": 3}}
+    failing = {name for name, r in records.items() if r["status"] == "fail"}
+    assert failing == {"g8.low_degree", "hautot.det_roots"}
+
+
+def test_verify_all_builds_each_closed_form_once(monkeypatch):
+    # the checks and both expansions share one P(w) per l; the oracle record
+    # builds P(r) at l = 2 on its own
+    import collections
+
+    import bhkovacic.auxode as auxode
+    import bhkovacic.cli as cli
+    import bhkovacic.hautot as hautot
+
+    real = auxode.chandrasekhar_coeffs
+    built = collections.Counter()
+
+    def counted(l):
+        built[l] += 1
+        return real(l)
+
+    for module in (auxode, cli, hautot):
+        monkeypatch.setattr(module, "chandrasekhar_coeffs", counted)
+    assert cli.run_verify_all(l_max=4, d_max=4).all_passed
+    assert built == {2: 2, 3: 1, 4: 1}
+
+
 def test_verify_all_passing_witnesses_name_no_failure(capsys):
     code, out, _ = run(capsys, "verify-all", "--l-max", "2", "--max-degree", "4", "--json")
     assert code == 0
     records = {r["name"]: r for r in json.loads(out)["records"]}
     assert records["chandra.verify"]["witness"] is None
+    assert records["g8.low_degree"]["witness"] is None
+    assert records["hautot.det_roots"]["witness"] is None
     assert list(records["hautot.expansions"]["witness"]) == ["l2_coefficients"]
     assert records["evidence.scan"]["witness"] == {"cells": 5 * 5, "flagged": 3}
 

@@ -12,6 +12,7 @@ from bhkovacic.auxode import (
     HeunForm,
     Recurrence3,
     build_auxiliary,
+    chandrasekhar_coeffs,
     recurrence,
     to_heun_form,
     to_z_frame,
@@ -407,6 +408,16 @@ def test_expansions_equal(l, basis):
     report = extended_expansion(l, basis)
     assert report.equal
     assert report.difference.is_zero()
+
+
+def test_expansion_compares_with_the_given_target():
+    P = chandrasekhar_coeffs(3)
+    for basis in ("kummer", "laguerre"):
+        report = extended_expansion(3, basis, target=P)
+        assert report.equal and report.target is P
+        assert report == extended_expansion(3, basis)
+        off = extended_expansion(3, basis, target=P * 2)
+        assert not off.equal and off.difference == -P
 
 
 def test_expansion_homogeneity():

@@ -30,6 +30,7 @@ __all__ = [
     "Poly",
     "rat_from_str",
     "rat_to_str",
+    "int_to_str",
     "horner",
     "falling_factorial",
     "pochhammer",
@@ -47,11 +48,29 @@ def rat_from_str(text: str) -> Rational:
     return Fraction(int(text))
 
 
+def int_to_str(n: int) -> str:
+    """The decimal digits of an integer of any size.
+
+    ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
+    digits (4,300 by default since CPython 3.11); such an n is split by a
+    power of ten into two parts of about half its digits each.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_to_str(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits: log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return int_to_str(high) + int_to_str(low).zfill(k)
+
+
 def rat_to_str(value: Rational) -> str:
     """Serialize to ``"num/den"``, or ``"num"`` when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return int_to_str(value.numerator)
+    return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
 
 
 def horner(coeffs: Sequence, x, zero=0):

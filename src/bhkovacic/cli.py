@@ -9,8 +9,12 @@ Subcommands
 
 Exit status 0 means every executed check passed; 1 reports a failed
 check; 2 is a usage error, such as a scan grid with no cell.
-BHK_THREADS sets the scan's worker processes, clamped to the CPU count and
-the number of grid columns; unset or not an integer means serial.
+BHK_THREADS sets the scan's worker processes, clamped to the usable CPUs
+and the number of grid columns; BHK_THREADS=1 (or a value that is not an
+integer) runs the scan serially.  Unset, a scan of at least 200,000
+recurrence steps, such as the default evidence grid, runs one process per
+usable CPU, and a smaller one, such as the verify-all grid, runs serially.
+Integers of any size are written in full.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import Poly, rat_to_str
+from .algebra import Poly, int_to_str, rat_to_str
 from .auxode import (
     brute_force_polynomial_solutions,
     build_auxiliary,
@@ -181,7 +185,7 @@ def cmd_evidence(args) -> int:
         witness={
             "cells": result.cells,
             "violations": [
-                (family, l, d, str(D_last))
+                (family, l, d, int_to_str(D_last))
                 for family, l, d, D_last in result.final_sign_violations[:16]
             ],
             "flagged_count": result.flagged_count,
@@ -313,19 +317,27 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         tag="hautot.phi_replacement",
     )
 
-    # oracle agreement
+    # oracle agreement; a failure names its first case and its (l, s)
+    oracle_failure = None
     g7 = family_by_label("G7")
     mode = ModeSpec(PerturbationKind.GRAVITATIONAL, 2, special_frequency(2))
     basis = brute_force_polynomial_solutions(build_auxiliary(g7, mode), 9)
     target = chandrasekhar_r_frame(2)
-    oracle_ok = len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()
+    if not (len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()):
+        oracle_failure = {"family": "G7", "l": 2, "s": mode.s}
     e7 = family_by_label("E7")
     for l, s in ((1, 1), (1, 2), (2, 1), (2, 3)):
         mode = ModeSpec(PerturbationKind.ELECTROMAGNETIC, l, Fraction(s))
-        oracle_ok = oracle_ok and not brute_force_polynomial_solutions(
+        if oracle_failure is None and brute_force_polynomial_solutions(
             build_auxiliary(e7, mode), 2 * s
-        )
-    report.add("oracle.agreement", oracle_ok, tag="oracle.bareiss_nullspace")
+        ):
+            oracle_failure = {"family": "E7", "l": l, "s": mode.s}
+    report.add(
+        "oracle.agreement",
+        oracle_failure is None,
+        tag="oracle.bareiss_nullspace",
+        witness=None if oracle_failure is None else {"first_failure": oracle_failure},
+    )
 
     # determinant-sign scan at the configured bounds
     result = scan(l_max=l_max, d_max=d_max)
@@ -352,11 +364,29 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         },
     )
 
-    # homotopic equivalences and determinant equality
+    # homotopic equivalences and determinant equality; a failure names its
+    # first failed check, or its first j
     homotopy = homotopic_equivalence_check()
-    report.add("homotopy.z_power", homotopy.all_ok, tag="heun.homotopic_substitution")
-    eq_ok = all(determinant_equality_check(j).all_ok for j in range(0, 4))
-    report.add("hautot.det_equality", eq_ok, tag="hautot.block_equality")
+    homotopy_failure = None
+    if not homotopy.parameter_maps_ok:
+        homotopy_failure = {"check": "parameter_maps"}
+    elif not homotopy.operator_identities_ok:
+        homotopy_failure = {"check": "operator_identities"}
+    report.add(
+        "homotopy.z_power",
+        homotopy_failure is None,
+        tag="heun.homotopic_substitution",
+        witness=None if homotopy_failure is None else {"first_failure": homotopy_failure},
+    )
+    eq_failure = next(
+        ({"j": j} for j in range(0, 4) if not determinant_equality_check(j).all_ok), None
+    )
+    report.add(
+        "hautot.det_equality",
+        eq_failure is None,
+        tag="hautot.block_equality",
+        witness=None if eq_failure is None else {"first_failure": eq_failure},
+    )
     return report
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bhkovacic.algebra import (
     Poly,
+    int_to_str,
     poly_gcd,
     rat_from_str,
     rat_to_str,
@@ -131,6 +132,21 @@ def test_rational_wire_format():
     assert rat_from_str("-3/4") == F(-3, 4)
     assert rat_from_str("17") == F(17)
     assert rat_from_str(rat_to_str(F(123456789, 7))) == F(123456789, 7)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, -7, 10**639, 10**640 + 1, 2**20000 - 1, 10**4300 - 1, 10**4300, 7 * 10**9000 + 3],
+    ids=lambda n: f"{n.bit_length()}_bits",
+)
+def test_int_to_str_passes_the_str_digit_limit(n, int_str_limit):
+    # 10**k + small numbers need the lower part zero-filled
+    q = F(-n - 1, 2**17000 + 1)
+    int_str_limit(0)
+    expected = str(n), str(-n), f"{q.numerator}/{q.denominator}"
+    for limit in (640, 4300, 0):
+        int_str_limit(limit)
+        assert (int_to_str(n), int_to_str(-n), rat_to_str(q)) == expected
 
 
 def test_scale_variable():

@@ -10,7 +10,10 @@ import sys
 import pytest
 
 import bhkovacic
+from bhkovacic.algebra import Poly
 from bhkovacic.cli import main
+from bhkovacic.kovacic import family_by_label
+from bhkovacic.master import special_frequency
 
 
 def run(capsys, *argv):
@@ -299,6 +302,96 @@ def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypa
     assert failing == {"g8.low_degree", "hautot.det_roots"}
 
 
+def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
+    capsys, monkeypatch
+):
+    # plant a nullspace at the third oracle case (E7, l = 1, s = 2), a failed
+    # operator identity and an unequal Laguerre block from j = 2 on
+    import dataclasses
+
+    import bhkovacic.cli as cli
+
+    real_nullspace = cli.brute_force_polynomial_solutions
+    real_homotopy, real_equality = cli.homotopic_equivalence_check, cli.determinant_equality_check
+    calls = []
+
+    def planted_nullspace(ode, d):
+        calls.append(d)
+        basis = real_nullspace(ode, d)
+        return basis + [Poly.x()] if len(calls) >= 3 else basis
+
+    def planted_homotopy():
+        return dataclasses.replace(real_homotopy(), operator_identities_ok=False)
+
+    def planted_equality(j):
+        report = real_equality(j)
+        return dataclasses.replace(report, laguerre_equal=report.laguerre_equal and j < 2)
+
+    monkeypatch.setattr(cli, "brute_force_polynomial_solutions", planted_nullspace)
+    monkeypatch.setattr(cli, "homotopic_equivalence_check", planted_homotopy)
+    monkeypatch.setattr(cli, "determinant_equality_check", planted_equality)
+    code, out, _ = run(capsys, "verify-all", "--l-max", "2", "--max-degree", "4", "--json")
+    assert code == 1
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    assert records["oracle.agreement"]["witness"] == {
+        "first_failure": {"family": "E7", "l": 1, "s": "2"}
+    }
+    assert records["homotopy.z_power"]["witness"] == {
+        "first_failure": {"check": "operator_identities"}
+    }
+    assert records["hautot.det_equality"]["witness"] == {"first_failure": {"j": 2}}
+    failing = {name for name, r in records.items() if r["status"] == "fail"}
+    assert failing == {"oracle.agreement", "homotopy.z_power", "hautot.det_equality"}
+
+    # the G7 case comes first, and a failed parameter map before an identity;
+    # two dummy calls make the planted nullspace start at the first case
+    calls[:] = [0, 0]
+    monkeypatch.setattr(
+        cli,
+        "homotopic_equivalence_check",
+        lambda: dataclasses.replace(
+            real_homotopy(), parameter_maps_ok=False, operator_identities_ok=False
+        ),
+    )
+    records = {r.name: r for r in cli.run_verify_all(l_max=2, d_max=4).records}
+    assert records["oracle.agreement"].witness == {
+        "first_failure": {"family": "G7", "l": 2, "s": special_frequency(2)}
+    }
+    assert records["homotopy.z_power"].witness == {"first_failure": {"check": "parameter_maps"}}
+
+
+def test_chandra_writes_integers_past_the_str_limit(capsys, int_str_limit):
+    # at l = 6 the coefficients have up to 1,076 digits: past a 640-digit
+    # limit, as those of l = 9 are past the default 4,300
+    outputs = {}
+    for limit in (0, 640):
+        int_str_limit(limit)
+        for fmt in ("json", "csv", "human"):
+            code, out, err = run(capsys, "chandra", "--l", "6", "--verify", "--format", fmt)
+            assert code == 0, err
+            outputs[limit, fmt] = out
+    assert all(outputs[640, fmt] == outputs[0, fmt] for fmt in ("json", "csv", "human"))
+    assert max(map(len, json.loads(outputs[640, "json"])["records"][0]["witness"]["w_frame"])) > 640
+
+
+def test_evidence_out_writes_integers_past_the_str_limit(capsys, tmp_path, int_str_limit):
+    # G3 at l = 2 passes the default 4,300-digit limit near d = 860
+    from bhkovacic.evidence import _cell, _column
+
+    int_str_limit(4300)
+    out_path = tmp_path / "cells.json"
+    code, _, err = run(
+        capsys, "evidence", "--family", "G3", "--l-max", "2", "--max-degree", "880",
+        "--out", str(out_path),
+    )
+    assert code == 0, err
+    int_str_limit(0)
+    cells = json.loads(out_path.read_text())
+    assert len(cells) == 881 and len(cells[-1]["D_last"]) > 4300
+    column = _column(family_by_label("G3"), 2)
+    assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (878, 879, 880)]
+
+
 def test_verify_all_builds_each_closed_form_once(monkeypatch):
     # the checks and both expansions share one P(w) per l; the oracle record
     # builds P(r) at l = 2 on its own
@@ -330,6 +423,8 @@ def test_verify_all_passing_witnesses_name_no_failure(capsys):
     assert records["hautot.det_roots"]["witness"] is None
     assert list(records["hautot.expansions"]["witness"]) == ["l2_coefficients"]
     assert records["evidence.scan"]["witness"] == {"cells": 5 * 5, "flagged": 3}
+    for name in ("oracle.agreement", "homotopy.z_power", "hautot.det_equality"):
+        assert records[name]["witness"] is None
 
 
 def test_verify_all_scan_failure_names_its_first_cell(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhkovacic import evidence
 from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import build_auxiliary, tridiagonal_system
 from bhkovacic.elimination import bareiss_determinant, integerize_rows, tridiag_minors
@@ -363,18 +365,90 @@ def test_scan_report_absorbs_columns_in_order():
 
 
 def test_worker_count_clamps_bhk_threads():
-    # a pure function of (value, columns, cpus): no process is started
-    assert _worker_count(None, columns=5, cpus=4) == 1
-    assert _worker_count("", columns=5, cpus=4) == 1
-    assert _worker_count("3", columns=5, cpus=4) == 3
-    assert _worker_count("8", columns=5, cpus=4) == 4
-    assert _worker_count("8", columns=2, cpus=4) == 2
-    assert _worker_count("0", columns=5, cpus=4) == 1
-    assert _worker_count("-2", columns=5, cpus=4) == 1
-    assert _worker_count("two", columns=5, cpus=4) == 1
-    assert _worker_count("1.5", columns=5, cpus=4) == 1
-    assert _worker_count(3, columns=5, cpus=None) == 1
-    assert _worker_count(2, columns=5, cpus=4) == 2
+    # a pure function of (value, columns, cpus, steps): no process is started
+    small, large = evidence._POOL_MIN_STEPS - 1, evidence._POOL_MIN_STEPS
+    for steps in (small, large):
+        assert _worker_count("", columns=5, cpus=4, steps=steps) == 1
+        assert _worker_count("3", columns=5, cpus=4, steps=steps) == 3
+        assert _worker_count("8", columns=5, cpus=4, steps=steps) == 4
+        assert _worker_count("8", columns=2, cpus=4, steps=steps) == 2
+        assert _worker_count("0", columns=5, cpus=4, steps=steps) == 1
+        assert _worker_count("-2", columns=5, cpus=4, steps=steps) == 1
+        assert _worker_count("two", columns=5, cpus=4, steps=steps) == 1
+        assert _worker_count("1.5", columns=5, cpus=4, steps=steps) == 1
+        assert _worker_count("1", columns=5, cpus=4, steps=steps) == 1
+        assert _worker_count(3, columns=5, cpus=None, steps=steps) == 1
+        assert _worker_count(2, columns=5, cpus=4, steps=steps) == 2
+        assert _worker_count(None, columns=5, cpus=None, steps=steps) == 1
+    # unset: serial below the constant, one process per CPU above it
+    assert _worker_count(None, columns=5, cpus=4, steps=small) == 1
+    assert _worker_count(None, columns=5, cpus=4, steps=large) == 4
+    assert _worker_count(None, columns=3, cpus=4, steps=large) == 3
+    assert _worker_count(None, columns=5, cpus=1, steps=large) == 1
+    # the verify-all grid (17 columns, d <= 100) stays serial; the default
+    # evidence grid (59 columns, d <= 500) takes every CPU
+    assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * 102 // 2) == 1
+    assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * 502 // 2) == 2
+
+
+class _CountedPool(ProcessPoolExecutor):
+    """A ProcessPoolExecutor that records the pools a scan starts."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def counted_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.delenv("BHK_THREADS", raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountedPool)
+    _CountedPool.started = []
+    return _CountedPool.started
+
+
+def test_scan_takes_the_pool_by_default_above_the_constant(monkeypatch, tmp_path, counted_pool):
+    monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 100)
+    monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
+    runs = {}
+    for workers in (1, None):
+        out = tmp_path / f"cells{workers}.json"
+        report = scan(families=("E7", "G3"), l_max=3, d_max=30, out=str(out), workers=workers)
+        runs[workers] = report, out.read_bytes()
+    assert counted_pool == [2]  # only the run without a worker count
+    assert runs[1][0] == runs[None][0]
+    assert runs[1][1] == runs[None][1]
+
+
+def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
+    monkeypatch.setattr(evidence, "_usable_cpus", lambda: 64)
+    assert scan(l_max=6, d_max=100).cells == 1717
+    assert counted_pool == []
+    monkeypatch.setenv("BHK_THREADS", "1")
+    monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 0)
+    scan(families=("G3",), l_max=3, d_max=10)
+    assert counted_pool == []
+
+
+def test_scan_workers_write_integers_past_the_str_limit(tmp_path, int_str_limit):
+    # G3 at l = 3 has a 649-digit D_last at d = 160: past a 640-digit limit,
+    # as G3 at l = 2 passes the default 4,300 digits near d = 860
+    int_str_limit(640)
+    files = {}
+    for workers in (1, 2):
+        out = tmp_path / f"cells{workers}.json"
+        scan(families=("G3",), l_max=3, d_max=170, out=str(out), workers=workers)
+        files[workers] = out.read_bytes()
+    assert files[1] == files[2]
+    int_str_limit(0)
+    cells = json.loads(files[1])
+    assert max(len(c["D_last"]) for c in cells) > 640
+    column = _column(family_by_label("G3"), 3)
+    assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (168, 169, 170)]
 
 
 def test_scan_honors_thread_env(monkeypatch, tmp_path):

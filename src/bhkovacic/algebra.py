@@ -40,12 +40,32 @@ __all__ = [
 
 
 def rat_from_str(text: str) -> Rational:
-    """Parse the wire format ``"num/den"`` or ``"num"``."""
+    """Parse the wire format ``"num/den"`` or ``"num"``, of any size."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_int_from_str(num), _int_from_str(den))
+    return Fraction(_int_from_str(text))
+
+
+def _int_from_str(text: str) -> int:
+    """The inverse of :func:`int_to_str`.
+
+    ``int`` refuses more digits than ``sys.get_int_max_str_digits()``; such
+    a run of decimal digits is split into a high and a low half, parsed
+    each, and joined as high * 10**k + low.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        negative = digits[:1] == "-"
+        digits = digits[1:] if digits[:1] in ("-", "+") else digits
+        if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = _int_from_str(digits[:-k]) * 10**k + _int_from_str(digits[-k:])
+    return -value if negative else value
 
 
 def int_to_str(n: int) -> str:

@@ -226,14 +226,22 @@ class Recurrence3:
             for k in range(rows)
         ]
 
+    @property
+    def den(self) -> int:
+        """The common denominator of the rational coefficients."""
+        rows = (self.lower_k, self.diag_k, self.upper_k)
+        return math.lcm(*(c.denominator for row in rows for c in row))
+
     def cleared(self) -> Recurrence3:
-        """Every row times the common denominator of the rational coefficients.
+        """Every row times :attr:`den`, the common denominator of the coefficients.
 
         The rows keep their zeros, and the entries are integers at integer k.
         """
+        den = self.den
         rows = (self.lower_k, self.diag_k, self.upper_k)
-        den = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
-        return Recurrence3(*(tuple(int(c * den) for c in row) for row in rows))
+        return Recurrence3(
+            *(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
+        )
 
     def det(self, size: int):
         """Leading size x size minor of the tridiagonal matrix of rows 0..size-1.
@@ -613,12 +621,22 @@ def _binomial_power(c: int, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _series_rows(ode: AuxiliaryODE, d: int, rows: int) -> list:
-    """Residual rows of a degree-d power-series ansatz about the frame origin."""
+def _series_rows(ode: AuxiliaryODE, d: int, rows: int) -> tuple:
+    """(matrix, den): residual rows 0..rows-1 of a degree-d power-series
+    ansatz about the frame origin, in integers.
+
+    Row m holds lower(m), diag(m) and upper(m) of ``recurrence(ode, 0, 0)``
+    in columns m-1, m and m+1 (those within 0..d).  Every row is multiplied
+    by the same positive integer den, the common denominator of the
+    recurrence's coefficients (:meth:`Recurrence3.cleared`), so the entries
+    are integers and the nullspace is unchanged.
+    """
     rec = recurrence(ode, 0, 0)
+    den = rec.den
+    rec = rec.cleared()
     matrix = []
     for m in range(rows):
-        row = [Fraction(0)] * (d + 1)
+        row = [0] * (d + 1)
         if 0 <= m - 1 <= d:
             row[m - 1] = rec.lower(m)
         if 0 <= m <= d:
@@ -626,7 +644,7 @@ def _series_rows(ode: AuxiliaryODE, d: int, rows: int) -> list:
         if 0 <= m + 1 <= d:
             row[m + 1] = rec.upper(m)
         matrix.append(row)
-    return matrix
+    return matrix, den
 
 
 def brute_force_polynomial_solutions(ode: AuxiliaryODE, d: int) -> List[Poly]:
@@ -634,17 +652,22 @@ def brute_force_polynomial_solutions(ode: AuxiliaryODE, d: int) -> List[Poly]:
 
     Sets up every residual row of the ansatz sum lam_k x^k (rows 0..d+1;
     the top one vanishes identically exactly when d matches the family's
-    degree formula) and solves the homogeneous system by fraction-free
-    elimination.
+    degree formula) as the integer rows of :func:`_series_rows`, whose
+    common factor den leaves the solutions alone, and solves the
+    homogeneous system by fraction-free elimination in integers.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    matrix = _series_rows(ode, d, d + 2)
+    matrix, _ = _series_rows(ode, d, d + 2)
     return [Poly(vec) for vec in nullspace(matrix)]
 
 
-def tridiagonal_system(ode: AuxiliaryODE, d: int) -> list:
-    """The (d+1) x (d+1) candidate system (rows 0..d) as rational rows."""
+def tridiagonal_system(ode: AuxiliaryODE, d: int) -> tuple:
+    """(rows, den): the (d+1) x (d+1) candidate system (rows 0..d) in integers.
+
+    Every row is the rational recurrence row times den, so the determinant
+    of the rational system is ``bareiss_determinant(rows) / den ** (d + 1)``.
+    """
     return _series_rows(ode, d, d + 1)
 
 

@@ -1,10 +1,12 @@
 """Fraction-free exact linear algebra: Bareiss elimination, determinants,
-and nullspaces over the rationals, and the leading minors of a
-tridiagonal matrix.
+and nullspaces in integers, and the leading minors of a tridiagonal matrix.
 
-Rows are scaled to integers first; the single-step Bareiss scheme then
+The systems arrive as integer rows (rational rows are scaled to integers
+first, by :func:`integerize_rows`).  The single-step Bareiss scheme then
 keeps every intermediate entry an exact integer (each is a minor of the
-input), so zero tests and signs are never in doubt.
+input), and nullspace vectors are back-substituted in integers too, so
+zero tests and signs are never in doubt, and integer rows never become
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,17 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _bareiss_step(target: List[int], pivot_row: List[int], pivot: int, prev: int, start: int):
+    """One Bareiss row update in place: target[j] <- (pivot target[j] -
+    target[start] pivot_row[j]) / prev for j >= start, each division exact."""
+    factor = target[start]
+    for j in range(start, len(target)):
+        q, r = divmod(pivot * target[j] - factor * pivot_row[j], prev)
+        if r:
+            raise ArithmeticError("fraction-free elimination lost exactness")
+        target[j] = q
+
+
 def integerize_rows(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
     """Scale each row by the lcm of its denominators (nullspace-preserving)."""
     out = []
@@ -69,9 +82,7 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
                 return 0
         pivot = m[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = 0
+            _bareiss_step(m[i], m[k], pivot, prev, k)
         prev = pivot
     return sign * m[n - 1][n - 1]
 
@@ -95,9 +106,7 @@ def _echelon(matrix: List[List[int]]) -> tuple:
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pivot = m[r][c]
         for i in range(r + 1, n_rows):
-            fi = m[i][c]
-            for j in range(c, n_cols):
-                m[i][j] = _exact_div(pivot * m[i][j] - fi * m[r][j], prev)
+            _bareiss_step(m[i], m[r], pivot, prev, c)
         prev = pivot
         pivots.append(c)
         r += 1
@@ -106,45 +115,43 @@ def _echelon(matrix: List[List[int]]) -> tuple:
     return m[:r], pivots
 
 
-def nullspace(rows: Sequence[Sequence[Rational]]) -> List[List[Rational]]:
+def nullspace(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
     """Basis of the right nullspace, one vector per free column.
 
-    Vectors are returned over Fraction, normalized to primitive integer
-    entries with the highest-index nonzero entry positive.
+    Integer rows go to the echelon form as they are; rows with a
+    non-integer entry are scaled by :func:`integerize_rows` first.  Each
+    vector is back-substituted in integers: before the pivot entry p of a
+    row is solved from acc, the sum of the row's later terms, the partial
+    vector is scaled by |p| / gcd(acc, p), which makes the division exact.
+    The entry of the free column starts at 1 and is only ever scaled up,
+    and every later entry stays 0, so it is the highest-index nonzero entry
+    and positive.  Divided by the gcd of its entries, the vector is the one
+    primitive vector of its solution line with that sign.
     """
     if not rows:
         return []
     n_cols = len(rows[0])
-    echelon, pivots = _echelon(integerize_rows(rows))
+    if not all(isinstance(v, int) for row in rows for v in row):
+        rows = integerize_rows(rows)
+    echelon, pivots = _echelon(rows)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
+        vec = [0] * n_cols
+        vec[free] = 1
         # back-substitute pivot rows bottom-up
         for row_idx in range(len(pivots) - 1, -1, -1):
             c = pivots[row_idx]
             row = echelon[row_idx]
-            acc = Fraction(0)
-            for j in range(c + 1, n_cols):
-                if row[j] and vec[j]:
-                    acc += Fraction(row[j]) * vec[j]
-            vec[c] = -acc / row[c]
-        basis.append(_primitive(vec))
+            acc = sum(row[j] * vec[j] for j in range(c + 1, n_cols) if vec[j])
+            if not acc:
+                continue
+            pivot = row[c]
+            scale = abs(pivot) // math.gcd(acc, pivot)
+            if scale != 1:
+                vec = [v * scale for v in vec]
+                acc *= scale
+            vec[c] = _exact_div(-acc, pivot)
+        g = math.gcd(*vec)
+        basis.append([v // g for v in vec])
     return basis
-
-
-def _primitive(vec: List[Fraction]) -> List[Fraction]:
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g == 0:
-        return [Fraction(0)] * len(vec)
-    lead = next(v for v in reversed(ints) if v != 0)
-    if lead < 0:
-        g = -g
-    return [Fraction(v, g) for v in ints]

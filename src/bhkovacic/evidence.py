@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .auxode import (
     symbolic_recurrence,
     tridiagonal_system,
 )
-from .elimination import bareiss_determinant, integerize_rows, tridiag_minors
+from .elimination import bareiss_determinant, tridiag_minors
 from .kovacic import Family, family_by_label
 from .master import ModeSpec, PerturbationKind
 
@@ -227,14 +226,13 @@ class ScanReport:
 def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
-    Row scaling to integers multiplies the determinant by the product of
-    the per-row scale factors, which is divided back out.
+    The system's d+1 integer rows are the rational rows times one factor
+    den, so the determinant is divided by den ** (d + 1).
     """
     fam = family_by_label(family)
     ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(family, d)))
-    rows = tridiagonal_system(ode, d)
-    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in rows)
-    det = Fraction(bareiss_determinant(integerize_rows(rows)), scale)
+    rows, den = tridiagonal_system(ode, d)
+    det = Fraction(bareiss_determinant(rows), den ** (d + 1))
     D_last = _cell(_column(fam, l), d)[2]
     nullspace_dim = len(brute_force_polynomial_solutions(ode, d)) if d <= 8 else None
     return {

@@ -134,6 +134,19 @@ def test_rational_wire_format():
     assert rat_from_str(rat_to_str(F(123456789, 7))) == F(123456789, 7)
 
 
+def test_rat_from_str_reads_back_past_the_str_digit_limit(int_str_limit):
+    # numerator and denominator of more than 9,000 digits each, coprime
+    q = F(3**19000 + 2, 2**30000)
+    assert min(len(int_to_str(q.numerator)), len(int_to_str(q.denominator))) > 9000
+    int_str_limit(4300)  # CPython's default
+    for value in (q, -q, F(q.numerator), F(-q.numerator), F(10**9000), F(-(10**9000) - 1)):
+        assert rat_from_str(rat_to_str(value)) == value
+    assert rat_from_str("+" + int_to_str(q.numerator)) == q.numerator
+    for bad in ("1" * 5000 + "x", "1" * 5000 + "-1", "--" + "1" * 5000, "1" * 5000 + "/"):
+        with pytest.raises(ValueError):
+            rat_from_str(bad)
+
+
 @pytest.mark.parametrize(
     "n",
     [0, -7, 10**639, 10**640 + 1, 2**20000 - 1, 10**4300 - 1, 10**4300, 7 * 10**9000 + 3],

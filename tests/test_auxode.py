@@ -23,7 +23,7 @@ from bhkovacic.auxode import (
     to_z_frame,
     tridiagonal_system,
 )
-from bhkovacic.elimination import bareiss_determinant, integerize_rows, nullspace
+from bhkovacic.elimination import bareiss_determinant, nullspace
 from bhkovacic.kovacic import family_by_label
 from bhkovacic.master import ModeSpec, special_frequency
 
@@ -449,24 +449,20 @@ def test_degree_law():
 
 
 def test_tridiagonal_system_det_matches_recurrence():
-    # the (d+1) x (d+1) candidate determinant equals the minor recurrence
-    from bhkovacic.evidence import degree_to_s, det_sequence
+    # the (d+1) x (d+1) candidate determinant equals the minor recurrence;
+    # the system is (rows, den), integer rows that are each the rational row
+    # times den, so the determinant is the Bareiss one over den^(d+1)
+    from bhkovacic.evidence import default_l_range, degree_to_s, det_sequence
 
-    for label, l, d in (("G3", 2, 5), ("E3", 1, 4), ("E7", 1, 2)):
-        s = degree_to_s(label, d)
+    for label in ("G3", "E3", "E7"):
         fam = family_by_label(label)
-        ode = build_auxiliary(fam, ModeSpec(fam.kind, l, s))
-        rows = tridiagonal_system(ode, d)
-        import math
-
-        scale = 1
-        for row in rows:
-            den = 1
-            for v in row:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-            scale *= den
-        det = F(bareiss_determinant(integerize_rows(rows)), scale)
-        assert det == det_sequence(label, l, d).D_last
+        for l in default_l_range(label, 4):
+            for d in range(13):
+                ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(label, d)))
+                rows, den = tridiagonal_system(ode, d)
+                assert den > 0 and all(type(v) is int for row in rows for v in row)
+                det = F(bareiss_determinant(rows), den ** (d + 1))
+                assert det == det_sequence(label, l, d).D_last, (label, l, d)
 
 
 # ---------------------------------------------------------------------------

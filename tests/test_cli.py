@@ -489,3 +489,38 @@ def test_startup_imports_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module,name,exc,argv",
+    (
+        (
+            "bhkovacic.evidence",
+            "bareiss_determinant",
+            ArithmeticError("fraction-free elimination lost exactness"),
+            ("evidence", "--family", "G3", "--l-max", "2", "--max-degree", "4", "--json"),
+        ),
+        (
+            "bhkovacic.cli",
+            "enumerate_families_n1",
+            NotImplementedError("no such branch"),
+            ("families", "--beta", "scalar", "--json"),
+        ),
+    ),
+    ids=("arithmetic", "not_implemented"),
+)
+def test_internal_failure_is_one_error_line_and_exit_one(
+    capsys, monkeypatch, module, name, exc, argv
+):
+    # an exact computation that cannot finish is a failed run (exit 1), not
+    # a usage error (exit 2), and it prints no traceback
+    import importlib
+
+    def planted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(importlib.import_module(module), name, planted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {type(exc).__name__}: {exc}\n"

@@ -1,5 +1,6 @@
 """Fraction-free elimination against a plain rational-arithmetic oracle."""
 
+import math
 from fractions import Fraction as F
 
 import sympy
@@ -66,6 +67,51 @@ def test_nullspace_vectors_annihilate(matrix):
         assert any(v != 0 for v in vec)
         for row in matrix:
             assert sum(F(a) * b for a, b in zip(row, vec)) == 0
+
+
+def fraction_nullspace(matrix):
+    """The nullspace by back-substitution over Fraction, made primitive with
+    its highest-index nonzero entry positive: the reference for the
+    integer back-substitution."""
+    rows = integerize_rows(matrix)
+    n_cols = len(rows[0])
+    m = sympy.Matrix(rows).rref()
+    pivots = list(m[1])
+    echelon = [[F(int(v.p), int(v.q)) for v in m[0].row(i)] for i in range(len(pivots))]
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [F(0)] * n_cols
+        vec[free] = F(1)
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            acc = sum((echelon[i][j] * vec[j] for j in range(c + 1, n_cols)), F(0))
+            vec[c] = -acc / echelon[i][c]
+        den = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * den) for v in vec]
+        g = math.gcd(*ints)
+        if next(v for v in reversed(ints) if v) < 0:
+            g = -g
+        basis.append([v // g for v in ints])
+    return basis
+
+
+def _rank(vectors):
+    return sympy.Matrix(vectors).rank() if vectors else 0
+
+
+@given(rect_matrices)
+@settings(max_examples=120, deadline=None)
+def test_integer_nullspace_matches_rational_and_sympy(matrix):
+    basis = nullspace(matrix)
+    # integer rows go straight to the integer path; the scaled rows have
+    # the same nullspace, so the primitive basis is the same list
+    assert nullspace(integerize_rows(matrix)) == basis
+    assert all(type(v) is int for vec in basis for v in vec)
+    assert basis == fraction_nullspace(matrix)
+    # the same space as sympy's basis: equal dimension, and stacking the two
+    # adds no rank
+    theirs = [list(v) for v in sympy.Matrix(matrix).nullspace()]
+    assert len(basis) == len(theirs) == _rank(basis) == _rank(basis + theirs)
 
 
 def test_nullspace_known():

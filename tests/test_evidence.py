@@ -1,7 +1,6 @@
 """Determinant-sign evidence and the S3 non-existence record."""
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
@@ -11,8 +10,13 @@ from hypothesis import strategies as st
 
 from bhkovacic import evidence
 from bhkovacic.algebra import Poly, rational_roots
-from bhkovacic.auxode import build_auxiliary, tridiagonal_system
-from bhkovacic.elimination import bareiss_determinant, integerize_rows, tridiag_minors
+from bhkovacic.auxode import (
+    brute_force_polynomial_solutions,
+    build_auxiliary,
+    chandrasekhar_r_frame,
+    tridiagonal_system,
+)
+from bhkovacic.elimination import bareiss_determinant, tridiag_minors
 from bhkovacic.evidence import (
     SCAN_FAMILIES,
     ScanReport,
@@ -46,12 +50,11 @@ def _candidate_ode(label, l, d):
 def _direct_det(ode, size):
     """Exact determinant of rows 0..size-1 of the candidate system, by Bareiss.
 
-    Scaling each row to integers multiplies the determinant by the row's
-    scale factor, which is divided back out.
+    Each integer row is the rational row times the one factor den, which
+    is divided back out.
     """
-    rows = tridiagonal_system(ode, size - 1)
-    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in rows)
-    return F(bareiss_determinant(integerize_rows(rows)), scale)
+    rows, den = tridiagonal_system(ode, size - 1)
+    return F(bareiss_determinant(rows), den**size)
 
 
 def _engine_minors(label, l, d):
@@ -136,6 +139,36 @@ def test_g7_positive_control():
             D_last = _engine_minors("G7", l, near)[-1]
             assert D_last != 0
             assert D_last == _direct_det(_candidate_ode("G7", l, near), near + 1), (l, near)
+    # and at s* the brute-force nullspace is one line, spanned by
+    # Chandrasekhar's polynomial in the r frame
+    for l in (2, 3):
+        d = int(2 * special_frequency(l)) + 1
+        basis = brute_force_polynomial_solutions(_candidate_ode("G7", l, d), d)
+        target = chandrasekhar_r_frame(l)
+        assert len(basis) == 1, l
+        assert basis[0] * target.leading() == target * basis[0].leading(), l
+
+
+def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
+    # one cleared diagonal entry of one explicit system is off by one: its
+    # cross-check disagrees, and the scan names that cell first
+    planted_cell = ("E3", 2, 8)
+    real_system = evidence.tridiagonal_system
+
+    def planted_system(ode, d):
+        rows, den = real_system(ode, d)
+        if (ode.family_label, ode.mode.l, d) == planted_cell:
+            rows[4][4] += 1
+        return rows, den
+
+    monkeypatch.setattr(evidence, "tridiagonal_system", planted_system)
+    report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12, workers=1)
+    failed = [c for c in report.cross_checks if not c["agree"]]
+    assert [(c["family"], c["l"], c["d"]) for c in failed] == [planted_cell]
+    assert failed[0]["bareiss_det"] != failed[0]["recurrence_det"]
+    assert not report.cross_checks_ok
+    assert report.all_final_signs_ok
+    assert report.first_failure == {"check": "cross_check", "family": "E3", "l": 2, "d": 8}
 
 
 def test_s3_engine_matches_bareiss():

@@ -407,15 +407,6 @@ class Poly:
                 bpow *= b
         return Poly.from_numerators(out, self.den * bpow // b)
 
-    def content_primitive(self) -> tuple:
-        """(content, primitive integer coefficient list); primitive has gcd 1."""
-        if self.is_zero():
-            return Fraction(0), []
-        g = math.gcd(*self.num)
-        if self.num[-1] < 0:
-            g = -g
-        return Fraction(g, self.den), [v // g for v in self.num]
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
@@ -465,7 +456,8 @@ def rational_roots(p: Poly) -> list:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every rational as a root")
-    _, ints = p.content_primitive()
+    g = math.gcd(*p.num)
+    ints = [v // g for v in p.num]
     # strip x^k factors: root 0
     roots = []
     k0 = 0

@@ -11,11 +11,11 @@ double poles and cinf^2 cancels the constant part of nu.  The same
 equation is carried in three frames: r itself, w = r-2 and z = r/2 (the
 confluent Heun normal form).
 
-Everything here is exact.  The module provides the general three-term
-Frobenius recurrence of such an equation about either finite singular
-point, a fixed-degree polynomial solver that keeps the frequency s
-unknown, the closed-form polynomial behind the second algebraically
-special gravitational solution together with its verification suite, a
+Everything here is exact.  The module provides the three-term Frobenius
+recurrence of such an equation about its frame origin on the root 0, a
+fixed-degree polynomial solver that keeps the frequency s unknown, the
+closed-form polynomial behind the second algebraically special
+gravitational solution together with its verification suite, a
 fraction-free brute-force nullspace oracle, and the homotopic z-power
 substitution linking the G7/G3 and E7/E3 confluent Heun forms.
 """
@@ -48,8 +48,8 @@ __all__ = [
     "chandrasekhar_r_frame",
     "chandrasekhar_checks",
     "VerificationRecord",
+    "candidate_rows",
     "brute_force_polynomial_solutions",
-    "tridiagonal_system",
     "homotopic_equivalence_check",
 ]
 
@@ -58,7 +58,7 @@ __all__ = [
 class AuxiliaryODE:
     """p2 P'' + p1 P' + p0 P = 0 in a named coordinate frame."""
 
-    frame: str  # "r", "w", "z" or "u"
+    frame: str  # "r", "w" or "z"
     p2: Poly
     p1: Poly
     p0: Poly
@@ -172,7 +172,7 @@ class HeunForm:
         (k+1)(c-k); with e = -a n its leading (n+1) x (n+1) block is the
         system a degree-n polynomial solution must satisfy.
         """
-        return _recurrence3(0, 1, -1, self.a, self.b, self.c, self.e, self.d)
+        return _recurrence3(1, -1, self.a, self.b, self.c, self.e, self.d)
 
 
 def to_heun_form(ode: AuxiliaryODE) -> HeunForm:
@@ -187,20 +187,19 @@ def to_heun_form(ode: AuxiliaryODE) -> HeunForm:
 
 @dataclass(frozen=True)
 class Recurrence3:
-    """Three-term relation for Frobenius coefficients about a singular point.
+    """Three-term relation for Frobenius coefficients about the frame origin.
 
-    For P = sum lam_k t^(k+rho) with t the distance to the point, row k of
-    the residual reads lower(k) lam_{k-1} + diag(k) lam_k + upper(k)
-    lam_{k+1} = 0 (lam_{-1} = 0), with
+    For P = sum lam_k t^k, row k of the residual reads lower(k) lam_{k-1}
+    + diag(k) lam_k + upper(k) lam_{k+1} = 0 (lam_{-1} = 0), with
 
-        lower(k) = a (k+rho-1) + e
-        diag(k)  = (k+rho)(alpha (k+rho-1) + b) + f
-        upper(k) = (k+rho+1)(beta (k+rho) + c)
+        lower(k) = a (k-1) + e
+        diag(k)  = k (alpha (k-1) + b) + f
+        upper(k) = (k+1)(beta k + c)
 
-    where p2 = alpha t^2 + beta t, p1 = a t^2 + b t + c and p0 = e t + f
-    after shifting the point to the origin.  Each entry is kept as its
-    coefficient tuple in k, lowest power first; the coefficients are
-    rationals, or polynomials in s (:func:`symbolic_recurrence`).
+    where p2 = alpha t^2 + beta t, p1 = a t^2 + b t + c and p0 = e t + f.
+    Each entry is kept as its coefficient tuple in k, lowest power first;
+    the coefficients are rationals, or polynomials in s
+    (:func:`symbolic_recurrence`).
     """
 
     lower_k: tuple
@@ -253,45 +252,39 @@ class Recurrence3:
         return [1, *tridiag_minors(map(self.diag, range(size)), offprod)][-1]
 
 
-def recurrence(ode: AuxiliaryODE, point, rho) -> Recurrence3:
-    """Three-term recurrence of ode about a finite regular singular point.
+def recurrence(ode: AuxiliaryODE) -> Recurrence3:
+    """Three-term recurrence of ode about its frame origin, on the root rho = 0.
 
-    ``point`` is given in the ode's own coordinate; ``rho`` must be a root
-    of the indicial equation there.
+    The origin must be a regular singular point: r = 0 in the r frame, the
+    horizon in the w frame (:func:`to_w_frame`).  The branch of the other
+    indicial root, P = t^m P1, is the z-power substitution that
+    :func:`homotopic_equivalence_check` verifies.
     """
-    point = Fraction(point)
-    rho = Fraction(rho)
-    p2s = ode.p2.shift(point)
-    p1s = ode.p1.shift(point)
-    p0s = ode.p0.shift(point)
-    if p2s[0] != 0 or p2s[1] == 0:
-        raise ValueError(f"{point} is not a regular singular point in frame {ode.frame}")
-    if ode.p2.degree > 2 or ode.p1.degree > 2 or ode.p0.degree > 1:
+    p2, p1, p0 = ode.p2, ode.p1, ode.p0
+    if p2[0] != 0 or p2[1] == 0:
+        raise ValueError(f"the origin is not a regular singular point in frame {ode.frame}")
+    if p2.degree > 2 or p1.degree > 2 or p0.degree > 1:
         raise ValueError("coefficients exceed the cleared-form degrees")
-    alpha, beta = p2s[2], p2s[1]
-    c = p1s[0]
-    if rho * (beta * (rho - 1) + c) != 0:
-        raise ValueError(f"rho={rho} is not an indicial root at {point}")
-    return _recurrence3(rho, alpha, beta, p1s[2], p1s[1], c, p0s[1], p0s[0])
+    return _recurrence3(p2[2], p2[1], p1[2], p1[1], p1[0], p0[1], p0[0])
 
 
 def symbolic_recurrence(family: Family, l: int) -> Recurrence3:
     """The r-frame recurrence about r = 0 (rho = 0) with s left symbolic.
 
     Its entries are polynomials in s; at a given s they equal those of
-    ``recurrence(build_auxiliary(family, mode), 0, 0)``.
+    ``recurrence(build_auxiliary(family, mode))``.
     """
     p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
     # p2 = r(r-2) = r^2 - 2r
-    return _recurrence3(0, 1, -2, p1_quad, p1_lin, p1_const, e, f)
+    return _recurrence3(1, -2, p1_quad, p1_lin, p1_const, e, f)
 
 
-def _recurrence3(rho, alpha, beta, a, b, c, e, f) -> Recurrence3:
+def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
     """The :class:`Recurrence3` entry formulas, expanded in k; ring-neutral."""
     return Recurrence3(
-        lower_k=(a * (rho - 1) + e, a),
-        diag_k=(rho * (alpha * (rho - 1) + b) + f, alpha * (2 * rho - 1) + b, alpha),
-        upper_k=((rho + 1) * (beta * rho + c), beta * (2 * rho + 1) + c, beta),
+        lower_k=(e - a, a),
+        diag_k=(f, b - alpha, alpha),
+        upper_k=(c, beta + c, beta),
     )
 
 
@@ -300,9 +293,7 @@ def _recurrence3(rho, alpha, beta, a, b, c, e, f) -> Recurrence3:
 # ---------------------------------------------------------------------------
 
 
-def solve_low_degree(
-    family: Family, d: int, l: Optional[int] = None, s_fixed=None
-) -> List[tuple]:
+def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple]:
     """All (s, P) with P a degree-d polynomial solution, d in {0, 1}.
 
     The residual of a monic degree-d trial polynomial is linear in r plus,
@@ -314,8 +305,6 @@ def solve_low_degree(
     """
     if d not in (0, 1):
         raise ValueError("fixed-degree solver covers d in {0, 1} only")
-    if l is None:
-        raise ValueError("an angular index l is required")
     p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
 
     if d == 0:
@@ -485,7 +474,7 @@ def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
         P_w = chandrasekhar_coeffs(l)
     den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
     del P_w  # hold one coefficient vector at a time
-    rec = recurrence(_g7_ode(l), 0, 0).cleared()
+    rec = recurrence(_g7_ode(l)).cleared()
     d = int(2 * special_frequency(l) + 1)
     num = [0] * (d + 2)
     num[d] = top
@@ -553,7 +542,7 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     ode_r = _g7_ode(l)
     ode_w = to_w_frame(ode_r)
 
-    rec_w = recurrence(ode_w, 0, 0).cleared()
+    rec_w = recurrence(ode_w).cleared()
     rec_rows = rec_w.residual_rows(P_w.num[: d + 1], d + 2)
     recurrence_ok = all(v == 0 for v in rec_rows)
 
@@ -621,54 +610,45 @@ def _binomial_power(c: int, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _series_rows(ode: AuxiliaryODE, d: int, rows: int) -> tuple:
-    """(matrix, den): residual rows 0..rows-1 of a degree-d power-series
-    ansatz about the frame origin, in integers.
+def candidate_rows(ode: AuxiliaryODE, d: int) -> tuple:
+    """(rows, den): residual rows 0..d+1 of a degree-d polynomial ansatz
+    about the frame origin, in integers.
 
-    Row m holds lower(m), diag(m) and upper(m) of ``recurrence(ode, 0, 0)``
-    in columns m-1, m and m+1 (those within 0..d).  Every row is multiplied
-    by the same positive integer den, the common denominator of the
-    recurrence's coefficients (:meth:`Recurrence3.cleared`), so the entries
-    are integers and the nullspace is unchanged.
+    Row m holds lower(m), diag(m) and upper(m) of :func:`recurrence` in
+    columns m-1, m and m+1 (those within 0..d), each times the same
+    positive integer den, the common denominator of the recurrence's
+    coefficients (:meth:`Recurrence3.cleared`).  Rows 0..d are the square
+    candidate system, so its rational determinant is
+    ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1 vanishes
+    identically exactly when d matches the family's degree formula.
     """
-    rec = recurrence(ode, 0, 0)
+    if d < 0:
+        raise ValueError("degree bound must be non-negative")
+    rec = recurrence(ode)
     den = rec.den
     rec = rec.cleared()
-    matrix = []
-    for m in range(rows):
+    rows = []
+    for m in range(d + 2):
         row = [0] * (d + 1)
-        if 0 <= m - 1 <= d:
+        if m >= 1:
             row[m - 1] = rec.lower(m)
-        if 0 <= m <= d:
+        if m <= d:
             row[m] = rec.diag(m)
-        if 0 <= m + 1 <= d:
+        if m < d:
             row[m + 1] = rec.upper(m)
-        matrix.append(row)
-    return matrix, den
+        rows.append(row)
+    return rows, den
 
 
 def brute_force_polynomial_solutions(ode: AuxiliaryODE, d: int) -> List[Poly]:
     """Exact basis of degree <= d polynomial solutions (possibly empty).
 
-    Sets up every residual row of the ansatz sum lam_k x^k (rows 0..d+1;
-    the top one vanishes identically exactly when d matches the family's
-    degree formula) as the integer rows of :func:`_series_rows`, whose
-    common factor den leaves the solutions alone, and solves the
-    homogeneous system by fraction-free elimination in integers.
+    Solves every residual row of the ansatz sum lam_k x^k, the integer rows
+    of :func:`candidate_rows` (their common factor den leaves the solutions
+    alone), by fraction-free elimination in integers.
     """
-    if d < 0:
-        raise ValueError("degree bound must be non-negative")
-    matrix, _ = _series_rows(ode, d, d + 2)
-    return [Poly(vec) for vec in nullspace(matrix)]
-
-
-def tridiagonal_system(ode: AuxiliaryODE, d: int) -> tuple:
-    """(rows, den): the (d+1) x (d+1) candidate system (rows 0..d) in integers.
-
-    Every row is the rational recurrence row times den, so the determinant
-    of the rational system is ``bareiss_determinant(rows) / den ** (d + 1)``.
-    """
-    return _series_rows(ode, d, d + 1)
+    rows, _ = candidate_rows(ode, d)
+    return [Poly(vec) for vec in nullspace(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,12 @@ def cmd_evidence(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _add_first_failure(report: Report, name: str, tag: str, failure) -> None:
+    """A record that passes when ``failure`` is None and else names it."""
+    witness = None if failure is None else {"first_failure": failure}
+    report.add(name, failure is None, tag=tag, witness=witness)
+
+
 def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     """The full battery at the given bounds; every record is exact.
 
@@ -246,12 +252,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         found = solve_low_degree(g8, 1, l=l)
         if g8_failure is None and found != [(expected_s, Poly([expected_k, 1]))]:
             g8_failure = {"l": l}
-    report.add(
-        "g8.low_degree",
-        g8_failure is None,
-        tag="g8.first_order_solution",
-        witness=None if g8_failure is None else {"first_failure": g8_failure},
-    )
+    _add_first_failure(report, "g8.low_degree", "g8.first_order_solution", g8_failure)
 
     # closed-form polynomial checks and extended expansions, on one P(w) per
     # l; a failure names its first l and checks, or its first (l, basis).
@@ -269,12 +270,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
                 exp_witness["first_failure"] = {"l": l, "basis": basis}
             if l == 2:
                 exp_witness["l2_coefficients"][basis] = list(expansion.coefficients)
-    report.add(
-        "chandra.verify",
-        chandra_failure is None,
-        tag="chandra.four_checks",
-        witness=None if chandra_failure is None else {"first_failure": chandra_failure},
-    )
+    _add_first_failure(report, "chandra.verify", "chandra.four_checks", chandra_failure)
 
     # Hautot determinant roots; a failure names its first l
     det_failure = None
@@ -285,12 +281,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         roots_ok = roots_ok and poly.eval(s_star + 1) != 0 and poly.eval(s_star - 1) != 0
         if det_failure is None and not roots_ok:
             det_failure = {"l": l}
-    report.add(
-        "hautot.det_roots",
-        det_failure is None,
-        tag="hautot.sufficiency_det",
-        witness=None if det_failure is None else {"first_failure": det_failure},
-    )
+    _add_first_failure(report, "hautot.det_roots", "hautot.sufficiency_det", det_failure)
     report.add(
         "hautot.expansions",
         "first_failure" not in exp_witness,
@@ -332,12 +323,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
             build_auxiliary(e7, mode), 2 * s
         ):
             oracle_failure = {"family": "E7", "l": l, "s": mode.s}
-    report.add(
-        "oracle.agreement",
-        oracle_failure is None,
-        tag="oracle.bareiss_nullspace",
-        witness=None if oracle_failure is None else {"first_failure": oracle_failure},
-    )
+    _add_first_failure(report, "oracle.agreement", "oracle.bareiss_nullspace", oracle_failure)
 
     # determinant-sign scan at the configured bounds
     result = scan(l_max=l_max, d_max=d_max)
@@ -372,21 +358,11 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         homotopy_failure = {"check": "parameter_maps"}
     elif not homotopy.operator_identities_ok:
         homotopy_failure = {"check": "operator_identities"}
-    report.add(
-        "homotopy.z_power",
-        homotopy_failure is None,
-        tag="heun.homotopic_substitution",
-        witness=None if homotopy_failure is None else {"first_failure": homotopy_failure},
-    )
+    _add_first_failure(report, "homotopy.z_power", "heun.homotopic_substitution", homotopy_failure)
     eq_failure = next(
         ({"j": j} for j in range(0, 4) if not determinant_equality_check(j).all_ok), None
     )
-    report.add(
-        "hautot.det_equality",
-        eq_failure is None,
-        tag="hautot.block_equality",
-        witness=None if eq_failure is None else {"first_failure": eq_failure},
-    )
+    _add_first_failure(report, "hautot.det_equality", "hautot.block_equality", eq_failure)
     return report
 
 

@@ -38,11 +38,11 @@ from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_ro
 from .auxode import (
     brute_force_polynomial_solutions,
     build_auxiliary,
+    candidate_rows,
     solve_low_degree,
     symbolic_recurrence,
-    tridiagonal_system,
 )
-from .elimination import bareiss_determinant, tridiag_minors
+from .elimination import bareiss_determinant, nullspace, tridiag_minors
 from .kovacic import Family, family_by_label
 from .master import ModeSpec, PerturbationKind
 
@@ -223,18 +223,24 @@ class ScanReport:
         self.cross_checks_ok &= part.cross_checks_ok
 
 
+# The scan cross-checks its cells at d <= 12 only: Bareiss elimination is
+# dense, O(n^3) big-integer updates, even on these tridiagonal systems.
+_CROSS_CHECK_D_MAX = 12
+
+
 def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
     The system's d+1 integer rows are the rational rows times one factor
-    den, so the determinant is divided by den ** (d + 1).
+    den, so the determinant is divided by den ** (d + 1).  At d <= 8 the
+    same rows plus row d+1 give the brute-force nullspace.
     """
     fam = family_by_label(family)
     ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(family, d)))
-    rows, den = tridiagonal_system(ode, d)
-    det = Fraction(bareiss_determinant(rows), den ** (d + 1))
+    rows, den = candidate_rows(ode, d)
+    det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
     D_last = _cell(_column(fam, l), d)[2]
-    nullspace_dim = len(brute_force_polynomial_solutions(ode, d)) if d <= 8 else None
+    nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": family,
         "l": l,
@@ -250,7 +256,7 @@ def _check_failed(check: dict) -> bool:
     return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
-def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool) -> tuple:
+def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     """(ScanReport, text) of one (family, l) column; picklable.
 
     The part names its column as families = (family,) and l_max = l, and
@@ -283,7 +289,7 @@ def _scan_group(family: str, l: int, d_max: int, cross_d: int, want_cells: bool)
                 }
             )
     part.cross_checks = [
-        cross_check_cell(family, l, d) for d in range(0, min(cross_d, d_max) + 1, 4)
+        cross_check_cell(family, l, d) for d in range(0, min(_CROSS_CHECK_D_MAX, d_max) + 1, 4)
     ]
     part.cross_checks_ok = not any(map(_check_failed, part.cross_checks))
     return part, ",\n".join(map(json.dumps, records)) if want_cells else None
@@ -298,15 +304,13 @@ def scan(
     l_max: int = 20,
     d_max: int = 500,
     out: Optional[str] = None,
-    cross_check_d_max: int = 12,
-    workers: Optional[int] = None,
 ) -> ScanReport:
     """Aggregate the determinant-sign evidence over the grid.
 
     Streams every (family, l, d) cell; intermediate-sign violations are
     flagged and resolved by the full determinant (a nonzero D_{d+1} rules
     out the candidate regardless of interior minors).  Cells with
-    d <= cross_check_d_max are sampled and cross-checked against a direct
+    d <= _CROSS_CHECK_D_MAX are sampled and cross-checked against a direct
     fraction-free determinant of the explicit system, and at very small d
     against the brute-force nullspace.  With ``out`` set, one JSON record
     per cell is written there in grid order, one column at a time, so
@@ -314,11 +318,11 @@ def scan(
     the file is opened before any cell is computed, and one that cannot
     be opened raises ValueError.
 
-    Grid columns are independent; ``workers`` fans them out across
+    Grid columns are independent; BHK_THREADS fans them out across
     processes, and their results are taken in (family, l) order, so the
-    report and the file do not depend on it.  Its default is BHK_THREADS,
-    else one process per usable CPU on a grid of at least _POOL_MIN_STEPS
-    recurrence steps and serial below it.
+    report and the file do not depend on it.  Unset, it means one process
+    per usable CPU on a grid of at least _POOL_MIN_STEPS recurrence steps
+    and serial below it.
     A grid with no cell (negative ``d_max``, or no l in range) raises
     ValueError: a scan that examined nothing must not pass.
     """
@@ -328,18 +332,14 @@ def scan(
         raise ValueError(f"scan covers {SCAN_FAMILIES}, not {unknown}")
     want_cells = out is not None
     jobs = [
-        (family, l, d_max, cross_check_d_max, want_cells)
+        (family, l, d_max, want_cells)
         for family in families
         for l in default_l_range(family, l_max)
     ]
     if d_max < 0 or not jobs:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
-    workers = _worker_count(
-        os.environ.get("BHK_THREADS") if workers is None else workers,
-        len(jobs),
-        _usable_cpus(),
-        steps=len(jobs) * (d_max + 1) * (d_max + 2) // 2,
-    )
+    steps = len(jobs) * (d_max + 1) * (d_max + 2) // 2
+    workers = _worker_count(os.environ.get("BHK_THREADS"), len(jobs), _usable_cpus(), steps)
     report = ScanReport(families=families, l_max=l_max, d_max=d_max)
     with contextlib.ExitStack() as stack:
         try:
@@ -384,7 +384,7 @@ def _usable_cpus() -> Optional[int]:
 def _worker_count(requested, columns: int, cpus: Optional[int], steps: int) -> int:
     """The scan's worker processes, clamped to [1, min(cpus, columns)].
 
-    ``requested`` is an int or BHK_THREADS text.  None (unset) leaves the
+    ``requested`` is the BHK_THREADS text.  None (unset) leaves the
     choice to the grid: serial below _POOL_MIN_STEPS recurrence steps, else
     one process per CPU.  A set value that is empty or not an integer means
     serial.

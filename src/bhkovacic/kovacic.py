@@ -192,8 +192,7 @@ def _marginal_points(family: Family):
         s = (Fraction(d) - a) / b
         if s < 0:
             break
-        if s >= 0:
-            points.append((s, d))
+        points.append((s, d))
         d += 1
     return points
 

@@ -8,8 +8,10 @@ import pytest
 
 from bhkovacic.algebra import Poly
 from bhkovacic.auxode import (
+    AuxiliaryODE,
     brute_force_polynomial_solutions,
     build_auxiliary,
+    candidate_rows,
     chandrasekhar_checks,
     chandrasekhar_coeffs,
     chandrasekhar_r_frame,
@@ -21,7 +23,6 @@ from bhkovacic.auxode import (
     to_heun_form,
     to_w_frame,
     to_z_frame,
-    tridiagonal_system,
 )
 from bhkovacic.elimination import bareiss_determinant, nullspace
 from bhkovacic.kovacic import family_by_label
@@ -117,47 +118,44 @@ def test_z_frame_solutions_correspond():
 # ---------------------------------------------------------------------------
 
 
-def brute_recurrence_rows(ode, point, rho, coeffs, rows):
-    """Oracle: residual of the shifted series computed by raw polynomial
-    arithmetic, then read off the coefficients of t^(rho + m)."""
-    t_poly = Poly(coeffs)
-    p2 = ode.p2.shift(point)
-    p1 = ode.p1.shift(point)
-    p0 = ode.p0.shift(point)
-    rho = int(rho)
-    # multiply the series by t^rho first: P = t^rho * sum c_k t^k
-    P = Poly.monomial(rho) * t_poly
-    residual = p2 * P.derivative().derivative() + p1 * P.derivative() + p0 * P
-    return [residual[rho + m] for m in range(rows)]
+def brute_recurrence_rows(ode, coeffs, rows):
+    """Oracle: residual of the series about the frame origin computed by raw
+    polynomial arithmetic, then read off coefficient by coefficient."""
+    P = Poly(coeffs)
+    residual = ode.p2 * P.derivative().derivative() + ode.p1 * P.derivative() + ode.p0 * P
+    return [residual[m] for m in range(rows)]
+
+
+# (label, l, s, origin): origin 2 is the horizon, the origin of the w frame;
+# an id ends in the indicial root 0 that the recurrence is taken on
+ORIGIN_CASES = [
+    ("G7", 2, 4, 2),
+    ("G7", 3, 2, 0),
+    ("S3", 0, 1, 0),
+    ("S3", 2, 3, 2),
+    ("E3", 1, 2, 2),
+    ("E7", 1, 1, 0),
+    ("G3", 2, 2, 0),
+]
 
 
 @pytest.mark.parametrize(
-    "label,l,s,point,rho",
-    [
-        ("G7", 2, 4, 2, 0),
-        ("G7", 2, 4, 2, 8),
-        ("G7", 3, 2, 0, 0),
-        ("G7", 3, 2, 0, 4),
-        ("S3", 0, 1, 0, 0),
-        ("S3", 2, 3, 2, 0),
-        ("S3", 2, 3, 2, 6),
-        ("E3", 1, 2, 2, 0),
-        ("E7", 1, 1, 0, 0),
-        ("G3", 2, 2, 0, 0),
-    ],
+    "label,l,s,point", ORIGIN_CASES, ids=["-".join(map(str, c)) + "-0" for c in ORIGIN_CASES]
 )
-def test_recurrence_matches_direct_expansion(label, l, s, point, rho):
+def test_recurrence_matches_direct_expansion(label, l, s, point):
     ode = _ode(label, l, s)
-    rec = recurrence(ode, point, rho)
+    if point == 2:
+        ode = to_w_frame(ode)
+    rec = recurrence(ode)
     coeffs = [F(3, 2), F(-1), F(2), F(5, 7), F(1), F(-4, 3)]
-    expected = brute_recurrence_rows(ode, point, rho, coeffs, 8)
+    expected = brute_recurrence_rows(ode, coeffs, 8)
     assert rec.residual_rows(coeffs, 8) == expected
 
 
 def test_g7_recurrence_about_horizon():
     # about r=2 with rho=0, row 0: diag = 2 - l(l+1) + 4s(1-s), upper = 2(1-2s)
     for l, s in ((2, F(4)), (3, F(5, 2))):
-        rec = recurrence(_ode("G7", l, s), 2, 0)
+        rec = recurrence(to_w_frame(_ode("G7", l, s)))
         L = l * (l + 1)
         assert rec.diag(0) == 2 - L + 4 * s * (1 - s)
         assert rec.upper(0) == 2 * (1 - 2 * s)
@@ -171,7 +169,7 @@ def test_g7_recurrence_about_horizon():
 def test_s3_recurrence_about_origin():
     # lower = s(n-2s), diag = n^2 + n - 4sn - L - 2s, upper = -2(n+1)^2
     for l, s in ((0, F(1)), (2, F(3))):
-        rec = recurrence(_ode("S3", l, s), 0, 0)
+        rec = recurrence(_ode("S3", l, s))
         L = l * (l + 1)
         for n in range(8):
             assert rec.lower(n) == s * (n - 2 * s)
@@ -184,7 +182,7 @@ def test_s3_termination_rows():
     # n = 2s; the diagonal at n = 2s-1 is -(L + 2s)
     l, s = 2, F(3)
     L, two_s = l * (l + 1), 6
-    rec = recurrence(_ode("S3", l, s), 2, 0)
+    rec = recurrence(to_w_frame(_ode("S3", l, s)))
     assert rec.upper(two_s - 1) == 0
     assert rec.lower(two_s) == 0
     assert rec.diag(two_s - 1) == -(L + 2 * s)
@@ -192,14 +190,17 @@ def test_s3_termination_rows():
 
 
 def test_indicial_structure():
-    # the indicial roots are {0, 4} at r = 0 and {0, 2s} = {0, 8} at r = 2
+    # the indicial roots are {0, 4} at r = 0 and {0, 2s} = {0, 8} at r = 2:
+    # on the root 0, upper(k) = (k+1)(beta k + c) dies at k = other root - 1
     ode = _ode("G7", 2, 4)
-    recurrence(ode, 0, 4)
-    recurrence(ode, 2, 8)
+    assert [k for k in range(12) if recurrence(ode).upper(k) == 0] == [3]
+    assert [k for k in range(12) if recurrence(to_w_frame(ode)).upper(k) == 0] == [7]
+    # shifted by 1, the origin is r = 1, not a singular point
+    shifted = AuxiliaryODE(
+        "r", ode.p2.shift(1), ode.p1.shift(1), ode.p0.shift(1), ode.family_label, ode.mode
+    )
     with pytest.raises(ValueError):
-        recurrence(ode, 2, 1)
-    with pytest.raises(ValueError):
-        recurrence(ode, 1, 0)  # not a singular point
+        recurrence(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
 
 
 def test_cleared_recurrence_scales_rows():
-    rec = recurrence(to_w_frame(_ode("G7", 2, special_frequency(2))), 0, 0)
+    rec = recurrence(to_w_frame(_ode("G7", 2, special_frequency(2))))
     cleared = rec.cleared()
     den = cleared.diag(0) / rec.diag(0) if rec.diag(0) else cleared.upper(0) / rec.upper(0)
     assert den > 0
@@ -450,8 +451,9 @@ def test_degree_law():
 
 def test_tridiagonal_system_det_matches_recurrence():
     # the (d+1) x (d+1) candidate determinant equals the minor recurrence;
-    # the system is (rows, den), integer rows that are each the rational row
-    # times den, so the determinant is the Bareiss one over den^(d+1)
+    # candidate_rows gives (rows, den), integer rows 0..d+1 that are each the
+    # rational row times den, so the determinant of rows 0..d is the
+    # Bareiss one over den^(d+1)
     from bhkovacic.evidence import default_l_range, degree_to_s, det_sequence
 
     for label in ("G3", "E3", "E7"):
@@ -459,9 +461,10 @@ def test_tridiagonal_system_det_matches_recurrence():
         for l in default_l_range(label, 4):
             for d in range(13):
                 ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(label, d)))
-                rows, den = tridiagonal_system(ode, d)
-                assert den > 0 and all(type(v) is int for row in rows for v in row)
-                det = F(bareiss_determinant(rows), den ** (d + 1))
+                rows, den = candidate_rows(ode, d)
+                assert len(rows) == d + 2 and den > 0
+                assert all(type(v) is int for row in rows for v in row)
+                det = F(bareiss_determinant(rows[:-1]), den ** (d + 1))
                 assert det == det_sequence(label, l, d).D_last, (label, l, d)
 
 

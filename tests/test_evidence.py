@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhkovacic import evidence
+from bhkovacic import auxode, evidence
 from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import (
     brute_force_polynomial_solutions,
     build_auxiliary,
+    candidate_rows,
     chandrasekhar_r_frame,
-    tridiagonal_system,
 )
 from bhkovacic.elimination import bareiss_determinant, tridiag_minors
 from bhkovacic.evidence import (
@@ -53,8 +53,8 @@ def _direct_det(ode, size):
     Each integer row is the rational row times the one factor den, which
     is divided back out.
     """
-    rows, den = tridiagonal_system(ode, size - 1)
-    return F(bareiss_determinant(rows), den**size)
+    rows, den = candidate_rows(ode, size - 1)
+    return F(bareiss_determinant(rows[:-1]), den**size)
 
 
 def _engine_minors(label, l, d):
@@ -153,16 +153,17 @@ def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
     # one cleared diagonal entry of one explicit system is off by one: its
     # cross-check disagrees, and the scan names that cell first
     planted_cell = ("E3", 2, 8)
-    real_system = evidence.tridiagonal_system
+    real_rows = evidence.candidate_rows
 
-    def planted_system(ode, d):
-        rows, den = real_system(ode, d)
+    def planted_rows(ode, d):
+        rows, den = real_rows(ode, d)
         if (ode.family_label, ode.mode.l, d) == planted_cell:
             rows[4][4] += 1
         return rows, den
 
-    monkeypatch.setattr(evidence, "tridiagonal_system", planted_system)
-    report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12, workers=1)
+    monkeypatch.setattr(evidence, "candidate_rows", planted_rows)
+    monkeypatch.setenv("BHK_THREADS", "1")
+    report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12)
     failed = [c for c in report.cross_checks if not c["agree"]]
     assert [(c["family"], c["l"], c["d"]) for c in failed] == [planted_cell]
     assert failed[0]["bareiss_det"] != failed[0]["recurrence_det"]
@@ -180,9 +181,10 @@ def test_s3_engine_matches_bareiss():
             assert minors[n - 1] == _direct_det(ode, n), (l, d, n)
 
 
-def test_scan_builds_each_column_once():
+def test_scan_builds_each_column_once(monkeypatch):
+    monkeypatch.setenv("BHK_THREADS", "1")
     _column.cache_clear()
-    report = scan(families=("G3",), l_max=3, d_max=12, workers=1)
+    report = scan(families=("G3",), l_max=3, d_max=12)
     assert len(report.cross_checks) == 2 * 4
     assert _column.cache_info().misses == 2
 
@@ -192,6 +194,30 @@ def test_cross_check_cell_example():
     assert check["agree"]
     assert check["recurrence_det"] == -24
     assert check["nullspace_dim"] == 0
+
+
+def test_cross_check_cell_builds_its_system_once(monkeypatch):
+    # one recurrence serves the Bareiss determinant and, at d <= 8, the
+    # brute-force nullspace
+    real_recurrence = auxode.recurrence
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_recurrence(*args)
+
+    monkeypatch.setattr(auxode, "recurrence", counted)
+    check = cross_check_cell("G3", 2, 4)
+    assert len(calls) == 1
+    assert check == {
+        "family": "G3",
+        "l": 2,
+        "d": 4,
+        "recurrence_det": -134180865,
+        "bareiss_det": F(-134180865),
+        "agree": True,
+        "nullspace_dim": 0,
+    }
 
 
 def _assert_mag_index(values, n0):
@@ -358,11 +384,12 @@ def test_scan_empty_family_list():
         scan(families=("G7",), l_max=4, d_max=10)
 
 
-def test_scan_worker_fanout_matches_serial(tmp_path):
+def test_scan_worker_fanout_matches_serial(monkeypatch, tmp_path):
     runs = {}
     for workers in (1, 2):
+        monkeypatch.setenv("BHK_THREADS", str(workers))
         out = tmp_path / f"cells{workers}.json"
-        report = scan(families=("E7",), l_max=3, d_max=30, out=str(out), workers=workers)
+        report = scan(families=("E7",), l_max=3, d_max=30, out=str(out))
         runs[workers] = report, out.read_bytes()
     assert runs[1][0] == runs[2][0]  # the whole report, field by field
     assert runs[1][1] == runs[2][1]
@@ -449,10 +476,14 @@ def test_scan_takes_the_pool_by_default_above_the_constant(monkeypatch, tmp_path
     monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
     runs = {}
     for workers in (1, None):
+        if workers is None:
+            monkeypatch.delenv("BHK_THREADS")
+        else:
+            monkeypatch.setenv("BHK_THREADS", str(workers))
         out = tmp_path / f"cells{workers}.json"
-        report = scan(families=("E7", "G3"), l_max=3, d_max=30, out=str(out), workers=workers)
+        report = scan(families=("E7", "G3"), l_max=3, d_max=30, out=str(out))
         runs[workers] = report, out.read_bytes()
-    assert counted_pool == [2]  # only the run without a worker count
+    assert counted_pool == [2]  # only the run with BHK_THREADS unset
     assert runs[1][0] == runs[None][0]
     assert runs[1][1] == runs[None][1]
 
@@ -467,14 +498,15 @@ def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
     assert counted_pool == []
 
 
-def test_scan_workers_write_integers_past_the_str_limit(tmp_path, int_str_limit):
+def test_scan_workers_write_integers_past_the_str_limit(monkeypatch, tmp_path, int_str_limit):
     # G3 at l = 3 has a 649-digit D_last at d = 160: past a 640-digit limit,
     # as G3 at l = 2 passes the default 4,300 digits near d = 860
     int_str_limit(640)
     files = {}
     for workers in (1, 2):
+        monkeypatch.setenv("BHK_THREADS", str(workers))
         out = tmp_path / f"cells{workers}.json"
-        scan(families=("G3",), l_max=3, d_max=170, out=str(out), workers=workers)
+        scan(families=("G3",), l_max=3, d_max=170, out=str(out))
         files[workers] = out.read_bytes()
     assert files[1] == files[2]
     int_str_limit(0)

@@ -270,7 +270,7 @@ def test_heun_recurrence_matches_z_frame(label, l, s):
     fam = family_by_label(label)
     ode = build_auxiliary(fam, ModeSpec(fam.kind, l, s))
     heun = to_heun_form(ode).recurrence()
-    z_frame = recurrence(to_z_frame(ode), 0, 0)  # through Poly.shift
+    z_frame = recurrence(to_z_frame(ode))  # through Poly.scale_variable
     for k in range(10):
         assert heun.lower(k) == z_frame.lower(k)
         assert heun.diag(k) == z_frame.diag(k)

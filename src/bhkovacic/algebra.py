@@ -5,11 +5,12 @@ denominator, canonical zero.  A :class:`Poly` is an integer numerator
 vector over one positive denominator, index = power, in canonical form
 (the representation of FLINT's ``fmpq_poly``), so that its arithmetic runs
 on plain integers with one normalisation per operation.  The normalisation
-(:meth:`Poly.from_numerators`) checks a candidate content by its exact
-divisions instead of chaining one gcd per coefficient: the content divides
-every integer combination of the numerators, so a gcd of a few of them is
-a multiple of it, and one that divides every numerator is the content
-itself (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).
+(:meth:`Poly.from_numerators`, and the product by a scalar) checks a
+candidate content by its exact divisions instead of chaining one gcd per
+coefficient: the content divides every integer combination of the
+numerators, so a gcd of a few of them is a multiple of it, and one that
+divides every numerator is the content itself (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 6).
 Everything is immutable and every operation is exact; equality of
 polynomials is the arbiter in all verification code built on top of this
 module.
@@ -152,13 +153,7 @@ class Poly:
         A list passed as ``num`` is normalised in place, so that a large
         vector is held once; pass a copy to keep the original list.
 
-        The content gcd(den, *num) divides every integer combination of the
-        numerators, so it divides the candidate g = gcd(den, last, first,
-        sum (k+1) num[k], sum of the odd-index num[k]).  When every num[k]
-        divides by g exactly, g divides the content as well, so g is the
-        content: one gcd of five numbers and one exact division per
-        coefficient, instead of a chain of one gcd per coefficient.  A
-        nonzero remainder undoes the divisions and takes the full chain.
+        The content gcd(den, *num) is divided out by :func:`_divide_content`.
         """
         if not isinstance(num, list):
             num = list(num)
@@ -170,23 +165,7 @@ class Poly:
             den = -den
             for i, v in enumerate(num):
                 num[i] = -v
-        g = math.gcd(den, num[-1], num[0])
-        if g != 1 and len(num) > 3:
-            weighted = sum(k * v for k, v in enumerate(num, 1))
-            g = math.gcd(g, weighted, sum(itertools.islice(num, 1, None, 2)))
-        if g != 1:
-            for i, v in enumerate(num):
-                q, r = divmod(v, g)
-                if r:  # g exceeds the content: restore, then the full chain
-                    for j in range(i):
-                        num[j] *= g
-                    g = math.gcd(den, *num)
-                    for j, w in enumerate(num):
-                        num[j] = w // g
-                    break
-                num[i] = q
-            den //= g
-        return cls._canonical(num, den)
+        return cls._canonical(num, den // _divide_content(num, den))
 
     @classmethod
     def _canonical(cls, num, den: int) -> "Poly":
@@ -281,10 +260,14 @@ class Poly:
             if not other or not self.num:
                 return Poly.zero()
             n, d = other.numerator, other.denominator
-            g1, g2 = math.gcd(n, self.den), math.gcd(d, *self.num)
+            g1 = math.gcd(n, self.den)
             n //= g1
-            num = [v * n for v in self.num] if g2 == 1 else [v // g2 * n for v in self.num]
-            return Poly._canonical(num, self.den // g1 * (d // g2))
+            num = list(self.num)
+            if d != 1:
+                d //= _divide_content(num, d)
+            if n != 1:
+                num = [v * n for v in num]
+            return Poly._canonical(num, self.den // g1 * d)
         other = self._coerce(other)
         a, b = self.num, other.num
         if not a or not b:
@@ -421,6 +404,34 @@ class Poly:
             else:
                 parts.append(f"{rat_to_str(c)}*x^{k}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _divide_content(num: list, den: int) -> int:
+    """Divide the nonempty list num in place by g = gcd(den, *num); return g.
+
+    g divides every integer combination of the numerators, so it divides
+    the candidate c = gcd(den, last, first, sum (k+1) num[k], sum of the
+    odd-index num[k]).  When every num[k] divides by c exactly, c divides g
+    as well, so c is g: one gcd of five numbers and one exact division per
+    coefficient, instead of a chain of one gcd per coefficient.  A nonzero
+    remainder undoes the divisions and takes the full chain.
+    """
+    g = math.gcd(den, num[-1], num[0])
+    if g != 1 and len(num) > 3:
+        weighted = sum(k * v for k, v in enumerate(num, 1))
+        g = math.gcd(g, weighted, sum(itertools.islice(num, 1, None, 2)))
+    if g != 1:
+        for i, v in enumerate(num):
+            q, r = divmod(v, g)
+            if r:  # g exceeds the content: restore, then the full chain
+                for j in range(i):
+                    num[j] *= g
+                g = math.gcd(den, *num)
+                for j, w in enumerate(num):
+                    num[j] = w // g
+                break
+            num[i] = q
+    return g
 
 
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:

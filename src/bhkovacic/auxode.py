@@ -106,7 +106,49 @@ def build_auxiliary(family: Family, mode: ModeSpec) -> AuxiliaryODE:
 
 
 def ode_residual(ode: AuxiliaryODE, P: Poly) -> Poly:
-    return ode.p2 * P.derivative().derivative() + ode.p1 * P.derivative() + ode.p0 * P
+    """p2 P'' + p1 P' + p0 P, read off the equation's coefficient polynomials.
+
+    One integer convolution on the numerators (:func:`_apply_operator`); it
+    never forms the recurrence, so it checks a solution independently of it.
+    """
+    return _apply_operator(ode.p2, ode.p1, ode.p0, P)
+
+
+def _apply_operator(p2: Poly, p1: Poly, p0: Poly, P: Poly) -> Poly:
+    """p2 P'' + p1 P' + p0 P in integers, with one normalisation.
+
+    With p2, p1, p0 cleared to one denominator D (integer numerators q2,
+    q1, q0) and P = sum n_k x^k / den, coefficient m of the result times
+    den D is
+
+        sum_k n_k (k (k-1) q2[m-k+2] + k q1[m-k+1] + q0[m-k]),
+
+    a sum over the few offsets m - k at which q2, q1 or q0 has an entry,
+    each term a small weight times one numerator of P.  No derivative of P
+    is formed, and a zero result normalises trivially.
+    """
+    n = P.num
+    D = math.lcm(p2.den, p1.den, p0.den)
+    q2, q1, q0 = ([v * (D // p.den) for v in p.num] for p in (p2, p1, p0))
+    top = max(len(q2) - 2, len(q1) - 1, len(q0))
+    # (offset, a, b, c): the weight of n_k at m = k + offset is (a (k-1) + b) k + c
+    offsets = []
+    for offset in range(-2, top):
+        a = q2[offset + 2] if offset + 2 < len(q2) else 0
+        b = q1[offset + 1] if 0 <= offset + 1 < len(q1) else 0
+        c = q0[offset] if 0 <= offset < len(q0) else 0
+        if a or b or c:
+            offsets.append((offset, a, b, c))
+    size = len(n)
+    out = []
+    for m in range(size + top - 1):
+        acc = 0
+        for offset, a, b, c in offsets:
+            k = m - offset
+            if 0 <= k < size:
+                acc += ((a * (k - 1) + b) * k + c) * n[k]
+        out.append(acc)
+    return Poly.from_numerators(out, P.den * D)
 
 
 def to_w_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
@@ -156,10 +198,8 @@ class HeunForm:
     e: Rational
 
     def apply(self, P: Poly) -> Poly:
-        return (
-            Poly([0, -1, 1]) * P.derivative().derivative()
-            + Poly([self.c, self.b, self.a]) * P.derivative()
-            + Poly([self.d, self.e]) * P
+        return _apply_operator(
+            Poly([0, -1, 1]), Poly([self.c, self.b, self.a]), Poly([self.d, self.e]), P
         )
 
     def params(self) -> tuple:
@@ -529,8 +569,9 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
     (i) and (iv) read the integer numerators: the rows are linear and the
     denominator is positive, so zeros and signs are those of the coefficients.
-    (iii) runs on the numerators too, against den times the right side; (ii)
-    stays polynomial arithmetic, the route independent of the recurrence.
+    (iii) runs on the numerators too, against the right side built times den;
+    (ii) is one integer convolution with the equation's coefficient
+    polynomials (:func:`ode_residual`), the route independent of the recurrence.
     P(r) is built from this P_w by :func:`chandrasekhar_r_frame` once (i) and
     the w-frame residual hold, and by a direct shift otherwise.
     """
@@ -555,9 +596,10 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
         residual_r = ode_residual(ode_r, P_r)
     ode_residual_ok = residual_w.is_zero() and residual_r.is_zero()
 
+    # the right sides as numerators over the denominator of the P they test
     four_sig = d - 1  # 4 sigma0 = 2s
-    rhs_w = Poly.monomial(four_sig - 1) * Poly([8, 12, 6, 1])  # w^(4s0-1) (w+2)^3
-    rhs_r = Poly.monomial(3) * _binomial_power(-2, four_sig - 1)
+    rhs_w = [0] * (four_sig - 1) + [v * P_w.den for v in (8, 12, 6, 1)]  # w^(4s0-1) (w+2)^3
+    rhs_r = [0, 0, 0] + _binomial_power(-2, four_sig - 1, P_r.den)  # r^3 (r-2)^(4s0-1)
     integral_identity_ok = _integral_identity_holds(
         P_w, int(s), 2 * mu2 + 6, mu2, rhs_w
     ) and _integral_identity_holds(P_r, int(s), 6, mu2, rhs_r)
@@ -577,32 +619,37 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     )
 
 
-def _integral_identity_holds(P: Poly, s: int, c0: int, mu2: int, rhs: Poly) -> bool:
-    """(P' + s P)(c0 + mu2 x) - mu2 P == rhs, on the numerators of P.
+def _integral_identity_holds(P: Poly, s: int, c0: int, mu2: int, rhs: Sequence) -> bool:
+    """(P' + s P)(c0 + mu2 x) - mu2 P == rhs / den, for P = sum n_k x^k / den.
 
-    With P = sum n_k x^k / den and x_k = (k+1) n_(k+1) + s n_k the
-    numerators of P' + s P, coefficient k of the left side times den is
-    c0 x_k + mu2 (x_(k-1) - n_k); it is compared with den times rhs_k.
+    ``rhs`` holds the right side's coefficients times den.  With
+    x_k = (k+1) n_(k+1) + s n_k the numerators of P' + s P, coefficient k of
+    the left side times den is the integer c0 x_k + mu2 (x_(k-1) - n_k); it
+    is compared with rhs[k], from the constant term up to and past the top
+    coefficient of either side, with no product by den.
     """
-    size = max(len(P.num) + 1, len(rhs.num))
+    size = max(len(P.num) + 1, len(rhs))
     n = P.num + (0,) * (size + 1 - len(P.num))
-    r = rhs.num + (0,) * (size - len(rhs.num))
+    r = list(rhs) + [0] * (size - len(rhs))
     x_prev = 0
     for k in range(size):
         x = (k + 1) * n[k + 1] + s * n[k]
-        if (c0 * x + mu2 * (x_prev - n[k])) * rhs.den != P.den * r[k]:
+        if c0 * x + mu2 * (x_prev - n[k]) != r[k]:
             return False
         x_prev = x
     return True
 
 
-def _binomial_power(c: int, n: int) -> Poly:
-    """(x + c)^n, its integer coefficients built downward from x^n."""
-    num = [0] * n + [1]
+def _binomial_power(c: int, n: int, den: int) -> list:
+    """den (x + c)^n as integer numerators, built downward from den x^n.
+
+    Each step is one exact big-by-small product and division.
+    """
+    num = [0] * n + [den]
     for k in range(n - 1, -1, -1):
         # C(n, k) c^(n-k) = C(n, k+1) c^(n-k-1) * c (k+1) / (n-k)
-        num[k] = num[k + 1] * c * (k + 1) // (n - k)
-    return Poly.from_numerators(num)
+        num[k] = num[k + 1] * (c * (k + 1)) // (n - k)
+    return num
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Subcommands
     verify-all  the whole check battery at configurable bounds
 
 Exit status 0 means every executed check passed; 1 reports a failed
-check; 2 is a usage error, such as a scan grid with no cell.
+check or a computation that raised; 2 is a usage error, such as a scan
+grid with no cell, found before any check runs.
 BHK_THREADS sets the scan's worker processes, clamped to the usable CPUs
 and the number of grid columns; BHK_THREADS=1 (or a value that is not an
 integer) runs the scan serially.  Unset, a scan of at least 200,000
@@ -34,7 +35,7 @@ from .auxode import (
     homotopic_equivalence_check,
     solve_low_degree,
 )
-from .evidence import SCAN_FAMILIES, s3_nonexistence, scan
+from .evidence import SCAN_FAMILIES, default_l_range, s3_nonexistence, scan
 from .hautot import (
     ObstructionError,
     det_A,
@@ -433,15 +434,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Raise ValueError for arguments that no run of the subcommand accepts.
+
+    Called before any check runs, so that every ValueError raised later is
+    a failed run rather than a usage error.
+    """
+    if args.command == "families":
+        PerturbationKind.from_name(args.beta)
+    elif args.command in ("chandra", "hautot") and args.l < 2:
+        raise ValueError(f"--l must be at least 2, not {args.l}")
+    elif args.command == "evidence":
+        families = SCAN_FAMILIES if args.family == "all" else (args.family,)
+        if args.max_degree < 0 or not any(default_l_range(f, args.l_max) for f in families):
+            raise ValueError(
+                f"empty scan grid: families {families}, l <= {args.l_max}, d <= {args.max_degree}"
+            )
+        if args.out is not None:
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+    elif args.command == "verify-all" and (args.l_max < 2 or args.max_degree < 0):
+        raise ValueError(
+            f"verify-all needs --l-max >= 2 and --max-degree >= 0, "
+            f"not {args.l_max}, {args.max_degree}"
+        )
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, KeyError) as exc:
+        _check_args(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, NotImplementedError) as exc:
-        # an exact computation that could not finish is a failed run, not a usage error
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, ArithmeticError, NotImplementedError) as exc:
+        # a computation that could not finish is a failed run, not a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

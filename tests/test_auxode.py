@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bhkovacic.algebra import Poly
 from bhkovacic.auxode import (
@@ -85,6 +87,29 @@ def test_s3_equation(l, s):
 def test_g8_residual_of_solution_is_zero():
     ode = _ode("G8", 2, 4)
     assert ode_residual(ode, Poly([F(3, 2), 1])).is_zero()
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+_polys = st.lists(_rationals, min_size=0, max_size=6).map(Poly)
+
+
+@given(_polys, _polys, _polys, st.lists(_rationals, min_size=0, max_size=9).map(Poly))
+@example(Poly([0, -2, 1]), Poly([1, 2, 3]), Poly([4, 5]), Poly.zero())
+@example(Poly([0, -2, 1]), Poly([1, 2, 3]), Poly([4, 5]), Poly([F(-7, 3)]))
+@example(Poly([0, -2, 1]), Poly([F(1, 2), 2, 3]), Poly([4, F(5, 7)]), Poly([F(3, 2), 1]))
+@example(Poly.zero(), Poly.zero(), Poly.zero(), Poly([1, 2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_ode_residual_matches_poly_arithmetic(p2, p1, p0, P):
+    # the integer convolution against the derivative formula in Poly arithmetic
+    from bhkovacic.auxode import HeunForm
+
+    reference = p2 * P.derivative().derivative() + p1 * P.derivative() + p0 * P
+    mode = ModeSpec(family_by_label("G7").kind, 2, F(4))
+    assert ode_residual(AuxiliaryODE("r", p2, p1, p0, "G7", mode), P) == reference
+    a, b, c = p1[2], p1[1], p1[0]
+    d, e = p0[0], p0[1]
+    heun = Poly([0, -1, 1]) * P.derivative().derivative() + Poly([c, b, a]) * P.derivative()
+    assert HeunForm(a, b, c, d, e).apply(P) == heun + Poly([d, e]) * P
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +421,25 @@ def test_integral_identity_reads_every_coefficient():
     from bhkovacic.auxode import _binomial_power, _integral_identity_holds
 
     P = chandrasekhar_r_frame(2)  # s = 4, mu2 = 4, c0 = 6 in the r frame
-    rhs = Poly.monomial(3) * _binomial_power(-2, 7)
+    rhs = [0, 0, 0] + _binomial_power(-2, 7, P.den)  # den r^3 (r-2)^7
     assert _integral_identity_holds(P, 4, 6, 4, rhs)
-    for change in (Poly.one(), Poly.monomial(rhs.degree), Poly.monomial(rhs.degree + 1)):
-        assert not _integral_identity_holds(P, 4, 6, 4, rhs + change)
-    assert not _integral_identity_holds(P, 4, 6, 4, rhs * F(1, 3))
+    top = len(rhs) - 1
+    for k in (0, top, top + 1):  # + 1, + x^deg and + x^(deg+1), times den
+        changed = rhs + [0] * (k + 1 - len(rhs))
+        changed[k] += P.den
+        assert not _integral_identity_holds(P, 4, 6, 4, changed)
+    assert not _integral_identity_holds(P, 4, 6, 4, [v * F(1, 3) for v in rhs])
+
+
+@pytest.mark.parametrize("l", (2, 3, 4, 5))
+def test_right_side_is_built_times_den(l):
+    from bhkovacic.auxode import _binomial_power
+
+    P_r = chandrasekhar_r_frame(l)
+    n = int(2 * special_frequency(l)) - 1
+    reference = Poly.monomial(3) * Poly([-2, 1]) ** n  # r^3 (r-2)^(4 sigma0 - 1)
+    assert reference.den == 1
+    assert [0, 0, 0] + _binomial_power(-2, n, P_r.den) == [P_r.den * v for v in reference.num]
 
 
 def test_elementary_integral_identity_l2():

@@ -173,6 +173,15 @@ def test_bad_kind_is_usage_error(capsys):
     assert "unknown perturbation kind" in err
 
 
+@pytest.mark.parametrize(
+    "argv", (("chandra", "--l", "1"), ("hautot", "--l", "0", "--basis", "kummer"))
+)
+def test_multipole_below_two_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err == "error: --l must be at least 2, not %s\n" % argv[2]
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -506,8 +515,14 @@ def test_startup_imports_no_process_pool():
             NotImplementedError("no such branch"),
             ("families", "--beta", "scalar", "--json"),
         ),
+        (
+            "bhkovacic.cli",
+            "chandrasekhar_coeffs",
+            ValueError("planted after the arguments were checked"),
+            ("chandra", "--l", "2", "--json"),
+        ),
     ),
-    ids=("arithmetic", "not_implemented"),
+    ids=("arithmetic", "not_implemented", "value_error"),
 )
 def test_internal_failure_is_one_error_line_and_exit_one(
     capsys, monkeypatch, module, name, exc, argv

@@ -441,6 +441,25 @@ def test_expansion_homogeneity():
     assert acc.scale_variable(-s) == 3 * report.assembled
 
 
+def test_scalar_product_on_the_l5_kummer_terms():
+    # each A_k shares a factor of hundreds of bits with the leading numerators
+    # of its term, none with the last: the content is found in one step
+    report = extended_expansion(5, "kummer")
+    s = report.s
+    two_s = int(2 * s)
+    terms = (
+        phi_poly(1, s),
+        phi_poly(0, s),
+        kummer_poly(two_s - 1, 1 - 2 * s),
+        kummer_poly(two_s - 2, 1 - 2 * s),
+    )
+    for coeff, poly in zip(report.coefficients, terms):
+        assert math.gcd(coeff.denominator, poly.num[0]).bit_length() > 500
+        expected = Poly([coeff * c for c in poly.coeffs])
+        for product in (coeff * poly, poly * coeff):
+            assert (product.num, product.den) == (expected.num, expected.den)
+
+
 # ---------------------------------------------------------------------------
 # the sufficiency block minor
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ __all__ = [
     "rat_to_str",
     "int_to_str",
     "horner",
-    "falling_factorial",
-    "pochhammer",
     "poly_gcd",
     "rational_roots",
 ]
@@ -99,22 +97,6 @@ def horner(coeffs: Sequence, x, zero=0):
     acc = zero
     for c in reversed(coeffs):
         acc = acc * x + c
-    return acc
-
-
-def falling_factorial(x: Rational, k: int) -> Rational:
-    """x(x-1)...(x-k+1), exact; covers the generalized binomial coefficient."""
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= x - i
-    return acc
-
-
-def pochhammer(x: Rational, k: int) -> Rational:
-    """Rising factorial (x)_k = x(x+1)...(x+k-1)."""
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= x + i
     return acc
 
 

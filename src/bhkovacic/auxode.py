@@ -383,23 +383,9 @@ def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple
         return [(s0, Poly([k, 1]))] if k is not None else []
 
     # s unknown: eliminate k; common zeros of R2 and W = e B - f A
-    W = e * B - f * A
-    if R2.is_zero():
-        if W.is_zero():
-            raise NotImplementedError("degenerate degree-1 system")
-        candidates = _certified_rational_roots(W)
-    else:
-        g = R2 if W.is_zero() else poly_gcd(R2, W)
-        if g.degree == 0:
-            return []
-        candidates = _certified_rational_roots(g)
     out = []
-    for s0 in candidates:
-        if s0 <= 0:
-            continue
-        if not R2.is_zero() and R2.eval(s0) != 0:
-            continue
-        k = solve_k_at(s0)
+    for s0 in _common_rational_roots(R2, e * B - f * A):
+        k = solve_k_at(s0) if s0 > 0 else None
         if k is not None:
             out.append((s0, Poly([k, 1])))
     return out
@@ -407,7 +393,7 @@ def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple
 
 def _common_rational_roots(p: Poly, q: Poly) -> list:
     if p.is_zero() and q.is_zero():
-        raise NotImplementedError("every frequency admits a constant solution")
+        raise NotImplementedError("every frequency admits a polynomial solution of this degree")
     if p.is_zero():
         return _certified_rational_roots(q)
     if q.is_zero():
@@ -727,29 +713,24 @@ class HomotopyReport:
         return self.parameter_maps_ok and self.operator_identities_ok
 
 
-def homotopic_equivalence_check(
-    l_samples: Sequence[int] = (2, 3),
-    s_samples: Sequence = (1, 2, Fraction(7, 3)),
-    max_monomial: int = 8,
-) -> HomotopyReport:
+def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
     """Exact equivalences G7 -> G3 (P = z^4 P1) and E7 -> E3 (P = z^2 P1).
 
-    For each sampled mode the substitution identity
-    R_orig(z^m q) = z^m R_mapped(q) is applied to the monomials q = z^k,
-    k = 0..max_monomial, and the mapped parameter tuple is compared with
-    the target family's confluent Heun form.
+    For each sampled mode, l in (2, 3) and s in (1, 2, 7/3), the
+    substitution identity R_orig(z^m q) = z^m R_mapped(q) is applied to
+    the monomials q = z^k, k = 0..max_monomial, and the mapped parameter
+    tuple is compared with the target family's confluent Heun form.
     """
+    if max_monomial < 0:
+        raise ValueError("max_monomial must be non-negative: no identity would be checked")
     pairs = (("G7", "G3", 4), ("E7", "E3", 2))
     params_ok = True
     identities_ok = True
     samples = []
-    for l in l_samples:
-        for s in s_samples:
+    for l in (2, 3):
+        for s in (1, 2, Fraction(7, 3)):
             for orig_label, target_label, m in pairs:
-                kind = PerturbationKind.from_label(orig_label)
-                if l < kind.min_l:
-                    continue
-                mode = ModeSpec(kind, l, Fraction(s))
+                mode = ModeSpec(PerturbationKind.from_label(orig_label), l, Fraction(s))
                 orig = to_heun_form(build_auxiliary(family_by_label(orig_label), mode))
                 target = to_heun_form(build_auxiliary(family_by_label(target_label), mode))
                 if m != 1 + orig.c:

@@ -346,7 +346,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         s3.all_ok,
         tag="s3.ratio_and_oracle",
         witness={
-            "ratio_solution_set": list(s3.ratio_solution_set),
+            "ratio_solution_set": list(s3.matched_ratio_solution_set),
             "oracle_cells": s3.oracle_cells,
         },
     )

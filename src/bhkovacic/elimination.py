@@ -1,23 +1,20 @@
 """Fraction-free exact linear algebra: Bareiss elimination, determinants,
 and nullspaces in integers, and the leading minors of a tridiagonal matrix.
 
-The systems arrive as integer rows (rational rows are scaled to integers
-first, by :func:`integerize_rows`).  The single-step Bareiss scheme then
-keeps every intermediate entry an exact integer (each is a minor of the
-input), and nullspace vectors are back-substituted in integers too, so
-zero tests and signs are never in doubt, and integer rows never become
-``Fraction``.
+The systems arrive as integer rows; a caller with rational rows scales
+them first (the oracles take the common denominator out of their explicit
+systems).  The single-step Bareiss scheme then keeps every intermediate
+entry an exact integer (each is a minor of the input), and nullspace
+vectors are back-substituted in integers too, so zero tests and signs are
+never in doubt and no ``Fraction`` is ever built.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, List, Sequence
 
-from .algebra import Rational
-
-__all__ = ["integerize_rows", "bareiss_determinant", "nullspace", "tridiag_minors"]
+__all__ = ["bareiss_determinant", "nullspace", "tridiag_minors"]
 
 
 def tridiag_minors(diag: Iterable, offprod: Iterable) -> Iterator:
@@ -51,21 +48,12 @@ def _bareiss_step(target: List[int], pivot_row: List[int], pivot: int, prev: int
         target[j] = q
 
 
-def integerize_rows(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
-    """Scale each row by the lcm of its denominators (nullspace-preserving)."""
-    out = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        den = 1
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        out.append([int(v * den) for v in row])
-    return out
-
-
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
+    """Exact determinant of a square integer matrix (fraction-free); the
+    0 x 0 determinant is 1, as for :meth:`Recurrence3.det`."""
     n = len(matrix)
+    if n == 0:
+        return 1
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     m = [list(row) for row in matrix]
@@ -115,12 +103,10 @@ def _echelon(matrix: List[List[int]]) -> tuple:
     return m[:r], pivots
 
 
-def nullspace(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
-    """Basis of the right nullspace, one vector per free column.
+def nullspace(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Basis of the right nullspace of integer rows, one vector per free column.
 
-    Integer rows go to the echelon form as they are; rows with a
-    non-integer entry are scaled by :func:`integerize_rows` first.  Each
-    vector is back-substituted in integers: before the pivot entry p of a
+    Each vector is back-substituted in integers: before the pivot entry p of a
     row is solved from acc, the sum of the row's later terms, the partial
     vector is scaled by |p| / gcd(acc, p), which makes the division exact.
     The entry of the free column starts at 1 and is only ever scaled up,
@@ -131,8 +117,6 @@ def nullspace(rows: Sequence[Sequence[Rational]]) -> List[List[int]]:
     if not rows:
         return []
     n_cols = len(rows[0])
-    if not all(isinstance(v, int) for row in rows for v in row):
-        rows = integerize_rows(rows)
     echelon, pivots = _echelon(rows)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = []

@@ -295,10 +295,6 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     return part, ",\n".join(map(json.dumps, records)) if want_cells else None
 
 
-def _scan_group_star(args) -> tuple:
-    return _scan_group(*args)
-
-
 def scan(
     families: Sequence[str] = SCAN_FAMILIES,
     l_max: int = 20,
@@ -353,7 +349,7 @@ def scan(
         else:
             columns = map
         sep = "[\n"
-        for part, text in columns(_scan_group_star, jobs):
+        for part, text in columns(_scan_group, *zip(*jobs)):
             report.absorb(part)
             if sink:
                 sink.write(sep + text)
@@ -431,10 +427,6 @@ class S3Record:
     oracle_grid: tuple  # (two_s_max, l_max)
     oracle_all_trivial: bool
     oracle_cells: int
-
-    @property
-    def ratio_solution_set(self) -> tuple:
-        return self.matched_ratio_solution_set
 
     @property
     def all_ok(self) -> bool:

@@ -21,7 +21,6 @@ scale, precisely at the algebraically special frequencies.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -253,7 +252,6 @@ class EqualityReport:
     j: int
     grid_side: int
     grid_points: int
-    random_trials: int
     kummer_equal: bool
     laguerre_equal: bool
     witness: Optional[tuple]
@@ -263,19 +261,17 @@ class EqualityReport:
         return self.kummer_equal and self.laguerre_equal
 
 
-def determinant_equality_check(j: int, trials: int = 10, seed: int = 0) -> EqualityReport:
+def determinant_equality_check(j: int) -> EqualityReport:
     """det(necessary block, c=j) == det(Kummer block) == det(Laguerre block).
 
     All three determinants are polynomials in (a, b, d, n) of degree at
     most j+1 in each variable, so agreement on a (j+2)^4 product grid is a
     proof of identity; the block entries are ring-neutral, so the grid runs
-    in exact integers.  ``trials`` extra random rational points are thrown
-    in as independent witnesses.
+    in exact integers.
     """
     if j < 0:
         raise ValueError("block order j must be non-negative")
     side = j + 2
-    rng = random.Random(seed)
 
     def dets_at(a, b, d, n):
         return (
@@ -294,11 +290,6 @@ def determinant_equality_check(j: int, trials: int = 10, seed: int = 0) -> Equal
         for d in range(side)
         for n in range(side)
     ]
-    for _ in range(max(0, trials)):
-        points.append(
-            tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4))
-        )
-    grid_points = side ** 4
     for point in points:
         nec, kum, lag = dets_at(*point)
         if kum != nec:
@@ -310,8 +301,7 @@ def determinant_equality_check(j: int, trials: int = 10, seed: int = 0) -> Equal
     return EqualityReport(
         j=j,
         grid_side=side,
-        grid_points=grid_points,
-        random_trials=max(0, trials),
+        grid_points=len(points),
         kummer_equal=kummer_equal,
         laguerre_equal=laguerre_equal,
         witness=witness,

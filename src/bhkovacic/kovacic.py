@@ -24,21 +24,19 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Poly, Rational, rat_to_str
-from .master import ModeSpec, PerturbationKind
+from .master import PerturbationKind
 
 __all__ = [
     "affine_str",
     "Family",
     "ThetaSpec",
     "RetentionResult",
-    "LiouvillianDescriptor",
     "exponent_sets_n1",
     "enumerate_families_n1",
     "family_by_label",
     "retain_families",
     "theta",
     "enumerate_families_n2",
-    "liouvillian_form",
 ]
 
 
@@ -299,62 +297,3 @@ def _n2_retained(family: Family) -> bool:
     else:
         odd += 1
     return odd >= 2
-
-
-@dataclass(frozen=True)
-class LiouvillianDescriptor:
-    """Symbolic form of a Liouvillian solution built from a polynomial P.
-
-    The n=1 solution of y'' = nu y is eta = P * r^p0 * (r-2)^p2 * exp(c*r);
-    eta_prime (powers shifted by +-1/2) solves the master equation itself.
-    """
-
-    family_label: str
-    P: Poly
-    r_power: Rational
-    rm2_power: Rational
-    exp_rate: Rational
-    r_power_master: Rational
-    rm2_power_master: Rational
-
-    def describe(self, var: str = "r") -> str:
-        return (
-            f"P({var}) * {var}^({rat_to_str(self.r_power_master)})"
-            f" * ({var}-2)^({rat_to_str(self.rm2_power_master)})"
-            f" * exp({rat_to_str(self.exp_rate)}*{var})"
-        )
-
-
-class NotASolutionError(ValueError):
-    """P fails to solve the auxiliary equation; carries the residual."""
-
-    def __init__(self, residual: Poly):
-        super().__init__(f"polynomial is not a solution; residual {residual!r}")
-        self.residual = residual
-
-
-def liouvillian_form(family: Family, P: Poly, mode: ModeSpec) -> LiouvillianDescriptor:
-    """Assemble the Liouvillian solution from a verified polynomial P.
-
-    Raises :class:`NotASolutionError` when P does not solve the family's
-    auxiliary equation at the mode's frequency (the zero polynomial is
-    rejected the same way).
-    """
-    from .auxode import build_auxiliary, ode_residual
-
-    ode = build_auxiliary(family, mode)
-    residual = ode_residual(ode, P)
-    if P.is_zero() or not residual.is_zero():
-        raise NotASolutionError(residual)
-    spec = theta(family)
-    c0, c2, cinf = (c.eval(mode.s) for c in (spec.c0, spec.c2, spec.cinf))
-    half = Fraction(1, 2)
-    return LiouvillianDescriptor(
-        family_label=family.label,
-        P=P,
-        r_power=c0,
-        rm2_power=c2,
-        exp_rate=cinf,
-        r_power_master=c0 + half,
-        rm2_power_master=c2 - half,
-    )

@@ -100,16 +100,6 @@ class ModeSpec:
         """l(l+1), the angular eigenvalue."""
         return self.l * (self.l + 1)
 
-    @property
-    def mu2(self) -> int:
-        """(l-1)(l+2); positive for gravitational modes."""
-        return (self.l - 1) * (self.l + 2)
-
-    @property
-    def sigma0(self) -> Rational:
-        """i*sigma written as a rational: s/2."""
-        return self.s / 2
-
 
 @dataclass(frozen=True)
 class NuFraction:

@@ -248,7 +248,7 @@ def test_criterion_11_determinant_scan():
 def test_criterion_12_s3_theorem():
     t0 = time.time()
     record = s3_nonexistence(two_s_max=40, l_max=10)
-    ok = record.ratio_solution_set == (F(0), F(1, 2))
+    ok = record.matched_ratio_solution_set == (F(0), F(1, 2))
     ok = ok and record.half_s_degree0_fails
     ok = ok and record.oracle_all_trivial
     ok = ok and record.oracle_cells == 39 * 11

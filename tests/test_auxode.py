@@ -529,6 +529,13 @@ def test_homotopy_full_check():
     report = homotopic_equivalence_check()
     assert report.parameter_maps_ok
     assert report.operator_identities_ok
+    # both pairs at every sample: l in (2, 3), s in (1, 2, 7/3)
+    assert report.samples == tuple((l, F(s)) for l in (2, 3) for s in (1, 2, F(7, 3)))
+
+
+def test_homotopy_refuses_an_empty_monomial_range():
+    with pytest.raises(ValueError):
+        homotopic_equivalence_check(max_monomial=-1)
 
 
 def test_homotopy_identity_substitution():

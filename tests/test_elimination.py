@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhkovacic.elimination import bareiss_determinant, integerize_rows, nullspace
+from bhkovacic.elimination import bareiss_determinant, nullspace
 
 
 def det_oracle(matrix):
@@ -43,6 +43,20 @@ def test_bareiss_matches_oracle(matrix):
     assert bareiss_determinant(matrix) == det_oracle(matrix)
 
 
+def test_bareiss_empty_matrix_is_one():
+    # the 0 x 0 determinant, as Recurrence3.det(0) returns it
+    assert bareiss_determinant([]) == 1
+
+
+def integer_rows(matrix):
+    """Each row times the lcm of its denominators: the same nullspace."""
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(F(v).denominator for v in row))
+        rows.append([int(v * den) for v in row])
+    return rows
+
+
 rect_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
     lambda shape: st.lists(
         st.lists(
@@ -59,7 +73,7 @@ rect_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 @given(rect_matrices)
 @settings(max_examples=120, deadline=None)
 def test_nullspace_vectors_annihilate(matrix):
-    basis = nullspace(matrix)
+    basis = nullspace(integer_rows(matrix))
     n_cols = len(matrix[0])
     # rank-nullity, with sympy's rank as an independent oracle
     assert len(basis) == n_cols - sympy.Matrix(matrix).rank()
@@ -73,9 +87,8 @@ def fraction_nullspace(matrix):
     """The nullspace by back-substitution over Fraction, made primitive with
     its highest-index nonzero entry positive: the reference for the
     integer back-substitution."""
-    rows = integerize_rows(matrix)
-    n_cols = len(rows[0])
-    m = sympy.Matrix(rows).rref()
+    n_cols = len(matrix[0])
+    m = sympy.Matrix(matrix).rref()
     pivots = list(m[1])
     echelon = [[F(int(v.p), int(v.q)) for v in m[0].row(i)] for i in range(len(pivots))]
     basis = []
@@ -102,10 +115,7 @@ def _rank(vectors):
 @given(rect_matrices)
 @settings(max_examples=120, deadline=None)
 def test_integer_nullspace_matches_rational_and_sympy(matrix):
-    basis = nullspace(matrix)
-    # integer rows go straight to the integer path; the scaled rows have
-    # the same nullspace, so the primitive basis is the same list
-    assert nullspace(integerize_rows(matrix)) == basis
+    basis = nullspace(integer_rows(matrix))
     assert all(type(v) is int for vec in basis for v in vec)
     assert basis == fraction_nullspace(matrix)
     # the same space as sympy's basis: equal dimension, and stacking the two
@@ -120,11 +130,6 @@ def test_nullspace_known():
     assert len(basis) == 1
     v = basis[0]
     assert [v[0], v[1], v[2]] == [F(1), F(-2), F(1)]
-
-
-def test_integerize_preserves_ratios():
-    rows = integerize_rows([[F(1, 2), F(1, 3)], [F(2), F(5, 7)]])
-    assert rows == [[3, 2], [14, 5]]
 
 
 def test_zero_pivot_column_handled():

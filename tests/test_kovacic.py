@@ -4,19 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from bhkovacic.algebra import Poly
 from bhkovacic.kovacic import (
-    NotASolutionError,
     affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
     exponent_sets_n1,
     family_by_label,
-    liouvillian_form,
     retain_families,
     theta,
 )
-from bhkovacic.master import ModeSpec, PerturbationKind, partial_fractions, special_frequency
+from bhkovacic.master import PerturbationKind, partial_fractions
 
 G = PerturbationKind.GRAVITATIONAL
 E = PerturbationKind.ELECTROMAGNETIC
@@ -167,38 +164,3 @@ def test_n2_enumeration():
             assert f.n == 2
             # degree formula for n = 2: d = 2 - sum(e)/2
             assert f.degree == 2 - (f.e0 + f.e2 + f.einf) * F(1, 2)
-
-
-def test_liouvillian_form_g8():
-    from bhkovacic.auxode import solve_low_degree
-    g8 = family_by_label("G8")
-    ((s, P),) = solve_low_degree(g8, 1, l=2)
-    mode = ModeSpec(G, 2, s)
-    desc = liouvillian_form(g8, P, mode)
-    # the master-equation form P(r) exp(-2r) / (r (r-2)^4)
-    assert desc.r_power_master == -1
-    assert desc.rm2_power_master == -4
-    assert desc.exp_rate == -2
-    assert desc.P == Poly([F(3, 2), 1])
-    # and the Schrodinger-form powers carry the half shifts
-    assert desc.r_power == F(-3, 2)
-    assert desc.rm2_power == F(-7, 2)
-
-
-def test_liouvillian_form_g7():
-    from bhkovacic.auxode import chandrasekhar_r_frame
-    g7 = family_by_label("G7")
-    mode = ModeSpec(G, 2, special_frequency(2))
-    desc = liouvillian_form(g7, chandrasekhar_r_frame(2), mode)
-    assert desc.r_power_master == -1
-    assert desc.rm2_power_master == -4
-    assert desc.exp_rate == 2
-
-
-def test_liouvillian_form_rejects_non_solutions():
-    g8 = family_by_label("G8")
-    mode = ModeSpec(G, 2, 4)
-    with pytest.raises(NotASolutionError):
-        liouvillian_form(g8, Poly([1, 1]), mode)
-    with pytest.raises(NotASolutionError):
-        liouvillian_form(g8, Poly.zero(), mode)

@@ -43,3 +43,49 @@ def test_runtime_imports_only_the_standard_library(path):
         if name != "bhkovacic" and name not in sys.stdlib_module_names
     }
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+# exported on purpose with no caller in the program
+UNCALLED_EXPORTS = {
+    "rat_from_str": "the documented reader of the report's number format",
+    "build_nu": "the README's independent reference for partial_fractions",
+}
+
+
+def _used_names(path):
+    """Names one file uses: loaded names, attributes and imported names (no strings)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _exports(path):
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_export_has_a_caller():
+    # a caller is any use in the package, its own module included (a
+    # definition is not a use, nor a re-export from __init__), or in the
+    # benchmark other than its tests
+    callers = [p for p in SOURCES if p.name != "__init__.py"] + [
+        p for p in PERFBENCH.glob("*.py") if p.name != "test_perfbench.py"
+    ]
+    used = set().union(*(_used_names(path) for path in callers))
+    exports = {(path.stem, name) for path in SOURCES for name in _exports(path)}
+    assert set(UNCALLED_EXPORTS) <= {name for _, name in exports}
+    uncalled = sorted(
+        f"{module}.{name}"
+        for module, name in exports
+        if name not in used and name not in UNCALLED_EXPORTS
+    )
+    assert not uncalled, f"exported but never used: {uncalled}"

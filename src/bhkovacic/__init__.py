@@ -4,7 +4,7 @@ Schwarzschild perturbation master equation."""
 __version__ = "0.1.0"
 
 from .algebra import Poly, Rational, rat_from_str, rat_to_str
-from .master import ModeSpec, PerturbationKind, special_frequency
+from .master import PerturbationKind, special_frequency
 
 __all__ = [
     "__version__",
@@ -12,7 +12,6 @@ __all__ = [
     "Rational",
     "rat_from_str",
     "rat_to_str",
-    "ModeSpec",
     "PerturbationKind",
     "special_frequency",
 ]

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 from .algebra import Poly, Rational, horner, poly_gcd, rational_roots
 from .elimination import nullspace, tridiag_minors
 from .kovacic import Family, family_by_label, theta as theta_spec
-from .master import ModeSpec, PerturbationKind, partial_fractions, special_frequency
+from .master import partial_fractions, special_frequency
 
 __all__ = [
     "AuxiliaryODE",
@@ -56,30 +56,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AuxiliaryODE:
-    """p2 P'' + p1 P' + p0 P = 0 in a named coordinate frame."""
+    """p2 P'' + p1 P' + p0 P = 0 in a named coordinate frame.
+
+    Only the frame and the coefficients are kept: the equation is named by
+    the (family, l, s) that :func:`build_auxiliary` builds it from.
+    """
 
     frame: str  # "r", "w" or "z"
     p2: Poly
     p1: Poly
     p0: Poly
-    family_label: str
-    mode: ModeSpec
 
 
 def _sym_coefficients(family: Family, l: int) -> tuple:
     """Cleared-ODE coefficients with s left symbolic (polynomials in s).
 
     Returns (p1_const, p1_lin, p1_quad, e, f): p1(r) = p1_quad r^2 +
-    p1_lin r + p1_const and p0(r) = e r + f, all Poly in s.
+    p1_lin r + p1_const and p0(r) = e r + f, all Poly in s.  Every route
+    to an auxiliary equation passes here, so here l is checked against the
+    lowest multipole of the family's kind.
     """
     if family.n != 1:
         raise ValueError("auxiliary equations exist only on the n=1 branch")
+    kind = family.kind
+    if l < kind.min_l:
+        raise ValueError(
+            f"l={l} below the lowest radiating multipole "
+            f"{kind.min_l} for {kind.name.lower()} modes"
+        )
     spec = theta_spec(family)
     if spec.c0.degree > 0:
         raise ValueError("e0 must be frequency-independent")
     c0, c2, cinf = spec.c0[0], spec.c2, spec.cinf
     # the simple poles of nu survive; c0, c2 and cinf cancel the rest
-    nu = partial_fractions(family.kind, l)
+    nu = partial_fractions(kind, l)
     t0 = 2 * c0 * cinf - nu.inv_r
     t2 = 2 * c2 * cinf - nu.inv_rm2
     e = t0 + t2
@@ -90,19 +100,14 @@ def _sym_coefficients(family: Family, l: int) -> tuple:
     return p1_const, p1_lin, p1_quad, e, f
 
 
-def build_auxiliary(family: Family, mode: ModeSpec) -> AuxiliaryODE:
-    """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 for the mode."""
-    if mode.kind is not family.kind:
-        raise ValueError(
-            f"family {family.label} belongs to beta={family.kind.beta}, "
-            f"mode has beta={mode.beta}"
-        )
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, mode.l)
-    s = mode.s
+def build_auxiliary(family: Family, l: int, s: Rational) -> AuxiliaryODE:
+    """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 of the family
+    at multipole l and frequency s; the perturbation kind is the family's."""
+    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
     p1 = Poly([p1_const.eval(s), p1_lin.eval(s), p1_quad.eval(s)])
     p0 = Poly([f.eval(s), e.eval(s)])
     p2 = Poly([0, -2, 1])  # r(r-2)
-    return AuxiliaryODE("r", p2, p1, p0, family.label, mode)
+    return AuxiliaryODE("r", p2, p1, p0)
 
 
 def ode_residual(ode: AuxiliaryODE, P: Poly) -> Poly:
@@ -155,14 +160,7 @@ def to_w_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
     """Shift r = w + 2; the horizon singular point moves to the origin."""
     if ode.frame != "r":
         raise ValueError("w frame is reached from the r frame")
-    return AuxiliaryODE(
-        "w",
-        ode.p2.shift(2),
-        ode.p1.shift(2),
-        ode.p0.shift(2),
-        ode.family_label,
-        ode.mode,
-    )
+    return AuxiliaryODE("w", ode.p2.shift(2), ode.p1.shift(2), ode.p0.shift(2))
 
 
 def to_z_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
@@ -178,8 +176,6 @@ def to_z_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
         Poly([0, -1, 1]),
         ode.p1.scale_variable(2) * Fraction(1, 2),
         ode.p0.scale_variable(2),
-        ode.family_label,
-        ode.mode,
     )
 
 
@@ -312,7 +308,8 @@ def symbolic_recurrence(family: Family, l: int) -> Recurrence3:
     """The r-frame recurrence about r = 0 (rho = 0) with s left symbolic.
 
     Its entries are polynomials in s; at a given s they equal those of
-    ``recurrence(build_auxiliary(family, mode))``.
+    ``recurrence(build_auxiliary(family, l, s))``.  Like that equation it
+    refuses l below the lowest multipole of the family's kind.
     """
     p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
     # p2 = r(r-2) = r^2 - 2r
@@ -479,9 +476,7 @@ def chandrasekhar_coeffs(l: int) -> Poly:
 
 
 def _g7_ode(l: int) -> AuxiliaryODE:
-    s = special_frequency(l)
-    mode = ModeSpec(PerturbationKind.GRAVITATIONAL, l, s)
-    return build_auxiliary(family_by_label("G7"), mode)
+    return build_auxiliary(family_by_label("G7"), l, special_frequency(l))
 
 
 def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
@@ -702,9 +697,7 @@ def homotopic_shift_params(h: HeunForm, m: int) -> HeunForm:
 
 @dataclass(frozen=True)
 class HomotopyReport:
-    pairs: tuple
     samples: tuple
-    max_monomial: int
     parameter_maps_ok: bool
     operator_identities_ok: bool
 
@@ -730,9 +723,8 @@ def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
     for l in (2, 3):
         for s in (1, 2, Fraction(7, 3)):
             for orig_label, target_label, m in pairs:
-                mode = ModeSpec(PerturbationKind.from_label(orig_label), l, Fraction(s))
-                orig = to_heun_form(build_auxiliary(family_by_label(orig_label), mode))
-                target = to_heun_form(build_auxiliary(family_by_label(target_label), mode))
+                orig = to_heun_form(build_auxiliary(family_by_label(orig_label), l, s))
+                target = to_heun_form(build_auxiliary(family_by_label(target_label), l, s))
                 if m != 1 + orig.c:
                     raise AssertionError("substitution power must be 1 + c")
                 mapped = homotopic_shift_params(orig, m)
@@ -745,9 +737,7 @@ def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
                         identities_ok = False
             samples.append((l, Fraction(s)))
     return HomotopyReport(
-        pairs=pairs,
         samples=tuple(samples),
-        max_monomial=max_monomial,
         parameter_maps_ok=params_ok,
         operator_identities_ok=identities_ok,
     )

@@ -44,7 +44,7 @@ from .auxode import (
 )
 from .elimination import bareiss_determinant, nullspace, tridiag_minors
 from .kovacic import Family, family_by_label
-from .master import ModeSpec, PerturbationKind
+from .master import PerturbationKind
 
 __all__ = [
     "SCAN_FAMILIES",
@@ -236,7 +236,7 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
     same rows plus row d+1 give the brute-force nullspace.
     """
     fam = family_by_label(family)
-    ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(family, d)))
+    ode = build_auxiliary(fam, l, degree_to_s(family, d))
     rows, den = candidate_rows(ode, d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
     D_last = _cell(_column(fam, l), d)[2]
@@ -419,12 +419,9 @@ class S3Record:
     load-bearing evidence either way.
     """
 
-    l_checked: tuple
     matched_ratio_solution_set: tuple  # identical for every checked l
-    direct_w_ratio_denominator: str  # "l(l+1) + 2s"
     direct_system_trivial: bool  # True: compatibility collapses to 0 = 0
     half_s_degree0_fails: bool
-    oracle_grid: tuple  # (two_s_max, l_max)
     oracle_all_trivial: bool
     oracle_cells: int
 
@@ -465,7 +462,7 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
         raise ValueError("the sweep needs l_max >= 0")
     fam = family_by_label("S3")
 
-    l_checked = tuple(range(0, l_max + 1))
+    l_checked = range(l_max + 1)
     solution_sets = set()
     direct_trivial = True
     for l in l_checked:
@@ -490,19 +487,14 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
         s = Fraction(two_s, 2)
         d = two_s - 1
         for l in l_checked:
-            mode = ModeSpec(PerturbationKind.SCALAR, l, s)
-            ode = build_auxiliary(fam, mode)
-            basis = brute_force_polynomial_solutions(ode, d)
+            basis = brute_force_polynomial_solutions(build_auxiliary(fam, l, s), d)
             cells += 1
             if basis:
                 oracle_all_trivial = False
     return S3Record(
-        l_checked=l_checked,
         matched_ratio_solution_set=solution_set,
-        direct_w_ratio_denominator="l(l+1) + 2s",
         direct_system_trivial=direct_trivial,
         half_s_degree0_fails=half_fails,
-        oracle_grid=(two_s_max, l_max),
         oracle_all_trivial=oracle_all_trivial,
         oracle_cells=cells,
     )

@@ -249,8 +249,6 @@ def det_A(l: int) -> Poly:
 
 @dataclass(frozen=True)
 class EqualityReport:
-    j: int
-    grid_side: int
     grid_points: int
     kummer_equal: bool
     laguerre_equal: bool
@@ -299,8 +297,6 @@ def determinant_equality_check(j: int) -> EqualityReport:
             laguerre_equal = False
             witness = witness or ("laguerre", point, nec, lag)
     return EqualityReport(
-        j=j,
-        grid_side=side,
         grid_points=len(points),
         kummer_equal=kummer_equal,
         laguerre_equal=laguerre_equal,

@@ -13,7 +13,8 @@ The tables depend on the perturbation kind alone: the frequency s stays
 symbolic through enumeration, every exponent, degree form and theta
 coefficient being a :class:`~bhkovacic.algebra.Poly` in s of degree <= 1
 (printed by :func:`affine_str`), and l and a concrete rational s enter
-only when a family is instantiated against a mode.
+only when a family's auxiliary equation is built
+(:func:`~bhkovacic.auxode.build_auxiliary`).
 """
 
 from __future__ import annotations
@@ -177,9 +178,12 @@ def _marginal_points(family: Family):
 
     d = a + b*s with b <= 0: for b == 0 the degree is fixed and s is free
     (reported as s=None); for b < 0 only finitely many s >= 0 give integer
-    d >= 0.
+    d >= 0.  A degree that grows with s (b > 0) reaches every d, so it is
+    refused rather than listed.
     """
     a, b = family.degree[0], family.degree[1]
+    if b > 0:
+        raise ValueError(f"the degree of {family.label} grows with s: no finite list")
     if b == 0:
         if a.denominator == 1 and a >= 0:
             return [(None, int(a))]

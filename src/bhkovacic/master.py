@@ -23,7 +23,6 @@ from .algebra import Poly, Rational
 
 __all__ = [
     "PerturbationKind",
-    "ModeSpec",
     "NuFraction",
     "build_nu",
     "partial_fractions",
@@ -76,32 +75,6 @@ class PerturbationKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ModeSpec:
-    """One perturbation mode: kind, angular index l, frequency parameter s."""
-
-    kind: PerturbationKind
-    l: int
-    s: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", Fraction(self.s))
-        if self.l < self.kind.min_l:
-            raise ValueError(
-                f"l={self.l} below the lowest radiating multipole "
-                f"{self.kind.min_l} for {self.kind.name.lower()} modes"
-            )
-
-    @property
-    def beta(self) -> int:
-        return self.kind.beta
-
-    @property
-    def L(self) -> int:
-        """l(l+1), the angular eigenvalue."""
-        return self.l * (self.l + 1)
-
-
-@dataclass(frozen=True)
 class NuFraction:
     """Partial fractions of nu over r^2 (r-2)^2, each coefficient a Poly in s.
 
@@ -115,10 +88,10 @@ class NuFraction:
     inv_rm2: Poly
 
 
-def build_nu(mode: ModeSpec) -> tuple:
-    """Exact (numerator, denominator) of nu for the given mode."""
-    s, L, beta = mode.s, mode.L, mode.beta
-    numerator = Poly([3 - 4 * beta, 2 * (beta - L - 1), Fraction(L), 0, s * s / 4])
+def build_nu(kind: PerturbationKind, l: int, s: Rational) -> tuple:
+    """Exact (numerator, denominator) of nu for the mode (kind, l, s)."""
+    L, beta = l * (l + 1), kind.beta
+    numerator = Poly([3 - 4 * beta, 2 * (beta - L - 1), L, 0, Fraction(s) ** 2 / 4])
     denominator = Poly([0, 0, 4, -4, 1])  # r^2 (r-2)^2
     return numerator, denominator
 

@@ -38,7 +38,7 @@ from bhkovacic.kovacic import (
     family_by_label,
     retain_families,
 )
-from bhkovacic.master import ModeSpec, PerturbationKind, special_frequency
+from bhkovacic.master import PerturbationKind, special_frequency
 
 G = PerturbationKind.GRAVITATIONAL
 E = PerturbationKind.ELECTROMAGNETIC
@@ -217,7 +217,7 @@ def test_criterion_10_oracle_agreement():
     t0 = time.time()
     l = 2
     g7 = family_by_label("G7")
-    ode = build_auxiliary(g7, ModeSpec(G, l, special_frequency(l)))
+    ode = build_auxiliary(g7, l, special_frequency(l))
     rows, _ = candidate_rows(ode, 9)
     square = rows[:-1]  # the 10 x 10 candidate system
     basis = [Poly(v) for v in nullspace(square)]
@@ -227,7 +227,7 @@ def test_criterion_10_oracle_agreement():
     ok = ok and brute_force_polynomial_solutions(ode, 9) == basis
     e7 = family_by_label("E7")
     for l_em, s in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
-        ode = build_auxiliary(e7, ModeSpec(E, l_em, F(s)))
+        ode = build_auxiliary(e7, l_em, s)
         ok = ok and brute_force_polynomial_solutions(ode, 2 * s) == []
     report(10, "brute-force nullspaces: G7 one-dimensional, E7 empty", ok, t0)
 
@@ -261,8 +261,8 @@ def test_criterion_13_homotopic_equivalences():
     ok = result.parameter_maps_ok and result.operator_identities_ok
     # the advertised parameter map images on the two pairs
     l, s = 2, F(4)
-    g7 = to_heun_form(build_auxiliary(family_by_label("G7"), ModeSpec(G, l, s)))
+    g7 = to_heun_form(build_auxiliary(family_by_label("G7"), l, s))
     ok = ok and homotopic_shift_params(g7, 4).c == -5
-    e7 = to_heun_form(build_auxiliary(family_by_label("E7"), ModeSpec(E, 1, s)))
+    e7 = to_heun_form(build_auxiliary(family_by_label("E7"), 1, s))
     ok = ok and homotopic_shift_params(e7, 2).c == -3
     report(13, "homotopic z-power equivalences G7->G3 and E7->E3", ok, t0)

@@ -22,18 +22,19 @@ from bhkovacic.auxode import (
     ode_residual,
     recurrence,
     solve_low_degree,
+    symbolic_recurrence,
     to_heun_form,
     to_w_frame,
     to_z_frame,
 )
 from bhkovacic.elimination import bareiss_determinant, nullspace
+from bhkovacic.hautot import det_A
 from bhkovacic.kovacic import family_by_label
-from bhkovacic.master import ModeSpec, special_frequency
+from bhkovacic.master import special_frequency
 
 
 def _ode(label, l, s):
-    fam = family_by_label(label)
-    return build_auxiliary(fam, ModeSpec(fam.kind, l, F(s)))
+    return build_auxiliary(family_by_label(label), l, s)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +105,7 @@ def test_ode_residual_matches_poly_arithmetic(p2, p1, p0, P):
     from bhkovacic.auxode import HeunForm
 
     reference = p2 * P.derivative().derivative() + p1 * P.derivative() + p0 * P
-    mode = ModeSpec(family_by_label("G7").kind, 2, F(4))
-    assert ode_residual(AuxiliaryODE("r", p2, p1, p0, "G7", mode), P) == reference
+    assert ode_residual(AuxiliaryODE("r", p2, p1, p0), P) == reference
     a, b, c = p1[2], p1[1], p1[0]
     d, e = p0[0], p0[1]
     heun = Poly([0, -1, 1]) * P.derivative().derivative() + Poly([c, b, a]) * P.derivative()
@@ -221,11 +221,36 @@ def test_indicial_structure():
     assert [k for k in range(12) if recurrence(ode).upper(k) == 0] == [3]
     assert [k for k in range(12) if recurrence(to_w_frame(ode)).upper(k) == 0] == [7]
     # shifted by 1, the origin is r = 1, not a singular point
-    shifted = AuxiliaryODE(
-        "r", ode.p2.shift(1), ode.p1.shift(1), ode.p0.shift(1), ode.family_label, ode.mode
-    )
+    shifted = AuxiliaryODE("r", ode.p2.shift(1), ode.p1.shift(1), ode.p0.shift(1))
     with pytest.raises(ValueError):
         recurrence(shifted)
+
+
+# ---------------------------------------------------------------------------
+# every route to an auxiliary equation checks l
+# ---------------------------------------------------------------------------
+
+ROUTES = {
+    "build_auxiliary": lambda family, l: build_auxiliary(family, l, 1),
+    "symbolic_recurrence": symbolic_recurrence,
+    "solve_low_degree": lambda family, l: solve_low_degree(family, 0, l=l),
+}
+BELOW_LOWEST_MULTIPOLE = "below the lowest radiating multipole"
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("label, l", [("G8", 1), ("G3", 0), ("E7", 0)])
+def test_every_route_refuses_l_below_the_lowest_multipole(route, label, l):
+    family = family_by_label(label)
+    with pytest.raises(ValueError, match=BELOW_LOWEST_MULTIPOLE):
+        ROUTES[route](family, l)
+    ROUTES[route](family, family.kind.min_l)  # the lowest multipole itself is accepted
+
+
+@pytest.mark.parametrize("l", [1, 0])
+def test_det_A_refuses_l_below_the_gravitational_quadrupole(l):
+    with pytest.raises(ValueError, match=BELOW_LOWEST_MULTIPOLE):
+        det_A(l)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +524,7 @@ def test_tridiagonal_system_det_matches_recurrence():
         fam = family_by_label(label)
         for l in default_l_range(label, 4):
             for d in range(13):
-                ode = build_auxiliary(fam, ModeSpec(fam.kind, l, degree_to_s(label, d)))
+                ode = build_auxiliary(fam, l, degree_to_s(label, d))
                 rows, den = candidate_rows(ode, d)
                 assert len(rows) == d + 2 and den > 0
                 assert all(type(v) is int for row in rows for v in row)

@@ -33,7 +33,7 @@ from bhkovacic.evidence import (
     scan,
 )
 from bhkovacic.kovacic import family_by_label
-from bhkovacic.master import ModeSpec, special_frequency
+from bhkovacic.master import special_frequency
 
 
 # the published degree formulas G3: s = (d+3)/2, E3: s = (d+2)/2, E7: s = d/2
@@ -44,7 +44,7 @@ def _candidate_ode(label, l, d):
     """The family's auxiliary equation at the frequency its degree-d candidate pins."""
     fam = family_by_label(label)
     s = (d - fam.degree[0]) / fam.degree[1]
-    return build_auxiliary(fam, ModeSpec(fam.kind, l, s))
+    return build_auxiliary(fam, l, s)
 
 
 def _direct_det(ode, size):
@@ -153,14 +153,21 @@ def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
     # one cleared diagonal entry of one explicit system is off by one: its
     # cross-check disagrees, and the scan names that cell first
     planted_cell = ("E3", 2, 8)
-    real_rows = evidence.candidate_rows
+    real_build, real_rows = evidence.build_auxiliary, evidence.candidate_rows
+    built = {}  # id of each equation built -> (family label, l)
+
+    def recorded_build(family, l, s):
+        ode = real_build(family, l, s)
+        built[id(ode)] = (family.label, l)
+        return ode
 
     def planted_rows(ode, d):
         rows, den = real_rows(ode, d)
-        if (ode.family_label, ode.mode.l, d) == planted_cell:
+        if (*built[id(ode)], d) == planted_cell:
             rows[4][4] += 1
         return rows, den
 
+    monkeypatch.setattr(evidence, "build_auxiliary", recorded_build)
     monkeypatch.setattr(evidence, "candidate_rows", planted_rows)
     monkeypatch.setenv("BHK_THREADS", "1")
     report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12)
@@ -561,8 +568,6 @@ def test_s3_oracle_catches_planted_solution():
     # sanity for the oracle: the G8 equation at its special frequency has a
     # nontrivial nullspace, so an S3-style sweep over it would not be silent
     from bhkovacic.auxode import brute_force_polynomial_solutions, build_auxiliary
-    from bhkovacic.master import ModeSpec, PerturbationKind
 
-    g8 = family_by_label("G8")
-    ode = build_auxiliary(g8, ModeSpec(PerturbationKind.GRAVITATIONAL, 2, F(4)))
+    ode = build_auxiliary(family_by_label("G8"), 2, F(4))
     assert brute_force_polynomial_solutions(ode, 1)

@@ -31,7 +31,7 @@ from bhkovacic.hautot import (
     recurrence_identity_suite,
 )
 from bhkovacic.kovacic import family_by_label
-from bhkovacic.master import ModeSpec, special_frequency
+from bhkovacic.master import special_frequency
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,7 @@ def test_det_matches_bareiss():
     [("G7", 2, F(4)), ("G7", 3, F(7, 3)), ("G3", 2, F(5, 2)), ("E7", 1, F(3)), ("E3", 2, F(2))],
 )
 def test_heun_recurrence_matches_z_frame(label, l, s):
-    fam = family_by_label(label)
-    ode = build_auxiliary(fam, ModeSpec(fam.kind, l, s))
+    ode = build_auxiliary(family_by_label(label), l, s)
     heun = to_heun_form(ode).recurrence()
     z_frame = recurrence(to_z_frame(ode))  # through Poly.scale_variable
     for k in range(10):
@@ -475,8 +474,7 @@ def test_scalar_product_on_the_l5_kummer_terms():
 
 
 def _heun(label, l, s):
-    fam = family_by_label(label)
-    return to_heun_form(build_auxiliary(fam, ModeSpec(fam.kind, l, s)))
+    return to_heun_form(build_auxiliary(family_by_label(label), l, s))
 
 
 def test_sufficiency_g7():

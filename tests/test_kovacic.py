@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from bhkovacic.kovacic import (
+    _marginal_points,
     affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
@@ -111,6 +112,15 @@ def test_marginal_points_reported():
     e_result = retain_families(enumerate_families_n1(E), l_max=3)
     e6_points = {(c.s, c.d) for c in e_result.marginal if c.family.label == "E6"}
     assert e6_points == {(F(0), 0)}
+
+
+def test_marginal_points_refuses_a_degree_that_grows_with_s():
+    # d = a + b*s with b > 0 reaches every d >= 0: no finite list exists
+    growing = [f for kind in (G, E, S) for f in enumerate_families_n1(kind) if f.degree[1] > 0]
+    assert {f.label for f in growing} >= {"G3", "E3", "S3"}
+    for family in growing:
+        with pytest.raises(ValueError, match="grows with s"):
+            _marginal_points(family)
 
 
 def test_theta_values():

@@ -89,3 +89,38 @@ def test_every_export_has_a_caller():
         if name not in used and name not in UNCALLED_EXPORTS
     )
     assert not uncalled, f"exported but never used: {uncalled}"
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def _dataclass_fields(path):
+    """(class, field) for every annotated field of a ``@dataclass`` in one file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def _attributes_read(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_dataclass_field_is_read():
+    # a read is an attribute load anywhere in the package, the benchmark or
+    # the tests; a keyword in a constructor call only writes the field
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    readers = SOURCES + sorted(PERFBENCH.glob("*.py")) + tests
+    read = set().union(*(_attributes_read(path) for path in readers))
+    unread = sorted(
+        f"{cls}.{name}"
+        for path in SOURCES
+        for cls, name in _dataclass_fields(path)
+        if name not in read
+    )
+    assert not unread, f"dataclass fields nothing reads: {unread}"

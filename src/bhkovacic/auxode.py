@@ -68,28 +68,37 @@ class AuxiliaryODE:
     p0: Poly
 
 
-def _sym_coefficients(family: Family, l: int) -> tuple:
-    """Cleared-ODE coefficients with s left symbolic (polynomials in s).
+def _multipole_offset(family: Family, l: int) -> int:
+    """m = l(l+1) - L_min >= 0, L_min that of the lowest multipole of the
+    family's kind: the one place where l enters an auxiliary equation."""
+    kind = family.kind
+    min_l = kind.min_l
+    if l < min_l:
+        raise ValueError(
+            f"l={l} below the lowest radiating multipole "
+            f"{min_l} for {kind.name.lower()} modes"
+        )
+    return l * (l + 1) - min_l * (min_l + 1)
+
+
+def _sym_coefficients(family: Family) -> tuple:
+    """Cleared-ODE coefficients at the lowest multipole, s symbolic.
 
     Returns (p1_const, p1_lin, p1_quad, e, f): p1(r) = p1_quad r^2 +
-    p1_lin r + p1_const and p0(r) = e r + f, all Poly in s.  Every route
-    to an auxiliary equation passes here, so here l is checked against the
-    lowest multipole of the family's kind.
+    p1_lin r + p1_const and p0(r) = e r + f, all Poly in s.  Only f moves
+    with l: nu's simple-pole coefficients carry -L/2 at r = 0 and +L/2 at
+    r = 2 (L = l(l+1)), which cancel in e and leave -L in f, so at
+    multipole l every caller lowers f by :func:`_multipole_offset`.
     """
     if family.n != 1:
         raise ValueError("auxiliary equations exist only on the n=1 branch")
     kind = family.kind
-    if l < kind.min_l:
-        raise ValueError(
-            f"l={l} below the lowest radiating multipole "
-            f"{kind.min_l} for {kind.name.lower()} modes"
-        )
     spec = theta_spec(family)
     if spec.c0.degree > 0:
         raise ValueError("e0 must be frequency-independent")
     c0, c2, cinf = spec.c0[0], spec.c2, spec.cinf
     # the simple poles of nu survive; c0, c2 and cinf cancel the rest
-    nu = partial_fractions(kind, l)
+    nu = partial_fractions(kind, kind.min_l)
     t0 = 2 * c0 * cinf - nu.inv_r
     t2 = 2 * c2 * cinf - nu.inv_rm2
     e = t0 + t2
@@ -103,9 +112,9 @@ def _sym_coefficients(family: Family, l: int) -> tuple:
 def build_auxiliary(family: Family, l: int, s: Rational) -> AuxiliaryODE:
     """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 of the family
     at multipole l and frequency s; the perturbation kind is the family's."""
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
+    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family)
     p1 = Poly([p1_const.eval(s), p1_lin.eval(s), p1_quad.eval(s)])
-    p0 = Poly([f.eval(s), e.eval(s)])
+    p0 = Poly([f.eval(s) - _multipole_offset(family, l), e.eval(s)])
     p2 = Poly([0, -2, 1])  # r(r-2)
     return AuxiliaryODE("r", p2, p1, p0)
 
@@ -311,7 +320,8 @@ def symbolic_recurrence(family: Family, l: int) -> Recurrence3:
     ``recurrence(build_auxiliary(family, l, s))``.  Like that equation it
     refuses l below the lowest multipole of the family's kind.
     """
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
+    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family)
+    f = f - _multipole_offset(family, l)
     # p2 = r(r-2) = r^2 - 2r
     return _recurrence3(1, -2, p1_quad, p1_lin, p1_const, e, f)
 
@@ -342,7 +352,8 @@ def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple
     """
     if d not in (0, 1):
         raise ValueError("fixed-degree solver covers d in {0, 1} only")
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family, l)
+    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family)
+    f = f - _multipole_offset(family, l)
 
     if d == 0:
         # residual = p0 = e r + f

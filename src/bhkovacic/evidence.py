@@ -7,8 +7,9 @@ s = (d+2)/2, E7: s = d/2) and leads to a (d+1) x (d+1) tridiagonal
 homogeneous system, rows 0..d of the r-frame recurrence about r = 0 of
 the auxiliary equation, with leading minors
 D_{k+1} = diag(k) D_k - offprod(k) D_{k-1}.  The entries are taken from
-the auxiliary equation with s symbolic and turned once per (family, l)
-column into integer polynomials in k and d.  A scan cell (:func:`_cell`)
+the auxiliary equation with s symbolic and turned once per family into
+integer polynomials in k and d; a (family, l) column lowers diag's
+constant term by the multipole offset of l.  A scan cell (:func:`_cell`)
 evaluates them at its d, then walks k = 0..d advancing diag(k) and
 offprod(k) by forward differences (Knuth, TAOCP vol. 2, 4.6.4) while it
 runs the recurrence and tests the signs in the same loop: every D_n is a
@@ -36,6 +37,7 @@ from typing import Optional, Sequence
 
 from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_roots
 from .auxode import (
+    _multipole_offset,
     brute_force_polynomial_solutions,
     build_auxiliary,
     candidate_rows,
@@ -69,22 +71,30 @@ def degree_to_s(family: str, d: int) -> Rational:
     return (d - degree[0]) / degree[1]
 
 
-# a scan visits its columns in order, so a small cache serves a column's
-# cells and then its cross-checks
-@functools.lru_cache(maxsize=128)
-def _column(fam: Family, l: int) -> tuple:
-    """(diag, offprod) of one (family, l) column as integer grids in k and d.
+# one grid per family serves every l of a scan, in each worker too
+@functools.lru_cache(maxsize=None)  # bounded: twenty n=1 families
+def _column(fam: Family) -> tuple:
+    """(diag, offprod) of the family at its lowest multipole as integer grids in k and d.
 
     grid[i][j] multiplies k^i d^j.  The entries are those of the symbolic
     r-frame recurrence about r = 0, with offprod(k) = lower(k) upper(k-1),
-    at the s that a degree-d candidate pins.
+    at the s that a degree-d candidate pins; l moves only diag's k^0 d^0 term
+    (:func:`_column_at`).
     """
-    rec = symbolic_recurrence(fam, l)
+    rec = symbolic_recurrence(fam, fam.kind.min_l)
     l0, l1 = rec.lower_k
     u0, u1, u2 = rec.upper_k
     p0, p1, p2 = u0 - u1 + u2, u1 - 2 * u2, u2  # upper(k - 1)
     offprod = (l0 * p0, l0 * p1 + l1 * p0, l0 * p2 + l1 * p1, l1 * p2)
     return _in_degree(rec.diag_k, fam), _in_degree(offprod, fam)
+
+
+def _column_at(fam: Family, l: int) -> tuple:
+    """The (family, l) column: the family's grid with diag's k^0 d^0
+    coefficient lowered by the multipole offset of l."""
+    m = _multipole_offset(fam, l)
+    ((c, *c_d), *c_k), offprod = _column(fam)
+    return ((c - m, *c_d), *c_k), offprod
 
 
 def _in_degree(entries, fam: Family) -> tuple:
@@ -125,12 +135,14 @@ class DetSequence:
 
 def det_sequence(family: str, l: int, d: int) -> DetSequence:
     """The reference cell: every entry evaluated on its own, every minor kept."""
-    fam = family_by_label(family)
-    values = (1, *tridiag_minors(*_cell_entries(_column(fam, l), d)))
+    if d < 0:
+        raise ValueError("degree bound must be non-negative")
+    s = degree_to_s(family, d)  # a family outside the scan has no grid
+    values = (1, *tridiag_minors(*_cell_entries(_column_at(family_by_label(family), l), d)))
     return DetSequence(
         family=family,
         l=l,
-        s=degree_to_s(family, d),
+        s=s,
         d=d,
         values=values,
         sign_pattern_ok=all(v != 0 and (v > 0) == (n % 2 == 0) for n, v in enumerate(values)),
@@ -239,7 +251,7 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
     ode = build_auxiliary(fam, l, degree_to_s(family, d))
     rows, den = candidate_rows(ode, d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
-    D_last = _cell(_column(fam, l), d)[2]
+    D_last = _cell(_column_at(fam, l), d)[2]
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": family,
@@ -263,7 +275,7 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
     """
-    column = _column(family_by_label(family), l)
+    column = _column_at(family_by_label(family), l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
     for d in range(d_max + 1):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from bhkovacic.algebra import Poly
 from bhkovacic.auxode import (
     AuxiliaryODE,
+    Recurrence3,
+    _multipole_offset,
+    _sym_coefficients,
     brute_force_polynomial_solutions,
     build_auxiliary,
     candidate_rows,
@@ -28,6 +31,7 @@ from bhkovacic.auxode import (
     to_z_frame,
 )
 from bhkovacic.elimination import bareiss_determinant, nullspace
+from bhkovacic.evidence import SCAN_FAMILIES, cross_check_cell, det_sequence
 from bhkovacic.hautot import det_A
 from bhkovacic.kovacic import family_by_label
 from bhkovacic.master import special_frequency
@@ -234,7 +238,10 @@ ROUTES = {
     "build_auxiliary": lambda family, l: build_auxiliary(family, l, 1),
     "symbolic_recurrence": symbolic_recurrence,
     "solve_low_degree": lambda family, l: solve_low_degree(family, 0, l=l),
+    "det_sequence": lambda family, l: det_sequence(family.label, l, 0),
+    "cross_check_cell": lambda family, l: cross_check_cell(family.label, l, 0),
 }
+SCAN_ROUTES = ("det_sequence", "cross_check_cell")
 BELOW_LOWEST_MULTIPOLE = "below the lowest radiating multipole"
 
 
@@ -242,6 +249,11 @@ BELOW_LOWEST_MULTIPOLE = "below the lowest radiating multipole"
 @pytest.mark.parametrize("label, l", [("G8", 1), ("G3", 0), ("E7", 0)])
 def test_every_route_refuses_l_below_the_lowest_multipole(route, label, l):
     family = family_by_label(label)
+    if route in SCAN_ROUTES and label not in SCAN_FAMILIES:
+        for any_l in (l, family.kind.min_l):  # the scan covers no l of the family
+            with pytest.raises(ValueError, match="scan covers"):
+                ROUTES[route](family, any_l)
+        return
     with pytest.raises(ValueError, match=BELOW_LOWEST_MULTIPOLE):
         ROUTES[route](family, l)
     ROUTES[route](family, family.kind.min_l)  # the lowest multipole itself is accepted
@@ -251,6 +263,84 @@ def test_every_route_refuses_l_below_the_lowest_multipole(route, label, l):
 def test_det_A_refuses_l_below_the_gravitational_quadrupole(l):
     with pytest.raises(ValueError, match=BELOW_LOWEST_MULTIPOLE):
         det_A(l)
+
+
+# ---------------------------------------------------------------------------
+# l enters through one offset: sympy derivations with L = l(l+1) a symbol
+# ---------------------------------------------------------------------------
+
+N1_LABELS = [f"{p}{i}" for p, count in (("G", 8), ("E", 8), ("S", 4)) for i in range(1, count + 1)]
+BETA_AND_MIN_L = {"G": (-3, 2), "E": (0, 1), "S": (1, 0)}
+
+
+def _in_sympy(p, s):
+    """A Poly in s (or a rational constant) as a sympy expression in s."""
+    import sympy
+
+    coeffs = p.coeffs if isinstance(p, Poly) else (F(p),)
+    return sum(sympy.Rational(c.numerator, c.denominator) * s**k for k, c in enumerate(coeffs))
+
+
+def _coefficients_at(family, s, L):
+    """The implementation's (p1 const, lin, quad, e, f) in sympy, at multipole L.
+
+    f is lowered by L - L_min, the multipole offset with L a symbol.
+    """
+    p1_const, p1_lin, p1_quad, e, f = (_in_sympy(p, s) for p in _sym_coefficients(family))
+    min_l = family.kind.min_l
+    return p1_const, p1_lin, p1_quad, e, f - (L - min_l * (min_l + 1))
+
+
+@pytest.mark.parametrize("label", N1_LABELS)
+def test_cleared_coefficients_match_a_sympy_derivation(label):
+    # p1 and p0 from nu of the master equation and from theta, in (r, s, L)
+    import sympy
+
+    r, s, L = sympy.symbols("r s L")
+    family = family_by_label(label)
+    beta, min_l = BETA_AND_MIN_L[label[0]]
+    nu = (s**2 / 4 * r**4 + L * r**2 + 2 * (beta - L - 1) * r + 3 - 4 * beta) / (
+        r**2 * (r - 2) ** 2
+    )
+    e0, e2 = _in_sympy(family.e0, s), _in_sympy(family.e2, s)
+    theta = e0 / r + e2 / (r - 2) + family.sign_inf * s / 2
+    p1 = 2 * theta * r * (r - 2)
+    p0 = r * (r - 2) * (theta**2 + sympy.diff(theta, r) - nu)
+    p1_const, p1_lin, p1_quad, e, f = _coefficients_at(family, s, L)
+    assert sympy.cancel(p1 - (p1_quad * r**2 + p1_lin * r + p1_const)) == 0
+    assert sympy.cancel(p0 - (e * r + f)) == 0
+    for l in range(min_l, min_l + 4):
+        assert _multipole_offset(family, l) == l * (l + 1) - min_l * (min_l + 1)
+
+
+def test_g7_sufficiency_minor_holds_for_every_l():
+    # det(A) = -36 (s^2 - (L(L-2)/6)^2) as a polynomial identity in (s, L)
+    import sympy
+
+    s, L = sympy.symbols("s L")
+    rec = symbolic_recurrence(family_by_label("G7"), 2)
+    rows = (rec.lower_k, rec.diag_k, rec.upper_k)
+    lower, diag, upper = ([_in_sympy(c, s) for c in row] for row in rows)
+    diag[0] -= L - 6  # the multipole offset from l = 2
+    minor = sympy.expand(Recurrence3(tuple(lower), tuple(diag), tuple(upper)).det(4))
+    assert sympy.expand(minor + 36 * (s**2 - (L * (L - 2) / 6) ** 2)) == 0
+    for l in range(2, 6):
+        assert sympy.expand(_in_sympy(det_A(l), s) - minor.subs(L, l * (l + 1))) == 0
+
+
+def test_g8_solution_holds_for_every_l():
+    # P = r + 6/(L-2) solves the G8 equation at s = L(L-2)/6 for every L
+    import sympy
+
+    r, L = sympy.symbols("r L")
+    p1_const, p1_lin, p1_quad, e, f = _coefficients_at(family_by_label("G8"), L * (L - 2) / 6, L)
+    P = r + 6 / (L - 2)
+    residual = (
+        r * (r - 2) * sympy.diff(P, r, 2)
+        + (p1_quad * r**2 + p1_lin * r + p1_const) * sympy.diff(P, r)
+        + (e * r + f) * P
+    )
+    assert sympy.cancel(sympy.expand((L - 2) * residual)) == 0
 
 
 # ---------------------------------------------------------------------------

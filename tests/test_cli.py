@@ -385,7 +385,7 @@ def test_chandra_writes_integers_past_the_str_limit(capsys, int_str_limit):
 
 def test_evidence_out_writes_integers_past_the_str_limit(capsys, tmp_path, int_str_limit):
     # G3 at l = 2 passes the default 4,300-digit limit near d = 860
-    from bhkovacic.evidence import _cell, _column
+    from bhkovacic.evidence import _cell, _column_at
 
     int_str_limit(4300)
     out_path = tmp_path / "cells.json"
@@ -397,7 +397,7 @@ def test_evidence_out_writes_integers_past_the_str_limit(capsys, tmp_path, int_s
     int_str_limit(0)
     cells = json.loads(out_path.read_text())
     assert len(cells) == 881 and len(cells[-1]["D_last"]) > 4300
-    column = _column(family_by_label("G3"), 2)
+    column = _column_at(family_by_label("G3"), 2)
     assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (878, 879, 880)]
 
 

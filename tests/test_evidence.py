@@ -15,6 +15,7 @@ from bhkovacic.auxode import (
     build_auxiliary,
     candidate_rows,
     chandrasekhar_r_frame,
+    recurrence,
 )
 from bhkovacic.elimination import bareiss_determinant, tridiag_minors
 from bhkovacic.evidence import (
@@ -23,6 +24,7 @@ from bhkovacic.evidence import (
     _cell,
     _cell_entries,
     _column,
+    _column_at,
     _ratio_system_polynomial,
     _worker_count,
     cross_check_cell,
@@ -58,7 +60,7 @@ def _direct_det(ode, size):
 
 
 def _engine_minors(label, l, d):
-    return list(tridiag_minors(*_cell_entries(_column(family_by_label(label), l), d)))
+    return list(tridiag_minors(*_cell_entries(_column_at(family_by_label(label), l), d)))
 
 
 def test_degree_to_s():
@@ -78,6 +80,13 @@ def test_g3_example_sequence():
     assert seq.values[1] == -20
     assert seq.values[2] == 420
     assert seq.sign_pattern_ok and seq.final_sign_ok
+
+
+@pytest.mark.parametrize("family, d", [("G3", -1), ("E7", -3)])
+def test_det_sequence_refuses_a_negative_degree(family, d):
+    # a cell with no row examines nothing and must not report a pass
+    with pytest.raises(ValueError, match="degree bound must be non-negative"):
+        det_sequence(family, 2, d)
 
 
 def test_sequence_matches_direct_determinants():
@@ -120,10 +129,25 @@ def test_engine_entries_match_published_recurrences():
     for family in SCAN_FAMILIES:
         fam = family_by_label(family)
         for l in default_l_range(family, 20):
-            column = _column(fam, l)
+            column = _column_at(fam, l)
             for d in range(501):
                 entries = _cell_entries(column, d)
                 assert entries == _published_entries(family, l, d), (family, l, d)
+
+
+@pytest.mark.parametrize("label", ["G3", "E3", "E7", "S3", "G7"])
+def test_family_grid_at_l_matches_the_equation_built_at_l(label):
+    # one grid per family, lowered by the multipole offset, against the
+    # recurrence of the equation built at each l <= 20 and the pinned s
+    fam = family_by_label(label)
+    a, b = fam.degree[0], fam.degree[1]
+    for l in range(fam.kind.min_l, 21):
+        column = _column_at(fam, l)
+        for d in (0, 1, 7, 30):
+            rec = recurrence(build_auxiliary(fam, l, (d - a) / b))
+            ks = range(d + 1)
+            expected = [rec.diag(k) for k in ks], [rec.lower(k) * rec.upper(k - 1) for k in ks]
+            assert _cell_entries(column, d) == expected, (l, d)
 
 
 def test_g7_positive_control():
@@ -189,11 +213,12 @@ def test_s3_engine_matches_bareiss():
 
 
 def test_scan_builds_each_column_once(monkeypatch):
+    # one grid serves every l of a family
     monkeypatch.setenv("BHK_THREADS", "1")
     _column.cache_clear()
     report = scan(families=("G3",), l_max=3, d_max=12)
     assert len(report.cross_checks) == 2 * 4
-    assert _column.cache_info().misses == 2
+    assert _column.cache_info().misses == 1
 
 
 def test_cross_check_cell_example():
@@ -236,7 +261,7 @@ def _assert_mag_index(values, n0):
 def test_magnitude_log_matches_sequence():
     # logged observation only; the kernel's index agrees with the stored minors
     for family, l, d in (("G3", 3, 25), ("E7", 2, 30)):
-        n0 = _cell(_column(family_by_label(family), l), d)[3]
+        n0 = _cell(_column_at(family_by_label(family), l), d)[3]
         _assert_mag_index(det_sequence(family, l, d).values, n0)
 
 
@@ -259,7 +284,7 @@ def test_cell_matches_reference_on_scan_families():
     interior_zero = False
     for family in SCAN_FAMILIES:
         for l in default_l_range(family, 6):
-            column = _column(family_by_label(family), l)
+            column = _column_at(family_by_label(family), l)
             for d in range(101):
                 seq = det_sequence(family, l, d)
                 expected = _reference(seq.values, d)
@@ -275,7 +300,7 @@ def test_cell_matches_reference_on_s3_and_g7():
     special = {l: int(2 * special_frequency(l)) + 1 for l in (2, 3, 4)}
     columns = [("S3", l, 40) for l in (0, 1, 3)] + [("G7", l, d + 2) for l, d in special.items()]
     for family, l, d_max in columns:
-        column = _column(family_by_label(family), l)
+        column = _column_at(family_by_label(family), l)
         for d in range(d_max + 1):
             values = (1, *tridiag_minors(*_cell_entries(column, d)))
             assert _cell(column, d) == _reference(values, d), (family, l, d)
@@ -338,7 +363,7 @@ def test_scan_report_streaming(tmp_path):
     cells = json.loads(out.read_text())
     assert len(cells) == report.cells == 6
     seq0 = det_sequence("G3", 2, 0)
-    mag_from = _cell(_column(family_by_label("G3"), 2), 0)[3]
+    mag_from = _cell(_column_at(family_by_label("G3"), 2), 0)[3]
     _assert_mag_index(seq0.values, mag_from)
     assert cells[0] == {
         "family": "G3",
@@ -519,7 +544,7 @@ def test_scan_workers_write_integers_past_the_str_limit(monkeypatch, tmp_path, i
     int_str_limit(0)
     cells = json.loads(files[1])
     assert max(len(c["D_last"]) for c in cells) > 640
-    column = _column(family_by_label("G3"), 3)
+    column = _column_at(family_by_label("G3"), 3)
     assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (168, 169, 170)]
 
 

@@ -124,3 +124,29 @@ def test_every_dataclass_field_is_read():
         if name not in read
     )
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+# the only module-level memos: a memo outlives the call that filled it, so
+# one more carries work over between runs in one process
+ALLOWED_MEMOS = {"kovacic.family_by_label", "evidence._column"}
+
+
+def _is_memo(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def _memos(path):
+    """module.name of every memoized function at module level or in a class."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in members:
+            is_function = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_function and any(map(_is_memo, item.decorator_list)):
+                yield f"{path.stem}.{item.name}"
+
+
+def test_module_level_memos_are_pinned():
+    memos = {memo for path in SOURCES for memo in _memos(path)}
+    assert memos == ALLOWED_MEMOS

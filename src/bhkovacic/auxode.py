@@ -36,13 +36,13 @@ __all__ = [
     "AuxiliaryODE",
     "Recurrence3",
     "HeunForm",
-    "build_auxiliary",
+    "FamilyEquation",
+    "family_equation",
     "ode_residual",
     "to_w_frame",
     "to_z_frame",
     "to_heun_form",
     "recurrence",
-    "symbolic_recurrence",
     "solve_low_degree",
     "chandrasekhar_coeffs",
     "chandrasekhar_r_frame",
@@ -59,7 +59,7 @@ class AuxiliaryODE:
     """p2 P'' + p1 P' + p0 P = 0 in a named coordinate frame.
 
     Only the frame and the coefficients are kept: the equation is named by
-    the (family, l, s) that :func:`build_auxiliary` builds it from.
+    the (family, l, s) that :meth:`FamilyEquation.at` builds it from.
     """
 
     frame: str  # "r", "w" or "z"
@@ -81,15 +81,47 @@ def _multipole_offset(family: Family, l: int) -> int:
     return l * (l + 1) - min_l * (min_l + 1)
 
 
-def _sym_coefficients(family: Family) -> tuple:
-    """Cleared-ODE coefficients at the lowest multipole, s symbolic.
+@dataclass(frozen=True)
+class FamilyEquation:
+    """The cleared auxiliary equation of one n=1 family, s symbolic.
 
-    Returns (p1_const, p1_lin, p1_quad, e, f): p1(r) = p1_quad r^2 +
-    p1_lin r + p1_const and p0(r) = e r + f, all Poly in s.  Only f moves
+    p1(r) = p1_quad r^2 + p1_lin r + p1_const and p0(r) = e r + f, each a
+    Poly in s, at the lowest multipole of the family's kind.  Only f moves
     with l: nu's simple-pole coefficients carry -L/2 at r = 0 and +L/2 at
     r = 2 (L = l(l+1)), which cancel in e and leave -L in f, so at
-    multipole l every caller lowers f by :func:`_multipole_offset`.
+    multipole l f is lowered by :func:`_multipole_offset`, which also
+    refuses l below the lowest multipole.  Built once by
+    :func:`family_equation`, it serves every (l, s) of a check.
     """
+
+    family: Family
+    p1_const: Poly
+    p1_lin: Poly
+    p1_quad: Poly
+    e: Poly
+    f: Poly
+
+    def at(self, l: int, s: Rational) -> AuxiliaryODE:
+        """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 at multipole l
+        and frequency s."""
+        p1 = Poly([self.p1_const.eval(s), self.p1_lin.eval(s), self.p1_quad.eval(s)])
+        p0 = Poly([self.f.eval(s) - _multipole_offset(self.family, l), self.e.eval(s)])
+        p2 = Poly([0, -2, 1])  # r(r-2)
+        return AuxiliaryODE("r", p2, p1, p0)
+
+    def recurrence(self, l: int) -> Recurrence3:
+        """The r-frame recurrence about r = 0 (rho = 0) at multipole l, s symbolic.
+
+        Its entries are polynomials in s; at a given s they equal those of
+        ``recurrence(self.at(l, s))``.
+        """
+        f = self.f - _multipole_offset(self.family, l)
+        # p2 = r(r-2) = r^2 - 2r
+        return _recurrence3(1, -2, self.p1_quad, self.p1_lin, self.p1_const, self.e, f)
+
+
+def family_equation(family: Family) -> FamilyEquation:
+    """The family's auxiliary equation with s symbolic, from theta and nu."""
     if family.n != 1:
         raise ValueError("auxiliary equations exist only on the n=1 branch")
     kind = family.kind
@@ -101,22 +133,14 @@ def _sym_coefficients(family: Family) -> tuple:
     nu = partial_fractions(kind, kind.min_l)
     t0 = 2 * c0 * cinf - nu.inv_r
     t2 = 2 * c2 * cinf - nu.inv_rm2
-    e = t0 + t2
-    f = 2 * c0 * c2 - 2 * t0
-    p1_const = Poly.const(-4 * c0)
-    p1_lin = 2 * c0 + 2 * c2 - 4 * cinf
-    p1_quad = 2 * cinf
-    return p1_const, p1_lin, p1_quad, e, f
-
-
-def build_auxiliary(family: Family, l: int, s: Rational) -> AuxiliaryODE:
-    """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 of the family
-    at multipole l and frequency s; the perturbation kind is the family's."""
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family)
-    p1 = Poly([p1_const.eval(s), p1_lin.eval(s), p1_quad.eval(s)])
-    p0 = Poly([f.eval(s) - _multipole_offset(family, l), e.eval(s)])
-    p2 = Poly([0, -2, 1])  # r(r-2)
-    return AuxiliaryODE("r", p2, p1, p0)
+    return FamilyEquation(
+        family=family,
+        p1_const=Poly.const(-4 * c0),
+        p1_lin=2 * c0 + 2 * c2 - 4 * cinf,
+        p1_quad=2 * cinf,
+        e=t0 + t2,
+        f=2 * c0 * c2 - 2 * t0,
+    )
 
 
 def ode_residual(ode: AuxiliaryODE, P: Poly) -> Poly:
@@ -244,7 +268,7 @@ class Recurrence3:
     where p2 = alpha t^2 + beta t, p1 = a t^2 + b t + c and p0 = e t + f.
     Each entry is kept as its coefficient tuple in k, lowest power first;
     the coefficients are rationals, or polynomials in s
-    (:func:`symbolic_recurrence`).
+    (:meth:`FamilyEquation.recurrence`).
     """
 
     lower_k: tuple
@@ -313,19 +337,6 @@ def recurrence(ode: AuxiliaryODE) -> Recurrence3:
     return _recurrence3(p2[2], p2[1], p1[2], p1[1], p1[0], p0[1], p0[0])
 
 
-def symbolic_recurrence(family: Family, l: int) -> Recurrence3:
-    """The r-frame recurrence about r = 0 (rho = 0) with s left symbolic.
-
-    Its entries are polynomials in s; at a given s they equal those of
-    ``recurrence(build_auxiliary(family, l, s))``.  Like that equation it
-    refuses l below the lowest multipole of the family's kind.
-    """
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family)
-    f = f - _multipole_offset(family, l)
-    # p2 = r(r-2) = r^2 - 2r
-    return _recurrence3(1, -2, p1_quad, p1_lin, p1_const, e, f)
-
-
 def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
     """The :class:`Recurrence3` entry formulas, expanded in k; ring-neutral."""
     return Recurrence3(
@@ -340,8 +351,8 @@ def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
 # ---------------------------------------------------------------------------
 
 
-def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple]:
-    """All (s, P) with P a degree-d polynomial solution, d in {0, 1}.
+def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed=None) -> List[tuple]:
+    """All (s, P) with P a degree-d polynomial solution of eq at multipole l, d in {0, 1}.
 
     The residual of a monic degree-d trial polynomial is linear in r plus,
     for d=1, a possible r^2 term; its coefficients are polynomials in s
@@ -352,8 +363,7 @@ def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple
     """
     if d not in (0, 1):
         raise ValueError("fixed-degree solver covers d in {0, 1} only")
-    p1_const, p1_lin, p1_quad, e, f = _sym_coefficients(family)
-    f = f - _multipole_offset(family, l)
+    e, f = eq.e, eq.f - _multipole_offset(eq.family, l)
 
     if d == 0:
         # residual = p0 = e r + f
@@ -365,9 +375,9 @@ def solve_low_degree(family: Family, d: int, l: int, s_fixed=None) -> List[tuple
 
     # d == 1, monic trial P = r + k:
     #   residual = (R2) r^2 + (A + e k) r + (B + f k)
-    R2 = p1_quad + e
-    A = p1_lin + f
-    B = p1_const
+    R2 = eq.p1_quad + e
+    A = eq.p1_lin + f
+    B = eq.p1_const
 
     def solve_k_at(s0) -> Optional[Rational]:
         ev, fv = e.eval(s0), f.eval(s0)
@@ -487,7 +497,7 @@ def chandrasekhar_coeffs(l: int) -> Poly:
 
 
 def _g7_ode(l: int) -> AuxiliaryODE:
-    return build_auxiliary(family_by_label("G7"), l, special_frequency(l))
+    return family_equation(family_by_label("G7")).at(l, special_frequency(l))
 
 
 def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
@@ -727,15 +737,18 @@ def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
     """
     if max_monomial < 0:
         raise ValueError("max_monomial must be non-negative: no identity would be checked")
-    pairs = (("G7", "G3", 4), ("E7", "E3", 2))
+    pairs = [
+        (family_equation(family_by_label(orig)), family_equation(family_by_label(target)), m)
+        for orig, target, m in (("G7", "G3", 4), ("E7", "E3", 2))
+    ]
     params_ok = True
     identities_ok = True
     samples = []
     for l in (2, 3):
         for s in (1, 2, Fraction(7, 3)):
-            for orig_label, target_label, m in pairs:
-                orig = to_heun_form(build_auxiliary(family_by_label(orig_label), l, s))
-                target = to_heun_form(build_auxiliary(family_by_label(target_label), l, s))
+            for orig_eq, target_eq, m in pairs:
+                orig = to_heun_form(orig_eq.at(l, s))
+                target = to_heun_form(target_eq.at(l, s))
                 if m != 1 + orig.c:
                     raise AssertionError("substitution power must be 1 + c")
                 mapped = homotopic_shift_params(orig, m)

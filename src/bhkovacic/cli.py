@@ -28,10 +28,10 @@ from . import __version__
 from .algebra import Poly, int_to_str, rat_to_str
 from .auxode import (
     brute_force_polynomial_solutions,
-    build_auxiliary,
     chandrasekhar_coeffs,
     chandrasekhar_checks,
     chandrasekhar_r_frame,
+    family_equation,
     homotopic_equivalence_check,
     solve_low_degree,
 )
@@ -245,7 +245,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         )
 
     # G8 closed-form solutions; a failure names its first l
-    g8 = family_by_label("G8")
+    g8 = family_equation(family_by_label("G8"))
     g8_failure = None
     for l in range(2, l_max + 1):
         expected_s = special_frequency(l)
@@ -312,15 +312,14 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     # oracle agreement; a failure names its first case and its (l, s)
     oracle_failure = None
     s_star = special_frequency(2)
-    basis = brute_force_polynomial_solutions(build_auxiliary(family_by_label("G7"), 2, s_star), 9)
+    g7 = family_equation(family_by_label("G7"))
+    basis = brute_force_polynomial_solutions(g7.at(2, s_star), 9)
     target = chandrasekhar_r_frame(2)
     if not (len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()):
         oracle_failure = {"family": "G7", "l": 2, "s": s_star}
-    e7 = family_by_label("E7")
+    e7 = family_equation(family_by_label("E7"))
     for l, s in ((1, 1), (1, 2), (2, 1), (2, 3)):
-        if oracle_failure is None and brute_force_polynomial_solutions(
-            build_auxiliary(e7, l, s), 2 * s
-        ):
+        if oracle_failure is None and brute_force_polynomial_solutions(e7.at(l, s), 2 * s):
             oracle_failure = {"family": "E7", "l": l, "s": Fraction(s)}
     _add_first_failure(report, "oracle.agreement", "oracle.bareiss_nullspace", oracle_failure)
 

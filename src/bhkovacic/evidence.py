@@ -37,12 +37,12 @@ from typing import Optional, Sequence
 
 from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_roots
 from .auxode import (
+    FamilyEquation,
     _multipole_offset,
     brute_force_polynomial_solutions,
-    build_auxiliary,
     candidate_rows,
+    family_equation,
     solve_low_degree,
-    symbolic_recurrence,
 )
 from .elimination import bareiss_determinant, nullspace, tridiag_minors
 from .kovacic import Family, family_by_label
@@ -81,7 +81,7 @@ def _column(fam: Family) -> tuple:
     at the s that a degree-d candidate pins; l moves only diag's k^0 d^0 term
     (:func:`_column_at`).
     """
-    rec = symbolic_recurrence(fam, fam.kind.min_l)
+    rec = family_equation(fam).recurrence(fam.kind.min_l)
     l0, l1 = rec.lower_k
     u0, u1, u2 = rec.upper_k
     p0, p1, p2 = u0 - u1 + u2, u1 - 2 * u2, u2  # upper(k - 1)
@@ -99,8 +99,11 @@ def _column_at(fam: Family, l: int) -> tuple:
 
 def _in_degree(entries, fam: Family) -> tuple:
     """Polynomials in s, with s = (d - a)/b from the degree form d = a + b s,
-    as integer coefficient tuples in d."""
+    as integer coefficient tuples in d.  A degree form with b = 0 pins no
+    frequency and raises ValueError."""
     a, b = fam.degree[0], fam.degree[1]
+    if b == 0:
+        raise ValueError(f"the degree of {fam.label} does not depend on s: no candidate pins s")
     grid = [(Poly.zero() + e).shift(-a / b).scale_variable(1 / b).coeffs for e in entries]
     if any(c.denominator != 1 for coeffs in grid for c in coeffs):
         raise ArithmeticError(f"{fam.label} recurrence entries are not integral in d")
@@ -240,21 +243,27 @@ class ScanReport:
 _CROSS_CHECK_D_MAX = 12
 
 
-def cross_check_cell(family: str, l: int, d: int) -> dict:
+def cross_check_cell(family, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
-    The system's d+1 integer rows are the rational rows times one factor
-    den, so the determinant is divided by den ** (d + 1).  At d <= 8 the
-    same rows plus row d+1 give the brute-force nullspace.
+    ``family`` is a scan family's label or its :class:`FamilyEquation`,
+    which a scan builds once per column.  The system's d+1 integer rows
+    are the rational rows times one factor den, so the determinant is
+    divided by den ** (d + 1).  At d <= 8 the same rows plus row d+1 give
+    the brute-force nullspace.
     """
-    fam = family_by_label(family)
-    ode = build_auxiliary(fam, l, degree_to_s(family, d))
+    if isinstance(family, FamilyEquation):
+        eq = family
+    else:
+        eq = family_equation(family_by_label(family))
+    fam = eq.family
+    ode = eq.at(l, degree_to_s(fam.label, d))
     rows, den = candidate_rows(ode, d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
     D_last = _cell(_column_at(fam, l), d)[2]
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
-        "family": family,
+        "family": fam.label,
         "l": l,
         "d": d,
         "recurrence_det": D_last,
@@ -275,7 +284,8 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
     """
-    column = _column_at(family_by_label(family), l)
+    eq = family_equation(family_by_label(family))
+    column = _column_at(eq.family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
     for d in range(d_max + 1):
@@ -301,7 +311,7 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
                 }
             )
     part.cross_checks = [
-        cross_check_cell(family, l, d) for d in range(0, min(_CROSS_CHECK_D_MAX, d_max) + 1, 4)
+        cross_check_cell(eq, l, d) for d in range(0, min(_CROSS_CHECK_D_MAX, d_max) + 1, 4)
     ]
     part.cross_checks_ok = not any(map(_check_failed, part.cross_checks))
     return part, ",\n".join(map(json.dumps, records)) if want_cells else None
@@ -472,7 +482,7 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
         raise ValueError("the sweep needs 2s >= 2")
     if l_max < 0:
         raise ValueError("the sweep needs l_max >= 0")
-    fam = family_by_label("S3")
+    eq = family_equation(family_by_label("S3"))
 
     l_checked = range(l_max + 1)
     solution_sets = set()
@@ -489,7 +499,7 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
 
     # the s = 1/2 survivor would need a degree-0 polynomial solution
     half_fails = all(
-        not solve_low_degree(fam, 0, l=l, s_fixed=Fraction(1, 2))
+        not solve_low_degree(eq, 0, l=l, s_fixed=Fraction(1, 2))
         for l in l_checked
     )
 
@@ -499,7 +509,7 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
         s = Fraction(two_s, 2)
         d = two_s - 1
         for l in l_checked:
-            basis = brute_force_polynomial_solutions(build_auxiliary(fam, l, s), d)
+            basis = brute_force_polynomial_solutions(eq.at(l, s), d)
             cells += 1
             if basis:
                 oracle_all_trivial = False

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, Rational, rat_to_str
-from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, symbolic_recurrence
+from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, family_equation
 from .kovacic import family_by_label
 from .master import special_frequency
 
@@ -244,7 +244,7 @@ def det_A(l: int) -> Poly:
     vanishes exactly at the algebraically special frequencies
     +-l(l-1)(l+1)(l+2)/6.
     """
-    return symbolic_recurrence(family_by_label("G7"), l).det(4)
+    return family_equation(family_by_label("G7")).recurrence(l).det(4)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ The tables depend on the perturbation kind alone: the frequency s stays
 symbolic through enumeration, every exponent, degree form and theta
 coefficient being a :class:`~bhkovacic.algebra.Poly` in s of degree <= 1
 (printed by :func:`affine_str`), and l and a concrete rational s enter
-only when a family's auxiliary equation is built
-(:func:`~bhkovacic.auxode.build_auxiliary`).
+only when a family's auxiliary equation is evaluated
+(:meth:`~bhkovacic.auxode.FamilyEquation.at`).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
     s > 0 solution is retained, the rest are reported as checked marginal
     families.
     """
-    from .auxode import solve_low_degree  # deciding verdicts needs the ODEs
+    from .auxode import family_equation, solve_low_degree  # deciding verdicts needs the ODEs
 
     result = RetentionResult()
     for family in families:
@@ -222,13 +222,13 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
         if not points:
             result.discarded.append(family)
             continue
-        kind = family.kind
+        eq = family_equation(family)
         found_any = False
         for s_value, d in points:
             if d > 1:
                 raise NotImplementedError(f"marginal degree {d} > 1 for {family.label}")
-            for l in range(kind.min_l, l_max + 1):
-                solutions = solve_low_degree(family, d, l=l, s_fixed=s_value)
+            for l in range(family.kind.min_l, l_max + 1):
+                solutions = solve_low_degree(eq, d, l=l, s_fixed=s_value)
                 result.marginal.append(
                     MarginalCheck(
                         family=family, l=l, s=s_value, d=d, solutions=tuple(solutions)

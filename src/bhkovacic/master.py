@@ -31,23 +31,27 @@ __all__ = [
 
 
 class PerturbationKind(enum.Enum):
-    GRAVITATIONAL = -3
-    ELECTROMAGNETIC = 0
-    SCALAR = 1
+    """A perturbation kind; its value is beta.
+
+    Each member also carries, as plain attributes, ``min_l``, its lowest
+    radiating multipole (quadrupole / dipole / monopole), and ``prefix``,
+    the first letter of its family labels (G, E or S).
+    """
+
+    GRAVITATIONAL = (-3, 2, "G")
+    ELECTROMAGNETIC = (0, 1, "E")
+    SCALAR = (1, 0, "S")
+
+    def __new__(cls, beta: int, min_l: int, prefix: str):
+        member = object.__new__(cls)
+        member._value_ = beta
+        member.min_l = min_l
+        member.prefix = prefix
+        return member
 
     @property
     def beta(self) -> int:
         return self.value
-
-    @property
-    def min_l(self) -> int:
-        # lowest radiating multipole: quadrupole / dipole / monopole
-        return {-3: 2, 0: 1, 1: 0}[self.value]
-
-    @property
-    def prefix(self) -> str:
-        """First letter of the kind's family labels: G, E or S."""
-        return {-3: "G", 0: "E", 1: "S"}[self.value]
 
     @property
     def sqrt_one_minus_beta(self) -> int:
@@ -57,7 +61,7 @@ class PerturbationKind(enum.Enum):
     @staticmethod
     def from_label(label: str) -> "PerturbationKind":
         """The kind a family label such as "G3" or "N2E5" belongs to."""
-        return {kind.prefix: kind for kind in PerturbationKind}[label.removeprefix("N2")[:1]]
+        return _KIND_BY_PREFIX[label.removeprefix("N2")[:1]]
 
     @staticmethod
     def from_name(name: str) -> "PerturbationKind":
@@ -72,6 +76,9 @@ class PerturbationKind(enum.Enum):
         if key not in aliases:
             raise ValueError(f"unknown perturbation kind: {name!r}")
         return aliases[key]
+
+
+_KIND_BY_PREFIX = {kind.prefix: kind for kind in PerturbationKind}
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ from fractions import Fraction as F
 from bhkovacic.algebra import Poly
 from bhkovacic.auxode import (
     brute_force_polynomial_solutions,
-    build_auxiliary,
     candidate_rows,
     chandrasekhar_checks,
     chandrasekhar_coeffs,
     chandrasekhar_r_frame,
+    family_equation,
     homotopic_equivalence_check,
     homotopic_shift_params,
     solve_low_degree,
@@ -109,7 +109,7 @@ def test_criterion_02_n2_closure():
 
 def test_criterion_03_g8_solution():
     t0 = time.time()
-    g8 = family_by_label("G8")
+    g8 = family_equation(family_by_label("G8"))
     ok = True
     for l in range(2, 11):
         found = solve_low_degree(g8, 1, l=l)
@@ -216,8 +216,8 @@ def test_criterion_09_obstruction():
 def test_criterion_10_oracle_agreement():
     t0 = time.time()
     l = 2
-    g7 = family_by_label("G7")
-    ode = build_auxiliary(g7, l, special_frequency(l))
+    g7 = family_equation(family_by_label("G7"))
+    ode = g7.at(l, special_frequency(l))
     rows, _ = candidate_rows(ode, 9)
     square = rows[:-1]  # the 10 x 10 candidate system
     basis = [Poly(v) for v in nullspace(square)]
@@ -225,9 +225,9 @@ def test_criterion_10_oracle_agreement():
     ok = len(basis) == 1
     ok = ok and basis[0] * target.leading() == target * basis[0].leading()
     ok = ok and brute_force_polynomial_solutions(ode, 9) == basis
-    e7 = family_by_label("E7")
+    e7 = family_equation(family_by_label("E7"))
     for l_em, s in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
-        ode = build_auxiliary(e7, l_em, s)
+        ode = e7.at(l_em, s)
         ok = ok and brute_force_polynomial_solutions(ode, 2 * s) == []
     report(10, "brute-force nullspaces: G7 one-dimensional, E7 empty", ok, t0)
 
@@ -261,8 +261,8 @@ def test_criterion_13_homotopic_equivalences():
     ok = result.parameter_maps_ok and result.operator_identities_ok
     # the advertised parameter map images on the two pairs
     l, s = 2, F(4)
-    g7 = to_heun_form(build_auxiliary(family_by_label("G7"), l, s))
+    g7 = to_heun_form(family_equation(family_by_label("G7")).at(l, s))
     ok = ok and homotopic_shift_params(g7, 4).c == -5
-    e7 = to_heun_form(build_auxiliary(family_by_label("E7"), 1, s))
+    e7 = to_heun_form(family_equation(family_by_label("E7")).at(1, s))
     ok = ok and homotopic_shift_params(e7, 2).c == -3
     report(13, "homotopic z-power equivalences G7->G3 and E7->E3", ok, t0)

@@ -13,19 +13,17 @@ from bhkovacic.auxode import (
     AuxiliaryODE,
     Recurrence3,
     _multipole_offset,
-    _sym_coefficients,
     brute_force_polynomial_solutions,
-    build_auxiliary,
     candidate_rows,
     chandrasekhar_checks,
     chandrasekhar_coeffs,
     chandrasekhar_r_frame,
+    family_equation,
     homotopic_equivalence_check,
     homotopic_shift_params,
     ode_residual,
     recurrence,
     solve_low_degree,
-    symbolic_recurrence,
     to_heun_form,
     to_w_frame,
     to_z_frame,
@@ -38,7 +36,7 @@ from bhkovacic.master import special_frequency
 
 
 def _ode(label, l, s):
-    return build_auxiliary(family_by_label(label), l, s)
+    return family_equation(family_by_label(label)).at(l, s)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +232,11 @@ def test_indicial_structure():
 # every route to an auxiliary equation checks l
 # ---------------------------------------------------------------------------
 
+# keyed by what the route does; the first two are FamilyEquation.at and .recurrence
 ROUTES = {
-    "build_auxiliary": lambda family, l: build_auxiliary(family, l, 1),
-    "symbolic_recurrence": symbolic_recurrence,
-    "solve_low_degree": lambda family, l: solve_low_degree(family, 0, l=l),
+    "build_auxiliary": lambda family, l: family_equation(family).at(l, 1),
+    "symbolic_recurrence": lambda family, l: family_equation(family).recurrence(l),
+    "solve_low_degree": lambda family, l: solve_low_degree(family_equation(family), 0, l=l),
     "det_sequence": lambda family, l: det_sequence(family.label, l, 0),
     "cross_check_cell": lambda family, l: cross_check_cell(family.label, l, 0),
 }
@@ -286,7 +285,10 @@ def _coefficients_at(family, s, L):
 
     f is lowered by L - L_min, the multipole offset with L a symbol.
     """
-    p1_const, p1_lin, p1_quad, e, f = (_in_sympy(p, s) for p in _sym_coefficients(family))
+    eq = family_equation(family)
+    p1_const, p1_lin, p1_quad, e, f = (
+        _in_sympy(p, s) for p in (eq.p1_const, eq.p1_lin, eq.p1_quad, eq.e, eq.f)
+    )
     min_l = family.kind.min_l
     return p1_const, p1_lin, p1_quad, e, f - (L - min_l * (min_l + 1))
 
@@ -313,12 +315,28 @@ def test_cleared_coefficients_match_a_sympy_derivation(label):
         assert _multipole_offset(family, l) == l * (l + 1) - min_l * (min_l + 1)
 
 
+@pytest.mark.parametrize("label", N1_LABELS)
+def test_symbolic_recurrence_evaluates_to_the_recurrence_at_s(label):
+    eq = family_equation(family_by_label(label))
+    min_l = eq.family.kind.min_l
+
+    def at(entry, s):
+        return entry.eval(s) if isinstance(entry, Poly) else entry
+
+    for l in (min_l, min_l + 3):
+        symbolic = eq.recurrence(l)
+        for s in (1, F(7, 3)):
+            rows = (symbolic.lower_k, symbolic.diag_k, symbolic.upper_k)
+            expected = Recurrence3(*(tuple(at(c, s) for c in row) for row in rows))
+            assert recurrence(eq.at(l, s)) == expected, (l, s)
+
+
 def test_g7_sufficiency_minor_holds_for_every_l():
     # det(A) = -36 (s^2 - (L(L-2)/6)^2) as a polynomial identity in (s, L)
     import sympy
 
     s, L = sympy.symbols("s L")
-    rec = symbolic_recurrence(family_by_label("G7"), 2)
+    rec = family_equation(family_by_label("G7")).recurrence(2)
     rows = (rec.lower_k, rec.diag_k, rec.upper_k)
     lower, diag, upper = ([_in_sympy(c, s) for c in row] for row in rows)
     diag[0] -= L - 6  # the multipole offset from l = 2
@@ -349,7 +367,7 @@ def test_g8_solution_holds_for_every_l():
 
 
 def test_g8_solutions():
-    g8 = family_by_label("G8")
+    g8 = family_equation(family_by_label("G8"))
     for l in range(2, 11):
         ((s, P),) = solve_low_degree(g8, 1, l=l)
         assert s == special_frequency(l)
@@ -367,11 +385,11 @@ def test_marginal_families_empty():
     ):
         fam = family_by_label(label)
         for l in range(fam.kind.min_l, fam.kind.min_l + 5):
-            assert solve_low_degree(fam, d, l=l, s_fixed=s_fixed) == []
+            assert solve_low_degree(family_equation(fam), d, l=l, s_fixed=s_fixed) == []
 
 
 def test_s3_degree_zero_fails_at_half():
-    s3 = family_by_label("S3")
+    s3 = family_equation(family_by_label("S3"))
     for l in range(0, 6):
         assert solve_low_degree(s3, 0, l=l, s_fixed=F(1, 2)) == []
 
@@ -611,10 +629,10 @@ def test_tridiagonal_system_det_matches_recurrence():
     from bhkovacic.evidence import default_l_range, degree_to_s, det_sequence
 
     for label in ("G3", "E3", "E7"):
-        fam = family_by_label(label)
+        eq = family_equation(family_by_label(label))
         for l in default_l_range(label, 4):
             for d in range(13):
-                ode = build_auxiliary(fam, l, degree_to_s(label, d))
+                ode = eq.at(l, degree_to_s(label, d))
                 rows, den = candidate_rows(ode, d)
                 assert len(rows) == d + 2 and den > 0
                 assert all(type(v) is int for row in rows for v in row)

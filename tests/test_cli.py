@@ -291,8 +291,8 @@ def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypa
 
     real_solve, real_det = cli.solve_low_degree, cli.det_A
 
-    def planted_solve(family, d, l=None, s_fixed=None):
-        found = real_solve(family, d, l=l, s_fixed=s_fixed)
+    def planted_solve(eq, d, l=None, s_fixed=None):
+        found = real_solve(eq, d, l=l, s_fixed=s_fixed)
         return found if l < 3 else []
 
     def planted_det(l):
@@ -421,6 +421,32 @@ def test_verify_all_builds_each_closed_form_once(monkeypatch):
         monkeypatch.setattr(module, "chandrasekhar_coeffs", counted)
     assert cli.run_verify_all(l_max=4, d_max=4).all_passed
     assert built == {2: 2, 3: 1, 4: 1}
+
+
+def test_verify_all_builds_each_family_equation_once_per_check_loop(monkeypatch):
+    # each check loop builds a family's s-symbolic equation once and
+    # evaluates it at every (l, s); at the defaults that is 50 builds
+    # (47 with the scan grids of an earlier run cached), not one per (l, s)
+    import collections
+
+    import bhkovacic.auxode as auxode
+    import bhkovacic.cli as cli
+    import bhkovacic.evidence as evidence
+    import bhkovacic.hautot as hautot
+
+    real = auxode.family_equation
+    built = collections.Counter()
+
+    def counted(family):
+        built[family.label] += 1
+        return real(family)
+
+    for module in (auxode, cli, evidence, hautot):
+        monkeypatch.setattr(module, "family_equation", counted)
+    evidence._column.cache_clear()
+    assert cli.run_verify_all().all_passed
+    assert sum(built.values()) <= 50, built
+    assert built["S3"] == 1  # one build for the whole S3 sweep
 
 
 def test_verify_all_passing_witnesses_name_no_failure(capsys):

@@ -12,9 +12,9 @@ from bhkovacic import auxode, evidence
 from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import (
     brute_force_polynomial_solutions,
-    build_auxiliary,
     candidate_rows,
     chandrasekhar_r_frame,
+    family_equation,
     recurrence,
 )
 from bhkovacic.elimination import bareiss_determinant, tridiag_minors
@@ -46,7 +46,7 @@ def _candidate_ode(label, l, d):
     """The family's auxiliary equation at the frequency its degree-d candidate pins."""
     fam = family_by_label(label)
     s = (d - fam.degree[0]) / fam.degree[1]
-    return build_auxiliary(fam, l, s)
+    return family_equation(fam).at(l, s)
 
 
 def _direct_det(ode, size):
@@ -140,11 +140,12 @@ def test_family_grid_at_l_matches_the_equation_built_at_l(label):
     # one grid per family, lowered by the multipole offset, against the
     # recurrence of the equation built at each l <= 20 and the pinned s
     fam = family_by_label(label)
+    eq = family_equation(fam)
     a, b = fam.degree[0], fam.degree[1]
     for l in range(fam.kind.min_l, 21):
         column = _column_at(fam, l)
         for d in (0, 1, 7, 30):
-            rec = recurrence(build_auxiliary(fam, l, (d - a) / b))
+            rec = recurrence(eq.at(l, (d - a) / b))
             ks = range(d + 1)
             expected = [rec.diag(k) for k in ks], [rec.lower(k) * rec.upper(k - 1) for k in ks]
             assert _cell_entries(column, d) == expected, (l, d)
@@ -177,12 +178,12 @@ def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
     # one cleared diagonal entry of one explicit system is off by one: its
     # cross-check disagrees, and the scan names that cell first
     planted_cell = ("E3", 2, 8)
-    real_build, real_rows = evidence.build_auxiliary, evidence.candidate_rows
+    real_at, real_rows = auxode.FamilyEquation.at, evidence.candidate_rows
     built = {}  # id of each equation built -> (family label, l)
 
-    def recorded_build(family, l, s):
-        ode = real_build(family, l, s)
-        built[id(ode)] = (family.label, l)
+    def recorded_at(eq, l, s):
+        ode = real_at(eq, l, s)
+        built[id(ode)] = (eq.family.label, l)
         return ode
 
     def planted_rows(ode, d):
@@ -191,7 +192,7 @@ def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
             rows[4][4] += 1
         return rows, den
 
-    monkeypatch.setattr(evidence, "build_auxiliary", recorded_build)
+    monkeypatch.setattr(auxode.FamilyEquation, "at", recorded_at)
     monkeypatch.setattr(evidence, "candidate_rows", planted_rows)
     monkeypatch.setenv("BHK_THREADS", "1")
     report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12)
@@ -219,6 +220,13 @@ def test_scan_builds_each_column_once(monkeypatch):
     report = scan(families=("G3",), l_max=3, d_max=12)
     assert len(report.cross_checks) == 2 * 4
     assert _column.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("label", ["G1", "G4", "G5", "G8", "E1", "E4", "E5", "E8", "S1", "S4"])
+def test_column_refuses_a_degree_form_with_slope_zero(label):
+    # d = a for every s: no candidate pins a frequency, so there is no grid in d
+    with pytest.raises(ValueError, match=f"degree of {label} does not depend on s"):
+        _column(family_by_label(label))
 
 
 def test_cross_check_cell_example():
@@ -592,7 +600,5 @@ def test_s3_rejects_bad_bounds():
 def test_s3_oracle_catches_planted_solution():
     # sanity for the oracle: the G8 equation at its special frequency has a
     # nontrivial nullspace, so an S3-style sweep over it would not be silent
-    from bhkovacic.auxode import brute_force_polynomial_solutions, build_auxiliary
-
-    ode = build_auxiliary(family_by_label("G8"), 2, F(4))
+    ode = family_equation(family_by_label("G8")).at(2, F(4))
     assert brute_force_polynomial_solutions(ode, 1)

@@ -11,8 +11,8 @@ from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import (
     HeunForm,
     Recurrence3,
-    build_auxiliary,
     chandrasekhar_coeffs,
+    family_equation,
     recurrence,
     to_heun_form,
     to_z_frame,
@@ -276,7 +276,7 @@ def test_det_matches_bareiss():
     [("G7", 2, F(4)), ("G7", 3, F(7, 3)), ("G3", 2, F(5, 2)), ("E7", 1, F(3)), ("E3", 2, F(2))],
 )
 def test_heun_recurrence_matches_z_frame(label, l, s):
-    ode = build_auxiliary(family_by_label(label), l, s)
+    ode = family_equation(family_by_label(label)).at(l, s)
     heun = to_heun_form(ode).recurrence()
     z_frame = recurrence(to_z_frame(ode))  # through Poly.scale_variable
     for k in range(10):
@@ -474,7 +474,7 @@ def test_scalar_product_on_the_l5_kummer_terms():
 
 
 def _heun(label, l, s):
-    return to_heun_form(build_auxiliary(family_by_label(label), l, s))
+    return to_heun_form(family_equation(family_by_label(label)).at(l, s))
 
 
 def test_sufficiency_g7():

@@ -131,3 +131,20 @@ def test_kind_from_family_label():
     with pytest.raises(KeyError):
         PerturbationKind.from_label("X1")
     assert [k.sqrt_one_minus_beta ** 2 for k in (G, E, S)] == [1 - k.beta for k in (G, E, S)]
+
+
+def test_every_family_label_maps_to_its_kind():
+    # (kind, min_l, prefix) of every n=1 and n=2 label, as the tables name them
+    from bhkovacic.kovacic import enumerate_families_n1, enumerate_families_n2
+
+    expected = {G: (2, "G"), E: (1, "E"), S: (0, "S")}
+    for kind, (min_l, prefix) in expected.items():
+        assert (kind.min_l, kind.prefix) == (min_l, prefix)
+        families = enumerate_families_n1(kind) + enumerate_families_n2(kind)[0]
+        assert len(families) == {G: 17, E: 17, S: 7}[kind]
+        for family in families:
+            assert family.label.removeprefix("N2")[0] == prefix
+            assert family.kind is kind and PerturbationKind.from_label(family.label) is kind
+            assert (family.kind.min_l, family.kind.prefix) == (min_l, prefix)
+    assert [k.beta for k in (G, E, S)] == [-3, 0, 1]
+    assert PerturbationKind(-3) is G and PerturbationKind(0) is E and PerturbationKind(1) is S

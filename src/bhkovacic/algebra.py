@@ -10,7 +10,10 @@ candidate content by its exact divisions instead of chaining one gcd per
 coefficient: the content divides every integer combination of the
 numerators, so a gcd of a few of them is a multiple of it, and one that
 divides every numerator is the content itself (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 6).
+Gerhard, *Modern Computer Algebra*, ch. 6).  A substitution x -> c x
+knows more: the content it creates has only primes of c's numerator and
+denominator, so :meth:`Poly.scale_variable` cancels it against the powers
+of c as it builds them, and no full-size numerator is divided by it.
 Everything is immutable and every operation is exact; equality of
 polynomials is the arbiter in all verification code built on top of this
 module.
@@ -355,22 +358,31 @@ class Poly:
         return Poly.from_numerators(out, self.den * bpow // b)
 
     def scale_variable(self, c) -> "Poly":
-        """Return q with q(x) = p(c*x): coefficient k times a^k b^(n-k), over b^n."""
+        """Return q with q(x) = p(c*x): coefficient k times a^k b^(n-k), over b^n.
+
+        For c = a/b the scaled numerators num[k] a^k b^(n-k) over den b^n
+        have a content made of primes of a and b alone: gcd(den, *num) = 1,
+        so a prime that divides neither a nor b leaves some num[k], and
+        with it that scaled numerator, undivided.  :func:`_scaled_primitive`
+        cancels the content against the powers of a as it builds them, and
+        then against the powers of b on the reversed vector over den b^n
+        (the powers of b rise towards the constant term), so that no
+        scaled numerator is divided by the whole content.  Its candidate
+        for the content is checked by exact divisions as it goes; one that
+        leaves a remainder sends the scaled vector to the full gcd chain of
+        :func:`_divide_content`.
+        """
         c = Fraction(c)
-        if not self.num:
-            return self
+        num, den = self.num, self.den
+        if not c or not num:
+            return Poly.from_numerators(num[:1], den)
         a, b = c.numerator, c.denominator
-        out = []
-        apow = 1
-        for v in self.num:
-            out.append(v * apow)
-            apow *= a
-        bpow = 1
+        if a != 1:
+            num, den = _scaled_primitive(num, den, a)
         if b != 1:
-            for k in range(len(out) - 1, -1, -1):
-                out[k] *= bpow
-                bpow *= b
-        return Poly.from_numerators(out, self.den * bpow // b)
+            rev, den = _scaled_primitive(num[::-1], den * b ** (len(num) - 1), b)
+            num = rev[::-1]
+        return Poly._canonical(num, den)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -414,6 +426,49 @@ def _divide_content(num: list, den: int) -> int:
                 break
             num[i] = q
     return g
+
+
+def _scaled_primitive(num: Sequence, den: int, a: int) -> tuple:
+    """The numerators num[k] a^k / g and den / g, for g = gcd(den, *(num[k] a^k)).
+
+    For den = d a^m with gcd(d, *num) = 1 and m <= n = len(num) - 1, g
+    divides a^n.  A prime p of g divides a, or it would divide d and every
+    num[k].  If p divides d, some num[k] is prime to p, and g has at most
+    the k v_p(a) factors p of that num[k] a^k; if not, g has at most the
+    m v_p(a) of den.  So g divides the candidate gcd(den, num[0], a^n,
+    sum (k+1) num[k] a^k, sum of the odd-index num[k] a^k), whose sums
+    Horner's rule takes with products by a alone.
+
+    With the candidate C, G_k = C / gcd(C, a^k) and H_k = a^k / gcd(C, a^k)
+    are coprime, so num[k] a^k / C = (num[k] / G_k) H_k is an integer
+    exactly when G_k divides num[k]; G_(k+1) = G_k / t and H_(k+1) =
+    H_k a / t for t = gcd(G_k, a).  G falls to 1 by k = n, since C divides
+    a^n, and the numerators after that are products only.  A num[k] that
+    G_k does not divide shows that C exceeds g: the scaled numerators are
+    then formed whole and take :func:`_divide_content`.
+    """
+    n = len(num) - 1
+    g = math.gcd(den, num[0], a**n)
+    if g != 1 and n > 2:
+        weighted = horner([k * v for k, v in enumerate(num, 1)], a)
+        g = math.gcd(g, weighted, a * horner(num[1::2], a * a))
+    out = []
+    G, H = g, 1
+    for v in num:
+        if G == 1:
+            out.append(v * H)
+            H *= a
+            continue
+        q, r = divmod(v, G)
+        if r:  # the candidate exceeds the content
+            powers = itertools.accumulate(itertools.repeat(a, n), operator.mul, initial=1)
+            out = list(map(operator.mul, num, powers))
+            return out, den // _divide_content(out, den)
+        out.append(q * H)
+        t = math.gcd(G, a)
+        G //= t
+        H *= a // t
+    return out, den // g
 
 
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:

@@ -514,10 +514,14 @@ def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
     """
     if P_w is None:
         P_w = chandrasekhar_coeffs(l)
+    return _r_frame(_g7_ode(l), int(2 * special_frequency(l) + 1), P_w)
+
+
+def _r_frame(ode_r: AuxiliaryODE, d: int, P_w: Poly) -> Poly:
+    """:func:`chandrasekhar_r_frame` of degree d on the G7 equation ``ode_r``."""
     den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
     del P_w  # hold one coefficient vector at a time
-    rec = recurrence(_g7_ode(l)).cleared()
-    d = int(2 * special_frequency(l) + 1)
+    rec = recurrence(ode_r).cleared()
     num = [0] * (d + 2)
     num[d] = top
     for m in range(d, 0, -1):
@@ -574,8 +578,9 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     (iii) runs on the numerators too, against the right side built times den;
     (ii) is one integer convolution with the equation's coefficient
     polynomials (:func:`ode_residual`), the route independent of the recurrence.
-    P(r) is built from this P_w by :func:`chandrasekhar_r_frame` once (i) and
-    the w-frame residual hold, and by a direct shift otherwise.
+    P(r) is built from this P_w by :func:`chandrasekhar_r_frame`, on the one
+    G7 equation of the check, once (i) and the w-frame residual hold, and by
+    a direct shift otherwise.
     """
     s = special_frequency(l)
     mu2 = (l - 1) * (l + 2)
@@ -591,7 +596,7 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
     residual_w = ode_residual(ode_w, P_w)
     if recurrence_ok and residual_w.is_zero():
-        P_r = chandrasekhar_r_frame(l, P_w)
+        P_r = _r_frame(ode_r, d, P_w)
         residual_r = ode_residual(ode_r, P_r)
     else:
         P_r = P_w.shift(-2)  # mutated input: fall back to the direct shift

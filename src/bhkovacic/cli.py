@@ -38,7 +38,7 @@ from .auxode import (
 from .evidence import SCAN_FAMILIES, default_l_range, s3_nonexistence, scan
 from .hautot import (
     ObstructionError,
-    det_A,
+    _det_A,
     determinant_equality_check,
     extended_expansion,
     kummer_poly,
@@ -273,11 +273,12 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
                 exp_witness["l2_coefficients"][basis] = list(expansion.coefficients)
     _add_first_failure(report, "chandra.verify", "chandra.four_checks", chandra_failure)
 
-    # Hautot determinant roots; a failure names its first l
+    # Hautot determinant roots on one G7 equation; a failure names its first l
+    g7 = family_equation(family_by_label("G7"))
     det_failure = None
     for l in range(2, l_max + 1):
         s_star = special_frequency(l)
-        poly = det_A(l)
+        poly = _det_A(g7, l)
         roots_ok = poly.eval(s_star) == 0 and poly.eval(-s_star) == 0
         roots_ok = roots_ok and poly.eval(s_star + 1) != 0 and poly.eval(s_star - 1) != 0
         if det_failure is None and not roots_ok:
@@ -312,7 +313,6 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     # oracle agreement; a failure names its first case and its (l, s)
     oracle_failure = None
     s_star = special_frequency(2)
-    g7 = family_equation(family_by_label("G7"))
     basis = brute_force_polynomial_solutions(g7.at(2, s_star), 9)
     target = chandrasekhar_r_frame(2)
     if not (len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()):

@@ -26,7 +26,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, Rational, rat_to_str
-from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, family_equation
+from .auxode import (
+    FamilyEquation,
+    HeunForm,
+    Recurrence3,
+    chandrasekhar_coeffs,
+    family_equation,
+)
 from .kovacic import family_by_label
 from .master import special_frequency
 
@@ -244,7 +250,12 @@ def det_A(l: int) -> Poly:
     vanishes exactly at the algebraically special frequencies
     +-l(l-1)(l+1)(l+2)/6.
     """
-    return family_equation(family_by_label("G7")).recurrence(l).det(4)
+    return _det_A(family_equation(family_by_label("G7")), l)
+
+
+def _det_A(g7: FamilyEquation, l: int) -> Poly:
+    """:func:`det_A` on the G7 equation ``g7`` that the caller holds."""
+    return g7.recurrence(l).det(4)
 
 
 @dataclass(frozen=True)

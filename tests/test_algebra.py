@@ -168,6 +168,89 @@ def test_scale_variable():
     assert q == Poly([1, -1, F(3, 4)])
 
 
+def _scaled_by_reference(p: Poly, c: F) -> Poly:
+    """p(c x) through the whole scaled numerator vector and one normalisation."""
+    a, b = c.numerator, c.denominator
+    n = p.degree
+    num = [v * a**k * b ** (n - k) for k, v in enumerate(p.num)]
+    return Poly.from_numerators(num, p.den * b ** max(n, 0))
+
+
+# numerators and denominators that carry large powers of the primes of the
+# scale's numerator a and denominator b, so that the content of the scaled
+# vector is large and the cancellation runs over many coefficients
+_smooth = st.builds(
+    lambda e2, e3, e7, unit: unit * 2**e2 * 3**e3 * 7**e7,
+    st.integers(0, 40),
+    st.integers(0, 25),
+    st.integers(0, 12),
+    st.integers(-30, 30),
+)
+
+
+@given(
+    st.lists(_smooth, min_size=1, max_size=14).filter(lambda v: v[-1]),
+    st.builds(lambda e2, e3, e5, e7: 2**e2 * 3**e3 * 5**e5 * 7**e7, *[st.integers(0, 60)] * 4),
+    st.sampled_from([1, -1, 2, -2, 6, -504, 12, 21]),
+    st.sampled_from([1, 2, 3, 5, 49, 10]),
+)
+@settings(max_examples=200, deadline=None)
+def test_scale_variable_matches_the_reference_route(num, den, a, b):
+    c = F(a, b)
+    p = Poly.from_numerators(num, den)
+    q = p.scale_variable(c)
+    expected = _scaled_by_reference(p, c)
+    assert (q.num, q.den) == (expected.num, expected.den)
+    assert _canonical(q)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2, -504, F(1, 3), F(-504, 5)])
+def test_scale_variable_explicit_scales(c):
+    # -504 = -s at l = 7; the primes 2, 3, 7 of s fill the denominator
+    p = Poly.from_numerators([3**5, 2**9 * 7, -(2**4), 0, 7**3 * 5, 2**12, 1], 2**30 * 3**20 * 7**8)
+    q = p.scale_variable(c)
+    expected = _scaled_by_reference(p, F(c))
+    assert (q.num, q.den) == (expected.num, expected.den)
+    assert q == Poly([v * F(c) ** k for k, v in enumerate(p.coeffs)])
+    assert Poly.zero().scale_variable(c) == Poly.zero()
+    assert Poly.const(F(5, 6)).scale_variable(c) == F(5, 6)
+    if c == 0:
+        assert (q.num, q.den) == ((1,), 2**30 * 3**15 * 7**8)  # p(0) = 3^5 / den
+    if c == 1:
+        assert q is not p and (q.num, q.den) == (p.num, p.den)
+
+
+def test_scale_variable_fallback_when_the_candidate_exceeds_the_content(monkeypatch):
+    # p(2x) for p = (4x + x^3 + x^4) / 16: the scaled numerators
+    # (0, 8, 0, 8, 16) over 16 have the content 8, but 16, the first
+    # numerator 0, 2^4 and both Horner sums, 128 and 16, are all multiples
+    # of 16, so the candidate is 16; 4 leaves a remainder at k = 1 and the
+    # scaled vector takes the full gcd chain
+    import bhkovacic.algebra as algebra
+
+    num, den, a = (0, 4, 0, 1, 1), 16, 2
+    weighted = sum(k * v * a ** (k - 1) for k, v in enumerate(num, 1))
+    odd = sum(v * a**k for k, v in enumerate(num) if k % 2)
+    assert math.gcd(den, num[0], a**4, weighted, odd) == 16
+    assert math.gcd(den, *(v * a**k for k, v in enumerate(num))) == 8
+    real, calls = algebra._divide_content, []
+
+    def counted(vec, d):
+        calls.append(list(vec))
+        return real(vec, d)
+
+    monkeypatch.setattr(algebra, "_divide_content", counted)
+    p = Poly._canonical(num, den)
+    q = p.scale_variable(a)
+    assert calls == [[0, 8, 0, 8, 16]]
+    assert (q.num, q.den) == ((0, 1, 0, 1, 2), 2)
+    assert q == Poly([0, F(1, 2), 0, F(1, 2), 1])
+    # the same vector over 8: the candidate is the content, no fallback
+    calls.clear()
+    assert Poly._canonical(num, 8).scale_variable(a) == Poly([0, 1, 0, 1, 2])
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the integer-primitive representation
 # ---------------------------------------------------------------------------

@@ -465,7 +465,7 @@ def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
         k = {"first": 0, "middle": len(num) // 2, "top": len(num) - 1}[plant]
         num[k] = -num[k]
     monkeypatch.setattr(
-        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
+        auxode, "_r_frame", lambda ode_r, d, P_w: Poly.from_numerators(num, P_r.den)
     )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok
@@ -529,7 +529,7 @@ def test_planted_middle_numerator_fails_integral_identity(monkeypatch):
     num = list(P_r.num)
     num[len(num) // 2] = -num[len(num) // 2]
     monkeypatch.setattr(
-        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
+        auxode, "_r_frame", lambda ode_r, d, P_w: Poly.from_numerators(num, P_r.den)
     )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok

@@ -289,18 +289,18 @@ def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypa
     # record names l = 3 as its first failure; the other records pass
     import bhkovacic.cli as cli
 
-    real_solve, real_det = cli.solve_low_degree, cli.det_A
+    real_solve, real_det = cli.solve_low_degree, cli._det_A
 
     def planted_solve(eq, d, l=None, s_fixed=None):
         found = real_solve(eq, d, l=l, s_fixed=s_fixed)
         return found if l < 3 else []
 
-    def planted_det(l):
-        poly = real_det(l)
+    def planted_det(g7, l):
+        poly = real_det(g7, l)
         return poly if l < 3 else poly + 1
 
     monkeypatch.setattr(cli, "solve_low_degree", planted_solve)
-    monkeypatch.setattr(cli, "det_A", planted_det)
+    monkeypatch.setattr(cli, "_det_A", planted_det)
     code, out, _ = run(capsys, "verify-all", "--l-max", "4", "--max-degree", "4", "--json")
     assert code == 1
     records = {r["name"]: r for r in json.loads(out)["records"]}
@@ -425,8 +425,12 @@ def test_verify_all_builds_each_closed_form_once(monkeypatch):
 
 def test_verify_all_builds_each_family_equation_once_per_check_loop(monkeypatch):
     # each check loop builds a family's s-symbolic equation once and
-    # evaluates it at every (l, s); at the defaults that is 50 builds
-    # (47 with the scan grids of an earlier run cached), not one per (l, s)
+    # evaluates it at every (l, s); at the defaults that is 40 builds
+    # (37 with the scan grids of an earlier run cached), not one per (l, s).
+    # G7 is built 8 times: once per chandrasekhar_checks(l) for l = 2..6,
+    # shared with its r frame, once for the det(A) loop and the oracle,
+    # once by the oracle's chandrasekhar_r_frame(2) and once by the
+    # homotopy check
     import collections
 
     import bhkovacic.auxode as auxode
@@ -445,7 +449,8 @@ def test_verify_all_builds_each_family_equation_once_per_check_loop(monkeypatch)
         monkeypatch.setattr(module, "family_equation", counted)
     evidence._column.cache_clear()
     assert cli.run_verify_all().all_passed
-    assert sum(built.values()) <= 50, built
+    assert sum(built.values()) <= 40, built
+    assert built["G7"] == 8, built
     assert built["S3"] == 1  # one build for the whole S3 sweep
 
 

@@ -468,6 +468,27 @@ def test_scalar_product_on_the_l5_kummer_terms():
             assert (product.num, product.den) == (expected.num, expected.den)
 
 
+def test_l5_kummer_expansion_scales_without_the_fallback(monkeypatch):
+    # the content of the assembled sum scaled by -s has only the primes of
+    # s (gcd(den, *num) = 1 before the scale), so the candidate is the
+    # content and scale_variable never takes the full gcd chain
+    import sys
+
+    import bhkovacic.algebra as algebra
+
+    real, callers = algebra._divide_content, []
+
+    def counted(num, den):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(num, den)
+
+    monkeypatch.setattr(algebra, "_divide_content", counted)
+    report = extended_expansion(5, "kummer")
+    assert report.equal
+    assert "from_numerators" in callers  # the counter sees the kernel's calls
+    assert callers.count("_scaled_primitive") == 0
+
+
 # ---------------------------------------------------------------------------
 # the sufficiency block minor
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def _scaled_by_reference(p: Poly, c: F) -> Poly:
     a, b = c.numerator, c.denominator
     n = p.degree
     num = [v * a**k * b ** (n - k) for k, v in enumerate(p.num)]
-    return Poly.from_numerators(num, p.den * b ** max(n, 0))
+    return Poly.from_numerators(num, p.den * b**n)
 
 
 # numerators and denominators that carry large powers of the primes of the
@@ -216,8 +216,6 @@ def test_scale_variable_explicit_scales(c):
     assert Poly.const(F(5, 6)).scale_variable(c) == F(5, 6)
     if c == 0:
         assert (q.num, q.den) == ((1,), 2**30 * 3**15 * 7**8)  # p(0) = 3^5 / den
-    if c == 1:
-        assert q is not p and (q.num, q.den) == (p.num, p.den)
 
 
 def test_scale_variable_fallback_when_the_candidate_exceeds_the_content(monkeypatch):

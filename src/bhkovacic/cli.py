@@ -27,6 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import Poly, int_to_str, rat_to_str
 from .auxode import (
+    _r_frame,
     brute_force_polynomial_solutions,
     chandrasekhar_coeffs,
     chandrasekhar_checks,
@@ -271,6 +272,8 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
                 exp_witness["first_failure"] = {"l": l, "basis": basis}
             if l == 2:
                 exp_witness["l2_coefficients"][basis] = list(expansion.coefficients)
+        if l == 2:
+            P_w_l2 = P_w  # the oracle record's P(r) is built from it
     _add_first_failure(report, "chandra.verify", "chandra.four_checks", chandra_failure)
 
     # Hautot determinant roots on one G7 equation; a failure names its first l
@@ -313,8 +316,9 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     # oracle agreement; a failure names its first case and its (l, s)
     oracle_failure = None
     s_star = special_frequency(2)
-    basis = brute_force_polynomial_solutions(g7.at(2, s_star), 9)
-    target = chandrasekhar_r_frame(2)
+    g7_at_2 = g7.at(2, s_star)
+    basis = brute_force_polynomial_solutions(g7_at_2, 9)
+    target = _r_frame(g7_at_2, 9, P_w_l2)
     if not (len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()):
         oracle_failure = {"family": "G7", "l": 2, "s": s_star}
     e7 = family_equation(family_by_label("E7"))

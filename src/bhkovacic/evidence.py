@@ -23,6 +23,16 @@ pattern is sgn(D_{d+1}) = (-1)^(d+1) across the scanned grid.  Cells whose
 intermediate minors break the alternation (E7 does this for d > l(l+1))
 are flagged and settled by the full determinant and, at small degree, by
 the brute-force nullspace oracle.
+
+A scan's verdicts are signs only, so without ``--out`` a cell is first
+given to :func:`_cell_signs`, which walks the same entries but proves the
+signs from a ratio bound in integers of the size of the entries, where
+:func:`_cell`'s minors grow to thousands of bits.  :func:`_cell` decides a
+cell where the walk gives up, and recomputes one whose final sign is wrong,
+because the report names that cell with its exact D_{d+1}.  ``--out``,
+:func:`cross_check_cell` and :func:`det_sequence` keep the exact minors:
+``--out`` records D_{d+1} and the magnitude index of every cell, and the
+cross-checks hold the walk to the exact verdict on their sampled cells.
 """
 
 from __future__ import annotations
@@ -153,6 +163,13 @@ def det_sequence(family: str, l: int, d: int) -> DetSequence:
     )
 
 
+def _differences(column: tuple, d: int) -> tuple:
+    """-diag(0) and its two forward differences in k, then offprod(0) and
+    its three, of the column's degree-d cell."""
+    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
+    return -d0, -d1 - d2, -2 * d2, o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3
+
+
 def _cell(column: tuple, d: int) -> tuple:
     """(sign_pattern_ok, final_sign_ok, D_last, mag_from) of the column's degree-d cell.
 
@@ -166,10 +183,10 @@ def _cell(column: tuple, d: int) -> tuple:
     is E_n > 0 and |D_n| = E_n on it.  -diag(k) (degree 2 in k) and
     offprod(k) (degree 3) are advanced by their forward differences:
     five integer additions per step, no per-entry evaluation and no list.
+    It is the exact engine behind ``--out``, the cross-checks and every cell
+    that :func:`_cell_signs` does not decide.
     """
-    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
-    a, a1, a2 = -d0, -d1 - d2, -2 * d2  # -diag(0) and its differences
-    b, b1, b2, b3 = o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3  # offprod(0) and its differences
+    a, a1, a2, b, b1, b2, b3 = _differences(column, d)
     sign_ok = True
     mag_from = 0
     E_prev, E = 0, 1  # E_{-1}, E_0
@@ -191,6 +208,54 @@ def _cell(column: tuple, d: int) -> tuple:
         b1 += b2
         b2 += b3
     return sign_ok, E > 0, E if d % 2 else -E, mag_from
+
+
+def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
+    """(sign_pattern_ok, final_sign_ok) of the column's degree-d cell from a
+    ratio bound, with D_{d+1} != 0; None where the bound does not decide.
+
+    In :func:`_cell`'s variables a_k = -diag(k), b_k = offprod(k) and
+    r_k = E_{k+1}/E_k = a_k - b_k/r_{k-1}.  The walk runs :func:`_cell`'s
+    exact steps up to a block start k0: E_{k0} != 0, a_{k0} > 0 and
+    b_{k0} E_{k0-1} = 0, so that r_{k0} = a_{k0}.  G3 and E3 start at
+    k0 = 0; E7 starts there when a_0 > 0, and at k0 = 2 otherwise, because
+    offprod(2) = 0.  From k0 on it keeps no minor and only checks, in
+    integers of the size of the entries,
+
+        a_k > 0  and  4 b_k <= a_{k-1} a_k,   k0 < k <= d.
+
+    By induction r_k >= a_k/2 > 0: r_{k0} = a_{k0}, and for b_k > 0,
+    b_k/r_{k-1} <= 2 b_k/a_{k-1} <= a_k/2, while b_k <= 0 gives r_k >= a_k.
+    So every E_n with n > k0 has the sign of E_{k0}.  This is the classical
+    lower bound on the tails of a continued fraction (Wall, *Analytic Theory
+    of Continued Fractions*, 1948).  The walk gives up (None) at the first k
+    that fails the check, and when its exact steps reach E_{d+1} = 0.
+    """
+    a, a1, a2, b, b1, b2, b3 = _differences(column, d)
+    sign_ok = True
+    E_prev, E = 0, 1
+    k0 = 0
+    while k0 <= d and not (a > 0 and E and not (b and E_prev)):
+        E_prev, E = E, a * E - b * E_prev
+        sign_ok &= E > 0
+        k0 += 1
+        a += a1
+        a1 += a2
+        b += b1
+        b1 += b2
+        b2 += b3
+    if k0 > d:  # every step was exact: E = E_{d+1}
+        return (sign_ok, E > 0) if E else None
+    for _ in range(k0, d):
+        a_prev = a
+        a += a1
+        a1 += a2
+        b += b1
+        b1 += b2
+        b2 += b3
+        if a <= 0 or 4 * b > a_prev * a:
+            return None
+    return sign_ok, E > 0
 
 
 def default_l_range(family: str, l_max: int = 20) -> range:
@@ -260,7 +325,9 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     ode = eq.at(l, degree_to_s(fam.label, d))
     rows, den = candidate_rows(ode, d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
-    D_last = _cell(_column_at(fam, l), d)[2]
+    column = _column_at(fam, l)
+    sign_ok, final_ok, D_last, _ = _cell(column, d)
+    signs = _cell_signs(column, d)
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": fam.label,
@@ -268,7 +335,8 @@ def cross_check_cell(family, l: int, d: int) -> dict:
         "d": d,
         "recurrence_det": D_last,
         "bareiss_det": det,
-        "agree": Fraction(D_last) == det,
+        "agree": Fraction(D_last) == det
+        and (signs is None or (signs == (sign_ok, final_ok) and D_last != 0)),
         "nullspace_dim": nullspace_dim,
     }
 
@@ -283,13 +351,21 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     The part names its column as families = (family,) and l_max = l, and
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
+    Without ``want_cells`` the sign walk :func:`_cell_signs` decides each
+    cell it can, and :func:`_cell` decides the rest and every final-sign
+    violation, whose record carries D_{d+1}; with it every cell is exact,
+    since each record carries D_{d+1} and its magnitude index.
     """
     eq = family_equation(family_by_label(family))
     column = _column_at(eq.family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
     for d in range(d_max + 1):
-        sign_ok, final_ok, D_last, mag_from = _cell(column, d)
+        signs = None if want_cells else _cell_signs(column, d)
+        if signs is None or not signs[1]:  # a violation is reported with its D_last
+            sign_ok, final_ok, D_last, mag_from = _cell(column, d)
+        else:
+            (sign_ok, final_ok), D_last = signs, None  # the walk proved D_last != 0
         if not final_ok:
             part.final_sign_violations.append((family, l, d, D_last))
         if not sign_ok:
@@ -327,7 +403,9 @@ def scan(
 
     Streams every (family, l, d) cell; intermediate-sign violations are
     flagged and resolved by the full determinant (a nonzero D_{d+1} rules
-    out the candidate regardless of interior minors).  Cells with
+    out the candidate regardless of interior minors).  A cell's signs come
+    from the ratio-bound walk where it decides them and from the exact
+    minors otherwise (:func:`_scan_group`).  Cells with
     d <= _CROSS_CHECK_D_MAX are sampled and cross-checked against a direct
     fraction-free determinant of the explicit system, and at very small d
     against the brute-force nullspace.  With ``out`` set, one JSON record
@@ -384,11 +462,14 @@ def scan(
 # A scan given no worker count runs serially below this many recurrence
 # steps, columns x (d_max+1)(d_max+2)/2, because starting the pool (importing
 # concurrent.futures and forking the workers) costs about what it saves.
-# Best of 7 fresh runs on 2 vCPUs (Python 3.11), serial against 2 workers:
-# 88k steps (l <= 6, d <= 100, the verify-all grid) 0.158 against 0.168 s,
-# 149k (l <= 10, d <= 100) 0.266 against 0.221 s, 170k (l <= 6, d <= 140)
-# 0.209 against 0.201 s, 345k (l <= 6, d <= 200) 0.298 against 0.210 s.
-_POOL_MIN_STEPS = 200_000
+# The scan() call, best of 7 fresh interpreters on 2 vCPUs (Python 3.11),
+# serial against 2 workers: 88k steps (l <= 6, d <= 100, the verify-all
+# grid) 0.046 against 0.074 s, 149k (l <= 10, d <= 100) 0.071 against
+# 0.097 s, 170k (l <= 6, d <= 140) 0.061 against 0.080 s, 345k (l <= 6,
+# d <= 200) 0.090 against 0.115 s, 496k (l <= 6, d <= 240) 0.114 against
+# 0.118 s, 773k (l <= 6, d <= 300) 0.161 against 0.145 s.  Another such
+# round put 345k at 0.112 against 0.107 s, so the break-even is near 400k.
+_POOL_MIN_STEPS = 400_000
 
 
 def _usable_cpus() -> Optional[int]:

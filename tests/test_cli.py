@@ -402,8 +402,8 @@ def test_evidence_out_writes_integers_past_the_str_limit(capsys, tmp_path, int_s
 
 
 def test_verify_all_builds_each_closed_form_once(monkeypatch):
-    # the checks and both expansions share one P(w) per l; the oracle record
-    # builds P(r) at l = 2 on its own
+    # the checks, both expansions and the oracle record's P(r) at l = 2
+    # share one P(w) per l
     import collections
 
     import bhkovacic.auxode as auxode
@@ -420,17 +420,16 @@ def test_verify_all_builds_each_closed_form_once(monkeypatch):
     for module in (auxode, cli, hautot):
         monkeypatch.setattr(module, "chandrasekhar_coeffs", counted)
     assert cli.run_verify_all(l_max=4, d_max=4).all_passed
-    assert built == {2: 2, 3: 1, 4: 1}
+    assert built == {2: 1, 3: 1, 4: 1}
 
 
 def test_verify_all_builds_each_family_equation_once_per_check_loop(monkeypatch):
     # each check loop builds a family's s-symbolic equation once and
-    # evaluates it at every (l, s); at the defaults that is 40 builds
-    # (37 with the scan grids of an earlier run cached), not one per (l, s).
-    # G7 is built 8 times: once per chandrasekhar_checks(l) for l = 2..6,
+    # evaluates it at every (l, s); at the defaults that is 39 builds
+    # (36 with the scan grids of an earlier run cached), not one per (l, s).
+    # G7 is built 7 times: once per chandrasekhar_checks(l) for l = 2..6,
     # shared with its r frame, once for the det(A) loop and the oracle,
-    # once by the oracle's chandrasekhar_r_frame(2) and once by the
-    # homotopy check
+    # which builds P(r) at l = 2 on it, and once by the homotopy check
     import collections
 
     import bhkovacic.auxode as auxode
@@ -449,8 +448,8 @@ def test_verify_all_builds_each_family_equation_once_per_check_loop(monkeypatch)
         monkeypatch.setattr(module, "family_equation", counted)
     evidence._column.cache_clear()
     assert cli.run_verify_all().all_passed
-    assert sum(built.values()) <= 40, built
-    assert built["G7"] == 8, built
+    assert sum(built.values()) <= 39, built
+    assert built["G7"] == 7, built
     assert built["S3"] == 1  # one build for the whole S3 sweep
 
 
@@ -510,6 +509,7 @@ def test_evidence_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path)
         raise AssertionError("a cell was computed before the sink was opened")
 
     monkeypatch.setattr(evidence, "_cell", no_cells)
+    monkeypatch.setattr(evidence, "_cell_signs", no_cells)
     out_path = str(tmp_path / "missing" / "cells.json")
     code, out, err = run(capsys, "evidence", "--l-max", "6", "--max-degree", "200", "--out", out_path)
     assert code == 2

@@ -23,9 +23,11 @@ from bhkovacic.evidence import (
     ScanReport,
     _cell,
     _cell_entries,
+    _cell_signs,
     _column,
     _column_at,
     _ratio_system_polynomial,
+    _scan_group,
     _worker_count,
     cross_check_cell,
     default_l_range,
@@ -236,6 +238,18 @@ def test_cross_check_cell_example():
     assert check["nullspace_dim"] == 0
 
 
+def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
+    # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a walk that
+    # calls it clean fails the cross-check, one that gives up does not
+    assert cross_check_cell("E7", 2, 8)["agree"]
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: (True, True))
+    check = cross_check_cell("E7", 2, 8)
+    assert not check["agree"]
+    assert check["recurrence_det"] == check["bareiss_det"]
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
+    assert cross_check_cell("E7", 2, 8)["agree"]
+
+
 def test_cross_check_cell_builds_its_system_once(monkeypatch):
     # one recurrence serves the Bareiss determinant and, at d <= 8, the
     # brute-force nullspace
@@ -332,6 +346,102 @@ def test_cell_matches_reference_on_random_columns(diag, offprod, d):
     assert _cell(column, d) == _reference(values, d)
 
 
+def _assert_walk_decides_like_cell(family, ls, d_max):
+    for l in ls:
+        column = _column_at(family_by_label(family), l)
+        for d in range(d_max + 1):
+            sign_ok, final_ok, D_last, _ = _cell(column, d)
+            assert _cell_signs(column, d) == (sign_ok, final_ok), (family, l, d)
+            assert D_last != 0, (family, l, d)
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_cell_signs_decide_the_verify_all_grid_like_cell(family):
+    # every G3/E3/E7 cell at l <= 6, d <= 100: no cell falls back
+    _assert_walk_decides_like_cell(family, default_l_range(family, 6), 100)
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_cell_signs_decide_the_acceptance_grid_edges_like_cell(family):
+    # the lowest and the highest l of the acceptance grid, d <= 500
+    lowest = default_l_range(family, 20)[0]
+    _assert_walk_decides_like_cell(family, (lowest, 20), 500)
+
+
+def test_cell_signs_block_start_of_e7():
+    # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
+    # at k0 = 2 from there on, through an exact zero or negative first minor
+    column = _column_at(family_by_label("E7"), 2)
+    assert _cell_signs(column, 5) == (True, True)
+    assert _cell_signs(column, 6) == (False, True)  # D_1 = 0
+    assert _cell_signs(column, 7) == (False, True)  # D_1 > 0
+
+
+# a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;
+# offprod takes either sign and is zero on whole ranges
+_positive = st.lists(st.integers(-3, 0), min_size=1, max_size=3).map(
+    lambda c: (c[0] - 1, *c[1:])
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(_positive, _positive, _positive),
+        st.tuples(_coeffs, _coeffs, _coeffs),
+    ),
+    st.tuples(_coeffs, _coeffs, _coeffs, _coeffs),
+    st.integers(0, 40),
+)
+@settings(max_examples=400, deadline=None)
+def test_cell_signs_agree_with_cell_where_they_decide(diag, offprod, d):
+    column = (diag, offprod)
+    signs = _cell_signs(column, d)
+    if signs is not None:
+        sign_ok, final_ok, D_last, _ = _cell(column, d)
+        assert signs == (sign_ok, final_ok)
+        assert D_last != 0
+
+
+# a_k = 10 and offprod(k) = k^2: 4 offprod(k) <= a_{k-1} a_k up to k = 5 only,
+# and the true ratios turn negative at k = 7
+_PLANTED = (((-10,), (), ()), ((), (), (1,), ()))
+
+
+def test_cell_signs_give_up_where_the_bound_fails():
+    for d in range(6):
+        assert _cell_signs(_PLANTED, d) == _cell(_PLANTED, d)[:2]
+    for d in range(6, 20):
+        assert _cell_signs(_PLANTED, d) is None, d
+    assert not _cell(_PLANTED, 7)[0]
+
+
+# a_k = 11k - 1 and offprod = 0: the walk starts its block at k0 = 1 with
+# E_1 = -1, so it decides every cell with d >= 1 as a final-sign violation,
+# and the d = 0 cell by its one exact step
+_PLANTED_NEGATIVE = (((1,), (-11,), ()), ((), (), (), ()))
+
+
+def test_cell_signs_decide_a_negative_block():
+    for d in range(20):
+        assert _cell_signs(_PLANTED_NEGATIVE, d) == (False, False)
+        assert _cell(_PLANTED_NEGATIVE, d)[:2] == (False, False)
+
+
+@pytest.mark.parametrize("column", [_PLANTED, _PLANTED_NEGATIVE], ids=["gives_up", "violation"])
+def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatch, column):
+    # on the first planted column the walk decides d <= 5 and _cell settles
+    # the rest; on the second the walk decides violations, which are
+    # reported with the exact D_last; either way the column's report is
+    # the one with no walk at all
+    monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
+    with_walk = _scan_group("G3", 2, 20, False)
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
+    assert _scan_group("G3", 2, 20, False) == with_walk
+    part = with_walk[0]
+    assert part.flagged_count > 0 and part.final_sign_violations
+    assert all(isinstance(D_last, int) for *_, D_last in part.final_sign_violations)
+
+
 def test_e7_intermediate_zero_is_flagged_not_fatal():
     # at d = l(l+1) the first minor vanishes; the full determinant decides
     seq = det_sequence("E7", 1, 2)
@@ -394,6 +504,7 @@ def test_scan_refuses_unwritable_out_before_any_cell(monkeypatch, tmp_path):
         raise AssertionError("a cell was computed before the sink was opened")
 
     monkeypatch.setattr(evidence, "_cell", no_cells)
+    monkeypatch.setattr(evidence, "_cell_signs", no_cells)
     for out in (tmp_path / "missing" / "cells.json", tmp_path):
         with pytest.raises(ValueError, match="cannot write"):
             scan(families=("G3",), l_max=2, d_max=5, out=str(out))

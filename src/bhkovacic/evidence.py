@@ -27,9 +27,13 @@ the brute-force nullspace oracle.
 A scan's verdicts are signs only, so without ``--out`` a cell is first
 given to :func:`_cell_signs`, which walks the same entries but proves the
 signs from a ratio bound in integers of the size of the entries, where
-:func:`_cell`'s minors grow to thousands of bits.  :func:`_cell` decides a
-cell where the walk gives up, and recomputes one whose final sign is wrong,
-because the report names that cell with its exact D_{d+1}.  ``--out``,
+:func:`_cell`'s minors grow to thousands of bits.  Once per column,
+:func:`_tail_certified` proves the bound's checks for every k and d as
+integer polynomials with no negative coefficient, so the walk of a
+certified column stops after its exact prefix (at most two steps on the
+default grid) and a cell costs O(1) instead of O(d).  :func:`_cell`
+decides a cell where the walk gives up, and recomputes one whose final
+sign is wrong, because the report names that cell with its exact D_{d+1}.  ``--out``,
 :func:`cross_check_cell` and :func:`det_sequence` keep the exact minors:
 ``--out`` records D_{d+1} and the magnitude index of every cell, and the
 cross-checks hold the walk to the exact verdict on their sampled cells.
@@ -43,6 +47,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_roots
@@ -210,7 +215,7 @@ def _cell(column: tuple, d: int) -> tuple:
     return sign_ok, E > 0, E if d % 2 else -E, mag_from
 
 
-def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
+def _cell_signs(column: tuple, d: int, certified: bool) -> Optional[tuple]:
     """(sign_pattern_ok, final_sign_ok) of the column's degree-d cell from a
     ratio bound, with D_{d+1} != 0; None where the bound does not decide.
 
@@ -228,8 +233,11 @@ def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
     b_k/r_{k-1} <= 2 b_k/a_{k-1} <= a_k/2, while b_k <= 0 gives r_k >= a_k.
     So every E_n with n > k0 has the sign of E_{k0}.  This is the classical
     lower bound on the tails of a continued fraction (Wall, *Analytic Theory
-    of Continued Fractions*, 1948).  The walk gives up (None) at the first k
-    that fails the check, and when its exact steps reach E_{d+1} = 0.
+    of Continued Fractions*, 1948).  ``certified`` is the column's
+    :func:`_tail_certified`, which proves these checks for every k >= 1 and
+    d >= k at once, so the walk then returns at its block start.  Otherwise
+    it gives up (None) at the first k that fails the check.  It also gives
+    up when its exact steps reach E_{d+1} = 0.
     """
     a, a1, a2, b, b1, b2, b3 = _differences(column, d)
     sign_ok = True
@@ -246,6 +254,8 @@ def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
         b2 += b3
     if k0 > d:  # every step was exact: E = E_{d+1}
         return (sign_ok, E > 0) if E else None
+    if certified:
+        return sign_ok, E > 0
     for _ in range(k0, d):
         a_prev = a
         a += a1
@@ -256,6 +266,62 @@ def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
         if a <= 0 or 4 * b > a_prev * a:
             return None
     return sign_ok, E > 0
+
+
+def _tail_polynomials(column: tuple) -> tuple:
+    """(A, F) of the column with k = 1 + i and d = k + j, as {(i, j): c}.
+
+    A(k, d) = -diag(k) and F(k, d) = A(k-1, d) A(k, d) - 4 offprod(k), the
+    two sides of :func:`_cell_signs`'s tail checks a_k > 0 and
+    4 b_k <= a_{k-1} a_k, as integer polynomials in the column's k and d.
+    """
+    diag, offprod = (
+        {(p, q): c for p, row in enumerate(grid) for q, c in enumerate(row)} for grid in column
+    )
+    A = {m: -c for m, c in diag.items()}
+    F = _product(_shift_first(A, -1), A)
+    for m, c in offprod.items():
+        F[m] = F.get(m, 0) - 4 * c
+    return tuple(_shift_first(_add_first_to_second(P), 1) for P in (A, F))
+
+
+def _tail_certified(column: tuple) -> bool:
+    """Whether :func:`_cell_signs`'s tail checks hold at every k >= 1 and d >= k.
+
+    A positivity test in the sense of Polya: with i, j >= 0, A(1+i, 1+i+j)
+    is positive when its constant term is and no coefficient is negative,
+    and F(1+i, 1+i+j) is non-negative when no coefficient is negative
+    (:func:`_tail_polynomials`).  A column that fails it is not refuted;
+    the walk then checks its tail cell by cell.
+    """
+    A, F = _tail_polynomials(column)
+    return A.get((0, 0), 0) > 0 and min(A.values()) >= 0 and min(F.values()) >= 0
+
+
+def _shift_first(poly: dict, h: int) -> dict:
+    """P(x, y) -> P(x + h, y), for P given as {(p, q): coefficient of x^p y^q}."""
+    out = {}
+    for (p, q), c in poly.items():
+        for e in range(p + 1):
+            out[e, q] = out.get((e, q), 0) + c * comb(p, e) * h ** (p - e)
+    return out
+
+
+def _add_first_to_second(poly: dict) -> dict:
+    """P(x, y) -> P(x, x + y), for P given as {(p, q): coefficient of x^p y^q}."""
+    out = {}
+    for (p, q), c in poly.items():
+        for e in range(q + 1):
+            out[p + q - e, e] = out.get((p + q - e, e), 0) + c * comb(q, e)
+    return out
+
+
+def _product(f: dict, g: dict) -> dict:
+    out = {}
+    for (p, q), c in f.items():
+        for (p2, q2), c2 in g.items():
+            out[p + p2, q + q2] = out.get((p + p2, q + q2), 0) + c * c2
+    return out
 
 
 def default_l_range(family: str, l_max: int = 20) -> range:
@@ -315,7 +381,9 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     which a scan builds once per column.  The system's d+1 integer rows
     are the rational rows times one factor den, so the determinant is
     divided by den ** (d + 1).  At d <= 8 the same rows plus row d+1 give
-    the brute-force nullspace.
+    the brute-force nullspace.  ``agree`` also requires the sign walk, run
+    as the scan runs it with the column's :func:`_tail_certified`, to give
+    the exact signs wherever it decides.
     """
     if isinstance(family, FamilyEquation):
         eq = family
@@ -327,7 +395,7 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
     column = _column_at(fam, l)
     sign_ok, final_ok, D_last, _ = _cell(column, d)
-    signs = _cell_signs(column, d)
+    signs = _cell_signs(column, d, _tail_certified(column))
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": fam.label,
@@ -352,16 +420,18 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
     Without ``want_cells`` the sign walk :func:`_cell_signs` decides each
-    cell it can, and :func:`_cell` decides the rest and every final-sign
-    violation, whose record carries D_{d+1}; with it every cell is exact,
-    since each record carries D_{d+1} and its magnitude index.
+    cell it can, given the column's :func:`_tail_certified` once, and
+    :func:`_cell` decides the rest and every final-sign violation, whose
+    record carries D_{d+1}; with it every cell is exact, since each record
+    carries D_{d+1} and its magnitude index.
     """
     eq = family_equation(family_by_label(family))
     column = _column_at(eq.family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
+    certified = not want_cells and _tail_certified(column)
     for d in range(d_max + 1):
-        signs = None if want_cells else _cell_signs(column, d)
+        signs = None if want_cells else _cell_signs(column, d, certified)
         if signs is None or not signs[1]:  # a violation is reported with its D_last
             sign_ok, final_ok, D_last, mag_from = _cell(column, d)
         else:
@@ -417,8 +487,9 @@ def scan(
     Grid columns are independent; BHK_THREADS fans them out across
     processes, and their results are taken in (family, l) order, so the
     report and the file do not depend on it.  Unset, it means one process
-    per usable CPU on a grid of at least _POOL_MIN_STEPS recurrence steps
-    and serial below it.
+    per usable CPU on a grid of at least _POOL_MIN_STEPS steps of work (walk
+    cells count _WALK_CELL_STEPS each, and exact cells their recurrence
+    steps) and serial below it.
     A grid with no cell (negative ``d_max``, or no l in range) raises
     ValueError: a scan that examined nothing must not pass.
     """
@@ -434,7 +505,8 @@ def scan(
     ]
     if d_max < 0 or not jobs:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
-    steps = len(jobs) * (d_max + 1) * (d_max + 2) // 2
+    cells = len(jobs) * (d_max + 1)
+    steps = cells * (d_max + 2) // 2 if want_cells else cells * _WALK_CELL_STEPS
     workers = _worker_count(os.environ.get("BHK_THREADS"), len(jobs), _usable_cpus(), steps)
     report = ScanReport(families=families, l_max=l_max, d_max=d_max)
     with contextlib.ExitStack() as stack:
@@ -459,17 +531,26 @@ def scan(
     return report
 
 
-# A scan given no worker count runs serially below this many recurrence
-# steps, columns x (d_max+1)(d_max+2)/2, because starting the pool (importing
-# concurrent.futures and forking the workers) costs about what it saves.
-# The scan() call, best of 7 fresh interpreters on 2 vCPUs (Python 3.11),
-# serial against 2 workers: 88k steps (l <= 6, d <= 100, the verify-all
-# grid) 0.046 against 0.074 s, 149k (l <= 10, d <= 100) 0.071 against
-# 0.097 s, 170k (l <= 6, d <= 140) 0.061 against 0.080 s, 345k (l <= 6,
-# d <= 200) 0.090 against 0.115 s, 496k (l <= 6, d <= 240) 0.114 against
-# 0.118 s, 773k (l <= 6, d <= 300) 0.161 against 0.145 s.  Another such
-# round put 345k at 0.112 against 0.107 s, so the break-even is near 400k.
-_POOL_MIN_STEPS = 400_000
+# A scan given no worker count runs serially below this much work, because
+# starting the pool (importing concurrent.futures and forking the workers)
+# costs about what it saves.  The unit is one exact recurrence step: a column
+# costs (d_max+1)(d_max+2)/2 of them with ``--out``, and without it
+# _WALK_CELL_STEPS per cell, since a cell of a certified column runs only its
+# exact prefix.  The scan() call, best of 7 fresh interpreters on 2 vCPUs
+# (Python 3.11), serial / 2 workers, one pair per round: without --out,
+# 5,117 cells (l <= 6, d <= 300) 0.072/0.087, 0.047/0.093 and 0.040/0.071 s;
+# 14,529 (l <= 10, d <= 500) 0.124/0.131, 0.117/0.124 and 0.085/0.097 s;
+# 29,559 (the default grid) 0.292/0.238, 0.251/0.297, 0.269/0.182 and
+# 0.167/0.168 s.  With --out: 88k steps (l <= 6, d <= 100) 0.098/0.141,
+# 0.085/0.106 and 0.080/0.111 s; 170k (d <= 140) 0.205/0.238, 0.148/0.132
+# and 0.118/0.112 s; 345k (d <= 200) 0.308/0.286, 0.266/0.395, 0.287/0.209
+# and 0.239/0.177 s.  So the pool pays from about 20,000 walk cells and
+# 200,000 exact steps, and a walk cell counts as 10 steps: its entries, its
+# prefix and its share of the column's cross-checks.  The default grid sits
+# near the break-even in a fresh interpreter and above it in a warm process:
+# perfbench's scan reads 0.20 s serial against 0.12 s pooled.
+_POOL_MIN_STEPS = 200_000
+_WALK_CELL_STEPS = 10
 
 
 def _usable_cpus() -> Optional[int]:
@@ -484,7 +565,7 @@ def _worker_count(requested, columns: int, cpus: Optional[int], steps: int) -> i
     """The scan's worker processes, clamped to [1, min(cpus, columns)].
 
     ``requested`` is the BHK_THREADS text.  None (unset) leaves the
-    choice to the grid: serial below _POOL_MIN_STEPS recurrence steps, else
+    choice to the grid: serial below _POOL_MIN_STEPS steps of work, else
     one process per CPU.  A set value that is empty or not an integer means
     serial.
     """

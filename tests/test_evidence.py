@@ -28,6 +28,8 @@ from bhkovacic.evidence import (
     _column_at,
     _ratio_system_polynomial,
     _scan_group,
+    _tail_certified,
+    _tail_polynomials,
     _worker_count,
     cross_check_cell,
     default_l_range,
@@ -242,12 +244,39 @@ def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
     # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a walk that
     # calls it clean fails the cross-check, one that gives up does not
     assert cross_check_cell("E7", 2, 8)["agree"]
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: (True, True))
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d, certified: (True, True))
     check = cross_check_cell("E7", 2, 8)
     assert not check["agree"]
     assert check["recurrence_det"] == check["bareiss_det"]
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d, certified: None)
     assert cross_check_cell("E7", 2, 8)["agree"]
+
+
+def _tridiagonal_rows(column, d):
+    """The column's degree-d system laid out as candidate_rows lays out its
+    rows 0..d+1, with den = 1: D_{k+1} = diag(k) D_k - offprod(k) D_{k-1}."""
+    diag, offprod = _cell_entries(column, d)
+    rows = [[0] * (d + 1) for _ in range(d + 2)]
+    for m in range(d + 1):
+        rows[m][m] = diag[m]
+        if m:
+            rows[m][m - 1], rows[m - 1][m] = offprod[m], 1
+    return rows, 1
+
+
+def test_cross_check_catches_a_false_certificate(monkeypatch):
+    # _PLANTED as a system of its own: Bareiss agrees with the recurrence,
+    # and the walk, which does not certify, gives up past d = 5.  Certified
+    # falsely, the walk calls d = 8 clean where _cell flags it
+    monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
+    monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
+    for d in (4, 8, 12):
+        assert cross_check_cell("G3", 2, d)["agree"], d
+    monkeypatch.setattr(evidence, "_tail_certified", lambda column: True)
+    assert cross_check_cell("G3", 2, 4)["agree"]  # the bound holds up to k = 5
+    check = cross_check_cell("G3", 2, 8)
+    assert not check["agree"]
+    assert check["recurrence_det"] == check["bareiss_det"]
 
 
 def test_cross_check_cell_builds_its_system_once(monkeypatch):
@@ -347,11 +376,14 @@ def test_cell_matches_reference_on_random_columns(diag, offprod, d):
 
 
 def _assert_walk_decides_like_cell(family, ls, d_max):
+    # the full tail proves what the certificate proves at once
     for l in ls:
         column = _column_at(family_by_label(family), l)
+        assert _tail_certified(column), (family, l)
         for d in range(d_max + 1):
             sign_ok, final_ok, D_last, _ = _cell(column, d)
-            assert _cell_signs(column, d) == (sign_ok, final_ok), (family, l, d)
+            for certified in (False, True):
+                assert _cell_signs(column, d, certified) == (sign_ok, final_ok), (family, l, d)
             assert D_last != 0, (family, l, d)
 
 
@@ -372,9 +404,10 @@ def test_cell_signs_block_start_of_e7():
     # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
     # at k0 = 2 from there on, through an exact zero or negative first minor
     column = _column_at(family_by_label("E7"), 2)
-    assert _cell_signs(column, 5) == (True, True)
-    assert _cell_signs(column, 6) == (False, True)  # D_1 = 0
-    assert _cell_signs(column, 7) == (False, True)  # D_1 > 0
+    for certified in (False, True):
+        assert _cell_signs(column, 5, certified) == (True, True)
+        assert _cell_signs(column, 6, certified) == (False, True)  # D_1 = 0
+        assert _cell_signs(column, 7, certified) == (False, True)  # D_1 > 0
 
 
 # a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;
@@ -384,22 +417,37 @@ _positive = st.lists(st.integers(-3, 0), min_size=1, max_size=3).map(
 )
 
 
-@given(
+_random_column = st.tuples(
     st.one_of(
         st.tuples(_positive, _positive, _positive),
         st.tuples(_coeffs, _coeffs, _coeffs),
     ),
     st.tuples(_coeffs, _coeffs, _coeffs, _coeffs),
-    st.integers(0, 40),
 )
+
+
+@given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
-def test_cell_signs_agree_with_cell_where_they_decide(diag, offprod, d):
-    column = (diag, offprod)
-    signs = _cell_signs(column, d)
+def test_cell_signs_agree_with_cell_where_they_decide(column, d):
+    signs = _cell_signs(column, d, False)
     if signs is not None:
         sign_ok, final_ok, D_last, _ = _cell(column, d)
         assert signs == (sign_ok, final_ok)
         assert D_last != 0
+
+
+@given(_random_column, st.integers(0, 40))
+@settings(max_examples=400, deadline=None)
+def test_certified_walk_is_the_full_walk(column, d):
+    # where the column certifies, no tail check of the full walk fails, so
+    # returning at the block start changes no answer
+    if _tail_certified(column):
+        signs = _cell_signs(column, d, True)
+        assert signs == _cell_signs(column, d, False)
+        if signs is not None:
+            sign_ok, final_ok, D_last, _ = _cell(column, d)
+            assert signs == (sign_ok, final_ok)
+            assert D_last != 0
 
 
 # a_k = 10 and offprod(k) = k^2: 4 offprod(k) <= a_{k-1} a_k up to k = 5 only,
@@ -409,9 +457,9 @@ _PLANTED = (((-10,), (), ()), ((), (), (1,), ()))
 
 def test_cell_signs_give_up_where_the_bound_fails():
     for d in range(6):
-        assert _cell_signs(_PLANTED, d) == _cell(_PLANTED, d)[:2]
+        assert _cell_signs(_PLANTED, d, False) == _cell(_PLANTED, d)[:2]
     for d in range(6, 20):
-        assert _cell_signs(_PLANTED, d) is None, d
+        assert _cell_signs(_PLANTED, d, False) is None, d
     assert not _cell(_PLANTED, 7)[0]
 
 
@@ -423,7 +471,7 @@ _PLANTED_NEGATIVE = (((1,), (-11,), ()), ((), (), (), ()))
 
 def test_cell_signs_decide_a_negative_block():
     for d in range(20):
-        assert _cell_signs(_PLANTED_NEGATIVE, d) == (False, False)
+        assert _cell_signs(_PLANTED_NEGATIVE, d, False) == (False, False)
         assert _cell(_PLANTED_NEGATIVE, d)[:2] == (False, False)
 
 
@@ -435,11 +483,93 @@ def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatc
     # the one with no walk at all
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
     with_walk = _scan_group("G3", 2, 20, False)
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d, certified: None)
     assert _scan_group("G3", 2, 20, False) == with_walk
     part = with_walk[0]
     assert part.flagged_count > 0 and part.final_sign_violations
     assert all(isinstance(D_last, int) for *_, D_last in part.final_sign_violations)
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_tail_polynomials_match_sympy(family):
+    import sympy
+
+    k, d, i, j = sympy.symbols("k d i j")
+    fam = family_by_label(family)
+    for l in (fam.kind.min_l, 20):
+        column = _column_at(fam, l)
+        diag, offprod = (
+            sum(c * k**p * d**q for p, row in enumerate(grid) for q, c in enumerate(row))
+            for grid in column
+        )
+        A = -diag
+        F = A.subs(k, k - 1) * A - 4 * offprod
+        shift = {k: 1 + i, d: 1 + i + j}
+        for ours, expr in zip(_tail_polynomials(column), (A, F)):
+            expected = sympy.Poly(sympy.expand(expr.subs(shift, simultaneous=True)), i, j)
+            assert {m: c for m, c in ours.items() if c} == {
+                m: int(c) for m, c in expected.as_dict().items()
+            }, (family, l)
+
+
+def _planted_diag_sign():
+    """G3 at l = 2 with the sign of diag's k d coefficient flipped: A(k, d)
+    then falls with k d, and its shift has a negative coefficient."""
+    (row0, (c, c_d), row2), offprod = _column_at(family_by_label("G3"), 2)
+    return (row0, (c, -c_d), row2), offprod
+
+
+def test_tail_certificate_refuses_planted_columns(monkeypatch):
+    # _PLANTED: F = 100 - 4k^2 shifts to 96 - 8i - 4i^2
+    A, F = _tail_polynomials(_PLANTED)
+    assert A == {(0, 0): 10}
+    assert {m: c for m, c in F.items() if c} == {(0, 0): 96, (1, 0): -8, (2, 0): -4}
+    planted = _planted_diag_sign()
+    assert planted != _column_at(family_by_label("G3"), 2)
+    A, F = _tail_polynomials(planted)
+    assert A[0, 0] > 0 and min(A.values()) < 0
+    for column in (_PLANTED, planted):
+        assert not _tail_certified(column)
+        monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
+        with_walk = _scan_group("G3", 2, 40, False)
+        with monkeypatch.context() as m:
+            m.setattr(evidence, "_cell_signs", lambda column, d, certified: None)
+            assert _scan_group("G3", 2, 40, False) == with_walk
+    # a false certificate on _PLANTED would hide its broken interior signs
+    monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
+    with_walk = _scan_group("G3", 2, 40, False)
+    monkeypatch.setattr(evidence, "_tail_certified", lambda column: True)
+    assert _scan_group("G3", 2, 40, False)[0].flagged_count < with_walk[0].flagged_count
+
+
+def test_every_default_column_certifies():
+    # a column that fell back to its full tail walk would only run slower,
+    # so the count is pinned
+    columns = [
+        _column_at(family_by_label(family), l)
+        for family in SCAN_FAMILIES
+        for l in default_l_range(family)
+    ]
+    assert len(columns) == 59
+    assert sum(map(_tail_certified, columns)) == 59
+
+
+def test_far_e7_column_certifies_and_scans_like_cell():
+    # E7 at l = 60, L = l(l+1) = 3660: the column certifies, so each of its
+    # 3,662 cells costs its exact prefix; the full tail walk would take
+    # about 6.7 million steps.  d = L and L + 1 break the interior pattern
+    L = 60 * 61
+    column = _column_at(family_by_label("E7"), 60)
+    assert _tail_certified(column)
+    part, _ = _scan_group("E7", 60, L + 1, False)
+    assert part.cells == L + 2
+    assert not part.final_sign_violations
+    assert part.flagged == [("E7", 60, L), ("E7", 60, L + 1)]
+    assert part.cross_checks_ok
+    for d in (0, 1, 2, 3000, L, L + 1):
+        sign_ok, final_ok, D_last, _ = _cell(column, d)
+        assert _cell_signs(column, d, True) == (sign_ok, final_ok), d
+        assert D_last != 0, d
 
 
 def test_e7_intermediate_zero_is_flagged_not_fatal():
@@ -596,9 +726,13 @@ def test_worker_count_clamps_bhk_threads():
     assert _worker_count(None, columns=5, cpus=4, steps=large) == 4
     assert _worker_count(None, columns=3, cpus=4, steps=large) == 3
     assert _worker_count(None, columns=5, cpus=1, steps=large) == 1
-    # the verify-all grid (17 columns, d <= 100) stays serial; the default
-    # evidence grid (59 columns, d <= 500) takes every CPU
+    # the verify-all grid (17 columns, d <= 100) stays serial, walked or
+    # exact; the default evidence grid (59 columns, d <= 500) takes every
+    # CPU either way
+    walk = evidence._WALK_CELL_STEPS
+    assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * walk) == 1
     assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * 102 // 2) == 1
+    assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * walk) == 2
     assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * 502 // 2) == 2
 
 
@@ -642,11 +776,20 @@ def test_scan_takes_the_pool_by_default_above_the_constant(monkeypatch, tmp_path
 def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
     monkeypatch.setattr(evidence, "_usable_cpus", lambda: 64)
     assert scan(l_max=6, d_max=100).cells == 1717
+    # 5,117 walk cells stay serial, though the same grid has 772,667
+    # exact recurrence steps
+    assert scan(l_max=6, d_max=300).cells == 5117
     assert counted_pool == []
     monkeypatch.setenv("BHK_THREADS", "1")
     monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 0)
     scan(families=("G3",), l_max=3, d_max=10)
     assert counted_pool == []
+
+
+def test_default_grid_takes_the_pool_by_default(monkeypatch, counted_pool):
+    monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
+    assert scan().cells == 29559
+    assert counted_pool == [2]
 
 
 def test_scan_workers_write_integers_past_the_str_limit(monkeypatch, tmp_path, int_str_limit):

@@ -24,15 +24,15 @@ intermediate minors break the alternation (E7 does this for d > l(l+1))
 are flagged and settled by the full determinant and, at small degree, by
 the brute-force nullspace oracle.
 
-A scan's verdicts are signs only, so without ``--out`` a cell is first
-given to :func:`_cell_signs`, which walks the same entries but proves the
-signs from a ratio bound in integers of the size of the entries, where
-:func:`_cell`'s minors grow to thousands of bits.  Once per column,
-:func:`_tail_certified` proves the bound's checks for every k and d as
-integer polynomials with no negative coefficient, so the walk of a
-certified column stops after its exact prefix (at most two steps on the
-default grid) and a cell costs O(1) instead of O(d).  :func:`_cell`
-decides a cell where the walk gives up, and recomputes one whose final
+A scan's verdicts are signs only, while :func:`_cell`'s minors grow to
+thousands of bits.  So without ``--out`` the scan proves, once per column,
+a ratio bound that keeps every minor past a block start at one sign:
+:func:`_tail_certified` writes its checks for every k and d as integer
+polynomials with no negative coefficient.  In a column that certifies,
+:func:`_cell_signs` runs only a cell's exact prefix up to its block start
+(at most two steps on the default grid), so a cell costs O(1) instead of
+O(d).  :func:`_cell` decides every cell of a column that does not certify
+and a cell whose prefix reaches D_{d+1} = 0, and recomputes one whose final
 sign is wrong, because the report names that cell with its exact D_{d+1}.  ``--out``,
 :func:`cross_check_cell` and :func:`det_sequence` keep the exact minors:
 ``--out`` records D_{d+1} and the magnitude index of every cell, and the
@@ -215,29 +215,18 @@ def _cell(column: tuple, d: int) -> tuple:
     return sign_ok, E > 0, E if d % 2 else -E, mag_from
 
 
-def _cell_signs(column: tuple, d: int, certified: bool) -> Optional[tuple]:
-    """(sign_pattern_ok, final_sign_ok) of the column's degree-d cell from a
-    ratio bound, with D_{d+1} != 0; None where the bound does not decide.
+def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
+    """(sign_pattern_ok, final_sign_ok) of a certified column's degree-d
+    cell, with D_{d+1} != 0; None where its exact steps reach D_{d+1} = 0.
 
-    In :func:`_cell`'s variables a_k = -diag(k), b_k = offprod(k) and
-    r_k = E_{k+1}/E_k = a_k - b_k/r_{k-1}.  The walk runs :func:`_cell`'s
-    exact steps up to a block start k0: E_{k0} != 0, a_{k0} > 0 and
-    b_{k0} E_{k0-1} = 0, so that r_{k0} = a_{k0}.  G3 and E3 start at
-    k0 = 0; E7 starts there when a_0 > 0, and at k0 = 2 otherwise, because
-    offprod(2) = 0.  From k0 on it keeps no minor and only checks, in
-    integers of the size of the entries,
-
-        a_k > 0  and  4 b_k <= a_{k-1} a_k,   k0 < k <= d.
-
-    By induction r_k >= a_k/2 > 0: r_{k0} = a_{k0}, and for b_k > 0,
-    b_k/r_{k-1} <= 2 b_k/a_{k-1} <= a_k/2, while b_k <= 0 gives r_k >= a_k.
-    So every E_n with n > k0 has the sign of E_{k0}.  This is the classical
-    lower bound on the tails of a continued fraction (Wall, *Analytic Theory
-    of Continued Fractions*, 1948).  ``certified`` is the column's
-    :func:`_tail_certified`, which proves these checks for every k >= 1 and
-    d >= k at once, so the walk then returns at its block start.  Otherwise
-    it gives up (None) at the first k that fails the check.  It also gives
-    up when its exact steps reach E_{d+1} = 0.
+    It runs :func:`_cell`'s exact steps, without its magnitude index, up to
+    a block start k0: E_{k0} != 0, a_{k0} > 0 and b_{k0} E_{k0-1} = 0, so
+    that r_{k0} = a_{k0} in the variables of :func:`_tail_certified`.  G3
+    and E3 start at k0 = 0; E7 starts there when a_0 > 0, and at k0 = 2
+    otherwise, because offprod(2) = 0.  It returns there, since
+    :func:`_tail_certified` gives every later E_n the sign of E_{k0}, or at
+    E_{d+1} when no block starts by k = d.  It is called only for a column
+    that certifies.
     """
     a, a1, a2, b, b1, b2, b3 = _differences(column, d)
     sign_ok = True
@@ -252,28 +241,15 @@ def _cell_signs(column: tuple, d: int, certified: bool) -> Optional[tuple]:
         b += b1
         b1 += b2
         b2 += b3
-    if k0 > d:  # every step was exact: E = E_{d+1}
-        return (sign_ok, E > 0) if E else None
-    if certified:
-        return sign_ok, E > 0
-    for _ in range(k0, d):
-        a_prev = a
-        a += a1
-        a1 += a2
-        b += b1
-        b1 += b2
-        b2 += b3
-        if a <= 0 or 4 * b > a_prev * a:
-            return None
-    return sign_ok, E > 0
+    return (sign_ok, E > 0) if E else None  # E is E_{k0}, or E_{d+1} when k0 > d
 
 
 def _tail_polynomials(column: tuple) -> tuple:
     """(A, F) of the column with k = 1 + i and d = k + j, as {(i, j): c}.
 
     A(k, d) = -diag(k) and F(k, d) = A(k-1, d) A(k, d) - 4 offprod(k), the
-    two sides of :func:`_cell_signs`'s tail checks a_k > 0 and
-    4 b_k <= a_{k-1} a_k, as integer polynomials in the column's k and d.
+    two sides of the ratio-bound checks a_k > 0 and 4 b_k <= a_{k-1} a_k
+    (:func:`_tail_certified`), as integer polynomials in the column's k and d.
     """
     diag, offprod = (
         {(p, q): c for p, row in enumerate(grid) for q, c in enumerate(row)} for grid in column
@@ -286,13 +262,26 @@ def _tail_polynomials(column: tuple) -> tuple:
 
 
 def _tail_certified(column: tuple) -> bool:
-    """Whether :func:`_cell_signs`'s tail checks hold at every k >= 1 and d >= k.
+    """Whether the column's ratio bound holds at every k >= 1 and d >= k,
+    so that every cell's minors past its block start keep one sign.
 
-    A positivity test in the sense of Polya: with i, j >= 0, A(1+i, 1+i+j)
-    is positive when its constant term is and no coefficient is negative,
-    and F(1+i, 1+i+j) is non-negative when no coefficient is negative
-    (:func:`_tail_polynomials`).  A column that fails it is not refuted;
-    the walk then checks its tail cell by cell.
+    In :func:`_cell`'s variables a_k = -diag(k), b_k = offprod(k) and
+    r_k = E_{k+1}/E_k = a_k - b_k/r_{k-1}.  The checks are
+
+        a_k > 0  and  4 b_k <= a_{k-1} a_k,   k0 < k <= d,
+
+    from a block start k0 with r_{k0} = a_{k0} (:func:`_cell_signs`).  By
+    induction r_k >= a_k/2 > 0: r_{k0} = a_{k0}, and for b_k > 0,
+    b_k/r_{k-1} <= 2 b_k/a_{k-1} <= a_k/2, while b_k <= 0 gives r_k >= a_k.
+    So every E_n with n > k0 has the sign of E_{k0}.  This is the classical
+    lower bound on the tails of a continued fraction (Wall, *Analytic Theory
+    of Continued Fractions*, 1948).
+
+    The checks hold for every k >= 1 and d >= k by a positivity test in the
+    sense of Polya: with i, j >= 0, A(1+i, 1+i+j) is positive when its
+    constant term is and no coefficient is negative, and F(1+i, 1+i+j) is
+    non-negative when no coefficient is negative (:func:`_tail_polynomials`).
+    A column that fails it is not refuted; its cells go to :func:`_cell`.
     """
     A, F = _tail_polynomials(column)
     return A.get((0, 0), 0) > 0 and min(A.values()) >= 0 and min(F.values()) >= 0
@@ -382,8 +371,8 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     are the rational rows times one factor den, so the determinant is
     divided by den ** (d + 1).  At d <= 8 the same rows plus row d+1 give
     the brute-force nullspace.  ``agree`` also requires the sign walk, run
-    as the scan runs it with the column's :func:`_tail_certified`, to give
-    the exact signs wherever it decides.
+    as the scan runs it where the column's :func:`_tail_certified` holds,
+    to give the exact signs wherever it decides.
     """
     if isinstance(family, FamilyEquation):
         eq = family
@@ -395,7 +384,7 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
     column = _column_at(fam, l)
     sign_ok, final_ok, D_last, _ = _cell(column, d)
-    signs = _cell_signs(column, d, _tail_certified(column))
+    signs = _cell_signs(column, d) if _tail_certified(column) else None
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": fam.label,
@@ -419,19 +408,20 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     The part names its column as families = (family,) and l_max = l, and
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
-    Without ``want_cells`` the sign walk :func:`_cell_signs` decides each
-    cell it can, given the column's :func:`_tail_certified` once, and
-    :func:`_cell` decides the rest and every final-sign violation, whose
-    record carries D_{d+1}; with it every cell is exact, since each record
+    Without ``want_cells``, in a column that :func:`_tail_certified`
+    accepts, the sign walk :func:`_cell_signs` decides each cell it can;
+    :func:`_cell` decides the rest, every final-sign violation, whose
+    record carries D_{d+1}, and every cell of a column that does not
+    certify.  With ``want_cells`` every cell is exact, since each record
     carries D_{d+1} and its magnitude index.
     """
     eq = family_equation(family_by_label(family))
     column = _column_at(eq.family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
-    certified = not want_cells and _tail_certified(column)
+    walk = not want_cells and _tail_certified(column)
     for d in range(d_max + 1):
-        signs = None if want_cells else _cell_signs(column, d, certified)
+        signs = _cell_signs(column, d) if walk else None
         if signs is None or not signs[1]:  # a violation is reported with its D_last
             sign_ok, final_ok, D_last, mag_from = _cell(column, d)
         else:

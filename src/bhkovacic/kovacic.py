@@ -208,7 +208,8 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
     exactly (s kept unknown where the degree form leaves it free), for
     every angular index up to ``l_max``: a family with an admissible
     s > 0 solution is retained, the rest are reported as checked marginal
-    families.
+    families.  An ``l_max`` below a marginal family's lowest multipole
+    would check nothing for it and raises ValueError.
     """
     from .auxode import family_equation, solve_low_degree  # deciding verdicts needs the ODEs
 
@@ -222,6 +223,10 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
         if not points:
             result.discarded.append(family)
             continue
+        if l_max < family.kind.min_l:
+            raise ValueError(
+                f"l_max = {l_max} checks no l of {family.label} (l >= {family.kind.min_l})"
+            )
         eq = family_equation(family)
         found_any = False
         for s_value, d in points:

@@ -239,6 +239,15 @@ def test_criterion_11_determinant_scan():
     ok = ok and result.cells == (19 + 20 + 20) * 501
     ok = ok and result.cross_checks_ok and len(result.cross_checks) > 0
     ok = ok and result.flags_resolved_nonzero
+    # the report itself: E7 breaks its interior pattern at every d >= l(l+1),
+    # and the first 32 flagged cells are eight from each of l = 1..4
+    ok = ok and not result.final_sign_violations
+    ok = ok and result.flagged_count == sum(501 - l * (l + 1) for l in range(1, 21)) == 6940
+    ok = ok and result.flagged == [
+        ("E7", l, d) for l in range(1, 5) for d in range(l * (l + 1), l * (l + 1) + 8)
+    ]
+    ok = ok and len(result.cross_checks) == 236
+    ok = ok and all(c["agree"] and c["nullspace_dim"] in (0, None) for c in result.cross_checks)
     # the published example cell and a few explicit small-degree checks
     for family, l, d in (("G3", 2, 1), ("G3", 2, 12), ("E3", 1, 9), ("E7", 1, 2)):
         ok = ok and cross_check_cell(family, l, d)["agree"]

@@ -244,11 +244,11 @@ def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
     # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a walk that
     # calls it clean fails the cross-check, one that gives up does not
     assert cross_check_cell("E7", 2, 8)["agree"]
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d, certified: (True, True))
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: (True, True))
     check = cross_check_cell("E7", 2, 8)
     assert not check["agree"]
     assert check["recurrence_det"] == check["bareiss_det"]
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d, certified: None)
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
     assert cross_check_cell("E7", 2, 8)["agree"]
 
 
@@ -266,8 +266,8 @@ def _tridiagonal_rows(column, d):
 
 def test_cross_check_catches_a_false_certificate(monkeypatch):
     # _PLANTED as a system of its own: Bareiss agrees with the recurrence,
-    # and the walk, which does not certify, gives up past d = 5.  Certified
-    # falsely, the walk calls d = 8 clean where _cell flags it
+    # and the column does not certify, so no walk runs.  Certified falsely,
+    # the walk calls d = 8 clean where _cell flags it
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
     for d in (4, 8, 12):
@@ -376,14 +376,13 @@ def test_cell_matches_reference_on_random_columns(diag, offprod, d):
 
 
 def _assert_walk_decides_like_cell(family, ls, d_max):
-    # the full tail proves what the certificate proves at once
+    # every column certifies, and its walk gives the exact signs
     for l in ls:
         column = _column_at(family_by_label(family), l)
         assert _tail_certified(column), (family, l)
         for d in range(d_max + 1):
             sign_ok, final_ok, D_last, _ = _cell(column, d)
-            for certified in (False, True):
-                assert _cell_signs(column, d, certified) == (sign_ok, final_ok), (family, l, d)
+            assert _cell_signs(column, d) == (sign_ok, final_ok), (family, l, d)
             assert D_last != 0, (family, l, d)
 
 
@@ -404,10 +403,9 @@ def test_cell_signs_block_start_of_e7():
     # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
     # at k0 = 2 from there on, through an exact zero or negative first minor
     column = _column_at(family_by_label("E7"), 2)
-    for certified in (False, True):
-        assert _cell_signs(column, 5, certified) == (True, True)
-        assert _cell_signs(column, 6, certified) == (False, True)  # D_1 = 0
-        assert _cell_signs(column, 7, certified) == (False, True)  # D_1 > 0
+    assert _cell_signs(column, 5) == (True, True)
+    assert _cell_signs(column, 6) == (False, True)  # D_1 = 0
+    assert _cell_signs(column, 7) == (False, True)  # D_1 > 0
 
 
 # a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;
@@ -428,24 +426,15 @@ _random_column = st.tuples(
 
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
-def test_cell_signs_agree_with_cell_where_they_decide(column, d):
-    signs = _cell_signs(column, d, False)
-    if signs is not None:
-        sign_ok, final_ok, D_last, _ = _cell(column, d)
-        assert signs == (sign_ok, final_ok)
-        assert D_last != 0
-
-
-@given(_random_column, st.integers(0, 40))
-@settings(max_examples=400, deadline=None)
 def test_certified_walk_is_the_full_walk(column, d):
-    # where the column certifies, no tail check of the full walk fails, so
-    # returning at the block start changes no answer
+    # where the column certifies, the walk that returns at its block start
+    # gives the exact signs, and gives up only where D_{d+1} = 0
     if _tail_certified(column):
-        signs = _cell_signs(column, d, True)
-        assert signs == _cell_signs(column, d, False)
-        if signs is not None:
-            sign_ok, final_ok, D_last, _ = _cell(column, d)
+        signs = _cell_signs(column, d)
+        sign_ok, final_ok, D_last, _ = _cell(column, d)
+        if signs is None:
+            assert D_last == 0
+        else:
             assert signs == (sign_ok, final_ok)
             assert D_last != 0
 
@@ -455,39 +444,55 @@ def test_certified_walk_is_the_full_walk(column, d):
 _PLANTED = (((-10,), (), ()), ((), (), (1,), ()))
 
 
-def test_cell_signs_give_up_where_the_bound_fails():
-    for d in range(6):
-        assert _cell_signs(_PLANTED, d, False) == _cell(_PLANTED, d)[:2]
-    for d in range(6, 20):
-        assert _cell_signs(_PLANTED, d, False) is None, d
-    assert not _cell(_PLANTED, 7)[0]
-
-
-# a_k = 11k - 1 and offprod = 0: the walk starts its block at k0 = 1 with
-# E_1 = -1, so it decides every cell with d >= 1 as a final-sign violation,
-# and the d = 0 cell by its one exact step
-_PLANTED_NEGATIVE = (((1,), (-11,), ()), ((), (), (), ()))
+# a_k = 2k - 1 and offprod = -1: A = 1 + 2i and F = 3 + 4i^2, so the column
+# certifies.  E_1 = -1, E_2 = 0 and E_3 = -1, so the block starts at k0 = 3
+# on a negative minor: every cell is a final-sign violation, and the walk
+# gives up only at d = 1, where D_2 = 0
+_PLANTED_NEGATIVE = (((1,), (-2,), ()), ((-1,), (), (), ()))
 
 
 def test_cell_signs_decide_a_negative_block():
+    assert _tail_certified(_PLANTED_NEGATIVE)
+    assert _cell(_PLANTED_NEGATIVE, 1)[2] == 0
     for d in range(20):
-        assert _cell_signs(_PLANTED_NEGATIVE, d, False) == (False, False)
+        expected = None if d == 1 else (False, False)
+        assert _cell_signs(_PLANTED_NEGATIVE, d) == expected, d
         assert _cell(_PLANTED_NEGATIVE, d)[:2] == (False, False)
 
 
-@pytest.mark.parametrize("column", [_PLANTED, _PLANTED_NEGATIVE], ids=["gives_up", "violation"])
+# a_k = k and offprod = 0: A = 1 + i and F = i + i^2 certify, but E_1 = a_0 = 0
+# and every later minor is 0, so the walk decides no cell
+_PLANTED_ZERO = (((0,), (-1,), ()), ((), (), (), ()))
+# a_k = 2k^2 - 1 and offprod = -3k^3: A = 1 + 4i + 2i^2 and
+# F = 11 + 32i + 36i^2 + 20i^3 + 4i^4 certify; no block starts, so the walk
+# is exact and decides (False, False) at d = 0 and at every d >= 2
+_PLANTED_VIOLATION = (((1,), (), (-2,)), ((), (), (), (-3,)))
+
+
+@pytest.mark.parametrize(
+    "column", [_PLANTED_ZERO, _PLANTED_VIOLATION], ids=["gives_up", "violation"]
+)
 def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatch, column):
-    # on the first planted column the walk decides d <= 5 and _cell settles
-    # the rest; on the second the walk decides violations, which are
-    # reported with the exact D_last; either way the column's report is
-    # the one with no walk at all
+    # on the first certified column the walk gives up on every cell and
+    # _cell reports D_last = 0; on the second the walk decides violations,
+    # which are reported with the exact D_last; either way the column's
+    # report is the one with no walk at all
+    assert _tail_certified(column)
+    signs = [_cell_signs(column, d) for d in range(21)]
+    if column is _PLANTED_ZERO:
+        assert signs == [None] * 21
+    else:
+        assert signs == [(False, False), (False, True)] + [(False, False)] * 19
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
     with_walk = _scan_group("G3", 2, 20, False)
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d, certified: None)
+    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
     assert _scan_group("G3", 2, 20, False) == with_walk
     part = with_walk[0]
-    assert part.flagged_count > 0 and part.final_sign_violations
-    assert all(isinstance(D_last, int) for *_, D_last in part.final_sign_violations)
+    assert part.flagged_count == 21
+    assert part.flags_resolved_nonzero == (column is _PLANTED_VIOLATION)
+    assert [(d, D_last) for *_, d, D_last in part.final_sign_violations] == [
+        (d, _cell(column, d)[2]) for d in range(21) if d != 1 or column is _PLANTED_ZERO
+    ]
 
 
 @pytest.mark.parametrize("family", SCAN_FAMILIES)
@@ -528,13 +533,16 @@ def test_tail_certificate_refuses_planted_columns(monkeypatch):
     assert planted != _column_at(family_by_label("G3"), 2)
     A, F = _tail_polynomials(planted)
     assert A[0, 0] > 0 and min(A.values()) < 0
+    def no_walk(column, d):
+        raise AssertionError("a column that does not certify was walked")
+
     for column in (_PLANTED, planted):
         assert not _tail_certified(column)
         monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
-        with_walk = _scan_group("G3", 2, 40, False)
         with monkeypatch.context() as m:
-            m.setattr(evidence, "_cell_signs", lambda column, d, certified: None)
-            assert _scan_group("G3", 2, 40, False) == with_walk
+            m.setattr(evidence, "_cell_signs", no_walk)
+            _scan_group("G3", 2, 40, False)
+            cross_check_cell("G3", 2, 8)
     # a false certificate on _PLANTED would hide its broken interior signs
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     with_walk = _scan_group("G3", 2, 40, False)
@@ -568,7 +576,7 @@ def test_far_e7_column_certifies_and_scans_like_cell():
     assert part.cross_checks_ok
     for d in (0, 1, 2, 3000, L, L + 1):
         sign_ok, final_ok, D_last, _ = _cell(column, d)
-        assert _cell_signs(column, d, True) == (sign_ok, final_ok), d
+        assert _cell_signs(column, d) == (sign_ok, final_ok), d
         assert D_last != 0, d
 
 

@@ -114,6 +114,19 @@ def test_marginal_points_reported():
     assert e6_points == {(F(0), 0)}
 
 
+def test_retention_refuses_an_l_max_that_checks_nothing():
+    # below a marginal family's lowest multipole its l loop would be empty,
+    # and the family would drop out of every list with no check recorded
+    with pytest.raises(ValueError, match=r"l_max = 1 checks no l of G5 \(l >= 2\)"):
+        retain_families(enumerate_families_n1(G), l_max=1)
+    with pytest.raises(ValueError, match=r"l_max = 0 checks no l of E5 \(l >= 1\)"):
+        retain_families(enumerate_families_n1(E), l_max=0)
+    result = retain_families(enumerate_families_n1(G), l_max=2)
+    assert result.retained_labels == ["G3", "G7", "G8"]
+    assert {c.family.label for c in result.marginal} == {"G5", "G6", "G8"}
+    assert {c.l for c in result.marginal} == {2}
+
+
 def test_marginal_points_refuses_a_degree_that_grows_with_s():
     # d = a + b*s with b > 0 reaches every d >= 0: no finite list exists
     growing = [f for kind in (G, E, S) for f in enumerate_families_n1(kind) if f.degree[1] > 0]

@@ -73,22 +73,37 @@ def _exports(path):
     return []
 
 
+def _functions(path):
+    """Every function of one file at module level or in a class."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in members:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield item
+
+
 def test_every_export_has_a_caller():
-    # a caller is any use in the package, its own module included (a
-    # definition is not a use, nor a re-export from __init__), or in the
-    # benchmark other than its tests
+    # every export and every function or method: a caller is any use in the
+    # package, its own module included (a definition is not a use, nor a
+    # re-export from __init__), or in the benchmark other than its tests
     callers = [p for p in SOURCES if p.name != "__init__.py"] + [
         p for p in PERFBENCH.glob("*.py") if p.name != "test_perfbench.py"
     ]
     used = set().union(*(_used_names(path) for path in callers))
     exports = {(path.stem, name) for path in SOURCES for name in _exports(path)}
     assert set(UNCALLED_EXPORTS) <= {name for _, name in exports}
+    functions = {
+        (path.stem, f.name)
+        for path in SOURCES
+        for f in _functions(path)
+        if not (f.name.startswith("__") and f.name.endswith("__"))
+    }
     uncalled = sorted(
         f"{module}.{name}"
-        for module, name in exports
+        for module, name in exports | functions
         if name not in used and name not in UNCALLED_EXPORTS
     )
-    assert not uncalled, f"exported but never used: {uncalled}"
+    assert not uncalled, f"defined or exported but never used: {uncalled}"
 
 
 def _is_dataclass(decorator):
@@ -139,12 +154,9 @@ def _is_memo(decorator):
 
 def _memos(path):
     """module.name of every memoized function at module level or in a class."""
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for item in members:
-            is_function = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if is_function and any(map(_is_memo, item.decorator_list)):
-                yield f"{path.stem}.{item.name}"
+    for item in _functions(path):
+        if any(map(_is_memo, item.decorator_list)):
+            yield f"{path.stem}.{item.name}"
 
 
 def test_module_level_memos_are_pinned():

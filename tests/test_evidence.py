@@ -426,17 +426,25 @@ _random_column = st.tuples(
 
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
-def test_certified_walk_is_the_full_walk(column, d):
-    # where the column certifies, the walk that returns at its block start
-    # gives the exact signs, and gives up only where D_{d+1} = 0
+def test_cell_signs_agree_with_cell_where_they_decide(column, d):
+    # the walk runs only on a column that certifies; there, where it
+    # decides, it gives the exact signs of a cell with D_{d+1} != 0
     if _tail_certified(column):
         signs = _cell_signs(column, d)
-        sign_ok, final_ok, D_last, _ = _cell(column, d)
-        if signs is None:
-            assert D_last == 0
-        else:
+        if signs is not None:
+            sign_ok, final_ok, D_last, _ = _cell(column, d)
             assert signs == (sign_ok, final_ok)
             assert D_last != 0
+
+
+@given(_random_column, st.integers(0, 40))
+@settings(max_examples=400, deadline=None)
+def test_certified_walk_is_the_full_walk(column, d):
+    # where the column certifies, returning at the block start loses no
+    # decision: the walk gives up exactly where D_{d+1} = 0
+    if _tail_certified(column):
+        D_last = _cell(column, d)[2]
+        assert (_cell_signs(column, d) is None) == (D_last == 0)
 
 
 # a_k = 10 and offprod(k) = k^2: 4 offprod(k) <= a_{k-1} a_k up to k = 5 only,

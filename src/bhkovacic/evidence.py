@@ -29,14 +29,15 @@ thousands of bits.  So without ``--out`` the scan proves, once per column,
 a ratio bound that keeps every minor past a block start at one sign:
 :func:`_tail_certified` writes its checks for every k and d as integer
 polynomials with no negative coefficient.  In a column that certifies,
-:func:`_cell_signs` runs only a cell's exact prefix up to its block start
-(at most two steps on the default grid), so a cell costs O(1) instead of
-O(d).  :func:`_cell` decides every cell of a column that does not certify
-and a cell whose prefix reaches D_{d+1} = 0, and recomputes one whose final
-sign is wrong, because the report names that cell with its exact D_{d+1}.  ``--out``,
+:func:`_cell` returns at a cell's block start (at most two steps on the
+default grid), so a cell costs O(1) instead of O(d).  A cell with no block
+start, and every cell of a column that does not certify, runs the loop to
+the end; a final-sign violation that returned early runs again to the end,
+because the report names that cell with its exact D_{d+1}.  ``--out``,
 :func:`cross_check_cell` and :func:`det_sequence` keep the exact minors:
 ``--out`` records D_{d+1} and the magnitude index of every cell, and the
-cross-checks hold the walk to the exact verdict on their sampled cells.
+scan's cross-checks hold the early exit to the exact verdict on their
+sampled cells.
 """
 
 from __future__ import annotations
@@ -168,14 +169,7 @@ def det_sequence(family: str, l: int, d: int) -> DetSequence:
     )
 
 
-def _differences(column: tuple, d: int) -> tuple:
-    """-diag(0) and its two forward differences in k, then offprod(0) and
-    its three, of the column's degree-d cell."""
-    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
-    return -d0, -d1 - d2, -2 * d2, o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3
-
-
-def _cell(column: tuple, d: int) -> tuple:
+def _cell(column: tuple, d: int, certified: bool = False) -> tuple:
     """(sign_pattern_ok, final_sign_ok, D_last, mag_from) of the column's degree-d cell.
 
     sign_pattern_ok: sgn(D_n) = (-1)^n for n = 1..d+1; final_sign_ok: the
@@ -185,18 +179,29 @@ def _cell(column: tuple, d: int) -> tuple:
 
     One loop over k = 0..d.  It runs E_n = (-1)^n D_n, which obeys
     E_{k+1} = -diag(k) E_k - offprod(k) E_{k-1}, so the expected pattern
-    is E_n > 0 and |D_n| = E_n on it.  -diag(k) (degree 2 in k) and
-    offprod(k) (degree 3) are advanced by their forward differences:
+    is E_n > 0 and |D_n| = E_n on it.  a = -diag(k) (degree 2 in k) and
+    b = offprod(k) (degree 3) are advanced by their forward differences:
     five integer additions per step, no per-entry evaluation and no list.
-    It is the exact engine behind ``--out``, the cross-checks and every cell
-    that :func:`_cell_signs` does not decide.
+
+    ``certified`` says that :func:`_tail_certified` accepts the column.
+    Then the loop returns at the first block start k0: E_{k0} != 0,
+    a_{k0} > 0 and b_{k0} E_{k0-1} = 0, so that r_{k0} = a_{k0} in the
+    variables of :func:`_tail_certified`, which gives every later E_n the
+    sign of E_{k0}.  There D_last and mag_from are None, since D_{d+1} != 0
+    is proved and not computed.  G3 and E3 start at k0 = 0; E7 starts there
+    when a_0 > 0, and at k0 = 2 otherwise, because offprod(2) = 0.  A cell
+    with no block start by k = d runs to the end and is exact.
     """
-    a, a1, a2, b, b1, b2, b3 = _differences(column, d)
+    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
+    a, a1, a2 = -d0, -d1 - d2, -2 * d2
+    b, b1, b2, b3 = o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3
     sign_ok = True
     mag_from = 0
     E_prev, E = 0, 1  # E_{-1}, E_0
     top = 1  # |D_n| of the latest minor
     for n in range(1, d + 2):
+        if certified and a > 0 and E and not (b and E_prev):
+            return sign_ok, E > 0, None, None
         E_prev, E = E, a * E - b * E_prev
         if E > 0:
             if E <= top:
@@ -213,35 +218,6 @@ def _cell(column: tuple, d: int) -> tuple:
         b1 += b2
         b2 += b3
     return sign_ok, E > 0, E if d % 2 else -E, mag_from
-
-
-def _cell_signs(column: tuple, d: int) -> Optional[tuple]:
-    """(sign_pattern_ok, final_sign_ok) of a certified column's degree-d
-    cell, with D_{d+1} != 0; None where its exact steps reach D_{d+1} = 0.
-
-    It runs :func:`_cell`'s exact steps, without its magnitude index, up to
-    a block start k0: E_{k0} != 0, a_{k0} > 0 and b_{k0} E_{k0-1} = 0, so
-    that r_{k0} = a_{k0} in the variables of :func:`_tail_certified`.  G3
-    and E3 start at k0 = 0; E7 starts there when a_0 > 0, and at k0 = 2
-    otherwise, because offprod(2) = 0.  It returns there, since
-    :func:`_tail_certified` gives every later E_n the sign of E_{k0}, or at
-    E_{d+1} when no block starts by k = d.  It is called only for a column
-    that certifies.
-    """
-    a, a1, a2, b, b1, b2, b3 = _differences(column, d)
-    sign_ok = True
-    E_prev, E = 0, 1
-    k0 = 0
-    while k0 <= d and not (a > 0 and E and not (b and E_prev)):
-        E_prev, E = E, a * E - b * E_prev
-        sign_ok &= E > 0
-        k0 += 1
-        a += a1
-        a1 += a2
-        b += b1
-        b1 += b2
-        b2 += b3
-    return (sign_ok, E > 0) if E else None  # E is E_{k0}, or E_{d+1} when k0 > d
 
 
 def _tail_polynomials(column: tuple) -> tuple:
@@ -270,7 +246,7 @@ def _tail_certified(column: tuple) -> bool:
 
         a_k > 0  and  4 b_k <= a_{k-1} a_k,   k0 < k <= d,
 
-    from a block start k0 with r_{k0} = a_{k0} (:func:`_cell_signs`).  By
+    from a block start k0 with r_{k0} = a_{k0} (:func:`_cell`).  By
     induction r_k >= a_k/2 > 0: r_{k0} = a_{k0}, and for b_k > 0,
     b_k/r_{k-1} <= 2 b_k/a_{k-1} <= a_k/2, while b_k <= 0 gives r_k >= a_k.
     So every E_n with n > k0 has the sign of E_{k0}.  This is the classical
@@ -281,7 +257,7 @@ def _tail_certified(column: tuple) -> bool:
     sense of Polya: with i, j >= 0, A(1+i, 1+i+j) is positive when its
     constant term is and no coefficient is negative, and F(1+i, 1+i+j) is
     non-negative when no coefficient is negative (:func:`_tail_polynomials`).
-    A column that fails it is not refuted; its cells go to :func:`_cell`.
+    A column that fails it is not refuted; its cells run :func:`_cell` to the end.
     """
     A, F = _tail_polynomials(column)
     return A.get((0, 0), 0) > 0 and min(A.values()) >= 0 and min(F.values()) >= 0
@@ -370,9 +346,8 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     which a scan builds once per column.  The system's d+1 integer rows
     are the rational rows times one factor den, so the determinant is
     divided by den ** (d + 1).  At d <= 8 the same rows plus row d+1 give
-    the brute-force nullspace.  ``agree`` also requires the sign walk, run
-    as the scan runs it where the column's :func:`_tail_certified` holds,
-    to give the exact signs wherever it decides.
+    the brute-force nullspace.  Both oracles are held to :func:`_cell`'s
+    exact loop; :func:`_scan_group` holds its early exit to the same loop.
     """
     if isinstance(family, FamilyEquation):
         eq = family
@@ -382,9 +357,7 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     ode = eq.at(l, degree_to_s(fam.label, d))
     rows, den = candidate_rows(ode, d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
-    column = _column_at(fam, l)
-    sign_ok, final_ok, D_last, _ = _cell(column, d)
-    signs = _cell_signs(column, d) if _tail_certified(column) else None
+    D_last = _cell(_column_at(fam, l), d)[2]
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": fam.label,
@@ -392,8 +365,7 @@ def cross_check_cell(family, l: int, d: int) -> dict:
         "d": d,
         "recurrence_det": D_last,
         "bareiss_det": det,
-        "agree": Fraction(D_last) == det
-        and (signs is None or (signs == (sign_ok, final_ok) and D_last != 0)),
+        "agree": Fraction(D_last) == det,
         "nullspace_dim": nullspace_dim,
     }
 
@@ -408,24 +380,24 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     The part names its column as families = (family,) and l_max = l, and
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
-    Without ``want_cells``, in a column that :func:`_tail_certified`
-    accepts, the sign walk :func:`_cell_signs` decides each cell it can;
-    :func:`_cell` decides the rest, every final-sign violation, whose
-    record carries D_{d+1}, and every cell of a column that does not
-    certify.  With ``want_cells`` every cell is exact, since each record
-    carries D_{d+1} and its magnitude index.
+    Each cell is one :func:`_cell` call.  Without ``want_cells`` the
+    column's :func:`_tail_certified` runs once and, where it holds, lets
+    each cell return at its block start; a final-sign violation that
+    returned there runs again to the end, because the report names it with
+    its exact D_{d+1}.  Each sampled cross-check also requires that early
+    exit to give the exact loop's signs, with D_{d+1} != 0.  With
+    ``want_cells`` every cell is exact, since each record carries D_{d+1}
+    and its magnitude index.
     """
     eq = family_equation(family_by_label(family))
     column = _column_at(eq.family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
-    walk = not want_cells and _tail_certified(column)
+    certified = not want_cells and _tail_certified(column)
     for d in range(d_max + 1):
-        signs = _cell_signs(column, d) if walk else None
-        if signs is None or not signs[1]:  # a violation is reported with its D_last
+        sign_ok, final_ok, D_last, mag_from = _cell(column, d, certified)
+        if D_last is None and not final_ok:  # a violation is reported with its D_last
             sign_ok, final_ok, D_last, mag_from = _cell(column, d)
-        else:
-            (sign_ok, final_ok), D_last = signs, None  # the walk proved D_last != 0
         if not final_ok:
             part.final_sign_violations.append((family, l, d, D_last))
         if not sign_ok:
@@ -449,6 +421,9 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     part.cross_checks = [
         cross_check_cell(eq, l, d) for d in range(0, min(_CROSS_CHECK_D_MAX, d_max) + 1, 4)
     ]
+    for check in part.cross_checks:  # an early exit must give the exact signs
+        early, exact = _cell(column, check["d"], certified), _cell(column, check["d"])
+        check["agree"] &= early == exact or early[:2] == exact[:2] and exact[2] != 0
     part.cross_checks_ok = not any(map(_check_failed, part.cross_checks))
     return part, ",\n".join(map(json.dumps, records)) if want_cells else None
 
@@ -464,8 +439,9 @@ def scan(
     Streams every (family, l, d) cell; intermediate-sign violations are
     flagged and resolved by the full determinant (a nonzero D_{d+1} rules
     out the candidate regardless of interior minors).  A cell's signs come
-    from the ratio-bound walk where it decides them and from the exact
-    minors otherwise (:func:`_scan_group`).  Cells with
+    from its exact prefix up to a block start where the column's ratio
+    bound is certified, and from all its exact minors otherwise
+    (:func:`_scan_group`).  Cells with
     d <= _CROSS_CHECK_D_MAX are sampled and cross-checked against a direct
     fraction-free determinant of the explicit system, and at very small d
     against the brute-force nullspace.  With ``out`` set, one JSON record

@@ -509,7 +509,6 @@ def test_evidence_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path)
         raise AssertionError("a cell was computed before the sink was opened")
 
     monkeypatch.setattr(evidence, "_cell", no_cells)
-    monkeypatch.setattr(evidence, "_cell_signs", no_cells)
     out_path = str(tmp_path / "missing" / "cells.json")
     code, out, err = run(capsys, "evidence", "--l-max", "6", "--max-degree", "200", "--out", out_path)
     assert code == 2

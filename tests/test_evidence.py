@@ -23,7 +23,6 @@ from bhkovacic.evidence import (
     ScanReport,
     _cell,
     _cell_entries,
-    _cell_signs,
     _column,
     _column_at,
     _ratio_system_polynomial,
@@ -226,6 +225,24 @@ def test_scan_builds_each_column_once(monkeypatch):
     assert _column.cache_info().misses == 1
 
 
+def test_scan_certifies_each_column_once(monkeypatch, tmp_path):
+    # 17 columns on the verify-all grid; --out runs every cell exactly and
+    # needs no certificate
+    monkeypatch.setenv("BHK_THREADS", "1")
+    certify = evidence._tail_certified
+    calls = []
+
+    def counted(column):
+        calls.append(column)
+        return certify(column)
+
+    monkeypatch.setattr(evidence, "_tail_certified", counted)
+    scan(l_max=6, d_max=100)
+    assert len(calls) == 17
+    scan(l_max=6, d_max=100, out=str(tmp_path / "cells.json"))
+    assert len(calls) == 17
+
+
 @pytest.mark.parametrize("label", ["G1", "G4", "G5", "G8", "E1", "E4", "E5", "E8", "S1", "S4"])
 def test_column_refuses_a_degree_form_with_slope_zero(label):
     # d = a for every s: no candidate pins a frequency, so there is no grid in d
@@ -240,16 +257,40 @@ def test_cross_check_cell_example():
     assert check["nullspace_dim"] == 0
 
 
+def _lying_early_exit(monkeypatch, d_lie, verdict):
+    """Make the certified early exit of _cell return ``verdict`` at d_lie."""
+    cell = evidence._cell
+
+    def lying(column, d, certified=False):
+        return (*verdict, None, None) if certified and d == d_lie else cell(column, d, certified)
+
+    monkeypatch.setattr(evidence, "_cell", lying)
+
+
 def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
-    # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a walk that
-    # calls it clean fails the cross-check, one that gives up does not
+    # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; an early
+    # exit that calls it clean fails the scan's cross-check there, while
+    # cross_check_cell alone compares its oracles with the exact loop only
+    assert _scan_group("E7", 2, 12, False)[0].cross_checks_ok
+    _lying_early_exit(monkeypatch, 8, (True, True))
+    part, _ = _scan_group("E7", 2, 12, False)
+    assert [check["agree"] for check in part.cross_checks] == [True, True, False, True]
+    assert all(check["recurrence_det"] == check["bareiss_det"] for check in part.cross_checks)
+    assert not part.cross_checks_ok
     assert cross_check_cell("E7", 2, 8)["agree"]
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: (True, True))
-    check = cross_check_cell("E7", 2, 8)
-    assert not check["agree"]
-    assert check["recurrence_det"] == check["bareiss_det"]
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
-    assert cross_check_cell("E7", 2, 8)["agree"]
+
+
+def test_cross_check_refuses_an_early_exit_on_a_zero_determinant(monkeypatch):
+    # _PLANTED_ZERO has D_{d+1} = 0 in every cell, so no early exit may
+    # decide one, even with the exact signs
+    column = _PLANTED_ZERO
+    monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
+    monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
+    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False)[0].cross_checks]
+    assert agree == [True] * 4
+    _lying_early_exit(monkeypatch, 4, (False, False))
+    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False)[0].cross_checks]
+    assert agree == [True, False, True, True]
 
 
 def _tridiagonal_rows(column, d):
@@ -266,17 +307,20 @@ def _tridiagonal_rows(column, d):
 
 def test_cross_check_catches_a_false_certificate(monkeypatch):
     # _PLANTED as a system of its own: Bareiss agrees with the recurrence,
-    # and the column does not certify, so no walk runs.  Certified falsely,
-    # the walk calls d = 8 clean where _cell flags it
+    # and the column does not certify, so no cell exits early.  Certified
+    # falsely, every cell exits at k0 = 0 and calls itself clean, where the
+    # exact loop flags d = 8 and d = 12
+    monkeypatch.setenv("BHK_THREADS", "1")
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
-    for d in (4, 8, 12):
-        assert cross_check_cell("G3", 2, d)["agree"], d
+    report = scan(families=("G3",), l_max=2, d_max=12)
+    assert [check["agree"] for check in report.cross_checks] == [True] * 4
     monkeypatch.setattr(evidence, "_tail_certified", lambda column: True)
-    assert cross_check_cell("G3", 2, 4)["agree"]  # the bound holds up to k = 5
-    check = cross_check_cell("G3", 2, 8)
-    assert not check["agree"]
-    assert check["recurrence_det"] == check["bareiss_det"]
+    report = scan(families=("G3",), l_max=2, d_max=12)
+    # the bound holds up to k = 5, so d = 4 is still right
+    assert [check["agree"] for check in report.cross_checks] == [True, True, False, False]
+    assert all(check["recurrence_det"] == check["bareiss_det"] for check in report.cross_checks)
+    assert report.first_failure == {"check": "cross_check", "family": "G3", "l": 2, "d": 8}
 
 
 def test_cross_check_cell_builds_its_system_once(monkeypatch):
@@ -376,19 +420,20 @@ def test_cell_matches_reference_on_random_columns(diag, offprod, d):
 
 
 def _assert_walk_decides_like_cell(family, ls, d_max):
-    # every column certifies, and its walk gives the exact signs
+    # every column certifies, every cell exits early, and there it gives
+    # the full loop's signs with D_last != 0
     for l in ls:
         column = _column_at(family_by_label(family), l)
         assert _tail_certified(column), (family, l)
         for d in range(d_max + 1):
             sign_ok, final_ok, D_last, _ = _cell(column, d)
-            assert _cell_signs(column, d) == (sign_ok, final_ok), (family, l, d)
+            assert _cell(column, d, True) == (sign_ok, final_ok, None, None), (family, l, d)
             assert D_last != 0, (family, l, d)
 
 
 @pytest.mark.parametrize("family", SCAN_FAMILIES)
 def test_cell_signs_decide_the_verify_all_grid_like_cell(family):
-    # every G3/E3/E7 cell at l <= 6, d <= 100: no cell falls back
+    # every G3/E3/E7 cell at l <= 6, d <= 100: no cell runs to the end
     _assert_walk_decides_like_cell(family, default_l_range(family, 6), 100)
 
 
@@ -403,9 +448,9 @@ def test_cell_signs_block_start_of_e7():
     # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
     # at k0 = 2 from there on, through an exact zero or negative first minor
     column = _column_at(family_by_label("E7"), 2)
-    assert _cell_signs(column, 5) == (True, True)
-    assert _cell_signs(column, 6) == (False, True)  # D_1 = 0
-    assert _cell_signs(column, 7) == (False, True)  # D_1 > 0
+    assert _cell(column, 5, True) == (True, True, None, None)
+    assert _cell(column, 6, True) == (False, True, None, None)  # D_1 = 0
+    assert _cell(column, 7, True) == (False, True, None, None)  # D_1 > 0
 
 
 # a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;
@@ -427,24 +472,26 @@ _random_column = st.tuples(
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
 def test_cell_signs_agree_with_cell_where_they_decide(column, d):
-    # the walk runs only on a column that certifies; there, where it
-    # decides, it gives the exact signs of a cell with D_{d+1} != 0
+    # the early exit is taken only on a column that certifies; there, where
+    # it is taken, it gives the exact signs of a cell with D_{d+1} != 0
     if _tail_certified(column):
-        signs = _cell_signs(column, d)
-        if signs is not None:
-            sign_ok, final_ok, D_last, _ = _cell(column, d)
-            assert signs == (sign_ok, final_ok)
-            assert D_last != 0
+        sign_ok, final_ok, D_last, mag_from = _cell(column, d, True)
+        if D_last is None:
+            exact = _cell(column, d)
+            assert (sign_ok, final_ok) == exact[:2]
+            assert exact[2] != 0
+            assert mag_from is None
 
 
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
 def test_certified_walk_is_the_full_walk(column, d):
     # where the column certifies, returning at the block start loses no
-    # decision: the walk gives up exactly where D_{d+1} = 0
+    # decision: the result is the full loop's, without D_last and mag_from
+    # where it returned early
     if _tail_certified(column):
-        D_last = _cell(column, d)[2]
-        assert (_cell_signs(column, d) is None) == (D_last == 0)
+        early, exact = _cell(column, d, True), _cell(column, d)
+        assert early in (exact, (*exact[:2], None, None))
 
 
 # a_k = 10 and offprod(k) = k^2: 4 offprod(k) <= a_{k-1} a_k up to k = 5 only,
@@ -454,8 +501,8 @@ _PLANTED = (((-10,), (), ()), ((), (), (1,), ()))
 
 # a_k = 2k - 1 and offprod = -1: A = 1 + 2i and F = 3 + 4i^2, so the column
 # certifies.  E_1 = -1, E_2 = 0 and E_3 = -1, so the block starts at k0 = 3
-# on a negative minor: every cell is a final-sign violation, and the walk
-# gives up only at d = 1, where D_2 = 0
+# on a negative minor: every cell is a final-sign violation, and the cells
+# with d <= 2, D_2 = 0 among them, run the loop to the end
 _PLANTED_NEGATIVE = (((1,), (-2,), ()), ((-1,), (), (), ()))
 
 
@@ -463,43 +510,39 @@ def test_cell_signs_decide_a_negative_block():
     assert _tail_certified(_PLANTED_NEGATIVE)
     assert _cell(_PLANTED_NEGATIVE, 1)[2] == 0
     for d in range(20):
-        expected = None if d == 1 else (False, False)
-        assert _cell_signs(_PLANTED_NEGATIVE, d) == expected, d
-        assert _cell(_PLANTED_NEGATIVE, d)[:2] == (False, False)
+        exact = _cell(_PLANTED_NEGATIVE, d)
+        assert exact[:2] == (False, False)
+        assert _cell(_PLANTED_NEGATIVE, d, True) == (
+            exact if d <= 2 else (False, False, None, None)
+        ), d
 
 
 # a_k = k and offprod = 0: A = 1 + i and F = i + i^2 certify, but E_1 = a_0 = 0
-# and every later minor is 0, so the walk decides no cell
+# and every later minor is 0, so no block starts and no cell exits early
 _PLANTED_ZERO = (((0,), (-1,), ()), ((), (), (), ()))
-# a_k = 2k^2 - 1 and offprod = -3k^3: A = 1 + 4i + 2i^2 and
-# F = 11 + 32i + 36i^2 + 20i^3 + 4i^4 certify; no block starts, so the walk
-# is exact and decides (False, False) at d = 0 and at every d >= 2
-_PLANTED_VIOLATION = (((1,), (), (-2,)), ((), (), (), (-3,)))
 
 
 @pytest.mark.parametrize(
-    "column", [_PLANTED_ZERO, _PLANTED_VIOLATION], ids=["gives_up", "violation"]
+    "column", [_PLANTED_ZERO, _PLANTED_NEGATIVE], ids=["gives_up", "violation"]
 )
 def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatch, column):
-    # on the first certified column the walk gives up on every cell and
-    # _cell reports D_last = 0; on the second the walk decides violations,
-    # which are reported with the exact D_last; either way the column's
-    # report is the one with no walk at all
+    # on the first certified column no cell exits early, and each reports
+    # its exact D_last = 0; on the second the cells from d = 3 exit early
+    # as final-sign violations and run again, so that they are reported
+    # with the exact D_last; either way the column's report is the one with
+    # no early exit at all
     assert _tail_certified(column)
-    signs = [_cell_signs(column, d) for d in range(21)]
-    if column is _PLANTED_ZERO:
-        assert signs == [None] * 21
-    else:
-        assert signs == [(False, False), (False, True)] + [(False, False)] * 19
+    early = [d for d in range(21) if _cell(column, d, True)[2] is None]
+    assert early == ([] if column is _PLANTED_ZERO else list(range(3, 21)))
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
-    with_walk = _scan_group("G3", 2, 20, False)
-    monkeypatch.setattr(evidence, "_cell_signs", lambda column, d: None)
-    assert _scan_group("G3", 2, 20, False) == with_walk
-    part = with_walk[0]
+    certified = _scan_group("G3", 2, 20, False)
+    monkeypatch.setattr(evidence, "_tail_certified", lambda column: False)
+    assert _scan_group("G3", 2, 20, False) == certified
+    part = certified[0]
     assert part.flagged_count == 21
-    assert part.flags_resolved_nonzero == (column is _PLANTED_VIOLATION)
+    assert not part.flags_resolved_nonzero
     assert [(d, D_last) for *_, d, D_last in part.final_sign_violations] == [
-        (d, _cell(column, d)[2]) for d in range(21) if d != 1 or column is _PLANTED_ZERO
+        (d, _cell(column, d)[2]) for d in range(21)
     ]
 
 
@@ -541,16 +584,22 @@ def test_tail_certificate_refuses_planted_columns(monkeypatch):
     assert planted != _column_at(family_by_label("G3"), 2)
     A, F = _tail_polynomials(planted)
     assert A[0, 0] > 0 and min(A.values()) < 0
-    def no_walk(column, d):
-        raise AssertionError("a column that does not certify was walked")
+    cell = evidence._cell
+    certified = []
+
+    def spy(column, d, *args):
+        certified.extend(args)
+        return cell(column, d, *args)
 
     for column in (_PLANTED, planted):
         assert not _tail_certified(column)
         monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
         with monkeypatch.context() as m:
-            m.setattr(evidence, "_cell_signs", no_walk)
+            m.setattr(evidence, "_cell", spy)
             _scan_group("G3", 2, 40, False)
             cross_check_cell("G3", 2, 8)
+        assert certified and not any(certified)  # no early exit was allowed
+        certified.clear()
     # a false certificate on _PLANTED would hide its broken interior signs
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     with_walk = _scan_group("G3", 2, 40, False)
@@ -584,7 +633,7 @@ def test_far_e7_column_certifies_and_scans_like_cell():
     assert part.cross_checks_ok
     for d in (0, 1, 2, 3000, L, L + 1):
         sign_ok, final_ok, D_last, _ = _cell(column, d)
-        assert _cell_signs(column, d) == (sign_ok, final_ok), d
+        assert _cell(column, d, True) == (sign_ok, final_ok, None, None), d
         assert D_last != 0, d
 
 
@@ -650,7 +699,6 @@ def test_scan_refuses_unwritable_out_before_any_cell(monkeypatch, tmp_path):
         raise AssertionError("a cell was computed before the sink was opened")
 
     monkeypatch.setattr(evidence, "_cell", no_cells)
-    monkeypatch.setattr(evidence, "_cell_signs", no_cells)
     for out in (tmp_path / "missing" / "cells.json", tmp_path):
         with pytest.raises(ValueError, match="cannot write"):
             scan(families=("G3",), l_max=2, d_max=5, out=str(out))

@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 
@@ -435,40 +435,55 @@ def _scaled_primitive(num: Sequence, den: int, a: int) -> tuple:
     divides a^n.  A prime p of g divides a, or it would divide d and every
     num[k].  If p divides d, some num[k] is prime to p, and g has at most
     the k v_p(a) factors p of that num[k] a^k; if not, g has at most the
-    m v_p(a) of den.  So g divides the candidate gcd(den, num[0], a^n,
-    sum (k+1) num[k] a^k, sum of the odd-index num[k] a^k), whose sums
-    Horner's rule takes with products by a alone.
-
-    With the candidate C, G_k = C / gcd(C, a^k) and H_k = a^k / gcd(C, a^k)
-    are coprime, so num[k] a^k / C = (num[k] / G_k) H_k is an integer
-    exactly when G_k divides num[k]; G_(k+1) = G_k / t and H_(k+1) =
-    H_k a / t for t = gcd(G_k, a).  G falls to 1 by k = n, since C divides
-    a^n, and the numerators after that are products only.  A num[k] that
-    G_k does not divide shows that C exceeds g: the scaled numerators are
-    then formed whole and take :func:`_divide_content`.
+    m v_p(a) of den.  So g divides the candidate C = gcd(den, num[0], a^n),
+    and C is g exactly when :func:`_cancel_powers` divides every scaled
+    numerator by it.  Only after a remainder is the candidate narrowed by
+    sum (k+1) num[k] a^k and the sum of the odd-index num[k] a^k, which
+    Horner's rule takes with products by a alone, and tried again; a
+    remainder on that one too forms the scaled numerators whole and sends
+    them to :func:`_divide_content`.
     """
     n = len(num) - 1
     g = math.gcd(den, num[0], a**n)
-    if g != 1 and n > 2:
+    out = _cancel_powers(num, a, g)
+    if out is None and n > 2:
         weighted = horner([k * v for k, v in enumerate(num, 1)], a)
-        g = math.gcd(g, weighted, a * horner(num[1::2], a * a))
+        narrowed = math.gcd(g, weighted, a * horner(num[1::2], a * a))
+        if narrowed != g:
+            g = narrowed
+            out = _cancel_powers(num, a, g)
+    if out is None:
+        powers = itertools.accumulate(itertools.repeat(a, n), operator.mul, initial=1)
+        out = list(map(operator.mul, num, powers))
+        return out, den // _divide_content(out, den)
+    return out, den // g
+
+
+def _cancel_powers(num: Sequence, a: int, C: int) -> Optional[list]:
+    """The numerators num[k] a^k / C, or None when one is not an integer,
+    for a C that divides a^n, n = len(num) - 1.
+
+    G_k = C / gcd(C, a^k) and H_k = a^k / gcd(C, a^k) are coprime, so
+    num[k] a^k / C = (num[k] / G_k) H_k is an integer exactly when G_k
+    divides num[k]; G_(k+1) = G_k / t and H_(k+1) = H_k a / t for
+    t = gcd(G_k, a).  G falls to 1 by the last k, and the numerators after
+    that are products only.
+    """
     out = []
-    G, H = g, 1
+    G, H = C, 1
     for v in num:
         if G == 1:
             out.append(v * H)
             H *= a
             continue
         q, r = divmod(v, G)
-        if r:  # the candidate exceeds the content
-            powers = itertools.accumulate(itertools.repeat(a, n), operator.mul, initial=1)
-            out = list(map(operator.mul, num, powers))
-            return out, den // _divide_content(out, den)
+        if r:
+            return None
         out.append(q * H)
         t = math.gcd(G, a)
         G //= t
         H *= a // t
-    return out, den // g
+    return out
 
 
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:

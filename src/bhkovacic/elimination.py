@@ -7,6 +7,11 @@ systems).  The single-step Bareiss scheme then keeps every intermediate
 entry an exact integer (each is a minor of the input), and nullspace
 vectors are back-substituted in integers too, so zero tests and signs are
 never in doubt and no ``Fraction`` is ever built.
+
+An update that maps a zero entry to zero is skipped, and a row with a
+zero in the pivot column is only scaled, so the banded systems of the
+oracles do big-integer work on their nonzero entries alone.  Every entry
+is still visited, so elimination stays O(n^3) steps.
 """
 
 from __future__ import annotations
@@ -39,10 +44,21 @@ def _exact_div(a: int, b: int) -> int:
 
 def _bareiss_step(target: List[int], pivot_row: List[int], pivot: int, prev: int, start: int):
     """One Bareiss row update in place: target[j] <- (pivot target[j] -
-    target[start] pivot_row[j]) / prev for j >= start, each division exact."""
+    target[start] pivot_row[j]) / prev for j >= start, each division exact.
+
+    An entry the update maps from 0 to 0 is skipped: target[j] = 0 with
+    factor = target[start] = 0 or pivot_row[j] = 0.  With factor = 0 the
+    update only scales the row's nonzero entries by pivot / prev."""
     factor = target[start]
     for j in range(start, len(target)):
-        q, r = divmod(pivot * target[j] - factor * pivot_row[j], prev)
+        t = target[j]
+        if factor and pivot_row[j]:
+            t = pivot * t - factor * pivot_row[j]
+        elif t:
+            t *= pivot
+        else:
+            continue
+        q, r = divmod(t, prev)
         if r:
             raise ArithmeticError("fraction-free elimination lost exactness")
         target[j] = q

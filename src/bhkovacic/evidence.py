@@ -30,14 +30,17 @@ a ratio bound that keeps every minor past a block start at one sign:
 :func:`_tail_certified` writes its checks for every k and d as integer
 polynomials with no negative coefficient.  In a column that certifies,
 :func:`_cell` returns at a cell's block start (at most two steps on the
-default grid), so a cell costs O(1) instead of O(d).  A cell with no block
-start, and every cell of a column that does not certify, runs the loop to
-the end; a final-sign violation that returned early runs again to the end,
-because the report names that cell with its exact D_{d+1}.  ``--out``,
-:func:`cross_check_cell` and :func:`det_sequence` keep the exact minors:
-``--out`` records D_{d+1} and the magnitude index of every cell, and the
-scan's cross-checks hold the early exit to the exact verdict on their
-sampled cells.
+default grid), so a cell costs O(1) instead of O(d).  Where a_0 =
+-diag(0) > 0 the block starts at k = 0, and the cell returns after
+evaluating diag's k^0 row alone: that is 22,619 of the 29,559 default
+cells, every G3 and E3 cell and the E7 cells below d = l(l+1).  A cell
+with no block start, and every cell of a column that does not certify,
+runs the loop to the end; a final-sign violation that returned early runs
+again to the end, because the report names that cell with its exact
+D_{d+1}.  ``--out``, :func:`cross_check_cell` and :func:`det_sequence`
+keep the exact minors: ``--out`` records D_{d+1} and the magnitude index
+of every cell, and the scan's cross-checks hold the early exit to the
+exact verdict on their sampled cells.
 """
 
 from __future__ import annotations
@@ -191,8 +194,16 @@ def _cell(column: tuple, d: int, certified: bool = False) -> tuple:
     is proved and not computed.  G3 and E3 start at k0 = 0; E7 starts there
     when a_0 > 0, and at k0 = 2 otherwise, because offprod(2) = 0.  A cell
     with no block start by k = d runs to the end and is exact.
+
+    The test at k0 = 0 needs a_0 alone, because E_0 = 1 and E_{-1} = 0: so
+    diag's k^0 row is evaluated at d first, and a certified cell with
+    a_0 > 0 returns before the other six rows and the loop are set up.
     """
-    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
+    (row0, *diag), offprod = column
+    d0 = horner(row0, d)
+    if certified and d0 < 0:  # the block start k0 = 0: a_0 > 0, E_0 = 1, E_-1 = 0
+        return True, True, None, None
+    (d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in (diag, offprod))
     a, a1, a2 = -d0, -d1 - d2, -2 * d2
     b, b1, b2, b3 = o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3
     sign_ok = True
@@ -334,8 +345,9 @@ class ScanReport:
         self.cross_checks_ok &= part.cross_checks_ok
 
 
-# The scan cross-checks its cells at d <= 12 only: Bareiss elimination is
-# dense, O(n^3) big-integer updates, even on these tridiagonal systems.
+# The scan cross-checks its cells at d <= 12 only: Bareiss elimination
+# skips the zeros its updates keep, but still visits all O(n^3) entries and
+# scales every row below each pivot, even on these tridiagonal systems.
 _CROSS_CHECK_D_MAX = 12
 
 
@@ -349,10 +361,7 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     the brute-force nullspace.  Both oracles are held to :func:`_cell`'s
     exact loop; :func:`_scan_group` holds its early exit to the same loop.
     """
-    if isinstance(family, FamilyEquation):
-        eq = family
-    else:
-        eq = family_equation(family_by_label(family))
+    eq = _equation(family)
     fam = eq.family
     ode = eq.at(l, degree_to_s(fam.label, d))
     rows, den = candidate_rows(ode, d)
@@ -370,13 +379,22 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     }
 
 
+def _equation(family) -> FamilyEquation:
+    """The equation of a scan family given by its label or by the equation itself."""
+    if isinstance(family, FamilyEquation):
+        return family
+    return family_equation(family_by_label(family))
+
+
 def _check_failed(check: dict) -> bool:
     return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
-def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
+def _scan_group(family, l: int, d_max: int, want_cells: bool) -> tuple:
     """(ScanReport, text) of one (family, l) column; picklable.
 
+    ``family`` is a scan family's label or its :class:`FamilyEquation`,
+    which :func:`scan` builds once per family and passes to each column.
     The part names its column as families = (family,) and l_max = l, and
     keeps at most 8 flagged cells; text is the column's ``--out`` records
     in d order as JSON joined by ",\n", or None without ``want_cells``.
@@ -389,7 +407,8 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     ``want_cells`` every cell is exact, since each record carries D_{d+1}
     and its magnitude index.
     """
-    eq = family_equation(family_by_label(family))
+    eq = _equation(family)
+    family = eq.family.label
     column = _column_at(eq.family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
@@ -464,13 +483,11 @@ def scan(
     if unknown:
         raise ValueError(f"scan covers {SCAN_FAMILIES}, not {unknown}")
     want_cells = out is not None
-    jobs = [
-        (family, l, d_max, want_cells)
-        for family in families
-        for l in default_l_range(family, l_max)
-    ]
-    if d_max < 0 or not jobs:
+    grid = [(family, l) for family in families for l in default_l_range(family, l_max)]
+    if d_max < 0 or not grid:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
+    equations = {family: _equation(family) for family in families}
+    jobs = [(equations[family], l, d_max, want_cells) for family, l in grid]
     cells = len(jobs) * (d_max + 1)
     steps = cells * (d_max + 2) // 2 if want_cells else cells * _WALK_CELL_STEPS
     workers = _worker_count(os.environ.get("BHK_THREADS"), len(jobs), _usable_cpus(), steps)
@@ -502,21 +519,23 @@ def scan(
 # costs about what it saves.  The unit is one exact recurrence step: a column
 # costs (d_max+1)(d_max+2)/2 of them with ``--out``, and without it
 # _WALK_CELL_STEPS per cell, since a cell of a certified column runs only its
-# exact prefix.  The scan() call, best of 7 fresh interpreters on 2 vCPUs
-# (Python 3.11), serial / 2 workers, one pair per round: without --out,
-# 5,117 cells (l <= 6, d <= 300) 0.072/0.087, 0.047/0.093 and 0.040/0.071 s;
-# 14,529 (l <= 10, d <= 500) 0.124/0.131, 0.117/0.124 and 0.085/0.097 s;
-# 29,559 (the default grid) 0.292/0.238, 0.251/0.297, 0.269/0.182 and
-# 0.167/0.168 s.  With --out: 88k steps (l <= 6, d <= 100) 0.098/0.141,
-# 0.085/0.106 and 0.080/0.111 s; 170k (d <= 140) 0.205/0.238, 0.148/0.132
-# and 0.118/0.112 s; 345k (d <= 200) 0.308/0.286, 0.266/0.395, 0.287/0.209
-# and 0.239/0.177 s.  So the pool pays from about 20,000 walk cells and
-# 200,000 exact steps, and a walk cell counts as 10 steps: its entries, its
-# prefix and its share of the column's cross-checks.  The default grid sits
-# near the break-even in a fresh interpreter and above it in a warm process:
-# perfbench's scan reads 0.20 s serial against 0.12 s pooled.
+# exact prefix, and most cells only the evaluation of a_0.  The scan() call,
+# best of 7 fresh interpreters on 2 vCPUs (Python 3.11), serial / 2 workers,
+# one pair per round: without --out, 5,117 cells (l <= 6, d <= 300)
+# 0.023/0.056 and 0.022/0.053 s; 29,559 (the default grid) 0.078/0.086,
+# 0.074/0.091 and 0.071/0.082 s; 59,059 (l <= 20, d <= 1000) 0.132/0.144,
+# 0.117/0.114 and 0.123/0.115 s; 89,089 (l <= 30, d <= 1000) 0.178/0.160,
+# 0.154/0.146 and 0.163/0.149 s; 118,059 (l <= 20, d <= 2000) 0.230/0.184,
+# 0.213/0.157 and 0.217/0.173 s.  With --out: 88k steps (l <= 6,
+# d <= 100) 0.061/0.078 and 0.060/0.071 s; 170k (d <= 140) 0.180/0.149,
+# 0.091/0.092 and 0.097/0.100 s; 345k (d <= 200) 0.197/0.199, 0.168/0.153
+# and 0.189/0.144 s.
+# So the pool pays from about 200,000 exact steps and 60,000 to 90,000 walk
+# cells, and a walk cell counts as 3 steps: its entries, its prefix and its
+# share of the column's cross-checks.  The default grid is walked serially;
+# with --out it takes the pool.
 _POOL_MIN_STEPS = 200_000
-_WALK_CELL_STEPS = 10
+_WALK_CELL_STEPS = 3
 
 
 def _usable_cpus() -> Optional[int]:

@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhkovacic.elimination import bareiss_determinant, nullspace
+from bhkovacic.elimination import _bareiss_step, bareiss_determinant, nullspace
 
 
 def det_oracle(matrix):
@@ -41,6 +42,52 @@ square_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=120, deadline=None)
 def test_bareiss_matches_oracle(matrix):
     assert bareiss_determinant(matrix) == det_oracle(matrix)
+
+
+@st.composite
+def sparse_matrices(draw, square=True):
+    """Banded integer matrices with random zeros in the band: diagonal,
+    tridiagonal or pentadiagonal, optionally with a zero leading pivot
+    (a swap when a row below has a nonzero there) and an all-zero row."""
+    n_rows = draw(st.integers(1, 7))
+    n_cols = n_rows if square else draw(st.integers(1, 7))
+    width = draw(st.integers(0, 2))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    m = [
+        [draw(entry) if abs(i - j) <= width else 0 for j in range(n_cols)]
+        for i in range(n_rows)
+    ]
+    if draw(st.booleans()):
+        m[0][0] = 0
+        if n_rows > 1 and width and draw(st.booleans()):
+            m[1][0] = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        m[draw(st.integers(0, n_rows - 1))] = [0] * n_cols
+    return m
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_bareiss_matches_oracle_on_sparse_matrices(matrix):
+    assert bareiss_determinant(matrix) == det_oracle(matrix)
+
+
+def test_bareiss_step_checks_every_division_it_does_not_skip():
+    # factor 0: entry 0 stays 0 unexamined, entry 1 scales to 3 * 1, which
+    # prev = 2 does not divide
+    with pytest.raises(ArithmeticError):
+        _bareiss_step([0, 1, 0], [3, 5, 7], pivot=3, prev=2, start=0)
+    # factor 1: entry 1 is 0 in both rows and skipped, entry 2 updates to
+    # 2 * 1 - 1 * 1 = 1, which prev = 3 does not divide
+    with pytest.raises(ArithmeticError):
+        _bareiss_step([1, 0, 1], [2, 0, 1], pivot=2, prev=3, start=0)
+    # exact updates, with the skipped entries left at 0
+    target = [0, 0, 4, 0, 6]
+    _bareiss_step(target, [3, 5, 0, 0, 7], pivot=3, prev=2, start=0)
+    assert target == [0, 0, 6, 0, 9]
+    target = [2, 0, 4, 0]
+    _bareiss_step(target, [3, 0, 5, 7], pivot=3, prev=1, start=0)
+    assert target == [0, 0, 2, -14]
 
 
 def test_bareiss_empty_matrix_is_one():
@@ -120,6 +167,15 @@ def test_integer_nullspace_matches_rational_and_sympy(matrix):
     assert basis == fraction_nullspace(matrix)
     # the same space as sympy's basis: equal dimension, and stacking the two
     # adds no rank
+    theirs = [list(v) for v in sympy.Matrix(matrix).nullspace()]
+    assert len(basis) == len(theirs) == _rank(basis) == _rank(basis + theirs)
+
+
+@given(sparse_matrices(square=False))
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_sympy_on_sparse_matrices(matrix):
+    basis = nullspace(matrix)
+    assert basis == fraction_nullspace(matrix)
     theirs = [list(v) for v in sympy.Matrix(matrix).nullspace()]
     assert len(basis) == len(theirs) == _rank(basis) == _rank(basis + theirs)
 

@@ -453,6 +453,64 @@ def test_cell_signs_block_start_of_e7():
     assert _cell(column, 7, True) == (False, True, None, None)  # D_1 > 0
 
 
+def _counted_horner(monkeypatch):
+    """Count the evaluations of the column's polynomials in d."""
+    real, calls = evidence.horner, []
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return real(coeffs, x)
+
+    monkeypatch.setattr(evidence, "horner", counted)
+    return calls
+
+
+# a_k = 3 - d + k + k d and offprod(k) = -k d^2: A = 4 + 2i + i^2 + ij and F
+# have no negative coefficient, so the column certifies, while a_0 = 3 - d
+# turns zero at d = 3 and negative after it
+_PLANTED_A0_SIGN = (((-3, 1), (-1, -1), ()), ((), (0, 0, -1), (), ()))
+
+
+def _assert_a0_return(monkeypatch, column, ds, a0):
+    # a certified cell with a_0 > 0 evaluates diag's k^0 row alone and
+    # returns the loop's n = 1 block start; any other cell evaluates all
+    # seven rows and gives the exact loop's signs
+    for d in ds:
+        with monkeypatch.context() as m:
+            calls = _counted_horner(m)
+            early = _cell(column, d, True)
+        assert len(calls) == (1 if a0(d) > 0 else 7), d
+        exact = _cell(column, d)
+        assert early in (exact, (*exact[:2], None, None)), d
+        if a0(d) > 0:
+            assert early == (True, True, None, None) and exact[2] != 0, d
+
+
+def test_certified_cell_returns_on_a0_alone(monkeypatch):
+    assert _tail_certified(_PLANTED_A0_SIGN)
+    _assert_a0_return(monkeypatch, _PLANTED_A0_SIGN, range(12), lambda d: 3 - d)
+    # d = 3 starts its block at k0 = 2 after D_1 = 0; from d = 4 no block
+    # starts and the loop runs to the end
+    assert _cell(_PLANTED_A0_SIGN, 3, True) == (False, True, None, None)
+    assert all(_cell(_PLANTED_A0_SIGN, d, True)[2] for d in range(4, 12))
+    # E7 at l = 2: a_0 = L - d with L = 6, so from d = L the cells break
+    # the interior pattern and start their blocks at k0 = 2
+    column = _column_at(family_by_label("E7"), 2)
+    _assert_a0_return(monkeypatch, column, range(41), lambda d: 6 - d)
+    assert not any(_cell(column, d, True)[0] for d in range(6, 41))
+
+
+def test_scan_group_evaluates_one_row_per_certified_cell(monkeypatch):
+    # G3 at l = 2: each of the 101 cells evaluates diag's k^0 row once; the
+    # four sampled cross-checks (d = 0, 4, 8, 12) each add 15 evaluations,
+    # seven in cross_check_cell's exact cell and 1 + 7 where the scan holds
+    # the early exit to the exact cell
+    calls = _counted_horner(monkeypatch)
+    part, _ = _scan_group("G3", 2, 100, False)
+    assert part.cells == 101 and part.cross_checks_ok
+    assert len(calls) == 101 + 4 * 15
+
+
 # a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;
 # offprod takes either sign and is zero on whole ranges
 _positive = st.lists(st.integers(-3, 0), min_size=1, max_size=3).map(
@@ -791,13 +849,15 @@ def test_worker_count_clamps_bhk_threads():
     assert _worker_count(None, columns=3, cpus=4, steps=large) == 3
     assert _worker_count(None, columns=5, cpus=1, steps=large) == 1
     # the verify-all grid (17 columns, d <= 100) stays serial, walked or
-    # exact; the default evidence grid (59 columns, d <= 500) takes every
-    # CPU either way
+    # exact; the default evidence grid (59 columns, d <= 500) is walked
+    # serially and takes every CPU with --out, and so does its walk at
+    # d <= 2000
     walk = evidence._WALK_CELL_STEPS
     assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * walk) == 1
     assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * 102 // 2) == 1
-    assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * walk) == 2
+    assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * walk) == 1
     assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * 502 // 2) == 2
+    assert _worker_count(None, columns=59, cpus=2, steps=59 * 2001 * walk) == 2
 
 
 class _CountedPool(ProcessPoolExecutor):
@@ -850,10 +910,32 @@ def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
     assert counted_pool == []
 
 
-def test_default_grid_takes_the_pool_by_default(monkeypatch, counted_pool):
+def test_default_grid_scans_serially_by_default(monkeypatch, counted_pool):
     monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
     assert scan().cells == 29559
-    assert counted_pool == [2]
+    assert counted_pool == []
+
+
+def test_scan_builds_one_equation_per_family(monkeypatch):
+    # the default grid's 59 columns share 3 equations; with the grids
+    # cached no other build runs, and an empty grid is refused before any
+    real, built = evidence.family_equation, []
+
+    def counted(family):
+        built.append(family.label)
+        return real(family)
+
+    monkeypatch.setenv("BHK_THREADS", "1")
+    monkeypatch.setattr(evidence, "family_equation", counted)
+    for family in SCAN_FAMILIES:
+        _column(family_by_label(family))
+    built.clear()
+    assert scan().cells == 29559
+    assert sorted(built) == sorted(SCAN_FAMILIES)
+    built.clear()
+    with pytest.raises(ValueError, match="empty scan grid"):
+        scan(d_max=-1)
+    assert built == []
 
 
 def test_scan_workers_write_integers_past_the_str_limit(monkeypatch, tmp_path, int_str_limit):

@@ -437,21 +437,12 @@ def _scaled_primitive(num: Sequence, den: int, a: int) -> tuple:
     the k v_p(a) factors p of that num[k] a^k; if not, g has at most the
     m v_p(a) of den.  So g divides the candidate C = gcd(den, num[0], a^n),
     and C is g exactly when :func:`_cancel_powers` divides every scaled
-    numerator by it.  Only after a remainder is the candidate narrowed by
-    sum (k+1) num[k] a^k and the sum of the odd-index num[k] a^k, which
-    Horner's rule takes with products by a alone, and tried again; a
-    remainder on that one too forms the scaled numerators whole and sends
-    them to :func:`_divide_content`.
+    numerator by it.  A remainder forms the scaled numerators whole and
+    sends them to :func:`_divide_content`.
     """
     n = len(num) - 1
     g = math.gcd(den, num[0], a**n)
     out = _cancel_powers(num, a, g)
-    if out is None and n > 2:
-        weighted = horner([k * v for k, v in enumerate(num, 1)], a)
-        narrowed = math.gcd(g, weighted, a * horner(num[1::2], a * a))
-        if narrowed != g:
-            g = narrowed
-            out = _cancel_powers(num, a, g)
     if out is None:
         powers = itertools.accumulate(itertools.repeat(a, n), operator.mul, initial=1)
         out = list(map(operator.mul, num, powers))

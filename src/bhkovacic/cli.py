@@ -13,8 +13,10 @@ grid with no cell, found before any check runs.
 BHK_THREADS sets the scan's worker processes, clamped to the usable CPUs
 and the number of grid columns; BHK_THREADS=1 (or a value that is not an
 integer) runs the scan serially.  Unset, a scan of at least 200,000
-recurrence steps, such as the default evidence grid, runs one process per
-usable CPU, and a smaller one, such as the verify-all grid, runs serially.
+recurrence steps runs one process per usable CPU, and a smaller one runs
+serially: the default evidence grid counts 88,677 steps and the verify-all
+grid fewer, so both run serially, while ``--out`` at the default grid,
+about 7.4 million exact steps, takes the pool.
 Integers of any size are written in full.
 """
 

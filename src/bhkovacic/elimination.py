@@ -8,10 +8,13 @@ entry an exact integer (each is a minor of the input), and nullspace
 vectors are back-substituted in integers too, so zero tests and signs are
 never in doubt and no ``Fraction`` is ever built.
 
-An update that maps a zero entry to zero is skipped, and a row with a
-zero in the pivot column is only scaled, so the banded systems of the
-oracles do big-integer work on their nonzero entries alone.  Every entry
-is still visited, so elimination stays O(n^3) steps.
+One elimination loop, :func:`_echelon`, serves both: the nullspace
+back-substitutes from its rows, and the determinant is its last pivot
+times the sign of its row swaps, or 0 when a column has no pivot.  An
+update that maps a zero entry to zero is skipped, and a row with a zero in
+the pivot column is only scaled, so the banded systems of the oracles do
+big-integer work on their nonzero entries alone.  Every entry is still
+visited, so elimination stays O(n^3) steps.
 """
 
 from __future__ import annotations
@@ -66,37 +69,31 @@ def _bareiss_step(target: List[int], pivot_row: List[int], pivot: int, prev: int
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free); the
-    0 x 0 determinant is 1, as for :meth:`Recurrence3.det`."""
+    0 x 0 determinant is 1, as for :meth:`Recurrence3.det`.
+
+    The echelon form's last pivot is the determinant up to the sign of its
+    row swaps; a column without a pivot makes the matrix singular."""
     n = len(matrix)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            _bareiss_step(m[i], m[k], pivot, prev, k)
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    if n == 0:
+        return 1
+    rows, pivots, sign = _echelon(matrix)
+    return sign * rows[-1][-1] if len(pivots) == n else 0
 
 
-def _echelon(matrix: List[List[int]]) -> tuple:
-    """Fraction-free row echelon; returns (rows, pivot column list)."""
+def _echelon(matrix: Sequence[Sequence[int]]) -> tuple:
+    """Fraction-free row echelon of integer rows: (the nonzero rows, their
+    pivot columns, the sign of the row swaps).
+
+    Each column's pivot is its first nonzero entry at or below the next
+    pivot row, swapped up only when it lies lower; the rows below are then
+    eliminated by :func:`_bareiss_step`, divided by the previous pivot."""
     m = [list(row) for row in matrix]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     pivots = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(n_cols):
@@ -107,7 +104,9 @@ def _echelon(matrix: List[List[int]]) -> tuple:
                 break
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         pivot = m[r][c]
         for i in range(r + 1, n_rows):
             _bareiss_step(m[i], m[r], pivot, prev, c)
@@ -116,7 +115,7 @@ def _echelon(matrix: List[List[int]]) -> tuple:
         r += 1
         if r == n_rows:
             break
-    return m[:r], pivots
+    return m[:r], pivots, sign
 
 
 def nullspace(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -133,7 +132,7 @@ def nullspace(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     if not rows:
         return []
     n_cols = len(rows[0])
-    echelon, pivots = _echelon(rows)
+    echelon, pivots, _ = _echelon(rows)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for free in free_cols:

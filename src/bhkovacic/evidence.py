@@ -56,7 +56,6 @@ from typing import Optional, Sequence
 
 from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_roots
 from .auxode import (
-    FamilyEquation,
     _multipole_offset,
     brute_force_polynomial_solutions,
     candidate_rows,
@@ -93,26 +92,29 @@ def degree_to_s(family: str, d: int) -> Rational:
 # one grid per family serves every l of a scan, in each worker too
 @functools.lru_cache(maxsize=None)  # bounded: twenty n=1 families
 def _column(fam: Family) -> tuple:
-    """(diag, offprod) of the family at its lowest multipole as integer grids in k and d.
+    """(equation, diag, offprod) of the family: its :func:`family_equation`,
+    and the two entries at its lowest multipole as integer grids in k and d.
 
     grid[i][j] multiplies k^i d^j.  The entries are those of the symbolic
     r-frame recurrence about r = 0, with offprod(k) = lower(k) upper(k-1),
     at the s that a degree-d candidate pins; l moves only diag's k^0 d^0 term
-    (:func:`_column_at`).
+    (:func:`_column_at`).  The equation is kept for the cross-checks'
+    explicit systems, so one build serves a family's grid and its checks.
     """
-    rec = family_equation(fam).recurrence(fam.kind.min_l)
+    eq = family_equation(fam)
+    rec = eq.recurrence(fam.kind.min_l)
     l0, l1 = rec.lower_k
     u0, u1, u2 = rec.upper_k
     p0, p1, p2 = u0 - u1 + u2, u1 - 2 * u2, u2  # upper(k - 1)
     offprod = (l0 * p0, l0 * p1 + l1 * p0, l0 * p2 + l1 * p1, l1 * p2)
-    return _in_degree(rec.diag_k, fam), _in_degree(offprod, fam)
+    return eq, _in_degree(rec.diag_k, fam), _in_degree(offprod, fam)
 
 
 def _column_at(fam: Family, l: int) -> tuple:
     """The (family, l) column: the family's grid with diag's k^0 d^0
     coefficient lowered by the multipole offset of l."""
     m = _multipole_offset(fam, l)
-    ((c, *c_d), *c_k), offprod = _column(fam)
+    _, ((c, *c_d), *c_k), offprod = _column(fam)
     return ((c - m, *c_d), *c_k), offprod
 
 
@@ -351,25 +353,24 @@ class ScanReport:
 _CROSS_CHECK_D_MAX = 12
 
 
-def cross_check_cell(family, l: int, d: int) -> dict:
+def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
-    ``family`` is a scan family's label or its :class:`FamilyEquation`,
-    which a scan builds once per column.  The system's d+1 integer rows
-    are the rational rows times one factor den, so the determinant is
-    divided by den ** (d + 1).  At d <= 8 the same rows plus row d+1 give
-    the brute-force nullspace.  Both oracles are held to :func:`_cell`'s
-    exact loop; :func:`_scan_group` holds its early exit to the same loop.
+    The system is built on the scan family's equation, which
+    :func:`_column` keeps beside its grid.  Its d+1 integer rows are the
+    rational rows times one factor den, so the determinant is divided by
+    den ** (d + 1).  At d <= 8 the same rows plus row d+1 give the
+    brute-force nullspace.  Both oracles are held to :func:`_cell`'s exact
+    loop; :func:`_scan_group` holds its early exit to the same loop.
     """
-    eq = _equation(family)
-    fam = eq.family
-    ode = eq.at(l, degree_to_s(fam.label, d))
-    rows, den = candidate_rows(ode, d)
+    s = degree_to_s(family, d)  # a family outside the scan has no grid
+    fam = family_by_label(family)
+    rows, den = candidate_rows(_column(fam)[0].at(l, s), d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
     D_last = _cell(_column_at(fam, l), d)[2]
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
-        "family": fam.label,
+        "family": family,
         "l": l,
         "d": d,
         "recurrence_det": D_last,
@@ -379,37 +380,28 @@ def cross_check_cell(family, l: int, d: int) -> dict:
     }
 
 
-def _equation(family) -> FamilyEquation:
-    """The equation of a scan family given by its label or by the equation itself."""
-    if isinstance(family, FamilyEquation):
-        return family
-    return family_equation(family_by_label(family))
-
-
 def _check_failed(check: dict) -> bool:
     return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
-def _scan_group(family, l: int, d_max: int, want_cells: bool) -> tuple:
+def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     """(ScanReport, text) of one (family, l) column; picklable.
 
-    ``family`` is a scan family's label or its :class:`FamilyEquation`,
-    which :func:`scan` builds once per family and passes to each column.
-    The part names its column as families = (family,) and l_max = l, and
-    keeps at most 8 flagged cells; text is the column's ``--out`` records
-    in d order as JSON joined by ",\n", or None without ``want_cells``.
-    Each cell is one :func:`_cell` call.  Without ``want_cells`` the
-    column's :func:`_tail_certified` runs once and, where it holds, lets
-    each cell return at its block start; a final-sign violation that
-    returned there runs again to the end, because the report names it with
-    its exact D_{d+1}.  Each sampled cross-check also requires that early
-    exit to give the exact loop's signs, with D_{d+1} != 0.  With
-    ``want_cells`` every cell is exact, since each record carries D_{d+1}
-    and its magnitude index.
+    ``family`` is a scan family's label: its grid and the equation of its
+    cross-checks come from :func:`_column`, built once per family in each
+    process.  The part names its column as families = (family,) and
+    l_max = l, and keeps at most 8 flagged cells; text is the column's
+    ``--out`` records in d order as JSON joined by ",\n", or None without
+    ``want_cells``.  Each cell is one :func:`_cell` call.  Without
+    ``want_cells`` the column's :func:`_tail_certified` runs once and,
+    where it holds, lets each cell return at its block start; a final-sign
+    violation that returned there runs again to the end, because the
+    report names it with its exact D_{d+1}.  Each sampled cross-check also
+    requires that early exit to give the exact loop's signs, with
+    D_{d+1} != 0.  With ``want_cells`` every cell is exact, since each
+    record carries D_{d+1} and its magnitude index.
     """
-    eq = _equation(family)
-    family = eq.family.label
-    column = _column_at(eq.family, l)
+    column = _column_at(family_by_label(family), l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
     certified = not want_cells and _tail_certified(column)
@@ -438,7 +430,7 @@ def _scan_group(family, l: int, d_max: int, want_cells: bool) -> tuple:
                 }
             )
     part.cross_checks = [
-        cross_check_cell(eq, l, d) for d in range(0, min(_CROSS_CHECK_D_MAX, d_max) + 1, 4)
+        cross_check_cell(family, l, d) for d in range(0, min(_CROSS_CHECK_D_MAX, d_max) + 1, 4)
     ]
     for check in part.cross_checks:  # an early exit must give the exact signs
         early, exact = _cell(column, check["d"], certified), _cell(column, check["d"])
@@ -486,8 +478,7 @@ def scan(
     grid = [(family, l) for family in families for l in default_l_range(family, l_max)]
     if d_max < 0 or not grid:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
-    equations = {family: _equation(family) for family in families}
-    jobs = [(equations[family], l, d_max, want_cells) for family, l in grid]
+    jobs = [(family, l, d_max, want_cells) for family, l in grid]
     cells = len(jobs) * (d_max + 1)
     steps = cells * (d_max + 2) // 2 if want_cells else cells * _WALK_CELL_STEPS
     workers = _worker_count(os.environ.get("BHK_THREADS"), len(jobs), _usable_cpus(), steps)

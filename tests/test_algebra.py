@@ -221,15 +221,13 @@ def test_scale_variable_explicit_scales(c):
 def test_scale_variable_fallback_when_the_candidate_exceeds_the_content(monkeypatch):
     # p(2x) for p = (4x + x^3 + x^4) / 16: the scaled numerators
     # (0, 8, 0, 8, 16) over 16 have the content 8, but 16, the first
-    # numerator 0, 2^4 and both Horner sums, 128 and 16, are all multiples
-    # of 16, so the candidate is 16; 4 leaves a remainder at k = 1 and the
-    # scaled vector takes the full gcd chain
+    # numerator 0 and 2^4 are all multiples of 16, so the candidate is 16;
+    # 4 leaves a remainder at k = 1 and the scaled vector takes the full
+    # gcd chain
     import bhkovacic.algebra as algebra
 
     num, den, a = (0, 4, 0, 1, 1), 16, 2
-    weighted = sum(k * v * a ** (k - 1) for k, v in enumerate(num, 1))
-    odd = sum(v * a**k for k, v in enumerate(num) if k % 2)
-    assert math.gcd(den, num[0], a**4, weighted, odd) == 16
+    assert math.gcd(den, num[0], a**4) == 16
     assert math.gcd(den, *(v * a**k for k, v in enumerate(num))) == 8
     real, calls = algebra._divide_content, []
 

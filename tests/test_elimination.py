@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhkovacic.elimination import _bareiss_step, bareiss_determinant, nullspace
+from bhkovacic.elimination import _bareiss_step, _echelon, bareiss_determinant, nullspace
 
 
 def det_oracle(matrix):
@@ -45,13 +45,14 @@ def test_bareiss_matches_oracle(matrix):
 
 
 @st.composite
-def sparse_matrices(draw, square=True):
-    """Banded integer matrices with random zeros in the band: diagonal,
-    tridiagonal or pentadiagonal, optionally with a zero leading pivot
-    (a swap when a row below has a nonzero there) and an all-zero row."""
-    n_rows = draw(st.integers(1, 7))
-    n_cols = n_rows if square else draw(st.integers(1, 7))
-    width = draw(st.integers(0, 2))
+def sparse_matrices(draw, square=True, max_n=7, max_width=2):
+    """Banded integer matrices with random zeros in the band: by default
+    diagonal, tridiagonal or pentadiagonal, and dense once the width
+    reaches n - 1; optionally with a zero leading pivot (a swap when a row
+    below has a nonzero there) and an all-zero row."""
+    n_rows = draw(st.integers(1, max_n))
+    n_cols = n_rows if square else draw(st.integers(1, max_n))
+    width = draw(st.integers(0, max_width))
     entry = st.one_of(st.just(0), st.integers(-9, 9))
     m = [
         [draw(entry) if abs(i - j) <= width else 0 for j in range(n_cols)]
@@ -70,6 +71,36 @@ def sparse_matrices(draw, square=True):
 @settings(max_examples=200, deadline=None)
 def test_bareiss_matches_oracle_on_sparse_matrices(matrix):
     assert bareiss_determinant(matrix) == det_oracle(matrix)
+
+
+@given(sparse_matrices(max_n=13, max_width=12))
+@settings(max_examples=60, deadline=None)
+def test_bareiss_matches_oracle_up_to_the_cross_check_size(matrix):
+    # the scan's cross-checks take determinants of up to 13 x 13 systems
+    # (d <= 12); banded and dense matrices of that size
+    assert bareiss_determinant(matrix) == det_oracle(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # one swap: column 0's pivot lies in row 2
+        [[0, 0, 2], [0, 3, 5], [7, 1, 4]],
+        # three swaps: each of columns 0..2 finds its pivot one row lower
+        [[0, 0, 0, 2], [3, 1, 0, 0], [0, 5, 0, 1], [4, 0, 7, 0]],
+    ],
+)
+def test_bareiss_sign_after_an_odd_number_of_swaps(matrix):
+    rows, pivots, sign = _echelon(matrix)
+    assert sign == -1 and pivots == list(range(len(matrix)))
+    assert bareiss_determinant(matrix) == det_oracle(matrix) == sympy.Matrix(matrix).det()
+    assert bareiss_determinant(matrix) == -rows[-1][-1] != 0
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1, 2]]])
+def test_bareiss_refuses_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="not square"):
+        bareiss_determinant(matrix)
 
 
 def test_bareiss_step_checks_every_division_it_does_not_skip():

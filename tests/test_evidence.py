@@ -917,8 +917,9 @@ def test_default_grid_scans_serially_by_default(monkeypatch, counted_pool):
 
 
 def test_scan_builds_one_equation_per_family(monkeypatch):
-    # the default grid's 59 columns share 3 equations; with the grids
-    # cached no other build runs, and an empty grid is refused before any
+    # the default grid's 59 columns and 236 cross-checks share the 3
+    # equations that _column keeps with its grids: a cold scan builds each
+    # once, a warm one none, and an empty grid is refused before any
     real, built = evidence.family_equation, []
 
     def counted(family):
@@ -927,12 +928,13 @@ def test_scan_builds_one_equation_per_family(monkeypatch):
 
     monkeypatch.setenv("BHK_THREADS", "1")
     monkeypatch.setattr(evidence, "family_equation", counted)
-    for family in SCAN_FAMILIES:
-        _column(family_by_label(family))
-    built.clear()
+    _column.cache_clear()
     assert scan().cells == 29559
     assert sorted(built) == sorted(SCAN_FAMILIES)
     built.clear()
+    assert scan().cells == 29559
+    assert built == []
+    _column.cache_clear()
     with pytest.raises(ValueError, match="empty scan grid"):
         scan(d_max=-1)
     assert built == []

@@ -95,9 +95,9 @@ def rat_to_str(value: Rational) -> str:
     return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
 
 
-def horner(coeffs: Sequence, x, zero=0):
+def horner(coeffs: Sequence, x):
     """sum coeffs[i] * x**i by Horner's rule; ring-neutral (int, Fraction, Poly)."""
-    acc = zero
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

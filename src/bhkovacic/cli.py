@@ -10,13 +10,8 @@ Subcommands
 Exit status 0 means every executed check passed; 1 reports a failed
 check or a computation that raised; 2 is a usage error, such as a scan
 grid with no cell, found before any check runs.
-BHK_THREADS sets the scan's worker processes, clamped to the usable CPUs
-and the number of grid columns; BHK_THREADS=1 (or a value that is not an
-integer) runs the scan serially.  Unset, a scan of at least 200,000
-recurrence steps runs one process per usable CPU, and a smaller one runs
-serially: the default evidence grid counts 88,677 steps and the verify-all
-grid fewer, so both run serially, while ``--out`` at the default grid,
-about 7.4 million exact steps, takes the pool.
+The scan picks its worker processes from its grid and the usable CPUs
+(see ``evidence.scan``).
 Integers of any size are written in full.
 """
 

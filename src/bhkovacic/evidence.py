@@ -461,12 +461,11 @@ def scan(
     the file is opened before any cell is computed, and one that cannot
     be opened raises ValueError.
 
-    Grid columns are independent; BHK_THREADS fans them out across
-    processes, and their results are taken in (family, l) order, so the
-    report and the file do not depend on it.  Unset, it means one process
-    per usable CPU on a grid of at least _POOL_MIN_STEPS steps of work (walk
-    cells count _WALK_CELL_STEPS each, and exact cells their recurrence
-    steps) and serial below it.
+    Grid columns are independent.  A grid of at least _POOL_MIN_STEPS steps
+    of work (walk cells count _WALK_CELL_STEPS each, and exact cells their
+    recurrence steps) fans them out across one process per usable CPU, at
+    most one per column; a smaller grid runs serially.  Results are taken in
+    (family, l) order, so the report and the file do not depend on it.
     A grid with no cell (negative ``d_max``, or no l in range) raises
     ValueError: a scan that examined nothing must not pass.
     """
@@ -481,7 +480,7 @@ def scan(
     jobs = [(family, l, d_max, want_cells) for family, l in grid]
     cells = len(jobs) * (d_max + 1)
     steps = cells * (d_max + 2) // 2 if want_cells else cells * _WALK_CELL_STEPS
-    workers = _worker_count(os.environ.get("BHK_THREADS"), len(jobs), _usable_cpus(), steps)
+    workers = _worker_count(len(jobs), _usable_cpus(), steps)
     report = ScanReport(families=families, l_max=l_max, d_max=d_max)
     with contextlib.ExitStack() as stack:
         try:
@@ -505,9 +504,9 @@ def scan(
     return report
 
 
-# A scan given no worker count runs serially below this much work, because
-# starting the pool (importing concurrent.futures and forking the workers)
-# costs about what it saves.  The unit is one exact recurrence step: a column
+# A scan runs serially below this much work, because starting the pool
+# (importing concurrent.futures and forking the workers) costs about what it
+# saves.  The unit is one exact recurrence step: a column
 # costs (d_max+1)(d_max+2)/2 of them with ``--out``, and without it
 # _WALK_CELL_STEPS per cell, since a cell of a certified column runs only its
 # exact prefix, and most cells only the evaluation of a_0.  The scan() call,
@@ -537,23 +536,11 @@ def _usable_cpus() -> Optional[int]:
         return os.cpu_count()
 
 
-def _worker_count(requested, columns: int, cpus: Optional[int], steps: int) -> int:
-    """The scan's worker processes, clamped to [1, min(cpus, columns)].
-
-    ``requested`` is the BHK_THREADS text.  None (unset) leaves the
-    choice to the grid: serial below _POOL_MIN_STEPS steps of work, else
-    one process per CPU.  A set value that is empty or not an integer means
-    serial.
-    """
-    cpus = cpus or 1
-    if requested is None:
-        wanted = cpus if steps >= _POOL_MIN_STEPS else 1
-    else:
-        try:
-            wanted = int(requested or 1)
-        except ValueError:
-            wanted = 1
-    return max(1, min(wanted, cpus, columns))
+def _worker_count(columns: int, cpus: Optional[int], steps: int) -> int:
+    """The scan's worker processes: min(cpus, columns), or 1 below _POOL_MIN_STEPS steps."""
+    if steps < _POOL_MIN_STEPS:
+        return 1
+    return max(1, min(cpus or 1, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,6 @@ def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
 
     monkeypatch.setattr(auxode.FamilyEquation, "at", recorded_at)
     monkeypatch.setattr(evidence, "candidate_rows", planted_rows)
-    monkeypatch.setenv("BHK_THREADS", "1")
     report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12)
     failed = [c for c in report.cross_checks if not c["agree"]]
     assert [(c["family"], c["l"], c["d"]) for c in failed] == [planted_cell]
@@ -218,7 +217,6 @@ def test_s3_engine_matches_bareiss():
 
 def test_scan_builds_each_column_once(monkeypatch):
     # one grid serves every l of a family
-    monkeypatch.setenv("BHK_THREADS", "1")
     _column.cache_clear()
     report = scan(families=("G3",), l_max=3, d_max=12)
     assert len(report.cross_checks) == 2 * 4
@@ -228,7 +226,6 @@ def test_scan_builds_each_column_once(monkeypatch):
 def test_scan_certifies_each_column_once(monkeypatch, tmp_path):
     # 17 columns on the verify-all grid; --out runs every cell exactly and
     # needs no certificate
-    monkeypatch.setenv("BHK_THREADS", "1")
     certify = evidence._tail_certified
     calls = []
 
@@ -310,7 +307,6 @@ def test_cross_check_catches_a_false_certificate(monkeypatch):
     # and the column does not certify, so no cell exits early.  Certified
     # falsely, every cell exits at k0 = 0 and calls itself clean, where the
     # exact loop flags d = 8 and d = 12
-    monkeypatch.setenv("BHK_THREADS", "1")
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
     report = scan(families=("G3",), l_max=2, d_max=12)
@@ -787,18 +783,6 @@ def test_scan_empty_family_list():
         scan(families=("G7",), l_max=4, d_max=10)
 
 
-def test_scan_worker_fanout_matches_serial(monkeypatch, tmp_path):
-    runs = {}
-    for workers in (1, 2):
-        monkeypatch.setenv("BHK_THREADS", str(workers))
-        out = tmp_path / f"cells{workers}.json"
-        report = scan(families=("E7",), l_max=3, d_max=30, out=str(out))
-        runs[workers] = report, out.read_bytes()
-    assert runs[1][0] == runs[2][0]  # the whole report, field by field
-    assert runs[1][1] == runs[2][1]
-    assert runs[1][0].cells == 3 * 31 and runs[1][0].flagged_count > 0
-
-
 def test_scan_caps_flagged_cells_per_column_and_overall():
     report = scan(families=("E7",), l_max=6, d_max=100)
     assert report.flagged_count == 494
@@ -827,37 +811,35 @@ def test_scan_report_absorbs_columns_in_order():
     assert not report.flags_resolved_nonzero and not report.cross_checks_ok
 
 
-def test_worker_count_clamps_bhk_threads():
-    # a pure function of (value, columns, cpus, steps): no process is started
+def test_worker_count_follows_the_grid_and_cpus():
+    # a pure function of (columns, cpus, steps): no process is started.
+    # Serial below the constant, one process per CPU above it, at most one
+    # per column
     small, large = evidence._POOL_MIN_STEPS - 1, evidence._POOL_MIN_STEPS
-    for steps in (small, large):
-        assert _worker_count("", columns=5, cpus=4, steps=steps) == 1
-        assert _worker_count("3", columns=5, cpus=4, steps=steps) == 3
-        assert _worker_count("8", columns=5, cpus=4, steps=steps) == 4
-        assert _worker_count("8", columns=2, cpus=4, steps=steps) == 2
-        assert _worker_count("0", columns=5, cpus=4, steps=steps) == 1
-        assert _worker_count("-2", columns=5, cpus=4, steps=steps) == 1
-        assert _worker_count("two", columns=5, cpus=4, steps=steps) == 1
-        assert _worker_count("1.5", columns=5, cpus=4, steps=steps) == 1
-        assert _worker_count("1", columns=5, cpus=4, steps=steps) == 1
-        assert _worker_count(3, columns=5, cpus=None, steps=steps) == 1
-        assert _worker_count(2, columns=5, cpus=4, steps=steps) == 2
-        assert _worker_count(None, columns=5, cpus=None, steps=steps) == 1
-    # unset: serial below the constant, one process per CPU above it
-    assert _worker_count(None, columns=5, cpus=4, steps=small) == 1
-    assert _worker_count(None, columns=5, cpus=4, steps=large) == 4
-    assert _worker_count(None, columns=3, cpus=4, steps=large) == 3
-    assert _worker_count(None, columns=5, cpus=1, steps=large) == 1
+    for cpus in (None, 1, 4):
+        assert _worker_count(columns=5, cpus=cpus, steps=small) == 1
+    assert _worker_count(columns=5, cpus=4, steps=large) == 4
+    assert _worker_count(columns=3, cpus=4, steps=large) == 3
+    assert _worker_count(columns=5, cpus=1, steps=large) == 1
+    assert _worker_count(columns=5, cpus=None, steps=large) == 1
     # the verify-all grid (17 columns, d <= 100) stays serial, walked or
     # exact; the default evidence grid (59 columns, d <= 500) is walked
     # serially and takes every CPU with --out, and so does its walk at
     # d <= 2000
     walk = evidence._WALK_CELL_STEPS
-    assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * walk) == 1
-    assert _worker_count(None, columns=17, cpus=64, steps=17 * 101 * 102 // 2) == 1
-    assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * walk) == 1
-    assert _worker_count(None, columns=59, cpus=2, steps=59 * 501 * 502 // 2) == 2
-    assert _worker_count(None, columns=59, cpus=2, steps=59 * 2001 * walk) == 2
+    assert _worker_count(columns=17, cpus=64, steps=17 * 101 * walk) == 1
+    assert _worker_count(columns=17, cpus=64, steps=17 * 101 * 102 // 2) == 1
+    assert _worker_count(columns=59, cpus=2, steps=59 * 501 * walk) == 1
+    assert _worker_count(columns=59, cpus=2, steps=59 * 501 * 502 // 2) == 2
+    assert _worker_count(columns=59, cpus=2, steps=59 * 2001 * walk) == 2
+
+
+def test_usable_cpus_is_the_affinity_set_or_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(evidence.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(evidence.os, "cpu_count", lambda: 7)
+    assert evidence._usable_cpus() == 3
+    monkeypatch.delattr(evidence.os, "sched_getaffinity")  # not on every OS
+    assert evidence._usable_cpus() == 7
 
 
 class _CountedPool(ProcessPoolExecutor):
@@ -874,27 +856,25 @@ class _CountedPool(ProcessPoolExecutor):
 def counted_pool(monkeypatch):
     import concurrent.futures
 
-    monkeypatch.delenv("BHK_THREADS", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountedPool)
     _CountedPool.started = []
     return _CountedPool.started
 
 
 def test_scan_takes_the_pool_by_default_above_the_constant(monkeypatch, tmp_path, counted_pool):
-    monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 100)
+    # the grid has 5 columns and 5 * 31 * 32 / 2 = 2,480 exact steps
     monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
-    runs = {}
-    for workers in (1, None):
-        if workers is None:
-            monkeypatch.delenv("BHK_THREADS")
-        else:
-            monkeypatch.setenv("BHK_THREADS", str(workers))
-        out = tmp_path / f"cells{workers}.json"
+    runs = []
+    for threshold in (evidence._POOL_MIN_STEPS, 100):
+        monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", threshold)
+        out = tmp_path / f"cells{threshold}.json"
         report = scan(families=("E7", "G3"), l_max=3, d_max=30, out=str(out))
-        runs[workers] = report, out.read_bytes()
-    assert counted_pool == [2]  # only the run with BHK_THREADS unset
-    assert runs[1][0] == runs[None][0]
-    assert runs[1][1] == runs[None][1]
+        runs.append((report, out.read_bytes()))
+    assert counted_pool == [2]  # only the run past the lowered constant
+    serial, pooled = runs
+    assert serial[0] == pooled[0]  # the whole report, field by field
+    assert serial[1] == pooled[1]
+    assert serial[0].cells == 5 * 31 and serial[0].flagged_count > 0
 
 
 def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
@@ -903,10 +883,6 @@ def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
     # 5,117 walk cells stay serial, though the same grid has 772,667
     # exact recurrence steps
     assert scan(l_max=6, d_max=300).cells == 5117
-    assert counted_pool == []
-    monkeypatch.setenv("BHK_THREADS", "1")
-    monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 0)
-    scan(families=("G3",), l_max=3, d_max=10)
     assert counted_pool == []
 
 
@@ -926,7 +902,6 @@ def test_scan_builds_one_equation_per_family(monkeypatch):
         built.append(family.label)
         return real(family)
 
-    monkeypatch.setenv("BHK_THREADS", "1")
     monkeypatch.setattr(evidence, "family_equation", counted)
     _column.cache_clear()
     assert scan().cells == 29559
@@ -940,28 +915,41 @@ def test_scan_builds_one_equation_per_family(monkeypatch):
     assert built == []
 
 
-def test_scan_workers_write_integers_past_the_str_limit(monkeypatch, tmp_path, int_str_limit):
+def test_scan_workers_write_integers_past_the_str_limit(
+    monkeypatch, tmp_path, int_str_limit, counted_pool
+):
     # G3 at l = 3 has a 649-digit D_last at d = 160: past a 640-digit limit,
     # as G3 at l = 2 passes the default 4,300 digits near d = 860
     int_str_limit(640)
-    files = {}
-    for workers in (1, 2):
-        monkeypatch.setenv("BHK_THREADS", str(workers))
-        out = tmp_path / f"cells{workers}.json"
+    monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
+    files = []
+    for threshold in (evidence._POOL_MIN_STEPS, 0):
+        monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", threshold)
+        out = tmp_path / f"cells{threshold}.json"
         scan(families=("G3",), l_max=3, d_max=170, out=str(out))
-        files[workers] = out.read_bytes()
-    assert files[1] == files[2]
+        files.append(out.read_bytes())
+    assert counted_pool == [2]  # serial, then one pool of 2
+    assert files[0] == files[1]
     int_str_limit(0)
-    cells = json.loads(files[1])
+    cells = json.loads(files[0])
     assert max(len(c["D_last"]) for c in cells) > 640
     column = _column_at(family_by_label("G3"), 3)
     assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (168, 169, 170)]
 
 
-def test_scan_honors_thread_env(monkeypatch, tmp_path):
+def test_scan_ignores_thread_env(monkeypatch, tmp_path, counted_pool):
+    # the worker count follows the grid and the usable CPUs alone: a set
+    # BHK_THREADS neither starts a pool below the constant nor stops one
+    # above it
+    monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("BHK_THREADS", "2")
+    scan(families=("G3",), l_max=3, d_max=10)
+    assert counted_pool == []
+    monkeypatch.setenv("BHK_THREADS", "1")
+    monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 0)
     out = tmp_path / "cells.json"
     report = scan(families=("G3",), l_max=3, d_max=10, out=str(out))
+    assert counted_pool == [2]
     assert report.cells == 2 * 11
     cells = json.loads(out.read_text())
     assert [c["l"] for c in cells] == [2] * 11 + [3] * 11  # deterministic merge

@@ -45,6 +45,24 @@ def test_runtime_imports_only_the_standard_library(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def _environment_reads(path):
+    """Lines of one source file that name os.environ or os.getenv (or their bytes forms)."""
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in readers:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and any(a.name in readers for a in node.names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_reads_no_environment_variable(path):
+    # what runs follows the arguments and the machine, so identical
+    # commands give identical reports
+    reads = list(_environment_reads(path))
+    assert not reads, f"{path.name} reads the environment at lines {reads}"
+
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # exported on purpose with no caller in the program
 UNCALLED_EXPORTS = {

@@ -329,12 +329,21 @@ def recurrence(ode: AuxiliaryODE) -> Recurrence3:
     indicial root, P = t^m P1, is the z-power substitution that
     :func:`homotopic_equivalence_check` verifies.
     """
+    D, coeffs = _origin_numerators(ode)
+    return _recurrence3(*(Fraction(v, D) for v in coeffs))
+
+
+def _origin_numerators(ode: AuxiliaryODE) -> tuple:
+    """(D, coeffs): :func:`recurrence`'s checks, and its arguments of
+    :func:`_recurrence3` as integers over their one denominator D."""
     p2, p1, p0 = ode.p2, ode.p1, ode.p0
     if p2[0] != 0 or p2[1] == 0:
         raise ValueError(f"the origin is not a regular singular point in frame {ode.frame}")
     if p2.degree > 2 or p1.degree > 2 or p0.degree > 1:
         raise ValueError("coefficients exceed the cleared-form degrees")
-    return _recurrence3(p2[2], p2[1], p1[2], p1[1], p1[0], p0[1], p0[0])
+    D = math.lcm(p2.den, p1.den, p0.den)
+    q2, q1, q0 = ([v * (D // p.den) for v in p.num] + [0] * 3 for p in (p2, p1, p0))
+    return D, (q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0])
 
 
 def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
@@ -671,27 +680,29 @@ def candidate_rows(ode: AuxiliaryODE, d: int) -> tuple:
     Row m holds lower(m), diag(m) and upper(m) of :func:`recurrence` in
     columns m-1, m and m+1 (those within 0..d), each times the same
     positive integer den, the common denominator of the recurrence's
-    coefficients (:meth:`Recurrence3.cleared`).  Rows 0..d are the square
-    candidate system, so its rational determinant is
-    ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1 vanishes
-    identically exactly when d matches the family's degree formula.
+    coefficients (:meth:`Recurrence3.cleared`).  No ``Fraction`` is built:
+    the recurrence is taken on the equation's integer numerators over one
+    denominator D, and its coefficients and D are divided by their gcd.
+    Rows 0..d are the square candidate system, so its rational determinant
+    is ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1
+    vanishes identically exactly when d matches the family's degree formula.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    rec = recurrence(ode)
-    den = rec.den
-    rec = rec.cleared()
+    D, coeffs = _origin_numerators(ode)
+    rec = _recurrence3(*coeffs)
+    g = math.gcd(D, *rec.lower_k, *rec.diag_k, *rec.upper_k)
     rows = []
     for m in range(d + 2):
         row = [0] * (d + 1)
         if m >= 1:
-            row[m - 1] = rec.lower(m)
+            row[m - 1] = rec.lower(m) // g
         if m <= d:
-            row[m] = rec.diag(m)
+            row[m] = rec.diag(m) // g
         if m < d:
-            row[m + 1] = rec.upper(m)
+            row[m + 1] = rec.upper(m) // g
         rows.append(row)
-    return rows, den
+    return rows, D // g
 
 
 def brute_force_polynomial_solutions(ode: AuxiliaryODE, d: int) -> List[Poly]:

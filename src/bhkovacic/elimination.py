@@ -12,9 +12,10 @@ One elimination loop, :func:`_echelon`, serves both: the nullspace
 back-substitutes from its rows, and the determinant is its last pivot
 times the sign of its row swaps, or 0 when a column has no pivot.  An
 update that maps a zero entry to zero is skipped, and a row with a zero in
-the pivot column is only scaled, so the banded systems of the oracles do
-big-integer work on their nonzero entries alone.  Every entry is still
-visited, so elimination stays O(n^3) steps.
+the pivot column is not touched until a later step reads it, when the
+scalings it missed are applied as one exact factor.  So a row update costs
+O(n) and a banded system takes O(n) of them per band width: a tridiagonal
+system is eliminated in O(n^2) steps, a dense one still in O(n^3).
 """
 
 from __future__ import annotations
@@ -87,30 +88,41 @@ def _echelon(matrix: Sequence[Sequence[int]]) -> tuple:
     pivot columns, the sign of the row swaps).
 
     Each column's pivot is its first nonzero entry at or below the next
-    pivot row, swapped up only when it lies lower; the rows below are then
-    eliminated by :func:`_bareiss_step`, divided by the previous pivot."""
+    pivot row, swapped up only when it lies lower; the rows below with a
+    nonzero entry in the column are then eliminated by :func:`_bareiss_step`.
+
+    A row with a zero in the pivot column is left alone: step k would only
+    scale it by p_k / p_(k-1), and these factors telescope, so a row that
+    has taken s steps lags p_(k-1) / p_s behind.  A target is eliminated
+    divided by p_s instead of p_(k-1), and a pivot row is first scaled by
+    p_(k-1) / p_s: the eager entries, each a minor, every division checked.
+    """
     m = [list(row) for row in matrix]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
+    if any(len(row) != n_cols for row in m):
+        raise ValueError("rows differ in length")
     pivots = []
+    p = [1]  # p[k]: the pivot of step k
+    done = [0] * n_rows  # the steps each row has taken
     sign = 1
-    prev = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            done[r], done[pivot_row] = done[pivot_row], done[r]
             sign = -sign
+        if done[r] != r:  # a step against a zero row only scales
+            _bareiss_step(m[r], [0] * n_cols, p[r], p[done[r]], c)
         pivot = m[r][c]
         for i in range(r + 1, n_rows):
-            _bareiss_step(m[i], m[r], pivot, prev, c)
-        prev = pivot
+            if m[i][c]:
+                _bareiss_step(m[i], m[r], pivot, p[done[i]], c)
+                done[i] = r + 1
+        p.append(pivot)
         pivots.append(c)
         r += 1
         if r == n_rows:

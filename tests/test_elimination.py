@@ -8,7 +8,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhkovacic.elimination import _bareiss_step, _echelon, bareiss_determinant, nullspace
+from bhkovacic import elimination
+from bhkovacic.auxode import candidate_rows, family_equation
+from bhkovacic.elimination import (
+    _bareiss_step,
+    _echelon,
+    bareiss_determinant,
+    nullspace,
+    tridiag_minors,
+)
+from bhkovacic.kovacic import family_by_label
 
 
 def det_oracle(matrix):
@@ -124,6 +133,110 @@ def test_bareiss_step_checks_every_division_it_does_not_skip():
 def test_bareiss_empty_matrix_is_one():
     # the 0 x 0 determinant, as Recurrence3.det(0) returns it
     assert bareiss_determinant([]) == 1
+
+
+def eager_echelon(matrix):
+    """The eager elimination loop that lazy scaling replaced: every row below
+    each pivot takes a Bareiss step, divided by the previous pivot, so a
+    row with a zero in the pivot column is scaled at every step.  The
+    reference for :func:`_echelon`."""
+    m = [list(row) for row in matrix]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        pivot = m[r][c]
+        for i in range(r + 1, n_rows):
+            _bareiss_step(m[i], m[r], pivot, prev, c)
+        prev = pivot
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m[:r], pivots, sign
+
+
+@st.composite
+def echelon_inputs(draw, max_n=8):
+    """Rectangular integer matrices, dense or sparse, with some columns
+    zeroed and optionally a zero leading entry above a nonzero one (a
+    forced swap)."""
+    n_rows, n_cols = draw(st.integers(1, max_n)), draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), st.integers(-9, 9)) if draw(st.booleans()) else st.integers(-9, 9)
+    m = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    for c in draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols // 2)):
+        for row in m:
+            row[c] = 0
+    if n_rows > 1 and draw(st.booleans()):
+        c = draw(st.integers(0, n_cols - 1))
+        m[0][c], m[1][c] = 0, draw(st.integers(1, 9))
+    return m
+
+
+@given(st.one_of(echelon_inputs(), sparse_matrices(square=False, max_n=9, max_width=3)))
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_the_eager_loop(matrix):
+    assert _echelon(matrix) == eager_echelon(matrix)
+    if len(matrix) == len(matrix[0]):
+        assert bareiss_determinant(matrix) == sympy.Matrix(matrix).det()
+
+
+@pytest.mark.parametrize("label, l, ds", [("G3", 2, (4, 12)), ("E7", 3, (8, 12)), ("G7", 4, (120, 121))])
+def test_echelon_matches_the_eager_loop_on_candidate_systems(label, l, ds):
+    # the scan's cross-check systems and G7's at its special frequency,
+    # square and with the extra row of the brute-force nullspace
+    fam = family_by_label(label)
+    eq = family_equation(fam)
+    for d in ds:
+        rows, _ = candidate_rows(eq.at(l, (d - fam.degree[0]) / fam.degree[1]), d)
+        for system in (rows[:-1], rows):
+            assert _echelon(system) == eager_echelon(system), (d, len(system))
+
+
+def test_tridiagonal_elimination_takes_linear_row_updates(monkeypatch):
+    # the eager loop takes a Bareiss step on every row below each pivot,
+    # n(n-1)/2 = 1770 of them here; a row is touched only when a step reads it
+    n = 60
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = 3 + i % 5
+        if i:
+            matrix[i][i - 1], matrix[i - 1][i] = -1 - i % 3, 2
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return _bareiss_step(*args)
+
+    monkeypatch.setattr(elimination, "_bareiss_step", counted)
+    diag = [matrix[i][i] for i in range(n)]
+    offprod = [matrix[i][i - 1] * matrix[i - 1][i] if i else 0 for i in range(n)]
+    assert bareiss_determinant(matrix) == list(tridiag_minors(diag, offprod))[-1]
+    assert len(steps) <= 2 * n
+    rows, pivots, sign = _echelon(matrix)
+    monkeypatch.undo()
+    assert (rows, pivots, sign) == eager_echelon(matrix)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
+def test_ragged_rows_are_refused(rows):
+    with pytest.raises(ValueError, match="rows differ in length"):
+        nullspace(rows)
+    with pytest.raises(ValueError, match="rows differ in length"):
+        _echelon(rows)
 
 
 def integer_rows(matrix):

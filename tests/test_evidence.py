@@ -161,7 +161,7 @@ def test_g7_positive_control():
         d = int(2 * special_frequency(l)) + 1
         assert _engine_minors("G7", l, d)[-1] == 0, l
     # and next to it the engine agrees with Bareiss, and is nonzero
-    for l in range(2, 5):
+    for l in range(2, 6):
         d = int(2 * special_frequency(l)) + 1
         for near in (d - 1, d + 1):
             D_last = _engine_minors("G7", l, near)[-1]
@@ -169,7 +169,7 @@ def test_g7_positive_control():
             assert D_last == _direct_det(_candidate_ode("G7", l, near), near + 1), (l, near)
     # and at s* the brute-force nullspace is one line, spanned by
     # Chandrasekhar's polynomial in the r frame
-    for l in (2, 3):
+    for l in (2, 3, 4):
         d = int(2 * special_frequency(l)) + 1
         basis = brute_force_polynomial_solutions(_candidate_ode("G7", l, d), d)
         target = chandrasekhar_r_frame(l)
@@ -322,14 +322,14 @@ def test_cross_check_catches_a_false_certificate(monkeypatch):
 def test_cross_check_cell_builds_its_system_once(monkeypatch):
     # one recurrence serves the Bareiss determinant and, at d <= 8, the
     # brute-force nullspace
-    real_recurrence = auxode.recurrence
+    real_numerators = auxode._origin_numerators
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return real_recurrence(*args)
+        return real_numerators(*args)
 
-    monkeypatch.setattr(auxode, "recurrence", counted)
+    monkeypatch.setattr(auxode, "_origin_numerators", counted)
     check = cross_check_cell("G3", 2, 4)
     assert len(calls) == 1
     assert check == {
@@ -340,6 +340,8 @@ def test_cross_check_cell_builds_its_system_once(monkeypatch):
         "bareiss_det": F(-134180865),
         "agree": True,
         "nullspace_dim": 0,
+        "sign_ok": True,
+        "final_sign_ok": True,
     }
 
 
@@ -498,13 +500,12 @@ def test_certified_cell_returns_on_a0_alone(monkeypatch):
 
 def test_scan_group_evaluates_one_row_per_certified_cell(monkeypatch):
     # G3 at l = 2: each of the 101 cells evaluates diag's k^0 row once; the
-    # four sampled cross-checks (d = 0, 4, 8, 12) each add 15 evaluations,
-    # seven in cross_check_cell's exact cell and 1 + 7 where the scan holds
-    # the early exit to the exact cell
+    # four sampled cross-checks (d = 0, 4, 8, 12) each add the seven of
+    # cross_check_cell's exact cell, which the scan holds the early exit to
     calls = _counted_horner(monkeypatch)
     part, _ = _scan_group("G3", 2, 100, False)
     assert part.cells == 101 and part.cross_checks_ok
-    assert len(calls) == 101 + 4 * 15
+    assert len(calls) == 101 + 4 * 7
 
 
 # a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;

@@ -103,9 +103,18 @@ class FamilyEquation:
 
     def at(self, l: int, s: Rational) -> AuxiliaryODE:
         """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 at multipole l
-        and frequency s."""
-        p1 = Poly([self.p1_const.eval(s), self.p1_lin.eval(s), self.p1_quad.eval(s)])
-        p0 = Poly([self.f.eval(s) - _multipole_offset(self.family, l), self.e.eval(s)])
+        and frequency s = a/b, in integers: each coefficient is evaluated
+        times D = L b^n, L the lcm of their denominators and n their degree."""
+        a, b = Fraction(s).as_integer_ratio()
+        polys = self.p1_const, self.p1_lin, self.p1_quad, self.f, self.e
+        n = max(p.degree for p in polys)
+        L = math.lcm(*(p.den for p in polys))
+        c0, c1, c2, f, e = (
+            L // p.den * sum(v * a**k * b ** (n - k) for k, v in enumerate(p.num)) for p in polys
+        )
+        D = L * b**n
+        p1 = Poly.from_numerators([c0, c1, c2], D)
+        p0 = Poly.from_numerators([f - _multipole_offset(self.family, l) * D, e], D)
         p2 = Poly([0, -2, 1])  # r(r-2)
         return AuxiliaryODE("r", p2, p1, p0)
 
@@ -680,12 +689,11 @@ def candidate_rows(ode: AuxiliaryODE, d: int) -> tuple:
     Row m holds lower(m), diag(m) and upper(m) of :func:`recurrence` in
     columns m-1, m and m+1 (those within 0..d), each times the same
     positive integer den, the common denominator of the recurrence's
-    coefficients (:meth:`Recurrence3.cleared`).  No ``Fraction`` is built:
-    the recurrence is taken on the equation's integer numerators over one
-    denominator D, and its coefficients and D are divided by their gcd.
-    Rows 0..d are the square candidate system, so its rational determinant
-    is ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1
-    vanishes identically exactly when d matches the family's degree formula.
+    coefficients (:meth:`Recurrence3.cleared`), built from the equation's
+    integer numerators without a ``Fraction``.  Rows 0..d are the square
+    candidate system, so its rational determinant is
+    ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1 vanishes
+    identically exactly when d matches the family's degree formula.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")

@@ -12,10 +12,8 @@ One elimination loop, :func:`_echelon`, serves both: the nullspace
 back-substitutes from its rows, and the determinant is its last pivot
 times the sign of its row swaps, or 0 when a column has no pivot.  An
 update that maps a zero entry to zero is skipped, and a row with a zero in
-the pivot column is not touched until a later step reads it, when the
-scalings it missed are applied as one exact factor.  So a row update costs
-O(n) and a banded system takes O(n) of them per band width: a tridiagonal
-system is eliminated in O(n^2) steps, a dense one still in O(n^3).
+the pivot column waits, unscaled, until a step reads it: a tridiagonal
+system takes O(n) row updates and O(n^2) steps, a dense one O(n^3).
 """
 
 from __future__ import annotations
@@ -90,13 +88,11 @@ def _echelon(matrix: Sequence[Sequence[int]]) -> tuple:
     Each column's pivot is its first nonzero entry at or below the next
     pivot row, swapped up only when it lies lower; the rows below with a
     nonzero entry in the column are then eliminated by :func:`_bareiss_step`.
-
-    A row with a zero in the pivot column is left alone: step k would only
-    scale it by p_k / p_(k-1), and these factors telescope, so a row that
-    has taken s steps lags p_(k-1) / p_s behind.  A target is eliminated
-    divided by p_s instead of p_(k-1), and a pivot row is first scaled by
-    p_(k-1) / p_s: the eager entries, each a minor, every division checked.
-    """
+    A row with a zero there is left alone: step k would only scale it by
+    p_k / p_(k-1), and these factors telescope, so a row that has taken s
+    steps is eliminated divided by p_s, or scaled by p_(k-1) / p_s when it
+    becomes the pivot row.  Each division is exact, as each entry is a minor,
+    and checked."""
     m = [list(row) for row in matrix]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0

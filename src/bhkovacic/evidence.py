@@ -347,11 +347,9 @@ class ScanReport:
         self.cross_checks_ok &= part.cross_checks_ok
 
 
-# The scan cross-checks every fourth cell up to d = 12: 236 checks on the
-# default grid, the count its report is pinned to (perfbench/expected.json,
-# tests/test_acceptance.py).  The oracles' cost no longer sets the bound:
-# Bareiss eliminates a tridiagonal system in O(n^2) steps, so G7's 122 x 122
-# system at l = 4 takes about 2 ms.
+# The scan cross-checks every fourth cell up to d = 12, the 236 checks its
+# default report is pinned to; the oracles' cost no longer sets the bound
+# (Bareiss takes about 2 ms on G7's 122 x 122 system at l = 4).
 _CROSS_CHECK_D_MAX = 12
 
 
@@ -363,8 +361,7 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
     rational rows times one factor den, so the determinant is divided by
     den ** (d + 1).  At d <= 8 the same rows plus row d+1 give the
     brute-force nullspace.  Both oracles are held to :func:`_cell`'s exact
-    loop, whose signs the check also records for :func:`_scan_group` to
-    hold its early exit to.
+    loop, whose signs it records: :func:`_scan_group` holds its early exit to them.
     """
     s = degree_to_s(family, d)  # a family outside the scan has no grid
     fam = family_by_label(family)

@@ -640,6 +640,50 @@ def test_tridiagonal_system_det_matches_recurrence():
                 assert det == det_sequence(label, l, d).D_last, (label, l, d)
 
 
+def _cleared_rows(ode, d):
+    """candidate_rows through Fraction entries: rows 0..d+1 of
+    ``recurrence(ode).cleared()`` and its ``den``, the reference for the
+    integer-numerator build."""
+    rec = recurrence(ode)
+    cleared = rec.cleared()
+    rows = [[0] * (d + 1) for _ in range(d + 2)]
+    for m in range(d + 2):
+        if m >= 1:
+            rows[m][m - 1] = cleared.lower(m)
+        if m <= d:
+            rows[m][m] = cleared.diag(m)
+        if m < d:
+            rows[m][m + 1] = cleared.upper(m)
+    return rows, rec.den
+
+
+@pytest.mark.parametrize("label", ["G3", "E3", "E7", "G7", "S3"])
+def test_candidate_rows_match_the_cleared_recurrence(label):
+    # the scan's cross-check systems (d <= 12 at each l of the verify-all
+    # grid) and the frames and frequencies of the other oracles
+    from bhkovacic.evidence import default_l_range
+
+    fam = family_by_label(label)
+    eq = family_equation(fam)
+    for l in default_l_range(label, 6) if label in SCAN_FAMILIES else range(2, 5):
+        for d in range(13):
+            ode = eq.at(l, (d - fam.degree[0]) / fam.degree[1])
+            assert candidate_rows(ode, d) == _cleared_rows(ode, d), (l, d)
+            assert candidate_rows(to_w_frame(ode), d) == _cleared_rows(to_w_frame(ode), d)
+
+
+@given(st.sampled_from(N1_LABELS), st.integers(0, 3), st.fractions(max_denominator=10**6))
+@settings(max_examples=100, deadline=None)
+def test_equation_at_s_matches_its_coefficients_evaluated_at_s(label, dl, s):
+    # at() evaluates in integers; Poly.eval of each coefficient is the reference
+    eq = family_equation(family_by_label(label))
+    l = eq.family.kind.min_l + dl
+    ode = eq.at(l, s)
+    assert ode.p1 == Poly([eq.p1_const.eval(s), eq.p1_lin.eval(s), eq.p1_quad.eval(s)])
+    assert ode.p0 == Poly([eq.f.eval(s) - _multipole_offset(eq.family, l), eq.e.eval(s)])
+    assert ode.p2 == Poly([0, -2, 1])
+
+
 # ---------------------------------------------------------------------------
 # homotopic substitution
 # ---------------------------------------------------------------------------

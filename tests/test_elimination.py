@@ -194,7 +194,9 @@ def test_echelon_matches_the_eager_loop(matrix):
         assert bareiss_determinant(matrix) == sympy.Matrix(matrix).det()
 
 
-@pytest.mark.parametrize("label, l, ds", [("G3", 2, (4, 12)), ("E7", 3, (8, 12)), ("G7", 4, (120, 121))])
+@pytest.mark.parametrize(
+    "label, l, ds", [("G3", 2, (4, 12)), ("E7", 3, (8, 12)), ("G7", 4, (120, 121))]
+)
 def test_echelon_matches_the_eager_loop_on_candidate_systems(label, l, ds):
     # the scan's cross-check systems and G7's at its special frequency,
     # square and with the extra row of the brute-force nullspace

@@ -228,9 +228,8 @@ def test_tridiagonal_elimination_takes_linear_row_updates(monkeypatch):
     offprod = [matrix[i][i - 1] * matrix[i - 1][i] if i else 0 for i in range(n)]
     assert bareiss_determinant(matrix) == list(tridiag_minors(diag, offprod))[-1]
     assert len(steps) <= 2 * n
-    rows, pivots, sign = _echelon(matrix)
     monkeypatch.undo()
-    assert (rows, pivots, sign) == eager_echelon(matrix)
+    assert _echelon(matrix) == eager_echelon(matrix)
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])

@@ -22,6 +22,7 @@ substitution linking the G7/G3 and E7/E3 confluent Heun forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,7 @@ __all__ = [
     "HeunForm",
     "FamilyEquation",
     "family_equation",
+    "multipole_offset",
     "ode_residual",
     "to_w_frame",
     "to_z_frame",
@@ -68,7 +70,7 @@ class AuxiliaryODE:
     p0: Poly
 
 
-def _multipole_offset(family: Family, l: int) -> int:
+def multipole_offset(family: Family, l: int) -> int:
     """m = l(l+1) - L_min >= 0, L_min that of the lowest multipole of the
     family's kind: the one place where l enters an auxiliary equation."""
     kind = family.kind
@@ -89,9 +91,9 @@ class FamilyEquation:
     Poly in s, at the lowest multipole of the family's kind.  Only f moves
     with l: nu's simple-pole coefficients carry -L/2 at r = 0 and +L/2 at
     r = 2 (L = l(l+1)), which cancel in e and leave -L in f, so at
-    multipole l f is lowered by :func:`_multipole_offset`, which also
-    refuses l below the lowest multipole.  Built once by
-    :func:`family_equation`, it serves every (l, s) of a check.
+    multipole l f is lowered by :func:`multipole_offset`, which also
+    refuses l below the lowest multipole.  Built once per process by
+    :func:`family_equation`, it serves every (l, s) of every check.
     """
 
     family: Family
@@ -114,25 +116,27 @@ class FamilyEquation:
         )
         D = L * b**n
         p1 = Poly.from_numerators([c0, c1, c2], D)
-        p0 = Poly.from_numerators([f - _multipole_offset(self.family, l) * D, e], D)
+        p0 = Poly.from_numerators([f - multipole_offset(self.family, l) * D, e], D)
         p2 = Poly([0, -2, 1])  # r(r-2)
         return AuxiliaryODE("r", p2, p1, p0)
 
     def recurrence(self, l: int) -> Recurrence3:
         """The r-frame recurrence about r = 0 (rho = 0) at multipole l, s symbolic.
 
-        Its entries are polynomials in s; at a given s they equal those of
-        ``recurrence(self.at(l, s))``.
+        Its entries are polynomials in s; at a given s they equal the rows
+        of ``rec, den = recurrence(self.at(l, s))`` divided by den.
         """
-        f = self.f - _multipole_offset(self.family, l)
+        f = self.f - multipole_offset(self.family, l)
         # p2 = r(r-2) = r^2 - 2r
         return _recurrence3(1, -2, self.p1_quad, self.p1_lin, self.p1_const, self.e, f)
 
 
-def family_equation(family: Family) -> FamilyEquation:
-    """The family's auxiliary equation with s symbolic, from theta and nu."""
-    if family.n != 1:
-        raise ValueError("auxiliary equations exist only on the n=1 branch")
+# bounded: only the twenty n=1 labels are ever cached; any other label raises
+@functools.lru_cache(maxsize=None)
+def family_equation(label: str) -> FamilyEquation:
+    """The auxiliary equation of the n=1 family labelled ``label`` with s
+    symbolic, from theta and nu; built once per process."""
+    family = family_by_label(label)
     kind = family.kind
     spec = theta_spec(family)
     if spec.c0.degree > 0:
@@ -276,7 +280,8 @@ class Recurrence3:
 
     where p2 = alpha t^2 + beta t, p1 = a t^2 + b t + c and p0 = e t + f.
     Each entry is kept as its coefficient tuple in k, lowest power first;
-    the coefficients are rationals, or polynomials in s
+    the coefficients are integers (:func:`recurrence`), rationals
+    (:meth:`HeunForm.recurrence`) or polynomials in s
     (:meth:`FamilyEquation.recurrence`).
     """
 
@@ -303,23 +308,6 @@ class Recurrence3:
             for k in range(rows)
         ]
 
-    @property
-    def den(self) -> int:
-        """The common denominator of the rational coefficients."""
-        rows = (self.lower_k, self.diag_k, self.upper_k)
-        return math.lcm(*(c.denominator for row in rows for c in row))
-
-    def cleared(self) -> Recurrence3:
-        """Every row times :attr:`den`, the common denominator of the coefficients.
-
-        The rows keep their zeros, and the entries are integers at integer k.
-        """
-        den = self.den
-        rows = (self.lower_k, self.diag_k, self.upper_k)
-        return Recurrence3(
-            *(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
-        )
-
     def det(self, size: int):
         """Leading size x size minor of the tridiagonal matrix of rows 0..size-1.
 
@@ -330,21 +318,20 @@ class Recurrence3:
         return [1, *tridiag_minors(map(self.diag, range(size)), offprod)][-1]
 
 
-def recurrence(ode: AuxiliaryODE) -> Recurrence3:
-    """Three-term recurrence of ode about its frame origin, on the root rho = 0.
+def recurrence(ode: AuxiliaryODE) -> tuple:
+    """(rec, den): the three-term recurrence of ode about its frame origin,
+    on the root rho = 0, in integers.
+
+    The rows of ``rec`` are the rational recurrence times den > 0, the
+    least common denominator of its coefficients, so they are integer
+    coefficient tuples in k with no factor in common with den.  They are
+    built from the equation's integer numerators without a ``Fraction``.
 
     The origin must be a regular singular point: r = 0 in the r frame, the
     horizon in the w frame (:func:`to_w_frame`).  The branch of the other
     indicial root, P = t^m P1, is the z-power substitution that
     :func:`homotopic_equivalence_check` verifies.
     """
-    D, coeffs = _origin_numerators(ode)
-    return _recurrence3(*(Fraction(v, D) for v in coeffs))
-
-
-def _origin_numerators(ode: AuxiliaryODE) -> tuple:
-    """(D, coeffs): :func:`recurrence`'s checks, and its arguments of
-    :func:`_recurrence3` as integers over their one denominator D."""
     p2, p1, p0 = ode.p2, ode.p1, ode.p0
     if p2[0] != 0 or p2[1] == 0:
         raise ValueError(f"the origin is not a regular singular point in frame {ode.frame}")
@@ -352,7 +339,10 @@ def _origin_numerators(ode: AuxiliaryODE) -> tuple:
         raise ValueError("coefficients exceed the cleared-form degrees")
     D = math.lcm(p2.den, p1.den, p0.den)
     q2, q1, q0 = ([v * (D // p.den) for v in p.num] + [0] * 3 for p in (p2, p1, p0))
-    return D, (q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0])
+    rec = _recurrence3(q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0])
+    rows = (rec.lower_k, rec.diag_k, rec.upper_k)
+    g = math.gcd(D, *(c for row in rows for c in row))
+    return Recurrence3(*(tuple(c // g for c in row) for row in rows)), D // g
 
 
 def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
@@ -381,7 +371,7 @@ def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed=None) -> List[t
     """
     if d not in (0, 1):
         raise ValueError("fixed-degree solver covers d in {0, 1} only")
-    e, f = eq.e, eq.f - _multipole_offset(eq.family, l)
+    e, f = eq.e, eq.f - multipole_offset(eq.family, l)
 
     if d == 0:
         # residual = p0 = e r + f
@@ -515,31 +505,27 @@ def chandrasekhar_coeffs(l: int) -> Poly:
 
 
 def _g7_ode(l: int) -> AuxiliaryODE:
-    return family_equation(family_by_label("G7")).at(l, special_frequency(l))
+    return family_equation("G7").at(l, special_frequency(l))
 
 
 def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
     """The same polynomial written in r, P(r) = P(w+2).
 
-    Computed by running the r-frame three-term recurrence downward from
-    the leading coefficient (an O(degree) route that avoids the quadratic
-    cost of a Taylor shift); the otherwise-unused bottom row of the
-    recurrence is then checked, which certifies the result.  A shift by
-    the integer 2 keeps the denominator of P(w), so the recurrence runs on
-    integer numerators over it, and every division must be exact.  A
-    caller that holds P(w) already passes it as ``P_w``; only its
-    denominator and leading numerator are read.
+    Computed by running the integer r-frame three-term recurrence of
+    :func:`recurrence` downward from the leading coefficient (an O(degree)
+    route that avoids the quadratic cost of a Taylor shift); the
+    otherwise-unused bottom row of the recurrence is then checked, which
+    certifies the result.  A shift by the integer 2 keeps the denominator
+    of P(w), so the recurrence runs on integer numerators over it, and
+    every division must be exact.  A caller that holds P(w) already passes
+    it as ``P_w``; only its denominator and leading numerator are read.
     """
     if P_w is None:
         P_w = chandrasekhar_coeffs(l)
-    return _r_frame(_g7_ode(l), int(2 * special_frequency(l) + 1), P_w)
-
-
-def _r_frame(ode_r: AuxiliaryODE, d: int, P_w: Poly) -> Poly:
-    """:func:`chandrasekhar_r_frame` of degree d on the G7 equation ``ode_r``."""
+    d = int(2 * special_frequency(l) + 1)
     den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
     del P_w  # hold one coefficient vector at a time
-    rec = recurrence(ode_r).cleared()
+    rec, _ = recurrence(_g7_ode(l))
     num = [0] * (d + 2)
     num[d] = top
     for m in range(d, 0, -1):
@@ -596,9 +582,8 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     (iii) runs on the numerators too, against the right side built times den;
     (ii) is one integer convolution with the equation's coefficient
     polynomials (:func:`ode_residual`), the route independent of the recurrence.
-    P(r) is built from this P_w by :func:`chandrasekhar_r_frame`, on the one
-    G7 equation of the check, once (i) and the w-frame residual hold, and by
-    a direct shift otherwise.
+    P(r) is built from this P_w by :func:`chandrasekhar_r_frame` once (i)
+    and the w-frame residual hold, and by a direct shift otherwise.
     """
     s = special_frequency(l)
     mu2 = (l - 1) * (l + 2)
@@ -608,13 +593,13 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     ode_r = _g7_ode(l)
     ode_w = to_w_frame(ode_r)
 
-    rec_w = recurrence(ode_w).cleared()
+    rec_w, _ = recurrence(ode_w)
     rec_rows = rec_w.residual_rows(P_w.num[: d + 1], d + 2)
     recurrence_ok = all(v == 0 for v in rec_rows)
 
     residual_w = ode_residual(ode_w, P_w)
     if recurrence_ok and residual_w.is_zero():
-        P_r = _r_frame(ode_r, d, P_w)
+        P_r = chandrasekhar_r_frame(l, P_w)
         residual_r = ode_residual(ode_r, P_r)
     else:
         P_r = P_w.shift(-2)  # mutated input: fall back to the direct shift
@@ -686,31 +671,27 @@ def candidate_rows(ode: AuxiliaryODE, d: int) -> tuple:
     """(rows, den): residual rows 0..d+1 of a degree-d polynomial ansatz
     about the frame origin, in integers.
 
-    Row m holds lower(m), diag(m) and upper(m) of :func:`recurrence` in
-    columns m-1, m and m+1 (those within 0..d), each times the same
-    positive integer den, the common denominator of the recurrence's
-    coefficients (:meth:`Recurrence3.cleared`), built from the equation's
-    integer numerators without a ``Fraction``.  Rows 0..d are the square
-    candidate system, so its rational determinant is
+    Row m holds lower(m), diag(m) and upper(m) of the integer recurrence
+    ``rec, den = recurrence(ode)`` in columns m-1, m and m+1 (those within
+    0..d): the rational rows times the same positive integer den.  Rows
+    0..d are the square candidate system, so its rational determinant is
     ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1 vanishes
     identically exactly when d matches the family's degree formula.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    D, coeffs = _origin_numerators(ode)
-    rec = _recurrence3(*coeffs)
-    g = math.gcd(D, *rec.lower_k, *rec.diag_k, *rec.upper_k)
+    rec, den = recurrence(ode)
     rows = []
     for m in range(d + 2):
         row = [0] * (d + 1)
         if m >= 1:
-            row[m - 1] = rec.lower(m) // g
+            row[m - 1] = rec.lower(m)
         if m <= d:
-            row[m] = rec.diag(m) // g
+            row[m] = rec.diag(m)
         if m < d:
-            row[m + 1] = rec.upper(m) // g
+            row[m + 1] = rec.upper(m)
         rows.append(row)
-    return rows, D // g
+    return rows, den
 
 
 def brute_force_polynomial_solutions(ode: AuxiliaryODE, d: int) -> List[Poly]:
@@ -762,7 +743,7 @@ def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
     if max_monomial < 0:
         raise ValueError("max_monomial must be non-negative: no identity would be checked")
     pairs = [
-        (family_equation(family_by_label(orig)), family_equation(family_by_label(target)), m)
+        (family_equation(orig), family_equation(target), m)
         for orig, target, m in (("G7", "G3", 4), ("E7", "E3", 2))
     ]
     params_ok = True

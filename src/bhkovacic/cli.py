@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import __version__
 from .algebra import Poly, int_to_str, rat_to_str
 from .auxode import (
-    _r_frame,
     brute_force_polynomial_solutions,
     chandrasekhar_coeffs,
     chandrasekhar_checks,
@@ -36,19 +35,13 @@ from .auxode import (
 from .evidence import SCAN_FAMILIES, default_l_range, s3_nonexistence, scan
 from .hautot import (
     ObstructionError,
-    _det_A,
+    det_A,
     determinant_equality_check,
     extended_expansion,
     kummer_poly,
     recurrence_identity_suite,
 )
-from .kovacic import (
-    affine_str,
-    enumerate_families_n1,
-    enumerate_families_n2,
-    family_by_label,
-    retain_families,
-)
+from .kovacic import affine_str, enumerate_families_n1, enumerate_families_n2, retain_families
 from .master import PerturbationKind, special_frequency
 from .reporting import Report
 
@@ -243,7 +236,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         )
 
     # G8 closed-form solutions; a failure names its first l
-    g8 = family_equation(family_by_label("G8"))
+    g8 = family_equation("G8")
     g8_failure = None
     for l in range(2, l_max + 1):
         expected_s = special_frequency(l)
@@ -273,12 +266,11 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
             P_w_l2 = P_w  # the oracle record's P(r) is built from it
     _add_first_failure(report, "chandra.verify", "chandra.four_checks", chandra_failure)
 
-    # Hautot determinant roots on one G7 equation; a failure names its first l
-    g7 = family_equation(family_by_label("G7"))
+    # Hautot determinant roots; a failure names its first l
     det_failure = None
     for l in range(2, l_max + 1):
         s_star = special_frequency(l)
-        poly = _det_A(g7, l)
+        poly = det_A(l)
         roots_ok = poly.eval(s_star) == 0 and poly.eval(-s_star) == 0
         roots_ok = roots_ok and poly.eval(s_star + 1) != 0 and poly.eval(s_star - 1) != 0
         if det_failure is None and not roots_ok:
@@ -313,12 +305,11 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     # oracle agreement; a failure names its first case and its (l, s)
     oracle_failure = None
     s_star = special_frequency(2)
-    g7_at_2 = g7.at(2, s_star)
-    basis = brute_force_polynomial_solutions(g7_at_2, 9)
-    target = _r_frame(g7_at_2, 9, P_w_l2)
+    basis = brute_force_polynomial_solutions(family_equation("G7").at(2, s_star), 9)
+    target = chandrasekhar_r_frame(2, P_w_l2)
     if not (len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()):
         oracle_failure = {"family": "G7", "l": 2, "s": s_star}
-    e7 = family_equation(family_by_label("E7"))
+    e7 = family_equation("E7")
     for l, s in ((1, 1), (1, 2), (2, 1), (2, 3)):
         if oracle_failure is None and brute_force_polynomial_solutions(e7.at(l, s), 2 * s):
             oracle_failure = {"family": "E7", "l": l, "s": Fraction(s)}

@@ -56,10 +56,10 @@ from typing import Optional, Sequence
 
 from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_roots
 from .auxode import (
-    _multipole_offset,
     brute_force_polynomial_solutions,
     candidate_rows,
     family_equation,
+    multipole_offset,
     solve_low_degree,
 )
 from .elimination import bareiss_determinant, nullspace, tridiag_minors
@@ -90,31 +90,31 @@ def degree_to_s(family: str, d: int) -> Rational:
 
 
 # one grid per family serves every l of a scan, in each worker too
-@functools.lru_cache(maxsize=None)  # bounded: twenty n=1 families
-def _column(fam: Family) -> tuple:
-    """(equation, diag, offprod) of the family: its :func:`family_equation`,
-    and the two entries at its lowest multipole as integer grids in k and d.
+@functools.lru_cache(maxsize=None)  # bounded: twenty n=1 labels; any other raises
+def _column(label: str) -> tuple:
+    """(diag, offprod) of the family labelled ``label``: the two entries
+    at its lowest multipole as integer grids in k and d.
 
     grid[i][j] multiplies k^i d^j.  The entries are those of the symbolic
-    r-frame recurrence about r = 0, with offprod(k) = lower(k) upper(k-1),
-    at the s that a degree-d candidate pins; l moves only diag's k^0 d^0 term
-    (:func:`_column_at`).  The equation is kept for the cross-checks'
-    explicit systems, so one build serves a family's grid and its checks.
+    r-frame recurrence about r = 0 of :func:`family_equation`, with
+    offprod(k) = lower(k) upper(k-1), at the s that a degree-d candidate
+    pins; l moves only diag's k^0 d^0 term (:func:`_column_at`).
     """
-    eq = family_equation(fam)
+    eq = family_equation(label)
+    fam = eq.family
     rec = eq.recurrence(fam.kind.min_l)
     l0, l1 = rec.lower_k
     u0, u1, u2 = rec.upper_k
     p0, p1, p2 = u0 - u1 + u2, u1 - 2 * u2, u2  # upper(k - 1)
     offprod = (l0 * p0, l0 * p1 + l1 * p0, l0 * p2 + l1 * p1, l1 * p2)
-    return eq, _in_degree(rec.diag_k, fam), _in_degree(offprod, fam)
+    return _in_degree(rec.diag_k, fam), _in_degree(offprod, fam)
 
 
-def _column_at(fam: Family, l: int) -> tuple:
+def _column_at(label: str, l: int) -> tuple:
     """The (family, l) column: the family's grid with diag's k^0 d^0
     coefficient lowered by the multipole offset of l."""
-    m = _multipole_offset(fam, l)
-    _, ((c, *c_d), *c_k), offprod = _column(fam)
+    m = multipole_offset(family_by_label(label), l)
+    ((c, *c_d), *c_k), offprod = _column(label)
     return ((c - m, *c_d), *c_k), offprod
 
 
@@ -162,7 +162,7 @@ def det_sequence(family: str, l: int, d: int) -> DetSequence:
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     s = degree_to_s(family, d)  # a family outside the scan has no grid
-    values = (1, *tridiag_minors(*_cell_entries(_column_at(family_by_label(family), l), d)))
+    values = (1, *tridiag_minors(*_cell_entries(_column_at(family, l), d)))
     return DetSequence(
         family=family,
         l=l,
@@ -356,18 +356,17 @@ _CROSS_CHECK_D_MAX = 12
 def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
-    The system is built on the scan family's equation, which
-    :func:`_column` keeps beside its grid.  Its d+1 integer rows are the
+    The system is built on the scan family's one equation,
+    :func:`family_equation` of its label.  Its d+1 integer rows are the
     rational rows times one factor den, so the determinant is divided by
     den ** (d + 1).  At d <= 8 the same rows plus row d+1 give the
     brute-force nullspace.  Both oracles are held to :func:`_cell`'s exact
     loop, whose signs it records: :func:`_scan_group` holds its early exit to them.
     """
     s = degree_to_s(family, d)  # a family outside the scan has no grid
-    fam = family_by_label(family)
-    rows, den = candidate_rows(_column(fam)[0].at(l, s), d)
+    rows, den = candidate_rows(family_equation(family).at(l, s), d)
     det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
-    sign_ok, final_ok, D_last, _ = _cell(_column_at(fam, l), d)
+    sign_ok, final_ok, D_last, _ = _cell(_column_at(family, l), d)
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
         "family": family,
@@ -389,9 +388,10 @@ def _check_failed(check: dict) -> bool:
 def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     """(ScanReport, text) of one (family, l) column; picklable.
 
-    ``family`` is a scan family's label: its grid and the equation of its
-    cross-checks come from :func:`_column`, built once per family in each
-    process.  The part names its column as families = (family,) and
+    ``family`` is a scan family's label: its grid comes from
+    :func:`_column` and the equation of its cross-checks from
+    :func:`family_equation`, each built once per family in each process.
+    The part names its column as families = (family,) and
     l_max = l, and keeps at most 8 flagged cells; text is the column's
     ``--out`` records in d order as JSON joined by ",\n", or None without
     ``want_cells``.  Each cell is one :func:`_cell` call.  Without
@@ -403,7 +403,7 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     D_{d+1} != 0.  With ``want_cells`` every cell is exact, since each
     record carries D_{d+1} and its magnitude index.
     """
-    column = _column_at(family_by_label(family), l)
+    column = _column_at(family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
     certified = not want_cells and _tail_certified(column)
@@ -561,15 +561,14 @@ class S3Record:
     carried the same denominator ("matched" variant), compatibility would
     force s into {0, 1/2}, both inadmissible: s = 0 gives a negative
     degree and the s = 1/2 degree-0 candidate fails its residual check.
-    The w-frame termination row actually has diagonal -(l(l+1) + 2s)
-    ("direct" variant), and with that ratio the leading-order
-    compatibility holds identically and carries no constraint; both facts
-    are recorded, and the exact sweep of the full linear systems is the
-    load-bearing evidence either way.
+    The w-frame termination row actually has diagonal -(l(l+1) + 2s), and
+    with that ratio the leading-order compatibility holds identically
+    (both numerators are -s), so it carries no constraint and is not
+    recorded; the exact sweep of the full linear systems is the
+    load-bearing evidence.
     """
 
     matched_ratio_solution_set: tuple  # identical for every checked l
-    direct_system_trivial: bool  # True: compatibility collapses to 0 = 0
     half_s_degree0_fails: bool
     oracle_all_trivial: bool
     oracle_cells: int
@@ -583,23 +582,21 @@ class S3Record:
         )
 
 
-def _ratio_system_polynomial(L: int, w_denom_quadratic: bool) -> Poly:
-    """Numerator of the combined ratio/compatibility condition, in s.
+def _ratio_system_polynomial(L: int) -> Poly:
+    """Numerator of the combined ratio/compatibility condition, in s, in
+    the matched variant (:class:`S3Record`).
 
-    The r-frame termination ratio is t1 = -s / (L + 4 s^2); the w-frame
-    ratio is t2 = -s / D(s) with D = L + 4 s^2 in the matched variant
-    (``w_denom_quadratic``) or D = L + 2 s in the direct one;
-    compatibility of the two leading coefficients requires
-    t1 = 1 / (2(1 - 2s) + 1/t2).  Clearing denominators leaves
+    The r-frame termination ratio is t1 = -s / (L + 4 s^2) and the matched
+    w-frame ratio t2 = -s / (L + 4 s^2); compatibility of the two leading
+    coefficients requires t1 = 1 / (2(1 - 2s) + 1/t2).  Clearing
+    denominators leaves
 
         N1 (2(1-2s) N2 + D2) - D1 N2,
 
     with t1 = N1/D1, t2 = N2/D2."""
     s = Poly.x()
-    N1 = -s
-    D1 = Poly([L, 0, 4])
-    N2 = -s
-    D2 = Poly([L, 0, 4]) if w_denom_quadratic else Poly([L, 2])
+    N1 = N2 = -s
+    D1 = D2 = Poly([L, 0, 4])
     return N1 * ((2 * (1 - 2 * s)) * N2 + D2) - D1 * N2
 
 
@@ -609,17 +606,12 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
         raise ValueError("the sweep needs 2s >= 2")
     if l_max < 0:
         raise ValueError("the sweep needs l_max >= 0")
-    eq = family_equation(family_by_label("S3"))
+    eq = family_equation("S3")
 
     l_checked = range(l_max + 1)
-    solution_sets = set()
-    direct_trivial = True
-    for l in l_checked:
-        L = l * (l + 1)
-        matched = _ratio_system_polynomial(L, w_denom_quadratic=True)
-        solution_sets.add(tuple(rational_roots(matched)))
-        if not _ratio_system_polynomial(L, w_denom_quadratic=False).is_zero():
-            direct_trivial = False
+    solution_sets = {
+        tuple(rational_roots(_ratio_system_polynomial(l * (l + 1)))) for l in l_checked
+    }
     if len(solution_sets) != 1:
         raise AssertionError("ratio-system roots unexpectedly depend on l")
     solution_set = solution_sets.pop()
@@ -642,7 +634,6 @@ def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
                 oracle_all_trivial = False
     return S3Record(
         matched_ratio_solution_set=solution_set,
-        direct_system_trivial=direct_trivial,
         half_s_degree0_fails=half_fails,
         oracle_all_trivial=oracle_all_trivial,
         oracle_cells=cells,

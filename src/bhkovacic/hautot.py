@@ -26,14 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, Rational, rat_to_str
-from .auxode import (
-    FamilyEquation,
-    HeunForm,
-    Recurrence3,
-    chandrasekhar_coeffs,
-    family_equation,
-)
-from .kovacic import family_by_label
+from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, family_equation
 from .master import special_frequency
 
 __all__ = [
@@ -248,14 +241,10 @@ def det_A(l: int) -> Poly:
     change of frame multiplies row k by 2^k and divides column k by 2^k, a
     diagonal similarity, so every leading minor is the same.  The result
     vanishes exactly at the algebraically special frequencies
-    +-l(l-1)(l+1)(l+2)/6.
+    +-l(l-1)(l+1)(l+2)/6.  The G7 equation is the process's one build
+    (:func:`~bhkovacic.auxode.family_equation`), so every l shares it.
     """
-    return _det_A(family_equation(family_by_label("G7")), l)
-
-
-def _det_A(g7: FamilyEquation, l: int) -> Poly:
-    """:func:`det_A` on the G7 equation ``g7`` that the caller holds."""
-    return g7.recurrence(l).det(4)
+    return family_equation("G7").recurrence(l).det(4)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
             raise ValueError(
                 f"l_max = {l_max} checks no l of {family.label} (l >= {family.kind.min_l})"
             )
-        eq = family_equation(family)
+        eq = family_equation(family.label)
         found_any = False
         for s_value, d in points:
             if d > 1:

@@ -35,7 +35,6 @@ from bhkovacic.kovacic import (
     affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
-    family_by_label,
     retain_families,
 )
 from bhkovacic.master import PerturbationKind, special_frequency
@@ -109,7 +108,7 @@ def test_criterion_02_n2_closure():
 
 def test_criterion_03_g8_solution():
     t0 = time.time()
-    g8 = family_equation(family_by_label("G8"))
+    g8 = family_equation("G8")
     ok = True
     for l in range(2, 11):
         found = solve_low_degree(g8, 1, l=l)
@@ -216,7 +215,7 @@ def test_criterion_09_obstruction():
 def test_criterion_10_oracle_agreement():
     t0 = time.time()
     l = 2
-    g7 = family_equation(family_by_label("G7"))
+    g7 = family_equation("G7")
     ode = g7.at(l, special_frequency(l))
     rows, _ = candidate_rows(ode, 9)
     square = rows[:-1]  # the 10 x 10 candidate system
@@ -225,7 +224,7 @@ def test_criterion_10_oracle_agreement():
     ok = len(basis) == 1
     ok = ok and basis[0] * target.leading() == target * basis[0].leading()
     ok = ok and brute_force_polynomial_solutions(ode, 9) == basis
-    e7 = family_equation(family_by_label("E7"))
+    e7 = family_equation("E7")
     for l_em, s in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
         ode = e7.at(l_em, s)
         ok = ok and brute_force_polynomial_solutions(ode, 2 * s) == []
@@ -270,8 +269,8 @@ def test_criterion_13_homotopic_equivalences():
     ok = result.parameter_maps_ok and result.operator_identities_ok
     # the advertised parameter map images on the two pairs
     l, s = 2, F(4)
-    g7 = to_heun_form(family_equation(family_by_label("G7")).at(l, s))
+    g7 = to_heun_form(family_equation("G7").at(l, s))
     ok = ok and homotopic_shift_params(g7, 4).c == -5
-    e7 = to_heun_form(family_equation(family_by_label("E7")).at(1, s))
+    e7 = to_heun_form(family_equation("E7").at(1, s))
     ok = ok and homotopic_shift_params(e7, 2).c == -3
     report(13, "homotopic z-power equivalences G7->G3 and E7->E3", ok, t0)

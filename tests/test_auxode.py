@@ -12,7 +12,7 @@ from bhkovacic.algebra import Poly
 from bhkovacic.auxode import (
     AuxiliaryODE,
     Recurrence3,
-    _multipole_offset,
+    _recurrence3,
     brute_force_polynomial_solutions,
     candidate_rows,
     chandrasekhar_checks,
@@ -21,6 +21,7 @@ from bhkovacic.auxode import (
     family_equation,
     homotopic_equivalence_check,
     homotopic_shift_params,
+    multipole_offset,
     ode_residual,
     recurrence,
     solve_low_degree,
@@ -36,7 +37,14 @@ from bhkovacic.master import special_frequency
 
 
 def _ode(label, l, s):
-    return family_equation(family_by_label(label)).at(l, s)
+    return family_equation(label).at(l, s)
+
+
+def _rational(ode):
+    """The rational recurrence of ode: the integer rows of ``recurrence`` over den."""
+    rec, den = recurrence(ode)
+    rows = (rec.lower_k, rec.diag_k, rec.upper_k)
+    return Recurrence3(*(tuple(F(c, den) for c in row) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +181,7 @@ def test_recurrence_matches_direct_expansion(label, l, s, point):
     ode = _ode(label, l, s)
     if point == 2:
         ode = to_w_frame(ode)
-    rec = recurrence(ode)
+    rec = _rational(ode)
     coeffs = [F(3, 2), F(-1), F(2), F(5, 7), F(1), F(-4, 3)]
     expected = brute_recurrence_rows(ode, coeffs, 8)
     assert rec.residual_rows(coeffs, 8) == expected
@@ -182,7 +190,7 @@ def test_recurrence_matches_direct_expansion(label, l, s, point):
 def test_g7_recurrence_about_horizon():
     # about r=2 with rho=0, row 0: diag = 2 - l(l+1) + 4s(1-s), upper = 2(1-2s)
     for l, s in ((2, F(4)), (3, F(5, 2))):
-        rec = recurrence(to_w_frame(_ode("G7", l, s)))
+        rec = _rational(to_w_frame(_ode("G7", l, s)))
         L = l * (l + 1)
         assert rec.diag(0) == 2 - L + 4 * s * (1 - s)
         assert rec.upper(0) == 2 * (1 - 2 * s)
@@ -196,7 +204,7 @@ def test_g7_recurrence_about_horizon():
 def test_s3_recurrence_about_origin():
     # lower = s(n-2s), diag = n^2 + n - 4sn - L - 2s, upper = -2(n+1)^2
     for l, s in ((0, F(1)), (2, F(3))):
-        rec = recurrence(_ode("S3", l, s))
+        rec = _rational(_ode("S3", l, s))
         L = l * (l + 1)
         for n in range(8):
             assert rec.lower(n) == s * (n - 2 * s)
@@ -209,7 +217,7 @@ def test_s3_termination_rows():
     # n = 2s; the diagonal at n = 2s-1 is -(L + 2s)
     l, s = 2, F(3)
     L, two_s = l * (l + 1), 6
-    rec = recurrence(to_w_frame(_ode("S3", l, s)))
+    rec = _rational(to_w_frame(_ode("S3", l, s)))
     assert rec.upper(two_s - 1) == 0
     assert rec.lower(two_s) == 0
     assert rec.diag(two_s - 1) == -(L + 2 * s)
@@ -220,8 +228,8 @@ def test_indicial_structure():
     # the indicial roots are {0, 4} at r = 0 and {0, 2s} = {0, 8} at r = 2:
     # on the root 0, upper(k) = (k+1)(beta k + c) dies at k = other root - 1
     ode = _ode("G7", 2, 4)
-    assert [k for k in range(12) if recurrence(ode).upper(k) == 0] == [3]
-    assert [k for k in range(12) if recurrence(to_w_frame(ode)).upper(k) == 0] == [7]
+    assert [k for k in range(12) if _rational(ode).upper(k) == 0] == [3]
+    assert [k for k in range(12) if _rational(to_w_frame(ode)).upper(k) == 0] == [7]
     # shifted by 1, the origin is r = 1, not a singular point
     shifted = AuxiliaryODE("r", ode.p2.shift(1), ode.p1.shift(1), ode.p0.shift(1))
     with pytest.raises(ValueError):
@@ -234,9 +242,9 @@ def test_indicial_structure():
 
 # keyed by what the route does; the first two are FamilyEquation.at and .recurrence
 ROUTES = {
-    "build_auxiliary": lambda family, l: family_equation(family).at(l, 1),
-    "symbolic_recurrence": lambda family, l: family_equation(family).recurrence(l),
-    "solve_low_degree": lambda family, l: solve_low_degree(family_equation(family), 0, l=l),
+    "build_auxiliary": lambda family, l: family_equation(family.label).at(l, 1),
+    "symbolic_recurrence": lambda family, l: family_equation(family.label).recurrence(l),
+    "solve_low_degree": lambda family, l: solve_low_degree(family_equation(family.label), 0, l=l),
     "det_sequence": lambda family, l: det_sequence(family.label, l, 0),
     "cross_check_cell": lambda family, l: cross_check_cell(family.label, l, 0),
 }
@@ -285,7 +293,7 @@ def _coefficients_at(family, s, L):
 
     f is lowered by L - L_min, the multipole offset with L a symbol.
     """
-    eq = family_equation(family)
+    eq = family_equation(family.label)
     p1_const, p1_lin, p1_quad, e, f = (
         _in_sympy(p, s) for p in (eq.p1_const, eq.p1_lin, eq.p1_quad, eq.e, eq.f)
     )
@@ -312,12 +320,12 @@ def test_cleared_coefficients_match_a_sympy_derivation(label):
     assert sympy.cancel(p1 - (p1_quad * r**2 + p1_lin * r + p1_const)) == 0
     assert sympy.cancel(p0 - (e * r + f)) == 0
     for l in range(min_l, min_l + 4):
-        assert _multipole_offset(family, l) == l * (l + 1) - min_l * (min_l + 1)
+        assert multipole_offset(family, l) == l * (l + 1) - min_l * (min_l + 1)
 
 
 @pytest.mark.parametrize("label", N1_LABELS)
 def test_symbolic_recurrence_evaluates_to_the_recurrence_at_s(label):
-    eq = family_equation(family_by_label(label))
+    eq = family_equation(label)
     min_l = eq.family.kind.min_l
 
     def at(entry, s):
@@ -328,7 +336,7 @@ def test_symbolic_recurrence_evaluates_to_the_recurrence_at_s(label):
         for s in (1, F(7, 3)):
             rows = (symbolic.lower_k, symbolic.diag_k, symbolic.upper_k)
             expected = Recurrence3(*(tuple(at(c, s) for c in row) for row in rows))
-            assert recurrence(eq.at(l, s)) == expected, (l, s)
+            assert _rational(eq.at(l, s)) == expected, (l, s)
 
 
 def test_g7_sufficiency_minor_holds_for_every_l():
@@ -336,7 +344,7 @@ def test_g7_sufficiency_minor_holds_for_every_l():
     import sympy
 
     s, L = sympy.symbols("s L")
-    rec = family_equation(family_by_label("G7")).recurrence(2)
+    rec = family_equation("G7").recurrence(2)
     rows = (rec.lower_k, rec.diag_k, rec.upper_k)
     lower, diag, upper = ([_in_sympy(c, s) for c in row] for row in rows)
     diag[0] -= L - 6  # the multipole offset from l = 2
@@ -367,7 +375,7 @@ def test_g8_solution_holds_for_every_l():
 
 
 def test_g8_solutions():
-    g8 = family_equation(family_by_label("G8"))
+    g8 = family_equation("G8")
     for l in range(2, 11):
         ((s, P),) = solve_low_degree(g8, 1, l=l)
         assert s == special_frequency(l)
@@ -385,11 +393,11 @@ def test_marginal_families_empty():
     ):
         fam = family_by_label(label)
         for l in range(fam.kind.min_l, fam.kind.min_l + 5):
-            assert solve_low_degree(family_equation(fam), d, l=l, s_fixed=s_fixed) == []
+            assert solve_low_degree(family_equation(label), d, l=l, s_fixed=s_fixed) == []
 
 
 def test_s3_degree_zero_fails_at_half():
-    s3 = family_equation(family_by_label("S3"))
+    s3 = family_equation("S3")
     for l in range(0, 6):
         assert solve_low_degree(s3, 0, l=l, s_fixed=F(1, 2)) == []
 
@@ -465,7 +473,7 @@ def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
         k = {"first": 0, "middle": len(num) // 2, "top": len(num) - 1}[plant]
         num[k] = -num[k]
     monkeypatch.setattr(
-        auxode, "_r_frame", lambda ode_r, d, P_w: Poly.from_numerators(num, P_r.den)
+        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
     )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok
@@ -473,15 +481,38 @@ def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
     assert "sign_pattern" in record.failed_checks and not record.all_ok
 
 
+def test_chandrasekhar_checks_runs_the_public_r_frame(monkeypatch):
+    # P(r) of the checks comes from chandrasekhar_r_frame itself, once
+    import bhkovacic.auxode as auxode
+
+    real, calls = auxode.chandrasekhar_r_frame, []
+
+    def counted(l, P_w=None):
+        calls.append(l)
+        return real(l, P_w)
+
+    monkeypatch.setattr(auxode, "chandrasekhar_r_frame", counted)
+    assert chandrasekhar_checks(3).all_ok
+    assert calls == [3]
+
+
 def test_cleared_recurrence_scales_rows():
-    rec = recurrence(to_w_frame(_ode("G7", 2, special_frequency(2))))
-    cleared = rec.cleared()
-    den = cleared.diag(0) / rec.diag(0) if rec.diag(0) else cleared.upper(0) / rec.upper(0)
+    # the integer rows are the rational ones (test_g7_recurrence_about_horizon)
+    # times den > 0, with no factor in common with den
+    l, s = 2, special_frequency(2)
+    L = l * (l + 1)
+    rec, den = recurrence(to_w_frame(_ode("G7", l, s)))
     assert den > 0
+    assert math.gcd(den, *rec.lower_k, *rec.diag_k, *rec.upper_k) == 1
+    expected = {
+        "lower": lambda n: s * (n - 2 * (s + 1)),
+        "diag": lambda n: 2 - L + n * (n - 3) - 4 * s * (s - 1),
+        "upper": lambda n: 2 * (1 + n) * (1 + n - 2 * s),
+    }
     for k in range(12):
         for entry in ("lower", "diag", "upper"):
-            value = getattr(cleared, entry)(k)
-            assert isinstance(value, int) and value == den * getattr(rec, entry)(k)
+            value = getattr(rec, entry)(k)
+            assert isinstance(value, int) and value == den * expected[entry](k)
 
 
 def test_chandrasekhar_l2_r_frame_display():
@@ -529,7 +560,7 @@ def test_planted_middle_numerator_fails_integral_identity(monkeypatch):
     num = list(P_r.num)
     num[len(num) // 2] = -num[len(num) // 2]
     monkeypatch.setattr(
-        auxode, "_r_frame", lambda ode_r, d, P_w: Poly.from_numerators(num, P_r.den)
+        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
     )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok
@@ -629,7 +660,7 @@ def test_tridiagonal_system_det_matches_recurrence():
     from bhkovacic.evidence import default_l_range, degree_to_s, det_sequence
 
     for label in ("G3", "E3", "E7"):
-        eq = family_equation(family_by_label(label))
+        eq = family_equation(label)
         for l in default_l_range(label, 4):
             for d in range(13):
                 ode = eq.at(l, degree_to_s(label, d))
@@ -641,20 +672,22 @@ def test_tridiagonal_system_det_matches_recurrence():
 
 
 def _cleared_rows(ode, d):
-    """candidate_rows through Fraction entries: rows 0..d+1 of
-    ``recurrence(ode).cleared()`` and its ``den``, the reference for the
-    integer-numerator build."""
-    rec = recurrence(ode)
-    cleared = rec.cleared()
+    """candidate_rows through Fraction entries: rows 0..d+1 of the recurrence
+    built on the equation's rational coefficients, each times den, the lcm
+    of the entries' denominators; the reference for the integer build."""
+    p2, p1, p0 = (list(p.coeffs) + [F(0)] * 3 for p in (ode.p2, ode.p1, ode.p0))
+    rec = _recurrence3(p2[2], p2[1], p1[2], p1[1], p1[0], p0[1], p0[0])
+    entries = (rec.lower_k, rec.diag_k, rec.upper_k)
+    den = math.lcm(*(F(c).denominator for row in entries for c in row))
     rows = [[0] * (d + 1) for _ in range(d + 2)]
     for m in range(d + 2):
         if m >= 1:
-            rows[m][m - 1] = cleared.lower(m)
+            rows[m][m - 1] = rec.lower(m) * den
         if m <= d:
-            rows[m][m] = cleared.diag(m)
+            rows[m][m] = rec.diag(m) * den
         if m < d:
-            rows[m][m + 1] = cleared.upper(m)
-    return rows, rec.den
+            rows[m][m + 1] = rec.upper(m) * den
+    return rows, den
 
 
 @pytest.mark.parametrize("label", ["G3", "E3", "E7", "G7", "S3"])
@@ -664,7 +697,7 @@ def test_candidate_rows_match_the_cleared_recurrence(label):
     from bhkovacic.evidence import default_l_range
 
     fam = family_by_label(label)
-    eq = family_equation(fam)
+    eq = family_equation(label)
     for l in default_l_range(label, 6) if label in SCAN_FAMILIES else range(2, 5):
         for d in range(13):
             ode = eq.at(l, (d - fam.degree[0]) / fam.degree[1])
@@ -676,11 +709,11 @@ def test_candidate_rows_match_the_cleared_recurrence(label):
 @settings(max_examples=100, deadline=None)
 def test_equation_at_s_matches_its_coefficients_evaluated_at_s(label, dl, s):
     # at() evaluates in integers; Poly.eval of each coefficient is the reference
-    eq = family_equation(family_by_label(label))
+    eq = family_equation(label)
     l = eq.family.kind.min_l + dl
     ode = eq.at(l, s)
     assert ode.p1 == Poly([eq.p1_const.eval(s), eq.p1_lin.eval(s), eq.p1_quad.eval(s)])
-    assert ode.p0 == Poly([eq.f.eval(s) - _multipole_offset(eq.family, l), eq.e.eval(s)])
+    assert ode.p0 == Poly([eq.f.eval(s) - multipole_offset(eq.family, l), eq.e.eval(s)])
     assert ode.p2 == Poly([0, -2, 1])
 
 

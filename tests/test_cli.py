@@ -12,7 +12,6 @@ import pytest
 import bhkovacic
 from bhkovacic.algebra import Poly
 from bhkovacic.cli import main
-from bhkovacic.kovacic import family_by_label
 from bhkovacic.master import special_frequency
 
 
@@ -289,18 +288,18 @@ def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypa
     # record names l = 3 as its first failure; the other records pass
     import bhkovacic.cli as cli
 
-    real_solve, real_det = cli.solve_low_degree, cli._det_A
+    real_solve, real_det = cli.solve_low_degree, cli.det_A
 
     def planted_solve(eq, d, l=None, s_fixed=None):
         found = real_solve(eq, d, l=l, s_fixed=s_fixed)
         return found if l < 3 else []
 
-    def planted_det(g7, l):
-        poly = real_det(g7, l)
+    def planted_det(l):
+        poly = real_det(l)
         return poly if l < 3 else poly + 1
 
     monkeypatch.setattr(cli, "solve_low_degree", planted_solve)
-    monkeypatch.setattr(cli, "_det_A", planted_det)
+    monkeypatch.setattr(cli, "det_A", planted_det)
     code, out, _ = run(capsys, "verify-all", "--l-max", "4", "--max-degree", "4", "--json")
     assert code == 1
     records = {r["name"]: r for r in json.loads(out)["records"]}
@@ -397,7 +396,7 @@ def test_evidence_out_writes_integers_past_the_str_limit(capsys, tmp_path, int_s
     int_str_limit(0)
     cells = json.loads(out_path.read_text())
     assert len(cells) == 881 and len(cells[-1]["D_last"]) > 4300
-    column = _column_at(family_by_label("G3"), 2)
+    column = _column_at("G3", 2)
     assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (878, 879, 880)]
 
 
@@ -423,36 +422,52 @@ def test_verify_all_builds_each_closed_form_once(monkeypatch):
     assert built == {2: 1, 3: 1, 4: 1}
 
 
-def test_verify_all_builds_each_family_equation_once_per_check_loop(monkeypatch):
-    # each check loop builds a family's s-symbolic equation once and
-    # evaluates it at every (l, s); at the defaults that is 22 builds
-    # (19 with the scan grids of an earlier run cached), not one per (l, s).
-    # The scan builds one equation per family, kept with its grid, and
-    # its cross-checks reuse it.
-    # G7 is built 7 times: once per chandrasekhar_checks(l) for l = 2..6,
-    # shared with its r frame, once for the det(A) loop and the oracle,
-    # which builds P(r) at l = 2 on it, and once by the homotopy check
-    import collections
-
-    import bhkovacic.auxode as auxode
+def test_verify_all_builds_each_family_equation_once_per_process():
+    # family_equation(label) is the one build of a family's s-symbolic
+    # equation: a cold run builds each of the 11 families it reads once,
+    # whatever check reads it at whatever (l, s), and a warm run builds
+    # none.  An empty scan grid is refused before any build.
     import bhkovacic.cli as cli
     import bhkovacic.evidence as evidence
+    from bhkovacic.auxode import family_equation
+
+    family_equation.cache_clear()
+    evidence._column.cache_clear()
+    with pytest.raises(ValueError, match="empty scan grid"):
+        evidence.scan(d_max=-1)
+    assert family_equation.cache_info().misses == 0
+    assert cli.run_verify_all().all_passed
+    assert family_equation.cache_info().misses == 11
+    for label in ("G3", "G5", "G6", "G7", "G8", "E3", "E5", "E6", "E7", "E8", "S3"):
+        family_equation(label)
+    assert cli.run_verify_all().all_passed
+    assert family_equation.cache_info().misses == 11
+
+
+def test_verify_all_runs_the_public_r_frame_and_det_A(monkeypatch):
+    # the oracle record and each chandrasekhar_checks(l), l = 2..6, reach
+    # the public chandrasekhar_r_frame, and the det-roots loop reaches
+    # hautot.det_A once per l, through every module that binds them
+    import bhkovacic.auxode as auxode
+    import bhkovacic.cli as cli
     import bhkovacic.hautot as hautot
 
-    real = auxode.family_equation
-    built = collections.Counter()
+    calls = {"chandrasekhar_r_frame": 0, "det_A": 0}
 
-    def counted(family):
-        built[family.label] += 1
-        return real(family)
+    def count(modules, name):
+        real = getattr(modules[0], name)
 
-    for module in (auxode, cli, evidence, hautot):
-        monkeypatch.setattr(module, "family_equation", counted)
-    evidence._column.cache_clear()
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+
+    count((auxode, cli), "chandrasekhar_r_frame")
+    count((hautot, cli), "det_A")
     assert cli.run_verify_all().all_passed
-    assert sum(built.values()) <= 22, built
-    assert built["G7"] == 7, built
-    assert built["S3"] == 1  # one build for the whole S3 sweep
+    assert calls == {"chandrasekhar_r_frame": 6, "det_A": 5}
 
 
 def test_verify_all_passing_witnesses_name_no_failure(capsys):

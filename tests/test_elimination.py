@@ -201,7 +201,7 @@ def test_echelon_matches_the_eager_loop_on_candidate_systems(label, l, ds):
     # the scan's cross-check systems and G7's at its special frequency,
     # square and with the extra row of the brute-force nullspace
     fam = family_by_label(label)
-    eq = family_equation(fam)
+    eq = family_equation(label)
     for d in ds:
         rows, _ = candidate_rows(eq.at(l, (d - fam.degree[0]) / fam.degree[1]), d)
         for system in (rows[:-1], rows):

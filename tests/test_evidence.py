@@ -49,7 +49,7 @@ def _candidate_ode(label, l, d):
     """The family's auxiliary equation at the frequency its degree-d candidate pins."""
     fam = family_by_label(label)
     s = (d - fam.degree[0]) / fam.degree[1]
-    return family_equation(fam).at(l, s)
+    return family_equation(label).at(l, s)
 
 
 def _direct_det(ode, size):
@@ -63,7 +63,7 @@ def _direct_det(ode, size):
 
 
 def _engine_minors(label, l, d):
-    return list(tridiag_minors(*_cell_entries(_column_at(family_by_label(label), l), d)))
+    return list(tridiag_minors(*_cell_entries(_column_at(label, l), d)))
 
 
 def test_degree_to_s():
@@ -130,9 +130,8 @@ def test_engine_entries_match_published_recurrences():
     # every entry of the acceptance grid (l <= 20, d <= 500) that the scan
     # derives from the auxiliary equation equals the published formula
     for family in SCAN_FAMILIES:
-        fam = family_by_label(family)
         for l in default_l_range(family, 20):
-            column = _column_at(fam, l)
+            column = _column_at(family, l)
             for d in range(501):
                 entries = _cell_entries(column, d)
                 assert entries == _published_entries(family, l, d), (family, l, d)
@@ -143,14 +142,17 @@ def test_family_grid_at_l_matches_the_equation_built_at_l(label):
     # one grid per family, lowered by the multipole offset, against the
     # recurrence of the equation built at each l <= 20 and the pinned s
     fam = family_by_label(label)
-    eq = family_equation(fam)
+    eq = family_equation(label)
     a, b = fam.degree[0], fam.degree[1]
     for l in range(fam.kind.min_l, 21):
-        column = _column_at(fam, l)
+        column = _column_at(label, l)
         for d in (0, 1, 7, 30):
-            rec = recurrence(eq.at(l, (d - a) / b))
+            rec, den = recurrence(eq.at(l, (d - a) / b))
             ks = range(d + 1)
-            expected = [rec.diag(k) for k in ks], [rec.lower(k) * rec.upper(k - 1) for k in ks]
+            expected = (
+                [F(rec.diag(k), den) for k in ks],
+                [F(rec.lower(k) * rec.upper(k - 1), den**2) for k in ks],
+            )
             assert _cell_entries(column, d) == expected, (l, d)
 
 
@@ -244,7 +246,7 @@ def test_scan_certifies_each_column_once(monkeypatch, tmp_path):
 def test_column_refuses_a_degree_form_with_slope_zero(label):
     # d = a for every s: no candidate pins a frequency, so there is no grid in d
     with pytest.raises(ValueError, match=f"degree of {label} does not depend on s"):
-        _column(family_by_label(label))
+        _column(label)
 
 
 def test_cross_check_cell_example():
@@ -322,14 +324,14 @@ def test_cross_check_catches_a_false_certificate(monkeypatch):
 def test_cross_check_cell_builds_its_system_once(monkeypatch):
     # one recurrence serves the Bareiss determinant and, at d <= 8, the
     # brute-force nullspace
-    real_numerators = auxode._origin_numerators
+    real_recurrence = auxode.recurrence
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return real_numerators(*args)
+        return real_recurrence(*args)
 
-    monkeypatch.setattr(auxode, "_origin_numerators", counted)
+    monkeypatch.setattr(auxode, "recurrence", counted)
     check = cross_check_cell("G3", 2, 4)
     assert len(calls) == 1
     assert check == {
@@ -354,7 +356,7 @@ def _assert_mag_index(values, n0):
 def test_magnitude_log_matches_sequence():
     # logged observation only; the kernel's index agrees with the stored minors
     for family, l, d in (("G3", 3, 25), ("E7", 2, 30)):
-        n0 = _cell(_column_at(family_by_label(family), l), d)[3]
+        n0 = _cell(_column_at(family, l), d)[3]
         _assert_mag_index(det_sequence(family, l, d).values, n0)
 
 
@@ -377,7 +379,7 @@ def test_cell_matches_reference_on_scan_families():
     interior_zero = False
     for family in SCAN_FAMILIES:
         for l in default_l_range(family, 6):
-            column = _column_at(family_by_label(family), l)
+            column = _column_at(family, l)
             for d in range(101):
                 seq = det_sequence(family, l, d)
                 expected = _reference(seq.values, d)
@@ -393,7 +395,7 @@ def test_cell_matches_reference_on_s3_and_g7():
     special = {l: int(2 * special_frequency(l)) + 1 for l in (2, 3, 4)}
     columns = [("S3", l, 40) for l in (0, 1, 3)] + [("G7", l, d + 2) for l, d in special.items()]
     for family, l, d_max in columns:
-        column = _column_at(family_by_label(family), l)
+        column = _column_at(family, l)
         for d in range(d_max + 1):
             values = (1, *tridiag_minors(*_cell_entries(column, d)))
             assert _cell(column, d) == _reference(values, d), (family, l, d)
@@ -421,7 +423,7 @@ def _assert_walk_decides_like_cell(family, ls, d_max):
     # every column certifies, every cell exits early, and there it gives
     # the full loop's signs with D_last != 0
     for l in ls:
-        column = _column_at(family_by_label(family), l)
+        column = _column_at(family, l)
         assert _tail_certified(column), (family, l)
         for d in range(d_max + 1):
             sign_ok, final_ok, D_last, _ = _cell(column, d)
@@ -445,7 +447,7 @@ def test_cell_signs_decide_the_acceptance_grid_edges_like_cell(family):
 def test_cell_signs_block_start_of_e7():
     # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
     # at k0 = 2 from there on, through an exact zero or negative first minor
-    column = _column_at(family_by_label("E7"), 2)
+    column = _column_at("E7", 2)
     assert _cell(column, 5, True) == (True, True, None, None)
     assert _cell(column, 6, True) == (False, True, None, None)  # D_1 = 0
     assert _cell(column, 7, True) == (False, True, None, None)  # D_1 > 0
@@ -493,7 +495,7 @@ def test_certified_cell_returns_on_a0_alone(monkeypatch):
     assert all(_cell(_PLANTED_A0_SIGN, d, True)[2] for d in range(4, 12))
     # E7 at l = 2: a_0 = L - d with L = 6, so from d = L the cells break
     # the interior pattern and start their blocks at k0 = 2
-    column = _column_at(family_by_label("E7"), 2)
+    column = _column_at("E7", 2)
     _assert_a0_return(monkeypatch, column, range(41), lambda d: 6 - d)
     assert not any(_cell(column, d, True)[0] for d in range(6, 41))
 
@@ -608,7 +610,7 @@ def test_tail_polynomials_match_sympy(family):
     k, d, i, j = sympy.symbols("k d i j")
     fam = family_by_label(family)
     for l in (fam.kind.min_l, 20):
-        column = _column_at(fam, l)
+        column = _column_at(family, l)
         diag, offprod = (
             sum(c * k**p * d**q for p, row in enumerate(grid) for q, c in enumerate(row))
             for grid in column
@@ -626,7 +628,7 @@ def test_tail_polynomials_match_sympy(family):
 def _planted_diag_sign():
     """G3 at l = 2 with the sign of diag's k d coefficient flipped: A(k, d)
     then falls with k d, and its shift has a negative coefficient."""
-    (row0, (c, c_d), row2), offprod = _column_at(family_by_label("G3"), 2)
+    (row0, (c, c_d), row2), offprod = _column_at("G3", 2)
     return (row0, (c, -c_d), row2), offprod
 
 
@@ -636,7 +638,7 @@ def test_tail_certificate_refuses_planted_columns(monkeypatch):
     assert A == {(0, 0): 10}
     assert {m: c for m, c in F.items() if c} == {(0, 0): 96, (1, 0): -8, (2, 0): -4}
     planted = _planted_diag_sign()
-    assert planted != _column_at(family_by_label("G3"), 2)
+    assert planted != _column_at("G3", 2)
     A, F = _tail_polynomials(planted)
     assert A[0, 0] > 0 and min(A.values()) < 0
     cell = evidence._cell
@@ -666,7 +668,7 @@ def test_every_default_column_certifies():
     # a column that fell back to its full tail walk would only run slower,
     # so the count is pinned
     columns = [
-        _column_at(family_by_label(family), l)
+        _column_at(family, l)
         for family in SCAN_FAMILIES
         for l in default_l_range(family)
     ]
@@ -679,7 +681,7 @@ def test_far_e7_column_certifies_and_scans_like_cell():
     # 3,662 cells costs its exact prefix; the full tail walk would take
     # about 6.7 million steps.  d = L and L + 1 break the interior pattern
     L = 60 * 61
-    column = _column_at(family_by_label("E7"), 60)
+    column = _column_at("E7", 60)
     assert _tail_certified(column)
     part, _ = _scan_group("E7", 60, L + 1, False)
     assert part.cells == L + 2
@@ -731,7 +733,7 @@ def test_scan_report_streaming(tmp_path):
     cells = json.loads(out.read_text())
     assert len(cells) == report.cells == 6
     seq0 = det_sequence("G3", 2, 0)
-    mag_from = _cell(_column_at(family_by_label("G3"), 2), 0)[3]
+    mag_from = _cell(_column_at("G3", 2), 0)[3]
     _assert_mag_index(seq0.values, mag_from)
     assert cells[0] == {
         "family": "G3",
@@ -893,29 +895,6 @@ def test_default_grid_scans_serially_by_default(monkeypatch, counted_pool):
     assert counted_pool == []
 
 
-def test_scan_builds_one_equation_per_family(monkeypatch):
-    # the default grid's 59 columns and 236 cross-checks share the 3
-    # equations that _column keeps with its grids: a cold scan builds each
-    # once, a warm one none, and an empty grid is refused before any
-    real, built = evidence.family_equation, []
-
-    def counted(family):
-        built.append(family.label)
-        return real(family)
-
-    monkeypatch.setattr(evidence, "family_equation", counted)
-    _column.cache_clear()
-    assert scan().cells == 29559
-    assert sorted(built) == sorted(SCAN_FAMILIES)
-    built.clear()
-    assert scan().cells == 29559
-    assert built == []
-    _column.cache_clear()
-    with pytest.raises(ValueError, match="empty scan grid"):
-        scan(d_max=-1)
-    assert built == []
-
-
 def test_scan_workers_write_integers_past_the_str_limit(
     monkeypatch, tmp_path, int_str_limit, counted_pool
 ):
@@ -934,7 +913,7 @@ def test_scan_workers_write_integers_past_the_str_limit(
     int_str_limit(0)
     cells = json.loads(files[0])
     assert max(len(c["D_last"]) for c in cells) > 640
-    column = _column_at(family_by_label("G3"), 3)
+    column = _column_at("G3", 3)
     assert [int(c["D_last"]) for c in cells[-3:]] == [_cell(column, d)[2] for d in (168, 169, 170)]
 
 
@@ -963,18 +942,20 @@ def test_scan_ignores_thread_env(monkeypatch, tmp_path, counted_pool):
 
 def test_ratio_system_polynomial():
     # matched variant: numerator 2 s^2 (1 - 2s); solution set {0, 1/2}
+    s = Poly.x()
     for L in (0, 2, 6, 12):
-        poly = _ratio_system_polynomial(L, w_denom_quadratic=True)
+        poly = _ratio_system_polynomial(L)
         assert poly == Poly([0, 0, 2, -4])
         assert rational_roots(poly) == [F(0), F(1, 2)]
-        # the direct w-frame ratio makes the condition vacuous
-        assert _ratio_system_polynomial(L, w_denom_quadratic=False).is_zero()
+        # the direct w-frame ratio t2 = -s / (L + 2s) makes the condition
+        # N1 (2(1-2s) N2 + D2) - D1 N2 vacuous, since N1 = N2 = -s
+        N, D1, D2 = -s, Poly([L, 0, 4]), Poly([L, 2])
+        assert (N * ((2 * (1 - 2 * s)) * N + D2) - D1 * N).is_zero()
 
 
 def test_s3_record_quick():
     record = s3_nonexistence(two_s_max=10, l_max=4)
     assert record.matched_ratio_solution_set == (F(0), F(1, 2))
-    assert record.direct_system_trivial
     assert record.half_s_degree0_fails
     assert record.oracle_all_trivial
     assert record.oracle_cells == 9 * 5
@@ -991,5 +972,5 @@ def test_s3_rejects_bad_bounds():
 def test_s3_oracle_catches_planted_solution():
     # sanity for the oracle: the G8 equation at its special frequency has a
     # nontrivial nullspace, so an S3-style sweep over it would not be silent
-    ode = family_equation(family_by_label("G8")).at(2, F(4))
+    ode = family_equation("G8").at(2, F(4))
     assert brute_force_polynomial_solutions(ode, 1)

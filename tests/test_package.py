@@ -161,7 +161,7 @@ def test_every_dataclass_field_is_read():
 
 # the only module-level memos: a memo outlives the call that filled it, so
 # one more carries work over between runs in one process
-ALLOWED_MEMOS = {"kovacic.family_by_label", "evidence._column"}
+ALLOWED_MEMOS = {"kovacic.family_by_label", "auxode.family_equation", "evidence._column"}
 
 
 def _is_memo(decorator):
@@ -180,3 +180,19 @@ def _memos(path):
 def test_module_level_memos_are_pinned():
     memos = {memo for path in SOURCES for memo in _memos(path)}
     assert memos == ALLOWED_MEMOS
+
+
+def _private_imports(path):
+    """(module, name) of every private name that one file imports from another module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node.module, alias.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is its module's own; a caller that needs one reads an
+    # export instead, so what runs is what the public names say
+    private = {path.name: sorted(_private_imports(path)) for path in SOURCES}
+    assert not {name: found for name, found in private.items() if found}

@@ -422,20 +422,17 @@ def test_verify_all_builds_each_closed_form_once(monkeypatch):
     assert built == {2: 1, 3: 1, 4: 1}
 
 
-def test_verify_all_builds_each_family_equation_once_per_process():
+def test_verify_all_builds_each_family_equation_once_per_check_loop():
     # family_equation(label) is the one build of a family's s-symbolic
-    # equation: a cold run builds each of the 11 families it reads once,
-    # whatever check reads it at whatever (l, s), and a warm run builds
-    # none.  An empty scan grid is refused before any build.
+    # equation, shared by every check loop: a cold run builds each of the
+    # 11 families it reads once, whatever check reads it at whatever
+    # (l, s), and a warm run builds none
     import bhkovacic.cli as cli
     import bhkovacic.evidence as evidence
     from bhkovacic.auxode import family_equation
 
     family_equation.cache_clear()
     evidence._column.cache_clear()
-    with pytest.raises(ValueError, match="empty scan grid"):
-        evidence.scan(d_max=-1)
-    assert family_equation.cache_info().misses == 0
     assert cli.run_verify_all().all_passed
     assert family_equation.cache_info().misses == 11
     for label in ("G3", "G5", "G6", "G7", "G8", "E3", "E5", "E6", "E7", "E8", "S3"):

@@ -895,6 +895,27 @@ def test_default_grid_scans_serially_by_default(monkeypatch, counted_pool):
     assert counted_pool == []
 
 
+def test_scan_builds_one_equation_per_family():
+    # the default grid's 59 columns and 236 cross-checks share the 3
+    # equations of the family_equation memo: a cold scan builds each once,
+    # a warm one none, and an empty grid is refused before any
+    family_equation = auxode.family_equation
+    family_equation.cache_clear()
+    _column.cache_clear()
+    assert scan().cells == 29559
+    assert family_equation.cache_info().misses == len(SCAN_FAMILIES)
+    for label in SCAN_FAMILIES:
+        family_equation(label)
+    assert family_equation.cache_info().misses == len(SCAN_FAMILIES)
+    assert scan().cells == 29559
+    assert family_equation.cache_info().misses == len(SCAN_FAMILIES)
+    family_equation.cache_clear()
+    _column.cache_clear()
+    with pytest.raises(ValueError, match="empty scan grid"):
+        scan(d_max=-1)
+    assert family_equation.cache_info().misses == 0
+
+
 def test_scan_workers_write_integers_past_the_str_limit(
     monkeypatch, tmp_path, int_str_limit, counted_pool
 ):

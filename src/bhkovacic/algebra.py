@@ -36,7 +36,6 @@ __all__ = [
     "rat_to_str",
     "int_to_str",
     "horner",
-    "poly_gcd",
     "rational_roots",
 ]
 
@@ -115,7 +114,7 @@ class Poly:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __init__(self, coeffs: Iterable):
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         # reduced rationals over the lcm of their denominators share no
         # factor with it, so this form is canonical once zeros are stripped
@@ -132,7 +131,7 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_numerators(cls, num: Iterable, den: int = 1) -> "Poly":
+    def from_numerators(cls, num: Iterable, den: int) -> "Poly":
         """The polynomial sum(num[k] x**k) / den, for integers num[k] and den != 0.
 
         A list passed as ``num`` is normalised in place, so that a large
@@ -173,8 +172,8 @@ class Poly:
         return Poly((0, 1))
 
     @staticmethod
-    def monomial(power: int, coeff=1) -> "Poly":
-        return Poly([0] * power + [coeff])
+    def monomial(power: int) -> "Poly":
+        return Poly([0] * power + [1])
 
     @staticmethod
     def const(value) -> "Poly":
@@ -275,18 +274,6 @@ class Poly:
         return Poly._canonical(out, den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def divmod(self, other: "Poly") -> tuple:
         """Exact division with remainder over the rationals."""
@@ -490,16 +477,6 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     out.extend(x * sa for x in a[n:])
     out.extend(y * sb for y in b[n:])
     return Poly.from_numerators(out, p.den * sa)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (plain Euclid; no field towers)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (Fraction(1) / a.leading())
 
 
 def rational_roots(p: Poly) -> list:

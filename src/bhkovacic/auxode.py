@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .algebra import Poly, Rational, horner, poly_gcd, rational_roots
+from .algebra import Poly, Rational, horner, rational_roots
 from .elimination import nullspace, tridiag_minors
 from .kovacic import Family, family_by_label, theta as theta_spec
 from .master import partial_fractions, special_frequency
@@ -365,9 +365,12 @@ def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed=None) -> List[t
     The residual of a monic degree-d trial polynomial is linear in r plus,
     for d=1, a possible r^2 term; its coefficients are polynomials in s
     (and linear in the unknown constant term k when d=1).  The system is
-    solved exactly.  When ``s_fixed`` is None only solutions with s > 0
-    are returned (static and anti-damped candidates are inadmissible); a
-    fixed s is checked verbatim.
+    solved exactly, at ``s_fixed`` when it is given.  Otherwise s is free
+    only where the degree form fixes d for every s (G5, G8, E5, E8): the
+    leading condition, e for d=0 and p1_quad + e for d=1, vanishes
+    identically, and s ranges over the certified positive roots of the
+    condition left, f or e B - f A (k eliminated).  Where it does not
+    vanish the degree form pins s, and ValueError asks for ``s_fixed``.
     """
     if d not in (0, 1):
         raise ValueError("fixed-degree solver covers d in {0, 1} only")
@@ -378,8 +381,7 @@ def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed=None) -> List[t
         if s_fixed is not None:
             s0 = Fraction(s_fixed)
             return [(s0, Poly.one())] if e.eval(s0) == 0 and f.eval(s0) == 0 else []
-        roots = _common_rational_roots(e, f)
-        return [(s0, Poly.one()) for s0 in roots if s0 > 0]
+        return [(s0, Poly.one()) for s0 in _free_frequency_roots(e, f)]
 
     # d == 1, monic trial P = r + k:
     #   residual = (R2) r^2 + (A + e k) r + (B + f k)
@@ -408,26 +410,22 @@ def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed=None) -> List[t
         k = solve_k_at(s0)
         return [(s0, Poly([k, 1]))] if k is not None else []
 
-    # s unknown: eliminate k; common zeros of R2 and W = e B - f A
+    # s unknown and R2 = 0: eliminate k, W = e B - f A
     out = []
-    for s0 in _common_rational_roots(R2, e * B - f * A):
-        k = solve_k_at(s0) if s0 > 0 else None
+    for s0 in _free_frequency_roots(R2, e * B - f * A):
+        k = solve_k_at(s0)
         if k is not None:
             out.append((s0, Poly([k, 1])))
     return out
 
 
-def _common_rational_roots(p: Poly, q: Poly) -> list:
-    if p.is_zero() and q.is_zero():
+def _free_frequency_roots(lead: Poly, cond: Poly) -> list:
+    """The certified positive roots of cond, for a lead that vanishes at every s."""
+    if not lead.is_zero():
+        raise ValueError("the degree form pins s for this family: pass it as s_fixed")
+    if cond.is_zero():
         raise NotImplementedError("every frequency admits a polynomial solution of this degree")
-    if p.is_zero():
-        return _certified_rational_roots(q)
-    if q.is_zero():
-        return _certified_rational_roots(p)
-    g = poly_gcd(p, q)
-    if g.degree == 0:
-        return []
-    return _certified_rational_roots(g)
+    return [s0 for s0 in _certified_rational_roots(cond) if s0 > 0]
 
 
 def _certified_rational_roots(p: Poly) -> list:
@@ -508,20 +506,19 @@ def _g7_ode(l: int) -> AuxiliaryODE:
     return family_equation("G7").at(l, special_frequency(l))
 
 
-def chandrasekhar_r_frame(l: int, P_w: Optional[Poly] = None) -> Poly:
-    """The same polynomial written in r, P(r) = P(w+2).
+def chandrasekhar_r_frame(l: int, P_w: Poly) -> Poly:
+    """The closed-form polynomial P(w) = ``P_w`` of :func:`chandrasekhar_coeffs`
+    written in r, P(r) = P(w+2).
 
-    Computed by running the integer r-frame three-term recurrence of
-    :func:`recurrence` downward from the leading coefficient (an O(degree)
-    route that avoids the quadratic cost of a Taylor shift); the
+    Only the denominator and the leading numerator of ``P_w`` are read.
+    The rest comes from running the integer r-frame three-term recurrence
+    of :func:`recurrence` downward from the leading coefficient (an
+    O(degree) route that avoids the quadratic cost of a Taylor shift); the
     otherwise-unused bottom row of the recurrence is then checked, which
     certifies the result.  A shift by the integer 2 keeps the denominator
     of P(w), so the recurrence runs on integer numerators over it, and
-    every division must be exact.  A caller that holds P(w) already passes
-    it as ``P_w``; only its denominator and leading numerator are read.
+    every division must be exact.
     """
-    if P_w is None:
-        P_w = chandrasekhar_coeffs(l)
     d = int(2 * special_frequency(l) + 1)
     den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
     del P_w  # hold one coefficient vector at a time
@@ -727,21 +724,15 @@ class HomotopyReport:
     parameter_maps_ok: bool
     operator_identities_ok: bool
 
-    @property
-    def all_ok(self) -> bool:
-        return self.parameter_maps_ok and self.operator_identities_ok
 
-
-def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
+def homotopic_equivalence_check() -> HomotopyReport:
     """Exact equivalences G7 -> G3 (P = z^4 P1) and E7 -> E3 (P = z^2 P1).
 
     For each sampled mode, l in (2, 3) and s in (1, 2, 7/3), the
     substitution identity R_orig(z^m q) = z^m R_mapped(q) is applied to
-    the monomials q = z^k, k = 0..max_monomial, and the mapped parameter
-    tuple is compared with the target family's confluent Heun form.
+    the monomials q = z^k, k = 0..8, and the mapped parameter tuple is
+    compared with the target family's confluent Heun form.
     """
-    if max_monomial < 0:
-        raise ValueError("max_monomial must be non-negative: no identity would be checked")
     pairs = [
         (family_equation(orig), family_equation(target), m)
         for orig, target, m in (("G7", "G3", 4), ("E7", "E3", 2))
@@ -759,7 +750,7 @@ def homotopic_equivalence_check(max_monomial: int = 8) -> HomotopyReport:
                 mapped = homotopic_shift_params(orig, m)
                 if mapped.params() != target.params():
                     params_ok = False
-                for k in range(max_monomial + 1):
+                for k in range(9):
                     lhs = orig.apply(Poly.monomial(m + k))
                     rhs = Poly.monomial(m) * target.apply(Poly.monomial(k))
                     if lhs != rhs:

@@ -151,8 +151,6 @@ def nullspace(rows: Sequence[Sequence[int]]) -> List[List[int]]:
             c = pivots[row_idx]
             row = echelon[row_idx]
             acc = sum(row[j] * vec[j] for j in range(c + 1, n_cols) if vec[j])
-            if not acc:
-                continue
             pivot = row[c]
             scale = abs(pivot) // math.gcd(acc, pivot)
             if scale != 1:

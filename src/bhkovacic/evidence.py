@@ -302,7 +302,7 @@ def _product(f: dict, g: dict) -> dict:
     return out
 
 
-def default_l_range(family: str, l_max: int = 20) -> range:
+def default_l_range(family: str, l_max: int) -> range:
     return range(PerturbationKind.from_label(family).min_l, l_max + 1)
 
 
@@ -600,7 +600,7 @@ def _ratio_system_polynomial(L: int) -> Poly:
     return N1 * ((2 * (1 - 2 * s)) * N2 + D2) - D1 * N2
 
 
-def s3_nonexistence(two_s_max: int = 40, l_max: int = 10) -> S3Record:
+def s3_nonexistence(two_s_max: int, l_max: int) -> S3Record:
     """Assemble the S3 record: exact ratio algebra plus the oracle sweep."""
     if two_s_max < 2:
         raise ValueError("the sweep needs 2s >= 2")

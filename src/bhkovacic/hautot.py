@@ -115,7 +115,7 @@ class IdentityResult:
     ok: bool
 
 
-def recurrence_identity_suite(s, bound: int = 4) -> list:
+def recurrence_identity_suite(s, bound: int) -> list:
     """Exact polynomial checks of the contiguous/derivative relations.
 
     Covers the generic Kummer and Laguerre relations (orders up to

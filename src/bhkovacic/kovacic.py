@@ -1,9 +1,12 @@
 """Kovacic's algorithm, steps 1-3, specialized to the master equation.
 
 The pole structure of nu is the same for every mode: double poles at r=0
-and r=2, order 4 at infinity.  That fixes the admissible algebraic degrees
-to n in {1, 2}.  For n=1 the exponent sets are the roots of e(e-1) = the
-double-pole coefficients of :func:`~bhkovacic.master.partial_fractions`,
+and r=2, and order 0 at infinity for s != 0, since nu -> s^2/4 there (in
+Kovacic's convention the order at infinity is the degree of the
+denominator minus that of the numerator).  Case 3 needs an order of at
+least 2 at infinity, so the admissible algebraic degrees are n in {1, 2}.
+For n=1 the exponent sets are the roots of e(e-1) = the double-pole
+coefficients of :func:`~bhkovacic.master.partial_fractions`,
 and they produce the candidate families G1..G8 / E1..E8 / S1..S4 with
 degree forms d = 1 - sum(e_c), an affine function of the frequency
 parameter s.  For n=2 the integrality and parity rules empty the

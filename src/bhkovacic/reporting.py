@@ -9,7 +9,6 @@ JSON.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import io
 import json
 from dataclasses import dataclass, field
@@ -22,31 +21,32 @@ __all__ = ["CheckRecord", "Report", "jsonable"]
 
 
 def jsonable(value: Any):
-    """Lossless JSON-friendly view: exact rationals become strings."""
+    """Lossless JSON-friendly view: exact rationals become strings.
+
+    A value of a type not listed here raises TypeError: its repr may hold
+    an object's address, and a report must not differ between runs.
+    """
     if isinstance(value, Fraction):
         return rat_to_str(value)
     if isinstance(value, Poly):
         return [rat_to_str(c) for c in value.coeffs]
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, enum.Enum):
-        return value.name.lower()
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        seq = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [jsonable(v) for v in seq]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    return repr(value)
+    raise TypeError(f"no report form for {type(value).__name__}")
 
 
 @dataclass
 class CheckRecord:
-    """One verification record; ``tag`` names the identity or 'plumbing'."""
+    """One verification record; ``tag`` names the identity it checks."""
 
     name: str
     tag: str
@@ -64,7 +64,7 @@ class Report:
     config: dict
     records: List[CheckRecord] = field(default_factory=list)
 
-    def add(self, name: str, ok: bool, tag: str = "plumbing", witness: Any = None) -> CheckRecord:
+    def add(self, name: str, ok: bool, tag: str, witness: Any = None) -> CheckRecord:
         record = CheckRecord(
             name=name, tag=tag, status="pass" if ok else "fail", witness=witness
         )

@@ -244,7 +244,9 @@ def test_indicial_structure():
 ROUTES = {
     "build_auxiliary": lambda family, l: family_equation(family.label).at(l, 1),
     "symbolic_recurrence": lambda family, l: family_equation(family.label).recurrence(l),
-    "solve_low_degree": lambda family, l: solve_low_degree(family_equation(family.label), 0, l=l),
+    "solve_low_degree": lambda family, l: solve_low_degree(
+        family_equation(family.label), 0, l=l, s_fixed=1
+    ),
     "det_sequence": lambda family, l: det_sequence(family.label, l, 0),
     "cross_check_cell": lambda family, l: cross_check_cell(family.label, l, 0),
 }
@@ -396,6 +398,28 @@ def test_marginal_families_empty():
             assert solve_low_degree(family_equation(label), d, l=l, s_fixed=s_fixed) == []
 
 
+@pytest.mark.parametrize("label", ["G5", "G8", "E5", "E8"])
+def test_free_frequency_families(label):
+    # the degree form fixes d for every s, so s is left unknown; only G8
+    # has a solution, at the algebraically special frequency
+    family = family_by_label(label)
+    a, b = family.degree[0], family.degree[1]
+    assert b == 0 and a in (0, 1)
+    eq = family_equation(label)
+    for l in range(family.kind.min_l, 13):
+        expected = []
+        if label == "G8":
+            expected = [(special_frequency(l), Poly([F(6, (l + 2) * (l - 1)), 1]))]
+        assert solve_low_degree(eq, int(a), l=l) == expected
+
+
+@pytest.mark.parametrize("label, d", [("G3", 1), ("E7", 0)])
+def test_free_frequency_refused_where_the_degree_pins_s(label, d):
+    eq = family_equation(label)
+    with pytest.raises(ValueError, match="s_fixed"):
+        solve_low_degree(eq, d, l=family_by_label(label).kind.min_l)
+
+
 def test_s3_degree_zero_fails_at_half():
     s3 = family_equation("S3")
     for l in range(0, 6):
@@ -457,7 +481,6 @@ def test_chandrasekhar_coeffs_match_the_docstring_formula(l):
 def test_chandrasekhar_r_frame_matches_shift():
     for l in (2, 3, 4):
         P_w = chandrasekhar_coeffs(l)
-        assert chandrasekhar_r_frame(l) == P_w.shift(-2)
         assert chandrasekhar_r_frame(l, P_w) == P_w.shift(-2)
 
 
@@ -465,7 +488,7 @@ def test_chandrasekhar_r_frame_matches_shift():
 def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
     import bhkovacic.auxode as auxode
 
-    P_r = chandrasekhar_r_frame(3)
+    P_r = chandrasekhar_r_frame(3, chandrasekhar_coeffs(3))
     num = list(P_r.num)
     if plant == "parity":  # the pattern (-1)^n, one off from (-1)^(n+1)
         num = [-v for v in num]
@@ -516,7 +539,7 @@ def test_cleared_recurrence_scales_rows():
 
 
 def test_chandrasekhar_l2_r_frame_display():
-    P = chandrasekhar_r_frame(2)
+    P = chandrasekhar_r_frame(2, chandrasekhar_coeffs(2))
     assert P[0] == F(-1164765, 16384)
     assert P[9] == F(1, 16)
     assert P == Poly(
@@ -556,7 +579,7 @@ def test_planted_middle_numerator_fails_integral_identity(monkeypatch):
     # must break it (and the r-frame residual), not only the sign pattern
     import bhkovacic.auxode as auxode
 
-    P_r = chandrasekhar_r_frame(3)
+    P_r = chandrasekhar_r_frame(3, chandrasekhar_coeffs(3))
     num = list(P_r.num)
     num[len(num) // 2] = -num[len(num) // 2]
     monkeypatch.setattr(
@@ -584,7 +607,8 @@ def test_integral_identity_reads_every_coefficient():
     # and past the top one: a right side changed at either end is refused
     from bhkovacic.auxode import _binomial_power, _integral_identity_holds
 
-    P = chandrasekhar_r_frame(2)  # s = 4, mu2 = 4, c0 = 6 in the r frame
+    # s = 4, mu2 = 4, c0 = 6 in the r frame
+    P = chandrasekhar_r_frame(2, chandrasekhar_coeffs(2))
     rhs = [0, 0, 0] + _binomial_power(-2, 7, P.den)  # den r^3 (r-2)^7
     assert _integral_identity_holds(P, 4, 6, 4, rhs)
     top = len(rhs) - 1
@@ -599,18 +623,19 @@ def test_integral_identity_reads_every_coefficient():
 def test_right_side_is_built_times_den(l):
     from bhkovacic.auxode import _binomial_power
 
-    P_r = chandrasekhar_r_frame(l)
+    P_r = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
     n = int(2 * special_frequency(l)) - 1
-    reference = Poly.monomial(3) * Poly([-2, 1]) ** n  # r^3 (r-2)^(4 sigma0 - 1)
+    # r^3 (r-2)^(4 sigma0 - 1)
+    reference = math.prod([Poly([-2, 1])] * n, start=Poly.monomial(3))
     assert reference.den == 1
     assert [0, 0, 0] + _binomial_power(-2, n, P_r.den) == [P_r.den * v for v in reference.num]
 
 
 def test_elementary_integral_identity_l2():
     # (P' + 4P)(4r + 6) - 4P = r^3 (r-2)^7 at l = 2
-    P = chandrasekhar_r_frame(2)
+    P = chandrasekhar_r_frame(2, chandrasekhar_coeffs(2))
     lhs = (P.derivative() + 4 * P) * Poly([6, 4]) - 4 * P
-    rhs = Poly.monomial(3) * Poly([-2, 1]) ** 7
+    rhs = math.prod([Poly([-2, 1])] * 7, start=Poly.monomial(3))
     assert lhs == rhs
 
 
@@ -624,7 +649,7 @@ def test_oracle_g7():
     ode = _ode("G7", l, special_frequency(l))
     basis = brute_force_polynomial_solutions(ode, 9)
     assert len(basis) == 1
-    target = chandrasekhar_r_frame(l)
+    target = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
     assert basis[0] * target.leading() == target * basis[0].leading()
     # raising the degree bound does not add solutions
     basis12 = brute_force_polynomial_solutions(ode, 12)
@@ -743,11 +768,6 @@ def test_homotopy_full_check():
     assert report.samples == tuple((l, F(s)) for l in (2, 3) for s in (1, 2, F(7, 3)))
 
 
-def test_homotopy_refuses_an_empty_monomial_range():
-    with pytest.raises(ValueError):
-        homotopic_equivalence_check(max_monomial=-1)
-
-
 def test_homotopy_identity_substitution():
     h = to_heun_form(_ode("G7", 2, 4))
     assert homotopic_shift_params(h, 0).params() == h.params()
@@ -786,7 +806,7 @@ def test_oracle_g7_l3():
     d = int(2 * special_frequency(l) + 1)
     basis = brute_force_polynomial_solutions(ode, d)
     assert len(basis) == 1
-    target = chandrasekhar_r_frame(l)
+    target = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
     assert basis[0] * target.leading() == target * basis[0].leading()
 
 

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -230,6 +231,15 @@ def test_jsonable_keeps_ints():
     assert jsonable(2**60) == 2**60 and isinstance(jsonable(2**60), int)
     assert jsonable(-(2**300)) == -(2**300)
     assert jsonable(True) is True and jsonable(None) is None
+
+
+@pytest.mark.parametrize("value", [object(), {1}, [F(1, 2), {"a": object()}]])
+def test_jsonable_refuses_a_value_with_no_report_form(value):
+    # a repr may carry an object's address, so a report would differ between runs
+    from bhkovacic.reporting import jsonable
+
+    with pytest.raises(TypeError):
+        jsonable(value)
 
 
 def test_evidence_violation_witness_writes_d_last_as_text(capsys, monkeypatch):

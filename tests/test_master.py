@@ -26,12 +26,12 @@ def nu_oracle(kind, l, s):
     s, L, beta = F(s), l * (l + 1), kind.beta
     r = Poly.x()
     num = (
-        (s * s / 4) * r ** 4
+        (s * s / 4) * r * r * r * r
         + (r - Poly.const(2)) * (L * r + Poly.const(2 * beta))
         - 2 * r
         + Poly.const(3)
     )
-    den = (r * r) * (r - Poly.const(2)) ** 2
+    den = (r * r) * (r - Poly.const(2)) * (r - Poly.const(2))
     return num, den
 
 

@@ -196,3 +196,97 @@ def test_no_module_imports_a_private_name_of_another():
     # export instead, so what runs is what the public names say
     private = {path.name: sorted(_private_imports(path)) for path in SOURCES}
     assert not {name: found for name, found in private.items() if found}
+
+
+# parameter defaults that no program call varies, each kept for a reason
+SINGLE_VALUE_DEFAULTS = {
+    "cli.main.argv": "the console entry point, which the installed script calls with no argument",
+}
+
+
+def _defaults(path):
+    """(module.[class.]function.parameter, callee, parameter, signature) for
+    every default of one file.
+
+    The callee is the name a call uses: the function's, or the class's for
+    ``__init__``.  The signature is (positional, keyword-only, defaulted,
+    takes *args, takes **kwargs), without ``self`` or ``cls``.
+    """
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        for item in node.body if owner else [node]:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = item.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+            if owner and not static:
+                positional = positional[1:]
+            keyword = [a.arg for a in args.kwonlyargs]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            callee = owner if item.name == "__init__" else item.name
+            signature = (positional, keyword, set(defaulted), bool(args.vararg), bool(args.kwarg))
+            qualname = f"{owner}.{item.name}" if owner else item.name
+            for name in defaulted:
+                yield f"{path.stem}.{qualname}.{name}", callee, name, signature
+
+
+def _passed(call, signature):
+    """The parameters one call supplies, or None when the call does not fit the signature."""
+    positional, keyword, defaulted, vararg, kwarg = signature
+    names = set(positional) | set(keyword)
+    passed = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed |= set(positional[i:])
+            break
+        if i >= len(positional):
+            if not vararg:
+                return None
+            break
+        passed.add(positional[i])
+    for kw in call.keywords:
+        if kw.arg is None:
+            passed |= names
+        elif kw.arg in names:
+            passed.add(kw.arg)
+        elif not kwarg:
+            return None
+    return passed if names - defaulted <= passed else None
+
+
+def _calls(path):
+    """(callee name, call node) for every call of one file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name:
+                yield name, node
+
+
+def test_every_default_is_used_by_the_program():
+    # a default earns its place when some program call (the package, or the
+    # benchmark other than its tests) relies on it and another passes a
+    # value; a default that no call omits, or that none overrides, is a
+    # constant spelled as an option.  A call of the same name that does not
+    # fit the signature is another function's.
+    callers = SOURCES + [p for p in PERFBENCH.glob("*.py") if p.name != "test_perfbench.py"]
+    calls = {}
+    for path in callers:
+        for name, call in _calls(path):
+            calls.setdefault(name, []).append(call)
+    single, found = [], set()
+    for path in SOURCES:
+        for key, callee, param, signature in _defaults(path):
+            found.add(key)
+            passed = (_passed(call, signature) for call in calls.get(callee, ()))
+            fitting = [p for p in passed if p is not None]
+            omitted = any(param not in p for p in fitting)
+            overridden = any(param in p for p in fitting)
+            if not (omitted and overridden) and key not in SINGLE_VALUE_DEFAULTS:
+                single.append(key)
+    assert set(SINGLE_VALUE_DEFAULTS) <= found
+    assert not single, f"defaults with one value in program use: {single}"

@@ -359,13 +359,13 @@ def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
 # ---------------------------------------------------------------------------
 
 
-def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed=None) -> List[tuple]:
+def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed) -> List[tuple]:
     """All (s, P) with P a degree-d polynomial solution of eq at multipole l, d in {0, 1}.
 
     The residual of a monic degree-d trial polynomial is linear in r plus,
     for d=1, a possible r^2 term; its coefficients are polynomials in s
     (and linear in the unknown constant term k when d=1).  The system is
-    solved exactly, at ``s_fixed`` when it is given.  Otherwise s is free
+    solved exactly, at ``s_fixed`` unless it is None.  Otherwise s is free
     only where the degree form fixes d for every s (G5, G8, E5, E8): the
     leading condition, e for d=0 and p1_quad + e for d=1, vanishes
     identically, and s ranges over the certified positive roots of the

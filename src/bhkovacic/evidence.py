@@ -29,18 +29,21 @@ thousands of bits.  So without ``--out`` the scan proves, once per column,
 a ratio bound that keeps every minor past a block start at one sign:
 :func:`_tail_certified` writes its checks for every k and d as integer
 polynomials with no negative coefficient.  In a column that certifies,
-:func:`_cell` returns at a cell's block start (at most two steps on the
-default grid), so a cell costs O(1) instead of O(d).  Where a_0 =
--diag(0) > 0 the block starts at k = 0, and the cell returns after
-evaluating diag's k^0 row alone: that is 22,619 of the 29,559 default
-cells, every G3 and E3 cell and the E7 cells below d = l(l+1).  A cell
-with no block start, and every cell of a column that does not certify,
-runs the loop to the end; a final-sign violation that returned early runs
-again to the end, because the report names that cell with its exact
-D_{d+1}.  ``--out``, :func:`cross_check_cell` and :func:`det_sequence`
-keep the exact minors: ``--out`` records D_{d+1} and the magnitude index
-of every cell, and the scan's cross-checks hold the early exit to the
-exact verdict on their sampled cells.
+:func:`_runs` decides whole runs of d at once.  Runs split where a_0 =
+-diag(0), linear in d, changes sign; on each the exact prefix E_0..E_{k0}
+up to a shared block start k0 is carried as integer polynomials in d, and
+the same coefficient test proves each of them one sign on the whole run.
+The run's verdict is then exact for every cell d >= k0 in it, and a
+column costs the same at any d_max.  On the default grid G3 and E3 have
+a_0 > 0 everywhere (k0 = 0), and E7 has k0 = 0 below d = l(l+1) and
+k0 = 2 from there (offprod(2) = 0, E_2 = l^2 (l+1)^2), so every one of
+its 29,559 cells is run-decided.  Cells below k0, a run with no block
+start, a run decided as a final-sign violation (the report names each of
+its cells with D_{d+1}) and every cell of a column that does not certify
+run :func:`_cell` to the end.  ``--out``, :func:`cross_check_cell` and
+:func:`det_sequence` keep the exact minors: ``--out`` records D_{d+1} and
+the magnitude index of every cell, and the scan's cross-checks hold each
+sampled cell's verdict, run-decided or not, to the exact one.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 from typing import Optional, Sequence
 
@@ -174,7 +178,7 @@ def det_sequence(family: str, l: int, d: int) -> DetSequence:
     )
 
 
-def _cell(column: tuple, d: int, certified: bool = False) -> tuple:
+def _cell(column: tuple, d: int) -> tuple:
     """(sign_pattern_ok, final_sign_ok, D_last, mag_from) of the column's degree-d cell.
 
     sign_pattern_ok: sgn(D_n) = (-1)^n for n = 1..d+1; final_sign_ok: the
@@ -187,25 +191,8 @@ def _cell(column: tuple, d: int, certified: bool = False) -> tuple:
     is E_n > 0 and |D_n| = E_n on it.  a = -diag(k) (degree 2 in k) and
     b = offprod(k) (degree 3) are advanced by their forward differences:
     five integer additions per step, no per-entry evaluation and no list.
-
-    ``certified`` says that :func:`_tail_certified` accepts the column.
-    Then the loop returns at the first block start k0: E_{k0} != 0,
-    a_{k0} > 0 and b_{k0} E_{k0-1} = 0, so that r_{k0} = a_{k0} in the
-    variables of :func:`_tail_certified`, which gives every later E_n the
-    sign of E_{k0}.  There D_last and mag_from are None, since D_{d+1} != 0
-    is proved and not computed.  G3 and E3 start at k0 = 0; E7 starts there
-    when a_0 > 0, and at k0 = 2 otherwise, because offprod(2) = 0.  A cell
-    with no block start by k = d runs to the end and is exact.
-
-    The test at k0 = 0 needs a_0 alone, because E_0 = 1 and E_{-1} = 0: so
-    diag's k^0 row is evaluated at d first, and a certified cell with
-    a_0 > 0 returns before the other six rows and the loop are set up.
     """
-    (row0, *diag), offprod = column
-    d0 = horner(row0, d)
-    if certified and d0 < 0:  # the block start k0 = 0: a_0 > 0, E_0 = 1, E_-1 = 0
-        return True, True, None, None
-    (d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in (diag, offprod))
+    (d0, d1, d2), (o0, o1, o2, o3) = ([horner(c, d) for c in grid] for grid in column)
     a, a1, a2 = -d0, -d1 - d2, -2 * d2
     b, b1, b2, b3 = o0, o1 + o2 + o3, 2 * o2 + 6 * o3, 6 * o3
     sign_ok = True
@@ -213,8 +200,6 @@ def _cell(column: tuple, d: int, certified: bool = False) -> tuple:
     E_prev, E = 0, 1  # E_{-1}, E_0
     top = 1  # |D_n| of the latest minor
     for n in range(1, d + 2):
-        if certified and a > 0 and E and not (b and E_prev):
-            return sign_ok, E > 0, None, None
         E_prev, E = E, a * E - b * E_prev
         if E > 0:
             if E <= top:
@@ -231,6 +216,100 @@ def _cell(column: tuple, d: int, certified: bool = False) -> tuple:
         b1 += b2
         b2 += b3
     return sign_ok, E > 0, E if d % 2 else -E, mag_from
+
+
+# The longest exact prefix a run carries while it looks for its block
+# start; E7's is 2, and G3 and E3 need none on any grid.
+_BLOCK_START_MAX = 8
+
+
+def _runs(column: tuple, d_max: int):
+    """Yield (lo, hi, verdict) covering d = 0..d_max in order, for a column
+    that :func:`_tail_certified` accepts.
+
+    verdict is the (sign_pattern_ok, final_sign_ok) of every cell lo..hi,
+    or None for cells that :func:`_cell` decides one at a time.  Runs are
+    split where a_0(d) = -diag(0) changes sign, which is linear in d on a
+    scan column (a column whose a_0 has a higher degree runs every cell
+    exactly).  In :func:`_cell`'s variables a block start k0 <= d has
+    a_{k0} > 0, E_{k0} != 0 and b_{k0} E_{k0-1} = 0: then r_{k0} =
+    E_{k0+1}/E_{k0} = a_{k0}, and the certificate keeps every later minor
+    at the sign of E_{k0}, so the cell's verdict is (E_n > 0 for
+    n = 1..k0, E_{k0} > 0).
+
+    Where a_0 > 0 the block starts at k0 = 0 (E_0 = 1, E_-1 = 0) and every
+    cell is clean.  Elsewhere :func:`_block_prefix` looks for one k0 for the
+    whole run, with the E_n as polynomials in d; the certificate gives
+    a_{k0} > 0 for k0 >= 1 and d >= k0, so the cells below k0 run exactly,
+    and so does a run with no block start by _BLOCK_START_MAX.  A run
+    decided as a final-sign violation runs exactly too, because the report
+    names each of its cells with its D_{d+1}.  Every valid k0 gives the same
+    verdict, since r_k > 0 past any of them.
+    """
+    (row0, *_), _ = column
+    if any(row0[2:]):
+        yield 0, d_max, None
+        return
+    alpha, beta = (-c for c in (*row0, 0, 0)[:2])  # a_0(d) = alpha + beta d
+    for lo, hi, positive in _linear_sign_runs(alpha, beta, d_max):
+        if positive:
+            yield lo, hi, (True, True)
+            continue
+        prefix = _block_prefix(column, lo)
+        if prefix is None or not prefix[2]:
+            yield lo, hi, None
+            continue
+        k0, sign_ok, _ = prefix
+        if lo < k0:
+            yield lo, min(k0 - 1, hi), None
+        if max(lo, k0) <= hi:
+            yield max(lo, k0), hi, (sign_ok, True)
+
+
+def _linear_sign_runs(alpha: int, beta: int, d_max: int) -> list:
+    """[(lo, hi, alpha + beta d > 0)]: 0..d_max split where the sign changes."""
+    if beta == 0:
+        return [(0, d_max, alpha > 0)]
+    # beta > 0: positive exactly from cut on; beta < 0: exactly below cut
+    cut = (-alpha) // beta + 1 if beta > 0 else -(alpha // beta)
+    cut = min(max(cut, 0), d_max + 1)
+    runs = [(0, cut - 1, beta < 0), (cut, d_max, beta > 0)]
+    return [run for run in runs if run[0] <= run[1]]
+
+
+def _block_prefix(column: tuple, lo: int) -> Optional[tuple]:
+    """(k0, sign_ok, final_ok) shared by the cells d >= max(lo, k0) of a run
+    with a_0 <= 0, or None where no block start k0 <= _BLOCK_START_MAX is found.
+
+    E_-1 = 0, E_0 = 1, E_{k+1} = a_k E_k - b_k E_{k-1} are integer
+    polynomials in d.  k0 >= 1 needs b_{k0} E_{k0-1} = 0 identically and
+    E_{k0} of one strict sign at every d >= lo; each E_n with 1 <= n < k0
+    must be positive at every d >= lo or at none.  Signs are proved by the
+    coefficient test of :func:`_tail_certified` on E_n(lo + j), j >= 0.
+    """
+    diag, offprod = column
+    E_prev, E = Poly.zero(), Poly.one()
+    sign_ok = True
+    for k in range(_BLOCK_START_MAX + 1):
+        b = _entry(offprod, k)
+        if k:
+            shifted = E.shift(lo).num
+            if shifted and shifted[0] > 0 and min(shifted) >= 0:
+                positive = True
+            elif max(shifted, default=0) <= 0:
+                positive = False
+            else:
+                return None
+            sign_ok = sign_ok and positive
+            if shifted and shifted[0] and not (b and E_prev):
+                return k, sign_ok, positive
+        E_prev, E = E, -_entry(diag, k) * E - b * E_prev
+    return None
+
+
+def _entry(grid: tuple, k: int) -> Poly:
+    """sum_i k^i grid[i](d): a column entry at a fixed k, as an integer polynomial in d."""
+    return Poly.from_numerators([horner(c, k) for c in zip_longest(*grid, fillvalue=0)], 1)
 
 
 def _tail_polynomials(column: tuple) -> tuple:
@@ -361,7 +440,7 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
     rational rows times one factor den, so the determinant is divided by
     den ** (d + 1).  At d <= 8 the same rows plus row d+1 give the
     brute-force nullspace.  Both oracles are held to :func:`_cell`'s exact
-    loop, whose signs it records: :func:`_scan_group` holds its early exit to them.
+    loop, whose signs it records: :func:`_scan_group` holds its run verdicts to them.
     """
     s = degree_to_s(family, d)  # a family outside the scan has no grid
     rows, den = candidate_rows(family_equation(family).at(l, s), d)
@@ -394,49 +473,52 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     The part names its column as families = (family,) and
     l_max = l, and keeps at most 8 flagged cells; text is the column's
     ``--out`` records in d order as JSON joined by ",\n", or None without
-    ``want_cells``.  Each cell is one :func:`_cell` call.  Without
-    ``want_cells`` the column's :func:`_tail_certified` runs once and,
-    where it holds, lets each cell return at its block start; a final-sign
-    violation that returned there runs again to the end, because the
-    report names it with its exact D_{d+1}.  Each sampled cross-check also
-    requires that early exit to give the exact loop's signs, with
-    D_{d+1} != 0.  With ``want_cells`` every cell is exact, since each
-    record carries D_{d+1} and its magnitude index.
+    ``want_cells``.  Without ``want_cells`` the column's
+    :func:`_tail_certified` runs once and, where it holds, :func:`_runs`
+    decides whole runs of d at once, so a column's cost does not grow with
+    d_max; the cells it leaves, and every cell of a column that does not
+    certify, are one :func:`_cell` call each.  Each sampled cross-check
+    holds the cell's verdict, run-decided or not, to the exact loop's
+    signs, with D_{d+1} != 0 where no D_{d+1} was computed.  With
+    ``want_cells`` every cell is exact, since each record carries D_{d+1}
+    and its magnitude index.
     """
     column = _column_at(family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
     certified = not want_cells and _tail_certified(column)
-    for d in range(d_max + 1):
-        sign_ok, final_ok, D_last, mag_from = _cell(column, d, certified)
-        if d % 4 == 0 and d <= _CROSS_CHECK_D_MAX:  # an early exit must give the exact signs
-            check = cross_check_cell(family, l, d)
-            exact = check["recurrence_det"]
-            check["agree"] &= (sign_ok, final_ok) == (check["sign_ok"], check["final_sign_ok"])
-            check["agree"] &= D_last == exact or exact != 0
-            part.cross_checks.append(check)
-        if D_last is None and not final_ok:  # a violation is reported with its D_last
-            sign_ok, final_ok, D_last, mag_from = _cell(column, d)
-        if not final_ok:
-            part.final_sign_violations.append((family, l, d, D_last))
-        if not sign_ok:
-            part.flagged_count += 1
-            part.flags_resolved_nonzero &= D_last != 0
-            if len(part.flagged) < 8:
-                part.flagged.append((family, l, d))
-        if want_cells:
-            records.append(
-                {
-                    "family": family,
-                    "l": l,
-                    "s": rat_to_str(degree_to_s(family, d)),
-                    "d": d,
-                    "sign_ok": sign_ok,
-                    "final_sign_ok": final_ok,
-                    "D_last": int_to_str(D_last),
-                    "mag_increasing_from": mag_from,
-                }
-            )
+    for lo, hi, verdict in _runs(column, d_max) if certified else [(0, d_max, None)]:
+        if verdict:  # every cell lo..hi, with D_{d+1} != 0 proved and not computed
+            decided = [(lo, hi, *verdict, None, None)]
+        else:
+            decided = ((d, d, *_cell(column, d)) for d in range(lo, hi + 1))
+        for first, last, sign_ok, final_ok, D_last, mag_from in decided:
+            for d in range(first + -first % 4, min(last, _CROSS_CHECK_D_MAX) + 1, 4):
+                check = cross_check_cell(family, l, d)
+                exact = check["recurrence_det"]
+                check["agree"] &= (sign_ok, final_ok) == (check["sign_ok"], check["final_sign_ok"])
+                check["agree"] &= D_last == exact or exact != 0
+                part.cross_checks.append(check)
+            cells = range(first, last + 1)
+            if not final_ok:
+                part.final_sign_violations.extend((family, l, d, D_last) for d in cells)
+            if not sign_ok:
+                part.flagged_count += len(cells)
+                part.flags_resolved_nonzero &= D_last != 0
+                part.flagged.extend((family, l, d) for d in cells[: 8 - len(part.flagged)])
+            if want_cells:
+                records.append(
+                    {
+                        "family": family,
+                        "l": l,
+                        "s": rat_to_str(degree_to_s(family, first)),
+                        "d": first,
+                        "sign_ok": sign_ok,
+                        "final_sign_ok": final_ok,
+                        "D_last": int_to_str(D_last),
+                        "mag_increasing_from": mag_from,
+                    }
+                )
     part.cross_checks_ok = not any(map(_check_failed, part.cross_checks))
     return part, ",\n".join(map(json.dumps, records)) if want_cells else None
 
@@ -451,25 +533,24 @@ def scan(
 
     Streams every (family, l, d) cell; intermediate-sign violations are
     flagged and resolved by the full determinant (a nonzero D_{d+1} rules
-    out the candidate regardless of interior minors).  A cell's signs come
-    from its exact prefix up to a block start where the column's ratio
-    bound is certified, and from all its exact minors otherwise
-    (:func:`_scan_group`).  Cells with
-    d <= _CROSS_CHECK_D_MAX are sampled and cross-checked against a direct
-    fraction-free determinant of the explicit system, and at very small d
-    against the brute-force nullspace.  With ``out`` set, one JSON record
-    per cell is written there in grid order, one column at a time, so
-    memory holds one column's records and does not grow with the grid;
-    the file is opened before any cell is computed, and one that cannot
-    be opened raises ValueError.
+    out the candidate regardless of interior minors).  Where a column's
+    ratio bound is certified, :func:`_runs` decides whole runs of d from
+    one exact prefix of polynomials in d; every other cell runs its exact
+    minors (:func:`_scan_group`).  Cells with d <= _CROSS_CHECK_D_MAX are
+    sampled and cross-checked against a direct fraction-free determinant of
+    the explicit system, and at very small d against the brute-force
+    nullspace.  With ``out`` set, one JSON record per cell is written there
+    in grid order, one column at a time, so memory holds one column's
+    records and does not grow with the grid; the file is opened before any
+    cell is computed, and one that cannot be opened raises ValueError.
 
-    Grid columns are independent.  A grid of at least _POOL_MIN_STEPS steps
-    of work (walk cells count _WALK_CELL_STEPS each, and exact cells their
-    recurrence steps) fans them out across one process per usable CPU, at
-    most one per column; a smaller grid runs serially.  Results are taken in
-    (family, l) order, so the report and the file do not depend on it.
-    A grid with no cell (negative ``d_max``, or no l in range) raises
-    ValueError: a scan that examined nothing must not pass.
+    Grid columns are independent.  With ``out``, a grid of at least
+    _POOL_MIN_STEPS exact recurrence steps fans them out across one process
+    per usable CPU, at most one per column; a smaller grid, and any scan
+    without ``out``, runs serially.  Results are taken in (family, l)
+    order, so the report and the file do not depend on it.  A grid with no
+    cell (negative ``d_max``, or no l in range) raises ValueError: a scan
+    that examined nothing must not pass.
     """
     families = tuple(families)
     unknown = [f for f in families if f not in SCAN_FAMILIES]
@@ -480,9 +561,8 @@ def scan(
     if d_max < 0 or not grid:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
     jobs = [(family, l, d_max, want_cells) for family, l in grid]
-    cells = len(jobs) * (d_max + 1)
-    steps = cells * (d_max + 2) // 2 if want_cells else cells * _WALK_CELL_STEPS
-    workers = _worker_count(len(jobs), _usable_cpus(), steps)
+    steps = len(jobs) * (d_max + 1) * (d_max + 2) // 2  # exact, as --out runs every cell
+    workers = _worker_count(len(jobs), _usable_cpus(), steps) if want_cells else 1
     report = ScanReport(families=families, l_max=l_max, d_max=d_max)
     with contextlib.ExitStack() as stack:
         try:
@@ -506,28 +586,22 @@ def scan(
     return report
 
 
-# A scan runs serially below this much work, because starting the pool
-# (importing concurrent.futures and forking the workers) costs about what it
-# saves.  The unit is one exact recurrence step: a column
-# costs (d_max+1)(d_max+2)/2 of them with ``--out``, and without it
-# _WALK_CELL_STEPS per cell, since a cell of a certified column runs only its
-# exact prefix, and most cells only the evaluation of a_0.  The scan() call,
-# best of 7 fresh interpreters on 2 vCPUs (Python 3.11), serial / 2 workers,
-# one pair per round: without --out, 5,117 cells (l <= 6, d <= 300)
-# 0.023/0.056 and 0.022/0.053 s; 29,559 (the default grid) 0.078/0.086,
-# 0.074/0.091 and 0.071/0.082 s; 59,059 (l <= 20, d <= 1000) 0.132/0.144,
-# 0.117/0.114 and 0.123/0.115 s; 89,089 (l <= 30, d <= 1000) 0.178/0.160,
-# 0.154/0.146 and 0.163/0.149 s; 118,059 (l <= 20, d <= 2000) 0.230/0.184,
-# 0.213/0.157 and 0.217/0.173 s.  With --out: 88k steps (l <= 6,
-# d <= 100) 0.061/0.078 and 0.060/0.071 s; 170k (d <= 140) 0.180/0.149,
-# 0.091/0.092 and 0.097/0.100 s; 345k (d <= 200) 0.197/0.199, 0.168/0.153
-# and 0.189/0.144 s.
-# So the pool pays from about 200,000 exact steps and 60,000 to 90,000 walk
-# cells, and a walk cell counts as 3 steps: its entries, its prefix and its
-# share of the column's cross-checks.  The default grid is walked serially;
-# with --out it takes the pool.
+# A scan with --out runs serially below this much work, because starting the
+# pool (importing concurrent.futures and forking the workers) costs about
+# what it saves.  The unit is one exact recurrence step: a column costs
+# (d_max+1)(d_max+2)/2 of them.  The scan() call, best of 7 fresh
+# interpreters on 2 vCPUs (Python 3.11), serial / 2 workers: 88k steps
+# (l <= 6, d <= 100) 0.061/0.078 and 0.060/0.071 s; 170k (d <= 140)
+# 0.180/0.149, 0.091/0.092 and 0.097/0.100 s; 345k (d <= 200) 0.197/0.199,
+# 0.168/0.153 and 0.189/0.144 s.  So the pool pays from about 200,000 exact
+# steps, and the default grid with --out takes it.
+# A scan without --out is serial at any size: its runs decide a certified
+# column at a cost that does not grow with d_max, and the pool lost on every
+# grid tried.  Median of 10 alternated fresh interpreters, same machine,
+# serial / 2 workers: l <= 20, d <= 500 (29,559 cells) 0.035/0.100 s;
+# l <= 20, d <= 2000 0.042/0.093 s; l <= 30, d <= 1000 0.057/0.143 s;
+# l <= 60, d <= 100,000 (17,900,179 cells) 0.136/0.251 s.
 _POOL_MIN_STEPS = 200_000
-_WALK_CELL_STEPS = 3
 
 
 def _usable_cpus() -> Optional[int]:

@@ -112,11 +112,11 @@ def test_criterion_03_g8_solution():
     g8 = family_equation("G8")
     ok = True
     for l in range(2, 11):
-        found = solve_low_degree(g8, 1, l=l)
+        found = solve_low_degree(g8, 1, l=l, s_fixed=None)
         expected_s = F(l * (l - 1) * (l + 1) * (l + 2), 6)
         expected_k = F(6, (l + 2) * (l - 1))
         ok = ok and found == [(expected_s, Poly([expected_k, 1]))]
-    ok = ok and solve_low_degree(g8, 1, l=2) == [(F(4), Poly([F(3, 2), 1]))]
+    ok = ok and solve_low_degree(g8, 1, l=2, s_fixed=None) == [(F(4), Poly([F(3, 2), 1]))]
     report(3, "G8 first-order solutions (s, k) for l=2..10", ok, t0)
 
 

@@ -379,7 +379,7 @@ def test_g8_solution_holds_for_every_l():
 def test_g8_solutions():
     g8 = family_equation("G8")
     for l in range(2, 11):
-        ((s, P),) = solve_low_degree(g8, 1, l=l)
+        ((s, P),) = solve_low_degree(g8, 1, l=l, s_fixed=None)
         assert s == special_frequency(l)
         assert P == Poly([F(6, (l + 2) * (l - 1)), 1])
 
@@ -410,14 +410,14 @@ def test_free_frequency_families(label):
         expected = []
         if label == "G8":
             expected = [(special_frequency(l), Poly([F(6, (l + 2) * (l - 1)), 1]))]
-        assert solve_low_degree(eq, int(a), l=l) == expected
+        assert solve_low_degree(eq, int(a), l=l, s_fixed=None) == expected
 
 
 @pytest.mark.parametrize("label, d", [("G3", 1), ("E7", 0)])
 def test_free_frequency_refused_where_the_degree_pins_s(label, d):
     eq = family_equation(label)
     with pytest.raises(ValueError, match="s_fixed"):
-        solve_low_degree(eq, d, l=family_by_label(label).kind.min_l)
+        solve_low_degree(eq, d, l=family_by_label(label).kind.min_l, s_fixed=None)
 
 
 def test_s3_degree_zero_fails_at_half():

@@ -294,11 +294,14 @@ def test_verify_all_failure_names_its_first_parameter(capsys, monkeypatch):
 
 
 def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypatch):
-    # plant failures from l = 3 on in the G8 solver and in det(A): each
-    # record names l = 3 as its first failure; the other records pass
+    # plant failures from l = 3 on in the low-degree solver, which family
+    # retention runs and the G8 record reads, and in det(A): each record
+    # names l = 3 as its first failure; the other records pass, since G8 is
+    # still retained at l = 2
+    import bhkovacic.auxode as auxode
     import bhkovacic.cli as cli
 
-    real_solve, real_det = cli.solve_low_degree, cli.det_A
+    real_solve, real_det = auxode.solve_low_degree, cli.det_A
 
     def planted_solve(eq, d, l=None, s_fixed=None):
         found = real_solve(eq, d, l=l, s_fixed=s_fixed)
@@ -308,7 +311,7 @@ def test_verify_all_g8_and_det_roots_name_their_first_failing_l(capsys, monkeypa
         poly = real_det(l)
         return poly if l < 3 else poly + 1
 
-    monkeypatch.setattr(cli, "solve_low_degree", planted_solve)
+    monkeypatch.setattr(auxode, "solve_low_degree", planted_solve)
     monkeypatch.setattr(cli, "det_A", planted_det)
     code, out, _ = run(capsys, "verify-all", "--l-max", "4", "--max-degree", "4", "--json")
     assert code == 1
@@ -488,6 +491,24 @@ def test_verify_all_passing_witnesses_name_no_failure(capsys):
     assert records["evidence.scan"]["witness"] == {"cells": 5 * 5, "flagged": 3}
     for name in ("oracle.agreement", "homotopy.z_power", "hautot.det_equality"):
         assert records[name]["witness"] is None
+
+
+def test_verify_all_solves_each_g8_degree_one_system_once(monkeypatch):
+    # the G8 record reads family retention's degree-1 checks at l = 2..6
+    # instead of solving them again
+    import bhkovacic.auxode as auxode
+    import bhkovacic.cli as cli
+
+    real_solve, solved = auxode.solve_low_degree, []
+
+    def counted(eq, d, l=None, s_fixed=None):
+        solved.append((eq.family.label, d, l, s_fixed))
+        return real_solve(eq, d, l=l, s_fixed=s_fixed)
+
+    monkeypatch.setattr(auxode, "solve_low_degree", counted)
+    assert cli.run_verify_all(l_max=4, d_max=4).all_passed
+    g8 = [(d, l, s) for label, d, l, s in solved if label == "G8"]
+    assert g8 == [(1, l, None) for l in range(2, 7)]
 
 
 def test_verify_all_scan_failure_names_its_first_cell(capsys, monkeypatch):

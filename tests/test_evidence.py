@@ -22,11 +22,13 @@ from bhkovacic.elimination import bareiss_determinant, tridiag_minors
 from bhkovacic.evidence import (
     SCAN_FAMILIES,
     ScanReport,
+    _block_prefix,
     _cell,
     _cell_entries,
     _column,
     _column_at,
     _ratio_system_polynomial,
+    _runs,
     _scan_group,
     _tail_certified,
     _tail_polynomials,
@@ -257,22 +259,30 @@ def test_cross_check_cell_example():
     assert check["nullspace_dim"] == 0
 
 
-def _lying_early_exit(monkeypatch, d_lie, verdict):
-    """Make the certified early exit of _cell return ``verdict`` at d_lie."""
-    cell = evidence._cell
+def _lying_run(monkeypatch, d_lie, verdict):
+    """Make _runs decide the cell d_lie alone, with ``verdict``."""
+    runs = evidence._runs
 
-    def lying(column, d, certified=False):
-        return (*verdict, None, None) if certified and d == d_lie else cell(column, d, certified)
+    def lying(column, d_max):
+        for lo, hi, decided in runs(column, d_max):
+            if not lo <= d_lie <= hi:
+                yield lo, hi, decided
+                continue
+            if lo < d_lie:
+                yield lo, d_lie - 1, decided
+            yield d_lie, d_lie, verdict
+            if d_lie < hi:
+                yield d_lie + 1, hi, decided
 
-    monkeypatch.setattr(evidence, "_cell", lying)
+    monkeypatch.setattr(evidence, "_runs", lying)
 
 
 def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
-    # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; an early
-    # exit that calls it clean fails the scan's cross-check there, while
+    # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a run
+    # verdict that calls it clean fails the scan's cross-check there, while
     # cross_check_cell alone compares its oracles with the exact loop only
     assert _scan_group("E7", 2, 12, False)[0].cross_checks_ok
-    _lying_early_exit(monkeypatch, 8, (True, True))
+    _lying_run(monkeypatch, 8, (True, True))
     part, _ = _scan_group("E7", 2, 12, False)
     assert [check["agree"] for check in part.cross_checks] == [True, True, False, True]
     assert all(check["recurrence_det"] == check["bareiss_det"] for check in part.cross_checks)
@@ -281,14 +291,14 @@ def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
 
 
 def test_cross_check_refuses_an_early_exit_on_a_zero_determinant(monkeypatch):
-    # _PLANTED_ZERO has D_{d+1} = 0 in every cell, so no early exit may
-    # decide one, even with the exact signs
+    # _PLANTED_ZERO has D_{d+1} = 0 in every cell, so no run may decide
+    # one, even with the exact signs
     column = _PLANTED_ZERO
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
     agree = [check["agree"] for check in _scan_group("G3", 2, 12, False)[0].cross_checks]
     assert agree == [True] * 4
-    _lying_early_exit(monkeypatch, 4, (False, False))
+    _lying_run(monkeypatch, 4, (False, False))
     agree = [check["agree"] for check in _scan_group("G3", 2, 12, False)[0].cross_checks]
     assert agree == [True, False, True, True]
 
@@ -307,9 +317,9 @@ def _tridiagonal_rows(column, d):
 
 def test_cross_check_catches_a_false_certificate(monkeypatch):
     # _PLANTED as a system of its own: Bareiss agrees with the recurrence,
-    # and the column does not certify, so no cell exits early.  Certified
-    # falsely, every cell exits at k0 = 0 and calls itself clean, where the
-    # exact loop flags d = 8 and d = 12
+    # and the column does not certify, so no run is decided.  Certified
+    # falsely, a_0 = 10 puts every cell in one clean run with k0 = 0, where
+    # the exact loop flags d = 8 and d = 12
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
     report = scan(families=("G3",), l_max=2, d_max=12)
@@ -420,15 +430,35 @@ def test_cell_matches_reference_on_random_columns(diag, offprod, d):
     assert _cell(column, d) == _reference(values, d)
 
 
+def _scan_cell(column, d):
+    """Cell d as the scan decides it in a certified column: its run's
+    (*verdict, None, None), or _cell where no run decides it."""
+    for lo, hi, verdict in _runs(column, d):
+        if lo <= d <= hi and verdict:
+            return (*verdict, None, None)
+    return _cell(column, d)
+
+
+def _run_verdicts(column, d_max):
+    """The run verdict of each cell d = 0..d_max, None where _cell decides it;
+    the runs cover 0..d_max in order."""
+    verdicts = []
+    for lo, hi, verdict in _runs(column, d_max):
+        assert lo == len(verdicts) and lo <= hi
+        verdicts += [verdict] * (hi + 1 - lo)
+    assert len(verdicts) == d_max + 1
+    return verdicts
+
+
 def _assert_walk_decides_like_cell(family, ls, d_max):
-    # every column certifies, every cell exits early, and there it gives
+    # every column certifies, a run decides every cell, and its verdict is
     # the full loop's signs with D_last != 0
     for l in ls:
         column = _column_at(family, l)
         assert _tail_certified(column), (family, l)
-        for d in range(d_max + 1):
+        for d, verdict in enumerate(_run_verdicts(column, d_max)):
             sign_ok, final_ok, D_last, _ = _cell(column, d)
-            assert _cell(column, d, True) == (sign_ok, final_ok, None, None), (family, l, d)
+            assert verdict == (sign_ok, final_ok), (family, l, d)
             assert D_last != 0, (family, l, d)
 
 
@@ -447,15 +477,19 @@ def test_cell_signs_decide_the_acceptance_grid_edges_like_cell(family):
 
 def test_cell_signs_block_start_of_e7():
     # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
-    # at k0 = 2 from there on, through an exact zero or negative first minor
+    # at k0 = 2 from there on (offprod(2) = 0), through an exact zero or
+    # negative first minor and E_2 = (l(l+1))^2
     column = _column_at("E7", 2)
-    assert _cell(column, 5, True) == (True, True, None, None)
-    assert _cell(column, 6, True) == (False, True, None, None)  # D_1 = 0
-    assert _cell(column, 7, True) == (False, True, None, None)  # D_1 > 0
+    assert list(_runs(column, 40)) == [(0, 5, (True, True)), (6, 40, (False, True))]
+    assert _block_prefix(column, 6) == (2, False, True)
+    assert _cell(column, 5)[:2] == (True, True)
+    assert _cell(column, 6)[:2] == (False, True)  # D_1 = 0
+    assert _cell(column, 7)[:2] == (False, True)  # D_1 > 0
+    assert [det_sequence("E7", 2, d).values[2] for d in (6, 7, 40)] == [36] * 3
 
 
 def _counted_horner(monkeypatch):
-    """Count the evaluations of the column's polynomials in d."""
+    """Count the evaluations of the column's polynomials."""
     real, calls = evidence.horner, []
 
     def counted(coeffs, x):
@@ -472,68 +506,80 @@ def _counted_horner(monkeypatch):
 _PLANTED_A0_SIGN = (((-3, 1), (-1, -1), ()), ((), (0, 0, -1), (), ()))
 
 
-def _assert_a0_return(monkeypatch, column, ds, a0):
-    # a certified cell with a_0 > 0 evaluates diag's k^0 row alone and
-    # returns the loop's n = 1 block start; any other cell evaluates all
-    # seven rows and gives the exact loop's signs
-    for d in ds:
+def test_runs_split_where_a0_changes_sign():
+    # a_0 = alpha + beta d splits 0..d_max into at most two maximal runs
+    for alpha in range(-7, 8):
+        for beta in range(-3, 4):
+            for d_max in (0, 1, 5, 9):
+                runs = evidence._linear_sign_runs(alpha, beta, d_max)
+                signs = [positive for lo, hi, positive in runs for _ in range(lo, hi + 1)]
+                assert signs == [alpha + beta * d > 0 for d in range(d_max + 1)]
+                assert all(p != q for (*_, p), (*_, q) in zip(runs, runs[1:]))
+    # the run of a_0 > 0 is clean at k0 = 0; from d = 3, b_k = -k d^2 never
+    # vanishes identically, so that run has no block start and runs exactly
+    assert _tail_certified(_PLANTED_A0_SIGN)
+    assert list(_runs(_PLANTED_A0_SIGN, 11)) == [(0, 2, (True, True)), (3, 11, None)]
+    assert _block_prefix(_PLANTED_A0_SIGN, 3) is None
+    for d in range(3):
+        assert _cell(_PLANTED_A0_SIGN, d)[:2] == (True, True) and _cell(_PLANTED_A0_SIGN, d)[2]
+    # a column whose a_0 is not linear in d runs every cell exactly
+    quadratic = (((-3, 0, 1), (-1, -1), ()), _PLANTED_A0_SIGN[1])
+    assert list(_runs(quadratic, 11)) == [(0, 11, None)]
+
+
+@pytest.mark.parametrize("family,l", [("G3", 2), ("E7", 2)])
+def test_scan_group_cost_does_not_grow_with_d_max(monkeypatch, family, l):
+    # a certified column evaluates the same polynomials at d_max = 100 and
+    # at d_max = 100,000: G3 none but the seven of each of the four sampled
+    # cross-checks' exact cells (d = 0, 4, 8, 12), E7 also its run prefix
+    counts = []
+    for d_max in (100, 100_000):
         with monkeypatch.context() as m:
             calls = _counted_horner(m)
-            early = _cell(column, d, True)
-        assert len(calls) == (1 if a0(d) > 0 else 7), d
-        exact = _cell(column, d)
-        assert early in (exact, (*exact[:2], None, None)), d
-        if a0(d) > 0:
-            assert early == (True, True, None, None) and exact[2] != 0, d
+            part, _ = _scan_group(family, l, d_max, False)
+        assert part.cells == d_max + 1 and part.cross_checks_ok
+        assert len(part.cross_checks) == 4
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    if family == "G3":
+        assert counts[0] == 4 * 7
 
 
-def test_certified_cell_returns_on_a0_alone(monkeypatch):
-    assert _tail_certified(_PLANTED_A0_SIGN)
-    _assert_a0_return(monkeypatch, _PLANTED_A0_SIGN, range(12), lambda d: 3 - d)
-    # d = 3 starts its block at k0 = 2 after D_1 = 0; from d = 4 no block
-    # starts and the loop runs to the end
-    assert _cell(_PLANTED_A0_SIGN, 3, True) == (False, True, None, None)
-    assert all(_cell(_PLANTED_A0_SIGN, d, True)[2] for d in range(4, 12))
-    # E7 at l = 2: a_0 = L - d with L = 6, so from d = L the cells break
-    # the interior pattern and start their blocks at k0 = 2
-    column = _column_at("E7", 2)
-    _assert_a0_return(monkeypatch, column, range(41), lambda d: 6 - d)
-    assert not any(_cell(column, d, True)[0] for d in range(6, 41))
-
-
-def test_scan_group_evaluates_one_row_per_certified_cell(monkeypatch):
-    # G3 at l = 2: each of the 101 cells evaluates diag's k^0 row once; the
-    # four sampled cross-checks (d = 0, 4, 8, 12) each add the seven of
-    # cross_check_cell's exact cell, which the scan holds the early exit to
-    calls = _counted_horner(monkeypatch)
-    part, _ = _scan_group("G3", 2, 100, False)
-    assert part.cells == 101 and part.cross_checks_ok
-    assert len(calls) == 101 + 4 * 7
-
-
-# a_k = -diag(k) >= 1 on the sampled range keeps the walk deciding often;
+# a_k = -diag(k) >= 1 on the sampled range keeps the runs deciding often;
 # offprod takes either sign and is zero on whole ranges
 _positive = st.lists(st.integers(-3, 0), min_size=1, max_size=3).map(
     lambda c: (c[0] - 1, *c[1:])
 )
 
 
-_random_column = st.tuples(
-    st.one_of(
-        st.tuples(_positive, _positive, _positive),
-        st.tuples(_coeffs, _coeffs, _coeffs),
+def _offset_column(label, m):
+    """The family's grid with diag's k^0 d^0 coefficient lowered by any m."""
+    ((c, *c_d), *c_k), offprod = _column(label)
+    return ((c - m, *c_d), *c_k), offprod
+
+
+# E7's grid at offsets m >= -2 certifies, and its runs of a_0 = 2 + m - d <= 0
+# start their blocks at k0 = 2 (m > -2, with the cell d = 1 below k0 at
+# m = -1) or find none (m = -2, E_2 = (m + 2)^2 = 0)
+_random_column = st.one_of(
+    st.tuples(
+        st.one_of(
+            st.tuples(_positive, _positive, _positive),
+            st.tuples(_coeffs, _coeffs, _coeffs),
+        ),
+        st.tuples(_coeffs, _coeffs, _coeffs, _coeffs),
     ),
-    st.tuples(_coeffs, _coeffs, _coeffs, _coeffs),
+    st.integers(-2, 40).map(lambda m: _offset_column("E7", m)),
 )
 
 
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
 def test_cell_signs_agree_with_cell_where_they_decide(column, d):
-    # the early exit is taken only on a column that certifies; there, where
-    # it is taken, it gives the exact signs of a cell with D_{d+1} != 0
+    # a run is decided only in a column that certifies; there, where it
+    # decides a cell, it gives the exact signs of a cell with D_{d+1} != 0
     if _tail_certified(column):
-        sign_ok, final_ok, D_last, mag_from = _cell(column, d, True)
+        sign_ok, final_ok, D_last, mag_from = _scan_cell(column, d)
         if D_last is None:
             exact = _cell(column, d)
             assert (sign_ok, final_ok) == exact[:2]
@@ -544,12 +590,27 @@ def test_cell_signs_agree_with_cell_where_they_decide(column, d):
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
 def test_certified_walk_is_the_full_walk(column, d):
-    # where the column certifies, returning at the block start loses no
+    # where the column certifies, deciding a cell by its run loses no
     # decision: the result is the full loop's, without D_last and mag_from
-    # where it returned early
+    # where a run decided it
     if _tail_certified(column):
-        early, exact = _cell(column, d, True), _cell(column, d)
+        early, exact = _scan_cell(column, d), _cell(column, d)
         assert early in (exact, (*exact[:2], None, None))
+
+
+@given(_random_column, st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_run_decided_column_reports_like_exact_cells(column, d_max):
+    # a certified column's report, flagged cells, violations and
+    # cross-checks included, is the report of its cells run one by one
+    if not _tail_certified(column):
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evidence, "_column_at", lambda fam, l: column)
+        m.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
+        decided = _scan_group("G3", 2, d_max, False)
+        m.setattr(evidence, "_tail_certified", lambda column: False)
+        assert _scan_group("G3", 2, d_max, False) == decided
 
 
 # a_k = 10 and offprod(k) = k^2: 4 offprod(k) <= a_{k-1} a_k up to k = 5 only,
@@ -559,24 +620,24 @@ _PLANTED = (((-10,), (), ()), ((), (), (1,), ()))
 
 # a_k = 2k - 1 and offprod = -1: A = 1 + 2i and F = 3 + 4i^2, so the column
 # certifies.  E_1 = -1, E_2 = 0 and E_3 = -1, so the block starts at k0 = 3
-# on a negative minor: every cell is a final-sign violation, and the cells
-# with d <= 2, D_2 = 0 among them, run the loop to the end
+# on a negative minor: every cell is a final-sign violation, so every cell
+# runs the loop to the end, to be reported with its D_{d+1}
 _PLANTED_NEGATIVE = (((1,), (-2,), ()), ((-1,), (), (), ()))
 
 
 def test_cell_signs_decide_a_negative_block():
     assert _tail_certified(_PLANTED_NEGATIVE)
     assert _cell(_PLANTED_NEGATIVE, 1)[2] == 0
+    assert _block_prefix(_PLANTED_NEGATIVE, 0) == (3, False, False)
+    assert list(_runs(_PLANTED_NEGATIVE, 19)) == [(0, 19, None)]
     for d in range(20):
         exact = _cell(_PLANTED_NEGATIVE, d)
         assert exact[:2] == (False, False)
-        assert _cell(_PLANTED_NEGATIVE, d, True) == (
-            exact if d <= 2 else (False, False, None, None)
-        ), d
+        assert _scan_cell(_PLANTED_NEGATIVE, d) == exact, d
 
 
 # a_k = k and offprod = 0: A = 1 + i and F = i + i^2 certify, but E_1 = a_0 = 0
-# and every later minor is 0, so no block starts and no cell exits early
+# and every later minor is 0, so no block starts and no run is decided
 _PLANTED_ZERO = (((0,), (-1,), ()), ((), (), (), ()))
 
 
@@ -584,14 +645,12 @@ _PLANTED_ZERO = (((0,), (-1,), ()), ((), (), (), ()))
     "column", [_PLANTED_ZERO, _PLANTED_NEGATIVE], ids=["gives_up", "violation"]
 )
 def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatch, column):
-    # on the first certified column no cell exits early, and each reports
-    # its exact D_last = 0; on the second the cells from d = 3 exit early
-    # as final-sign violations and run again, so that they are reported
-    # with the exact D_last; either way the column's report is the one with
-    # no early exit at all
+    # on the first certified column no block starts, and each cell reports
+    # its exact D_last = 0; the second is decided as a final-sign violation,
+    # so its cells run exactly, to be reported with the exact D_last;
+    # either way the column's report is the one with no run decided at all
     assert _tail_certified(column)
-    early = [d for d in range(21) if _cell(column, d, True)[2] is None]
-    assert early == ([] if column is _PLANTED_ZERO else list(range(3, 21)))
+    assert list(_runs(column, 20)) == [(0, 20, None)]
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
     certified = _scan_group("G3", 2, 20, False)
     monkeypatch.setattr(evidence, "_tail_certified", lambda column: False)
@@ -642,22 +701,19 @@ def test_tail_certificate_refuses_planted_columns(monkeypatch):
     assert planted != _column_at("G3", 2)
     A, F = _tail_polynomials(planted)
     assert A[0, 0] > 0 and min(A.values()) < 0
-    cell = evidence._cell
-    certified = []
+    runs = []
 
-    def spy(column, d, *args):
-        certified.extend(args)
-        return cell(column, d, *args)
+    def spy(column, d_max):
+        runs.append(column)
+        return evidence._runs(column, d_max)
 
     for column in (_PLANTED, planted):
         assert not _tail_certified(column)
         monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
         with monkeypatch.context() as m:
-            m.setattr(evidence, "_cell", spy)
-            _scan_group("G3", 2, 40, False)
-            cross_check_cell("G3", 2, 8)
-        assert certified and not any(certified)  # no early exit was allowed
-        certified.clear()
+            m.setattr(evidence, "_runs", spy)
+            part, _ = _scan_group("G3", 2, 40, False)
+        assert part.cells == 41 and runs == []  # no run was decided
     # a false certificate on _PLANTED would hide its broken interior signs
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     with_walk = _scan_group("G3", 2, 40, False)
@@ -678,9 +734,9 @@ def test_every_default_column_certifies():
 
 
 def test_far_e7_column_certifies_and_scans_like_cell():
-    # E7 at l = 60, L = l(l+1) = 3660: the column certifies, so each of its
-    # 3,662 cells costs its exact prefix; the full tail walk would take
-    # about 6.7 million steps.  d = L and L + 1 break the interior pattern
+    # E7 at l = 60, L = l(l+1) = 3660: the column certifies, so two runs
+    # decide its 3,662 cells; the cells' full loops would take about 6.7
+    # million steps.  d = L and L + 1 break the interior pattern
     L = 60 * 61
     column = _column_at("E7", 60)
     assert _tail_certified(column)
@@ -689,10 +745,21 @@ def test_far_e7_column_certifies_and_scans_like_cell():
     assert not part.final_sign_violations
     assert part.flagged == [("E7", 60, L), ("E7", 60, L + 1)]
     assert part.cross_checks_ok
+    assert list(_runs(column, L + 1)) == [(0, L - 1, (True, True)), (L, L + 1, (False, True))]
     for d in (0, 1, 2, 3000, L, L + 1):
         sign_ok, final_ok, D_last, _ = _cell(column, d)
-        assert _cell(column, d, True) == (sign_ok, final_ok, None, None), d
+        assert _scan_cell(column, d) == (sign_ok, final_ok, None, None), d
         assert D_last != 0, d
+
+
+def test_scan_reaches_d_max_100000_at_l_60():
+    # 179 columns and 17,900,179 cells, each run-decided: no violation, and
+    # the 716 sampled cells agree with both oracles
+    report = scan(l_max=60, d_max=100_000)
+    assert report.cells == 179 * 100_001
+    assert report.all_final_signs_ok
+    assert report.flags_resolved_nonzero
+    assert len(report.cross_checks) == 179 * 4 and report.cross_checks_ok
 
 
 def test_e7_intermediate_zero_is_flagged_not_fatal():
@@ -826,16 +893,11 @@ def test_worker_count_follows_the_grid_and_cpus():
     assert _worker_count(columns=3, cpus=4, steps=large) == 3
     assert _worker_count(columns=5, cpus=1, steps=large) == 1
     assert _worker_count(columns=5, cpus=None, steps=large) == 1
-    # the verify-all grid (17 columns, d <= 100) stays serial, walked or
-    # exact; the default evidence grid (59 columns, d <= 500) is walked
-    # serially and takes every CPU with --out, and so does its walk at
-    # d <= 2000
-    walk = evidence._WALK_CELL_STEPS
-    assert _worker_count(columns=17, cpus=64, steps=17 * 101 * walk) == 1
+    # in exact steps, the --out unit: the verify-all grid (17 columns,
+    # d <= 100) stays serial, and the default evidence grid (59 columns,
+    # d <= 500) takes every CPU
     assert _worker_count(columns=17, cpus=64, steps=17 * 101 * 102 // 2) == 1
-    assert _worker_count(columns=59, cpus=2, steps=59 * 501 * walk) == 1
     assert _worker_count(columns=59, cpus=2, steps=59 * 501 * 502 // 2) == 2
-    assert _worker_count(columns=59, cpus=2, steps=59 * 2001 * walk) == 2
 
 
 def test_usable_cpus_is_the_affinity_set_or_the_cpu_count(monkeypatch):
@@ -884,9 +946,17 @@ def test_scan_takes_the_pool_by_default_above_the_constant(monkeypatch, tmp_path
 def test_verify_all_grid_scans_serially_by_default(monkeypatch, counted_pool):
     monkeypatch.setattr(evidence, "_usable_cpus", lambda: 64)
     assert scan(l_max=6, d_max=100).cells == 1717
-    # 5,117 walk cells stay serial, though the same grid has 772,667
+    # 5,117 run-decided cells stay serial, though the same grid has 772,667
     # exact recurrence steps
     assert scan(l_max=6, d_max=300).cells == 5117
+    assert counted_pool == []
+
+
+def test_scan_without_out_is_serial_at_any_size(monkeypatch, counted_pool):
+    # only an --out scan weighs its steps against the constant
+    monkeypatch.setattr(evidence, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evidence, "_POOL_MIN_STEPS", 0)
+    assert scan(families=("G3",), l_max=3, d_max=10).cells == 2 * 11
     assert counted_pool == []
 
 

@@ -579,8 +579,9 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     (iii) runs on the numerators too, against the right side built times den;
     (ii) is one integer convolution with the equation's coefficient
     polynomials (:func:`ode_residual`), the route independent of the recurrence.
-    P(r) is built from this P_w by :func:`chandrasekhar_r_frame` once (i)
-    and the w-frame residual hold, and by a direct shift otherwise.
+    P(r) is built from this P_w by :func:`chandrasekhar_r_frame` only once
+    (i) and the w-frame residual hold; otherwise the r-frame residual, the
+    r side of (iii) and (iv), which would examine nothing, fail.
     """
     s = special_frequency(l)
     mu2 = (l - 1) * (l + 2)
@@ -594,27 +595,21 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     rec_rows = rec_w.residual_rows(P_w.num[: d + 1], d + 2)
     recurrence_ok = all(v == 0 for v in rec_rows)
 
-    residual_w = ode_residual(ode_w, P_w)
-    if recurrence_ok and residual_w.is_zero():
+    ode_residual_ok = integral_identity_ok = sign_pattern_ok = False
+    if recurrence_ok and ode_residual(ode_w, P_w).is_zero():
         P_r = chandrasekhar_r_frame(l, P_w)
-        residual_r = ode_residual(ode_r, P_r)
-    else:
-        P_r = P_w.shift(-2)  # mutated input: fall back to the direct shift
-        residual_r = ode_residual(ode_r, P_r)
-    ode_residual_ok = residual_w.is_zero() and residual_r.is_zero()
-
-    # the right sides as numerators over the denominator of the P they test
-    four_sig = d - 1  # 4 sigma0 = 2s
-    rhs_w = [0] * (four_sig - 1) + [v * P_w.den for v in (8, 12, 6, 1)]  # w^(4s0-1) (w+2)^3
-    rhs_r = [0, 0, 0] + _binomial_power(-2, four_sig - 1, P_r.den)  # r^3 (r-2)^(4s0-1)
-    integral_identity_ok = _integral_identity_holds(
-        P_w, int(s), 2 * mu2 + 6, mu2, rhs_w
-    ) and _integral_identity_holds(P_r, int(s), 6, mu2, rhs_r)
-
-    r_num = P_r.num[: d + 1]
-    sign_pattern_ok = len(r_num) == d + 1 and all(
-        v != 0 and (v > 0) == (n % 2 == 1) for n, v in enumerate(r_num)
-    )
+        ode_residual_ok = ode_residual(ode_r, P_r).is_zero()
+        # the right sides as numerators over the denominator of the P they test
+        four_sig = d - 1  # 4 sigma0 = 2s
+        rhs_w = [0] * (four_sig - 1) + [v * P_w.den for v in (8, 12, 6, 1)]  # w^(4s0-1) (w+2)^3
+        rhs_r = [0, 0, 0] + _binomial_power(-2, four_sig - 1, P_r.den)  # r^3 (r-2)^(4s0-1)
+        integral_identity_ok = _integral_identity_holds(
+            P_w, int(s), 2 * mu2 + 6, mu2, rhs_w
+        ) and _integral_identity_holds(P_r, int(s), 6, mu2, rhs_r)
+        r_num = P_r.num[: d + 1]
+        sign_pattern_ok = len(r_num) == d + 1 and all(
+            v != 0 and (v > 0) == (n % 2 == 1) for n, v in enumerate(r_num)
+        )
     return VerificationRecord(
         l=l,
         s=s,

@@ -25,11 +25,15 @@ are flagged and settled by the full determinant and, at small degree, by
 the brute-force nullspace oracle.
 
 A scan's verdicts are signs only, while :func:`_cell`'s minors grow to
-thousands of bits.  So without ``--out`` the scan proves, once per column,
+thousands of bits.  So without ``--out`` the scan proves, once per family,
 a ratio bound that keeps every minor past a block start at one sign:
-:func:`_tail_certified` writes its checks for every k and d as integer
-polynomials with no negative coefficient.  In a column that certifies,
-:func:`_runs` decides whole runs of d at once.  Runs split where a_0 =
+:func:`_tail_certified` writes its checks for every k and d, with diag's
+constant term lowered by a free m >= 0, as integer polynomials with no
+negative coefficient.  On a family's lowest multipole m covers every
+l >= min_l, so the tail is proved for G3, E3 and E7 at every l and d; the
+d <= d_max grid, the per-run prefixes and the cross-checks stay bounded
+evidence.  In a family that certifies, :func:`_runs` decides whole runs
+of d at once.  Runs split where a_0 =
 -diag(0), linear in d, changes sign; on each the exact prefix E_0..E_{k0}
 up to a shared block start k0 is carried as integer polynomials in d, and
 the same coefficient test proves each of them one sign on the whole run.
@@ -225,7 +229,8 @@ _BLOCK_START_MAX = 8
 
 def _runs(column: tuple, d_max: int):
     """Yield (lo, hi, verdict) covering d = 0..d_max in order, for a column
-    that :func:`_tail_certified` accepts.
+    that :func:`_tail_certified` accepts, or whose diag's constant term is
+    that of an accepted column lowered by some m >= 0.
 
     verdict is the (sign_pattern_ok, final_sign_ok) of every cell lo..hi,
     or None for cells that :func:`_cell` decides one at a time.  Runs are
@@ -281,29 +286,29 @@ def _block_prefix(column: tuple, lo: int) -> Optional[tuple]:
     """(k0, sign_ok, final_ok) shared by the cells d >= max(lo, k0) of a run
     with a_0 <= 0, or None where no block start k0 <= _BLOCK_START_MAX is found.
 
-    E_-1 = 0, E_0 = 1, E_{k+1} = a_k E_k - b_k E_{k-1} are integer
-    polynomials in d.  k0 >= 1 needs b_{k0} E_{k0-1} = 0 identically and
-    E_{k0} of one strict sign at every d >= lo; each E_n with 1 <= n < k0
-    must be positive at every d >= lo or at none.  Signs are proved by the
-    coefficient test of :func:`_tail_certified` on E_n(lo + j), j >= 0.
+    E_0..E_{_BLOCK_START_MAX} are :func:`~bhkovacic.elimination.tridiag_minors`
+    of a_k = -diag(k) and b_k = offprod(k), integer polynomials in d.
+    k0 >= 1 needs b_{k0} E_{k0-1} = 0 identically and E_{k0} of one strict
+    sign at every d >= lo; each E_n with 1 <= n < k0 must be positive at
+    every d >= lo or at none.  Signs are proved by :func:`_no_negative` on
+    the coefficients of E_n(lo + j), j >= 0.
     """
     diag, offprod = column
-    E_prev, E = Poly.zero(), Poly.one()
-    sign_ok = True
-    for k in range(_BLOCK_START_MAX + 1):
-        b = _entry(offprod, k)
-        if k:
-            shifted = E.shift(lo).num
-            if shifted and shifted[0] > 0 and min(shifted) >= 0:
-                positive = True
-            elif max(shifted, default=0) <= 0:
-                positive = False
-            else:
-                return None
-            sign_ok = sign_ok and positive
-            if shifted and shifted[0] and not (b and E_prev):
-                return k, sign_ok, positive
-        E_prev, E = E, -_entry(diag, k) * E - b * E_prev
+    b = [_entry(offprod, k) for k in range(_BLOCK_START_MAX + 1)]
+    a = (-_entry(diag, k) for k in range(_BLOCK_START_MAX))
+    E_prev, sign_ok = Poly.one(), True
+    for k, E in enumerate(tridiag_minors(a, b), 1):
+        shifted = E.shift(lo).num
+        if shifted and shifted[0] > 0 and _no_negative(shifted):
+            positive = True
+        elif _no_negative(-c for c in shifted):
+            positive = False
+        else:
+            return None
+        sign_ok = sign_ok and positive
+        if shifted and shifted[0] and not (b[k] and E_prev):
+            return k, sign_ok, positive
+        E_prev = E
     return None
 
 
@@ -312,26 +317,49 @@ def _entry(grid: tuple, k: int) -> Poly:
     return Poly.from_numerators([horner(c, k) for c in zip_longest(*grid, fillvalue=0)], 1)
 
 
-def _tail_polynomials(column: tuple) -> tuple:
-    """(A, F) of the column with k = 1 + i and d = k + j, as {(i, j): c}.
+def _no_negative(coeffs) -> bool:
+    """Whether no coefficient is negative.  A polynomial with none is
+    non-negative wherever every variable is, a positivity test in the sense
+    of Polya."""
+    return min(coeffs, default=0) >= 0
 
-    A(k, d) = -diag(k) and F(k, d) = A(k-1, d) A(k, d) - 4 offprod(k), the
-    two sides of the ratio-bound checks a_k > 0 and 4 b_k <= a_{k-1} a_k
-    (:func:`_tail_certified`), as integer polynomials in the column's k and d.
+
+def _tail_polynomials(column: tuple) -> tuple:
+    """(A, F, G) of the column with k = 1 + i and d = k + j, each a list of
+    integer Polys in i, entry e the coefficient of j^e.
+
+    A(k, d) = -diag(k) and F(k, d) = A(k-1, d) A(k, d) - 4 offprod(k) are
+    the two sides of the ratio-bound checks a_k > 0 and 4 b_k <= a_{k-1} a_k
+    (:func:`_tail_certified`), and G(k, d) = A(k-1, d) + A(k, d).  Lowering
+    diag's constant term by m turns A into A + m and F into F + m G + m^2.
     """
-    diag, offprod = (
-        {(p, q): c for p, row in enumerate(grid) for q, c in enumerate(row)} for grid in column
-    )
-    A = {m: -c for m, c in diag.items()}
-    F = _product(_shift_first(A, -1), A)
-    for m, c in offprod.items():
-        F[m] = F.get(m, 0) - 4 * c
-    return tuple(_shift_first(_add_first_to_second(P), 1) for P in (A, F))
+    diag, offprod = ([Poly(c) for c in zip_longest(*grid, fillvalue=0)] for grid in column)
+    A = [-P for P in diag]  # Polys in k, entry q the coefficient of d^q
+    A_prev = [P.shift(-1) for P in A]
+    F = [Poly.zero()] * max(2 * len(A) - 1, len(offprod))
+    for p, P in enumerate(A_prev):
+        for q, Q in enumerate(A):
+            F[p + q] += P * Q
+    for q, P in enumerate(offprod):
+        F[q] -= 4 * P
+    G = [P + Q for P, Q in zip(A_prev, A)]
+    return tuple(map(_on_orthant, (A, F, G)))
+
+
+def _on_orthant(P: list) -> list:
+    """P(1 + i, 1 + i + j) for P(k, d) given as Polys in k, entry q the
+    coefficient of d^q: (k + j)^q expanded by the binomial theorem, then
+    k = 1 + i."""
+    return [
+        sum(comb(q, e) * P[q] * Poly.monomial(q - e) for q in range(e, len(P))).shift(1)
+        for e in range(len(P))
+    ]
 
 
 def _tail_certified(column: tuple) -> bool:
-    """Whether the column's ratio bound holds at every k >= 1 and d >= k,
-    so that every cell's minors past its block start keep one sign.
+    """Whether the ratio bound holds at every k >= 1 and d >= k, in this
+    column and in every column with diag's constant term lowered by any
+    m >= 0, so that every cell's minors past its block start keep one sign.
 
     In :func:`_cell`'s variables a_k = -diag(k), b_k = offprod(k) and
     r_k = E_{k+1}/E_k = a_k - b_k/r_{k-1}.  The checks are
@@ -345,40 +373,16 @@ def _tail_certified(column: tuple) -> bool:
     lower bound on the tails of a continued fraction (Wall, *Analytic Theory
     of Continued Fractions*, 1948).
 
-    The checks hold for every k >= 1 and d >= k by a positivity test in the
-    sense of Polya: with i, j >= 0, A(1+i, 1+i+j) is positive when its
-    constant term is and no coefficient is negative, and F(1+i, 1+i+j) is
-    non-negative when no coefficient is negative (:func:`_tail_polynomials`).
-    A column that fails it is not refuted; its cells run :func:`_cell` to the end.
+    With i, j, m >= 0 the checks read A + m > 0 and F + m G + m^2 >= 0 at
+    k = 1 + i, d = 1 + i + j (:func:`_tail_polynomials`).  Both hold when
+    A's constant term is positive and no coefficient of A, F or G is
+    negative (:func:`_no_negative`).  On a family's :func:`_column`, its
+    lowest multipole, m runs over the multipole offsets of every
+    l >= min_l.  A family that fails the test is not refuted; its cells run
+    :func:`_cell` to the end.
     """
-    A, F = _tail_polynomials(column)
-    return A.get((0, 0), 0) > 0 and min(A.values()) >= 0 and min(F.values()) >= 0
-
-
-def _shift_first(poly: dict, h: int) -> dict:
-    """P(x, y) -> P(x + h, y), for P given as {(p, q): coefficient of x^p y^q}."""
-    out = {}
-    for (p, q), c in poly.items():
-        for e in range(p + 1):
-            out[e, q] = out.get((e, q), 0) + c * comb(p, e) * h ** (p - e)
-    return out
-
-
-def _add_first_to_second(poly: dict) -> dict:
-    """P(x, y) -> P(x, x + y), for P given as {(p, q): coefficient of x^p y^q}."""
-    out = {}
-    for (p, q), c in poly.items():
-        for e in range(q + 1):
-            out[p + q - e, e] = out.get((p + q - e, e), 0) + c * comb(q, e)
-    return out
-
-
-def _product(f: dict, g: dict) -> dict:
-    out = {}
-    for (p, q), c in f.items():
-        for (p2, q2), c2 in g.items():
-            out[p + p2, q + q2] = out.get((p + p2, q + q2), 0) + c * c2
-    return out
+    A, F, G = _tail_polynomials(column)
+    return bool(A) and A[0][0] > 0 and _no_negative(c for P in (*A, *F, *G) for c in P.num)
 
 
 def default_l_range(family: str, l_max: int) -> range:
@@ -464,7 +468,7 @@ def _check_failed(check: dict) -> bool:
     return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
-def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
+def _scan_group(family: str, l: int, d_max: int, want_cells: bool, certified: bool) -> tuple:
     """(ScanReport, text) of one (family, l) column; picklable.
 
     ``family`` is a scan family's label: its grid comes from
@@ -473,20 +477,19 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool) -> tuple:
     The part names its column as families = (family,) and
     l_max = l, and keeps at most 8 flagged cells; text is the column's
     ``--out`` records in d order as JSON joined by ",\n", or None without
-    ``want_cells``.  Without ``want_cells`` the column's
-    :func:`_tail_certified` runs once and, where it holds, :func:`_runs`
-    decides whole runs of d at once, so a column's cost does not grow with
-    d_max; the cells it leaves, and every cell of a column that does not
-    certify, are one :func:`_cell` call each.  Each sampled cross-check
-    holds the cell's verdict, run-decided or not, to the exact loop's
-    signs, with D_{d+1} != 0 where no D_{d+1} was computed.  With
-    ``want_cells`` every cell is exact, since each record carries D_{d+1}
-    and its magnitude index.
+    ``want_cells``.  ``certified`` is the family's :func:`_tail_certified`
+    verdict, proved once by :func:`scan` for every l: where it holds,
+    :func:`_runs` decides whole runs of d at once, so a column's cost does
+    not grow with d_max; the cells it leaves, and every cell of a family
+    that does not certify, are one :func:`_cell` call each.  Each sampled
+    cross-check holds the cell's verdict, run-decided or not, to the exact
+    loop's signs, with D_{d+1} != 0 where no D_{d+1} was computed.  With
+    ``want_cells`` :func:`scan` passes ``certified`` False and every cell
+    is exact, since each record carries D_{d+1} and its magnitude index.
     """
     column = _column_at(family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
-    certified = not want_cells and _tail_certified(column)
     for lo, hi, verdict in _runs(column, d_max) if certified else [(0, d_max, None)]:
         if verdict:  # every cell lo..hi, with D_{d+1} != 0 proved and not computed
             decided = [(lo, hi, *verdict, None, None)]
@@ -533,10 +536,12 @@ def scan(
 
     Streams every (family, l, d) cell; intermediate-sign violations are
     flagged and resolved by the full determinant (a nonzero D_{d+1} rules
-    out the candidate regardless of interior minors).  Where a column's
-    ratio bound is certified, :func:`_runs` decides whole runs of d from
-    one exact prefix of polynomials in d; every other cell runs its exact
-    minors (:func:`_scan_group`).  Cells with d <= _CROSS_CHECK_D_MAX are
+    out the candidate regardless of interior minors).  Without ``out`` the
+    ratio bound is proved once per family, on its lowest multipole and so
+    for every l >= min_l (:func:`_tail_certified`); in a family that
+    certifies, :func:`_runs` decides whole runs of d from one exact prefix
+    of polynomials in d, and every other cell runs its exact minors
+    (:func:`_scan_group`).  Cells with d <= _CROSS_CHECK_D_MAX are
     sampled and cross-checked against a direct fraction-free determinant of
     the explicit system, and at very small d against the brute-force
     nullspace.  With ``out`` set, one JSON record per cell is written there
@@ -560,7 +565,8 @@ def scan(
     grid = [(family, l) for family in families for l in default_l_range(family, l_max)]
     if d_max < 0 or not grid:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
-    jobs = [(family, l, d_max, want_cells) for family, l in grid]
+    certified = {f: not want_cells and _tail_certified(_column(f)) for f in families}
+    jobs = [(family, l, d_max, want_cells, certified[family]) for family, l in grid]
     steps = len(jobs) * (d_max + 1) * (d_max + 2) // 2  # exact, as --out runs every cell
     workers = _worker_count(len(jobs), _usable_cpus(), steps) if want_cells else 1
     report = ScanReport(families=families, l_max=l_max, d_max=d_max)
@@ -642,7 +648,7 @@ class S3Record:
     load-bearing evidence.
     """
 
-    matched_ratio_solution_set: tuple  # identical for every checked l
+    matched_ratio_solution_set: tuple  # the same for every l
     half_s_degree0_fails: bool
     oracle_all_trivial: bool
     oracle_cells: int
@@ -656,7 +662,7 @@ class S3Record:
         )
 
 
-def _ratio_system_polynomial(L: int) -> Poly:
+def _ratio_system_polynomial() -> Poly:
     """Numerator of the combined ratio/compatibility condition, in s, in
     the matched variant (:class:`S3Record`).
 
@@ -667,11 +673,10 @@ def _ratio_system_polynomial(L: int) -> Poly:
 
         N1 (2(1-2s) N2 + D2) - D1 N2,
 
-    with t1 = N1/D1, t2 = N2/D2."""
+    with t1 = N1/D1, t2 = N2/D2.  N1 = N2 = -s and D1 = D2, so L cancels
+    and the numerator is 2 s^2 (1 - 2s) at every l."""
     s = Poly.x()
-    N1 = N2 = -s
-    D1 = D2 = Poly([L, 0, 4])
-    return N1 * ((2 * (1 - 2 * s)) * N2 + D2) - D1 * N2
+    return 2 * (1 - 2 * s) * s * s
 
 
 def s3_nonexistence(two_s_max: int, l_max: int) -> S3Record:
@@ -683,12 +688,7 @@ def s3_nonexistence(two_s_max: int, l_max: int) -> S3Record:
     eq = family_equation("S3")
 
     l_checked = range(l_max + 1)
-    solution_sets = {
-        tuple(rational_roots(_ratio_system_polynomial(l * (l + 1)))) for l in l_checked
-    }
-    if len(solution_sets) != 1:
-        raise AssertionError("ratio-system roots unexpectedly depend on l")
-    solution_set = solution_sets.pop()
+    solution_set = tuple(rational_roots(_ratio_system_polynomial()))
 
     # the s = 1/2 survivor would need a degree-0 polynomial solution
     half_fails = all(

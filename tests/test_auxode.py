@@ -569,9 +569,13 @@ def test_mutation_is_caught():
     P = chandrasekhar_coeffs(2)
     mutated = Poly([P[0] + 1] + list(P.coeffs[1:]))
     record = chandrasekhar_checks(2, P_w=mutated)
+    # P(r) is not built from a P_w that fails (i), so the checks that would
+    # read it fail too instead of examining nothing
     assert not record.recurrence_ok
     assert not record.ode_residual_ok
-    assert record.failed_checks[:2] == ("recurrence", "ode_residual")
+    assert not record.integral_identity_ok
+    assert not record.sign_pattern_ok
+    assert record.failed_checks == ("recurrence", "ode_residual", "integral_identity", "sign_pattern")
 
 
 def test_planted_middle_numerator_fails_integral_identity(monkeypatch):

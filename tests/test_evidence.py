@@ -228,9 +228,10 @@ def test_scan_builds_each_column_once(monkeypatch):
     assert _column.cache_info().misses == 1
 
 
-def test_scan_certifies_each_column_once(monkeypatch, tmp_path):
-    # 17 columns on the verify-all grid; --out runs every cell exactly and
-    # needs no certificate
+def test_scan_certifies_each_family_once(monkeypatch, tmp_path):
+    # one proof per family on its lowest multipole serves every l: 3 on the
+    # verify-all grid (17 columns) and 3 on the default grid (59 columns);
+    # --out runs every cell exactly and needs no certificate
     certify = evidence._tail_certified
     calls = []
 
@@ -240,9 +241,11 @@ def test_scan_certifies_each_column_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(evidence, "_tail_certified", counted)
     scan(l_max=6, d_max=100)
-    assert len(calls) == 17
+    assert calls == [_column(family) for family in SCAN_FAMILIES]
+    scan()
+    assert len(calls) == 6
     scan(l_max=6, d_max=100, out=str(tmp_path / "cells.json"))
-    assert len(calls) == 17
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("label", ["G1", "G4", "G5", "G8", "E1", "E4", "E5", "E8", "S1", "S4"])
@@ -281,9 +284,9 @@ def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
     # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a run
     # verdict that calls it clean fails the scan's cross-check there, while
     # cross_check_cell alone compares its oracles with the exact loop only
-    assert _scan_group("E7", 2, 12, False)[0].cross_checks_ok
+    assert _scan_group("E7", 2, 12, False, True)[0].cross_checks_ok
     _lying_run(monkeypatch, 8, (True, True))
-    part, _ = _scan_group("E7", 2, 12, False)
+    part, _ = _scan_group("E7", 2, 12, False, True)
     assert [check["agree"] for check in part.cross_checks] == [True, True, False, True]
     assert all(check["recurrence_det"] == check["bareiss_det"] for check in part.cross_checks)
     assert not part.cross_checks_ok
@@ -296,10 +299,11 @@ def test_cross_check_refuses_an_early_exit_on_a_zero_determinant(monkeypatch):
     column = _PLANTED_ZERO
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
-    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False)[0].cross_checks]
+    assert _tail_certified(column)
+    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False, True)[0].cross_checks]
     assert agree == [True] * 4
     _lying_run(monkeypatch, 4, (False, False))
-    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False)[0].cross_checks]
+    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False, True)[0].cross_checks]
     assert agree == [True, False, True, True]
 
 
@@ -320,6 +324,7 @@ def test_cross_check_catches_a_false_certificate(monkeypatch):
     # and the column does not certify, so no run is decided.  Certified
     # falsely, a_0 = 10 puts every cell in one clean run with k0 = 0, where
     # the exact loop flags d = 8 and d = 12
+    monkeypatch.setattr(evidence, "_column", lambda label: _PLANTED)
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
     report = scan(families=("G3",), l_max=2, d_max=12)
@@ -500,10 +505,10 @@ def _counted_horner(monkeypatch):
     return calls
 
 
-# a_k = 3 - d + k + k d and offprod(k) = -k d^2: A = 4 + 2i + i^2 + ij and F
-# have no negative coefficient, so the column certifies, while a_0 = 3 - d
-# turns zero at d = 3 and negative after it
-_PLANTED_A0_SIGN = (((-3, 1), (-1, -1), ()), ((), (0, 0, -1), (), ()))
+# a_k = 3 - d + k + 2 k d and offprod(k) = -k d^2: A = 5 + 4i + 2i^2 + j + 2ij,
+# F and G have no negative coefficient, so the column certifies, while
+# a_0 = 3 - d turns zero at d = 3 and negative after it
+_PLANTED_A0_SIGN = (((-3, 1), (-1, -2), ()), ((), (0, 0, -1), (), ()))
 
 
 def test_runs_split_where_a0_changes_sign():
@@ -536,7 +541,7 @@ def test_scan_group_cost_does_not_grow_with_d_max(monkeypatch, family, l):
     for d_max in (100, 100_000):
         with monkeypatch.context() as m:
             calls = _counted_horner(m)
-            part, _ = _scan_group(family, l, d_max, False)
+            part, _ = _scan_group(family, l, d_max, False, True)
         assert part.cells == d_max + 1 and part.cross_checks_ok
         assert len(part.cross_checks) == 4
         counts.append(len(calls))
@@ -608,9 +613,9 @@ def test_run_decided_column_reports_like_exact_cells(column, d_max):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(evidence, "_column_at", lambda fam, l: column)
         m.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
-        decided = _scan_group("G3", 2, d_max, False)
-        m.setattr(evidence, "_tail_certified", lambda column: False)
-        assert _scan_group("G3", 2, d_max, False) == decided
+        assert _scan_group("G3", 2, d_max, False, False) == _scan_group(
+            "G3", 2, d_max, False, True
+        )
 
 
 # a_k = 10 and offprod(k) = k^2: 4 offprod(k) <= a_{k-1} a_k up to k = 5 only,
@@ -652,9 +657,8 @@ def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatc
     assert _tail_certified(column)
     assert list(_runs(column, 20)) == [(0, 20, None)]
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
-    certified = _scan_group("G3", 2, 20, False)
-    monkeypatch.setattr(evidence, "_tail_certified", lambda column: False)
-    assert _scan_group("G3", 2, 20, False) == certified
+    certified = _scan_group("G3", 2, 20, False, True)
+    assert _scan_group("G3", 2, 20, False, False) == certified
     part = certified[0]
     assert part.flagged_count == 21
     assert not part.flags_resolved_nonzero
@@ -663,26 +667,43 @@ def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatc
     ]
 
 
-@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def _grid_value(grid, k, d):
+    """sum grid[p][q] k^p d^q, evaluated directly."""
+    return sum(c * k**p * d**q for p, row in enumerate(grid) for q, c in enumerate(row))
+
+
+def _by_monomial(P):
+    """{(power of i, power of j): c} of an engine polynomial given as Polys
+    in i, entry e the coefficient of j^e."""
+    assert all(Q.den == 1 for Q in P)
+    return {(a, e): c for e, Q in enumerate(P) for a, c in enumerate(Q.num) if c}
+
+
+@pytest.mark.parametrize("family", [*SCAN_FAMILIES, "G7", "S3"])
 def test_tail_polynomials_match_sympy(family):
+    # diag's constant term lowered by a symbol m and k = 1 + i, d = 1 + i + j:
+    # A = A_0 + m and F = F_0 + m G + m^2 with the engine's A_0, F_0 and G;
+    # no coefficient in (m, i, j) is negative exactly for the scan families,
+    # so their ratio bound holds at every l >= min_l, and G7 and S3 are refused
     import sympy
 
-    k, d, i, j = sympy.symbols("k d i j")
-    fam = family_by_label(family)
-    for l in (fam.kind.min_l, 20):
-        column = _column_at(family, l)
-        diag, offprod = (
-            sum(c * k**p * d**q for p, row in enumerate(grid) for q, c in enumerate(row))
-            for grid in column
-        )
-        A = -diag
-        F = A.subs(k, k - 1) * A - 4 * offprod
-        shift = {k: 1 + i, d: 1 + i + j}
-        for ours, expr in zip(_tail_polynomials(column), (A, F)):
-            expected = sympy.Poly(sympy.expand(expr.subs(shift, simultaneous=True)), i, j)
-            assert {m: c for m, c in ours.items() if c} == {
-                m: int(c) for m, c in expected.as_dict().items()
-            }, (family, l)
+    k, d, i, j, m = sympy.symbols("k d i j m")
+    column = _column(family)
+    diag, offprod = (_grid_value(grid, k, d) for grid in column)
+    A = m - diag
+    F = A.subs(k, k - 1) * A - 4 * offprod
+    shift = {k: 1 + i, d: 1 + i + j}
+    A, F = (sympy.Poly(sympy.expand(e.subs(shift, simultaneous=True)), m, i, j) for e in (A, F))
+
+    def in_m(poly, power):
+        return {(a, b): int(c) for (e, a, b), c in poly.as_dict().items() if e == power}
+
+    engine_A, engine_F, engine_G = map(_by_monomial, _tail_polynomials(column))
+    assert A.degree(m) == 1 and F.degree(m) == 2
+    assert in_m(A, 0) == engine_A and in_m(A, 1) == {(0, 0): 1}
+    assert in_m(F, 0) == engine_F and in_m(F, 1) == engine_G and in_m(F, 2) == {(0, 0): 1}
+    positive = A.as_dict().get((0, 0, 0), 0) > 0 and min(A.coeffs() + F.coeffs()) >= 0
+    assert positive == (family in SCAN_FAMILIES) == _tail_certified(column)
 
 
 def _planted_diag_sign():
@@ -694,13 +715,11 @@ def _planted_diag_sign():
 
 def test_tail_certificate_refuses_planted_columns(monkeypatch):
     # _PLANTED: F = 100 - 4k^2 shifts to 96 - 8i - 4i^2
-    A, F = _tail_polynomials(_PLANTED)
-    assert A == {(0, 0): 10}
-    assert {m: c for m, c in F.items() if c} == {(0, 0): 96, (1, 0): -8, (2, 0): -4}
+    assert _tail_polynomials(_PLANTED) == ([Poly([10])], [Poly([96, -8, -4])], [Poly([20])])
     planted = _planted_diag_sign()
     assert planted != _column_at("G3", 2)
-    A, F = _tail_polynomials(planted)
-    assert A[0, 0] > 0 and min(A.values()) < 0
+    A = [c for P in _tail_polynomials(planted)[0] for c in P.num]
+    assert A[0] > 0 and min(A) < 0
     runs = []
 
     def spy(column, d_max):
@@ -709,16 +728,28 @@ def test_tail_certificate_refuses_planted_columns(monkeypatch):
 
     for column in (_PLANTED, planted):
         assert not _tail_certified(column)
+        monkeypatch.setattr(evidence, "_column", lambda label: column)
         monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
         with monkeypatch.context() as m:
             m.setattr(evidence, "_runs", spy)
-            part, _ = _scan_group("G3", 2, 40, False)
-        assert part.cells == 41 and runs == []  # no run was decided
+            report = scan(families=("G3",), l_max=2, d_max=40)
+        assert report.cells == 41 and runs == []  # no run was decided
     # a false certificate on _PLANTED would hide its broken interior signs
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
-    with_walk = _scan_group("G3", 2, 40, False)
-    monkeypatch.setattr(evidence, "_tail_certified", lambda column: True)
-    assert _scan_group("G3", 2, 40, False)[0].flagged_count < with_walk[0].flagged_count
+    with_walk = _scan_group("G3", 2, 40, False, False)
+    assert _scan_group("G3", 2, 40, False, True)[0].flagged_count < with_walk[0].flagged_count
+
+
+def test_tail_certificate_refuses_a_negative_g():
+    # a_k = 3 - d + k + k d and offprod(k) = -k d^2: A and F have no negative
+    # coefficient, so the bound holds in this column, but G = 6 + 3i + 2i^2
+    # - j + 2ij has one, so the test cannot extend it to every lowered
+    # constant term of diag, and the column is refused
+    column = (((-3, 1), (-1, -1), ()), ((), (0, 0, -1), (), ()))
+    A, F, G = map(_by_monomial, _tail_polynomials(column))
+    assert min(A.values()) > 0 and min(F.values()) > 0
+    assert G == {(0, 0): 6, (1, 0): 3, (2, 0): 2, (0, 1): -1, (1, 1): 2}
+    assert not _tail_certified(column)
 
 
 def test_every_default_column_certifies():
@@ -733,6 +764,40 @@ def test_every_default_column_certifies():
     assert sum(map(_tail_certified, columns)) == 59
 
 
+@given(
+    st.sampled_from(SCAN_FAMILIES),
+    st.integers(0, 10**4),
+    st.integers(1, 10**5),
+    st.integers(1, 10**5),
+)
+@settings(max_examples=300, deadline=None)
+def test_tail_checks_hold_beyond_the_default_grid(family, l, x, y):
+    # the family certificate's two checks, a_k > 0 and 4 b_k <= a_{k-1} a_k,
+    # at any l <= 10^4 and 1 <= k <= d <= 10^5, far past the scanned grid
+    l = max(l, family_by_label(family).kind.min_l)
+    k, d = sorted((x, y))
+    diag, offprod = _column_at(family, l)
+    A = -_grid_value(diag, k, d)
+    assert A > 0, (family, l, k, d)
+    assert -_grid_value(diag, k - 1, d) * A - 4 * _grid_value(offprod, k, d) >= 0, (family, l, k, d)
+
+
+@given(st.sampled_from(SCAN_FAMILIES), st.integers(0, 200), st.integers(0, 400))
+@settings(max_examples=60, deadline=None)
+def test_ratio_bound_holds_on_exact_minors(family, l, d):
+    # r_k = E_{k+1}/E_k >= a_k/2 from the block start k0 on, with
+    # E_n = (-1)^n D_n from det_sequence taken in the sign of E_{k0}
+    l = max(l, family_by_label(family).kind.min_l)
+    E = [(-1) ** n * v for n, v in enumerate(det_sequence(family, l, d).values)]
+    diag, offprod = _column_at(family, l)
+    a = [-_grid_value(diag, k, d) for k in range(d + 1)]
+    b = [_grid_value(offprod, k, d) for k in range(d + 1)]
+    k0 = next(k for k in range(d + 1) if a[k] > 0 and E[k] and (k == 0 or b[k] * E[k - 1] == 0))
+    sign = 1 if E[k0] > 0 else -1
+    for k in range(k0, d + 1):
+        assert 2 * sign * E[k + 1] >= a[k] * sign * E[k] > 0, (family, l, d, k)
+
+
 def test_far_e7_column_certifies_and_scans_like_cell():
     # E7 at l = 60, L = l(l+1) = 3660: the column certifies, so two runs
     # decide its 3,662 cells; the cells' full loops would take about 6.7
@@ -740,7 +805,7 @@ def test_far_e7_column_certifies_and_scans_like_cell():
     L = 60 * 61
     column = _column_at("E7", 60)
     assert _tail_certified(column)
-    part, _ = _scan_group("E7", 60, L + 1, False)
+    part, _ = _scan_group("E7", 60, L + 1, False, True)
     assert part.cells == L + 2
     assert not part.final_sign_violations
     assert part.flagged == [("E7", 60, L), ("E7", 60, L + 1)]
@@ -1035,10 +1100,13 @@ def test_scan_ignores_thread_env(monkeypatch, tmp_path, counted_pool):
 def test_ratio_system_polynomial():
     # matched variant: numerator 2 s^2 (1 - 2s); solution set {0, 1/2}
     s = Poly.x()
+    poly = _ratio_system_polynomial()
+    assert poly == Poly([0, 0, 2, -4])
+    assert rational_roots(poly) == [F(0), F(1, 2)]
     for L in (0, 2, 6, 12):
-        poly = _ratio_system_polynomial(L)
-        assert poly == Poly([0, 0, 2, -4])
-        assert rational_roots(poly) == [F(0), F(1, 2)]
+        # the matched variant at this L is the same polynomial
+        N, D = -s, Poly([L, 0, 4])
+        assert N * ((2 * (1 - 2 * s)) * N + D) - D * N == poly
         # the direct w-frame ratio t2 = -s / (L + 2s) makes the condition
         # N1 (2(1-2s) N2 + D2) - D1 N2 vacuous, since N1 = N2 = -s
         N, D1, D2 = -s, Poly([L, 0, 4]), Poly([L, 2])

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .algebra import Poly, Rational, horner, rational_roots
 from .elimination import nullspace, tridiag_minors
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AuxiliaryODE:
+class AuxiliaryODE(NamedTuple):
     """p2 P'' + p1 P' + p0 P = 0 in a named coordinate frame.
 
     Only the frame and the coefficients are kept: the equation is named by
@@ -83,8 +81,7 @@ def multipole_offset(family: Family, l: int) -> int:
     return l * (l + 1) - min_l * (min_l + 1)
 
 
-@dataclass(frozen=True)
-class FamilyEquation:
+class FamilyEquation(NamedTuple):
     """The cleared auxiliary equation of one n=1 family, s symbolic.
 
     p1(r) = p1_quad r^2 + p1_lin r + p1_const and p0(r) = e r + f, each a
@@ -225,8 +222,7 @@ def to_z_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
     )
 
 
-@dataclass(frozen=True)
-class HeunForm:
+class HeunForm(NamedTuple):
     """z(z-1) P'' + (a z^2 + b z + c) P' + (d + e z) P = 0.
 
     The quadratic term of the P coefficient is absent by construction; a
@@ -267,8 +263,7 @@ def to_heun_form(ode: AuxiliaryODE) -> HeunForm:
     return HeunForm(a=p1[2], b=p1[1], c=p1[0], d=p0[0], e=p0[1])
 
 
-@dataclass(frozen=True)
-class Recurrence3:
+class Recurrence3(NamedTuple):
     """Three-term relation for Frobenius coefficients about the frame origin.
 
     For P = sum lam_k t^k, row k of the residual reads lower(k) lam_{k-1}
@@ -539,8 +534,7 @@ def chandrasekhar_r_frame(l: int, P_w: Poly) -> Poly:
     return Poly.from_numerators(num, den)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     l: int
     s: Rational
     degree: int
@@ -713,8 +707,7 @@ def homotopic_shift_params(h: HeunForm, m: int) -> HeunForm:
     )
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
+class HomotopyReport(NamedTuple):
     samples: tuple
     parameter_maps_ok: bool
     operator_identities_ok: bool

@@ -300,7 +300,8 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     identities = recurrence_identity_suite(Fraction(4), bound=3)
     report.add(
         "hautot.obstruction_and_identities",
-        obstruction_ok and all(r.ok for r in identities),
+        # a suite that checked nothing has not passed
+        obstruction_ok and bool(identities) and all(r.ok for r in identities),
         tag="hautot.phi_replacement",
     )
 

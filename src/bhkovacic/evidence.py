@@ -56,11 +56,10 @@ import contextlib
 import functools
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Poly, Rational, horner, int_to_str, rat_to_str, rational_roots
 from .auxode import (
@@ -148,8 +147,7 @@ def _cell_entries(column: tuple, d: int) -> tuple:
     return diag, offprod
 
 
-@dataclass(frozen=True)
-class DetSequence:
+class DetSequence(NamedTuple):
     """One scan cell: the minor sequence D_0..D_{d+1} and its sign verdicts."""
 
     family: str
@@ -389,18 +387,25 @@ def default_l_range(family: str, l_max: int) -> range:
     return range(PerturbationKind.from_label(family).min_l, l_max + 1)
 
 
-@dataclass
 class ScanReport:
-    families: tuple
-    l_max: int
-    d_max: int
-    cells: int = 0
-    final_sign_violations: list = field(default_factory=list)
-    flagged: list = field(default_factory=list)  # intermediate-sign cells
-    flagged_count: int = 0
-    flags_resolved_nonzero: bool = True  # every flagged cell still has D_last != 0
-    cross_checks: list = field(default_factory=list)
-    cross_checks_ok: bool = True
+    """The aggregates of a scan or of one column; :meth:`absorb` appends a column."""
+
+    def __init__(self, families: tuple, l_max: int, d_max: int, cells: int = 0):
+        self.families: tuple = families
+        self.l_max: int = l_max
+        self.d_max: int = d_max
+        self.cells: int = cells
+        self.final_sign_violations: list = []
+        self.flagged: list = []  # intermediate-sign cells
+        self.flagged_count: int = 0
+        self.flags_resolved_nonzero: bool = True  # every flagged cell still has D_last != 0
+        self.cross_checks: list = []
+        self.cross_checks_ok: bool = True
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def all_final_signs_ok(self) -> bool:
@@ -630,8 +635,7 @@ def _worker_count(columns: int, cpus: Optional[int], steps: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class S3Record:
+class S3Record(NamedTuple):
     """Outcome of the S3 non-existence argument.
 
     A degree 2s-1 polynomial solution must terminate the Frobenius series

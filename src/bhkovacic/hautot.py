@@ -21,9 +21,8 @@ scale, precisely at the algebraically special frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Poly, Rational, rat_to_str
 from .auxode import HeunForm, Recurrence3, chandrasekhar_coeffs, family_equation
@@ -108,8 +107,7 @@ def phi_poly(j: int, s) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     params: tuple
     ok: bool
@@ -247,8 +245,7 @@ def det_A(l: int) -> Poly:
     return family_equation("G7").recurrence(l).det(4)
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     grid_points: int
     kummer_equal: bool
     laguerre_equal: bool
@@ -309,8 +306,7 @@ def determinant_equality_check(j: int) -> EqualityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     basis: str  # "kummer" or "laguerre"
     l: int
     s: Rational

@@ -23,9 +23,8 @@ only when a family's auxiliary equation is evaluated
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Poly, Rational, rat_to_str
 from .master import PerturbationKind
@@ -67,8 +66,7 @@ def affine_str(p: Poly) -> str:
 S = Poly.x()  # the symbol s itself
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One candidate exponent assignment (e0, e2, einf) with its degree form."""
 
     label: str
@@ -84,8 +82,7 @@ class Family:
         return PerturbationKind.from_label(self.label)
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(NamedTuple):
     """theta = c0/r + c2/(r-2) + cinf, the logarithmic derivative ansatz."""
 
     c0: Poly  # each a Poly in s of degree <= 1
@@ -150,8 +147,7 @@ def family_by_label(label: str) -> Family:
     raise KeyError(f"no n=1 family labelled {label}")
 
 
-@dataclass(frozen=True)
-class MarginalCheck:
+class MarginalCheck(NamedTuple):
     """One (l, s, d) verdict of the fixed-degree check on a marginal family.
 
     ``s`` is None when the degree form leaves the frequency free and the
@@ -165,11 +161,11 @@ class MarginalCheck:
     solutions: tuple  # (s, Poly) pairs found by the fixed-degree solver
 
 
-@dataclass
 class RetentionResult:
-    retained: list = field(default_factory=list)
-    marginal: list = field(default_factory=list)  # MarginalCheck entries
-    discarded: list = field(default_factory=list)
+    def __init__(self):
+        self.retained: list = []
+        self.marginal: list = []  # MarginalCheck entries
+        self.discarded: list = []
 
     @property
     def retained_labels(self) -> list:

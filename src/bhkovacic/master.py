@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Poly, Rational
 
@@ -81,8 +81,7 @@ class PerturbationKind(enum.Enum):
 _KIND_BY_PREFIX = {kind.prefix: kind for kind in PerturbationKind}
 
 
-@dataclass(frozen=True)
-class NuFraction:
+class NuFraction(NamedTuple):
     """Partial fractions of nu over r^2 (r-2)^2, each coefficient a Poly in s.
 
     nu = const_term + inv_r2/r^2 + inv_r/r + inv_rm2_sq/(r-2)^2 + inv_rm2/(r-2)

@@ -8,12 +8,10 @@ JSON.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, List
+from typing import Any, List, NamedTuple
 
 from .algebra import Poly, rat_to_str
 
@@ -34,18 +32,14 @@ def jsonable(value: Any):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):  # a record
+        return jsonable(value._asdict())
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
     raise TypeError(f"no report form for {type(value).__name__}")
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verification record; ``tag`` names the identity it checks."""
 
     name: str
@@ -58,11 +52,11 @@ class CheckRecord:
         return self.status == "pass"
 
 
-@dataclass
 class Report:
-    tool_version: str
-    config: dict
-    records: List[CheckRecord] = field(default_factory=list)
+    def __init__(self, tool_version: str, config: dict):
+        self.tool_version: str = tool_version
+        self.config: dict = config
+        self.records: List[CheckRecord] = []
 
     def add(self, name: str, ok: bool, tag: str, witness: Any = None) -> CheckRecord:
         record = CheckRecord(
@@ -73,7 +67,9 @@ class Report:
 
     @property
     def all_passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
+        """True when the report holds records and every one passed: a
+        report that examined nothing has not passed."""
+        return bool(self.records) and all(r.status == "pass" for r in self.records)
 
     def to_json(self) -> str:
         payload = {

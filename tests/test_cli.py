@@ -89,6 +89,16 @@ def test_chandra_verify_json(capsys):
     payload = json.loads(out)
     record = payload["records"][0]["witness"]["verification"]
     assert record["recurrence_ok"] and record["sign_pattern_ok"]
+    # the record is written as an object, its fields in order, not as a list
+    assert list(record) == [
+        "l",
+        "s",
+        "degree",
+        "recurrence_ok",
+        "ode_residual_ok",
+        "integral_identity_ok",
+        "sign_pattern_ok",
+    ]
 
 
 def test_hautot_subcommand(capsys):
@@ -233,6 +243,37 @@ def test_jsonable_keeps_ints():
     assert jsonable(True) is True and jsonable(None) is None
 
 
+def test_jsonable_writes_a_record_as_an_object():
+    from bhkovacic.reporting import CheckRecord, jsonable
+
+    record = CheckRecord("chandra.verify", "chandra.four_checks", "pass", (F(1, 2), 3))
+    assert jsonable(record) == {
+        "name": "chandra.verify",
+        "tag": "chandra.four_checks",
+        "status": "pass",
+        "witness": ["1/2", 3],
+    }
+    assert jsonable([record]) == [jsonable(record)]
+
+
+def test_a_report_with_no_record_has_not_passed():
+    from bhkovacic.reporting import Report
+
+    report = Report(tool_version="0", config={})
+    assert not report.all_passed
+    report.add("one", True, tag="t")
+    assert report.all_passed
+
+
+def test_verify_all_identities_fail_when_the_suite_checks_nothing(monkeypatch):
+    import bhkovacic.cli as cli
+
+    monkeypatch.setattr(cli, "recurrence_identity_suite", lambda s, bound: [])
+    report = cli.run_verify_all(l_max=2, d_max=4)
+    failing = [r.name for r in report.records if not r.passed]
+    assert failing == ["hautot.obstruction_and_identities"]
+
+
 @pytest.mark.parametrize("value", [object(), {1}, [F(1, 2), {"a": object()}]])
 def test_jsonable_refuses_a_value_with_no_report_form(value):
     # a repr may carry an object's address, so a report would differ between runs
@@ -259,8 +300,6 @@ def test_evidence_violation_witness_writes_d_last_as_text(capsys, monkeypatch):
 def test_verify_all_failure_names_its_first_parameter(capsys, monkeypatch):
     # plant failures at l = 3: the witnesses name the first failing l, the
     # failed checks and the first failing (l, basis); the other records pass
-    import dataclasses
-
     import bhkovacic.cli as cli
 
     real_checks, real_expansion = cli.chandrasekhar_checks, cli.extended_expansion
@@ -268,12 +307,12 @@ def test_verify_all_failure_names_its_first_parameter(capsys, monkeypatch):
     def planted_checks(l, *args, **kwargs):
         record = real_checks(l, *args, **kwargs)
         if l >= 3:
-            record = dataclasses.replace(record, sign_pattern_ok=False, recurrence_ok=l > 3)
+            record = record._replace(sign_pattern_ok=False, recurrence_ok=l > 3)
         return record
 
     def planted_expansion(l, basis, *args, **kwargs):
         report = real_expansion(l, basis, *args, **kwargs)
-        return dataclasses.replace(report, equal=report.equal and (l, basis) < (3, "laguerre"))
+        return report._replace(equal=report.equal and (l, basis) < (3, "laguerre"))
 
     monkeypatch.setattr(cli, "chandrasekhar_checks", planted_checks)
     monkeypatch.setattr(cli, "extended_expansion", planted_expansion)
@@ -328,8 +367,6 @@ def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
 ):
     # plant a nullspace at the third oracle case (E7, l = 1, s = 2), a failed
     # operator identity and an unequal Laguerre block from j = 2 on
-    import dataclasses
-
     import bhkovacic.cli as cli
 
     real_nullspace = cli.brute_force_polynomial_solutions
@@ -342,11 +379,11 @@ def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
         return basis + [Poly.x()] if len(calls) >= 3 else basis
 
     def planted_homotopy():
-        return dataclasses.replace(real_homotopy(), operator_identities_ok=False)
+        return real_homotopy()._replace(operator_identities_ok=False)
 
     def planted_equality(j):
         report = real_equality(j)
-        return dataclasses.replace(report, laguerre_equal=report.laguerre_equal and j < 2)
+        return report._replace(laguerre_equal=report.laguerre_equal and j < 2)
 
     monkeypatch.setattr(cli, "brute_force_polynomial_solutions", planted_nullspace)
     monkeypatch.setattr(cli, "homotopic_equivalence_check", planted_homotopy)
@@ -370,9 +407,7 @@ def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
     monkeypatch.setattr(
         cli,
         "homotopic_equivalence_check",
-        lambda: dataclasses.replace(
-            real_homotopy(), parameter_maps_ok=False, operator_identities_ok=False
-        ),
+        lambda: real_homotopy()._replace(parameter_maps_ok=False, operator_identities_ok=False),
     )
     records = {r.name: r for r in cli.run_verify_all(l_max=2, d_max=4).records}
     assert records["oracle.agreement"].witness == {

@@ -928,10 +928,12 @@ def test_scan_caps_flagged_cells_per_column_and_overall():
 
 def test_scan_report_absorbs_columns_in_order():
     report = ScanReport(families=SCAN_FAMILIES, l_max=2, d_max=3)
-    first = ScanReport(("E7",), l_max=1, d_max=3, cells=4, cross_checks=[{"d": 0}])
+    first = ScanReport(("E7",), l_max=1, d_max=3, cells=4)
+    first.cross_checks = [{"d": 0}]
     first.flagged = [("E7", 1, d) for d in range(30)]
     first.flagged_count = 30
-    second = ScanReport(("E7",), l_max=2, d_max=3, cells=4, cross_checks=[{"d": 4}])
+    second = ScanReport(("E7",), l_max=2, d_max=3, cells=4)
+    second.cross_checks = [{"d": 4}]
     second.flagged = [("E7", 2, d) for d in range(5)]
     second.flagged_count = 5
     second.final_sign_violations = [("E7", 2, 3, 0)]

@@ -3,8 +3,10 @@ imports nothing outside the standard library."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -124,18 +126,34 @@ def test_every_export_has_a_caller():
     assert not uncalled, f"defined or exported but never used: {uncalled}"
 
 
-def _is_dataclass(decorator):
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+# the result types of the package: frozen records are NamedTuples, and the
+# three that are filled in after construction are plain classes whose
+# ``__init__`` annotates each field it sets
+RECORD_CLASSES = {
+    "AuxiliaryODE", "FamilyEquation", "HeunForm", "Recurrence3", "VerificationRecord",
+    "HomotopyReport", "DetSequence", "S3Record", "ScanReport", "IdentityResult",
+    "EqualityReport", "ExpansionReport", "Family", "ThetaSpec", "MarginalCheck",
+    "RetentionResult", "NuFraction", "CheckRecord", "Report",
+}
 
 
-def _dataclass_fields(path):
-    """(class, field) for every annotated field of a ``@dataclass`` in one file."""
+def _record_fields(path):
+    """(class, field) for every field of a record class in one file: the
+    annotated fields of a ``NamedTuple``, and the annotated ``self.field``
+    assignments in ``__init__`` of a plain class named in RECORD_CLASSES."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield node.name, item.target.id
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+            body = node.body
+        elif node.name in RECORD_CLASSES:
+            body = [s for f in node.body if getattr(f, "name", None) == "__init__" for s in f.body]
+        else:
+            continue
+        for item in body:
+            if isinstance(item, ast.AnnAssign):
+                target = item.target
+                yield node.name, target.id if isinstance(target, ast.Name) else target.attr
 
 
 def _attributes_read(path):
@@ -150,13 +168,23 @@ def test_every_dataclass_field_is_read():
     tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
     readers = SOURCES + sorted(PERFBENCH.glob("*.py")) + tests
     read = set().union(*(_attributes_read(path) for path in readers))
-    unread = sorted(
-        f"{cls}.{name}"
-        for path in SOURCES
-        for cls, name in _dataclass_fields(path)
-        if name not in read
+    fields = [field for path in SOURCES for field in _record_fields(path)]
+    assert {cls for cls, _ in fields} == RECORD_CLASSES
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not unread, f"record fields nothing reads: {unread}"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every start of ``bhk`` pays for its imports: ``dataclasses`` pulls in
+    # ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each class it
+    # decorates takes about 1 ms to define
+    src = pathlib.Path(bhkovacic.__file__).parents[1]
+    code = "import sys, bhkovacic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert not unread, f"dataclass fields nothing reads: {unread}"
+    assert result.stdout.split() == ["[]"]
 
 
 # the only module-level memos: a memo outlives the call that filled it, so

@@ -114,20 +114,15 @@ def cmd_chandra(args) -> int:
     l = args.l
     P_w = chandrasekhar_coeffs(l)
     P_r = chandrasekhar_r_frame(l, P_w)
+    record = chandrasekhar_checks(l, P_w)
     witness = {
         "l": l,
         "s": special_frequency(l),
         "w_frame": P_w,
         "r_frame": P_r,
+        "verification": record,
     }
-    if args.verify:
-        record = chandrasekhar_checks(l, P_w)
-        witness["verification"] = record
-        report.add(
-            "chandra.verify", record.all_ok, tag="chandra.four_checks", witness=witness
-        )
-    else:
-        report.add("chandra.coeffs", True, tag="chandra.closed_form", witness=witness)
+    report.add("chandra.verify", record.all_ok, tag="chandra.four_checks", witness=witness)
     _emit(report, args.format)
     if args.format == "human":
         print(f"P(w) degree {P_w.degree}, coefficients low to high:")
@@ -394,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chandra", help="closed-form polynomial and checks")
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_chandra)
 

@@ -25,29 +25,26 @@ are flagged and settled by the full determinant and, at small degree, by
 the brute-force nullspace oracle.
 
 A scan's verdicts are signs only, while :func:`_cell`'s minors grow to
-thousands of bits.  So without ``--out`` the scan proves, once per family,
-a ratio bound that keeps every minor past a block start at one sign:
-:func:`_tail_certified` writes its checks for every k and d, with diag's
-constant term lowered by a free m >= 0, as integer polynomials with no
-negative coefficient.  On a family's lowest multipole m covers every
-l >= min_l, so the tail is proved for G3, E3 and E7 at every l and d; the
-d <= d_max grid, the per-run prefixes and the cross-checks stay bounded
-evidence.  In a family that certifies, :func:`_runs` decides whole runs
-of d at once.  Runs split where a_0 =
--diag(0), linear in d, changes sign; on each the exact prefix E_0..E_{k0}
-up to a shared block start k0 is carried as integer polynomials in d, and
-the same coefficient test proves each of them one sign on the whole run.
-The run's verdict is then exact for every cell d >= k0 in it, and a
-column costs the same at any d_max.  On the default grid G3 and E3 have
-a_0 > 0 everywhere (k0 = 0), and E7 has k0 = 0 below d = l(l+1) and
-k0 = 2 from there (offprod(2) = 0, E_2 = l^2 (l+1)^2), so every one of
-its 29,559 cells is run-decided.  Cells below k0, a run with no block
-start, a run decided as a final-sign violation (the report names each of
-its cells with D_{d+1}) and every cell of a column that does not certify
-run :func:`_cell` to the end.  ``--out``, :func:`cross_check_cell` and
-:func:`det_sequence` keep the exact minors: ``--out`` records D_{d+1} and
-the magnitude index of every cell, and the scan's cross-checks hold each
-sampled cell's verdict, run-decided or not, to the exact one.
+thousands of bits.  So without ``--out`` the scan proves each family's
+verdicts once, with diag's constant term lowered by a free m >= 0, as
+integer polynomials with no negative coefficient.  :func:`_tail_certified`
+proves a ratio bound that keeps every minor past a block start at one
+sign, for every k and d.  :func:`_certificate` proves the prefix up to the
+block start: G3 and E3 have a_0 = -diag(0) > 0 everywhere (k0 = 0), and
+E7's cells with a_0 = 2 + m - d <= 0, that is d = 2 + m + j, start their
+block at k0 = 2 (offprod(2) = 0, E_1 = -j, E_2 = (m+2)^2 = l^2 (l+1)^2).
+On a family's lowest multipole m covers every l >= min_l, so for G3, E3
+and E7 every D_{d+1} is nonzero, and there is no degree-d candidate, at
+every l >= min_l and every d >= 0.  :func:`_runs` turns the certificate
+into a column's verdicts, runs of d split where a_0 changes sign, in
+integer arithmetic alone: a column costs the same at any d_max, and every
+one of the default grid's 29,559 cells is run-decided.  Cells below k0
+and every cell of a family with no certificate run :func:`_cell` to the
+end.  The exact cells, the cross-checks and all of S3 stay bounded
+evidence.  ``--out``, :func:`cross_check_cell` and :func:`det_sequence`
+keep the exact minors: ``--out`` records D_{d+1} and the magnitude index
+of every cell, and the scan's cross-checks hold each sampled cell's
+verdict, run-decided or not, to the exact one.
 """
 
 from __future__ import annotations
@@ -220,99 +217,90 @@ def _cell(column: tuple, d: int) -> tuple:
     return sign_ok, E > 0, E if d % 2 else -E, mag_from
 
 
-# The longest exact prefix a run carries while it looks for its block
-# start; E7's is 2, and G3 and E3 need none on any grid.
+# The longest prefix :func:`_certificate` carries while it looks for a
+# family's block start; E7's is 2, and G3 and E3 need none.
 _BLOCK_START_MAX = 8
 
 
-def _runs(column: tuple, d_max: int):
-    """Yield (lo, hi, verdict) covering d = 0..d_max in order, for a column
-    that :func:`_tail_certified` accepts, or whose diag's constant term is
-    that of an accepted column lowered by some m >= 0.
+def _certificate(column: tuple) -> Optional[tuple]:
+    """(k0, sign_ok): the block start and the sign pattern of the cells from
+    the cut on (:func:`_runs`), in this column and in every column with
+    diag's constant term lowered by any m >= 0; None where the family is
+    not proved this way, and its cells run :func:`_cell`.
 
-    verdict is the (sign_pattern_ok, final_sign_ok) of every cell lo..hi,
-    or None for cells that :func:`_cell` decides one at a time.  Runs are
-    split where a_0(d) = -diag(0) changes sign, which is linear in d on a
-    scan column (a column whose a_0 has a higher degree runs every cell
-    exactly).  In :func:`_cell`'s variables a block start k0 <= d has
-    a_{k0} > 0, E_{k0} != 0 and b_{k0} E_{k0-1} = 0: then r_{k0} =
-    E_{k0+1}/E_{k0} = a_{k0}, and the certificate keeps every later minor
-    at the sign of E_{k0}, so the cell's verdict is (E_n > 0 for
-    n = 1..k0, E_{k0} > 0).
-
-    Where a_0 > 0 the block starts at k0 = 0 (E_0 = 1, E_-1 = 0) and every
-    cell is clean.  Elsewhere :func:`_block_prefix` looks for one k0 for the
-    whole run, with the E_n as polynomials in d; the certificate gives
-    a_{k0} > 0 for k0 >= 1 and d >= k0, so the cells below k0 run exactly,
-    and so does a run with no block start by _BLOCK_START_MAX.  A run
-    decided as a final-sign violation runs exactly too, because the report
-    names each of its cells with its D_{d+1}.  Every valid k0 gives the same
-    verdict, since r_k > 0 past any of them.
+    In :func:`_cell`'s variables a block start k0 <= d has a_{k0} > 0,
+    E_{k0} != 0 and b_{k0} E_{k0-1} = 0: then r_{k0} = a_{k0}, and past it
+    :func:`_tail_certified` keeps every minor at the sign of E_{k0}.
+    Lowered by m, a_0 = -diag(0) must read alpha + m + beta d.  Where
+    beta >= 0 and alpha > 0, a_0 > 0 at every cell: (0, True).  Where
+    beta = -1, the cells d = alpha + m + j, j >= 0, have a_0 = -j; their
+    E_1..E_{k0} (:func:`_prefix`) run to the first k0 with
+    b_{k0} E_{k0-1} = 0 identically and E_{k0} > 0, and
+    :func:`_no_negative` proves each E_n positive at every (m, j) or at
+    none.  sign_ok says whether all are positive.  A block on a negative
+    E_{k0} is not taken: its cells are final-sign violations, which the
+    report names each with its D_{d+1}.
     """
-    (row0, *_), _ = column
-    if any(row0[2:]):
-        yield 0, d_max, None
-        return
-    alpha, beta = (-c for c in (*row0, 0, 0)[:2])  # a_0(d) = alpha + beta d
-    for lo, hi, positive in _linear_sign_runs(alpha, beta, d_max):
-        if positive:
-            yield lo, hi, (True, True)
-            continue
-        prefix = _block_prefix(column, lo)
-        if prefix is None or not prefix[2]:
-            yield lo, hi, None
-            continue
-        k0, sign_ok, _ = prefix
-        if lo < k0:
-            yield lo, min(k0 - 1, hi), None
-        if max(lo, k0) <= hi:
-            yield max(lo, k0), hi, (sign_ok, True)
-
-
-def _linear_sign_runs(alpha: int, beta: int, d_max: int) -> list:
-    """[(lo, hi, alpha + beta d > 0)]: 0..d_max split where the sign changes."""
-    if beta == 0:
-        return [(0, d_max, alpha > 0)]
-    # beta > 0: positive exactly from cut on; beta < 0: exactly below cut
-    cut = (-alpha) // beta + 1 if beta > 0 else -(alpha // beta)
-    cut = min(max(cut, 0), d_max + 1)
-    runs = [(0, cut - 1, beta < 0), (cut, d_max, beta > 0)]
-    return [run for run in runs if run[0] <= run[1]]
-
-
-def _block_prefix(column: tuple, lo: int) -> Optional[tuple]:
-    """(k0, sign_ok, final_ok) shared by the cells d >= max(lo, k0) of a run
-    with a_0 <= 0, or None where no block start k0 <= _BLOCK_START_MAX is found.
-
-    E_0..E_{_BLOCK_START_MAX} are :func:`~bhkovacic.elimination.tridiag_minors`
-    of a_k = -diag(k) and b_k = offprod(k), integer polynomials in d.
-    k0 >= 1 needs b_{k0} E_{k0-1} = 0 identically and E_{k0} of one strict
-    sign at every d >= lo; each E_n with 1 <= n < k0 must be positive at
-    every d >= lo or at none.  Signs are proved by :func:`_no_negative` on
-    the coefficients of E_n(lo + j), j >= 0.
-    """
-    diag, offprod = column
-    b = [_entry(offprod, k) for k in range(_BLOCK_START_MAX + 1)]
-    a = (-_entry(diag, k) for k in range(_BLOCK_START_MAX))
-    E_prev, sign_ok = Poly.one(), True
-    for k, E in enumerate(tridiag_minors(a, b), 1):
-        shifted = E.shift(lo).num
-        if shifted and shifted[0] > 0 and _no_negative(shifted):
-            positive = True
-        elif _no_negative(-c for c in shifted):
-            positive = False
-        else:
+    if not _tail_certified(column):
+        return None
+    alpha, beta, *rest = (-c for c in (*column[0][0], 0, 0))
+    if any(rest):
+        return None
+    if beta >= 0 and alpha > 0:
+        return 0, True
+    if beta != -1:
+        return None
+    E_prev, sign_ok = [Poly.one()], True
+    for k, (E, b) in enumerate(_prefix(column, alpha), 1):
+        coeffs = [c for P in E for c in P.num]
+        positive = bool(E) and E[0][0] > 0 and _no_negative(coeffs)
+        if not (positive or _no_negative(-c for c in coeffs)):
             return None
         sign_ok = sign_ok and positive
-        if shifted and shifted[0] and not (b[k] and E_prev):
-            return k, sign_ok, positive
+        if positive and not any(_product(b, E_prev)):
+            return k, sign_ok
         E_prev = E
     return None
 
 
-def _entry(grid: tuple, k: int) -> Poly:
-    """sum_i k^i grid[i](d): a column entry at a fixed k, as an integer polynomial in d."""
-    return Poly.from_numerators([horner(c, k) for c in zip_longest(*grid, fillvalue=0)], 1)
+def _prefix(column: tuple, alpha: int):
+    """Yield (E_k, b_k), k = 1.._BLOCK_START_MAX, at the cells d = alpha + m + j
+    of the column with diag's constant term lowered by m, each a list of
+    integer Polys in m, entry e the coefficient of j^e.
+
+    As in :func:`_cell`, E_{k+1} = a_k E_k - b_k E_{k-1} from E_{-1} = 0
+    and E_0 = 1, with a_k = m - diag(k) and b_k = offprod(k).
+    """
+    diag, offprod = column
+
+    def entry(grid: tuple, k: int) -> list:
+        # the grid's entry at this k, a polynomial in d = alpha + m + j
+        return _on_orthant([Poly((horner(c, k),)) for c in zip_longest(*grid, fillvalue=0)], alpha)
+
+    E_prev, E, b = [], [Poly.one()], entry(offprod, 0)
+    for k in range(1, _BLOCK_START_MAX + 1):
+        a = _difference([Poly.x()], entry(diag, k - 1))
+        E_prev, E = E, _difference(_product(a, E), _product(b, E_prev))
+        b = entry(offprod, k)
+        yield E, b
+
+
+def _runs(certificate: tuple, column: tuple, d_max: int) -> list:
+    """[(lo, hi, verdict)] covering d = 0..d_max in order, for a column
+    whose family has the :func:`_certificate` ``certificate`` = (k0, sign_ok).
+
+    verdict is the (sign_pattern_ok, final_sign_ok) of every cell lo..hi,
+    or None for cells that :func:`_cell` decides one at a time.  The cut is
+    d = -diag's constant term, alpha + m: cells below it have a_0 > 0 and
+    are clean, and cells from it on have the certificate's verdict, except
+    those below k0, which run exactly.
+    """
+    k0, sign_ok = certificate
+    (row0, *_), _ = column
+    cut = min(max(-sum(row0[:1]), 0), d_max + 1)
+    start = min(max(cut, k0), d_max + 1)
+    runs = ((0, cut - 1, (True, True)), (cut, start - 1, None), (start, d_max, (sign_ok, True)))
+    return [run for run in runs if run[0] <= run[1]]
 
 
 def _no_negative(coeffs) -> bool:
@@ -320,6 +308,21 @@ def _no_negative(coeffs) -> bool:
     non-negative wherever every variable is, a positivity test in the sense
     of Polya."""
     return min(coeffs, default=0) >= 0
+
+
+def _product(P: list, Q: list) -> list:
+    """The product of two polynomials given as lists of Polys, entry e the
+    coefficient of the second variable's e-th power."""
+    out = [Poly.zero()] * (len(P) + len(Q) - 1)
+    for p, X in enumerate(P):
+        for q, Y in enumerate(Q):
+            out[p + q] += X * Y
+    return out
+
+
+def _difference(P: list, Q: list) -> list:
+    """P - Q for two polynomials given as lists of Polys, as :func:`_product`."""
+    return [X - Y for X, Y in zip_longest(P, Q, fillvalue=Poly.zero())]
 
 
 def _tail_polynomials(column: tuple) -> tuple:
@@ -334,22 +337,17 @@ def _tail_polynomials(column: tuple) -> tuple:
     diag, offprod = ([Poly(c) for c in zip_longest(*grid, fillvalue=0)] for grid in column)
     A = [-P for P in diag]  # Polys in k, entry q the coefficient of d^q
     A_prev = [P.shift(-1) for P in A]
-    F = [Poly.zero()] * max(2 * len(A) - 1, len(offprod))
-    for p, P in enumerate(A_prev):
-        for q, Q in enumerate(A):
-            F[p + q] += P * Q
-    for q, P in enumerate(offprod):
-        F[q] -= 4 * P
+    F = _difference(_product(A_prev, A), [4 * P for P in offprod])
     G = [P + Q for P, Q in zip(A_prev, A)]
-    return tuple(map(_on_orthant, (A, F, G)))
+    return tuple(_on_orthant(P, 1) for P in (A, F, G))
 
 
-def _on_orthant(P: list) -> list:
-    """P(1 + i, 1 + i + j) for P(k, d) given as Polys in k, entry q the
-    coefficient of d^q: (k + j)^q expanded by the binomial theorem, then
-    k = 1 + i."""
+def _on_orthant(P: list, start: int) -> list:
+    """P(start + i, start + i + j) for P(k, d) given as Polys in k, entry q
+    the coefficient of d^q: (k + j)^q expanded by the binomial theorem, then
+    k = start + i."""
     return [
-        sum(comb(q, e) * P[q] * Poly.monomial(q - e) for q in range(e, len(P))).shift(1)
+        sum(comb(q, e) * P[q] * Poly.monomial(q - e) for q in range(e, len(P))).shift(start)
         for e in range(len(P))
     ]
 
@@ -473,7 +471,7 @@ def _check_failed(check: dict) -> bool:
     return not check["agree"] or check["nullspace_dim"] not in (0, None)
 
 
-def _scan_group(family: str, l: int, d_max: int, want_cells: bool, certified: bool) -> tuple:
+def _scan_group(family: str, l: int, d_max: int, want_cells: bool, certificate) -> tuple:
     """(ScanReport, text) of one (family, l) column; picklable.
 
     ``family`` is a scan family's label: its grid comes from
@@ -482,20 +480,20 @@ def _scan_group(family: str, l: int, d_max: int, want_cells: bool, certified: bo
     The part names its column as families = (family,) and
     l_max = l, and keeps at most 8 flagged cells; text is the column's
     ``--out`` records in d order as JSON joined by ",\n", or None without
-    ``want_cells``.  ``certified`` is the family's :func:`_tail_certified`
-    verdict, proved once by :func:`scan` for every l: where it holds,
+    ``want_cells``.  ``certificate`` is the family's :func:`_certificate`,
+    proved once by :func:`scan` for every l: where it is not None,
     :func:`_runs` decides whole runs of d at once, so a column's cost does
     not grow with d_max; the cells it leaves, and every cell of a family
-    that does not certify, are one :func:`_cell` call each.  Each sampled
+    with no certificate, are one :func:`_cell` call each.  Each sampled
     cross-check holds the cell's verdict, run-decided or not, to the exact
     loop's signs, with D_{d+1} != 0 where no D_{d+1} was computed.  With
-    ``want_cells`` :func:`scan` passes ``certified`` False and every cell
-    is exact, since each record carries D_{d+1} and its magnitude index.
+    ``want_cells`` :func:`scan` passes no certificate and every cell is
+    exact, since each record carries D_{d+1} and its magnitude index.
     """
     column = _column_at(family, l)
     part = ScanReport(families=(family,), l_max=l, d_max=d_max, cells=d_max + 1)
     records = [] if want_cells else None
-    for lo, hi, verdict in _runs(column, d_max) if certified else [(0, d_max, None)]:
+    for lo, hi, verdict in _runs(certificate, column, d_max) if certificate else [(0, d_max, None)]:
         if verdict:  # every cell lo..hi, with D_{d+1} != 0 proved and not computed
             decided = [(lo, hi, *verdict, None, None)]
         else:
@@ -541,15 +539,14 @@ def scan(
 
     Streams every (family, l, d) cell; intermediate-sign violations are
     flagged and resolved by the full determinant (a nonzero D_{d+1} rules
-    out the candidate regardless of interior minors).  Without ``out`` the
-    ratio bound is proved once per family, on its lowest multipole and so
-    for every l >= min_l (:func:`_tail_certified`); in a family that
-    certifies, :func:`_runs` decides whole runs of d from one exact prefix
-    of polynomials in d, and every other cell runs its exact minors
-    (:func:`_scan_group`).  Cells with d <= _CROSS_CHECK_D_MAX are
-    sampled and cross-checked against a direct fraction-free determinant of
-    the explicit system, and at very small d against the brute-force
-    nullspace.  With ``out`` set, one JSON record per cell is written there
+    out the candidate regardless of interior minors).  Without ``out`` each
+    family's verdicts are proved once, on its lowest multipole and so for
+    every l >= min_l (:func:`_certificate`); in a family with a
+    certificate, :func:`_runs` decides whole runs of d, and every other
+    cell runs its exact minors (:func:`_scan_group`).  Cells with
+    d <= _CROSS_CHECK_D_MAX are sampled and cross-checked against a direct
+    fraction-free determinant of the explicit system, and at very small d
+    against the brute-force nullspace.  With ``out`` set, one JSON record per cell is written there
     in grid order, one column at a time, so memory holds one column's
     records and does not grow with the grid; the file is opened before any
     cell is computed, and one that cannot be opened raises ValueError.
@@ -570,8 +567,8 @@ def scan(
     grid = [(family, l) for family in families for l in default_l_range(family, l_max)]
     if d_max < 0 or not grid:
         raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
-    certified = {f: not want_cells and _tail_certified(_column(f)) for f in families}
-    jobs = [(family, l, d_max, want_cells, certified[family]) for family, l in grid]
+    certificates = {f: None if want_cells else _certificate(_column(f)) for f in families}
+    jobs = [(family, l, d_max, want_cells, certificates[family]) for family, l in grid]
     steps = len(jobs) * (d_max + 1) * (d_max + 2) // 2  # exact, as --out runs every cell
     workers = _worker_count(len(jobs), _usable_cpus(), steps) if want_cells else 1
     report = ScanReport(families=families, l_max=l_max, d_max=d_max)

@@ -76,15 +76,17 @@ def test_families_takes_no_mode(capsys, option):
 
 
 def test_chandra_l2_human(capsys):
+    # every call runs the four checks: its one record is their verdict
     code, out, _ = run(capsys, "chandra", "--l", "2")
     assert code == 0
+    assert out.startswith("[PASS] chandra.verify (chandra.four_checks)\n")
     assert "-945/16384" in out
     assert "1/16" in out
     assert "-1164765/16384" in out
 
 
 def test_chandra_verify_json(capsys):
-    code, out, _ = run(capsys, "chandra", "--l", "2", "--verify", "--json")
+    code, out, _ = run(capsys, "chandra", "--l", "2", "--json")
     assert code == 0
     payload = json.loads(out)
     record = payload["records"][0]["witness"]["verification"]
@@ -99,6 +101,25 @@ def test_chandra_verify_json(capsys):
         "integral_identity_ok",
         "sign_pattern_ok",
     ]
+
+
+def test_chandra_fails_when_a_check_fails(capsys, monkeypatch):
+    # no record passes for having built the polynomial alone, and the
+    # old --verify switch is gone
+    from bhkovacic import cli
+
+    real = cli.chandrasekhar_checks
+
+    def planted(l, P_w):
+        return real(l, P_w)._replace(sign_pattern_ok=False)
+
+    monkeypatch.setattr(cli, "chandrasekhar_checks", planted)
+    code, out, _ = run(capsys, "chandra", "--l", "2")
+    assert code == 1
+    assert out.startswith("[FAIL] chandra.verify")
+    with pytest.raises(SystemExit) as err:
+        main(["chandra", "--l", "2", "--verify"])
+    assert err.value.code == 2
 
 
 def test_hautot_subcommand(capsys):
@@ -423,7 +444,7 @@ def test_chandra_writes_integers_past_the_str_limit(capsys, int_str_limit):
     for limit in (0, 640):
         int_str_limit(limit)
         for fmt in ("json", "csv", "human"):
-            code, out, err = run(capsys, "chandra", "--l", "6", "--verify", "--format", fmt)
+            code, out, err = run(capsys, "chandra", "--l", "6", "--format", fmt)
             assert code == 0, err
             outputs[limit, fmt] = out
     assert all(outputs[640, fmt] == outputs[0, fmt] for fmt in ("json", "csv", "human"))

@@ -1,5 +1,6 @@
 """Determinant-sign evidence and the S3 non-existence record."""
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
@@ -22,11 +23,12 @@ from bhkovacic.elimination import bareiss_determinant, tridiag_minors
 from bhkovacic.evidence import (
     SCAN_FAMILIES,
     ScanReport,
-    _block_prefix,
     _cell,
     _cell_entries,
+    _certificate,
     _column,
     _column_at,
+    _prefix,
     _ratio_system_polynomial,
     _runs,
     _scan_group,
@@ -232,14 +234,14 @@ def test_scan_certifies_each_family_once(monkeypatch, tmp_path):
     # one proof per family on its lowest multipole serves every l: 3 on the
     # verify-all grid (17 columns) and 3 on the default grid (59 columns);
     # --out runs every cell exactly and needs no certificate
-    certify = evidence._tail_certified
+    certify = evidence._certificate
     calls = []
 
     def counted(column):
         calls.append(column)
         return certify(column)
 
-    monkeypatch.setattr(evidence, "_tail_certified", counted)
+    monkeypatch.setattr(evidence, "_certificate", counted)
     scan(l_max=6, d_max=100)
     assert calls == [_column(family) for family in SCAN_FAMILIES]
     scan()
@@ -266,8 +268,8 @@ def _lying_run(monkeypatch, d_lie, verdict):
     """Make _runs decide the cell d_lie alone, with ``verdict``."""
     runs = evidence._runs
 
-    def lying(column, d_max):
-        for lo, hi, decided in runs(column, d_max):
+    def lying(certificate, column, d_max):
+        for lo, hi, decided in runs(certificate, column, d_max):
             if not lo <= d_lie <= hi:
                 yield lo, hi, decided
                 continue
@@ -284,9 +286,10 @@ def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
     # E7 at l = 2, d = 8 > l(l+1) has a broken interior pattern; a run
     # verdict that calls it clean fails the scan's cross-check there, while
     # cross_check_cell alone compares its oracles with the exact loop only
-    assert _scan_group("E7", 2, 12, False, True)[0].cross_checks_ok
+    certificate = _certificate(_column("E7"))
+    assert _scan_group("E7", 2, 12, False, certificate)[0].cross_checks_ok
     _lying_run(monkeypatch, 8, (True, True))
-    part, _ = _scan_group("E7", 2, 12, False, True)
+    part, _ = _scan_group("E7", 2, 12, False, certificate)
     assert [check["agree"] for check in part.cross_checks] == [True, True, False, True]
     assert all(check["recurrence_det"] == check["bareiss_det"] for check in part.cross_checks)
     assert not part.cross_checks_ok
@@ -295,16 +298,18 @@ def test_cross_check_holds_the_walk_to_the_exact_cell(monkeypatch):
 
 def test_cross_check_refuses_an_early_exit_on_a_zero_determinant(monkeypatch):
     # _PLANTED_ZERO has D_{d+1} = 0 in every cell, so no run may decide
-    # one, even with the exact signs
+    # one, even with the exact signs; it has no certificate, so the runs
+    # that lie about d = 4 are planted on a column with no run decided
     column = _PLANTED_ZERO
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
     monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
-    assert _tail_certified(column)
-    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False, True)[0].cross_checks]
+    assert _tail_certified(column) and _certificate(column) is None
+    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False, None)[0].cross_checks]
     assert agree == [True] * 4
+    monkeypatch.setattr(evidence, "_runs", lambda certificate, column, d_max: [(0, d_max, None)])
     _lying_run(monkeypatch, 4, (False, False))
-    agree = [check["agree"] for check in _scan_group("G3", 2, 12, False, True)[0].cross_checks]
-    assert agree == [True, False, True, True]
+    part, _ = _scan_group("G3", 2, 12, False, (0, True))
+    assert [check["agree"] for check in part.cross_checks] == [True, False, True, True]
 
 
 def _tridiagonal_rows(column, d):
@@ -435,20 +440,20 @@ def test_cell_matches_reference_on_random_columns(diag, offprod, d):
     assert _cell(column, d) == _reference(values, d)
 
 
-def _scan_cell(column, d):
-    """Cell d as the scan decides it in a certified column: its run's
-    (*verdict, None, None), or _cell where no run decides it."""
-    for lo, hi, verdict in _runs(column, d):
+def _scan_cell(certificate, column, d):
+    """Cell d as the scan decides it: its run's (*verdict, None, None), or
+    _cell where no run decides it or there is no certificate."""
+    for lo, hi, verdict in _runs(certificate, column, d) if certificate else ():
         if lo <= d <= hi and verdict:
             return (*verdict, None, None)
     return _cell(column, d)
 
 
-def _run_verdicts(column, d_max):
+def _run_verdicts(certificate, column, d_max):
     """The run verdict of each cell d = 0..d_max, None where _cell decides it;
     the runs cover 0..d_max in order."""
     verdicts = []
-    for lo, hi, verdict in _runs(column, d_max):
+    for lo, hi, verdict in _runs(certificate, column, d_max):
         assert lo == len(verdicts) and lo <= hi
         verdicts += [verdict] * (hi + 1 - lo)
     assert len(verdicts) == d_max + 1
@@ -456,12 +461,13 @@ def _run_verdicts(column, d_max):
 
 
 def _assert_walk_decides_like_cell(family, ls, d_max):
-    # every column certifies, a run decides every cell, and its verdict is
-    # the full loop's signs with D_last != 0
+    # the family has a certificate, a run decides every cell, and its
+    # verdict is the full loop's signs with D_last != 0
+    certificate = _certificate(_column(family))
+    assert certificate, family
     for l in ls:
         column = _column_at(family, l)
-        assert _tail_certified(column), (family, l)
-        for d, verdict in enumerate(_run_verdicts(column, d_max)):
+        for d, verdict in enumerate(_run_verdicts(certificate, column, d_max)):
             sign_ok, final_ok, D_last, _ = _cell(column, d)
             assert verdict == (sign_ok, final_ok), (family, l, d)
             assert D_last != 0, (family, l, d)
@@ -484,9 +490,10 @@ def test_cell_signs_block_start_of_e7():
     # a_0 = l(l+1) - d: E7 starts its block at k0 = 0 below d = l(l+1), and
     # at k0 = 2 from there on (offprod(2) = 0), through an exact zero or
     # negative first minor and E_2 = (l(l+1))^2
+    certificate = _certificate(_column("E7"))
+    assert certificate == (2, False)
     column = _column_at("E7", 2)
-    assert list(_runs(column, 40)) == [(0, 5, (True, True)), (6, 40, (False, True))]
-    assert _block_prefix(column, 6) == (2, False, True)
+    assert _runs(certificate, column, 40) == [(0, 5, (True, True)), (6, 40, (False, True))]
     assert _cell(column, 5)[:2] == (True, True)
     assert _cell(column, 6)[:2] == (False, True)  # D_1 = 0
     assert _cell(column, 7)[:2] == (False, True)  # D_1 > 0
@@ -506,48 +513,48 @@ def _counted_horner(monkeypatch):
 
 
 # a_k = 3 - d + k + 2 k d and offprod(k) = -k d^2: A = 5 + 4i + 2i^2 + j + 2ij,
-# F and G have no negative coefficient, so the column certifies, while
-# a_0 = 3 - d turns zero at d = 3 and negative after it
+# F and G have no negative coefficient, so the column's tail certifies,
+# while a_0 = 3 - d turns zero at d = 3 and negative after it
 _PLANTED_A0_SIGN = (((-3, 1), (-1, -2), ()), ((), (0, 0, -1), (), ()))
 
 
 def test_runs_split_where_a0_changes_sign():
-    # a_0 = alpha + beta d splits 0..d_max into at most two maximal runs
-    for alpha in range(-7, 8):
-        for beta in range(-3, 4):
-            for d_max in (0, 1, 5, 9):
-                runs = evidence._linear_sign_runs(alpha, beta, d_max)
-                signs = [positive for lo, hi, positive in runs for _ in range(lo, hi + 1)]
-                assert signs == [alpha + beta * d > 0 for d in range(d_max + 1)]
-                assert all(p != q for (*_, p), (*_, q) in zip(runs, runs[1:]))
-    # the run of a_0 > 0 is clean at k0 = 0; from d = 3, b_k = -k d^2 never
-    # vanishes identically, so that run has no block start and runs exactly
+    # the cut d = -diag's constant term splits 0..d_max into the cells with
+    # a_0 > 0, all clean, and those with a_0 <= 0, which take the
+    # certificate's verdict from k0 on and run _cell below it
+    for c in range(-7, 8):
+        column = (((c, -1), (-1,), ()), ((), (), (), ()))
+        for k0 in range(4):
+            for sign_ok in (True, False):
+                for d_max in (0, 1, 5, 9):
+                    expected = [
+                        (True, True) if c + d < 0 else None if d < k0 else (sign_ok, True)
+                        for d in range(d_max + 1)
+                    ]
+                    assert _run_verdicts((k0, sign_ok), column, d_max) == expected
+    # b_k = -k d^2 never vanishes identically, so no block starts, and
+    # _PLANTED_A0_SIGN gets no certificate and runs every cell exactly
     assert _tail_certified(_PLANTED_A0_SIGN)
-    assert list(_runs(_PLANTED_A0_SIGN, 11)) == [(0, 2, (True, True)), (3, 11, None)]
-    assert _block_prefix(_PLANTED_A0_SIGN, 3) is None
-    for d in range(3):
-        assert _cell(_PLANTED_A0_SIGN, d)[:2] == (True, True) and _cell(_PLANTED_A0_SIGN, d)[2]
-    # a column whose a_0 is not linear in d runs every cell exactly
-    quadratic = (((-3, 0, 1), (-1, -1), ()), _PLANTED_A0_SIGN[1])
-    assert list(_runs(quadratic, 11)) == [(0, 11, None)]
+    assert all(any(b) for _, b in _prefix(_PLANTED_A0_SIGN, 3))
+    assert _certificate(_PLANTED_A0_SIGN) is None
 
 
 @pytest.mark.parametrize("family,l", [("G3", 2), ("E7", 2)])
 def test_scan_group_cost_does_not_grow_with_d_max(monkeypatch, family, l):
-    # a certified column evaluates the same polynomials at d_max = 100 and
-    # at d_max = 100,000: G3 none but the seven of each of the four sampled
-    # cross-checks' exact cells (d = 0, 4, 8, 12), E7 also its run prefix
+    # a column with a certificate evaluates the same polynomials at
+    # d_max = 100 and at d_max = 100,000: none but the seven of each of the
+    # four sampled cross-checks' exact cells (d = 0, 4, 8, 12), since the
+    # family's prefix is proved once, not per column
+    certificate = _certificate(_column(family))
     counts = []
     for d_max in (100, 100_000):
         with monkeypatch.context() as m:
             calls = _counted_horner(m)
-            part, _ = _scan_group(family, l, d_max, False, True)
+            part, _ = _scan_group(family, l, d_max, False, certificate)
         assert part.cells == d_max + 1 and part.cross_checks_ok
         assert len(part.cross_checks) == 4
         counts.append(len(calls))
-    assert counts[0] == counts[1]
-    if family == "G3":
-        assert counts[0] == 4 * 7
+    assert counts == [4 * 7] * 2
 
 
 # a_k = -diag(k) >= 1 on the sampled range keeps the runs deciding often;
@@ -563,9 +570,21 @@ def _offset_column(label, m):
     return ((c - m, *c_d), *c_k), offprod
 
 
-# E7's grid at offsets m >= -2 certifies, and its runs of a_0 = 2 + m - d <= 0
-# start their blocks at k0 = 2 (m > -2, with the cell d = 1 below k0 at
-# m = -1) or find none (m = -2, E_2 = (m + 2)^2 = 0)
+def _perturbed_column(label, where, by):
+    """The family's grid with one coefficient moved by ``by``: ``where``
+    picks it among every coefficient of diag and offprod."""
+    grids = [[list(row) for row in grid] for grid in _column(label)]
+    cells = [(g, i, j) for g in (0, 1) for i, row in enumerate(grids[g]) for j in range(len(row))]
+    g, i, j = cells[where % len(cells)]
+    grids[g][i][j] += by
+    return tuple(tuple(map(tuple, grid)) for grid in grids)
+
+
+# E7's grid at offsets m >= -2 certifies, and its cells with
+# a_0 = 2 + m - d <= 0 start their blocks at k0 = 2 (m > -2, with the cell
+# d = 1 below k0 at m = -1) or find none (m = -2, E_2 = (m + 2)^2 = 0);
+# E7 with one coefficient moved often keeps its tail and sometimes its
+# certificate
 _random_column = st.one_of(
     st.tuples(
         st.one_of(
@@ -575,32 +594,38 @@ _random_column = st.one_of(
         st.tuples(_coeffs, _coeffs, _coeffs, _coeffs),
     ),
     st.integers(-2, 40).map(lambda m: _offset_column("E7", m)),
+    st.builds(
+        _perturbed_column,
+        st.just("E7"),
+        st.integers(0, 12),  # E7 has 13 coefficients
+        st.integers(-3, 3).filter(bool),
+    ),
 )
 
 
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
 def test_cell_signs_agree_with_cell_where_they_decide(column, d):
-    # a run is decided only in a column that certifies; there, where it
+    # a run is decided only in a column with a certificate; there, where it
     # decides a cell, it gives the exact signs of a cell with D_{d+1} != 0
-    if _tail_certified(column):
-        sign_ok, final_ok, D_last, mag_from = _scan_cell(column, d)
-        if D_last is None:
-            exact = _cell(column, d)
-            assert (sign_ok, final_ok) == exact[:2]
-            assert exact[2] != 0
-            assert mag_from is None
+    certificate = _certificate(column)
+    sign_ok, final_ok, D_last, mag_from = _scan_cell(certificate, column, d)
+    if D_last is None:
+        assert certificate
+        exact = _cell(column, d)
+        assert (sign_ok, final_ok) == exact[:2]
+        assert exact[2] != 0
+        assert mag_from is None
 
 
 @given(_random_column, st.integers(0, 40))
 @settings(max_examples=400, deadline=None)
 def test_certified_walk_is_the_full_walk(column, d):
-    # where the column certifies, deciding a cell by its run loses no
-    # decision: the result is the full loop's, without D_last and mag_from
-    # where a run decided it
-    if _tail_certified(column):
-        early, exact = _scan_cell(column, d), _cell(column, d)
-        assert early in (exact, (*exact[:2], None, None))
+    # where the column has a certificate, deciding a cell by its run loses
+    # no decision: the result is the full loop's, without D_last and
+    # mag_from where a run decided it
+    early, exact = _scan_cell(_certificate(column), column, d), _cell(column, d)
+    assert early in (exact, (*exact[:2], None, None))
 
 
 @given(_random_column, st.integers(0, 40))
@@ -608,13 +633,14 @@ def test_certified_walk_is_the_full_walk(column, d):
 def test_run_decided_column_reports_like_exact_cells(column, d_max):
     # a certified column's report, flagged cells, violations and
     # cross-checks included, is the report of its cells run one by one
-    if not _tail_certified(column):
+    certificate = _certificate(column)
+    if not certificate:
         return
     with pytest.MonkeyPatch.context() as m:
         m.setattr(evidence, "_column_at", lambda fam, l: column)
         m.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
-        assert _scan_group("G3", 2, d_max, False, False) == _scan_group(
-            "G3", 2, d_max, False, True
+        assert _scan_group("G3", 2, d_max, False, None) == _scan_group(
+            "G3", 2, d_max, False, certificate
         )
 
 
@@ -623,22 +649,34 @@ def test_run_decided_column_reports_like_exact_cells(column, d_max):
 _PLANTED = (((-10,), (), ()), ((), (), (1,), ()))
 
 
-# a_k = 2k - 1 and offprod = -1: A = 1 + 2i and F = 3 + 4i^2, so the column
-# certifies.  E_1 = -1, E_2 = 0 and E_3 = -1, so the block starts at k0 = 3
-# on a negative minor: every cell is a final-sign violation, so every cell
-# runs the loop to the end, to be reported with its D_{d+1}
+# a_k = 2k - 1 and offprod = -1: A = 1 + 2i and F = 3 + 4i^2, so the tail
+# certifies.  E_1 = -1, E_2 = 0 and E_3 = -1: every cell is a final-sign
+# violation, so every cell runs the loop to the end, to be reported with
+# its D_{d+1}; a_0 = -1 at every d, so there is no certificate
 _PLANTED_NEGATIVE = (((1,), (-2,), ()), ((-1,), (), (), ()))
 
+# a_0 = m - d and a_1 = 1 + m, offprod(k) = 2k - k^2: at d = m + j, E_1 = -j
+# and E_2 = -1 - (1 + m) j < 0, with offprod(2) = 0, a block on a negative
+# minor (F is negative at k = 1, so the tail does not certify)
+_PLANTED_NEGATIVE_BLOCK = (((0, 1), (-1, -1), ()), ((), (2,), (-1,), ()))
 
-def test_cell_signs_decide_a_negative_block():
+
+def test_cell_signs_decide_a_negative_block(monkeypatch):
+    # a block that starts on a negative minor makes every cell a final-sign
+    # violation, which the report names with its D_{d+1}: no certificate
+    # takes it, even with the tail granted, so _cell decides each cell
     assert _tail_certified(_PLANTED_NEGATIVE)
     assert _cell(_PLANTED_NEGATIVE, 1)[2] == 0
-    assert _block_prefix(_PLANTED_NEGATIVE, 0) == (3, False, False)
-    assert list(_runs(_PLANTED_NEGATIVE, 19)) == [(0, 19, None)]
-    for d in range(20):
-        exact = _cell(_PLANTED_NEGATIVE, d)
-        assert exact[:2] == (False, False)
-        assert _scan_cell(_PLANTED_NEGATIVE, d) == exact, d
+    monkeypatch.setattr(evidence, "_tail_certified", lambda column: True)
+    (E_1, _), (E_2, b_2) = itertools.islice(_prefix(_PLANTED_NEGATIVE_BLOCK, 0), 2)
+    assert _by_monomial(E_1) == {(0, 1): -1}
+    assert _by_monomial(E_2) == {(0, 0): -1, (0, 1): -1, (1, 1): -1} and not any(b_2)
+    for column in (_PLANTED_NEGATIVE, _PLANTED_NEGATIVE_BLOCK):
+        assert _certificate(column) is None
+        for d in range(20):
+            exact = _cell(column, d)
+            assert exact[:2] == (False, False)
+            assert _scan_cell(_certificate(column), column, d) == exact, d
 
 
 # a_k = k and offprod = 0: A = 1 + i and F = i + i^2 certify, but E_1 = a_0 = 0
@@ -650,21 +688,146 @@ _PLANTED_ZERO = (((0,), (-1,), ()), ((), (), (), ()))
     "column", [_PLANTED_ZERO, _PLANTED_NEGATIVE], ids=["gives_up", "violation"]
 )
 def test_scan_group_falls_back_to_cell_where_the_walk_does_not_settle(monkeypatch, column):
-    # on the first certified column no block starts, and each cell reports
-    # its exact D_last = 0; the second is decided as a final-sign violation,
-    # so its cells run exactly, to be reported with the exact D_last;
-    # either way the column's report is the one with no run decided at all
-    assert _tail_certified(column)
-    assert list(_runs(column, 20)) == [(0, 20, None)]
+    # the tail of either column certifies, but a_0 <= 0 at every d gives
+    # neither a certificate: on the first each cell reports its exact
+    # D_last = 0, and the second's cells are final-sign violations, each
+    # reported with its exact D_last
+    assert _tail_certified(column) and _certificate(column) is None
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
-    certified = _scan_group("G3", 2, 20, False, True)
-    assert _scan_group("G3", 2, 20, False, False) == certified
-    part = certified[0]
+    part, _ = _scan_group("G3", 2, 20, False, _certificate(column))
     assert part.flagged_count == 21
     assert not part.flags_resolved_nonzero
     assert [(d, D_last) for *_, d, D_last in part.final_sign_violations] == [
         (d, _cell(column, d)[2]) for d in range(21)
     ]
+
+
+# a_k = 1 - 2d + 2k + 4kd and offprod(k) = -2k d^2: the tail certifies, and
+# a_0 = 1 - 2d has slope -2
+_PLANTED_BETA_2 = (((-1, 2), (-2, -4), ()), ((), (0, 0, -2), (), ()))
+
+
+def _planted_a0_quadratic():
+    """G3 with a_0 = 15 + 5d + d^2: positive, but not linear in d."""
+    (row0, *rows), offprod = _column("G3")
+    return ((*row0, -1), *rows), offprod
+
+
+def _planted_e7_sign():
+    """E7 with the sign of diag's k^2 coefficient flipped: the tail still
+    certifies, and E_2 = (m + 2)^2 - 2j takes both signs."""
+    (*rows, (c,)), offprod = _column("E7")
+    return (*rows, (-c,)), offprod
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        _PLANTED_BETA_2,
+        _planted_a0_quadratic(),
+        _PLANTED_ZERO,
+        _PLANTED_NEGATIVE,
+        _PLANTED_A0_SIGN,
+        _planted_e7_sign(),
+    ],
+    ids=["beta_minus_2", "quadratic_a0", "alpha_zero", "alpha_negative", "no_block", "e7_sign"],
+)
+def test_certificate_refuses_a_prefix_it_cannot_prove(monkeypatch, column):
+    # each tail certifies, but the prefix is not proved for every m: a_0 is
+    # not alpha + m + beta d with beta = -1, or beta >= 0 and alpha > 0, or
+    # no block starts on a minor of one sign; the scan decides no run
+    assert _tail_certified(column)
+    assert _certificate(column) is None
+    runs = []
+    monkeypatch.setattr(evidence, "_column", lambda label: column)
+    monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
+    monkeypatch.setattr(evidence, "_runs", lambda *args: runs.append(args))
+    assert scan(families=("G3",), l_max=2, d_max=20).cells == 21
+    assert runs == []
+
+
+def test_certificate_checks_the_slope_before_the_prefix(monkeypatch):
+    # the cut d = alpha + m is where a_0 changes sign only at slope -1: a
+    # column of slope -2 is refused even with a prefix whose first minor
+    # starts a block of positive sign
+    monkeypatch.setattr(evidence, "_prefix", lambda column, alpha: iter([([Poly.one()], [])]))
+    assert _certificate(_column("E7")) == (1, True)
+    assert _certificate(_PLANTED_BETA_2) is None
+
+
+def test_certificate_refuses_a_minor_of_both_signs(monkeypatch):
+    # E_1 = 1 - j is positive at j = 0 only, so no one sign pattern holds
+    # for the cells before the block, even where a positive E_2 starts one
+    prefix = [([Poly.one(), -Poly.one()], [Poly.one()]), ([Poly.one()], [])]
+    monkeypatch.setattr(evidence, "_prefix", lambda column, alpha: iter(prefix))
+    assert _certificate(_column("E7")) is None
+    prefix[0] = ([Poly.zero(), -Poly.one()], [Poly.one()])  # E_1 = -j
+    assert _certificate(_column("E7")) == (2, False)
+
+
+def test_e7_prefix_matches_sympy():
+    # E7 at d = 2 + m + j, the cells with a_0 = 2 + m - d <= 0, from the
+    # family grid with diag's constant term lowered by a symbol m:
+    # E_1 = a_0 = -j, b_2 = offprod(2) = 0 and E_2 = a_1 E_1 - b_1 = (m+2)^2
+    import sympy
+
+    k, d, j, m = sympy.symbols("k d j m")
+    diag, offprod = (_grid_value(grid, k, d) for grid in _column("E7"))
+    a, b = m - diag, offprod
+    at = {d: 2 + m + j}
+    E_1 = sympy.expand(a.subs(k, 0).subs(at))
+    E_2 = sympy.expand((a.subs(k, 1) * a.subs(k, 0) - b.subs(k, 1)).subs(at))
+    b_2 = sympy.expand(b.subs(k, 2).subs(at))
+    assert (E_1, b_2, sympy.factor(E_2)) == (-j, 0, (m + 2) ** 2)
+
+    def by_monomial(e):
+        return {(p, q): int(c) for (p, q), c in sympy.Poly(e, m, j).as_dict().items()}
+
+    (engine_E_1, _), (engine_E_2, engine_b_2) = itertools.islice(_prefix(_column("E7"), 2), 2)
+    assert _by_monomial(engine_E_1) == by_monomial(E_1)
+    assert _by_monomial(engine_E_2) == by_monomial(E_2)
+    assert not any(engine_b_2)
+    assert _certificate(_column("E7")) == (2, False)
+
+
+def _family_cell(family, l, d):
+    """(family, l, d) drawn with l >= min_l."""
+    return family, max(l, family_by_label(family).kind.min_l), d
+
+
+def _e7_cells(ls, below):
+    """E7 cells (l, d <= 3,000) with d below l(l+1), or from it on."""
+
+    def cells(l):
+        L = l * (l + 1)
+        d = st.integers(0, min(L, 3001) - 1) if below else st.integers(L, 3000)
+        return st.tuples(st.just("E7"), st.just(l), d)
+
+    return ls.flatmap(cells)
+
+
+@given(
+    st.one_of(
+        st.builds(
+            _family_cell, st.sampled_from(SCAN_FAMILIES), st.integers(0, 200), st.integers(0, 3000)
+        ),
+        # E7 on either side of d = l(l+1), where its interior pattern breaks
+        _e7_cells(st.integers(1, 200), below=True),
+        _e7_cells(st.integers(1, 54), below=False),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_verdict_holds_beyond_the_grid(cell):
+    # the family's one certificate decides the cell at l <= 200, d <= 3,000,
+    # with the signs of the full loop, and a nonzero D_{d+1}
+    family, l, d = cell
+    column = _column_at(family, l)
+    verdicts = _run_verdicts(_certificate(_column(family)), column, d)
+    sign_ok, final_ok, D_last, _ = _cell(column, d)
+    assert verdicts[d] == (sign_ok, final_ok), cell
+    assert D_last != 0, cell
+    if family == "E7":
+        assert sign_ok == (d < l * (l + 1)), cell
 
 
 def _grid_value(grid, k, d):
@@ -722,22 +885,18 @@ def test_tail_certificate_refuses_planted_columns(monkeypatch):
     assert A[0] > 0 and min(A) < 0
     runs = []
 
-    def spy(column, d_max):
-        runs.append(column)
-        return evidence._runs(column, d_max)
-
     for column in (_PLANTED, planted):
         assert not _tail_certified(column)
         monkeypatch.setattr(evidence, "_column", lambda label: column)
         monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
         with monkeypatch.context() as m:
-            m.setattr(evidence, "_runs", spy)
+            m.setattr(evidence, "_runs", lambda *args: runs.append(args))
             report = scan(families=("G3",), l_max=2, d_max=40)
         assert report.cells == 41 and runs == []  # no run was decided
     # a false certificate on _PLANTED would hide its broken interior signs
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
-    with_walk = _scan_group("G3", 2, 40, False, False)
-    assert _scan_group("G3", 2, 40, False, True)[0].flagged_count < with_walk[0].flagged_count
+    with_walk = _scan_group("G3", 2, 40, False, None)
+    assert _scan_group("G3", 2, 40, False, (0, True))[0].flagged_count < with_walk[0].flagged_count
 
 
 def test_tail_certificate_refuses_a_negative_g():
@@ -804,16 +963,17 @@ def test_far_e7_column_certifies_and_scans_like_cell():
     # million steps.  d = L and L + 1 break the interior pattern
     L = 60 * 61
     column = _column_at("E7", 60)
+    certificate = _certificate(_column("E7"))
     assert _tail_certified(column)
-    part, _ = _scan_group("E7", 60, L + 1, False, True)
+    part, _ = _scan_group("E7", 60, L + 1, False, certificate)
     assert part.cells == L + 2
     assert not part.final_sign_violations
     assert part.flagged == [("E7", 60, L), ("E7", 60, L + 1)]
     assert part.cross_checks_ok
-    assert list(_runs(column, L + 1)) == [(0, L - 1, (True, True)), (L, L + 1, (False, True))]
+    assert _runs(certificate, column, L + 1) == [(0, L - 1, (True, True)), (L, L + 1, (False, True))]
     for d in (0, 1, 2, 3000, L, L + 1):
         sign_ok, final_ok, D_last, _ = _cell(column, d)
-        assert _scan_cell(column, d) == (sign_ok, final_ok, None, None), d
+        assert _scan_cell(certificate, column, d) == (sign_ok, final_ok, None, None), d
         assert D_last != 0, d
 
 

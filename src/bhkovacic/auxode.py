@@ -240,9 +240,6 @@ class HeunForm(NamedTuple):
             Poly([0, -1, 1]), Poly([self.c, self.b, self.a]), Poly([self.d, self.e]), P
         )
 
-    def params(self) -> tuple:
-        return (self.a, self.b, self.c, self.d, self.e)
-
     def recurrence(self) -> Recurrence3:
         """The z-frame recurrence about z = 0 (rho = 0, p2 = z^2 - z).
 
@@ -473,8 +470,6 @@ def chandrasekhar_coeffs(l: int) -> Poly:
     is already close to the exact one; the numerators are built over it in
     one pass, and one normalisation removes what is left over.
     """
-    if l < 2:
-        raise ValueError("the algebraically special branch needs l >= 2")
     s = int(special_frequency(l))  # l(l-1)(l+1)(l+2)/6 is an integer
     N = 2 * s
     mu2 = (l - 1) * (l + 2)
@@ -736,7 +731,7 @@ def homotopic_equivalence_check() -> HomotopyReport:
                 if m != 1 + orig.c:
                     raise AssertionError("substitution power must be 1 + c")
                 mapped = homotopic_shift_params(orig, m)
-                if mapped.params() != target.params():
+                if mapped != target:
                     params_ok = False
                 for k in range(9):
                     lhs = orig.apply(Poly.monomial(m + k))

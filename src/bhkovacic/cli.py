@@ -8,8 +8,9 @@ Subcommands
     verify-all  the whole check battery at configurable bounds
 
 Exit status 0 means every executed check passed; 1 reports a failed
-check or a computation that raised; 2 is a usage error, such as a scan
-grid with no cell, found before any check runs.
+check or a computation that raised; 2 is a usage error: an argument that
+the function using it refuses with ``UsageError`` before any work, such
+as a scan grid with no cell.
 The scan picks its worker processes from its grid and the usable CPUs
 (see ``evidence.scan``).
 Integers of any size are written in full.
@@ -31,7 +32,7 @@ from .auxode import (
     family_equation,
     homotopic_equivalence_check,
 )
-from .evidence import SCAN_FAMILIES, default_l_range, s3_nonexistence, scan
+from .evidence import SCAN_FAMILIES, s3_nonexistence, scan
 from .hautot import (
     ObstructionError,
     det_A,
@@ -41,7 +42,7 @@ from .hautot import (
     recurrence_identity_suite,
 )
 from .kovacic import affine_str, enumerate_families_n1, enumerate_families_n2, retain_families
-from .master import PerturbationKind, special_frequency
+from .master import PerturbationKind, UsageError, special_frequency
 from .reporting import Report
 
 _EXPECTED_RETAINED = {
@@ -201,11 +202,13 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     G8, closed-form, det(A), scan and S3 records; ``d_max`` (at least 0)
     bounds the scan.  Family retention always runs to l <= max(l_max, 6);
     the extended expansions stop at l = 6 and the S3 sweep at
-    2s <= min(2 l_max, 12).  Bounds below the minima raise ValueError
+    2s <= min(2 l_max, 12).  Bounds below the minima raise UsageError
     before any check runs.
     """
     if l_max < 2 or d_max < 0:
-        raise ValueError(f"verify-all needs l_max >= 2 and d_max >= 0, not {l_max}, {d_max}")
+        raise UsageError(
+            f"verify-all needs --l-max >= 2 and --max-degree >= 0, not {l_max}, {d_max}"
+        )
     report = Report(
         tool_version=__version__, config={"command": "verify-all", "l_max": l_max, "d_max": d_max}
     )
@@ -280,7 +283,8 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
         witness=exp_witness,
     )
 
-    # obstruction behaviour and identities at s = 4
+    # obstruction behaviour and identities at s = 4; a failure names the
+    # obstruction check or the first failing identity
     try:
         kummer_poly(9, -7)
         obstruction_ok = False
@@ -293,11 +297,16 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     else:
         obstruction_ok = False
     identities = recurrence_identity_suite(Fraction(4), bound=3)
-    report.add(
-        "hautot.obstruction_and_identities",
-        # a suite that checked nothing has not passed
-        obstruction_ok and bool(identities) and all(r.ok for r in identities),
-        tag="hautot.phi_replacement",
+    if not obstruction_ok:
+        identity_failure = {"check": "obstruction"}
+    elif not identities:  # a suite that checked nothing has not passed
+        identity_failure = {"check": "identities", "count": 0}
+    else:
+        identity_failure = next(
+            ({"name": r.name, "params": r.params} for r in identities if not r.ok), None
+        )
+    _add_first_failure(
+        report, "hautot.obstruction_and_identities", "hautot.phi_replacement", identity_failure
     )
 
     # oracle agreement; a failure names its first case and its (l, s)
@@ -420,44 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_args(args) -> None:
-    """Raise ValueError for arguments that no run of the subcommand accepts.
-
-    Called before any check runs, so that every ValueError raised later is
-    a failed run rather than a usage error.
-    """
-    if args.command == "families":
-        PerturbationKind.from_name(args.beta)
-    elif args.command in ("chandra", "hautot") and args.l < 2:
-        raise ValueError(f"--l must be at least 2, not {args.l}")
-    elif args.command == "evidence":
-        families = SCAN_FAMILIES if args.family == "all" else (args.family,)
-        if args.max_degree < 0 or not any(default_l_range(f, args.l_max) for f in families):
-            raise ValueError(
-                f"empty scan grid: families {families}, l <= {args.l_max}, d <= {args.max_degree}"
-            )
-        if args.out is not None:
-            try:
-                open(args.out, "a").close()
-            except OSError as exc:
-                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
-    elif args.command == "verify-all" and (args.l_max < 2 or args.max_degree < 0):
-        raise ValueError(
-            f"verify-all needs --l-max >= 2 and --max-degree >= 0, "
-            f"not {args.l_max}, {args.max_degree}"
-        )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_args(args)
-    except ValueError as exc:
+        return args.func(args)
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except (ValueError, KeyError, ArithmeticError, NotImplementedError) as exc:
+    except (ValueError, KeyError, ArithmeticError, NotImplementedError, OSError) as exc:
         # a computation that could not finish is a failed run, not a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

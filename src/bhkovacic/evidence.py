@@ -68,7 +68,7 @@ from .auxode import (
 )
 from .elimination import bareiss_determinant, nullspace, tridiag_minors
 from .kovacic import Family, family_by_label
-from .master import PerturbationKind
+from .master import PerturbationKind, UsageError
 
 __all__ = [
     "SCAN_FAMILIES",
@@ -549,24 +549,24 @@ def scan(
     against the brute-force nullspace.  With ``out`` set, one JSON record per cell is written there
     in grid order, one column at a time, so memory holds one column's
     records and does not grow with the grid; the file is opened before any
-    cell is computed, and one that cannot be opened raises ValueError.
+    cell is computed, and one that cannot be opened raises UsageError.
 
     Grid columns are independent.  With ``out``, a grid of at least
     _POOL_MIN_STEPS exact recurrence steps fans them out across one process
     per usable CPU, at most one per column; a smaller grid, and any scan
     without ``out``, runs serially.  Results are taken in (family, l)
     order, so the report and the file do not depend on it.  A grid with no
-    cell (negative ``d_max``, or no l in range) raises ValueError: a scan
+    cell (negative ``d_max``, or no l in range) raises UsageError: a scan
     that examined nothing must not pass.
     """
     families = tuple(families)
     unknown = [f for f in families if f not in SCAN_FAMILIES]
     if unknown:
-        raise ValueError(f"scan covers {SCAN_FAMILIES}, not {unknown}")
+        raise UsageError(f"scan covers {SCAN_FAMILIES}, not {unknown}")
     want_cells = out is not None
     grid = [(family, l) for family in families for l in default_l_range(family, l_max)]
     if d_max < 0 or not grid:
-        raise ValueError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
+        raise UsageError(f"empty scan grid: families {families}, l <= {l_max}, d <= {d_max}")
     certificates = {f: None if want_cells else _certificate(_column(f)) for f in families}
     jobs = [(family, l, d_max, want_cells, certificates[family]) for family, l in grid]
     steps = len(jobs) * (d_max + 1) * (d_max + 2) // 2  # exact, as --out runs every cell
@@ -576,7 +576,7 @@ def scan(
         try:
             sink = stack.enter_context(open(out, "w")) if want_cells else None
         except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 

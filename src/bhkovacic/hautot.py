@@ -349,8 +349,6 @@ def extended_expansion(l: int, basis: str, target: Optional[Poly] = None) -> Exp
     if basis not in ("kummer", "laguerre"):
         raise ValueError("basis must be 'kummer' or 'laguerre'")
     s = special_frequency(l)
-    if (2 * s).denominator != 1:
-        raise ValueError("2s must be an integer for the factorial coefficients")
     two_s = int(2 * s)
     fact = math.factorial(two_s)
     mu2 = (l - 1) * (l + 2)

@@ -24,10 +24,16 @@ from .algebra import Poly, Rational
 __all__ = [
     "PerturbationKind",
     "NuFraction",
+    "UsageError",
     "build_nu",
     "partial_fractions",
     "special_frequency",
 ]
+
+
+class UsageError(ValueError):
+    """An argument that no run accepts, refused where it is used and before
+    any work: ``bhk`` exits 2 on it, and 1 on any other ValueError."""
 
 
 class PerturbationKind(enum.Enum):
@@ -74,7 +80,7 @@ class PerturbationKind(enum.Enum):
             "scalar": PerturbationKind.SCALAR,
         }
         if key not in aliases:
-            raise ValueError(f"unknown perturbation kind: {name!r}")
+            raise UsageError(f"unknown perturbation kind: {name!r}")
         return aliases[key]
 
 
@@ -122,5 +128,5 @@ def partial_fractions(kind: PerturbationKind, l: int) -> NuFraction:
 def special_frequency(l: int) -> Rational:
     """Algebraically special s = l(l-1)(l+1)(l+2)/6 for radiating gravitational modes."""
     if l < 2:
-        raise ValueError("algebraically special frequencies require l >= 2")
+        raise UsageError(f"l must be at least 2, not {l}")
     return Fraction(l * (l - 1) * (l + 1) * (l + 2), 6)

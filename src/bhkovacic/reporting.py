@@ -45,7 +45,7 @@ class CheckRecord(NamedTuple):
     name: str
     tag: str
     status: str  # "pass" | "fail"
-    witness: Any = None
+    witness: Any
 
     @property
     def passed(self) -> bool:
@@ -58,7 +58,7 @@ class Report:
         self.config: dict = config
         self.records: List[CheckRecord] = []
 
-    def add(self, name: str, ok: bool, tag: str, witness: Any = None) -> CheckRecord:
+    def add(self, name: str, ok: bool, tag: str, witness: Any) -> CheckRecord:
         record = CheckRecord(
             name=name, tag=tag, status="pass" if ok else "fail", witness=witness
         )

@@ -12,8 +12,11 @@ import pytest
 
 import bhkovacic
 from bhkovacic.algebra import Poly
-from bhkovacic.cli import main
-from bhkovacic.master import special_frequency
+from bhkovacic.auxode import chandrasekhar_coeffs
+from bhkovacic.cli import main, run_verify_all
+from bhkovacic.evidence import scan
+from bhkovacic.hautot import IdentityResult, extended_expansion
+from bhkovacic.master import PerturbationKind, UsageError, special_frequency
 
 
 def run(capsys, *argv):
@@ -210,7 +213,52 @@ def test_bad_kind_is_usage_error(capsys):
 def test_multipole_below_two_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2 and out == ""
-    assert err == "error: --l must be at least 2, not %s\n" % argv[2]
+    assert err == "error: l must be at least 2, not %s\n" % argv[2]
+
+
+USAGE_REFUSALS = {
+    "unknown_kind": lambda tmp_path: PerturbationKind.from_name("axion"),
+    "special_frequency": lambda tmp_path: special_frequency(1),
+    "chandrasekhar_coeffs": lambda tmp_path: chandrasekhar_coeffs(1),
+    "extended_expansion": lambda tmp_path: extended_expansion(0, "kummer"),
+    "scan_unknown_family": lambda tmp_path: scan(families=("G7",)),
+    "scan_empty_grid": lambda tmp_path: scan(d_max=-1),
+    "scan_unwritable_out": lambda tmp_path: scan(
+        families=("G3",), l_max=2, d_max=1, out=str(tmp_path / "missing" / "cells.json")
+    ),
+    "verify_all_bounds": lambda tmp_path: run_verify_all(l_max=1),
+}
+
+
+@pytest.mark.parametrize("refusal", USAGE_REFUSALS)
+def test_each_refused_argument_is_a_usage_error_and_a_value_error(refusal, tmp_path):
+    # the command line maps UsageError to exit 2; library callers that
+    # catch ValueError keep working
+    with pytest.raises(UsageError) as err:
+        USAGE_REFUSALS[refusal](tmp_path)
+    assert isinstance(err.value, ValueError)
+
+
+def test_python_m_cli_prints_one_error_line_and_no_traceback():
+    # a usage error exits 2 and a computation that cannot finish exits 1,
+    # each with a single stderr line, as a real process run shows them
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(bhkovacic.__file__).parents[1])}
+
+    def bhk(*argv):
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    usage = bhk("-m", "bhkovacic.cli", "chandra", "--l", "1", "--json")
+    assert usage == (2, "", "error: l must be at least 2, not 1\n")
+    planted = (
+        "import runpy, bhkovacic.auxode as auxode\n"
+        "def planted(l):\n"
+        "    raise ArithmeticError('planted')\n"
+        "auxode.chandrasekhar_coeffs = planted\n"
+        "runpy.run_module('bhkovacic.cli', run_name='__main__')\n"
+    )
+    failed = bhk("-c", planted, "chandra", "--l", "2", "--json")
+    assert failed == (1, "", "error: ArithmeticError: planted\n")
 
 
 def test_version(capsys):
@@ -282,7 +330,7 @@ def test_a_report_with_no_record_has_not_passed():
 
     report = Report(tool_version="0", config={})
     assert not report.all_passed
-    report.add("one", True, tag="t")
+    report.add("one", True, tag="t", witness=None)
     assert report.all_passed
 
 
@@ -291,8 +339,45 @@ def test_verify_all_identities_fail_when_the_suite_checks_nothing(monkeypatch):
 
     monkeypatch.setattr(cli, "recurrence_identity_suite", lambda s, bound: [])
     report = cli.run_verify_all(l_max=2, d_max=4)
-    failing = [r.name for r in report.records if not r.passed]
-    assert failing == ["hautot.obstruction_and_identities"]
+    failing = [r for r in report.records if not r.passed]
+    assert [r.name for r in failing] == ["hautot.obstruction_and_identities"]
+    assert failing[0].witness == {"first_failure": {"check": "identities", "count": 0}}
+
+
+def _no_obstruction(monkeypatch):
+    import bhkovacic.cli as cli
+
+    monkeypatch.setattr(cli, "kummer_poly", lambda m, q: Poly.zero())
+
+
+def _failing_identities(monkeypatch):
+    import bhkovacic.cli as cli
+
+    suite = [
+        IdentityResult("kummer_derivative", (1, F(5, 2)), True),
+        IdentityResult("laguerre_contiguous", (2, F(-1, 3)), False),
+        IdentityResult("phi_derivative", (F(4),), False),
+    ]
+    monkeypatch.setattr(cli, "recurrence_identity_suite", lambda s, bound: suite)
+
+
+@pytest.mark.parametrize(
+    "plant, first_failure",
+    (
+        (lambda monkeypatch: None, None),
+        (_no_obstruction, {"check": "obstruction"}),
+        (_failing_identities, {"name": "laguerre_contiguous", "params": [2, "-1/3"]}),
+    ),
+    ids=("passing", "obstruction", "identity"),
+)
+def test_verify_all_identities_name_their_first_failure(monkeypatch, plant, first_failure):
+    plant(monkeypatch)
+    payload = json.loads(run_verify_all(l_max=2, d_max=4).to_json())
+    record = next(r for r in payload["records"] if r["name"] == "hautot.obstruction_and_identities")
+    # a passing record carries no witness, so a passing report is unchanged
+    assert record["witness"] == (first_failure and {"first_failure": first_failure})
+    failing = [r["name"] for r in payload["records"] if r["status"] == "fail"]
+    assert failing == ([] if first_failure is None else [record["name"]])
 
 
 @pytest.mark.parametrize("value", [object(), {1}, [F(1, 2), {"a": object()}]])
@@ -616,6 +701,15 @@ def test_evidence_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path)
     assert out == ""
     assert err.startswith(f"error: cannot write {out_path}")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_evidence_write_failure_is_one_error_line_and_exit_one(capsys):
+    # --out opens, so the path is usable; the run then cannot finish
+    argv = ("evidence", "--family", "G3", "--l-max", "2", "--max-degree", "4", "--out")
+    code, out, err = run(capsys, *argv, "/dev/full", "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: OSError: ") and err.count("\n") == 1
 
 
 def test_startup_imports_no_process_pool():

@@ -318,3 +318,34 @@ def test_every_default_is_used_by_the_program():
                 single.append(key)
     assert set(SINGLE_VALUE_DEFAULTS) <= found
     assert not single, f"defaults with one value in program use: {single}"
+
+
+def _usage_error_sites(path):
+    """module.function of each ``raise UsageError`` in one file, once per
+    raise; the function is the innermost one around it."""
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "UsageError":
+                yield f"{path.stem}.{where}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+
+
+def test_usage_errors_are_raised_only_where_an_argument_is_refused():
+    # ``bhk`` exits 2 on a UsageError, so one raised inside a computation
+    # would turn a run that could not finish (exit 1) into a usage error
+    sites = sorted(site for path in SOURCES for site in _usage_error_sites(path))
+    assert sites == [
+        "cli.run_verify_all",
+        "evidence.scan",  # unknown family
+        "evidence.scan",  # empty grid
+        "evidence.scan",  # an --out that cannot be opened
+        "master.from_name",
+        "master.special_frequency",
+    ]

@@ -177,7 +177,9 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly((Fraction(value),))
+        # a reduced rational is already the canonical (num, den) of its constant
+        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return Poly._canonical((c.numerator,), c.denominator) if c else Poly.zero()
 
     # -- basic queries -----------------------------------------------------
 

@@ -5,12 +5,12 @@ and r=2, and order 0 at infinity for s != 0, since nu -> s^2/4 there (in
 Kovacic's convention the order at infinity is the degree of the
 denominator minus that of the numerator).  Case 3 needs an order of at
 least 2 at infinity, so the admissible algebraic degrees are n in {1, 2}.
-For n=1 the exponent sets are the roots of e(e-1) = the double-pole
-coefficients of :func:`~bhkovacic.master.partial_fractions`,
-and they produce the candidate families G1..G8 / E1..E8 / S1..S4 with
-degree forms d = 1 - sum(e_c), an affine function of the frequency
-parameter s.  For n=2 the integrality and parity rules empty the
-candidate list outright.
+:func:`exponent_sets` reads the sets for both off
+:func:`~bhkovacic.master.partial_fractions` (Kovacic 1986, sections 3-4):
+nu's double-pole coefficients, [sqrt(nu)]_inf = s/2 and its 1/r
+coefficient at infinity.  One loop makes them the candidate families
+G1..G8 / E1..E8 / S1..S4 and N2G1.., with degree forms affine in the
+frequency parameter s; for n=2 the parity rule empties the retained list.
 
 The tables depend on the perturbation kind alone: the frequency s stays
 symbolic through enumeration, every exponent, degree form and theta
@@ -23,18 +23,19 @@ only when a family's auxiliary equation is evaluated
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Poly, Rational, rat_to_str
-from .master import PerturbationKind
+from .master import PerturbationKind, partial_fractions
 
 __all__ = [
     "affine_str",
     "Family",
     "ThetaSpec",
     "RetentionResult",
-    "exponent_sets_n1",
+    "exponent_sets",
     "enumerate_families_n1",
     "family_by_label",
     "retain_families",
@@ -63,9 +64,6 @@ def affine_str(p: Poly) -> str:
     return f"{rat_to_str(a)} {sign} {mag}"
 
 
-S = Poly.x()  # the symbol s itself
-
-
 class Family(NamedTuple):
     """One candidate exponent assignment (e0, e2, einf) with its degree form."""
 
@@ -74,8 +72,8 @@ class Family(NamedTuple):
     e2: Poly
     einf: Poly
     degree: Poly  # d = n - (n/h(n)) * sum(e_c)
-    n: int = 1
-    sign_inf: int = 0  # S(einf); only meaningful for n=1
+    n: int
+    sign_inf: int  # S(einf): +1 or -1 for n=1, 0 for n=2
 
     @property
     def kind(self) -> PerturbationKind:
@@ -90,51 +88,75 @@ class ThetaSpec(NamedTuple):
     cinf: Poly
 
 
-def exponent_sets_n1(kind: PerturbationKind) -> tuple:
-    """Step 2 for n=1: exponent sets at r=0, r=2 and infinity.
+def _exact_root(p: Poly) -> Poly:
+    """The square root c*s^k (c >= 0 rational) of p; any other p raises
+    ArithmeticError, so no exponent is built on an inexact root."""
+    if not p:
+        return p
+    k, odd = divmod(p.degree, 2)
+    top, den = p.num[-1], p.den
+    root_top, root_den = math.isqrt(max(top, 0)), math.isqrt(den)
+    if odd or any(p.num[:-1]) or root_top**2 != top or root_den**2 != den:
+        raise ArithmeticError(f"{p!r} is not the square of c*s^k")
+    return Poly.from_numerators([0] * k + [root_top], root_den)
 
-    E0 = {1/2 +- sqrt(1-beta)} (one element when beta=1), E2 = {1/2 +- s},
-    Einf = {1-s, 1+s} with sign map S(1-s)=+1, S(1+s)=-1.
+
+# n -> (base, steps, h(n)): at a double pole, Kovacic's exponents are
+# base + k*sqrt(1 + 4b) for k in steps, in table row order
+_CASES = {1: (Fraction(1, 2), (Fraction(1, 2), Fraction(-1, 2)), 1), 2: (2, (-2, 0, 2), 4)}
+
+
+def exponent_sets(kind: PerturbationKind, n: int) -> tuple:
+    """Step 2 for n in {1, 2}: the exponent sets (E0, E2, Einf) read off nu.
+
+    At r = 0 and r = 2, with r_c = sqrt(1 + 4b_c) exact (else ArithmeticError)
+    for the double-pole coefficient b_c: 1/2 + r_c/2, 1/2 - r_c/2 for n=1 and
+    2 - 2r_c, 2, 2 + 2r_c for n=2, equal members once.  Einf holds
+    (einf, S(einf)) pairs: 1 - alpha and 1 + alpha with signs +1 and -1 for
+    n=1, alpha = b/(2[sqrt(nu)]_inf) with b nu's 1/r coefficient at infinity;
+    4 - o(inf) = 4 with sign 0 for n=2.
     """
-    root = kind.sqrt_one_minus_beta
-    half = Fraction(1, 2)
-    if root == 0:
-        e0_set = (Poly.const(half),)
+    base, steps, _ = _CASES[n]
+    nu = partial_fractions(kind, kind.min_l)
+
+    def at_pole(b: Poly) -> tuple:
+        r = _exact_root(1 + 4 * b)
+        return tuple(base + k * r for k in (steps if r else (0,)))
+
+    if n == 1:
+        root = _exact_root(nu.const_term)  # [sqrt(nu)]_inf = c*s^k
+        b, k = nu.inv_r + nu.inv_rm2, root.degree
+        if not root or any(b.num[:k]):
+            raise ArithmeticError(f"{root!r} does not divide {b!r}")
+        alpha = Poly.from_numerators([v * root.den for v in b.num[k:]], 2 * root.num[-1] * b.den)
+        einf_set = ((1 - alpha, +1), (1 + alpha, -1))
     else:
-        e0_set = (Poly.const(half + root), Poly.const(half - root))
-    e2_set = (half + S, half - S)
-    einf_set = (1 - S, 1 + S)
-    sign_map = {einf_set[0]: +1, einf_set[1]: -1}
-    return e0_set, e2_set, einf_set, sign_map
+        einf_set = ((Poly.const(4), 0),)
+    return at_pole(nu.inv_r2), at_pole(nu.inv_rm2_sq), einf_set
+
+
+def _families(kind: PerturbationKind, n: int) -> list:
+    """Step 3a: every (e0, e2, einf) of the sets, e0 outermost, with its
+    degree form d = n - (n/h(n)) * sum(e_c), labelled in that order."""
+    e0_set, e2_set, einf_set = exponent_sets(kind, n)
+    weight = Fraction(n, _CASES[n][2])
+    prefix = kind.prefix if n == 1 else f"N2{kind.prefix}"
+    weighted_e2 = [(e2, e2 * weight) for e2 in e2_set]
+    weighted_inf = [(einf, sign, einf * weight) for einf, sign in einf_set]
+    families = []
+    for e0 in e0_set:
+        d0 = n - e0 * weight
+        for e2, w2 in weighted_e2:
+            d02 = d0 - w2
+            for einf, sign, w_inf in weighted_inf:
+                label = f"{prefix}{len(families) + 1}"
+                families.append(Family(label, e0, e2, einf, d02 - w_inf, n, sign))
+    return families
 
 
 def enumerate_families_n1(kind: PerturbationKind) -> list:
-    """Step 3a for n=1: all exponent families, in table row order.
-
-    Row order: e0 descending, then e2 with +s before -s, then einf with
-    1-s before 1+s; degree d = 1 - (e0 + e2 + einf).
-    """
-    e0_set, e2_set, einf_set, sign_map = exponent_sets_n1(kind)
-    prefix = kind.prefix
-    families = []
-    index = 1
-    for e0 in e0_set:
-        for e2 in e2_set:
-            for einf in einf_set:
-                degree = 1 - (e0 + e2 + einf)
-                families.append(
-                    Family(
-                        label=f"{prefix}{index}",
-                        e0=e0,
-                        e2=e2,
-                        einf=einf,
-                        degree=degree,
-                        n=1,
-                        sign_inf=sign_map[einf],
-                    )
-                )
-                index += 1
-    return families
+    """Step 3a for n=1: all exponent families, in table row order."""
+    return _families(kind, 1)
 
 
 # bounded: only the twenty n=1 labels are ever cached, a miss raises
@@ -246,53 +268,28 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
 
 
 def theta(family: Family) -> ThetaSpec:
-    """Step 3c: theta = e0/r + e2/(r-2) + S(einf) * s/2 for a retained n=1 family."""
+    """Step 3c: theta = e0/r + e2/(r-2) + S(einf) * [sqrt(nu)]_inf for a
+    retained n=1 family, [sqrt(nu)]_inf = s/2 read off the same nu."""
     if family.n != 1:
         raise ValueError("theta is formed only on the n=1 branch")
-    if family.sign_inf not in (+1, -1):
-        raise ValueError(f"family {family.label} carries no sign at infinity")
-    return ThetaSpec(c0=family.e0, c2=family.e2, cinf=S * Fraction(family.sign_inf, 2))
+    root = _exact_root(partial_fractions(family.kind, family.kind.min_l).const_term)
+    return ThetaSpec(c0=family.e0, c2=family.e2, cinf=root * family.sign_inf)
 
 
 def enumerate_families_n2(kind: PerturbationKind) -> tuple:
     """Step 2-3 for n=2: candidates and the (empty) retained list.
 
-    E0 = {2 - 4 sqrt(1-beta), 2, 2 + 4 sqrt(1-beta)} intersected with the
-    integers, E2 = {2-4s, 2, 2+4s} subject to 4s integral, Einf = {4};
+    The sets are those of :func:`exponent_sets` with einf = 4, and
     d = 2 - sum(e_c)/2.  Retention demands at least two odd exponents in a
     family; e0 and einf are always even and at most e2 can be odd, so every
     candidate is discarded, for all three kinds and every admissible s.
     """
-    root = kind.sqrt_one_minus_beta
-    if root == 0:
-        e0_set = (Poly.const(2),)
-    else:
-        e0_set = (Poly.const(2 - 4 * root), Poly.const(2), Poly.const(2 + 4 * root))
-    e2_set = (2 - 4 * S, Poly.const(2), 2 + 4 * S)
-    einf = Poly.const(4)
-    prefix = kind.prefix
-    candidates = []
-    index = 1
-    for e0 in e0_set:
-        for e2 in e2_set:
-            degree = 2 - (e0 + e2 + einf) * Fraction(1, 2)
-            candidates.append(
-                Family(
-                    label=f"N2{prefix}{index}",
-                    e0=e0,
-                    e2=e2,
-                    einf=einf,
-                    degree=degree,
-                    n=2,
-                )
-            )
-            index += 1
-    retained = [f for f in candidates if _n2_retained(f)]
-    return candidates, retained
+    candidates = _families(kind, 2)
+    return candidates, [f for f in candidates if _n2_retained(f)]
 
 
 def _odd_constant(e: Poly) -> bool:
-    return e.degree <= 0 and e[0].denominator == 1 and e[0].numerator % 2 != 0
+    return e.degree == 0 and e.den == 1 and e.num[0] % 2 != 0
 
 
 def _n2_retained(family: Family) -> bool:

@@ -15,7 +15,6 @@ invariant under s -> -s so only s >= 0 matters.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,11 +57,6 @@ class PerturbationKind(enum.Enum):
     @property
     def beta(self) -> int:
         return self.value
-
-    @property
-    def sqrt_one_minus_beta(self) -> int:
-        """sqrt(1 - beta), an integer for all three kinds (2, 1, 0)."""
-        return math.isqrt(1 - self.value)
 
     @staticmethod
     def from_label(label: str) -> "PerturbationKind":
@@ -111,8 +105,8 @@ def build_nu(kind: PerturbationKind, l: int, s: Rational) -> tuple:
 def partial_fractions(kind: PerturbationKind, l: int) -> NuFraction:
     """The one statement of nu's partial-fraction coefficients, with s symbolic.
 
-    The double-pole coefficients fix Kovacic's exponent sets; the simple-pole
-    ones enter the auxiliary equation.
+    Kovacic's exponent sets are read off it; the simple-pole coefficients
+    also enter the auxiliary equation.
     """
     L, beta = l * (l + 1), kind.beta
     s2 = Poly.monomial(2)  # s^2

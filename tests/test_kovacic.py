@@ -4,33 +4,118 @@ from fractions import Fraction as F
 
 import pytest
 
+from bhkovacic import kovacic
+from bhkovacic.algebra import Poly
 from bhkovacic.kovacic import (
+    _exact_root,
     _marginal_points,
     affine_str,
     enumerate_families_n1,
     enumerate_families_n2,
-    exponent_sets_n1,
+    exponent_sets,
     family_by_label,
     retain_families,
     theta,
 )
-from bhkovacic.master import PerturbationKind, partial_fractions
+from bhkovacic.master import PerturbationKind, build_nu, partial_fractions
 
 G = PerturbationKind.GRAVITATIONAL
 E = PerturbationKind.ELECTROMAGNETIC
 S = PerturbationKind.SCALAR
 
 
+def _printed(sets):
+    e0_set, e2_set, einf_set = sets
+    return (
+        [affine_str(e) for e in e0_set],
+        [affine_str(e) for e in e2_set],
+        [(affine_str(e), sign) for e, sign in einf_set],
+    )
+
+
 def test_exponent_sets():
-    e0, e2, einf, signs = exponent_sets_n1(G)
-    assert [affine_str(e) for e in e0] == ["5/2", "-3/2"]
-    e0_em, _, _, _ = exponent_sets_n1(E)
-    assert [affine_str(e) for e in e0_em] == ["3/2", "-1/2"]
-    e0_sc, _, _, _ = exponent_sets_n1(S)
-    assert [affine_str(e) for e in e0_sc] == ["1/2"]
-    assert [affine_str(e) for e in e2] == ["1/2 + s", "1/2 - s"]
-    assert [affine_str(e) for e in einf] == ["1 - s", "1 + s"]
-    assert signs[einf[0]] == +1 and signs[einf[1]] == -1
+    # Kovacic's sets as the tables state them: 1/2 +- sqrt(1-beta), 1/2 +- s
+    # and 1 -+ s for n = 1; {2, 2 +- 4 sqrt(1-beta)}, {2, 2 +- 4s}, {4} for n = 2
+    einf1 = [("1 - s", +1), ("1 + s", -1)]
+    assert _printed(exponent_sets(G, 1)) == (["5/2", "-3/2"], ["1/2 + s", "1/2 - s"], einf1)
+    assert _printed(exponent_sets(E, 1)) == (["3/2", "-1/2"], ["1/2 + s", "1/2 - s"], einf1)
+    assert _printed(exponent_sets(S, 1)) == (["1/2"], ["1/2 + s", "1/2 - s"], einf1)
+    e2_n2, einf2 = ["2 - 4*s", "2", "2 + 4*s"], [("4", 0)]
+    assert _printed(exponent_sets(G, 2)) == (["-6", "2", "10"], e2_n2, einf2)
+    assert _printed(exponent_sets(E, 2)) == (["-2", "2", "6"], e2_n2, einf2)
+    assert _printed(exponent_sets(S, 2)) == (["2"], e2_n2, einf2)
+
+
+def _sympy_exponent_sets(kind, n, s):
+    """Kovacic's sets at one s > 0, derived by sympy from build_nu: the
+    double-pole coefficients as limits, sqrt(1 + 4b), [sqrt(nu)]_inf and the
+    1/r coefficient of nu at infinity."""
+    import sympy
+
+    r = sympy.symbols("r")
+    numerator, denominator = build_nu(kind, kind.min_l, s)
+    nu = sum(sympy.Rational(c) * r**k for k, c in enumerate(numerator.coeffs)) / sum(
+        sympy.Rational(c) * r**k for k, c in enumerate(denominator.coeffs)
+    )
+
+    def at_pole(c):
+        root = sympy.sqrt(1 + 4 * sympy.limit((r - c) ** 2 * nu, r, c))
+        if n == 1:
+            members = [sympy.Rational(1, 2) + root / 2, sympy.Rational(1, 2) - root / 2]
+        else:
+            members = [2 - 2 * root, 2, 2 + 2 * root]
+        return list(dict.fromkeys(members))  # equal members once, in order
+
+    sqrt_nu_inf = sympy.sqrt(sympy.limit(nu, r, sympy.oo))
+    b_inf = sympy.limit(r * (nu - sqrt_nu_inf**2), r, sympy.oo)
+    alpha = b_inf / (2 * sqrt_nu_inf)
+    einf = [(1 - alpha, +1), (1 + alpha, -1)] if n == 1 else [(4, 0)]
+    return at_pole(0), at_pole(2), einf
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("kind", (G, S, E), ids=lambda k: k.name)
+def test_exponent_sets_match_a_sympy_derivation(kind, n):
+    # the sets are affine in s, so three values of s fix them
+    import sympy
+
+    e0_set, e2_set, einf_set = exponent_sets(kind, n)
+    for s in (F(1, 3), F(2), F(7, 2)):
+        e0_ref, e2_ref, einf_ref = _sympy_exponent_sets(kind, n, s)
+        assert [sympy.Rational(e.eval(s)) for e in e0_set] == e0_ref
+        assert [sympy.Rational(e.eval(s)) for e in e2_set] == e2_ref
+        assert [(sympy.Rational(e.eval(s)), sign) for e, sign in einf_set] == einf_ref
+
+
+def test_exact_root():
+    assert _exact_root(Poly.zero()) == Poly.zero()
+    assert _exact_root(Poly.const(F(16, 9))) == Poly.const(F(4, 3))
+    assert _exact_root(Poly([0, 0, F(1, 4)])) == Poly([0, F(1, 2)])
+    assert _exact_root(Poly([0, 0, 0, 0, 9])) == Poly([0, 0, 3])
+
+
+@pytest.mark.parametrize(
+    "p", [Poly([1, 0, 1]), Poly.const(2), Poly.const(-4), Poly.monomial(3)],
+    ids=["s^2+1", "2", "-4", "s^3"],
+)
+def test_exact_root_refuses_a_non_square(p):
+    with pytest.raises(ArithmeticError, match=r"is not the square of c\*s\^k"):
+        _exact_root(p)
+
+
+def test_an_inexact_root_refuses_the_table(monkeypatch):
+    # with b = 1/4 at r = 0, 1 + 4b = 2 has no rational root: the table must
+    # not be built on a rounded one
+    real = kovacic.partial_fractions
+
+    def planted(kind, l):
+        return real(kind, l)._replace(inv_r2=Poly.const(F(1, 4)))
+
+    monkeypatch.setattr(kovacic, "partial_fractions", planted)
+    with pytest.raises(ArithmeticError):
+        enumerate_families_n1(G)
+    with pytest.raises(ArithmeticError):
+        enumerate_families_n2(G)
 
 
 # every row of the three tables: (label, e0, e2, einf, degree)
@@ -161,7 +246,7 @@ def test_theta_reconstruction_invariant():
 def test_exponents_are_read_off_nu(kind):
     # Kovacic step 2: e(e-1) is nu's double-pole coefficient at r = 0 and at
     # r = 2, and the rate at infinity squares to nu's constant part
-    e0_set, e2_set, _, _ = exponent_sets_n1(kind)
+    e0_set, e2_set, _ = exponent_sets(kind, 1)
     retained = retain_families(enumerate_families_n1(kind), l_max=4).retained
     for l in range(kind.min_l, kind.min_l + 4):
         nu = partial_fractions(kind, l)
@@ -173,17 +258,48 @@ def test_exponents_are_read_off_nu(kind):
             assert theta(fam).cinf * theta(fam).cinf == nu.const_term
 
 
+# every row of the three n=2 tables: (label, e0, e2, einf, degree)
+N2_TABLES = {
+    G: [
+        ("N2G1", "-6", "2 - 4*s", "4", "2 + 2*s"),
+        ("N2G2", "-6", "2", "4", "2"),
+        ("N2G3", "-6", "2 + 4*s", "4", "2 - 2*s"),
+        ("N2G4", "2", "2 - 4*s", "4", "-2 + 2*s"),
+        ("N2G5", "2", "2", "4", "-2"),
+        ("N2G6", "2", "2 + 4*s", "4", "-2 - 2*s"),
+        ("N2G7", "10", "2 - 4*s", "4", "-6 + 2*s"),
+        ("N2G8", "10", "2", "4", "-6"),
+        ("N2G9", "10", "2 + 4*s", "4", "-6 - 2*s"),
+    ],
+    S: [
+        ("N2S1", "2", "2 - 4*s", "4", "-2 + 2*s"),
+        ("N2S2", "2", "2", "4", "-2"),
+        ("N2S3", "2", "2 + 4*s", "4", "-2 - 2*s"),
+    ],
+    E: [
+        ("N2E1", "-2", "2 - 4*s", "4", "2*s"),
+        ("N2E2", "-2", "2", "4", "0"),
+        ("N2E3", "-2", "2 + 4*s", "4", "-2*s"),
+        ("N2E4", "2", "2 - 4*s", "4", "-2 + 2*s"),
+        ("N2E5", "2", "2", "4", "-2"),
+        ("N2E6", "2", "2 + 4*s", "4", "-2 - 2*s"),
+        ("N2E7", "6", "2 - 4*s", "4", "-4 + 2*s"),
+        ("N2E8", "6", "2", "4", "-4"),
+        ("N2E9", "6", "2 + 4*s", "4", "-4 - 2*s"),
+    ],
+}
+
+
 def test_n2_enumeration():
-    expected_e0 = {G: ["-6", "2", "10"], E: ["-2", "2", "6"], S: ["2"]}
-    counts = {G: 9, E: 9, S: 3}
+    # every row pinned, as N1_TABLES pins n = 1, so a reordered set fails
     for kind in (G, E, S):
         candidates, retained = enumerate_families_n2(kind)
-        assert len(candidates) == counts[kind]
         assert retained == []
-        seen_e0 = sorted({affine_str(f.e0) for f in candidates}, key=lambda t: int(t))
-        assert seen_e0 == sorted(expected_e0[kind], key=lambda t: int(t))
+        rows = [
+            (f.label, *map(affine_str, (f.e0, f.e2, f.einf, f.degree))) for f in candidates
+        ]
+        assert rows == N2_TABLES[kind]
         for f in candidates:
-            assert affine_str(f.einf) == "4"
             assert f.n == 2
             # degree formula for n = 2: d = 2 - sum(e)/2
             assert f.degree == 2 - (f.e0 + f.e2 + f.einf) * F(1, 2)

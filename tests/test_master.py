@@ -130,7 +130,6 @@ def test_kind_from_family_label():
     assert PerturbationKind.from_label("N2E5") is E  # n=2 candidate labels
     with pytest.raises(KeyError):
         PerturbationKind.from_label("X1")
-    assert [k.sqrt_one_minus_beta ** 2 for k in (G, E, S)] == [1 - k.beta for k in (G, E, S)]
 
 
 def test_every_family_label_maps_to_its_kind():

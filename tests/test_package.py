@@ -232,16 +232,31 @@ SINGLE_VALUE_DEFAULTS = {
 }
 
 
+def _field_defaults(node, module):
+    """The :func:`_defaults` entries of the field defaults of one
+    ``NamedTuple`` class: its fields are its parameters."""
+    fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+    names = [item.target.id for item in fields]
+    defaulted = {item.target.id for item in fields if item.value is not None}
+    signature = (names, [], defaulted, False, False)
+    for name in sorted(defaulted):
+        yield f"{module}.{node.name}.{name}", node.name, name, signature
+
+
 def _defaults(path):
     """(module.[class.]function.parameter, callee, parameter, signature) for
-    every default of one file.
+    every default of one file, a ``NamedTuple`` field default included as
+    module.class.field.
 
     The callee is the name a call uses: the function's, or the class's for
-    ``__init__``.  The signature is (positional, keyword-only, defaulted,
-    takes *args, takes **kwargs), without ``self`` or ``cls``.
+    ``__init__`` and for a ``NamedTuple``.  The signature is (positional,
+    keyword-only, defaulted, takes *args, takes **kwargs), without ``self``
+    or ``cls``.
     """
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         owner = node.name if isinstance(node, ast.ClassDef) else None
+        if owner and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+            yield from _field_defaults(node, path.stem)
         for item in node.body if owner else [node]:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

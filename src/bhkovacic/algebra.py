@@ -161,19 +161,19 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly._canonical((), 1)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return Poly._canonical((1,), 1)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((0, 1))
+        return Poly._canonical((0, 1), 1)
 
     @staticmethod
     def monomial(power: int) -> "Poly":
-        return Poly([0] * power + [1])
+        return Poly._canonical((0,) * power + (1,), 1)
 
     @staticmethod
     def const(value) -> "Poly":

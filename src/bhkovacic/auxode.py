@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .algebra import Poly, Rational, horner, rational_roots
 from .elimination import nullspace, tridiag_minors
@@ -159,11 +159,11 @@ def ode_residual(ode: AuxiliaryODE, P: Poly) -> Poly:
     One integer convolution on the numerators (:func:`_apply_operator`); it
     never forms the recurrence, so it checks a solution independently of it.
     """
-    return _apply_operator(ode.p2, ode.p1, ode.p0, P)
+    return _apply_operator(ode.p2, ode.p1, ode.p0, [P])[0]
 
 
-def _apply_operator(p2: Poly, p1: Poly, p0: Poly, P: Poly) -> Poly:
-    """p2 P'' + p1 P' + p0 P in integers, with one normalisation.
+def _apply_operator(p2: Poly, p1: Poly, p0: Poly, polys: Sequence[Poly]) -> list:
+    """p2 P'' + p1 P' + p0 P for each P of ``polys``, in integers, one normalisation each.
 
     With p2, p1, p0 cleared to one denominator D (integer numerators q2,
     q1, q0) and P = sum n_k x^k / den, coefficient m of the result times
@@ -175,7 +175,6 @@ def _apply_operator(p2: Poly, p1: Poly, p0: Poly, P: Poly) -> Poly:
     each term a small weight times one numerator of P.  No derivative of P
     is formed, and a zero result normalises trivially.
     """
-    n = P.num
     D = math.lcm(p2.den, p1.den, p0.den)
     q2, q1, q0 = ([v * (D // p.den) for v in p.num] for p in (p2, p1, p0))
     top = max(len(q2) - 2, len(q1) - 1, len(q0))
@@ -187,16 +186,19 @@ def _apply_operator(p2: Poly, p1: Poly, p0: Poly, P: Poly) -> Poly:
         c = q0[offset] if 0 <= offset < len(q0) else 0
         if a or b or c:
             offsets.append((offset, a, b, c))
-    size = len(n)
-    out = []
-    for m in range(size + top - 1):
-        acc = 0
-        for offset, a, b, c in offsets:
-            k = m - offset
-            if 0 <= k < size:
-                acc += ((a * (k - 1) + b) * k + c) * n[k]
-        out.append(acc)
-    return Poly.from_numerators(out, P.den * D)
+    results = []
+    for P in polys:
+        n, size = P.num, len(P.num)
+        out = []
+        for m in range(size + top - 1):
+            acc = 0
+            for offset, a, b, c in offsets:
+                k = m - offset
+                if 0 <= k < size:
+                    acc += ((a * (k - 1) + b) * k + c) * n[k]
+            out.append(acc)
+        results.append(Poly.from_numerators(out, P.den * D))
+    return results
 
 
 def to_w_frame(ode: AuxiliaryODE) -> AuxiliaryODE:
@@ -235,9 +237,10 @@ class HeunForm(NamedTuple):
     d: Rational
     e: Rational
 
-    def apply(self, P: Poly) -> Poly:
+    def apply(self, polys: Sequence[Poly]) -> list:
+        """The operator applied to each of ``polys``, its coefficients built once."""
         return _apply_operator(
-            Poly([0, -1, 1]), Poly([self.c, self.b, self.a]), Poly([self.d, self.e]), P
+            Poly([0, -1, 1]), Poly([self.c, self.b, self.a]), Poly([self.d, self.e]), polys
         )
 
     def recurrence(self) -> Recurrence3:
@@ -306,8 +309,13 @@ class Recurrence3(NamedTuple):
         The last minor of :func:`~bhkovacic.elimination.tridiag_minors`
         (1 for size 0); exact over rationals or polynomials.
         """
-        offprod = (self.lower(k) * self.upper(k - 1) if k else 0 for k in range(size))
-        return [1, *tridiag_minors(map(self.diag, range(size)), offprod)][-1]
+        return self.dets(size, (0,))[0]
+
+    def dets(self, size: int, shifts: Iterable) -> list:
+        """:meth:`det` with t added to the diagonal, for each t of ``shifts``."""
+        diag = [self.diag(k) for k in range(size)]
+        offprod = [self.lower(k) * self.upper(k - 1) if k else 0 for k in range(size)]
+        return [[1, *tridiag_minors([x + t for x in diag], offprod)][-1] for t in shifts]
 
 
 def recurrence(ode: AuxiliaryODE) -> tuple:
@@ -421,12 +429,13 @@ def _free_frequency_roots(lead: Poly, cond: Poly) -> list:
 
 
 def _certified_rational_roots(p: Poly) -> list:
-    """Rational roots, with a proof that no further real roots hide in p.
+    """Rational roots, with a proof that no further positive real root hides in p.
 
-    After dividing out the rational roots the cofactor must have no real
-    zeros (checked for degree <= 2); otherwise an exact answer would need
-    algebraic numbers and we refuse loudly rather than silently drop a
-    candidate frequency.
+    After dividing out the rational roots the cofactor must have no positive
+    zero: it is a quadratic of negative discriminant, or its coefficients
+    never change sign (Descartes' rule of signs).  Otherwise an exact answer
+    would need algebraic numbers and we refuse loudly rather than silently
+    drop a candidate frequency.
     """
     roots = rational_roots(p)
     cofactor = p
@@ -441,6 +450,8 @@ def _certified_rational_roots(p: Poly) -> list:
         a2, a1, a0 = cofactor[2], cofactor[1], cofactor[0]
         if a1 * a1 - 4 * a2 * a0 < 0:
             return roots
+    if len({v > 0 for v in cofactor.num if v}) == 1:  # one sign throughout
+        return roots
     raise NotImplementedError(
         "irrational candidate frequencies are outside the exact solver's scope"
     )
@@ -720,6 +731,7 @@ def homotopic_equivalence_check() -> HomotopyReport:
         (family_equation(orig), family_equation(target), m)
         for orig, target, m in (("G7", "G3", 4), ("E7", "E3", 2))
     ]
+    z_powers = [Poly.monomial(k) for k in range(max(m for *_, m in pairs) + 9)]
     params_ok = True
     identities_ok = True
     samples = []
@@ -730,14 +742,9 @@ def homotopic_equivalence_check() -> HomotopyReport:
                 target = to_heun_form(target_eq.at(l, s))
                 if m != 1 + orig.c:
                     raise AssertionError("substitution power must be 1 + c")
-                mapped = homotopic_shift_params(orig, m)
-                if mapped != target:
-                    params_ok = False
-                for k in range(9):
-                    lhs = orig.apply(Poly.monomial(m + k))
-                    rhs = Poly.monomial(m) * target.apply(Poly.monomial(k))
-                    if lhs != rhs:
-                        identities_ok = False
+                params_ok &= homotopic_shift_params(orig, m) == target
+                images = zip(orig.apply(z_powers[m : m + 9]), target.apply(z_powers[:9]))
+                identities_ok &= all(p == z_powers[m] * q for p, q in images)
             samples.append((l, Fraction(s)))
     return HomotopyReport(
         samples=tuple(samples),

@@ -20,6 +20,7 @@ scale, precisely at the algebraically special frequencies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -263,41 +264,43 @@ def determinant_equality_check(j: int) -> EqualityReport:
     most j+1 in each variable, so agreement on a (j+2)^4 product grid is a
     proof of identity; the block entries are ring-neutral, so the grid runs
     in exact integers.
+
+    d enters each block only as +d on its diagonal, so each block is built
+    once per (a, b, n), at d = 0, and :meth:`Recurrence3.dets` gives its
+    determinants at every d of the grid.  Guard: the d = 1 build must be the
+    d = 0 build with diag's constant term raised by 1, which proves that
+    structure at (a, b, n) for entries of degree <= 1 in d; a block that
+    breaks it fails at (a, b, 1, n), and the necessary block fails both
+    equalities.  The witness is the first failure in (a, b, n, d) order,
+    each triple's guard first.
     """
     if j < 0:
         raise ValueError("block order j must be non-negative")
     side = j + 2
-
-    def dets_at(a, b, d, n):
-        return (
-            HeunForm(a, b, j, d, -a * n).recurrence().det(j + 1),
-            _kummer_block(a, b, d, n, j).det(j + 1),
-            _laguerre_block(a, b, d, n, j).det(j + 1),
-        )
-
-    kummer_equal = True
-    laguerre_equal = True
-    witness = None
-    points = [
-        (a, b, d, n)
-        for a in range(side)
-        for b in range(side)
-        for d in range(side)
-        for n in range(side)
-    ]
-    for point in points:
-        nec, kum, lag = dets_at(*point)
-        if kum != nec:
-            kummer_equal = False
-            witness = witness or ("kummer", point, nec, kum)
-        if lag != nec:
-            laguerre_equal = False
-            witness = witness or ("laguerre", point, nec, lag)
+    names = ("necessary", "kummer", "laguerre")
+    failures = []
+    for a, b, n in itertools.product(range(side), repeat=3):
+        builds = [
+            (HeunForm(a, b, j, d, -a * n).recurrence(), _kummer_block(a, b, d, n, j),
+             _laguerre_block(a, b, d, n, j))
+            for d in (0, 1)
+        ]
+        dets = []
+        for name, rec, rec_1 in zip(names, *builds):
+            shifted = rec._replace(diag_k=(rec.diag_k[0] + 1, *rec.diag_k[1:]))
+            if rec_1 != shifted:
+                failures.append((name, (a, b, 1, n), shifted, rec_1))
+            dets.append(rec.dets(j + 1, range(side)))
+        for name, values in zip(names[1:], dets[1:]):
+            for d, (nec, det) in enumerate(zip(dets[0], values)):
+                if det != nec:
+                    failures.append((name, (a, b, d, n), nec, det))
+    failed = {failure[0] for failure in failures}
     return EqualityReport(
-        grid_points=len(points),
-        kummer_equal=kummer_equal,
-        laguerre_equal=laguerre_equal,
-        witness=witness,
+        grid_points=side**4,
+        kummer_equal=not failed & {"necessary", "kummer"},
+        laguerre_equal=not failed & {"necessary", "laguerre"},
+        witness=failures[0] if failures else None,
     )
 
 

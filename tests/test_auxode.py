@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bhkovacic.algebra import Poly
+from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import (
     AuxiliaryODE,
     Recurrence3,
+    _free_frequency_roots,
     _recurrence3,
     brute_force_polynomial_solutions,
     candidate_rows,
@@ -119,7 +120,7 @@ def test_ode_residual_matches_poly_arithmetic(p2, p1, p0, P):
     a, b, c = p1[2], p1[1], p1[0]
     d, e = p0[0], p0[1]
     heun = Poly([0, -1, 1]) * P.derivative().derivative() + Poly([c, b, a]) * P.derivative()
-    assert HeunForm(a, b, c, d, e).apply(P) == heun + Poly([d, e]) * P
+    assert HeunForm(a, b, c, d, e).apply([P]) == [heun + Poly([d, e]) * P]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,32 @@ def test_free_frequency_refused_where_the_degree_pins_s(label, d):
     eq = family_equation(label)
     with pytest.raises(ValueError, match="s_fixed"):
         solve_low_degree(eq, d, l=family_by_label(label).kind.min_l, s_fixed=None)
+
+
+_S = Poly.x()
+
+
+@pytest.mark.parametrize(
+    "cofactor",
+    [_S * _S + 4 * _S + 2, _S * _S * _S + 6 * _S * _S + 9 * _S + 3],
+    ids=["roots -2+-sqrt2", "cubic, no rational root"],
+)
+def test_free_frequency_roots_certified_by_descartes(cofactor):
+    # no rational root and no sign change: no positive root at any degree
+    assert rational_roots(cofactor) == []
+    assert _free_frequency_roots(Poly.zero(), (_S - 1) * cofactor) == [1]
+    assert _free_frequency_roots(Poly.zero(), (_S + 2) * cofactor) == []
+
+
+def test_free_frequency_roots_refuse_an_irrational_positive_root():
+    with pytest.raises(NotImplementedError, match="irrational"):
+        _free_frequency_roots(Poly.zero(), _S * _S - 2)
+
+
+def test_free_frequency_roots_accept_a_quadratic_with_no_real_root():
+    # s^2 - 3s + 5 changes sign twice but has discriminant -11
+    assert _free_frequency_roots(Poly.zero(), _S * _S - 3 * _S + 5) == []
+    assert _free_frequency_roots(Poly.zero(), (_S - 2) * (_S * _S - 3 * _S + 5)) == [2]
 
 
 def test_s3_degree_zero_fails_at_half():
@@ -770,6 +797,23 @@ def test_homotopy_full_check():
     assert report.operator_identities_ok
     # both pairs at every sample: l in (2, 3), s in (1, 2, 7/3)
     assert report.samples == tuple((l, F(s)) for l in (2, 3) for s in (1, 2, F(7, 3)))
+
+
+def test_homotopy_catches_a_shifted_target_form(monkeypatch):
+    import bhkovacic.auxode as auxode
+
+    real = auxode.to_heun_form
+
+    def shifted(ode):
+        # the target forms G3 and E3 are the ones with c < 0 (c = -5, -3)
+        h = real(ode)
+        return h._replace(d=h.d + 1) if h.c < 0 else h
+
+    monkeypatch.setattr(auxode, "to_heun_form", shifted)
+    report = homotopic_equivalence_check()
+    assert not report.parameter_maps_ok
+    assert not report.operator_identities_ok
+    assert len(report.samples) == 6
 
 
 def test_homotopy_identity_substitution():

@@ -374,6 +374,87 @@ def test_determinant_equality_catches_a_skewed_block(monkeypatch, name):
     assert all(type(v) is int for v in point)  # found on the integer grid
 
 
+def test_determinant_equality_catches_d_off_the_diagonal(monkeypatch):
+    # d planted in lower(k) leaves the d = 0 block alone, so only the guard
+    # on the d = 1 build can see it
+    import bhkovacic.hautot as hautot
+
+    real = hautot._kummer_block
+
+    def planted(a, b, d, n, j):
+        rec = real(a, b, d, n, j)
+        return rec._replace(lower_k=(rec.lower_k[0] + d, *rec.lower_k[1:]))
+
+    monkeypatch.setattr(hautot, "_kummer_block", planted)
+    report = determinant_equality_check(2)
+    assert not report.kummer_equal and report.laguerre_equal
+    assert report.grid_points == 4**4
+    basis, point, expected, built = report.witness
+    assert (basis, point) == ("kummer", (0, 0, 1, 0))
+    assert built.lower_k[0] == expected.lower_k[0] + 1
+
+
+_a, _b, _d, _n = sympy.symbols("a b d n")
+
+
+def _sympy_blocks(j):
+    """The necessary, Kummer and Laguerre blocks of order j+1 as sympy
+    matrices, from the entry formulas of the :meth:`HeunForm.recurrence`
+    (c = j, e = -a n), ``_kummer_block`` and ``_laguerre_block`` docstrings."""
+    a, b, d, n = _a, _b, _d, _n
+
+    def block_diag(k):  # shared by the Kummer and Laguerre blocks
+        return d - j * n + k * (b + 2 * j - 2 * k + 2 * n)
+
+    formulas = (  # (lower, diag, upper) of each block
+        (
+            lambda k: a * (k - 1) - a * n,
+            lambda k: k * (k - 1 + b) + d,
+            lambda k: (k + 1) * (j - k),
+        ),
+        (
+            lambda k: (k - 1 - j) * (k - 1 - n),
+            block_diag,
+            lambda k: (k + 1) * (k + 1 - n - a - b - j),
+        ),
+        (
+            lambda k: (k - 1 - j) * (k - n - a - b - j),
+            block_diag,
+            lambda k: (k + 1) * (k - n),
+        ),
+    )
+    # row k holds lower(k), diag(k), upper(k) in columns k-1, k, k+1
+    return [
+        sympy.Matrix(j + 1, j + 1, lambda k, i: entries[i - k + 1](k) if abs(i - k) <= 1 else 0)
+        for entries in formulas
+    ]
+
+
+@pytest.mark.parametrize("j", range(0, 4))
+def test_determinant_equality_sympy_oracle(j):
+    # the identity the grid proves, as polynomials in (a, b, d, n), and the two
+    # facts that the grid and its d-hoisting rest on: degree <= j+1 in each
+    # variable, and d on the diagonal alone, with coefficient 1
+    size = j + 1
+    blocks = _sympy_blocks(j)
+    for block in blocks:
+        for k in range(size):
+            for i in range(size):
+                assert sympy.diff(block[k, i], _d) == (1 if i == k else 0)
+    dets = [sympy.Poly(block.det(), _a, _b, _d, _n) for block in blocks]
+    assert dets[0] == dets[1] == dets[2]
+    assert all(det.degree(v) <= j + 1 for det in dets for v in (_a, _b, _d, _n))
+    # the oracle's polynomial is the package's determinant off the grid too
+    rng = random.Random(j)
+    for _ in range(3):
+        a, b, d, n = (F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
+        value = dets[0].eval({_a: a, _b: b, _d: d, _n: n})
+        expected = F(int(value.p), int(value.q))
+        assert HeunForm(a, b, j, d, -a * n).recurrence().det(size) == expected
+        assert _kummer_block(a, b, d, n, j).det(size) == expected
+        assert _laguerre_block(a, b, d, n, j).det(size) == expected
+
+
 def test_equality_j0_trivial():
     # 1x1 case: all three blocks reduce to d - j n = d
     a, b, d, n = F(2), F(5), F(-7, 3), F(4)

@@ -444,13 +444,11 @@ def _certified_rational_roots(p: Poly) -> list:
             cofactor, rem = cofactor.divmod(Poly([-r0, 1]))
             if not rem.is_zero():
                 raise ArithmeticError("root division failed")
-    if cofactor.degree <= 0:
-        return roots
     if cofactor.degree == 2:
         a2, a1, a0 = cofactor[2], cofactor[1], cofactor[0]
         if a1 * a1 - 4 * a2 * a0 < 0:
             return roots
-    if len({v > 0 for v in cofactor.num if v}) == 1:  # one sign throughout
+    if len({v > 0 for v in cofactor.num if v}) == 1:  # one sign, constants too
         return roots
     raise NotImplementedError(
         "irrational candidate frequencies are outside the exact solver's scope"

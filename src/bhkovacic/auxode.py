@@ -23,9 +23,10 @@ substitution linking the G7/G3 and E7/E3 confluent Heun forms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from .algebra import Poly, Rational, horner, rational_roots
 from .elimination import nullspace, tridiag_minors
@@ -296,7 +297,7 @@ class Recurrence3(NamedTuple):
     def residual_rows(self, coeffs: Sequence[Rational], rows: int) -> list:
         """Row values of the recurrence applied to a coefficient vector."""
         def at(k):
-            return coeffs[k] if 0 <= k < len(coeffs) else Fraction(0)
+            return coeffs[k] if 0 <= k < len(coeffs) else 0
 
         return [
             self.lower(k) * at(k - 1) + self.diag(k) * at(k) + self.upper(k) * at(k + 1)
@@ -505,22 +506,21 @@ def _g7_ode(l: int) -> AuxiliaryODE:
     return family_equation("G7").at(l, special_frequency(l))
 
 
-def chandrasekhar_r_frame(l: int, P_w: Poly) -> Poly:
-    """The closed-form polynomial P(w) = ``P_w`` of :func:`chandrasekhar_coeffs`
-    written in r, P(r) = P(w+2).
+def chandrasekhar_r_frame(l: int, den: int, top: int) -> Poly:
+    """The closed-form polynomial of :func:`chandrasekhar_coeffs` written in r,
+    P(r) = P(w+2), from the denominator ``den`` and the leading numerator
+    ``top`` of P(w).
 
-    Only the denominator and the leading numerator of ``P_w`` are read.
     The rest comes from running the integer r-frame three-term recurrence
     of :func:`recurrence` downward from the leading coefficient (an
     O(degree) route that avoids the quadratic cost of a Taylor shift); the
     otherwise-unused bottom row of the recurrence is then checked, which
     certifies the result.  A shift by the integer 2 keeps the denominator
     of P(w), so the recurrence runs on integer numerators over it, and
-    every division must be exact.
+    every division must be exact.  No vector of P(w) is read, so a caller
+    may drop P(w) before P(r) is built.
     """
     d = int(2 * special_frequency(l) + 1)
-    den, top = P_w.den, P_w.num[-1]  # the leading coefficient is shared
-    del P_w  # hold one coefficient vector at a time
     rec, _ = recurrence(_g7_ode(l))
     num = [0] * (d + 2)
     num[d] = top
@@ -574,18 +574,25 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
     (i) and (iv) read the integer numerators: the rows are linear and the
     denominator is positive, so zeros and signs are those of the coefficients.
-    (iii) runs on the numerators too, against the right side built times den;
-    (ii) is one integer convolution with the equation's coefficient
-    polynomials (:func:`ode_residual`), the route independent of the recurrence.
-    P(r) is built from this P_w by :func:`chandrasekhar_r_frame` only once
-    (i) and the w-frame residual hold; otherwise the r-frame residual, the
-    r side of (iii) and (iv), which would examine nothing, fail.
+    (iii) runs on the numerators too, against a right side streamed term by
+    term times den (:func:`_binomial_terms`); (ii) is one integer
+    convolution with the equation's coefficient polynomials
+    (:func:`ode_residual`), the route independent of the recurrence.
+
+    The checks run in w first: (i), the w-frame residual and the w side of
+    (iii).  Only P_w's denominator and leading numerator are kept after
+    that, and P(r) is built from them by :func:`chandrasekhar_r_frame`, so
+    that one coefficient vector is held at a time (P_w itself stays alive
+    only when the caller holds it).  P(r) is built only once (i) and the
+    w-frame residual hold; otherwise the r-frame residual, (iii) and (iv),
+    which would examine nothing, fail.
     """
     s = special_frequency(l)
     mu2 = (l - 1) * (l + 2)
     if P_w is None:
         P_w = chandrasekhar_coeffs(l)
     d = int(2 * s + 1)
+    four_sig = d - 1  # 4 sigma0 = 2s
     ode_r = _g7_ode(l)
     ode_w = to_w_frame(ode_r)
 
@@ -595,15 +602,16 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
 
     ode_residual_ok = integral_identity_ok = sign_pattern_ok = False
     if recurrence_ok and ode_residual(ode_w, P_w).is_zero():
-        P_r = chandrasekhar_r_frame(l, P_w)
+        rhs_w = _binomial_terms(four_sig - 1, 2, 3, P_w.den)  # w^(4 sigma0 - 1) (w+2)^3
+        w_identity_ok = _integral_identity_holds(P_w, int(s), 2 * mu2 + 6, mu2, rhs_w)
+        den, top = P_w.den, P_w.num[-1]
+        del P_w  # hold one coefficient vector at a time
+        P_r = chandrasekhar_r_frame(l, den, top)
         ode_residual_ok = ode_residual(ode_r, P_r).is_zero()
-        # the right sides as numerators over the denominator of the P they test
-        four_sig = d - 1  # 4 sigma0 = 2s
-        rhs_w = [0] * (four_sig - 1) + [v * P_w.den for v in (8, 12, 6, 1)]  # w^(4s0-1) (w+2)^3
-        rhs_r = [0, 0, 0] + _binomial_power(-2, four_sig - 1, P_r.den)  # r^3 (r-2)^(4s0-1)
-        integral_identity_ok = _integral_identity_holds(
-            P_w, int(s), 2 * mu2 + 6, mu2, rhs_w
-        ) and _integral_identity_holds(P_r, int(s), 6, mu2, rhs_r)
+        rhs_r = _binomial_terms(3, -2, four_sig - 1, P_r.den)  # r^3 (r-2)^(4 sigma0 - 1)
+        integral_identity_ok = w_identity_ok and _integral_identity_holds(
+            P_r, int(s), 6, mu2, rhs_r
+        )
         r_num = P_r.num[: d + 1]
         sign_pattern_ok = len(r_num) == d + 1 and all(
             v != 0 and (v > 0) == (n % 2 == 1) for n, v in enumerate(r_num)
@@ -619,37 +627,40 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     )
 
 
-def _integral_identity_holds(P: Poly, s: int, c0: int, mu2: int, rhs: Sequence) -> bool:
+def _integral_identity_holds(P: Poly, s: int, c0: int, mu2: int, rhs: Iterable) -> bool:
     """(P' + s P)(c0 + mu2 x) - mu2 P == rhs / den, for P = sum n_k x^k / den.
 
-    ``rhs`` holds the right side's coefficients times den.  With
-    x_k = (k+1) n_(k+1) + s n_k the numerators of P' + s P, coefficient k of
-    the left side times den is the integer c0 x_k + mu2 (x_(k-1) - n_k); it
-    is compared with rhs[k], from the constant term up to and past the top
-    coefficient of either side, with no product by den.
+    ``rhs`` yields the right side's coefficients times den, lowest power
+    first; it is read one term at a time and may be a generator.  With
+    x_k = (k+1) n_(k+1) + s n_k the numerators of P' + s P, coefficient k
+    of the left side times den is the integer c0 x_k + mu2 (x_(k-1) - n_k);
+    it is compared with the k-th term of ``rhs``, from the constant term up
+    to and past the top coefficient of either side, with no product by den.
     """
-    size = max(len(P.num) + 1, len(rhs))
-    n = P.num + (0,) * (size + 1 - len(P.num))
-    r = list(rhs) + [0] * (size - len(rhs))
-    x_prev = 0
-    for k in range(size):
-        x = (k + 1) * n[k + 1] + s * n[k]
-        if c0 * x + mu2 * (x_prev - n[k]) != r[k]:
-            return False
-        x_prev = x
-    return True
+    n = P.num + (0, 0)
+
+    def left():
+        x_prev = 0
+        for k in range(len(P.num) + 1):  # the left side ends at x^len(P.num)
+            x = (k + 1) * n[k + 1] + s * n[k]
+            yield c0 * x + mu2 * (x_prev - n[k])
+            x_prev = x
+
+    return all(a == b for a, b in itertools.zip_longest(left(), rhs, fillvalue=0))
 
 
-def _binomial_power(c: int, n: int, den: int) -> list:
-    """den (x + c)^n as integer numerators, built downward from den x^n.
+def _binomial_terms(shift: int, c: int, n: int, den: int) -> Iterator[int]:
+    """The coefficients of den x^shift (x + c)^n, lowest power first, for c != 0.
 
-    Each step is one exact big-by-small product and division.
+    Each term after den c^n is one exact big-by-small step from the last:
+    C(n, k+1) c^(n-k-1) = C(n, k) c^(n-k) (n-k) / ((k+1) c).
     """
-    num = [0] * n + [den]
-    for k in range(n - 1, -1, -1):
-        # C(n, k) c^(n-k) = C(n, k+1) c^(n-k-1) * c (k+1) / (n-k)
-        num[k] = num[k + 1] * (c * (k + 1)) // (n - k)
-    return num
+    yield from itertools.repeat(0, shift)
+    term = den * c**n
+    for k in range(n):
+        yield term
+        term = term * (n - k) // ((k + 1) * c)
+    yield term
 
 
 # ---------------------------------------------------------------------------

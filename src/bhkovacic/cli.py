@@ -114,7 +114,7 @@ def cmd_chandra(args) -> int:
     report = _report(args, "chandra")
     l = args.l
     P_w = chandrasekhar_coeffs(l)
-    P_r = chandrasekhar_r_frame(l, P_w)
+    P_r = chandrasekhar_r_frame(l, P_w.den, P_w.num[-1])
     record = chandrasekhar_checks(l, P_w)
     witness = {
         "l": l,
@@ -313,7 +313,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     oracle_failure = None
     s_star = special_frequency(2)
     basis = brute_force_polynomial_solutions(family_equation("G7").at(2, s_star), 9)
-    target = chandrasekhar_r_frame(2, P_w_l2)
+    target = chandrasekhar_r_frame(2, P_w_l2.den, P_w_l2.num[-1])
     if not (len(basis) == 1 and basis[0] * target.leading() == target * basis[0].leading()):
         oracle_failure = {"family": "G7", "l": 2, "s": s_star}
     e7 = family_equation("E7")

@@ -310,17 +310,15 @@ def determinant_equality_check(j: int) -> EqualityReport:
 
 
 class ExpansionReport(NamedTuple):
+    """The verdict of :func:`extended_expansion`; it holds no coefficient vector
+    of a passing expansion."""
+
     basis: str  # "kummer" or "laguerre"
     l: int
     s: Rational
     coefficients: tuple  # (A0, A1, A2, A3)
-    assembled: Poly  # in w
-    target: Poly  # in w
+    difference: Poly  # assembled - target in w: Poly.zero() when they are equal
     equal: bool
-
-    @property
-    def difference(self) -> Poly:
-        return self.assembled - self.target
 
 
 def extended_expansion(l: int, basis: str, target: Optional[Poly] = None) -> ExpansionReport:
@@ -347,7 +345,9 @@ def extended_expansion(l: int, basis: str, target: Optional[Poly] = None) -> Exp
     The assembled sum must equal the closed-form polynomial coefficient by
     coefficient; the report carries the exact verdict and the difference.
     ``target`` is that polynomial, ``chandrasekhar_coeffs(l)``, for a caller
-    that holds it already.
+    that holds it already; otherwise it is built once the sum is assembled.
+    Each basis term is built and added into the running sum in u before the
+    next one is built, and the report keeps neither the sum nor the target.
     """
     if basis not in ("kummer", "laguerre"):
         raise ValueError("basis must be 'kummer' or 'laguerre'")
@@ -363,38 +363,38 @@ def extended_expansion(l: int, basis: str, target: Optional[Poly] = None) -> Exp
         A1 = -Fraction(ll1 + 1) / (2 * s + 1) * A0
         A2 = -3 * Fraction(fact) / (2 * s + 1) * A0
         A3 = -Fraction(ll1 - 3) * fact / (2 * s + 1) * A0
-        terms = (
-            (A0, phi_poly(1, s)),
-            (A1, phi_poly(0, s)),
-            (A2, kummer_poly(two_s - 1, 1 - 2 * s)),
-            (A3, kummer_poly(two_s - 2, 1 - 2 * s)),
-        )
         coefficients = (A0, A1, A2, A3)
+        terms = (
+            lambda: phi_poly(1, s),
+            lambda: phi_poly(0, s),
+            lambda: kummer_poly(two_s - 1, 1 - 2 * s),
+            lambda: kummer_poly(two_s - 2, 1 - 2 * s),
+        )
     else:
         B0 = scale / mu2
         B1 = -Fraction(ll1 + 1) * B0
         B2 = 3 * Fraction(fact) * B0
         B3 = -Fraction(ll1 - 3) * fact / (2 * s - 1) * B0
-        terms = (
-            (B0, Poly.monomial(two_s) * laguerre_poly(1, two_s)),
-            (B1, Poly.monomial(two_s) * laguerre_poly(0, two_s)),
-            (B2, laguerre_poly(two_s - 1, -two_s)),
-            (B3, laguerre_poly(two_s - 2, -two_s)),
-        )
         coefficients = (B0, B1, B2, B3)
+        terms = (
+            lambda: Poly.monomial(two_s) * laguerre_poly(1, two_s),
+            lambda: Poly.monomial(two_s) * laguerre_poly(0, two_s),
+            lambda: laguerre_poly(two_s - 1, -two_s),
+            lambda: laguerre_poly(two_s - 2, -two_s),
+        )
 
-    assembled_u = Poly.zero()
-    for coeff, poly_u in terms:
-        assembled_u = assembled_u + coeff * poly_u
-    assembled = assembled_u.scale_variable(-s)  # u = -s w
+    assembled = Poly.zero()
+    for coeff, term in zip(coefficients, terms):
+        assembled = assembled + coeff * term()  # the term is dropped once scaled
+    assembled = assembled.scale_variable(-s)  # u = -s w
     if target is None:
         target = chandrasekhar_coeffs(l)
+    equal = assembled == target
     return ExpansionReport(
         basis=basis,
         l=l,
         s=s,
         coefficients=coefficients,
-        assembled=assembled,
-        target=target,
-        equal=assembled == target,
+        difference=Poly.zero() if equal else assembled - target,
+        equal=equal,
     )

@@ -41,6 +41,12 @@ def _ode(label, l, s):
     return family_equation(label).at(l, s)
 
 
+def _r_frame(l):
+    """P(r) through the public route: chandrasekhar_r_frame on P(w)'s den and top."""
+    P_w = chandrasekhar_coeffs(l)
+    return chandrasekhar_r_frame(l, P_w.den, P_w.num[-1])
+
+
 def _rational(ode):
     """The rational recurrence of ode: the integer rows of ``recurrence`` over den."""
     rec, den = recurrence(ode)
@@ -186,6 +192,20 @@ def test_recurrence_matches_direct_expansion(label, l, s, point):
     coeffs = [F(3, 2), F(-1), F(2), F(5, 7), F(1), F(-4, 3)]
     expected = brute_recurrence_rows(ode, coeffs, 8)
     assert rec.residual_rows(coeffs, 8) == expected
+
+
+def test_residual_rows_of_integers_are_integers():
+    # the rows past either end of the vector pad with the integer 0, so an
+    # integer vector (the closed form's numerators) gives int rows throughout
+    l = 3
+    rec, _ = recurrence(to_w_frame(_ode("G7", l, special_frequency(l))))
+    num = chandrasekhar_coeffs(l).num
+    d = len(num) - 1
+    rows = rec.residual_rows(num, d + 2)
+    assert rows == [0] * (d + 2)
+    assert all(type(v) is int for v in rows)
+    rows = rec.residual_rows([1, -2, 3], 5)
+    assert all(type(v) is int for v in rows) and rows[0] != 0
 
 
 def test_g7_recurrence_about_horizon():
@@ -508,14 +528,14 @@ def test_chandrasekhar_coeffs_match_the_docstring_formula(l):
 def test_chandrasekhar_r_frame_matches_shift():
     for l in (2, 3, 4):
         P_w = chandrasekhar_coeffs(l)
-        assert chandrasekhar_r_frame(l, P_w) == P_w.shift(-2)
+        assert chandrasekhar_r_frame(l, P_w.den, P_w.num[-1]) == P_w.shift(-2)
 
 
 @pytest.mark.parametrize("plant", ("first", "middle", "top", "parity"))
 def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
     import bhkovacic.auxode as auxode
 
-    P_r = chandrasekhar_r_frame(3, chandrasekhar_coeffs(3))
+    P_r = _r_frame(3)
     num = list(P_r.num)
     if plant == "parity":  # the pattern (-1)^n, one off from (-1)^(n+1)
         num = [-v for v in num]
@@ -523,7 +543,7 @@ def test_planted_sign_error_fails_sign_pattern(monkeypatch, plant):
         k = {"first": 0, "middle": len(num) // 2, "top": len(num) - 1}[plant]
         num[k] = -num[k]
     monkeypatch.setattr(
-        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
+        auxode, "chandrasekhar_r_frame", lambda l, den, top: Poly.from_numerators(num, P_r.den)
     )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok
@@ -537,9 +557,9 @@ def test_chandrasekhar_checks_runs_the_public_r_frame(monkeypatch):
 
     real, calls = auxode.chandrasekhar_r_frame, []
 
-    def counted(l, P_w=None):
+    def counted(l, den, top):
         calls.append(l)
-        return real(l, P_w)
+        return real(l, den, top)
 
     monkeypatch.setattr(auxode, "chandrasekhar_r_frame", counted)
     assert chandrasekhar_checks(3).all_ok
@@ -566,7 +586,7 @@ def test_cleared_recurrence_scales_rows():
 
 
 def test_chandrasekhar_l2_r_frame_display():
-    P = chandrasekhar_r_frame(2, chandrasekhar_coeffs(2))
+    P = _r_frame(2)
     assert P[0] == F(-1164765, 16384)
     assert P[9] == F(1, 16)
     assert P == Poly(
@@ -592,6 +612,26 @@ def test_verification_record():
         assert record.degree == int(2 * special_frequency(l) + 1)
 
 
+def test_chandrasekhar_checks_hold_one_coefficient_vector_at_a_time():
+    # the checks drop P(w) before they build P(r) and stream the right sides
+    # of (iii), so their traced peak stays within 1.5 times the numerators
+    # of P(r) alone; holding P(w), P(r) and a right side at once needs 3x
+    import sys
+    import tracemalloc
+
+    l = 8
+    tracemalloc.start()
+    try:
+        record = chandrasekhar_checks(l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.all_ok
+    vector = sum(sys.getsizeof(v) for v in _r_frame(l).num)
+    assert vector > 2_000_000  # degree 1681: the vectors, not the set-up, set the peak
+    assert peak < 1.5 * vector, (peak, vector)
+
+
 def test_mutation_is_caught():
     P = chandrasekhar_coeffs(2)
     mutated = Poly([P[0] + 1] + list(P.coeffs[1:]))
@@ -610,11 +650,11 @@ def test_planted_middle_numerator_fails_integral_identity(monkeypatch):
     # must break it (and the r-frame residual), not only the sign pattern
     import bhkovacic.auxode as auxode
 
-    P_r = chandrasekhar_r_frame(3, chandrasekhar_coeffs(3))
+    P_r = _r_frame(3)
     num = list(P_r.num)
     num[len(num) // 2] = -num[len(num) // 2]
     monkeypatch.setattr(
-        auxode, "chandrasekhar_r_frame", lambda l, P_w=None: Poly.from_numerators(num, P_r.den)
+        auxode, "chandrasekhar_r_frame", lambda l, den, top: Poly.from_numerators(num, P_r.den)
     )
     record = chandrasekhar_checks(3)
     assert record.recurrence_ok
@@ -636,35 +676,78 @@ def test_halved_polynomial_fails_only_the_integral_identity(l):
 def test_integral_identity_reads_every_coefficient():
     # identity (iii) on numerators compares from the constant term up to
     # and past the top one: a right side changed at either end is refused
-    from bhkovacic.auxode import _binomial_power, _integral_identity_holds
+    from bhkovacic.auxode import _binomial_terms, _integral_identity_holds
 
     # s = 4, mu2 = 4, c0 = 6 in the r frame
-    P = chandrasekhar_r_frame(2, chandrasekhar_coeffs(2))
-    rhs = [0, 0, 0] + _binomial_power(-2, 7, P.den)  # den r^3 (r-2)^7
+    P = _r_frame(2)
+    rhs = list(_binomial_terms(3, -2, 7, P.den))  # den r^3 (r-2)^7
     assert _integral_identity_holds(P, 4, 6, 4, rhs)
+    assert _integral_identity_holds(P, 4, 6, 4, iter(rhs))
     top = len(rhs) - 1
     for k in (0, top, top + 1):  # + 1, + x^deg and + x^(deg+1), times den
         changed = rhs + [0] * (k + 1 - len(rhs))
         changed[k] += P.den
         assert not _integral_identity_holds(P, 4, 6, 4, changed)
+        assert not _integral_identity_holds(P, 4, 6, 4, iter(changed))
     assert not _integral_identity_holds(P, 4, 6, 4, [v * F(1, 3) for v in rhs])
+
+
+@pytest.mark.parametrize("l", (2, 3))
+def test_streamed_identity_refuses_an_extra_top_coefficient(l):
+    # a P with one more numerator above its top leaves a left side one
+    # degree too high, which the streamed right side must not forgive
+    from bhkovacic.auxode import _binomial_terms, _integral_identity_holds
+
+    P = _r_frame(l)
+    s, mu2 = int(special_frequency(l)), (l - 1) * (l + 2)
+    n = 2 * s - 1
+
+    def rhs(den):
+        return _binomial_terms(3, -2, n, den)
+
+    assert _integral_identity_holds(P, s, 6, mu2, rhs(P.den))
+    extra = Poly.from_numerators([*P.num, 1], P.den)
+    assert extra.degree == P.degree + 1
+    assert not _integral_identity_holds(extra, s, 6, mu2, rhs(extra.den))
+
+
+def test_streamed_identity_refuses_the_zero_polynomial():
+    # nothing passes vacuously: an empty P against a nonzero right side fails
+    from bhkovacic.auxode import _binomial_terms, _integral_identity_holds
+
+    zero = Poly.zero()
+    assert not _integral_identity_holds(zero, 4, 6, 4, _binomial_terms(3, -2, 7, zero.den))
+    assert not _integral_identity_holds(zero, 4, 14, 4, _binomial_terms(7, 2, 3, zero.den))
+    assert _integral_identity_holds(zero, 4, 6, 4, iter(()))
+
+
+@pytest.mark.parametrize("c", (2, -2))
+def test_binomial_terms_match_math_comb(c):
+    from bhkovacic.auxode import _binomial_terms
+
+    for n in range(51):
+        for shift, den in ((0, 1), (3, 7), (1, 2**40 + 3)):
+            expected = [0] * shift + [den * math.comb(n, k) * c ** (n - k) for k in range(n + 1)]
+            assert list(_binomial_terms(shift, c, n, den)) == expected, (n, shift, den)
 
 
 @pytest.mark.parametrize("l", (2, 3, 4, 5))
 def test_right_side_is_built_times_den(l):
-    from bhkovacic.auxode import _binomial_power
+    from bhkovacic.auxode import _binomial_terms
 
-    P_r = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
+    P_r = _r_frame(l)
     n = int(2 * special_frequency(l)) - 1
-    # r^3 (r-2)^(4 sigma0 - 1)
-    reference = math.prod([Poly([-2, 1])] * n, start=Poly.monomial(3))
-    assert reference.den == 1
-    assert [0, 0, 0] + _binomial_power(-2, n, P_r.den) == [P_r.den * v for v in reference.num]
+    # r^3 (r-2)^(4 sigma0 - 1), and w^(4 sigma0 - 1) (w+2)^3
+    for shift, c, power in ((3, -2, n), (n, 2, 3)):
+        reference = math.prod([Poly([c, 1])] * power, start=Poly.monomial(shift))
+        assert reference.den == 1
+        terms = list(_binomial_terms(shift, c, power, P_r.den))
+        assert terms == [P_r.den * v for v in reference.num]
 
 
 def test_elementary_integral_identity_l2():
     # (P' + 4P)(4r + 6) - 4P = r^3 (r-2)^7 at l = 2
-    P = chandrasekhar_r_frame(2, chandrasekhar_coeffs(2))
+    P = _r_frame(2)
     lhs = (P.derivative() + 4 * P) * Poly([6, 4]) - 4 * P
     rhs = math.prod([Poly([-2, 1])] * 7, start=Poly.monomial(3))
     assert lhs == rhs
@@ -680,7 +763,7 @@ def test_oracle_g7():
     ode = _ode("G7", l, special_frequency(l))
     basis = brute_force_polynomial_solutions(ode, 9)
     assert len(basis) == 1
-    target = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
+    target = _r_frame(l)
     assert basis[0] * target.leading() == target * basis[0].leading()
     # raising the degree bound does not add solutions
     basis12 = brute_force_polynomial_solutions(ode, 12)
@@ -854,7 +937,7 @@ def test_oracle_g7_l3():
     d = int(2 * special_frequency(l) + 1)
     basis = brute_force_polynomial_solutions(ode, d)
     assert len(basis) == 1
-    target = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
+    target = _r_frame(l)
     assert basis[0] * target.leading() == target * basis[0].leading()
 
 

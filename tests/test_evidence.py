@@ -179,7 +179,8 @@ def test_g7_positive_control():
     for l in (2, 3, 4):
         d = int(2 * special_frequency(l)) + 1
         basis = brute_force_polynomial_solutions(_candidate_ode("G7", l, d), d)
-        target = chandrasekhar_r_frame(l, chandrasekhar_coeffs(l))
+        P_w = chandrasekhar_coeffs(l)
+        target = chandrasekhar_r_frame(l, P_w.den, P_w.num[-1])
         assert len(basis) == 1, l
         assert basis[0] * target.leading() == target * basis[0].leading(), l
 

@@ -498,14 +498,47 @@ def test_expansions_equal(l, basis):
     assert report.difference.is_zero()
 
 
-def test_expansion_compares_with_the_given_target():
+def test_expansion_compares_with_the_given_target(monkeypatch):
+    # a given target is used as it is: chandrasekhar_coeffs is not called
+    import bhkovacic.hautot as hautot
+
     P = chandrasekhar_coeffs(3)
+    real, calls = hautot.chandrasekhar_coeffs, []
+
+    def counted(l):
+        calls.append(l)
+        return real(l)
+
+    monkeypatch.setattr(hautot, "chandrasekhar_coeffs", counted)
     for basis in ("kummer", "laguerre"):
         report = extended_expansion(3, basis, target=P)
-        assert report.equal and report.target is P
-        assert report == extended_expansion(3, basis)
+        assert report.equal and report.difference == Poly.zero()
         off = extended_expansion(3, basis, target=P * 2)
         assert not off.equal and off.difference == -P
+        assert calls == []
+        assert report == extended_expansion(3, basis)
+        assert calls == [3]
+        calls.clear()
+
+
+@pytest.mark.parametrize("basis", ("kummer", "laguerre"))
+def test_equal_expansion_report_holds_no_coefficient_vector(basis):
+    # a passing report keeps its verdict, its four scalars and a zero
+    # difference; the assembled sum and the target are gone with the call
+    import sys
+    import tracemalloc
+
+    l = 6
+    tracemalloc.start()
+    try:
+        report = extended_expansion(l, basis)
+        held = tracemalloc.get_traced_memory()[0]  # what the call left allocated
+    finally:
+        tracemalloc.stop()
+    assert report.equal and report.difference == Poly.zero()
+    assert all(not isinstance(v, Poly) or v.is_zero() for v in report)
+    vector = sum(sys.getsizeof(v) for v in chandrasekhar_coeffs(l).num)
+    assert held * 10 < vector, (held, vector)
 
 
 def test_expansion_homogeneity():
@@ -526,7 +559,8 @@ def test_expansion_homogeneity():
     acc = Poly.zero()
     for coeff, poly in terms:
         acc = acc + coeff * poly
-    assert acc.scale_variable(-s) == 3 * report.assembled
+    assert report.equal
+    assert acc.scale_variable(-s) == 3 * chandrasekhar_coeffs(2)
 
 
 def test_scalar_product_on_the_l5_kummer_terms():
@@ -610,4 +644,5 @@ def test_cross_basis_coefficient_consistency():
         assert A1 == B1
         assert A2 == -B2
         assert A3 == (2 * s - 1) * B3
-        assert kummer.assembled == laguerre.assembled
+        assert kummer.equal and laguerre.equal
+        assert kummer.difference.is_zero() and laguerre.difference.is_zero()

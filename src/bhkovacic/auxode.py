@@ -13,11 +13,13 @@ confluent Heun normal form).
 
 Everything here is exact.  The module provides the three-term Frobenius
 recurrence of such an equation about its frame origin on the root 0, a
-fixed-degree polynomial solver that keeps the frequency s unknown, the
+fraction-free brute-force nullspace oracle, a fixed-degree polynomial
+solver of any degree built on those two (the frequency s given, or
+unknown and found as a root of the recurrence's determinant), the
 closed-form polynomial behind the second algebraically special
-gravitational solution together with its verification suite, a
-fraction-free brute-force nullspace oracle, and the homotopic z-power
-substitution linking the G7/G3 and E7/E3 confluent Heun forms.
+gravitational solution together with its verification suite, and the
+homotopic z-power substitution linking the G7/G3 and E7/E3 confluent Heun
+forms.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class FamilyEquation(NamedTuple):
         times D = L b^n, L the lcm of their denominators and n their degree."""
         a, b = Fraction(s).as_integer_ratio()
         polys = self.p1_const, self.p1_lin, self.p1_quad, self.f, self.e
-        n = max(p.degree for p in polys)
+        n = max(0, *(p.degree for p in polys))  # all-zero fields: D stays an integer
         L = math.lcm(*(p.den for p in polys))
         c0, c1, c2, f, e = (
             L // p.den * sum(v * a**k * b ** (n - k) for k, v in enumerate(p.num)) for p in polys
@@ -310,13 +312,18 @@ class Recurrence3(NamedTuple):
         The last minor of :func:`~bhkovacic.elimination.tridiag_minors`
         (1 for size 0); exact over rationals or polynomials.
         """
-        return self.dets(size, (0,))[0]
+        return [1, *tridiag_minors(*self._band(size))][-1]
 
     def dets(self, size: int, shifts: Iterable) -> list:
         """:meth:`det` with t added to the diagonal, for each t of ``shifts``."""
+        diag, offprod = self._band(size)
+        return [[1, *tridiag_minors([x + t for x in diag], offprod)][-1] for t in shifts]
+
+    def _band(self, size: int) -> tuple:
+        """(diag, offprod) of rows 0..size-1, as :func:`tridiag_minors` reads them."""
         diag = [self.diag(k) for k in range(size)]
         offprod = [self.lower(k) * self.upper(k - 1) if k else 0 for k in range(size)]
-        return [[1, *tridiag_minors([x + t for x in diag], offprod)][-1] for t in shifts]
+        return diag, offprod
 
 
 def recurrence(ode: AuxiliaryODE) -> tuple:
@@ -356,67 +363,38 @@ def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
 
 
 # ---------------------------------------------------------------------------
-# fixed-degree polynomial solutions with the frequency unknown
+# fixed-degree polynomial solutions, the frequency given or unknown
 # ---------------------------------------------------------------------------
 
 
 def solve_low_degree(eq: FamilyEquation, d: int, l: int, s_fixed) -> List[tuple]:
-    """All (s, P) with P a degree-d polynomial solution of eq at multipole l, d in {0, 1}.
+    """All (s, P) with P a monic degree-d polynomial solution of eq at multipole l.
 
-    The residual of a monic degree-d trial polynomial is linear in r plus,
-    for d=1, a possible r^2 term; its coefficients are polynomials in s
-    (and linear in the unknown constant term k when d=1).  The system is
-    solved exactly, at ``s_fixed`` unless it is None.  Otherwise s is free
-    only where the degree form fixes d for every s (G5, G8, E5, E8): the
-    leading condition, e for d=0 and p1_quad + e for d=1, vanishes
-    identically, and s ranges over the certified positive roots of the
-    condition left, f or e B - f A (k eliminated).  Where it does not
-    vanish the degree form pins s, and ValueError asks for ``s_fixed``.
+    At a frequency s the solutions of degree <= d are the nullspace of the
+    candidate system (:func:`brute_force_polynomial_solutions`): one vector
+    of degree d is returned made monic, none or one of lower degree gives
+    no solution, and two or more raise NotImplementedError.  The frequency
+    is ``s_fixed`` unless it is None.  Otherwise s is free only where the
+    degree form fixes d for every s (G5, G8, E5, E8): row d+1 of the
+    candidate system, lower(d+1) of the symbolic recurrence
+    (:meth:`FamilyEquation.recurrence`), vanishes identically, and s ranges
+    over the certified positive roots of the determinant D_(d+1) of rows
+    0..d, a polynomial in s.  Where lower(d+1) does not vanish the degree
+    form pins s, and ValueError asks for ``s_fixed``.
     """
-    if d not in (0, 1):
-        raise ValueError("fixed-degree solver covers d in {0, 1} only")
-    e, f = eq.e, eq.f - multipole_offset(eq.family, l)
-
-    if d == 0:
-        # residual = p0 = e r + f
-        if s_fixed is not None:
-            s0 = Fraction(s_fixed)
-            return [(s0, Poly.one())] if e.eval(s0) == 0 and f.eval(s0) == 0 else []
-        return [(s0, Poly.one()) for s0 in _free_frequency_roots(e, f)]
-
-    # d == 1, monic trial P = r + k:
-    #   residual = (R2) r^2 + (A + e k) r + (B + f k)
-    R2 = eq.p1_quad + e
-    A = eq.p1_lin + f
-    B = eq.p1_const
-
-    def solve_k_at(s0) -> Optional[Rational]:
-        ev, fv = e.eval(s0), f.eval(s0)
-        av, bv = A.eval(s0), B.eval(s0)
-        if ev != 0:
-            k = -av / ev
-            return k if bv + fv * k == 0 else None
-        if av != 0:
-            return None
-        if fv != 0:
-            return -bv / fv
-        if bv != 0:
-            return None
-        raise NotImplementedError("one-parameter family of degree-1 solutions")
-
     if s_fixed is not None:
-        s0 = Fraction(s_fixed)
-        if R2.eval(s0) != 0:
-            return []
-        k = solve_k_at(s0)
-        return [(s0, Poly([k, 1]))] if k is not None else []
-
-    # s unknown and R2 = 0: eliminate k, W = e B - f A
+        frequencies = [Fraction(s_fixed)]
+    else:
+        rec = eq.recurrence(l)
+        frequencies = _free_frequency_roots(rec.lower(d + 1), rec.det(d + 1))
     out = []
-    for s0 in _free_frequency_roots(R2, e * B - f * A):
-        k = solve_k_at(s0)
-        if k is not None:
-            out.append((s0, Poly([k, 1])))
+    for s0 in frequencies:
+        basis = brute_force_polynomial_solutions(eq.at(l, s0), d)
+        if len(basis) > 1:
+            raise NotImplementedError(
+                f"the solutions of degree <= {d} form a space of dimension {len(basis)}"
+            )
+        out += [(s0, Poly.from_numerators(P.num, P.num[-1])) for P in basis if P.degree == d]
     return out
 
 

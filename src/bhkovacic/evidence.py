@@ -641,7 +641,8 @@ class S3Record(NamedTuple):
     r-frame termination ratio is -s/(l(l+1) + 4s^2).  If the w-frame ratio
     carried the same denominator ("matched" variant), compatibility would
     force s into {0, 1/2}, both inadmissible: s = 0 gives a negative
-    degree and the s = 1/2 degree-0 candidate fails its residual check.
+    degree and the s = 1/2 degree-0 candidate has no solution of its
+    candidate system.
     The w-frame termination row actually has diagonal -(l(l+1) + 2s), and
     with that ratio the leading-order compatibility holds identically
     (both numerators are -s), so it carries no constraint and is not

@@ -225,12 +225,13 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
 
     A family whose degree form can grow with s is retained outright.  A
     family with d < 0 for every s >= 0 is discarded.  The bounded-degree
-    families are decided by solving the degree-0/1 polynomial conditions
-    exactly (s kept unknown where the degree form leaves it free), for
-    every angular index up to ``l_max``: a family with an admissible
-    s > 0 solution is retained, the rest are reported as checked marginal
-    families.  An ``l_max`` below a marginal family's lowest multipole
-    would check nothing for it and raises ValueError.
+    families are decided by solving the candidate system of each fixed
+    degree d exactly (:func:`~bhkovacic.auxode.solve_low_degree`, s kept
+    unknown where the degree form leaves it free), for every angular index
+    up to ``l_max``: a family with an admissible s > 0 solution is
+    retained, the rest are reported as checked marginal families.  An
+    ``l_max`` below a marginal family's lowest multipole would check
+    nothing for it and raises ValueError.
     """
     from .auxode import family_equation, solve_low_degree  # deciding verdicts needs the ODEs
 
@@ -251,8 +252,6 @@ def retain_families(families: Sequence[Family], l_max: int = 12) -> RetentionRes
         eq = family_equation(family.label)
         found_any = False
         for s_value, d in points:
-            if d > 1:
-                raise NotImplementedError(f"marginal degree {d} > 1 for {family.label}")
             for l in range(family.kind.min_l, l_max + 1):
                 solutions = solve_low_degree(eq, d, l=l, s_fixed=s_value)
                 result.marginal.append(

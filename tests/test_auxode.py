@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bhkovacic.algebra import Poly, rational_roots
 from bhkovacic.auxode import (
     AuxiliaryODE,
+    FamilyEquation,
     Recurrence3,
     _free_frequency_roots,
     _recurrence3,
@@ -439,6 +440,63 @@ def test_free_frequency_refused_where_the_degree_pins_s(label, d):
     eq = family_equation(label)
     with pytest.raises(ValueError, match="s_fixed"):
         solve_low_degree(eq, d, l=family_by_label(label).kind.min_l, s_fixed=None)
+
+
+@pytest.mark.parametrize("label", ["G5", "G8", "E5", "E8"])
+def test_free_frequency_condition_is_the_sympy_eliminant(label):
+    # the solver roots D_(d+1) of the symbolic recurrence; sympy expands the
+    # residual of a monic degree-d trial polynomial from the equation's
+    # fields and eliminates its unknown coefficients: row d+1 vanishes for
+    # every s, and the eliminant of rows 0..d is D_(d+1) up to a constant
+    import sympy
+
+    family = family_by_label(label)
+    d = int(family.degree[0])
+    s, r = sympy.symbols("s r")
+    ks = sympy.symbols(f"k0:{d}")
+    P = r**d + sum(k * r**i for i, k in enumerate(ks))
+    for l in range(family.kind.min_l, 9):
+        p1_const, p1_lin, p1_quad, e, f = _coefficients_at(family, s, l * (l + 1))
+        residual = sympy.Poly(
+            r * (r - 2) * sympy.diff(P, r, 2)
+            + (p1_quad * r**2 + p1_lin * r + p1_const) * sympy.diff(P, r)
+            + (e * r + f) * P,
+            r,
+        )
+        rows = [residual.coeff_monomial(r**m) for m in range(d + 2)]
+        assert sympy.expand(rows[d + 1]) == 0
+        at_zero = {k: 0 for k in ks}
+        linear = sympy.Matrix(
+            [[sympy.diff(row, k) for k in ks] + [row.subs(at_zero)] for row in rows[: d + 1]]
+        )
+        eliminant = sympy.expand(linear.det())
+        assert eliminant != 0
+        rec = family_equation(label).recurrence(l)
+        assert rec.lower(d + 1) == 0
+        ratio = sympy.cancel(_in_sympy(rec.det(d + 1), s) / eliminant)
+        assert ratio.is_number and ratio != 0, (l, ratio)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_g7_closed_form_is_its_fixed_degree_solution(l):
+    # any degree: at the special frequency the degree-(2s+1) G7 system has
+    # exactly one solution, the closed-form polynomial written in r
+    s = special_frequency(l)
+    P_r = chandrasekhar_coeffs(l).shift(-2)
+    expected = [(s, P_r * (1 / P_r.leading()))]
+    assert solve_low_degree(family_equation("G7"), int(2 * s + 1), l=l, s_fixed=s) == expected
+
+
+def test_fixed_degree_refuses_a_space_of_solutions():
+    # every field zero: r(r-2) P'' = 0 at the lowest multipole, solved by 1
+    # and r, so no monic degree-1 solution is singled out
+    zero = Poly.zero()
+    eq = FamilyEquation(family_by_label("G8"), zero, zero, zero, zero, zero)
+    with pytest.raises(NotImplementedError, match="dimension 2"):
+        solve_low_degree(eq, 1, l=2, s_fixed=1)
+    assert solve_low_degree(eq, 0, l=2, s_fixed=1) == [(1, Poly.one())]
+    # above it f = -m = -6 alone carries l: no P of degree <= 1 solves r(r-2) P'' = 6 P
+    assert solve_low_degree(eq, 1, l=3, s_fixed=F(3, 2)) == []
 
 
 _S = Poly.x()

@@ -1,5 +1,7 @@
 """Candidate families: pole data, exponent sets, tables, retention, theta."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from bhkovacic.kovacic import (
     theta,
 )
 from bhkovacic.master import PerturbationKind, build_nu, partial_fractions
+from bhkovacic.reporting import jsonable
 
 G = PerturbationKind.GRAVITATIONAL
 E = PerturbationKind.ELECTROMAGNETIC
@@ -188,6 +191,26 @@ def test_retention():
         }
         all_checked = {c.family.label for c in result.marginal}
         assert all_checked - with_solutions == checked_empty[kind]
+
+
+# sha256 of the canonical JSON of retain_families' output for the three
+# kinds at l <= 12: retained and discarded labels, and all 80 marginal
+# checks with their solutions, so that any moved verdict or solution shows
+RETENTION_L12 = "d702067ec62e4e617e9c946e5524894ea729199f57a65ab3cc8deea47c9eb188"
+
+
+def test_retention_output_is_pinned():
+    payload = []
+    for kind in (G, E, S):
+        result = retain_families(enumerate_families_n1(kind), l_max=12)
+        checks = [(c.family.label, c.l, c.s, c.d, c.solutions) for c in result.marginal]
+        discarded = [f.label for f in result.discarded]
+        payload.append(
+            {"retained": result.retained_labels, "discarded": discarded, "marginal": checks}
+        )
+    assert sum(len(p["marginal"]) for p in payload) == 80
+    blob = json.dumps(jsonable(payload), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == RETENTION_L12
 
 
 def test_marginal_points_reported():

@@ -348,7 +348,7 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     )
 
     # homotopic equivalences and determinant equality; a failure names its
-    # first failed check, or its first j
+    # first failed check, or its first j with the block and grid point
     homotopy = homotopic_equivalence_check()
     homotopy_failure = None
     if not homotopy.parameter_maps_ok:
@@ -356,9 +356,13 @@ def run_verify_all(l_max: int = 6, d_max: int = 100) -> Report:
     elif not homotopy.operator_identities_ok:
         homotopy_failure = {"check": "operator_identities"}
     _add_first_failure(report, "homotopy.z_power", "heun.homotopic_substitution", homotopy_failure)
-    eq_failure = next(
-        ({"j": j} for j in range(0, 4) if not determinant_equality_check(j).all_ok), None
-    )
+    eq_failure = None
+    for j in range(0, 4):
+        witness = determinant_equality_check(j).witness
+        if witness is not None:
+            block, point, _, _ = witness
+            eq_failure = {"j": j, "block": block, "point": list(point)}
+            break
     _add_first_failure(report, "hautot.det_equality", "hautot.block_equality", eq_failure)
     return report
 

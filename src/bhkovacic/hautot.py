@@ -201,8 +201,9 @@ def recurrence_identity_suite(s, bound: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _kummer_block(a, b, d, n, j: int) -> Recurrence3:
-    """The truncated-Kummer expansion system of the c = j Heun equation.
+def _kummer_block(a, b, n, j: int) -> Recurrence3:
+    """The truncated-Kummer expansion system of the c = j Heun equation,
+    at d = 0; d adds to diag.
 
     lower(k) = (k-1-j)(k-1-n)
     diag(k)  = d - j n + k (b + 2j - 2k + 2n)
@@ -211,13 +212,14 @@ def _kummer_block(a, b, d, n, j: int) -> Recurrence3:
     m = 1 - n - a - b - j
     return Recurrence3(
         lower_k=((1 + j) * (1 + n), -(2 + j + n), 1),
-        diag_k=(d - j * n, b + 2 * j + 2 * n, -2),
+        diag_k=(-j * n, b + 2 * j + 2 * n, -2),
         upper_k=(m, m + 1, 1),
     )
 
 
-def _laguerre_block(a, b, d, n, j: int) -> Recurrence3:
-    """The Laguerre expansion system of the c = j Heun equation.
+def _laguerre_block(a, b, n, j: int) -> Recurrence3:
+    """The Laguerre expansion system of the c = j Heun equation, at d = 0;
+    d adds to diag.
 
     lower(k) = (k-1-j)(k-n-a-b-j)
     diag(k)  = d - j n + k (b + 2j - 2k + 2n)
@@ -226,7 +228,7 @@ def _laguerre_block(a, b, d, n, j: int) -> Recurrence3:
     p = n + a + b + j
     return Recurrence3(
         lower_k=((1 + j) * p, -(p + 1 + j), 1),
-        diag_k=(d - j * n, b + 2 * j + 2 * n, -2),
+        diag_k=(-j * n, b + 2 * j + 2 * n, -2),
         upper_k=(-n, 1 - n, 1),
     )
 
@@ -265,41 +267,33 @@ def determinant_equality_check(j: int) -> EqualityReport:
     proof of identity; the block entries are ring-neutral, so the grid runs
     in exact integers.
 
-    d enters each block only as +d on its diagonal, so each block is built
-    once per (a, b, n), at d = 0, and :meth:`Recurrence3.dets` gives its
-    determinants at every d of the grid.  Guard: the d = 1 build must be the
-    d = 0 build with diag's constant term raised by 1, which proves that
-    structure at (a, b, n) for entries of degree <= 1 in d; a block that
-    breaks it fails at (a, b, 1, n), and the necessary block fails both
-    equalities.  The witness is the first failure in (a, b, n, d) order,
-    each triple's guard first.
+    Each block is built once per (a, b, n), at d = 0, and d adds to its
+    diag: the Heun system takes d as the constant term of diag alone, and
+    the Kummer and Laguerre builders take no d.  So :meth:`Recurrence3.dets`
+    gives each block's determinants at every d of the grid.  The witness is
+    (block, (a, b, d, n), necessary det, block det) of the first failure in
+    (a, b, n, d) order, the Kummer block first at each point.
     """
     if j < 0:
         raise ValueError("block order j must be non-negative")
     side = j + 2
-    names = ("necessary", "kummer", "laguerre")
     failures = []
     for a, b, n in itertools.product(range(side), repeat=3):
-        builds = [
-            (HeunForm(a, b, j, d, -a * n).recurrence(), _kummer_block(a, b, d, n, j),
-             _laguerre_block(a, b, d, n, j))
-            for d in (0, 1)
-        ]
-        dets = []
-        for name, rec, rec_1 in zip(names, *builds):
-            shifted = rec._replace(diag_k=(rec.diag_k[0] + 1, *rec.diag_k[1:]))
-            if rec_1 != shifted:
-                failures.append((name, (a, b, 1, n), shifted, rec_1))
-            dets.append(rec.dets(j + 1, range(side)))
-        for name, values in zip(names[1:], dets[1:]):
-            for d, (nec, det) in enumerate(zip(dets[0], values)):
+        blocks = (
+            HeunForm(a, b, j, 0, -a * n).recurrence(),
+            _kummer_block(a, b, n, j),
+            _laguerre_block(a, b, n, j),
+        )
+        dets = [rec.dets(j + 1, range(side)) for rec in blocks]
+        for d, (nec, kummer, laguerre) in enumerate(zip(*dets)):
+            for name, det in (("kummer", kummer), ("laguerre", laguerre)):
                 if det != nec:
                     failures.append((name, (a, b, d, n), nec, det))
     failed = {failure[0] for failure in failures}
     return EqualityReport(
         grid_points=side**4,
-        kummer_equal=not failed & {"necessary", "kummer"},
-        laguerre_equal=not failed & {"necessary", "laguerre"},
+        kummer_equal="kummer" not in failed,
+        laguerre_equal="laguerre" not in failed,
         witness=failures[0] if failures else None,
     )
 

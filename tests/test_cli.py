@@ -472,11 +472,13 @@ def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
     capsys, monkeypatch
 ):
     # plant a nullspace at the third oracle case (E7, l = 1, s = 2), a failed
-    # operator identity and an unequal Laguerre block from j = 2 on
+    # operator identity and a Laguerre block whose diagonal is off by one from
+    # j = 2 and n = 1 on
     import bhkovacic.cli as cli
+    import bhkovacic.hautot as hautot
 
     real_nullspace = cli.brute_force_polynomial_solutions
-    real_homotopy, real_equality = cli.homotopic_equivalence_check, cli.determinant_equality_check
+    real_homotopy, real_laguerre = cli.homotopic_equivalence_check, hautot._laguerre_block
     calls = []
 
     def planted_nullspace(ode, d):
@@ -487,13 +489,13 @@ def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
     def planted_homotopy():
         return real_homotopy()._replace(operator_identities_ok=False)
 
-    def planted_equality(j):
-        report = real_equality(j)
-        return report._replace(laguerre_equal=report.laguerre_equal and j < 2)
+    def planted_laguerre(a, b, n, j):
+        rec = real_laguerre(a, b, n, j)
+        return rec._replace(diag_k=(rec.diag_k[0] + (j >= 2 and n >= 1), *rec.diag_k[1:]))
 
     monkeypatch.setattr(cli, "brute_force_polynomial_solutions", planted_nullspace)
     monkeypatch.setattr(cli, "homotopic_equivalence_check", planted_homotopy)
-    monkeypatch.setattr(cli, "determinant_equality_check", planted_equality)
+    monkeypatch.setattr(hautot, "_laguerre_block", planted_laguerre)
     code, out, _ = run(capsys, "verify-all", "--l-max", "2", "--max-degree", "4", "--json")
     assert code == 1
     records = {r["name"]: r for r in json.loads(out)["records"]}
@@ -503,7 +505,9 @@ def test_verify_all_oracle_homotopy_and_det_equality_name_their_first_failure(
     assert records["homotopy.z_power"]["witness"] == {
         "first_failure": {"check": "operator_identities"}
     }
-    assert records["hautot.det_equality"]["witness"] == {"first_failure": {"j": 2}}
+    assert records["hautot.det_equality"]["witness"] == {
+        "first_failure": {"j": 2, "block": "laguerre", "point": [0, 0, 0, 1]}
+    }
     failing = {name for name, r in records.items() if r["status"] == "fail"}
     assert failing == {"oracle.agreement", "homotopy.z_power", "hautot.det_equality"}
 

@@ -204,17 +204,18 @@ def test_tridiag_coefficient_examples():
     assert necessary.upper(3) == 0  # (c - k) factor at k = c
     assert necessary.lower(1) == a * (1 - 1 - n)
     assert necessary.diag(2) == d + 2 * (b + 1)
-    # the block systems against their factored entries, here and at random points
+    # the block systems, built at d = 0, against their factored entries, here
+    # and at random points
     rng = random.Random(3)
-    points = [(a, b, d, n, 3)] + [
-        (*(F(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(4)), rng.randint(0, 5))
+    points = [(a, b, n, 3)] + [
+        (*(F(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(3)), rng.randint(0, 5))
         for _ in range(20)
     ]
-    for a, b, d, n, j in points:
-        kummer, laguerre = _kummer_block(a, b, d, n, j), _laguerre_block(a, b, d, n, j)
+    for a, b, n, j in points:
+        kummer, laguerre = _kummer_block(a, b, n, j), _laguerre_block(a, b, n, j)
         for k in range(8):
             assert kummer.lower(k) == (k - 1 - j) * (k - 1 - n)
-            assert kummer.diag(k) == laguerre.diag(k) == d - j * n + k * (
+            assert kummer.diag(k) == laguerre.diag(k) == -j * n + k * (
                 b + 2 * j - 2 * k + 2 * n
             )
             assert kummer.upper(k) == (k + 1) * (k + 1 - n - a - b - j)
@@ -250,7 +251,14 @@ def _band_det(rec, size):
     return F(bareiss_determinant(integer_rows), math.prod(dens))
 
 
+def _shifted(rec, t):
+    """rec with t added to the constant term of diag(k)."""
+    return rec._replace(diag_k=(rec.diag_k[0] + t, *rec.diag_k[1:]))
+
+
 def test_det_matches_bareiss():
+    # det, and dets at each shift t, against the explicit band with t added
+    # to its diagonal
     rng = random.Random(7)
 
     def rand():
@@ -264,10 +272,13 @@ def test_det_matches_bareiss():
                 upper_k=tuple(rand() for _ in range(3)),
             )
             assert rec.det(size) == _band_det(rec, size)
+            shifts = [rand() for _ in range(rng.randint(0, 4))] + [0]
+            assert rec.dets(size, shifts) == [_band_det(_shifted(rec, t), size) for t in shifts]
         a, b, d, n = rand(), rand(), rand(), rand()
         j = size - 1
-        for block in (_kummer_block(a, b, d, n, j), _laguerre_block(a, b, d, n, j)):
+        for block in (_kummer_block(a, b, n, j), _laguerre_block(a, b, n, j)):
             assert block.det(size) == _band_det(block, size)
+            assert block.dets(size, [d]) == [_band_det(_shifted(block, d), size)]
 
 
 @pytest.mark.parametrize(
@@ -351,10 +362,8 @@ def test_determinant_equality(j):
 def _off_by_one(builder):
     """``builder`` with the constant term of diag(k) raised by 1."""
 
-    def skewed(a, b, d, n, j):
-        rec = builder(a, b, d, n, j)
-        diag = (rec.diag_k[0] + 1, *rec.diag_k[1:])
-        return Recurrence3(lower_k=rec.lower_k, diag_k=diag, upper_k=rec.upper_k)
+    def skewed(a, b, n, j):
+        return _shifted(builder(a, b, n, j), 1)
 
     return skewed
 
@@ -374,39 +383,33 @@ def test_determinant_equality_catches_a_skewed_block(monkeypatch, name):
     assert all(type(v) is int for v in point)  # found on the integer grid
 
 
-def test_determinant_equality_catches_d_off_the_diagonal(monkeypatch):
-    # d planted in lower(k) leaves the d = 0 block alone, so only the guard
-    # on the d = 1 build can see it
+def test_determinant_equality_catches_a_skewed_necessary_block(monkeypatch):
+    # the necessary block against both: a skew in it fails both equalities
     import bhkovacic.hautot as hautot
 
-    real = hautot._kummer_block
+    class Skewed(HeunForm):
+        def recurrence(self):
+            return _shifted(super().recurrence(), 1)
 
-    def planted(a, b, d, n, j):
-        rec = real(a, b, d, n, j)
-        return rec._replace(lower_k=(rec.lower_k[0] + d, *rec.lower_k[1:]))
-
-    monkeypatch.setattr(hautot, "_kummer_block", planted)
+    monkeypatch.setattr(hautot, "HeunForm", Skewed)
     report = determinant_equality_check(2)
-    assert not report.kummer_equal and report.laguerre_equal
-    assert report.grid_points == 4**4
-    basis, point, expected, built = report.witness
-    assert (basis, point) == ("kummer", (0, 0, 1, 0))
-    assert built.lower_k[0] == expected.lower_k[0] + 1
+    assert not report.kummer_equal and not report.laguerre_equal
+    assert report.witness[0] == "kummer"
 
 
 _a, _b, _d, _n = sympy.symbols("a b d n")
 
 
-def _sympy_blocks(j):
-    """The necessary, Kummer and Laguerre blocks of order j+1 as sympy
-    matrices, from the entry formulas of the :meth:`HeunForm.recurrence`
+def _block_formulas(j):
+    """(lower, diag, upper) of the necessary, Kummer and Laguerre blocks in
+    sympy, from the entry formulas of the :meth:`HeunForm.recurrence`
     (c = j, e = -a n), ``_kummer_block`` and ``_laguerre_block`` docstrings."""
     a, b, d, n = _a, _b, _d, _n
 
     def block_diag(k):  # shared by the Kummer and Laguerre blocks
         return d - j * n + k * (b + 2 * j - 2 * k + 2 * n)
 
-    formulas = (  # (lower, diag, upper) of each block
+    return (
         (
             lambda k: a * (k - 1) - a * n,
             lambda k: k * (k - 1 + b) + d,
@@ -423,11 +426,33 @@ def _sympy_blocks(j):
             lambda k: (k + 1) * (k - n),
         ),
     )
-    # row k holds lower(k), diag(k), upper(k) in columns k-1, k, k+1
+
+
+def _sympy_blocks(j):
+    """The three blocks of order j+1 as sympy matrices; row k holds lower(k),
+    diag(k), upper(k) in columns k-1, k, k+1."""
     return [
         sympy.Matrix(j + 1, j + 1, lambda k, i: entries[i - k + 1](k) if abs(i - k) <= 1 else 0)
-        for entries in formulas
+        for entries in _block_formulas(j)
     ]
+
+
+@pytest.mark.parametrize("j", range(0, 4))
+def test_block_builders_match_their_formulas(j):
+    # the builders on symbols, at d = 0, with d added to diag: each entry is
+    # its docstring formula as a polynomial in (a, b, n, k), so d sits on the
+    # diagonal alone by construction
+    a, b, n = _a, _b, _n
+    k = sympy.Symbol("k")
+    built = (
+        HeunForm(a, b, j, 0, -a * n).recurrence(),
+        _kummer_block(a, b, n, j),
+        _laguerre_block(a, b, n, j),
+    )
+    for rec, (lower, diag, upper) in zip(built, _block_formulas(j)):
+        assert sympy.expand(rec.lower(k) - lower(k)) == 0
+        assert sympy.expand(rec.diag(k) + _d - diag(k)) == 0
+        assert sympy.expand(rec.upper(k) - upper(k)) == 0
 
 
 @pytest.mark.parametrize("j", range(0, 4))
@@ -450,18 +475,18 @@ def test_determinant_equality_sympy_oracle(j):
         a, b, d, n = (F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
         value = dets[0].eval({_a: a, _b: b, _d: d, _n: n})
         expected = F(int(value.p), int(value.q))
-        assert HeunForm(a, b, j, d, -a * n).recurrence().det(size) == expected
-        assert _kummer_block(a, b, d, n, j).det(size) == expected
-        assert _laguerre_block(a, b, d, n, j).det(size) == expected
+        assert HeunForm(a, b, j, 0, -a * n).recurrence().dets(size, [d]) == [expected]
+        assert _kummer_block(a, b, n, j).dets(size, [d]) == [expected]
+        assert _laguerre_block(a, b, n, j).dets(size, [d]) == [expected]
 
 
 def test_equality_j0_trivial():
     # 1x1 case: all three blocks reduce to d - j n = d
     a, b, d, n = F(2), F(5), F(-7, 3), F(4)
-    nec = HeunForm(a, b, F(0), d, -a * n).recurrence().det(1)
-    kum = _kummer_block(a, b, d, n, 0).det(1)
-    lag = _laguerre_block(a, b, d, n, 0).det(1)
-    assert nec == kum == lag == d
+    nec = HeunForm(a, b, F(0), 0, -a * n).recurrence().dets(1, [d])
+    kum = _kummer_block(a, b, n, 0).dets(1, [d])
+    lag = _laguerre_block(a, b, n, 0).dets(1, [d])
+    assert nec == kum == lag == [d]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -106,19 +107,19 @@ class FamilyEquation(NamedTuple):
     def at(self, l: int, s: Rational) -> AuxiliaryODE:
         """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 at multipole l
         and frequency s = a/b, in integers: each coefficient is evaluated
-        times D = L b^n, L the lcm of their denominators and n their degree."""
+        times D = L b^n, L the lcm of their denominators and n their degree,
+        as sum_k num[k] a^k b^(n-k) over one shared list of the powers.
+        Every equation shares the one p2 = r(r-2)."""
         a, b = Fraction(s).as_integer_ratio()
         polys = self.p1_const, self.p1_lin, self.p1_quad, self.f, self.e
-        n = max(0, *(p.degree for p in polys))  # all-zero fields: D stays an integer
-        L = math.lcm(*(p.den for p in polys))
-        c0, c1, c2, f, e = (
-            L // p.den * sum(v * a**k * b ** (n - k) for k, v in enumerate(p.num)) for p in polys
-        )
+        n = max(1, *[len(p.num) for p in polys]) - 1  # all-zero fields: D stays an integer
+        L = math.lcm(*[p.den for p in polys])
+        powers = [a**k * b ** (n - k) for k in range(n + 1)]
+        c0, c1, c2, f, e = [L // p.den * sum(map(operator.mul, p.num, powers)) for p in polys]
         D = L * b**n
         p1 = Poly.from_numerators([c0, c1, c2], D)
         p0 = Poly.from_numerators([f - multipole_offset(self.family, l) * D, e], D)
-        p2 = Poly([0, -2, 1])  # r(r-2)
-        return AuxiliaryODE("r", p2, p1, p0)
+        return AuxiliaryODE("r", _R_FRAME_P2, p1, p0)
 
     def recurrence(self, l: int) -> Recurrence3:
         """The r-frame recurrence about r = 0 (rho = 0) at multipole l, s symbolic.
@@ -129,6 +130,10 @@ class FamilyEquation(NamedTuple):
         f = self.f - multipole_offset(self.family, l)
         # p2 = r(r-2) = r^2 - 2r
         return _recurrence3(1, -2, self.p1_quad, self.p1_lin, self.p1_const, self.e, f)
+
+
+# p2 of every r-frame equation that FamilyEquation.at builds
+_R_FRAME_P2 = Poly.from_numerators([0, -2, 1], 1)
 
 
 # bounded: only the twenty n=1 labels are ever cached; any other label raises
@@ -338,19 +343,21 @@ def recurrence(ode: AuxiliaryODE) -> tuple:
     The origin must be a regular singular point: r = 0 in the r frame, the
     horizon in the w frame (:func:`to_w_frame`).  The branch of the other
     indicial root, P = t^m P1, is the z-power substitution that
-    :func:`homotopic_equivalence_check` verifies.
+    :func:`homotopic_equivalence_check` verifies.  Both refusals read the
+    numerator tuples: p2 needs num[0] = 0 and num[1] != 0, and at most 3,
+    3 and 2 numerators for p2, p1 and p0.
     """
     p2, p1, p0 = ode.p2, ode.p1, ode.p0
-    if p2[0] != 0 or p2[1] == 0:
+    n2 = p2.num
+    if len(n2) < 2 or n2[0] or not n2[1]:
         raise ValueError(f"the origin is not a regular singular point in frame {ode.frame}")
-    if p2.degree > 2 or p1.degree > 2 or p0.degree > 1:
+    if len(n2) > 3 or len(p1.num) > 3 or len(p0.num) > 2:
         raise ValueError("coefficients exceed the cleared-form degrees")
     D = math.lcm(p2.den, p1.den, p0.den)
-    q2, q1, q0 = ([v * (D // p.den) for v in p.num] + [0] * 3 for p in (p2, p1, p0))
-    rec = _recurrence3(q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0])
-    rows = (rec.lower_k, rec.diag_k, rec.upper_k)
-    g = math.gcd(D, *(c for row in rows for c in row))
-    return Recurrence3(*(tuple(c // g for c in row) for row in rows)), D // g
+    q2, q1, q0 = [[v * (D // p.den) for v in p.num] + [0] * 3 for p in (p2, p1, p0)]
+    rows = _recurrence3(q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0])
+    g = math.gcd(D, *rows.lower_k, *rows.diag_k, *rows.upper_k)
+    return Recurrence3(*[tuple([c // g for c in row]) for row in rows]), D // g
 
 
 def _recurrence3(alpha, beta, a, b, c, e, f) -> Recurrence3:
@@ -541,8 +548,10 @@ class VerificationRecord(NamedTuple):
         return not self.failed_checks
 
 
-def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationRecord:
-    """Run the four exactness checks; P_w may be overridden to probe soundness.
+def chandrasekhar_checks(
+    l: int, P_w: Optional[Poly] = None, P_r: Optional[Poly] = None
+) -> VerificationRecord:
+    """Run the four exactness checks; P_w and P_r may be overridden to probe soundness.
 
     (i)  every row of the three-term recurrence about w=0 vanishes;
     (ii) the cleared equation has zero residual, in both the w and r frames;
@@ -563,7 +572,9 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
     that one coefficient vector is held at a time (P_w itself stays alive
     only when the caller holds it).  P(r) is built only once (i) and the
     w-frame residual hold; otherwise the r-frame residual, (iii) and (iv),
-    which would examine nothing, fail.
+    which would examine nothing, fail.  A caller that has built P(r)
+    already, as ``bhk chandra`` does for its report, passes it as P_r, and
+    the checks examine that vector instead of building a second one.
     """
     s = special_frequency(l)
     mu2 = (l - 1) * (l + 2)
@@ -584,7 +595,8 @@ def chandrasekhar_checks(l: int, P_w: Optional[Poly] = None) -> VerificationReco
         w_identity_ok = _integral_identity_holds(P_w, int(s), 2 * mu2 + 6, mu2, rhs_w)
         den, top = P_w.den, P_w.num[-1]
         del P_w  # hold one coefficient vector at a time
-        P_r = chandrasekhar_r_frame(l, den, top)
+        if P_r is None:
+            P_r = chandrasekhar_r_frame(l, den, top)
         ode_residual_ok = ode_residual(ode_r, P_r).is_zero()
         rhs_r = _binomial_terms(3, -2, four_sig - 1, P_r.den)  # r^3 (r-2)^(4 sigma0 - 1)
         integral_identity_ok = w_identity_ok and _integral_identity_holds(
@@ -652,23 +664,26 @@ def candidate_rows(ode: AuxiliaryODE, d: int) -> tuple:
 
     Row m holds lower(m), diag(m) and upper(m) of the integer recurrence
     ``rec, den = recurrence(ode)`` in columns m-1, m and m+1 (those within
-    0..d): the rational rows times the same positive integer den.  Rows
-    0..d are the square candidate system, so its rational determinant is
+    0..d): the rational rows times the same positive integer den.  Each
+    entry is evaluated in integers straight from its coefficient tuple in
+    m (two and three coefficients), with no call per entry.  Rows 0..d are
+    the square candidate system, so its rational determinant is
     ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1 vanishes
     identically exactly when d matches the family's degree formula.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
     rec, den = recurrence(ode)
+    (l0, l1), (d0, d1, d2), (u0, u1, u2) = rec
     rows = []
     for m in range(d + 2):
         row = [0] * (d + 1)
         if m >= 1:
-            row[m - 1] = rec.lower(m)
+            row[m - 1] = l0 + l1 * m
         if m <= d:
-            row[m] = rec.diag(m)
+            row[m] = d0 + (d1 + d2 * m) * m
         if m < d:
-            row[m + 1] = rec.upper(m)
+            row[m + 1] = u0 + (u1 + u2 * m) * m
         rows.append(row)
     return rows, den
 

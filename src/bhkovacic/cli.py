@@ -115,7 +115,7 @@ def cmd_chandra(args) -> int:
     l = args.l
     P_w = chandrasekhar_coeffs(l)
     P_r = chandrasekhar_r_frame(l, P_w.den, P_w.num[-1])
-    record = chandrasekhar_checks(l, P_w)
+    record = chandrasekhar_checks(l, P_w, P_r)  # the checks examine the P(r) reported
     witness = {
         "l": l,
         "s": special_frequency(l),

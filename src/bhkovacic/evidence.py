@@ -86,11 +86,15 @@ SCAN_FAMILIES = ("G3", "E3", "E7")
 
 
 def degree_to_s(family: str, d: int) -> Rational:
-    """The frequency pinned by a degree-d candidate of the family."""
+    """The frequency pinned by a degree-d candidate of the family.
+
+    The degree form is d = (n0 + n1 s) / den in its integer numerators, so
+    s = (d den - n0) / n1, one ``Fraction`` of two integers."""
     if family not in SCAN_FAMILIES:
         raise ValueError(f"scan covers {SCAN_FAMILIES}, not {family}")
     degree = family_by_label(family).degree
-    return (d - degree[0]) / degree[1]
+    n0, n1 = degree.num  # every scan family's degree form moves with s
+    return Fraction(d * degree.den - n0, n1)
 
 
 # one grid per family serves every l of a scan, in each worker too
@@ -443,15 +447,19 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
     The system is built on the scan family's one equation,
-    :func:`family_equation` of its label.  Its d+1 integer rows are the
-    rational rows times one factor den, so the determinant is divided by
-    den ** (d + 1).  At d <= 8 the same rows plus row d+1 give the
-    brute-force nullspace.  Both oracles are held to :func:`_cell`'s exact
-    loop, whose signs it records: :func:`_scan_group` holds its run verdicts to them.
+    :func:`family_equation` of its label, at the (l, s) of the cell.  Its
+    d+1 integer rows are the rational rows times one factor den, so the
+    rational determinant is the Bareiss one over den ** (d + 1): ``agree``
+    compares D_{d+1} den ** (d + 1) with it in integers, and the one
+    ``Fraction`` built is the report's ``bareiss_det``.  At d <= 8 the
+    same rows plus row d+1 give the brute-force nullspace.  Both oracles
+    are held to :func:`_cell`'s exact loop, whose signs it records:
+    :func:`_scan_group` holds its run verdicts to them.
     """
     s = degree_to_s(family, d)  # a family outside the scan has no grid
     rows, den = candidate_rows(family_equation(family).at(l, s), d)
-    det = Fraction(bareiss_determinant(rows[:-1]), den ** (d + 1))
+    bareiss = bareiss_determinant(rows[:-1])
+    scale = den ** (d + 1)
     sign_ok, final_ok, D_last, _ = _cell(_column_at(family, l), d)
     nullspace_dim = len(nullspace(rows)) if d <= 8 else None
     return {
@@ -459,8 +467,8 @@ def cross_check_cell(family: str, l: int, d: int) -> dict:
         "l": l,
         "d": d,
         "recurrence_det": D_last,
-        "bareiss_det": det,
-        "agree": Fraction(D_last) == det,
+        "bareiss_det": Fraction(bareiss, scale),
+        "agree": D_last * scale == bareiss,
         "nullspace_dim": nullspace_dim,
         "sign_ok": sign_ok,
         "final_sign_ok": final_ok,

@@ -258,6 +258,38 @@ def test_indicial_structure():
         recurrence(shifted)
 
 
+@pytest.mark.parametrize(
+    "p2",
+    [
+        Poly([1, 0, 1]),  # r^2 + 1: the origin is an ordinary point
+        Poly([0, 0, 1]),  # r^2: an irregular singular point
+        Poly([0, 0, 0, 1]),  # r^3
+        Poly([F(1, 3)]),  # a constant
+        Poly.zero(),
+    ],
+)
+def test_recurrence_refuses_an_origin_that_is_not_regular_singular(p2):
+    ode = _ode("G7", 2, 4)
+    with pytest.raises(ValueError, match="not a regular singular point in frame r"):
+        recurrence(ode._replace(p2=p2))
+
+
+@pytest.mark.parametrize(
+    "field,poly",
+    [
+        ("p2", Poly([0, -2, 0, 1])),  # r^3 - 2r: regular singular at 0, but cubic
+        ("p1", Poly([1, 2, 3, F(1, 2)])),
+        ("p0", Poly([1, 2, 3])),
+    ],
+)
+def test_recurrence_refuses_coefficients_past_the_cleared_degrees(field, poly):
+    ode = _ode("E7", 1, F(5, 2))._replace(**{field: poly})
+    with pytest.raises(ValueError, match="exceed the cleared-form degrees"):
+        recurrence(ode)
+    with pytest.raises(ValueError, match="exceed the cleared-form degrees"):
+        candidate_rows(ode, 3)
+
+
 # ---------------------------------------------------------------------------
 # every route to an auxiliary equation checks l
 # ---------------------------------------------------------------------------
@@ -719,6 +751,24 @@ def test_planted_middle_numerator_fails_integral_identity(monkeypatch):
     assert not record.integral_identity_ok and not record.ode_residual_ok
 
 
+def test_checks_examine_the_p_r_a_caller_passes(monkeypatch):
+    # a caller that built P(r) passes it and no second one is built; the
+    # checks examine what was passed, so a planted P(r) fails them
+    import bhkovacic.auxode as auxode
+
+    P_w, P_r = chandrasekhar_coeffs(3), _r_frame(3)
+    calls = []
+    real = auxode.chandrasekhar_r_frame
+    monkeypatch.setattr(auxode, "chandrasekhar_r_frame", lambda *a: calls.append(a) or real(*a))
+    assert chandrasekhar_checks(3, P_w, P_r).all_ok
+    num = list(P_r.num)
+    num[len(num) // 2] = -num[len(num) // 2]
+    record = chandrasekhar_checks(3, P_w, Poly.from_numerators(num, P_r.den))
+    assert record.recurrence_ok
+    assert not record.ode_residual_ok and not record.integral_identity_ok
+    assert calls == []
+
+
 @pytest.mark.parametrize("l", (2, 4))
 def test_halved_polynomial_fails_only_the_integral_identity(l):
     # P/2 still solves the linear equation, so only the inhomogeneous
@@ -902,6 +952,23 @@ def test_candidate_rows_match_the_cleared_recurrence(label):
             assert candidate_rows(to_w_frame(ode), d) == _cleared_rows(to_w_frame(ode), d)
 
 
+@given(
+    st.sampled_from(N1_LABELS),
+    st.integers(0, 6),
+    st.fractions(max_denominator=10**4),
+    st.integers(0, 12),
+)
+@settings(max_examples=150, deadline=None)
+@example("G3", 0, F(7, 2), 4)
+@example("S1", 3, F(0), 0)
+def test_candidate_rows_match_the_cleared_recurrence_at_any_s(label, dl, s, d):
+    # every n=1 family, any multipole l >= min_l and any rational s, in the
+    # three frames the recurrence is taken in
+    ode = _ode(label, family_by_label(label).kind.min_l + dl, s)
+    for framed in (ode, to_w_frame(ode), to_z_frame(ode)):
+        assert candidate_rows(framed, d) == _cleared_rows(framed, d), framed.frame
+
+
 @given(st.sampled_from(N1_LABELS), st.integers(0, 3), st.fractions(max_denominator=10**6))
 @settings(max_examples=100, deadline=None)
 def test_equation_at_s_matches_its_coefficients_evaluated_at_s(label, dl, s):
@@ -912,6 +979,30 @@ def test_equation_at_s_matches_its_coefficients_evaluated_at_s(label, dl, s):
     assert ode.p1 == Poly([eq.p1_const.eval(s), eq.p1_lin.eval(s), eq.p1_quad.eval(s)])
     assert ode.p0 == Poly([eq.f.eval(s) - multipole_offset(eq.family, l), eq.e.eval(s)])
     assert ode.p2 == Poly([0, -2, 1])
+
+
+@pytest.mark.parametrize("label", N1_LABELS)
+def test_equation_at_reads_int_fraction_and_string_s_alike(label):
+    # the integer build against each coefficient evaluated at F(s), for s
+    # given as an int, a Fraction, a string and, where exact, a float
+    eq = family_equation(label)
+    for l in (eq.family.kind.min_l, 7):
+        for s in (0, 3, -2, F(7, 2), F(-1, 3), F(10**20 + 1, 6)):
+            S = F(s)
+            expected = AuxiliaryODE(
+                "r",
+                Poly([0, -2, 1]),
+                Poly([eq.p1_const.eval(S), eq.p1_lin.eval(S), eq.p1_quad.eval(S)]),
+                Poly([eq.f.eval(S) - multipole_offset(eq.family, l), eq.e.eval(S)]),
+            )
+            forms = [s, S, str(S)] + ([float(S)] if S.denominator in (1, 2) else [])
+            for form in forms:
+                assert eq.at(l, form) == expected, (l, form)
+    assert eq.at(2, 1).p2 is eq.at(3, "1/2").p2  # the one shared r(r-2)
+    with pytest.raises(ValueError):
+        eq.at(2, "one half")
+    with pytest.raises(TypeError):
+        eq.at(2, None)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def test_chandra_fails_when_a_check_fails(capsys, monkeypatch):
 
     real = cli.chandrasekhar_checks
 
-    def planted(l, P_w):
-        return real(l, P_w)._replace(sign_pattern_ok=False)
+    def planted(l, P_w, P_r):
+        return real(l, P_w, P_r)._replace(sign_pattern_ok=False)
 
     monkeypatch.setattr(cli, "chandrasekhar_checks", planted)
     code, out, _ = run(capsys, "chandra", "--l", "2")
@@ -123,6 +123,38 @@ def test_chandra_fails_when_a_check_fails(capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["chandra", "--l", "2", "--verify"])
     assert err.value.code == 2
+
+
+# sha256 of `bhk chandra --l 3` stdout in each format, as written when the
+# command built P(r) twice; building it once must not move a byte
+CHANDRA_L3_SHA256 = {
+    "human": "7c34cf99a35021d3d153cd4224adc362dde7ba8dec0afed5f2cdb8173e3a05b8",
+    "json": "99d1062d3395063df6b419849ee3d86b2be264def1276a9ec54eab8af0b1f673",
+    "csv": "d8c3b927f66e60b186201c8bdff399d1771b6fc65b81244bb21b801e87d68b0b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CHANDRA_L3_SHA256))
+def test_chandra_builds_p_r_once(capsys, monkeypatch, fmt):
+    # the report's P(r) is the one the checks examine: one build per call,
+    # counted through every module that binds chandrasekhar_r_frame
+    import hashlib
+
+    import bhkovacic.auxode as auxode
+    from bhkovacic import cli
+
+    real, calls = auxode.chandrasekhar_r_frame, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in (auxode, cli):
+        monkeypatch.setattr(module, "chandrasekhar_r_frame", counted)
+    code, out, _ = run(capsys, "chandra", "--l", "3", "--format", fmt)
+    assert code == 0
+    assert calls == [3]
+    assert hashlib.sha256(out.encode()).hexdigest() == CHANDRA_L3_SHA256[fmt]
 
 
 def test_hautot_subcommand(capsys):

@@ -369,6 +369,62 @@ def test_cross_check_cell_builds_its_system_once(monkeypatch):
     }
 
 
+def _workloads(monkeypatch):
+    """perfbench/workloads.py, loaded under a name of its own from this checkout."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    name = "bhk_perfbench_workloads"
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bareiss_det_stays_a_fraction_that_the_digest_writes_as_p_over_q(monkeypatch):
+    # agree is decided in integers, but the report field is still the
+    # rational determinant: the pinned scan_report digest writes a Fraction
+    # as "p/q" and an int as "p", so an integer there would move it
+    check = cross_check_cell("G3", 2, 4)
+    assert type(check["bareiss_det"]) is F and check["bareiss_det"].denominator == 1
+    assert _workloads(monkeypatch).canon(check["bareiss_det"]) == "-134180865/1"
+    report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12)
+    assert report.cross_checks and report.cross_checks_ok
+    assert all(type(c["bareiss_det"]) is F for c in report.cross_checks)
+
+
+def test_agree_compares_the_bareiss_determinant_with_d_last_times_den_power(monkeypatch):
+    # agree is D_(d+1) den^(d+1) == Bareiss in integers: a planted Bareiss
+    # value equal to it agrees, one more does not, and D_(d+1) without the
+    # factor den^(d+1) does not either, since den > 1 at this cell
+    family, l, d = "G3", 2, 4
+    _, den = candidate_rows(family_equation(family).at(l, degree_to_s(family, d)), d)
+    D_last = det_sequence(family, l, d).D_last
+    assert den > 1 and D_last != 0
+    for planted, agree in ((D_last * den ** (d + 1), True), (D_last * den ** (d + 1) + 1, False),
+                           (D_last, False)):
+        monkeypatch.setattr(evidence, "bareiss_determinant", lambda rows, v=planted: v)
+        check = cross_check_cell(family, l, d)
+        assert check["agree"] is agree, planted
+        assert check["bareiss_det"] == F(planted, den ** (d + 1))
+        assert check["recurrence_det"] == D_last
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_degree_to_s_is_the_degree_form_solved_for_s(family):
+    # the numerator route against the Fraction formula it replaced
+    degree = family_by_label(family).degree
+    for d in range(501):
+        s = degree_to_s(family, d)
+        assert type(s) is F and s == (d - degree[0]) / degree[1], d
+    assert degree_to_s(family, 0) == F(TWO_S_OFFSET[family], 2)
+    with pytest.raises(ValueError, match="scan covers"):
+        degree_to_s("G7", 0)
+
+
 def _assert_mag_index(values, n0):
     """n0 is where |D_n| starts to increase strictly for good."""
     assert all(abs(values[k]) > abs(values[k - 1]) for k in range(n0 + 1, len(values)))

@@ -393,13 +393,12 @@ def _divide_content(num: list, den: int) -> int:
     """Divide the nonempty list num in place by g = gcd(den, *num); return g.
 
     g divides every integer combination of the numerators, so it divides
-    the candidate c = gcd(den, last, first, sum (k+1) num[k], sum of the
-    odd-index num[k]).  When every num[k] divides by c exactly, c divides g
-    as well, so c is g: one gcd of five numbers and one exact division per
-    coefficient, instead of a chain of one gcd per coefficient.  A nonzero
-    remainder undoes the divisions and takes the full chain.
+    c = gcd(den, last, first, second), with sum (k+1) num[k] and the sum of
+    the odd-index num[k] only where that is > 1.  When every num[k] divides
+    by c exactly, c divides g as well, so c is g: one exact division per
+    coefficient, not a chain of gcds.  A remainder takes the full chain.
     """
-    g = math.gcd(den, num[-1], num[0])
+    g = math.gcd(den, num[-1], num[0], *num[1:2])
     if g != 1 and len(num) > 3:
         weighted = sum(k * v for k, v in enumerate(num, 1))
         g = math.gcd(g, weighted, sum(itertools.islice(num, 1, None, 2)))

@@ -106,10 +106,23 @@ class FamilyEquation(NamedTuple):
 
     def at(self, l: int, s: Rational) -> AuxiliaryODE:
         """Exact cleared equation r(r-2) P'' + p1 P' + p0 P = 0 at multipole l
-        and frequency s = a/b, in integers: each coefficient is evaluated
-        times D = L b^n, L the lcm of their denominators and n their degree,
-        as sum_k num[k] a^k b^(n-k) over one shared list of the powers.
-        Every equation shares the one p2 = r(r-2)."""
+        and frequency s; every equation shares the one p2 = r(r-2)."""
+        D, (c0, c1, c2, f, e) = self._cleared(l, s)
+        p1 = Poly.from_numerators([c0, c1, c2], D)
+        return AuxiliaryODE("r", _R_FRAME_P2, p1, Poly.from_numerators([f, e], D))
+
+    def recurrence_at(self, l: int, s: Rational) -> tuple:
+        """(rec, den) = ``recurrence(self.at(l, s))``, straight from the
+        integers of :meth:`_cleared` (p2 = r(r-2) times D is D r^2 - 2D r)
+        with one gcd."""
+        D, (c0, c1, c2, f, e) = self._cleared(l, s)
+        return _in_lowest_terms(_recurrence3(D, -2 * D, c2, c1, c0, e, f), D)
+
+    def _cleared(self, l: int, s: Rational) -> tuple:
+        """(D, (c0, c1, c2, f, e)): p1 = c2 r^2 + c1 r + c0 and p0 = e r + f
+        at multipole l and frequency s = a/b, times D = L b^n, L the lcm of
+        the fields' denominators and n their degree in s.  Each is
+        sum_k num[k] a^k b^(n-k) over one shared list of the powers."""
         a, b = Fraction(s).as_integer_ratio()
         polys = self.p1_const, self.p1_lin, self.p1_quad, self.f, self.e
         n = max(1, *[len(p.num) for p in polys]) - 1  # all-zero fields: D stays an integer
@@ -117,15 +130,13 @@ class FamilyEquation(NamedTuple):
         powers = [a**k * b ** (n - k) for k in range(n + 1)]
         c0, c1, c2, f, e = [L // p.den * sum(map(operator.mul, p.num, powers)) for p in polys]
         D = L * b**n
-        p1 = Poly.from_numerators([c0, c1, c2], D)
-        p0 = Poly.from_numerators([f - multipole_offset(self.family, l) * D, e], D)
-        return AuxiliaryODE("r", _R_FRAME_P2, p1, p0)
+        return D, (c0, c1, c2, f - multipole_offset(self.family, l) * D, e)
 
     def recurrence(self, l: int) -> Recurrence3:
         """The r-frame recurrence about r = 0 (rho = 0) at multipole l, s symbolic.
 
         Its entries are polynomials in s; at a given s they equal the rows
-        of ``rec, den = recurrence(self.at(l, s))`` divided by den.
+        of ``rec, den = self.recurrence_at(l, s)`` divided by den.
         """
         f = self.f - multipole_offset(self.family, l)
         # p2 = r(r-2) = r^2 - 2r
@@ -355,7 +366,11 @@ def recurrence(ode: AuxiliaryODE) -> tuple:
         raise ValueError("coefficients exceed the cleared-form degrees")
     D = math.lcm(p2.den, p1.den, p0.den)
     q2, q1, q0 = [[v * (D // p.den) for v in p.num] + [0] * 3 for p in (p2, p1, p0)]
-    rows = _recurrence3(q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0])
+    return _in_lowest_terms(_recurrence3(q2[2], q2[1], q1[2], q1[1], q1[0], q0[1], q0[0]), D)
+
+
+def _in_lowest_terms(rows: Recurrence3, D: int) -> tuple:
+    """(rec, den): integer rows over D > 0 divided by their one gcd with D."""
     g = math.gcd(D, *rows.lower_k, *rows.diag_k, *rows.upper_k)
     return Recurrence3(*[tuple([c // g for c in row]) for row in rows]), D // g
 
@@ -487,18 +502,14 @@ def chandrasekhar_coeffs(l: int) -> Poly:
     return Poly.from_numerators(num, den)
 
 
-def _g7_ode(l: int) -> AuxiliaryODE:
-    return family_equation("G7").at(l, special_frequency(l))
-
-
 def chandrasekhar_r_frame(l: int, den: int, top: int) -> Poly:
     """The closed-form polynomial of :func:`chandrasekhar_coeffs` written in r,
     P(r) = P(w+2), from the denominator ``den`` and the leading numerator
     ``top`` of P(w).
 
     The rest comes from running the integer r-frame three-term recurrence
-    of :func:`recurrence` downward from the leading coefficient (an
-    O(degree) route that avoids the quadratic cost of a Taylor shift); the
+    (:meth:`FamilyEquation.recurrence_at`) downward from the leading
+    coefficient (an O(degree) route that avoids the quadratic cost of a Taylor shift); the
     otherwise-unused bottom row of the recurrence is then checked, which
     certifies the result.  A shift by the integer 2 keeps the denominator
     of P(w), so the recurrence runs on integer numerators over it, and
@@ -506,7 +517,7 @@ def chandrasekhar_r_frame(l: int, den: int, top: int) -> Poly:
     may drop P(w) before P(r) is built.
     """
     d = int(2 * special_frequency(l) + 1)
-    rec, _ = recurrence(_g7_ode(l))
+    rec, _ = family_equation("G7").recurrence_at(l, special_frequency(l))
     num = [0] * (d + 2)
     num[d] = top
     for m in range(d, 0, -1):
@@ -582,7 +593,7 @@ def chandrasekhar_checks(
         P_w = chandrasekhar_coeffs(l)
     d = int(2 * s + 1)
     four_sig = d - 1  # 4 sigma0 = 2s
-    ode_r = _g7_ode(l)
+    ode_r = family_equation("G7").at(l, s)
     ode_w = to_w_frame(ode_r)
 
     rec_w, _ = recurrence(ode_w)
@@ -658,22 +669,22 @@ def _binomial_terms(shift: int, c: int, n: int, den: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
-def candidate_rows(ode: AuxiliaryODE, d: int) -> tuple:
+def candidate_rows(system: tuple, d: int) -> tuple:
     """(rows, den): residual rows 0..d+1 of a degree-d polynomial ansatz
-    about the frame origin, in integers.
+    about the frame origin, from an integer recurrence ``system`` = (rec,
+    den) (:func:`recurrence`, :meth:`FamilyEquation.recurrence_at`).
 
-    Row m holds lower(m), diag(m) and upper(m) of the integer recurrence
-    ``rec, den = recurrence(ode)`` in columns m-1, m and m+1 (those within
-    0..d): the rational rows times the same positive integer den.  Each
-    entry is evaluated in integers straight from its coefficient tuple in
-    m (two and three coefficients), with no call per entry.  Rows 0..d are
-    the square candidate system, so its rational determinant is
-    ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row d+1 vanishes
-    identically exactly when d matches the family's degree formula.
+    Row m holds lower(m), diag(m) and upper(m) of rec in columns m-1, m and
+    m+1 (those within 0..d): the rational rows times the same positive
+    integer den, each entry evaluated straight from its integer coefficient
+    tuple in m.  Rows 0..d are the square candidate system, so its rational
+    determinant is ``bareiss_determinant(rows[:-1]) / den ** (d + 1)``; row
+    d+1 vanishes identically exactly when d matches the family's degree
+    formula.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
-    rec, den = recurrence(ode)
+    rec, den = system
     (l0, l1), (d0, d1, d2), (u0, u1, u2) = rec
     rows = []
     for m in range(d + 2):
@@ -695,7 +706,7 @@ def brute_force_polynomial_solutions(ode: AuxiliaryODE, d: int) -> List[Poly]:
     of :func:`candidate_rows` (their common factor den leaves the solutions
     alone), by fraction-free elimination in integers.
     """
-    rows, _ = candidate_rows(ode, d)
+    rows, _ = candidate_rows(recurrence(ode), d)
     return [Poly(vec) for vec in nullspace(rows)]
 
 

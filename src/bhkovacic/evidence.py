@@ -446,18 +446,19 @@ _CROSS_CHECK_D_MAX = 12
 def cross_check_cell(family: str, l: int, d: int) -> dict:
     """Bareiss determinant of the explicit system vs the engine's D_{d+1}.
 
-    The system is built on the scan family's one equation,
-    :func:`family_equation` of its label, at the (l, s) of the cell.  Its
-    d+1 integer rows are the rational rows times one factor den, so the
-    rational determinant is the Bareiss one over den ** (d + 1): ``agree``
-    compares D_{d+1} den ** (d + 1) with it in integers, and the one
-    ``Fraction`` built is the report's ``bareiss_det``.  At d <= 8 the
-    same rows plus row d+1 give the brute-force nullspace.  Both oracles
-    are held to :func:`_cell`'s exact loop, whose signs it records:
-    :func:`_scan_group` holds its run verdicts to them.
+    The system is the integer recurrence of the family's one equation at
+    the (l, s) of the cell (``FamilyEquation.recurrence_at``), never
+    :func:`_column`.  Its d+1 integer rows are the rational rows times one
+    factor den, so the rational determinant is the Bareiss one over
+    den ** (d + 1): ``agree`` compares D_{d+1} den ** (d + 1) with it in
+    integers, and the one ``Fraction`` built is the report's
+    ``bareiss_det``.  At d <= 8 the same rows plus row d+1 give the
+    brute-force nullspace.  Both oracles are held to :func:`_cell`'s exact
+    loop, whose signs it records: :func:`_scan_group` holds its run
+    verdicts to them.
     """
     s = degree_to_s(family, d)  # a family outside the scan has no grid
-    rows, den = candidate_rows(family_equation(family).at(l, s), d)
+    rows, den = candidate_rows(family_equation(family).recurrence_at(l, s), d)
     bareiss = bareiss_determinant(rows[:-1])
     scale = den ** (d + 1)
     sign_ok, final_ok, D_last, _ = _cell(_column_at(family, l), d)

@@ -219,7 +219,7 @@ def test_criterion_10_oracle_agreement():
     l = 2
     g7 = family_equation("G7")
     ode = g7.at(l, special_frequency(l))
-    rows, _ = candidate_rows(ode, 9)
+    rows, _ = candidate_rows(g7.recurrence_at(l, special_frequency(l)), 9)
     square = rows[:-1]  # the 10 x 10 candidate system
     basis = [Poly(v) for v in nullspace(square)]
     P_w = chandrasekhar_coeffs(l)

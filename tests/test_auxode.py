@@ -287,16 +287,18 @@ def test_recurrence_refuses_coefficients_past_the_cleared_degrees(field, poly):
     with pytest.raises(ValueError, match="exceed the cleared-form degrees"):
         recurrence(ode)
     with pytest.raises(ValueError, match="exceed the cleared-form degrees"):
-        candidate_rows(ode, 3)
+        brute_force_polynomial_solutions(ode, 3)
 
 
 # ---------------------------------------------------------------------------
 # every route to an auxiliary equation checks l
 # ---------------------------------------------------------------------------
 
-# keyed by what the route does; the first two are FamilyEquation.at and .recurrence
+# keyed by what the route does; the first three are FamilyEquation.at,
+# .recurrence_at and .recurrence
 ROUTES = {
     "build_auxiliary": lambda family, l: family_equation(family.label).at(l, 1),
+    "integer_recurrence": lambda family, l: family_equation(family.label).recurrence_at(l, 1),
     "symbolic_recurrence": lambda family, l: family_equation(family.label).recurrence(l),
     "solve_low_degree": lambda family, l: solve_low_degree(
         family_equation(family.label), 0, l=l, s_fixed=1
@@ -910,8 +912,7 @@ def test_tridiagonal_system_det_matches_recurrence():
         eq = family_equation(label)
         for l in default_l_range(label, 4):
             for d in range(13):
-                ode = eq.at(l, degree_to_s(label, d))
-                rows, den = candidate_rows(ode, d)
+                rows, den = candidate_rows(eq.recurrence_at(l, degree_to_s(label, d)), d)
                 assert len(rows) == d + 2 and den > 0
                 assert all(type(v) is int for row in rows for v in row)
                 det = F(bareiss_determinant(rows[:-1]), den ** (d + 1))
@@ -948,8 +949,9 @@ def test_candidate_rows_match_the_cleared_recurrence(label):
     for l in default_l_range(label, 6) if label in SCAN_FAMILIES else range(2, 5):
         for d in range(13):
             ode = eq.at(l, (d - fam.degree[0]) / fam.degree[1])
-            assert candidate_rows(ode, d) == _cleared_rows(ode, d), (l, d)
-            assert candidate_rows(to_w_frame(ode), d) == _cleared_rows(to_w_frame(ode), d)
+            assert candidate_rows(recurrence(ode), d) == _cleared_rows(ode, d), (l, d)
+            w_frame = to_w_frame(ode)
+            assert candidate_rows(recurrence(w_frame), d) == _cleared_rows(w_frame, d)
 
 
 @given(
@@ -966,7 +968,23 @@ def test_candidate_rows_match_the_cleared_recurrence_at_any_s(label, dl, s, d):
     # three frames the recurrence is taken in
     ode = _ode(label, family_by_label(label).kind.min_l + dl, s)
     for framed in (ode, to_w_frame(ode), to_z_frame(ode)):
-        assert candidate_rows(framed, d) == _cleared_rows(framed, d), framed.frame
+        assert candidate_rows(recurrence(framed), d) == _cleared_rows(framed, d), framed.frame
+
+
+@given(st.sampled_from(N1_LABELS), st.integers(0, 6), st.fractions(max_denominator=10**6))
+@settings(max_examples=200, deadline=None)
+@example("G3", 0, F(7, 2))
+@example("E7", 2, F(-5, 3))
+@example("S1", 3, F(0))
+def test_recurrence_at_is_the_recurrence_of_the_equation_at(label, dl, s):
+    # the one integer route from the family's fields to (rec, den) against
+    # the route through the AuxiliaryODE and its two normalisations, at
+    # every n=1 family, any multipole l >= min_l and any rational s
+    eq = family_equation(label)
+    l = eq.family.kind.min_l + dl
+    rec, den = eq.recurrence_at(l, s)
+    assert (rec, den) == recurrence(eq.at(l, s))
+    assert den > 0 and all(type(c) is int for row in (*rec, (den,)) for c in row)
 
 
 @given(st.sampled_from(N1_LABELS), st.integers(0, 3), st.fractions(max_denominator=10**6))

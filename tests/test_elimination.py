@@ -203,7 +203,7 @@ def test_echelon_matches_the_eager_loop_on_candidate_systems(label, l, ds):
     fam = family_by_label(label)
     eq = family_equation(label)
     for d in ds:
-        rows, _ = candidate_rows(eq.at(l, (d - fam.degree[0]) / fam.degree[1]), d)
+        rows, _ = candidate_rows(eq.recurrence_at(l, (d - fam.degree[0]) / fam.degree[1]), d)
         for system in (rows[:-1], rows):
             assert _echelon(system) == eager_echelon(system), (d, len(system))
 

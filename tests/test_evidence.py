@@ -19,7 +19,7 @@ from bhkovacic.auxode import (
     family_equation,
     recurrence,
 )
-from bhkovacic.elimination import bareiss_determinant, tridiag_minors
+from bhkovacic.elimination import bareiss_determinant, nullspace, tridiag_minors
 from bhkovacic.evidence import (
     SCAN_FAMILIES,
     ScanReport,
@@ -63,7 +63,7 @@ def _direct_det(ode, size):
     Each integer row is the rational row times the one factor den, which
     is divided back out.
     """
-    rows, den = candidate_rows(ode, size - 1)
+    rows, den = candidate_rows(recurrence(ode), size - 1)
     return F(bareiss_determinant(rows[:-1]), den**size)
 
 
@@ -189,21 +189,21 @@ def test_planted_diagonal_error_is_the_scans_first_failure(monkeypatch):
     # one cleared diagonal entry of one explicit system is off by one: its
     # cross-check disagrees, and the scan names that cell first
     planted_cell = ("E3", 2, 8)
-    real_at, real_rows = auxode.FamilyEquation.at, evidence.candidate_rows
-    built = {}  # id of each equation built -> (family label, l)
+    real_recurrence_at, real_rows = auxode.FamilyEquation.recurrence_at, evidence.candidate_rows
+    built = {}  # id of each integer recurrence built -> (family label, l)
 
-    def recorded_at(eq, l, s):
-        ode = real_at(eq, l, s)
-        built[id(ode)] = (eq.family.label, l)
-        return ode
+    def recorded_recurrence_at(eq, l, s):
+        system = real_recurrence_at(eq, l, s)
+        built[id(system)] = (eq.family.label, l)
+        return system
 
-    def planted_rows(ode, d):
-        rows, den = real_rows(ode, d)
-        if (*built[id(ode)], d) == planted_cell:
+    def planted_rows(system, d):
+        rows, den = real_rows(system, d)
+        if (*built[id(system)], d) == planted_cell:
             rows[4][4] += 1
         return rows, den
 
-    monkeypatch.setattr(auxode.FamilyEquation, "at", recorded_at)
+    monkeypatch.setattr(auxode.FamilyEquation, "recurrence_at", recorded_recurrence_at)
     monkeypatch.setattr(evidence, "candidate_rows", planted_rows)
     report = scan(families=SCAN_FAMILIES, l_max=3, d_max=12)
     failed = [c for c in report.cross_checks if not c["agree"]]
@@ -303,7 +303,7 @@ def test_cross_check_refuses_an_early_exit_on_a_zero_determinant(monkeypatch):
     # that lie about d = 4 are planted on a column with no run decided
     column = _PLANTED_ZERO
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: column)
-    monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
+    monkeypatch.setattr(evidence, "candidate_rows", lambda system, d: _tridiagonal_rows(column, d))
     assert _tail_certified(column) and _certificate(column) is None
     agree = [check["agree"] for check in _scan_group("G3", 2, 12, False, None)[0].cross_checks]
     assert agree == [True] * 4
@@ -332,7 +332,9 @@ def test_cross_check_catches_a_false_certificate(monkeypatch):
     # the exact loop flags d = 8 and d = 12
     monkeypatch.setattr(evidence, "_column", lambda label: _PLANTED)
     monkeypatch.setattr(evidence, "_column_at", lambda fam, l: _PLANTED)
-    monkeypatch.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(_PLANTED, d))
+    monkeypatch.setattr(
+        evidence, "candidate_rows", lambda system, d: _tridiagonal_rows(_PLANTED, d)
+    )
     report = scan(families=("G3",), l_max=2, d_max=12)
     assert [check["agree"] for check in report.cross_checks] == [True] * 4
     monkeypatch.setattr(evidence, "_tail_certified", lambda column: True)
@@ -344,18 +346,26 @@ def test_cross_check_catches_a_false_certificate(monkeypatch):
 
 
 def test_cross_check_cell_builds_its_system_once(monkeypatch):
-    # one recurrence serves the Bareiss determinant and, at d <= 8, the
-    # brute-force nullspace
-    real_recurrence = auxode.recurrence
-    calls = []
+    # one integer recurrence, read straight off the family's equation at
+    # (l, s), serves the Bareiss determinant and, at d <= 8, the nullspace
+    # dimension; no AuxiliaryODE is built and none is taken back apart
+    calls = dict.fromkeys(("recurrence_at", "at", "recurrence", "candidate_rows"), 0)
 
-    def counted(*args):
-        calls.append(args)
-        return real_recurrence(*args)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(auxode, "recurrence", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(auxode.FamilyEquation, "recurrence_at")
+    counted(auxode.FamilyEquation, "at")
+    counted(auxode, "recurrence")
+    counted(evidence, "candidate_rows")
     check = cross_check_cell("G3", 2, 4)
-    assert len(calls) == 1
+    assert calls == {"recurrence_at": 1, "at": 0, "recurrence": 0, "candidate_rows": 1}
     assert check == {
         "family": "G3",
         "l": 2,
@@ -367,6 +377,53 @@ def test_cross_check_cell_builds_its_system_once(monkeypatch):
         "sign_ok": True,
         "final_sign_ok": True,
     }
+
+
+def test_every_sampled_cell_reports_the_nullspace_of_its_rows(monkeypatch):
+    # the default scan's 177 cross-checks with d <= 8 each make one
+    # nullspace call, and each reports the dimension of the nullspace of
+    # its rows 0..d+1, rebuilt here through the AuxiliaryODE route
+    real_nullspace = evidence.nullspace
+    calls = []
+    monkeypatch.setattr(
+        evidence, "nullspace", lambda rows: calls.append(rows) or real_nullspace(rows)
+    )
+    report = scan()
+    sampled = [check for check in report.cross_checks if check["d"] <= 8]
+    assert (len(report.cross_checks), len(sampled), len(calls)) == (236, 177, 177)
+    for check in sampled:
+        family, l, d = check["family"], check["l"], check["d"]
+        ode = family_equation(family).at(l, degree_to_s(family, d))
+        rows, _ = candidate_rows(recurrence(ode), d)
+        assert check["nullspace_dim"] == len(nullspace(rows)) == 0, (family, l, d)
+    assert all(check["nullspace_dim"] is None for check in report.cross_checks if check["d"] > 8)
+
+
+def test_a_singular_system_runs_the_nullspace_and_fails_its_cell(monkeypatch):
+    # row 3 of the d = 8 system zeroed: Bareiss finds rows 0..d singular,
+    # the nullspace of rows 0..d+1 is nontrivial, and the scan names the
+    # cell as its first failure
+    real_rows, real_nullspace = evidence.candidate_rows, evidence.nullspace
+    calls = []
+
+    def planted_rows(system, d):
+        rows, den = real_rows(system, d)
+        if d == 8:
+            rows[3] = [0] * (d + 1)
+        return rows, den
+
+    monkeypatch.setattr(evidence, "candidate_rows", planted_rows)
+    monkeypatch.setattr(
+        evidence, "nullspace", lambda rows: calls.append(rows) or real_nullspace(rows)
+    )
+    report = scan(families=("G3",), l_max=2, d_max=12)
+    assert [len(rows[0]) - 1 for rows in calls] == [0, 4, 8]
+    (check,) = [check for check in report.cross_checks if check["d"] == 8]
+    assert check["bareiss_det"] == 0 and not check["agree"]
+    assert check["nullspace_dim"] >= 1 and evidence._check_failed(check)
+    assert [evidence._check_failed(c) for c in report.cross_checks] == [False, False, True, False]
+    assert not report.cross_checks_ok
+    assert report.first_failure == {"check": "cross_check", "family": "G3", "l": 2, "d": 8}
 
 
 def _workloads(monkeypatch):
@@ -401,7 +458,7 @@ def test_agree_compares_the_bareiss_determinant_with_d_last_times_den_power(monk
     # value equal to it agrees, one more does not, and D_(d+1) without the
     # factor den^(d+1) does not either, since den > 1 at this cell
     family, l, d = "G3", 2, 4
-    _, den = candidate_rows(family_equation(family).at(l, degree_to_s(family, d)), d)
+    _, den = family_equation(family).recurrence_at(l, degree_to_s(family, d))
     D_last = det_sequence(family, l, d).D_last
     assert den > 1 and D_last != 0
     for planted, agree in ((D_last * den ** (d + 1), True), (D_last * den ** (d + 1) + 1, False),
@@ -695,7 +752,7 @@ def test_run_decided_column_reports_like_exact_cells(column, d_max):
         return
     with pytest.MonkeyPatch.context() as m:
         m.setattr(evidence, "_column_at", lambda fam, l: column)
-        m.setattr(evidence, "candidate_rows", lambda ode, d: _tridiagonal_rows(column, d))
+        m.setattr(evidence, "candidate_rows", lambda system, d: _tridiagonal_rows(column, d))
         assert _scan_group("G3", 2, d_max, False, None) == _scan_group(
             "G3", 2, d_max, False, certificate
         )
